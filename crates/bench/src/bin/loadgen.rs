@@ -3,28 +3,17 @@
 //! Boots the embedded HTTP server on a scratch journaled store and drives
 //! it with N closed-loop clients on persistent keep-alive connections,
 //! each flipping a seeded coin per request between a SPARQL read and an
-//! update script. Reports throughput and p50/p95/p99 latency per mode and
-//! proves the group-commit claim with observability counters: one fsync
-//! and one publish per drained group, not per script.
-//!
-//! By default the workload runs twice and the report carries the write
-//! throughput (applied ops/s) speedup between the legs:
-//!
-//! * **per-op-fsync baseline** — group commit off and one op per update
-//!   request, i.e. one journal record, one fsync and one snapshot publish
-//!   per op: exactly what the pre-group-commit server did for every op of
-//!   a script;
-//! * **group commit** — `--ops-per-update` ops per script (one atomic
-//!   record each), concurrent scripts drained per writer wakeup, one
-//!   fsync + one publish per drained group.
+//! update script of `--ops-per-update` ops. Reports throughput and
+//! p50/p95/p99 latency and proves the group-commit claim with
+//! observability counters: one fsync and one publish per drained group,
+//! not per script.
 //!
 //! Results land in `bench_results/table_loadgen.json`.
 //!
 //! ```text
 //! loadgen [--clients N] [--write-ratio F] [--duration-secs S]
 //!         [--ops-per-update N] [--fsync always|never]
-//!         [--group-commit on|off|both] [--threads N] [--queue N]
-//!         [--seed N] [--strict]
+//!         [--threads N] [--queue N] [--seed N] [--strict] [--conn-sweep]
 //!         [--subscribers N] [--subscribe-triples T] [--subscribe-updates U]
 //! ```
 //!
@@ -44,7 +33,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use webreason_core::{DurableStore, ReasoningConfig};
-use webreason_server::{Backend, Server, ServerConfig};
+use webreason_server::{Server, ServerConfig};
 
 const QUERY: &str = "PREFIX ex: <http://ex/> SELECT ?x WHERE { ?x a ex:Mammal }";
 
@@ -60,16 +49,12 @@ struct Args {
     /// amortization being measured; `counting` adds incremental
     /// maintenance per op for an end-to-end mixed workload.
     reasoning: ReasoningConfig,
-    /// `[false, true]` = both modes, baseline first.
-    modes: Vec<bool>,
     threads: usize,
     queue: usize,
     seed: u64,
     strict: bool,
-    backend: Backend,
-    /// Run the connection-scaling sweep (threaded@8 vs reactor@8 vs
-    /// reactor@`--clients`) into `table_cserve.json` instead of the
-    /// group-commit comparison.
+    /// Run the connection-scaling sweep (8 clients, then `--clients`)
+    /// into `table_cserve.json` instead of the mixed workload.
     conn_sweep: bool,
     /// Run the chaos leg (disk-fault windows + slow-client stalls) into
     /// `table_chaos.json`. Needs `--features failpoints`.
@@ -77,7 +62,7 @@ struct Args {
     chaos_windows: usize,
     chaos_window_ms: u64,
     /// Run the subscription leg (`--subscribers N`) into
-    /// `table_subscribe.json`: N live `POST /subscribe` streams over a
+    /// `table_subscribe.json`: N `POST /subscribe` cursors over a
     /// LUBM-style store, asserting zero lost deltas and measuring delta
     /// propagation vs full re-evaluation.
     subscribers: usize,
@@ -89,8 +74,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: loadgen [--clients N] [--write-ratio F] [--duration-secs S]\n\
          \x20              [--ops-per-update N] [--fsync always|never]\n\
-         \x20              [--reasoning none|counting]\n\
-         \x20              [--group-commit on|off|both] [--threads N] [--queue N]\n\
+         \x20              [--reasoning none|counting] [--threads N] [--queue N]\n\
          \x20              [--seed N] [--strict] [--conn-sweep]\n\
          \x20              [--chaos] [--chaos-windows N] [--chaos-window-ms MS]\n\
          \x20              [--subscribers N] [--subscribe-triples T] [--subscribe-updates U]"
@@ -106,12 +90,10 @@ fn parse_args() -> Args {
         ops_per_update: 4,
         fsync: FsyncPolicy::Always,
         reasoning: ReasoningConfig::None,
-        modes: vec![false, true],
         threads: 0, // 0 = one worker per client
         queue: 256,
         seed: 42,
         strict: false,
-        backend: Backend::Reactor,
         conn_sweep: false,
         chaos: false,
         chaos_windows: 2,
@@ -168,33 +150,7 @@ fn parse_args() -> Args {
                 }
                 _ => false,
             },
-            "--group-commit" => match value.as_str() {
-                "on" => {
-                    args.modes = vec![true];
-                    true
-                }
-                "off" => {
-                    args.modes = vec![false];
-                    true
-                }
-                "both" => {
-                    args.modes = vec![false, true];
-                    true
-                }
-                _ => false,
-            },
             "--threads" => value.parse().map(|v| args.threads = v).is_ok(),
-            "--backend" => match value.as_str() {
-                "reactor" => {
-                    args.backend = Backend::Reactor;
-                    true
-                }
-                "threaded" => {
-                    args.backend = Backend::Threaded;
-                    true
-                }
-                _ => false,
-            },
             "--queue" => value
                 .parse()
                 .ok()
@@ -324,8 +280,6 @@ fn percentile(sorted: &[u64], q: f64) -> u64 {
 #[derive(Serialize)]
 struct ModeRow {
     mode: &'static str,
-    backend: &'static str,
-    group_commit: bool,
     clients: usize,
     write_ratio: f64,
     ops_per_update: usize,
@@ -361,9 +315,6 @@ struct ModeRow {
 struct Report {
     seed: u64,
     rows: Vec<ModeRow>,
-    /// `write_ops_per_s(group commit) / write_ops_per_s(per-op-fsync)`,
-    /// present when both legs ran.
-    write_speedup: Option<f64>,
 }
 
 /// Snapshot of the group-size histogram (count, sum) — the registry is
@@ -410,34 +361,10 @@ fn scrape_open_connections(addr: SocketAddr) -> u64 {
         .unwrap_or(0)
 }
 
-fn run_mode(args: &Args, group_commit: bool) -> ModeRow {
-    run_leg(
-        args,
-        LegSpec {
-            label: if group_commit {
-                "group-commit"
-            } else {
-                "per-op-fsync"
-            },
-            group_commit,
-            backend: args.backend,
-            clients: args.clients,
-            threads: if args.threads == 0 {
-                args.clients
-            } else {
-                args.threads
-            },
-            scrape_mid: false,
-        },
-    )
-}
-
-/// One sweep/mode leg: backend, client count and worker count pinned.
+/// One workload leg: client count and worker count pinned.
 #[derive(Clone, Copy)]
 struct LegSpec {
     label: &'static str,
-    group_commit: bool,
-    backend: Backend,
     clients: usize,
     threads: usize,
     scrape_mid: bool,
@@ -445,10 +372,7 @@ struct LegSpec {
 
 fn run_leg(args: &Args, spec: LegSpec) -> ModeRow {
     let mode = spec.label;
-    let group_commit = spec.group_commit;
-    // The baseline leg pins one op per request: one record, one fsync,
-    // one publish per op — the pre-group-commit write path.
-    let ops_per_update = if group_commit { args.ops_per_update } else { 1 };
+    let ops_per_update = args.ops_per_update;
     let dir = std::env::temp_dir().join(format!("webreason-loadgen-{mode}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let mut store = DurableStore::create(&dir, args.reasoning, NonZeroUsize::MIN, args.fsync)
@@ -468,8 +392,6 @@ fn run_leg(args: &Args, spec: LegSpec) -> ModeRow {
             threads: spec.threads,
             update_queue: args.queue,
             checkpoint_every: 0, // keep the fsync ledger to commits only
-            group_commit,
-            backend: spec.backend,
             max_conns: 4096.max(spec.clients + 64),
             ..Default::default()
         },
@@ -587,11 +509,6 @@ fn run_leg(args: &Args, spec: LegSpec) -> ModeRow {
     let ops_applied = total.writes_ok * ops_per_update as u64;
     ModeRow {
         mode,
-        backend: match spec.backend {
-            Backend::Reactor => "reactor",
-            Backend::Threaded => "threaded",
-        },
-        group_commit,
         clients: spec.clients,
         write_ratio: args.write_ratio,
         ops_per_update,
@@ -629,18 +546,9 @@ fn run_leg(args: &Args, spec: LegSpec) -> ModeRow {
     }
 }
 
-#[derive(Serialize)]
-struct SweepReport {
-    seed: u64,
-    rows: Vec<ModeRow>,
-    /// `reads_per_s(reactor@8) / reads_per_s(threaded@8)` — the reactor
-    /// must not regress low-concurrency read throughput.
-    read_throughput_ratio: Option<f64>,
-}
-
-/// The connection-scaling sweep: the threaded baseline and the reactor at
-/// matched low concurrency, then the reactor alone at `--clients` (the
-/// threaded backend would need one OS thread per connection there).
+/// The connection-scaling sweep: 8 keep-alive clients, then `--clients`
+/// of them on the same worker pool, with the open-connection gauge
+/// scraped mid-run on the big leg.
 fn run_conn_sweep(args: &Args) -> ! {
     let big = args.clients.max(64);
     let workers = if args.threads == 0 { 8 } else { args.threads };
@@ -651,25 +559,13 @@ fn run_conn_sweep(args: &Args) -> ! {
     );
     let legs = [
         LegSpec {
-            label: "threaded-8",
-            group_commit: true,
-            backend: Backend::Threaded,
-            clients: 8,
-            threads: 8.max(workers),
-            scrape_mid: false,
-        },
-        LegSpec {
-            label: "reactor-8",
-            group_commit: true,
-            backend: Backend::Reactor,
+            label: "clients-8",
             clients: 8,
             threads: workers,
             scrape_mid: false,
         },
         LegSpec {
-            label: "reactor-high",
-            group_commit: true,
-            backend: Backend::Reactor,
+            label: "clients-high",
             clients: big,
             threads: workers,
             scrape_mid: true,
@@ -682,7 +578,6 @@ fn run_conn_sweep(args: &Args) -> ! {
         .map(|r| {
             vec![
                 r.mode.to_owned(),
-                r.backend.to_owned(),
                 r.clients.to_string(),
                 format!("{:.0}", r.reads_per_s),
                 format!("{:.0}", r.writes_per_s),
@@ -702,7 +597,6 @@ fn run_conn_sweep(args: &Args) -> ! {
         render_table(
             &[
                 "leg",
-                "backend",
                 "clients",
                 "reads/s",
                 "writes/s",
@@ -719,21 +613,10 @@ fn run_conn_sweep(args: &Args) -> ! {
         )
     );
 
-    let read_throughput_ratio = match rows.as_slice() {
-        [threaded, reactor, ..] if threaded.reads_per_s > 0.0 => {
-            Some(reactor.reads_per_s / threaded.reads_per_s)
-        }
-        _ => None,
-    };
-    if let Some(r) = read_throughput_ratio {
-        println!("read throughput, reactor vs threaded at 8 clients: {r:.2}x");
-    }
-
     let errors: u64 = rows.iter().map(|r| r.errors).sum();
-    let report = SweepReport {
+    let report = Report {
         seed: args.seed,
         rows,
-        read_throughput_ratio,
     };
     let ok = emit_json("table_cserve", &report);
     if args.strict && errors > 0 {
@@ -755,11 +638,23 @@ fn main() {
         run_conn_sweep(&args);
     }
     println!(
-        "== loadgen: {} clients, write ratio {:.2}, {:.1}s per mode, fsync {:?}, seed {} ==",
+        "== loadgen: {} clients, write ratio {:.2}, {:.1}s, fsync {:?}, seed {} ==",
         args.clients, args.write_ratio, args.duration_secs, args.fsync, args.seed
     );
 
-    let rows: Vec<ModeRow> = args.modes.iter().map(|&gc| run_mode(&args, gc)).collect();
+    let rows = vec![run_leg(
+        &args,
+        LegSpec {
+            label: "mixed",
+            clients: args.clients,
+            threads: if args.threads == 0 {
+                args.clients
+            } else {
+                args.threads
+            },
+            scrape_mid: false,
+        },
+    )];
 
     let table: Vec<Vec<String>> = rows
         .iter()
@@ -803,19 +698,10 @@ fn main() {
         )
     );
 
-    let write_speedup = match rows.as_slice() {
-        [off, on] if off.write_ops_per_s > 0.0 => Some(on.write_ops_per_s / off.write_ops_per_s),
-        _ => None,
-    };
-    if let Some(s) = write_speedup {
-        println!("write throughput speedup (group commit vs per-op fsync): {s:.1}x");
-    }
-
     let errors: u64 = rows.iter().map(|r| r.errors).sum();
     let report = Report {
         seed: args.seed,
         rows,
-        write_speedup,
     };
     let ok = emit_json("table_loadgen", &report);
     if args.strict && errors > 0 {
@@ -827,24 +713,25 @@ fn main() {
     }
 }
 
-/// The subscription leg (`--subscribers N`): N live `POST /subscribe`
-/// streams over a LUBM-style store (universities, professors, students —
+/// The subscription leg (`--subscribers N`): N `POST /subscribe` cursors
+/// over a LUBM-style store (universities, professors, students —
 /// `--subscribe-triples` base triples under Counting saturation), driven
 /// by `--subscribe-updates` single-triple updates that each change the
-/// subscribed view by exactly one row.
+/// subscribed view by exactly one row. After every update each cursor
+/// polls `GET /subscribe/{id}?from=E` from its last acknowledged epoch.
 ///
-/// Asserted (and `--strict`-gated): **zero lost deltas** — every
-/// subscriber receives exactly one batch per update and its accumulated
-/// state converges to the final from-scratch answer.
+/// Asserted (and `--strict`-gated): **zero lost deltas** — every cursor
+/// receives the batch of every update's epoch and its accumulated state
+/// converges to the final from-scratch answer.
 ///
-/// Measured: per-update **delta propagation** (update acked → batch on
-/// the wire) vs **full re-evaluation** (`POST /query` of the same SPARQL)
-/// p50/p95, and their ratio — the O(|Δ|)-vs-O(|G|) claim the incremental
-/// views exist for. Results land in `bench_results/table_subscribe.json`.
+/// Measured: per-update **delta maintenance** (the publish span) and
+/// **propagation** (update acked → batch in a polling client's hand) vs
+/// **full re-evaluation** (`POST /query` of the same SPARQL) p50/p95 —
+/// the O(|Δ|)-vs-O(|G|) claim the incremental views exist for. Results
+/// land in `bench_results/table_subscribe.json`.
 mod subscribe {
     use super::*;
     use std::collections::HashMap;
-    use std::sync::Mutex;
 
     const PERSON_QUERY: &str = "SELECT ?x WHERE { ?x a <http://ex/Person> }";
 
@@ -884,13 +771,14 @@ mod subscribe {
         digits.parse().ok()
     }
 
-    /// Applies a batch frame's events to `state`. Rows here are single
-    /// IRIs (`["<http://ex/s1>"]`) — no JSON string escapes to handle.
-    fn apply_events(state: &mut HashMap<String, i64>, frame: &str, reset: bool) {
-        if reset {
+    /// Applies one serialized batch's events to `state`. Rows here are
+    /// single IRIs (`["<http://ex/s1>"]`) — no JSON string escapes to
+    /// handle.
+    fn apply_batch(state: &mut HashMap<String, i64>, batch: &str) {
+        if batch.contains("\"reset\":true") {
             state.clear();
         }
-        let mut rest = frame;
+        let mut rest = batch;
         while let Some(at) = rest.find("{\"row\":[\"") {
             let tail = &rest[at + 9..];
             let Some(end) = tail.find("\"]") else { break };
@@ -915,81 +803,87 @@ mod subscribe {
         }
     }
 
-    /// Incremental chunked-transfer frame reader over a blocking socket.
-    struct FrameReader {
-        stream: TcpStream,
-        buf: Vec<u8>,
-    }
-
-    enum Frame {
-        Data(String),
-        End,
-    }
-
-    impl FrameReader {
-        /// Consumes the response head, asserting a 200 chunked stream.
-        fn read_head(&mut self) {
-            loop {
-                if let Some(pos) = self.buf.windows(4).position(|w| w == b"\r\n\r\n") {
-                    let head = String::from_utf8_lossy(&self.buf[..pos]).to_string();
-                    assert!(
-                        head.starts_with("HTTP/1.1 200"),
-                        "subscribe refused: {head}"
-                    );
-                    self.buf.drain(..pos + 4);
-                    return;
-                }
-                self.fill();
-            }
-        }
-
-        fn fill(&mut self) {
-            let mut chunk = [0u8; 16 * 1024];
-            match self.stream.read(&mut chunk) {
-                Ok(0) => panic!("subscribe stream closed mid-frame"),
-                Ok(n) => self.buf.extend_from_slice(&chunk[..n]),
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {}
-                Err(e) if e.kind() == std::io::ErrorKind::TimedOut => {}
-                Err(e) => panic!("subscribe stream read error: {e}"),
-            }
-        }
-
-        /// Next chunked frame, or None on a (timeout-bounded) quiet wire.
-        fn next_frame(&mut self, patience: Duration) -> Option<Frame> {
-            let start = Instant::now();
-            loop {
-                if let Some(line_end) = self.buf.windows(2).position(|w| w == b"\r\n") {
-                    let size_hex = String::from_utf8_lossy(&self.buf[..line_end]).to_string();
-                    let size = usize::from_str_radix(size_hex.trim(), 16)
-                        .unwrap_or_else(|_| panic!("bad chunk size line {size_hex:?}"));
-                    if size == 0 {
-                        return Some(Frame::End);
-                    }
-                    if self.buf.len() >= line_end + 2 + size + 2 {
-                        let payload =
-                            String::from_utf8_lossy(&self.buf[line_end + 2..line_end + 2 + size])
-                                .to_string();
-                        self.buf.drain(..line_end + 2 + size + 2);
-                        return Some(Frame::Data(payload));
-                    }
-                }
-                if start.elapsed() > patience {
-                    return None;
-                }
-                self.fill();
-            }
-        }
-    }
-
-    /// What one subscriber has seen, shared with the measuring writer.
-    #[derive(Default)]
-    struct SubState {
-        /// Epoch → wall-clock arrival of its batch frame.
-        arrivals: HashMap<u64, Instant>,
-        /// Accumulated row → signed count state.
+    /// One subscriber: its id, a keep-alive connection for catch-up
+    /// polls, the last acknowledged epoch and the accumulated state.
+    struct Cursor {
+        id: u64,
+        conn: TcpStream,
+        acked: u64,
         state: HashMap<String, i64>,
-        batches: u64,
+        /// Non-null `terminal` seen on a catch-up: the stream ended.
         terminal: Option<String>,
+    }
+
+    impl Cursor {
+        /// `POST /subscribe`: reads the whole chunked window (header,
+        /// initial reset batch, `next` link) and opens the poll
+        /// connection.
+        fn register(addr: SocketAddr) -> Cursor {
+            let mut stream = connect_with_retry(addr);
+            let raw = format!(
+                "POST /subscribe HTTP/1.1\r\nHost: loadgen\r\nConnection: close\r\n\
+                 Content-Length: {}\r\n\r\n{PERSON_QUERY}",
+                PERSON_QUERY.len()
+            );
+            stream.write_all(raw.as_bytes()).expect("subscribe sends");
+            let mut resp = Vec::new();
+            stream.read_to_end(&mut resp).expect("window reads");
+            let text = String::from_utf8_lossy(&resp);
+            assert!(
+                text.starts_with("HTTP/1.1 200"),
+                "subscribe refused: {text}"
+            );
+            let mut body = &text[text.find("\r\n\r\n").expect("head ends") + 4..];
+            let mut frames = Vec::new();
+            while let Some((size, rest)) = body.split_once("\r\n") {
+                let size = usize::from_str_radix(size.trim(), 16).expect("chunk size");
+                if size == 0 {
+                    break;
+                }
+                frames.push(&rest[..size]);
+                body = &rest[size + 2..];
+            }
+            let [header, initial, _next] = frames[..] else {
+                panic!("window is header, snapshot, next link: {frames:?}")
+            };
+            let mut state = HashMap::new();
+            apply_batch(&mut state, initial);
+            Cursor {
+                id: json_u64(header, "id").expect("subscription id"),
+                conn: connect_with_retry(addr),
+                acked: json_u64(header, "epoch").expect("registration epoch"),
+                state,
+                terminal: None,
+            }
+        }
+
+        /// One catch-up from the acknowledged epoch: applies every batch
+        /// and returns their epochs.
+        fn poll(&mut self, buf: &mut Vec<u8>) -> Vec<u64> {
+            let raw = format!(
+                "GET /subscribe/{}?from={} HTTP/1.1\r\nHost: loadgen\r\n\r\n",
+                self.id, self.acked
+            );
+            let status = roundtrip(&mut self.conn, raw.as_bytes(), buf).expect("catch-up");
+            assert_eq!(status, 200, "catch-up refused");
+            let text = String::from_utf8_lossy(buf).to_string();
+            let body = &text[text.find("\r\n\r\n").map_or(0, |p| p + 4)..];
+            let (batches, terminal) = body
+                .rsplit_once("],\"terminal\":")
+                .expect("catch-up reply shape");
+            if !terminal.starts_with("null") {
+                self.terminal = Some(terminal.trim_end_matches('}').to_owned());
+            }
+            let mut epochs = Vec::new();
+            for batch in batches.split("{\"epoch\":").skip(1) {
+                let batch = format!("{{\"epoch\":{batch}");
+                let epoch = json_u64(&batch, "epoch").expect("batch epoch");
+                apply_batch(&mut self.state, &batch);
+                self.acked = self.acked.max(epoch);
+                epochs.push(epoch);
+            }
+            epochs
+        }
     }
 
     #[derive(Serialize)]
@@ -1001,8 +895,8 @@ mod subscribe {
         updates: usize,
         /// Per-update cost of the `server.subscribe.publish` span (µs):
         /// the O(|Δ|) dataflow that refreshes every registered view and
-        /// fans the batch out. This is what each subscriber would
-        /// otherwise pay as a full re-evaluation.
+        /// appends its batch to the epoch log. This is what each
+        /// subscriber would otherwise pay as a full re-evaluation.
         delta_p50_us: u64,
         delta_p95_us: u64,
         /// `POST /query` of the same SPARQL at full size (µs).
@@ -1011,9 +905,8 @@ mod subscribe {
         /// full_p50 / delta_p50 — the re-evaluation cost the delta
         /// dataflow avoids on every update.
         speedup_p50: f64,
-        /// Update acked → batch on subscriber 0's wire (µs): how stale a
-        /// live stream is relative to a client that re-polls (which pays
-        /// `full_*` on top).
+        /// Update acked → batch in subscriber 0's hand (µs): one catch-up
+        /// round trip, against a client that re-queries (`full_*`).
         propagate_p50_us: u64,
         propagate_p95_us: u64,
         lost_deltas: u64,
@@ -1026,7 +919,7 @@ mod subscribe {
         let n_subs = args.subscribers;
         let updates = args.subscribe_updates;
         println!(
-            "== loadgen subscribe: {n_subs} live streams over ~{} LUBM-style triples, \
+            "== loadgen subscribe: {n_subs} polling cursors over ~{} LUBM-style triples, \
              {updates} updates, seed {} ==",
             args.subscribe_triples, args.seed
         );
@@ -1048,88 +941,19 @@ mod subscribe {
             store,
             ServerConfig {
                 addr: "127.0.0.1:0".to_owned(),
-                threads: n_subs + 4,
                 update_queue: args.queue,
                 checkpoint_every: 0,
-                group_commit: true,
-                backend: Backend::Threaded, // live streams, one worker each
-                max_conns: 4096,
                 max_subscriptions: n_subs + 1,
                 ..Default::default()
             },
         )
         .expect("server boots");
         let addr: SocketAddr = server.local_addr();
-
-        // Register every subscriber and park a reader thread on each
-        // stream. The threaded backend keeps the stream open for as long
-        // as the subscription lives.
-        let stop = Arc::new(AtomicBool::new(false));
-        let states: Vec<Arc<Mutex<SubState>>> = (0..n_subs)
-            .map(|_| Arc::new(Mutex::new(SubState::default())))
-            .collect();
-        let sub_handles: Vec<_> = states
-            .iter()
-            .map(|st| {
-                let st = Arc::clone(st);
-                let stop = Arc::clone(&stop);
-                std::thread::spawn(move || {
-                    let mut stream = connect_with_retry(addr);
-                    stream
-                        .set_read_timeout(Some(Duration::from_millis(50)))
-                        .expect("timeout sets");
-                    stream
-                        .write_all(&post("/subscribe", PERSON_QUERY))
-                        .expect("subscribe sends");
-                    let mut rd = FrameReader {
-                        stream,
-                        buf: Vec::new(),
-                    };
-                    rd.read_head();
-                    let header = loop {
-                        if let Some(Frame::Data(f)) = rd.next_frame(Duration::from_secs(30)) {
-                            break f;
-                        }
-                    };
-                    assert!(header.contains("\"vars\""), "no registration receipt");
-                    // Initial materialization: a reset batch.
-                    let initial = loop {
-                        if let Some(Frame::Data(f)) = rd.next_frame(Duration::from_secs(30)) {
-                            break f;
-                        }
-                    };
-                    apply_events(&mut st.lock().unwrap().state, &initial, true);
-                    while !stop.load(Ordering::Relaxed) {
-                        match rd.next_frame(Duration::from_millis(100)) {
-                            Some(Frame::Data(f)) => {
-                                let mut s = st.lock().unwrap();
-                                if let Some(t) = f.find("\"terminal\"").map(|_| f.clone()) {
-                                    s.terminal = Some(t);
-                                    break;
-                                }
-                                let epoch = json_u64(&f, "epoch").expect("batch epoch");
-                                s.arrivals.insert(epoch, Instant::now());
-                                s.batches += 1;
-                                apply_events(&mut s.state, &f, f.contains("\"reset\":true"));
-                            }
-                            Some(Frame::End) => break,
-                            None => {}
-                        }
-                    }
-                })
-            })
-            .collect();
-
-        // Wait until every stream has its initial state before measuring.
-        for st in &states {
-            while st.lock().unwrap().state.is_empty() {
-                std::thread::sleep(Duration::from_millis(10));
-            }
-        }
+        let mut cursors: Vec<Cursor> = (0..n_subs).map(|_| Cursor::register(addr)).collect();
 
         // The measuring writer: each update flips exactly one Person row,
-        // then we time (a) acked → batch arrival on subscriber 0 and
-        // (b) a from-scratch POST /query of the same view.
+        // then every cursor catches up (subscriber 0 times it) and a
+        // from-scratch POST /query of the same view is timed.
         let mut writer = connect_with_retry(addr);
         let mut prober = connect_with_retry(addr);
         let mut head = Vec::with_capacity(64 * 1024);
@@ -1158,25 +982,17 @@ mod subscribe {
             update_us.push(t0.elapsed().as_micros() as u64);
             let epoch = json_u64(&String::from_utf8_lossy(&head), "epoch").expect("update epoch");
 
-            // Every subscriber must see this epoch's batch; subscriber 0
-            // times the propagation.
-            let deadline = Instant::now() + Duration::from_secs(10);
-            let mut arrived = vec![false; n_subs];
-            while Instant::now() < deadline && arrived.iter().any(|a| !a) {
-                for (i, st) in states.iter().enumerate() {
-                    if !arrived[i] {
-                        if let Some(at) = st.lock().unwrap().arrivals.get(&epoch) {
-                            arrived[i] = true;
-                            if i == 0 {
-                                propagate_us
-                                    .push(at.saturating_duration_since(acked).as_micros() as u64);
-                            }
-                        }
-                    }
+            // The writer publishes before it acks, so one catch-up per
+            // cursor must already carry this epoch's batch.
+            for (i, cursor) in cursors.iter_mut().enumerate() {
+                let epochs = cursor.poll(&mut head);
+                if i == 0 {
+                    propagate_us.push(acked.elapsed().as_micros() as u64);
                 }
-                std::thread::sleep(Duration::from_micros(200));
+                if !epochs.contains(&epoch) {
+                    lost_deltas += 1;
+                }
             }
-            lost_deltas += arrived.iter().filter(|a| !**a).count() as u64;
 
             // Updates are serial, so the span's growth over this update
             // is exactly this publication's view-maintenance cost.
@@ -1204,20 +1020,14 @@ mod subscribe {
         oracle.sort_unstable();
         oracle.dedup();
 
-        std::thread::sleep(Duration::from_millis(200));
-        stop.store(true, Ordering::Relaxed);
-        for h in sub_handles {
-            h.join().expect("subscriber joins");
-        }
         let mut diverged = 0u64;
-        for (i, st) in states.iter().enumerate() {
-            let s = st.lock().unwrap();
-            if let Some(t) = &s.terminal {
+        for (i, cursor) in cursors.iter().enumerate() {
+            if let Some(t) = &cursor.terminal {
                 eprintln!("subscriber {i} terminated early: {t}");
                 diverged += 1;
                 continue;
             }
-            let mut got: Vec<&str> = s
+            let mut got: Vec<&str> = cursor
                 .state
                 .iter()
                 .filter(|(_, &m)| m > 0)
@@ -1233,6 +1043,7 @@ mod subscribe {
                 diverged += 1;
             }
         }
+        drop(cursors);
         drop(server.shutdown());
         let _ = std::fs::remove_dir_all(&dir);
 
@@ -1489,8 +1300,6 @@ mod chaos {
                     threads: 4,
                     update_queue: args.queue,
                     checkpoint_every: 0,
-                    group_commit: true,
-                    backend: Backend::Reactor,
                     idle_timeout: Duration::from_millis(1000),
                     ..Default::default()
                 },

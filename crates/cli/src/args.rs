@@ -130,12 +130,8 @@ pub enum Command {
         fsync: FsyncPolicy,
         /// Bounded writer-queue depth (a full queue answers 429).
         queue: usize,
-        /// Drain queued update scripts as one fsync+publish group.
-        group_commit: bool,
         /// Stop after this many seconds (`None` = run until killed).
         duration_secs: Option<u64>,
-        /// Connection-handling engine: `reactor` (default) or `threaded`.
-        backend: String,
         /// Open-connection cap; excess accepts are refused with 503.
         max_conns: usize,
         /// Per-phase idle timeout in milliseconds before a stalled
@@ -238,9 +234,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
         "fsync",
         "addr",
         "queue",
-        "group-commit",
         "duration-secs",
-        "backend",
         "max-conns",
         "idle-timeout",
         "default-deadline-ms",
@@ -365,30 +359,12 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
                     err(format!("unknown fsync policy {v:?}; use always or never"))
                 })?,
             };
-            let group_commit = match flag("group-commit") {
-                None | Some("on") => true,
-                Some("off") => false,
-                Some(other) => {
-                    return Err(err(format!(
-                        "unknown group-commit mode {other:?}; use on or off"
-                    )))
-                }
-            };
             let duration_secs = match flag("duration-secs") {
                 None => None,
                 Some(v) => Some(
                     v.parse::<u64>()
                         .map_err(|_| err("--duration-secs needs a number"))?,
                 ),
-            };
-            let backend = match flag("backend") {
-                None => "reactor".to_owned(),
-                Some(v @ ("reactor" | "threaded")) => v.to_owned(),
-                Some(other) => {
-                    return Err(err(format!(
-                        "unknown backend {other:?}; use reactor or threaded"
-                    )))
-                }
             };
             let max_conns = match flag("max-conns") {
                 None => 4096,
@@ -444,9 +420,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
                 journal,
                 fsync,
                 queue,
-                group_commit,
                 duration_secs,
-                backend,
                 max_conns,
                 idle_timeout_ms,
                 default_deadline_ms,
@@ -646,9 +620,7 @@ mod tests {
                 journal: "/tmp/j".into(),
                 fsync: FsyncPolicy::Always,
                 queue: 64,
-                group_commit: true,
                 duration_secs: None,
-                backend: "reactor".into(),
                 max_conns: 4096,
                 idle_timeout_ms: 10_000,
                 default_deadline_ms: Some(30_000),
@@ -660,8 +632,8 @@ mod tests {
         assert_eq!(
             parse_args(&argv(
                 "serve --journal /tmp/j --addr 127.0.0.1:0 --threads 2 --queue 8 \
-                 --fsync never --group-commit off --duration-secs 3 \
-                 --backend threaded --max-conns 128 --idle-timeout 2500 \
+                 --fsync never --duration-secs 3 \
+                 --max-conns 128 --idle-timeout 2500 \
                  --default-deadline-ms 0 --max-deadline-ms 120000 \
                  --max-subscriptions 8 --strategy interval"
             ))
@@ -672,9 +644,7 @@ mod tests {
                 journal: "/tmp/j".into(),
                 fsync: FsyncPolicy::Never,
                 queue: 8,
-                group_commit: false,
                 duration_secs: Some(3),
-                backend: "threaded".into(),
                 max_conns: 128,
                 idle_timeout_ms: 2500,
                 default_deadline_ms: None,
@@ -689,17 +659,10 @@ mod tests {
             ("serve --journal /tmp/j --threads 0", "positive number"),
             ("serve --journal /tmp/j --queue nope", "positive number"),
             (
-                "serve --journal /tmp/j --group-commit sometimes",
-                "use on or off",
-            ),
-            (
                 "serve --journal /tmp/j --duration-secs soon",
                 "needs a number",
             ),
-            (
-                "serve --journal /tmp/j --backend fibers",
-                "use reactor or threaded",
-            ),
+            ("serve --journal /tmp/j --backend threaded", "unknown flag"),
             ("serve --journal /tmp/j --max-conns 0", "positive number"),
             (
                 "serve --journal /tmp/j --strategy fibers",

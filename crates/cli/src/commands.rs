@@ -100,9 +100,7 @@ pub fn run_command(command: &Command) -> Result<String, CliError> {
             journal,
             fsync,
             queue,
-            group_commit,
             duration_secs,
-            backend,
             max_conns,
             idle_timeout_ms,
             default_deadline_ms,
@@ -115,9 +113,7 @@ pub fn run_command(command: &Command) -> Result<String, CliError> {
             journal,
             *fsync,
             *queue,
-            *group_commit,
             *duration_secs,
-            backend,
             *max_conns,
             *idle_timeout_ms,
             *default_deadline_ms,
@@ -160,9 +156,7 @@ fn serve_cmd(
     journal: &str,
     fsync: FsyncPolicy,
     queue: usize,
-    group_commit: bool,
     duration_secs: Option<u64>,
-    backend: &str,
     max_conns: usize,
     idle_timeout_ms: u64,
     default_deadline_ms: Option<u64>,
@@ -190,11 +184,6 @@ fn serve_cmd(
         addr: addr.to_owned(),
         threads,
         update_queue: queue,
-        group_commit,
-        backend: match backend {
-            "threaded" => webreason_server::Backend::Threaded,
-            _ => webreason_server::Backend::Reactor,
-        },
         max_conns,
         idle_timeout: std::time::Duration::from_millis(idle_timeout_ms),
         default_deadline_ms,
@@ -207,7 +196,7 @@ fn serve_cmd(
     let local = server.local_addr();
     println!(
         "webreason serve: listening on http://{local} (journal {journal}, {threads} workers, \
-         {backend} backend, {max_conns} conns max)"
+         {max_conns} conns max)"
     );
     let _ = std::io::stdout().flush();
 

@@ -13,9 +13,8 @@
 //! webreason stats <data.ttl>…
 //! webreason metrics [--format json|prometheus] [--journal DIR]
 //! webreason serve --journal DIR [--addr A] [--threads N] [--queue N]
-//!                 [--fsync always|never] [--group-commit on|off] [--duration-secs S]
-//!                 [--backend reactor|threaded] [--max-conns N] [--idle-timeout MS]
-//!                 [--default-deadline-ms MS] [--max-deadline-ms MS]
+//!                 [--fsync always|never] [--duration-secs S] [--max-conns N]
+//!                 [--idle-timeout MS] [--default-deadline-ms MS] [--max-deadline-ms MS]
 //!                 [--max-subscriptions N]
 //! webreason checkpoint <journal-dir>
 //! webreason recover <journal-dir>
@@ -84,12 +83,8 @@ OPTIONS:
     --addr <host:port>       serve: bind address; :0 picks a free port
                              [default: 127.0.0.1:7878]
     --queue <N>              serve: writer-queue depth; full => 429  [default: 64]
-    --group-commit <on|off>  serve: drain queued updates as one fsync+publish
-                             group (off = per-script fsync)     [default: on]
     --duration-secs <S>      serve: shut down gracefully after S seconds
                              (omit to serve until killed)
-    --backend <b>            serve: reactor (event loop; default) or threaded
-                             (blocking accept + worker pool)
     --max-conns <N>          serve: open-connection cap; excess accepts are
                              refused with 503            [default: 4096]
     --idle-timeout <MS>      serve: reap connections idle for MS milliseconds

@@ -19,10 +19,11 @@
 //! 2. After every writer group-commit, [`SubscriptionHub::publish`] runs
 //!    each view's delta program over the consolidated triple delta —
 //!    `O(|Δ|)` join work — updates the view's multiplicity counts, and
-//!    fans epoch-tagged [`DeltaBatch`]es out to subscribers.
-//! 3. Consumers accumulate batches; at any published epoch the
-//!    accumulated state equals the from-scratch answer at that epoch
-//!    (the *epoch-replay* invariant the integration oracle enforces).
+//!    appends an epoch-tagged [`DeltaBatch`] to the view's epoch log.
+//! 3. Consumers pull batches with [`SubscriptionHub::catch_up`] from the
+//!    last epoch they acknowledged and accumulate them; at any published
+//!    epoch the accumulated state equals the from-scratch answer at that
+//!    epoch (the *epoch-replay* invariant the integration oracle enforces).
 //!
 //! Multiplicities, not sets: each view keeps a signed count per projected
 //! row. A `DISTINCT` view emits only `0 ↔ positive` transitions, so a row
@@ -30,11 +31,9 @@
 //! deletion of one derivation — collapsing to a set any earlier is the
 //! classic incorrect-view bug.
 //!
-//! Backpressure: streaming subscribers get a bounded queue; the writer
-//! only ever *try-pushes*. A consumer that falls behind is cut loose with
-//! a terminal [`Terminal::Lagged`] event — the writer never blocks on a
-//! socket. Pull (catch-up) consumers read the view's bounded epoch log;
-//! when they fall off its tail they receive a full snapshot-reset batch
+//! Backpressure: every subscriber is a pull cursor over its view's
+//! bounded epoch log, so the writer never waits on a consumer. A consumer
+//! that falls off the log's tail receives one full snapshot-reset batch
 //! instead of a gap.
 
 #![forbid(unsafe_code)]
@@ -45,8 +44,7 @@ use serde::Serialize;
 use sparql::dataflow::{compile_delta, consolidate_delta, DeltaProgram};
 use sparql::Query;
 use std::collections::VecDeque;
-use std::sync::{Condvar, Mutex, MutexGuard};
-use std::time::Duration;
+use std::sync::{Arc, Mutex, MutexGuard};
 use webreason_core::{AnswerError, ReasoningConfig, StoreDelta, StoreReader, StoreSnapshot};
 use webreason_failpoints::fail_point;
 
@@ -55,9 +53,6 @@ use webreason_failpoints::fail_point;
 pub struct HubConfig {
     /// Maximum live subscriptions; further registrations are refused.
     pub max_subscriptions: usize,
-    /// Per-streaming-subscriber queue bound; overflow drops the
-    /// subscriber with [`Terminal::Lagged`].
-    pub queue_capacity: usize,
     /// Per-view epoch-log bound for catch-up; older epochs fall back to a
     /// snapshot reset.
     pub log_capacity: usize,
@@ -67,7 +62,6 @@ impl Default for HubConfig {
     fn default() -> Self {
         HubConfig {
             max_subscriptions: 64,
-            queue_capacity: 256,
             log_capacity: 128,
         }
     }
@@ -101,15 +95,12 @@ pub struct DeltaBatch {
     pub events: Vec<DeltaEvent>,
 }
 
-/// Why a subscription's stream ended. Terminal events are delivered
-/// in-stream so a consumer can distinguish "drop me, re-subscribe"
-/// ([`Terminal::Lagged`]) from "server going away" ([`Terminal::Shutdown`]).
+/// Why a subscription's stream ended; reported by every catch-up after
+/// the end so a polling consumer knows to stop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Terminal {
-    /// The subscriber's queue overflowed — it consumed slower than the
-    /// writer published and was cut loose to protect the write path.
-    Lagged,
-    /// The server is shutting down.
+    /// The server is shutting down, or the view was dropped because the
+    /// store's strategy can no longer host it (re-subscribe to retry).
     Shutdown,
 }
 
@@ -117,7 +108,6 @@ impl Terminal {
     /// Wire name of the terminal condition.
     pub fn as_str(self) -> &'static str {
         match self {
-            Terminal::Lagged => "lagged",
             Terminal::Shutdown => "shutdown",
         }
     }
@@ -126,7 +116,8 @@ impl Terminal {
 /// Why a subscription could not be registered.
 #[derive(Debug)]
 pub enum SubscribeError {
-    /// The active reasoning strategy or a query feature has no delta form.
+    /// The active reasoning strategy or a query feature has no delta form,
+    /// or a push stream was requested.
     Unsupported(String),
     /// Parsing / reformulation / evaluation failed (including
     /// [`AnswerError::Cancelled`] when a registration deadline expired).
@@ -155,7 +146,7 @@ impl std::error::Error for SubscribeError {}
 /// A successful registration.
 #[derive(Debug)]
 pub struct SubscribeOk {
-    /// Subscription id — the handle for streaming / catch-up / cancel.
+    /// Subscription id — the handle for catch-up / cancel.
     pub id: u64,
     /// Epoch of the initial state.
     pub epoch: u64,
@@ -168,32 +159,15 @@ pub struct SubscribeOk {
     pub initial: DeltaBatch,
 }
 
-/// Result of waiting for a streaming subscriber's next deliverable.
-#[derive(Debug)]
-pub enum NextWake {
-    /// Queued batches, in publication order.
-    Batches(Vec<std::sync::Arc<DeltaBatch>>),
-    /// The stream ended; no further batches will arrive. The subscription
-    /// has been removed.
-    Terminal(Terminal),
-    /// The wait timed out with nothing to deliver.
-    Idle,
-    /// Unknown subscription id (never registered, cancelled, or already
-    /// terminated).
-    Gone,
-}
-
 /// Result of a catch-up (pull) request.
 #[derive(Debug)]
 pub struct CatchUp {
     /// Batches with `epoch > from`, in order — or a single snapshot-reset
     /// batch when `from` fell off the epoch log.
-    pub batches: Vec<std::sync::Arc<DeltaBatch>>,
-    /// Set when the stream has ended (shutdown).
+    pub batches: Vec<Arc<DeltaBatch>>,
+    /// Set when the stream has ended.
     pub terminal: Option<Terminal>,
 }
-
-use std::sync::Arc;
 
 /// How a view evaluates under the strategy it was registered against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -218,7 +192,7 @@ struct View {
     /// Signed multiplicity per projected row (decoded) — the view's
     /// materialized state. Rows with count 0 are removed.
     counts: FxHashMap<Vec<String>, i64>,
-    /// Bounded log of published batches for pull/catch-up consumers.
+    /// Bounded log of published batches, read by catch-up.
     log: VecDeque<Arc<DeltaBatch>>,
     /// Catch-up from any epoch `>= log_anchor` is replayable from `log`;
     /// older requests get a snapshot reset.
@@ -228,18 +202,12 @@ struct View {
     subscribers: Vec<u64>,
 }
 
-struct Sub {
-    view: usize,
-    /// Streaming subscribers get pushed batches; pull subscribers read
-    /// the view log via catch-up and have no queue.
-    streaming: bool,
-    queue: VecDeque<Arc<DeltaBatch>>,
-    terminal: Option<Terminal>,
-}
-
 struct Inner {
     views: Vec<View>,
-    subs: FxHashMap<u64, Sub>,
+    /// Subscriber id → index of its view in `views`; `None` once a failed
+    /// rebuild dropped the view, after which the subscriber only reports
+    /// [`Terminal::Shutdown`].
+    subs: FxHashMap<u64, Option<usize>>,
     next_id: u64,
     /// Highest epoch `publish` has seen — guards the registration race.
     last_epoch: u64,
@@ -248,12 +216,11 @@ struct Inner {
 
 /// The subscription hub: owns every registered view and subscriber, sits
 /// between the single writer (which calls [`publish`](Self::publish) after
-/// each group commit) and the server connections (which register, stream,
-/// catch up and cancel).
+/// each group commit) and the server connections (which register, catch
+/// up and cancel).
 pub struct SubscriptionHub {
     cfg: HubConfig,
     inner: Mutex<Inner>,
-    wake: Condvar,
 }
 
 fn lock(m: &Mutex<Inner>) -> MutexGuard<'_, Inner> {
@@ -272,7 +239,6 @@ impl SubscriptionHub {
                 last_epoch: 0,
                 shutdown: false,
             }),
-            wake: Condvar::new(),
         }
     }
 
@@ -291,9 +257,14 @@ impl SubscriptionHub {
     /// The initial answer is evaluated against a reader snapshot *without*
     /// holding the hub lock (the writer keeps publishing meanwhile); the
     /// commit step detects a concurrent epoch advance and re-evaluates, so
-    /// the returned initial state and the first streamed batch are always
+    /// the returned initial state and the first logged batch are always
     /// gap-free. `cancel` is the request's deadline token: expiry aborts
     /// registration with [`SubscribeError::Query`]([`AnswerError::Cancelled`]).
+    ///
+    /// Every subscriber is a pull cursor read through
+    /// [`catch_up`](Self::catch_up); `streaming = true` asks for a push
+    /// stream, which the hub does not offer, and is refused with
+    /// [`SubscribeError::Unsupported`].
     pub fn subscribe(
         &self,
         reader: &StoreReader,
@@ -301,6 +272,11 @@ impl SubscriptionHub {
         streaming: bool,
         cancel: &obs::CancelToken,
     ) -> Result<SubscribeOk, SubscribeError> {
+        if streaming {
+            return Err(SubscribeError::Unsupported(
+                "push streams are not offered; poll with catch_up".to_owned(),
+            ));
+        }
         let reg = obs::global();
         loop {
             let snap = reader.snapshot();
@@ -318,7 +294,7 @@ impl SubscriptionHub {
                     return Err(SubscribeError::AtCapacity(self.cfg.max_subscriptions));
                 }
                 if let Some(vi) = inner.views.iter().position(|v| v.key == key) {
-                    return Ok(self.attach(&mut inner, vi, streaming));
+                    return Ok(self.attach(&mut inner, vi));
                 }
             }
 
@@ -359,7 +335,7 @@ impl SubscriptionHub {
             }
             if let Some(vi) = inner.views.iter().position(|v| v.key == key) {
                 // Another registrant won the race to create this view.
-                return Ok(self.attach(&mut inner, vi, streaming));
+                return Ok(self.attach(&mut inner, vi));
             }
             if inner.last_epoch > snap.epoch() {
                 drop(inner);
@@ -382,24 +358,16 @@ impl SubscriptionHub {
             };
             inner.views.push(view);
             let vi = inner.views.len() - 1;
-            return Ok(self.attach(&mut inner, vi, streaming));
+            return Ok(self.attach(&mut inner, vi));
         }
     }
 
     /// Attaches a new subscriber to an existing view and builds its
     /// initial reset batch from the view's current counts.
-    fn attach(&self, inner: &mut Inner, vi: usize, streaming: bool) -> SubscribeOk {
+    fn attach(&self, inner: &mut Inner, vi: usize) -> SubscribeOk {
         let id = inner.next_id;
         inner.next_id += 1;
-        inner.subs.insert(
-            id,
-            Sub {
-                view: vi,
-                streaming,
-                queue: VecDeque::new(),
-                terminal: None,
-            },
-        );
+        inner.subs.insert(id, Some(vi));
         let view = &mut inner.views[vi];
         view.subscribers.push(id);
         let reg = obs::global();
@@ -414,13 +382,10 @@ impl SubscriptionHub {
     }
 
     /// Publishes one epoch to every view: runs each delta program over the
-    /// consolidated triple delta, updates view counts, appends to epoch
-    /// logs and fans out to streaming queues. Called by the single writer
-    /// after group commit — `old`/`new` are the snapshots around the
-    /// group, `delta` the drained [`StoreDelta`].
-    ///
-    /// The writer never blocks here: queue pushes are try-pushes and a
-    /// full queue drops its subscriber with [`Terminal::Lagged`].
+    /// consolidated triple delta, updates view counts and appends to the
+    /// epoch logs. Called by the single writer after group commit —
+    /// `old`/`new` are the snapshots around the group, `delta` the drained
+    /// [`StoreDelta`]. Nothing here waits on a consumer.
     pub fn publish(&self, old: &StoreSnapshot, new: &StoreSnapshot, delta: &StoreDelta) {
         fail_point!("store.subscribe.publish");
         let reg = obs::global();
@@ -437,11 +402,8 @@ impl SubscriptionHub {
         let base_net = consolidate_delta(&delta.base);
         let entailed_net = consolidate_delta(&delta.entailed);
         let dict = new.dictionary();
-        let mut delivered = false;
         let mut dead_views: Vec<usize> = Vec::new();
-        let mut drops: Vec<u64> = Vec::new();
-        let Inner { views, subs, .. } = &mut *inner;
-        for (vi, view) in views.iter_mut().enumerate() {
+        for (vi, view) in inner.views.iter_mut().enumerate() {
             let batch = if delta.schema_changed {
                 // Derived state was swapped wholesale (schema mutation or
                 // strategy/thread rebuild): recompile where needed and
@@ -461,108 +423,34 @@ impl SubscriptionHub {
                 step_view(view, old, new, net, &dict)
             };
             view.last_epoch = epoch;
-            let Some(batch) = batch else { continue };
-            let batch = Arc::new(batch);
-            push_log(view, batch.clone(), self.cfg.log_capacity);
-            reg.add("server.subscribe.delta_batches", 1);
-            for &sid in &view.subscribers {
-                let Some(sub) = subs.get_mut(&sid) else {
-                    continue;
-                };
-                if !sub.streaming || sub.terminal.is_some() {
-                    continue;
-                }
-                if sub.queue.len() >= self.cfg.queue_capacity {
-                    sub.queue.clear();
-                    sub.terminal = Some(Terminal::Lagged);
-                    drops.push(sid);
-                    reg.add("server.subscribe.dropped", 1);
-                } else {
-                    sub.queue.push_back(batch.clone());
-                }
-                delivered = true;
+            if let Some(batch) = batch {
+                push_log(view, Arc::new(batch), self.cfg.log_capacity);
+                reg.add("server.subscribe.delta_batches", 1);
             }
         }
-        // Views whose strategy stopped supporting subscriptions: cut their
-        // subscribers loose (they must re-subscribe) and remove the view.
+        // Views whose strategy stopped supporting subscriptions: remove
+        // the view and end its subscribers' streams (they must
+        // re-subscribe).
         for vi in dead_views.into_iter().rev() {
-            let view = views.remove(vi);
-            for sid in view.subscribers {
-                if let Some(sub) = subs.get_mut(&sid) {
-                    sub.queue.clear();
-                    sub.terminal = Some(Terminal::Shutdown);
-                    delivered = true;
-                }
-            }
-            // Reindex subscribers of the views shifted down.
-            for sub in subs.values_mut() {
-                if sub.view > vi {
-                    sub.view -= 1;
-                }
-            }
-        }
-        let _ = drops;
-        drop(dict);
-        drop(inner);
-        if delivered {
-            self.wake.notify_all();
-        }
-    }
-
-    /// Blocks until the streaming subscriber `id` has batches, a terminal
-    /// event, or `timeout` elapses. Draining is destructive; a terminal
-    /// result removes the subscription.
-    pub fn next_wake(&self, id: u64, timeout: Duration) -> NextWake {
-        let mut inner = lock(&self.inner);
-        let deadline = std::time::Instant::now() + timeout;
-        loop {
-            match inner.subs.get_mut(&id) {
-                None => return NextWake::Gone,
-                Some(sub) => {
-                    if !sub.queue.is_empty() {
-                        let batches: Vec<Arc<DeltaBatch>> = sub.queue.drain(..).collect();
-                        return NextWake::Batches(batches);
-                    }
-                    if let Some(t) = sub.terminal {
-                        self.remove_sub(&mut inner, id);
-                        return NextWake::Terminal(t);
-                    }
-                    if inner.shutdown {
-                        self.remove_sub(&mut inner, id);
-                        return NextWake::Terminal(Terminal::Shutdown);
-                    }
-                }
-            }
-            let now = std::time::Instant::now();
-            if now >= deadline {
-                return NextWake::Idle;
-            }
-            let (guard, res) = self
-                .wake
-                .wait_timeout(inner, deadline - now)
-                .unwrap_or_else(|e| e.into_inner());
-            inner = guard;
-            if res.timed_out() {
-                // Re-check once after the timeout before reporting idle.
-                continue;
+            for sid in remove_view(&mut inner, vi).subscribers {
+                inner.subs.insert(sid, None);
             }
         }
     }
 
     /// Pull-side catch-up: returns every batch published to `id`'s view
     /// after epoch `from`, or a single snapshot-reset batch when `from`
-    /// has fallen off the bounded epoch log.
+    /// has fallen off the bounded epoch log. A subscriber whose view was
+    /// dropped gets no batches, only [`Terminal::Shutdown`].
     pub fn catch_up(&self, id: u64, from: u64) -> Option<CatchUp> {
-        let mut inner = lock(&self.inner);
-        let shutdown = inner.shutdown;
-        let sub = inner.subs.get(&id)?;
-        let terminal = sub.terminal.or(if shutdown {
-            Some(Terminal::Shutdown)
-        } else {
-            None
-        });
-        let vi = sub.view;
-        let view = &mut inner.views[vi];
+        let inner = lock(&self.inner);
+        let Some(vi) = *inner.subs.get(&id)? else {
+            return Some(CatchUp {
+                batches: Vec::new(),
+                terminal: Some(Terminal::Shutdown),
+            });
+        };
+        let view = &inner.views[vi];
         let batches = if from >= view.log_anchor {
             view.log
                 .iter()
@@ -572,48 +460,48 @@ impl SubscriptionHub {
         } else {
             vec![Arc::new(reset_batch(view))]
         };
-        Some(CatchUp { batches, terminal })
+        Some(CatchUp {
+            batches,
+            terminal: inner.shutdown.then_some(Terminal::Shutdown),
+        })
     }
 
-    /// Removes a subscription (client cancel or connection close). The
-    /// backing view is dropped with its last subscriber, so the writer
-    /// stops paying for it.
+    /// Removes a subscription (client cancel). The backing view is
+    /// dropped with its last subscriber, so the writer stops paying for
+    /// it.
     pub fn unsubscribe(&self, id: u64) -> bool {
         let mut inner = lock(&self.inner);
-        let existed = inner.subs.contains_key(&id);
-        if existed {
-            self.remove_sub(&mut inner, id);
-        }
-        existed
-    }
-
-    fn remove_sub(&self, inner: &mut Inner, id: u64) {
-        let Some(sub) = inner.subs.remove(&id) else {
-            return;
+        let Some(view) = inner.subs.remove(&id) else {
+            return false;
         };
         obs::global().add("server.subscribe.closed", 1);
-        let vi = sub.view;
-        if let Some(view) = inner.views.get_mut(vi) {
-            view.subscribers.retain(|&s| s != id);
-            if view.subscribers.is_empty() {
-                inner.views.remove(vi);
-                for s in inner.subs.values_mut() {
-                    if s.view > vi {
-                        s.view -= 1;
-                    }
-                }
+        if let Some(vi) = view {
+            let subscribers = &mut inner.views[vi].subscribers;
+            subscribers.retain(|&s| s != id);
+            if subscribers.is_empty() {
+                remove_view(&mut inner, vi);
             }
         }
+        true
     }
 
-    /// Initiates shutdown: every streamer wakes with
-    /// [`Terminal::Shutdown`]; new registrations are refused.
+    /// Initiates shutdown: new registrations are refused and every
+    /// catch-up reports [`Terminal::Shutdown`].
     pub fn shutdown(&self) {
-        let mut inner = lock(&self.inner);
-        inner.shutdown = true;
-        drop(inner);
-        self.wake.notify_all();
+        lock(&self.inner).shutdown = true;
     }
+}
+
+/// Removes view `vi`, shifting the view index of every subscriber of a
+/// later view down by one.
+fn remove_view(inner: &mut Inner, vi: usize) -> View {
+    let view = inner.views.remove(vi);
+    for s in inner.subs.values_mut().flatten() {
+        if *s > vi {
+            *s -= 1;
+        }
+    }
+    view
 }
 
 /// Stable identity of a registered query (structural, dictionary-id
@@ -839,6 +727,43 @@ mod tests {
         state.retain(|_, m| *m != 0);
     }
 
+    /// A client-side cursor: the subscription id, the last epoch it
+    /// acknowledged and its accumulated state.
+    struct Cursor {
+        id: u64,
+        acked: u64,
+        state: FxHashMap<Vec<String>, i64>,
+    }
+
+    impl Cursor {
+        fn register(hub: &SubscriptionHub, reader: &StoreReader, sparql: &str) -> Cursor {
+            let ok = hub
+                .subscribe(reader, sparql, false, &CancelToken::none())
+                .unwrap();
+            let mut state = FxHashMap::default();
+            apply_batch(&mut state, &ok.initial);
+            Cursor {
+                id: ok.id,
+                acked: ok.epoch,
+                state,
+            }
+        }
+
+        /// Catches up from the acknowledged epoch; returns how many
+        /// batches arrived.
+        fn poll(&mut self, hub: &SubscriptionHub) -> usize {
+            let cu = hub
+                .catch_up(self.id, self.acked)
+                .expect("subscription alive");
+            assert_eq!(cu.terminal, None);
+            for b in &cu.batches {
+                apply_batch(&mut self.state, b);
+                self.acked = self.acked.max(b.epoch);
+            }
+            cu.batches.len()
+        }
+    }
+
     /// From-scratch answer (distinct) decoded like the hub decodes.
     fn oracle_rows(store: &Store, sparql: &str) -> FxHashMap<Vec<String>, i64> {
         let reader = store.reader();
@@ -877,13 +802,8 @@ mod tests {
             let mut store = store_with(ReasoningConfig::Saturation(algo));
             store.set_delta_tracking(true);
             let hub = SubscriptionHub::new(HubConfig::default());
-            let reader = store.reader();
-            let ok = hub
-                .subscribe(&reader, Q_MAMMALS, true, &CancelToken::none())
-                .unwrap();
-            let mut state = FxHashMap::default();
-            apply_batch(&mut state, &ok.initial);
-            assert!(state.is_empty());
+            let mut cursor = Cursor::register(&hub, &store.reader(), Q_MAMMALS);
+            assert!(cursor.state.is_empty());
 
             apply_and_publish(
                 &mut store,
@@ -891,15 +811,8 @@ mod tests {
                 &[["http://ex/tom", TYPE, "http://ex/Cat"]],
                 true,
             );
-            match hub.next_wake(ok.id, Duration::from_millis(10)) {
-                NextWake::Batches(batches) => {
-                    for b in &batches {
-                        apply_batch(&mut state, b);
-                    }
-                }
-                other => panic!("expected batches, got {other:?} ({algo:?})"),
-            }
-            assert_eq!(distinct_keys(&state), oracle_rows(&store, Q_MAMMALS));
+            assert_eq!(cursor.poll(&hub), 1, "{algo:?}");
+            assert_eq!(distinct_keys(&cursor.state), oracle_rows(&store, Q_MAMMALS));
 
             apply_and_publish(
                 &mut store,
@@ -907,13 +820,12 @@ mod tests {
                 &[["http://ex/tom", TYPE, "http://ex/Cat"]],
                 false,
             );
-            if let NextWake::Batches(batches) = hub.next_wake(ok.id, Duration::from_millis(10)) {
-                for b in &batches {
-                    apply_batch(&mut state, b);
-                }
-            }
-            assert_eq!(distinct_keys(&state), oracle_rows(&store, Q_MAMMALS));
-            assert!(state.is_empty(), "tom retracted from the view ({algo:?})");
+            cursor.poll(&hub);
+            assert_eq!(distinct_keys(&cursor.state), oracle_rows(&store, Q_MAMMALS));
+            assert!(
+                cursor.state.is_empty(),
+                "tom retracted from the view ({algo:?})"
+            );
         }
     }
 
@@ -922,12 +834,7 @@ mod tests {
         let mut store = store_with(ReasoningConfig::Reformulation);
         store.set_delta_tracking(true);
         let hub = SubscriptionHub::new(HubConfig::default());
-        let reader = store.reader();
-        let ok = hub
-            .subscribe(&reader, Q_MAMMALS, true, &CancelToken::none())
-            .unwrap();
-        let mut state = FxHashMap::default();
-        apply_batch(&mut state, &ok.initial);
+        let mut cursor = Cursor::register(&hub, &store.reader(), Q_MAMMALS);
 
         apply_and_publish(
             &mut store,
@@ -938,13 +845,9 @@ mod tests {
             ],
             true,
         );
-        if let NextWake::Batches(batches) = hub.next_wake(ok.id, Duration::from_millis(10)) {
-            for b in &batches {
-                apply_batch(&mut state, b);
-            }
-        }
-        assert_eq!(state.len(), 2, "tom (entailed) and rex (explicit)");
-        assert_eq!(distinct_keys(&state), oracle_rows(&store, Q_MAMMALS));
+        cursor.poll(&hub);
+        assert_eq!(cursor.state.len(), 2, "tom (entailed) and rex (explicit)");
+        assert_eq!(distinct_keys(&cursor.state), oracle_rows(&store, Q_MAMMALS));
     }
 
     #[test]
@@ -952,10 +855,7 @@ mod tests {
         let mut store = store_with(ReasoningConfig::Reformulation);
         store.set_delta_tracking(true);
         let hub = SubscriptionHub::new(HubConfig::default());
-        let reader = store.reader();
-        let ok = hub
-            .subscribe(&reader, Q_MAMMALS, true, &CancelToken::none())
-            .unwrap();
+        let mut cursor = Cursor::register(&hub, &store.reader(), Q_MAMMALS);
         apply_and_publish(
             &mut store,
             &hub,
@@ -969,49 +869,9 @@ mod tests {
             &[["http://ex/Dog", SUBCLASS, "http://ex/Mammal"]],
             true,
         );
-        let mut state = FxHashMap::default();
-        apply_batch(&mut state, &ok.initial);
-        while let NextWake::Batches(batches) = hub.next_wake(ok.id, Duration::from_millis(10)) {
-            for b in &batches {
-                apply_batch(&mut state, b);
-            }
-        }
-        assert_eq!(distinct_keys(&state), oracle_rows(&store, Q_MAMMALS));
-        assert_eq!(state.len(), 1, "fido now a mammal via the new axiom");
-    }
-
-    #[test]
-    fn slow_consumer_is_dropped_with_terminal() {
-        let mut store = store_with(ReasoningConfig::None);
-        store.set_delta_tracking(true);
-        let hub = SubscriptionHub::new(HubConfig {
-            queue_capacity: 2,
-            ..HubConfig::default()
-        });
-        let reader = store.reader();
-        let q = "PREFIX ex: <http://ex/> SELECT ?s WHERE { ?s ex:p ex:o }";
-        let ok = hub
-            .subscribe(&reader, q, true, &CancelToken::none())
-            .unwrap();
-        for i in 0..4 {
-            let s = format!("http://ex/s{i}");
-            apply_and_publish(
-                &mut store,
-                &hub,
-                &[[&s, "http://ex/p", "http://ex/o"]],
-                true,
-            );
-        }
-        // Queue bound 2: the 3rd push drops the subscriber.
-        match hub.next_wake(ok.id, Duration::from_millis(10)) {
-            NextWake::Terminal(Terminal::Lagged) => {}
-            other => panic!("expected lagged terminal, got {other:?}"),
-        }
-        assert_eq!(hub.live_subscribers(), 0);
-        assert!(matches!(
-            hub.next_wake(ok.id, Duration::from_millis(1)),
-            NextWake::Gone
-        ));
+        cursor.poll(&hub);
+        assert_eq!(distinct_keys(&cursor.state), oracle_rows(&store, Q_MAMMALS));
+        assert_eq!(cursor.state.len(), 1, "fido now a mammal via the new axiom");
     }
 
     #[test]
@@ -1063,9 +923,9 @@ mod tests {
         });
         let reader = store.reader();
         let q = "PREFIX ex: <http://ex/> SELECT ?s WHERE { ?s ex:p ex:o }";
-        hub.subscribe(&reader, q, true, &CancelToken::none())
+        hub.subscribe(&reader, q, false, &CancelToken::none())
             .unwrap();
-        match hub.subscribe(&reader, q, true, &CancelToken::none()) {
+        match hub.subscribe(&reader, q, false, &CancelToken::none()) {
             Err(SubscribeError::AtCapacity(1)) => {}
             other => panic!("expected capacity refusal, got {other:?}"),
         }
@@ -1081,7 +941,7 @@ mod tests {
         match hub.subscribe(
             &reader,
             "PREFIX ex: <http://ex/> SELECT ?s WHERE { ?s ex:p ex:o }",
-            true,
+            false,
             &token,
         ) {
             Err(SubscribeError::Query(AnswerError::Cancelled)) => {}
@@ -1091,61 +951,67 @@ mod tests {
 
     #[test]
     fn unsupported_strategies_and_queries_are_refused() {
-        let store = store_with(ReasoningConfig::BackwardChaining);
+        let q = "PREFIX ex: <http://ex/> SELECT ?s WHERE { ?s ex:p ex:o }";
         let hub = SubscriptionHub::new(HubConfig::default());
-        let reader = store.reader();
-        match hub.subscribe(
-            &reader,
-            "PREFIX ex: <http://ex/> SELECT ?s WHERE { ?s ex:p ex:o }",
-            true,
-            &CancelToken::none(),
-        ) {
-            Err(SubscribeError::Unsupported(_)) => {}
-            other => panic!("expected unsupported, got {other:?}"),
+        let none = CancelToken::none();
+        let store = store_with(ReasoningConfig::BackwardChaining);
+        let refused = [
+            hub.subscribe(&store.reader(), q, false, &none),
+            hub.subscribe(&store_with(ReasoningConfig::None).reader(), q, true, &none),
+            hub.subscribe(
+                &store_with(ReasoningConfig::None).reader(),
+                &format!("{q} LIMIT 3"),
+                false,
+                &none,
+            ),
+        ];
+        for r in refused {
+            assert!(matches!(r, Err(SubscribeError::Unsupported(_))), "{r:?}");
         }
-        let store = store_with(ReasoningConfig::None);
-        let reader = store.reader();
-        match hub.subscribe(
-            &reader,
-            "PREFIX ex: <http://ex/> SELECT ?s WHERE { ?s ex:p ex:o } LIMIT 3",
-            true,
-            &CancelToken::none(),
-        ) {
-            Err(SubscribeError::Unsupported(_)) => {}
-            other => panic!("expected unsupported query, got {other:?}"),
-        }
+        assert_eq!(hub.live_subscribers(), 0);
     }
 
     #[test]
     fn shutdown_wakes_streamers_with_terminal() {
         let store = store_with(ReasoningConfig::None);
-        let hub = std::sync::Arc::new(SubscriptionHub::new(HubConfig::default()));
+        let hub = SubscriptionHub::new(HubConfig::default());
         let reader = store.reader();
-        let ok = hub
-            .subscribe(
-                &reader,
-                "PREFIX ex: <http://ex/> SELECT ?s WHERE { ?s ex:p ex:o }",
-                true,
-                &CancelToken::none(),
-            )
-            .unwrap();
-        let h2 = hub.clone();
-        let waiter = std::thread::spawn(move || h2.next_wake(ok.id, Duration::from_secs(5)));
-        std::thread::sleep(Duration::from_millis(20));
+        let q = "PREFIX ex: <http://ex/> SELECT ?s WHERE { ?s ex:p ex:o }";
+        let cursor = Cursor::register(&hub, &reader, q);
         hub.shutdown();
-        match waiter.join().unwrap() {
-            NextWake::Terminal(Terminal::Shutdown) => {}
-            other => panic!("expected shutdown terminal, got {other:?}"),
-        }
+        let cu = hub.catch_up(cursor.id, cursor.acked).unwrap();
+        assert!(cu.batches.is_empty());
+        assert_eq!(cu.terminal, Some(Terminal::Shutdown));
         assert!(matches!(
-            hub.subscribe(
-                &reader,
-                "PREFIX ex: <http://ex/> SELECT ?s WHERE { ?s ex:p ex:o }",
-                true,
-                &CancelToken::none(),
-            ),
+            hub.subscribe(&reader, q, false, &CancelToken::none()),
             Err(SubscribeError::ShuttingDown)
         ));
+    }
+
+    /// A rebuild that fails (the strategy stopped hosting views) drops
+    /// the view; its subscriber must not be left pointing at whatever
+    /// view now sits at the dead one's index.
+    #[test]
+    fn dropped_view_subscriber_reports_shutdown() {
+        let mut store = store_with(ReasoningConfig::Reformulation);
+        store.set_delta_tracking(true);
+        let hub = SubscriptionHub::new(HubConfig::default());
+        let cursor = Cursor::register(
+            &hub,
+            &store.reader(),
+            "PREFIX ex: <http://ex/> SELECT ?x WHERE { ?x a ex:Mammal }",
+        );
+        let old = store.snapshot();
+        store.set_config(ReasoningConfig::BackwardChaining);
+        let delta = store.take_delta();
+        hub.publish(&old, &store.snapshot(), &delta);
+        assert_eq!(hub.view_count(), 0);
+
+        let cu = hub.catch_up(cursor.id, 0).expect("subscriber still known");
+        assert!(cu.batches.is_empty());
+        assert_eq!(cu.terminal, Some(Terminal::Shutdown));
+        assert!(hub.unsubscribe(cursor.id));
+        assert_eq!(hub.live_subscribers(), 0);
     }
 
     /// The distinct-multiplicity regression (bag-vs-set bug class): a row
@@ -1156,38 +1022,26 @@ mod tests {
         let mut store = store_with(ReasoningConfig::Reformulation);
         store.set_delta_tracking(true);
         let hub = SubscriptionHub::new(HubConfig::default());
-        let reader = store.reader();
         // tom is a Mammal twice over: explicitly, and entailed via Cat.
         store
             .load_turtle("@prefix ex: <http://ex/> . ex:tom a ex:Cat . ex:tom a ex:Mammal .")
             .unwrap();
         store.take_delta(); // not yet subscribed; discard
         store.snapshot(); // publish, so registration sees the load
-        let ok = hub
-            .subscribe(&reader, Q_MAMMALS, true, &CancelToken::none())
-            .unwrap();
-        let mut state = FxHashMap::default();
-        apply_batch(&mut state, &ok.initial);
-        assert_eq!(state.len(), 1);
+        let mut cursor = Cursor::register(&hub, &store.reader(), Q_MAMMALS);
+        assert_eq!(cursor.state.len(), 1);
 
-        // Delete the explicit assertion: the entailed derivation remains.
+        // Delete the explicit assertion: the entailed derivation remains,
+        // so there is correctly NO retraction event.
         apply_and_publish(
             &mut store,
             &hub,
             &[["http://ex/tom", TYPE, "http://ex/Mammal"]],
             false,
         );
-        match hub.next_wake(ok.id, Duration::from_millis(10)) {
-            NextWake::Idle => {} // correctly NO retraction event
-            NextWake::Batches(batches) => {
-                for b in &batches {
-                    apply_batch(&mut state, b);
-                }
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-        assert_eq!(state.len(), 1, "tom still a mammal via ex:Cat");
-        assert_eq!(distinct_keys(&state), oracle_rows(&store, Q_MAMMALS));
+        assert_eq!(cursor.poll(&hub), 0);
+        assert_eq!(cursor.state.len(), 1, "tom still a mammal via ex:Cat");
+        assert_eq!(distinct_keys(&cursor.state), oracle_rows(&store, Q_MAMMALS));
 
         // Delete the remaining derivation: now it must retract.
         apply_and_publish(
@@ -1196,11 +1050,7 @@ mod tests {
             &[["http://ex/tom", TYPE, "http://ex/Cat"]],
             false,
         );
-        if let NextWake::Batches(batches) = hub.next_wake(ok.id, Duration::from_millis(10)) {
-            for b in &batches {
-                apply_batch(&mut state, b);
-            }
-        }
-        assert!(state.is_empty(), "no derivations left");
+        cursor.poll(&hub);
+        assert!(cursor.state.is_empty(), "no derivations left");
     }
 }

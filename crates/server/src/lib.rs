@@ -3,13 +3,16 @@
 //! The server is dependency-free (`std::net` only) and built around the
 //! concurrency contract PR 5 introduced in `webreason-core`:
 //!
-//! * **Readers never block behind maintenance.** Each worker thread holds a
-//!   [`StoreReader`]; `POST /query` clones the current published
+//! * **One connection engine.** A single reactor thread multiplexes every
+//!   socket (epoll, `poll(2)` fallback) and hands complete requests to a
+//!   small CPU worker pool; see the `reactor` and [`conn`] modules.
+//! * **Readers never block behind maintenance.** Each CPU worker reads
+//!   through a [`StoreReader`]; `POST /query` clones the current published
 //!   [`StoreSnapshot`](webreason_core::StoreSnapshot) `Arc` and evaluates
 //!   against that immutable view, concurrently with updates.
 //! * **One writer, journaled, group-committed.** A dedicated writer
 //!   thread owns the [`DurableStore`]; `POST /update` bodies are decoded
-//!   on the worker, then shipped over a *bounded* channel. Each script is
+//!   on a CPU worker, then shipped over a *bounded* channel. Each script is
 //!   **atomic** — one `UpdateScript` journal record, applied
 //!   all-or-nothing — and the writer drains every queued job after each
 //!   `recv`, journals the group, fsyncs **once**, publishes **one**
@@ -29,6 +32,9 @@
 //! | `GET /metrics` | —               | Prometheus text (obs registry)     |
 //! | `GET /health`  | —               | `200 ok` (liveness; never sheds)   |
 //! | `GET /ready`   | —               | `200 ready`, or `503` + reason     |
+//! | `POST /subscribe` | SPARQL text  | chunked window: header, snapshot, `next` link |
+//! | `GET /subscribe/{id}?from=E` | — | JSON batches after epoch `E` + terminal |
+//! | `DELETE /subscribe/{id}` | —     | `200`, or `404` for an unknown id  |
 //!
 //! # Graceful degradation (PR 8)
 //!
@@ -64,51 +70,28 @@ pub mod proto;
 mod reactor;
 mod wheel;
 
-use std::collections::VecDeque;
-use std::io::{ErrorKind, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use http::{
-    chunk, mark_close, parse_request, write_chunked_head, write_response, Limits, ParseOutcome,
-    Request, CHUNK_END,
-};
+use http::{chunk, write_chunked_head, write_response, Limits, Request, CHUNK_END};
 use obs::CancelToken;
 use proto::{
     decode_update_body, ErrorResponse, QueryResponse, SubscribeHeader, UpdateOp, UpdateResponse,
 };
 use webreason_core::{AnswerError, DurabilityError, DurableError, DurableStore, StoreReader};
-use webreason_incremental::{
-    DeltaBatch, HubConfig, NextWake, SubscribeError, SubscribeOk, SubscriptionHub,
-};
-
-/// Connection-handling engine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Backend {
-    /// Readiness-driven event loop (epoll, `poll(2)` fallback): one
-    /// reactor thread owns every socket, `threads` CPU workers run only
-    /// request evaluation. Thousands of keep-alive connections cost
-    /// buffers, not threads.
-    #[default]
-    Reactor,
-    /// The PR 5 thread-per-connection pool: each connection pins a
-    /// blocking worker thread. Kept as the measured baseline for the
-    /// loadgen comparison (`--backend threaded`).
-    Threaded,
-}
+use webreason_incremental::{DeltaBatch, HubConfig, SubscribeError, SubscriptionHub};
 
 /// Tunables for [`Server::start`].
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Bind address, e.g. `127.0.0.1:0` for an ephemeral port.
     pub addr: String,
-    /// CPU worker threads. Under [`Backend::Threaded`] each also owns the
-    /// socket it serves; under [`Backend::Reactor`] they only evaluate
-    /// requests while the reactor owns all I/O.
+    /// CPU worker threads. They only evaluate requests; the reactor
+    /// thread owns all socket I/O.
     pub threads: usize,
     /// Bounded writer-queue depth; a full queue turns into 429s.
     pub update_queue: usize,
@@ -118,23 +101,16 @@ pub struct ServerConfig {
     pub limits: Limits,
     /// Checkpoint the journal every N applied update batches (0 = never).
     pub checkpoint_every: usize,
-    /// Group commit: after each `recv` the writer drains every queued
-    /// job, journals the group, fsyncs once and publishes one epoch.
-    /// `false` falls back to one fsync + one publish per job (the
-    /// baseline the loadgen harness measures against).
-    pub group_commit: bool,
     /// Test hook: artificial delay before each drained group is applied,
     /// to make queue backpressure (and grouping) deterministic in tests.
     /// `None` in production.
     pub writer_delay: Option<Duration>,
-    /// Connection-handling engine (reactor by default).
-    pub backend: Backend,
-    /// Reactor only: accepted-connection cap; connections beyond it are
-    /// refused with 503 instead of degrading everyone.
+    /// Accepted-connection cap; connections beyond it are refused with
+    /// 503 instead of degrading everyone.
     pub max_conns: usize,
-    /// Reactor only: per-phase idle deadline. A connection that stalls
-    /// while sending a request, draining a response, or sitting idle
-    /// between keep-alive requests is reaped after this long.
+    /// Per-phase idle deadline. A connection that stalls while sending a
+    /// request, draining a response, or sitting idle between keep-alive
+    /// requests is reaped after this long.
     pub idle_timeout: Duration,
     /// Test hook: skip epoll and use the `poll(2)` fallback (also
     /// reachable via `WEBREASON_FORCE_POLL=1`).
@@ -151,11 +127,6 @@ pub struct ServerConfig {
     /// registrations get `503 subscription_limit`. `0` disables the
     /// subscription subsystem entirely (no delta tracking on the writer).
     pub max_subscriptions: usize,
-    /// Per-streaming-subscriber delta-batch queue bound. A subscriber
-    /// whose queue overflows (it consumes slower than the writer
-    /// publishes) is dropped with a `lagged` terminal event — the writer
-    /// never blocks on a slow consumer.
-    pub subscribe_queue: usize,
 }
 
 impl Default for ServerConfig {
@@ -167,16 +138,13 @@ impl Default for ServerConfig {
             retry_after_secs: 1,
             limits: Limits::default(),
             checkpoint_every: 256,
-            group_commit: true,
             writer_delay: None,
-            backend: Backend::Reactor,
             max_conns: 4096,
             idle_timeout: Duration::from_secs(10),
             force_poll: false,
             default_deadline_ms: None,
             max_deadline_ms: 60_000,
             max_subscriptions: 64,
-            subscribe_queue: 256,
         }
     }
 }
@@ -203,21 +171,17 @@ struct WriteJob {
     probe: bool,
 }
 
-/// State shared by the accept/reactor thread and every worker.
+/// State shared by the reactor thread, the CPU workers and the writer.
 struct Shared {
     reader: StoreReader,
     /// Revocable handle to the writer channel: shutdown takes it so the
     /// writer sees disconnection once the last in-flight clone drops.
     writer_tx: Mutex<Option<SyncSender<WriteJob>>>,
-    limits: Limits,
     retry_after_secs: u64,
     shutting_down: AtomicBool,
-    conns: Mutex<VecDeque<TcpStream>>,
-    conns_cv: Condvar,
     queue_depth: AtomicU64,
     update_queue: usize,
-    /// Currently-open client connections (both backends), for the
-    /// `/metrics` gauge.
+    /// Currently-open client connections, for the `/metrics` gauge.
     open_conns: AtomicU64,
     max_conns: usize,
     /// Deadline knobs (see [`ServerConfig`]).
@@ -339,49 +303,36 @@ fn deadline_token(req: &Request, shared: &Shared) -> CancelToken {
     }
 }
 
-/// Per-backend thread handles.
-enum Engine {
-    Threaded {
-        accept_handle: Option<JoinHandle<()>>,
-        worker_handles: Vec<JoinHandle<()>>,
-    },
-    Reactor {
-        reactor_handle: Option<JoinHandle<()>>,
-        worker_handles: Vec<JoinHandle<()>>,
-        wakeup: Arc<reactor::WakeupWriter>,
-    },
-}
-
 /// A running server. Dropping it without calling [`Server::shutdown`]
 /// aborts the threads without draining (the journal keeps the data safe;
 /// prefer `shutdown` to get the store back).
 pub struct Server {
     local_addr: SocketAddr,
     shared: Arc<Shared>,
-    engine: Engine,
+    reactor_handle: Option<JoinHandle<()>>,
+    worker_handles: Vec<JoinHandle<()>>,
+    wakeup: Arc<reactor::WakeupWriter>,
     writer_handle: Option<JoinHandle<DurableStore>>,
     writer_tx: Option<SyncSender<WriteJob>>,
     supervisor_handle: Option<JoinHandle<()>>,
 }
 
 impl Server {
-    /// Binds, spawns the writer + the configured connection engine, and
+    /// Binds, spawns the writer, the CPU worker pool and the reactor, and
     /// returns. The store moves onto the writer thread; get it back via
     /// [`Server::shutdown`].
     pub fn start(store: DurableStore, config: ServerConfig) -> std::io::Result<Server> {
         let listener = TcpListener::bind(&config.addr)?;
         let local_addr = listener.local_addr()?;
+        listener.set_nonblocking(true)?;
         let reader = store.reader();
 
         let (writer_tx, writer_rx) = mpsc::sync_channel::<WriteJob>(config.update_queue.max(1));
         let shared = Arc::new(Shared {
             reader,
             writer_tx: Mutex::new(Some(writer_tx.clone())),
-            limits: config.limits,
             retry_after_secs: config.retry_after_secs,
             shutting_down: AtomicBool::new(false),
-            conns: Mutex::new(VecDeque::new()),
-            conns_cv: Condvar::new(),
             queue_depth: AtomicU64::new(0),
             update_queue: config.update_queue.max(1),
             open_conns: AtomicU64::new(0),
@@ -396,7 +347,6 @@ impl Server {
             dispatch_wait_ewma_us: AtomicU64::new(0),
             hub: SubscriptionHub::new(HubConfig {
                 max_subscriptions: config.max_subscriptions,
-                queue_capacity: config.subscribe_queue.max(1),
                 ..HubConfig::default()
             }),
             max_subscriptions: config.max_subscriptions,
@@ -406,82 +356,41 @@ impl Server {
             let shared = Arc::clone(&shared);
             let checkpoint_every = config.checkpoint_every;
             let delay = config.writer_delay;
-            let group_commit = config.group_commit;
             std::thread::Builder::new()
                 .name("webreason-writer".to_owned())
-                .spawn(move || {
-                    writer_loop(
-                        store,
-                        writer_rx,
-                        shared,
-                        checkpoint_every,
-                        delay,
-                        group_commit,
-                    )
-                })?
+                .spawn(move || writer_loop(store, writer_rx, shared, checkpoint_every, delay))?
         };
 
-        let engine = match config.backend {
-            Backend::Threaded => {
-                let mut worker_handles = Vec::with_capacity(config.threads.max(1));
-                for i in 0..config.threads.max(1) {
-                    let shared = Arc::clone(&shared);
-                    worker_handles.push(
-                        std::thread::Builder::new()
-                            .name(format!("webreason-worker-{i}"))
-                            .spawn(move || worker_loop(shared))?,
-                    );
-                }
-                let accept_handle = {
-                    let shared = Arc::clone(&shared);
-                    std::thread::Builder::new()
-                        .name("webreason-accept".to_owned())
-                        .spawn(move || accept_loop(listener, shared))?
-                };
-                Engine::Threaded {
-                    accept_handle: Some(accept_handle),
-                    worker_handles,
-                }
-            }
-            Backend::Reactor => {
-                listener.set_nonblocking(true)?;
-                let (job_tx, job_rx) = mpsc::channel::<reactor::Job>();
-                let job_rx = Arc::new(Mutex::new(job_rx));
-                let completions = Arc::new(Mutex::new(Vec::new()));
-                let (wakeup_reader, wakeup) = reactor::wakeup_pair()?;
-                let mut worker_handles = Vec::with_capacity(config.threads.max(1));
-                for i in 0..config.threads.max(1) {
-                    let shared = Arc::clone(&shared);
-                    let job_rx = Arc::clone(&job_rx);
-                    let completions = Arc::clone(&completions);
-                    let wakeup = Arc::clone(&wakeup);
-                    worker_handles.push(
-                        std::thread::Builder::new()
-                            .name(format!("webreason-cpu-{i}"))
-                            .spawn(move || cpu_worker_loop(shared, job_rx, completions, wakeup))?,
-                    );
-                }
-                let params = reactor::ReactorParams {
-                    listener,
-                    shared: Arc::clone(&shared),
-                    limits: config.limits,
-                    max_conns: config.max_conns.max(1),
-                    idle_timeout_ms: config.idle_timeout.as_millis().max(1) as u64,
-                    force_poll: config.force_poll,
-                    job_tx,
-                    completions,
-                    wakeup_reader,
-                };
-                let reactor_handle = std::thread::Builder::new()
-                    .name("webreason-reactor".to_owned())
-                    .spawn(move || reactor::reactor_loop(params))?;
-                Engine::Reactor {
-                    reactor_handle: Some(reactor_handle),
-                    worker_handles,
-                    wakeup,
-                }
-            }
+        let (job_tx, job_rx) = mpsc::channel::<reactor::Job>();
+        let job_rx = Arc::new(Mutex::new(job_rx));
+        let completions = Arc::new(Mutex::new(Vec::new()));
+        let (wakeup_reader, wakeup) = reactor::wakeup_pair()?;
+        let mut worker_handles = Vec::with_capacity(config.threads.max(1));
+        for i in 0..config.threads.max(1) {
+            let shared = Arc::clone(&shared);
+            let job_rx = Arc::clone(&job_rx);
+            let completions = Arc::clone(&completions);
+            let wakeup = Arc::clone(&wakeup);
+            worker_handles.push(
+                std::thread::Builder::new()
+                    .name(format!("webreason-cpu-{i}"))
+                    .spawn(move || cpu_worker_loop(shared, job_rx, completions, wakeup))?,
+            );
+        }
+        let params = reactor::ReactorParams {
+            listener,
+            shared: Arc::clone(&shared),
+            limits: config.limits,
+            max_conns: config.max_conns.max(1),
+            idle_timeout_ms: config.idle_timeout.as_millis().max(1) as u64,
+            force_poll: config.force_poll,
+            job_tx,
+            completions,
+            wakeup_reader,
         };
+        let reactor_handle = std::thread::Builder::new()
+            .name("webreason-reactor".to_owned())
+            .spawn(move || reactor::reactor_loop(params))?;
 
         let supervisor_handle = {
             let shared = Arc::clone(&shared);
@@ -493,7 +402,9 @@ impl Server {
         Ok(Server {
             local_addr,
             shared,
-            engine,
+            reactor_handle: Some(reactor_handle),
+            worker_handles,
+            wakeup,
             writer_handle: Some(writer_handle),
             writer_tx: Some(writer_tx),
             supervisor_handle: Some(supervisor_handle),
@@ -521,42 +432,18 @@ impl Server {
     /// update queue, and return the [`DurableStore`].
     pub fn shutdown(mut self) -> DurableStore {
         self.shared.shutting_down.store(true, Ordering::SeqCst);
-        // Wake every streaming subscriber with a `shutdown` terminal event
-        // before joining the workers that serve them.
+        // Refuse new registrations; catch-ups served during the drain
+        // carry the `shutdown` terminal.
         self.shared.hub.shutdown();
-        match &mut self.engine {
-            Engine::Threaded {
-                accept_handle,
-                worker_handles,
-            } => {
-                // Wake the blocking accept() with a throwaway connection.
-                let _ = TcpStream::connect(self.local_addr);
-                if let Some(h) = accept_handle.take() {
-                    let _ = h.join();
-                }
-                // Wake idle workers; they drain queued connections (503)
-                // and exit.
-                self.shared.conns_cv.notify_all();
-                for h in worker_handles.drain(..) {
-                    let _ = h.join();
-                }
-            }
-            Engine::Reactor {
-                reactor_handle,
-                worker_handles,
-                wakeup,
-            } => {
-                // Ring the pipe; the reactor sees the flag, answers the
-                // backlog, drains in-flight requests, and returns — which
-                // drops the job channel, so the CPU pool exits too.
-                wakeup.notify();
-                if let Some(h) = reactor_handle.take() {
-                    let _ = h.join();
-                }
-                for h in worker_handles.drain(..) {
-                    let _ = h.join();
-                }
-            }
+        // Ring the pipe; the reactor sees the flag, answers the backlog,
+        // drains in-flight requests, and returns — which drops the job
+        // channel, so the CPU pool exits too.
+        self.wakeup.notify();
+        if let Some(h) = self.reactor_handle.take() {
+            let _ = h.join();
+        }
+        for h in self.worker_handles.drain(..) {
+            let _ = h.join();
         }
         // Close every sender (ours plus the revocable shared slot); the
         // writer applies what is queued, then exits. The supervisor sees
@@ -579,13 +466,7 @@ impl Drop for Server {
         // every applied update.
         self.shared.shutting_down.store(true, Ordering::SeqCst);
         self.shared.hub.shutdown();
-        match &self.engine {
-            Engine::Threaded { .. } => {
-                let _ = TcpStream::connect(self.local_addr);
-                self.shared.conns_cv.notify_all();
-            }
-            Engine::Reactor { wakeup, .. } => wakeup.notify(),
-        }
+        self.wakeup.notify();
         lock(&self.shared.writer_tx).take();
         drop(self.writer_tx.take());
         self.shared.degraded_cv.notify_all();
@@ -667,10 +548,10 @@ fn degraded_supervisor(shared: Arc<Shared>) {
     }
 }
 
-/// CPU worker for the reactor backend: evaluates one request at a time
-/// and ships the serialized response back through the completion list +
-/// wakeup pipe. Blocking here (a long query, waiting on the writer's
-/// group commit) occupies one worker — never the reactor.
+/// CPU worker: evaluates one request at a time and ships the serialized
+/// response back through the completion list + wakeup pipe. Blocking
+/// here (a long query, waiting on the writer's group commit) occupies one
+/// worker — never the reactor.
 fn cpu_worker_loop(
     shared: Arc<Shared>,
     job_rx: Arc<Mutex<Receiver<reactor::Job>>>,
@@ -720,145 +601,6 @@ fn cpu_worker_loop(
     }
 }
 
-fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
-    let reg = obs::global();
-    loop {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                if shared.shutting_down.load(Ordering::SeqCst) {
-                    // The shutdown self-connect (or a straggler racing it)
-                    // — tell it and anything else already in the backlog
-                    // that the server is going away.
-                    respond_unavailable(stream);
-                    let _ = listener.set_nonblocking(true);
-                    while let Ok((s, _)) = listener.accept() {
-                        respond_unavailable(s);
-                    }
-                    return;
-                }
-                reg.add("server.http.connections", 1);
-                shared.open_conns.fetch_add(1, Ordering::SeqCst);
-                let mut q = lock(&shared.conns);
-                q.push_back(stream);
-                drop(q);
-                shared.conns_cv.notify_one();
-            }
-            Err(_) => {
-                if shared.shutting_down.load(Ordering::SeqCst) {
-                    return;
-                }
-                // Transient accept error; keep serving.
-            }
-        }
-    }
-}
-
-/// Tells a straggler connection the server is going away. The response
-/// closes the connection, and says so explicitly.
-fn respond_unavailable(mut stream: TcpStream) {
-    let body = ErrorResponse::to_json("unavailable", "server is shutting down");
-    let mut resp = write_response(503, "Service Unavailable", "application/json", &[], &body);
-    mark_close(&mut resp);
-    let _ = stream.write_all(&resp);
-}
-
-fn worker_loop(shared: Arc<Shared>) {
-    loop {
-        let stream = {
-            let mut q = lock(&shared.conns);
-            loop {
-                if let Some(s) = q.pop_front() {
-                    break Some(s);
-                }
-                if shared.shutting_down.load(Ordering::SeqCst) {
-                    break None;
-                }
-                q = shared.conns_cv.wait(q).unwrap_or_else(|e| e.into_inner());
-            }
-        };
-        match stream {
-            Some(s) => {
-                handle_connection(s, &shared);
-                shared.open_conns.fetch_sub(1, Ordering::SeqCst);
-            }
-            None => return,
-        }
-    }
-}
-
-/// Serves one connection until close / error / shutdown. Keep-alive:
-/// multiple requests may arrive back-to-back or pipelined.
-fn handle_connection(mut stream: TcpStream, shared: &Shared) {
-    // Short read timeout so an idle keep-alive connection notices
-    // shutdown instead of parking the worker forever.
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(100)));
-    let _ = stream.set_nodelay(true);
-    let reg = obs::global();
-    let mut buf: Vec<u8> = Vec::with_capacity(1024);
-    let mut chunk = [0u8; 4096];
-    loop {
-        // Parse everything already buffered before reading more.
-        match parse_request(&buf, &shared.limits) {
-            ParseOutcome::Complete(req, consumed) => {
-                buf.drain(..consumed);
-                // A request fully received before the shutdown flag is
-                // in-flight under the drain contract: serve it. Only new
-                // bytes are refused (the read path below 503s partial
-                // requests). During shutdown the connection closes once
-                // the buffered, already-complete requests are served.
-                let shutting = shared.shutting_down.load(Ordering::SeqCst);
-                let close = req.wants_close() || (shutting && buf.is_empty());
-                // Threaded backend: no dispatch queue, so the token is
-                // stamped right here and only the evaluation itself can
-                // consume the budget.
-                let cancel = deadline_token(&req, shared);
-                if req.method == "POST" && req.path() == "/subscribe" {
-                    // The subscribe stream takes over the connection: the
-                    // response is open-ended chunked frames, so no
-                    // keep-alive afterwards (pipelined bytes are dropped).
-                    handle_subscribe_stream(&mut stream, &req, shared, &cancel);
-                    return;
-                }
-                let mut resp = dispatch(&req, shared, &cancel);
-                if close {
-                    mark_close(&mut resp);
-                }
-                if stream.write_all(&resp).is_err() {
-                    return;
-                }
-                if close {
-                    return;
-                }
-                continue;
-            }
-            ParseOutcome::Error(e) => {
-                reg.add("server.http.bad_requests", 1);
-                let body = ErrorResponse::to_json("bad_request", &e.to_string());
-                let mut resp =
-                    write_response(e.status(), e.reason(), "application/json", &[], &body);
-                mark_close(&mut resp);
-                let _ = stream.write_all(&resp);
-                return; // framing is unrecoverable; close.
-            }
-            ParseOutcome::Incomplete => {}
-        }
-        match stream.read(&mut chunk) {
-            Ok(0) => return, // peer closed
-            Ok(n) => buf.extend_from_slice(&chunk[..n]),
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                if shared.shutting_down.load(Ordering::SeqCst) {
-                    if !buf.is_empty() {
-                        respond_unavailable(stream);
-                    }
-                    return;
-                }
-            }
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(_) => return,
-        }
-    }
-}
-
 /// Routes one parsed request to its endpoint and serialises the response.
 /// `/health` and `/metrics` never shed and never consult the deadline —
 /// they are the probes operators rely on *during* overload.
@@ -883,15 +625,7 @@ fn dispatch(req: &Request, shared: &Shared, cancel: &CancelToken) -> Vec<u8> {
             );
             resp
         }
-        ("POST", "/subscribe") => {
-            // Bounded-window registration (the reactor path — a worker
-            // must not own the socket forever): the chunked response ends
-            // after the initial snapshot, and the client follows the
-            // `next` link to poll `GET /subscribe/{id}?from=E` for deltas.
-            // The threaded backend intercepts this route *before* dispatch
-            // and live-streams instead.
-            handle_subscribe_window(req, shared, cancel)
-        }
+        ("POST", "/subscribe") => handle_subscribe(req, shared, cancel),
         ("GET", p) if p.strip_prefix("/subscribe/").is_some() => {
             handle_subscribe_catchup(req, shared)
         }
@@ -1172,221 +906,121 @@ fn handle_update(req: &Request, shared: &Shared, cancel: &CancelToken) -> Vec<u8
     }
 }
 
-/// Registration step shared by both subscribe styles (live stream on the
-/// threaded backend, bounded window + pull catch-up on the reactor).
-/// Returns the serialized error response when registration is refused.
-fn subscribe_register(
-    req: &Request,
-    shared: &Shared,
-    cancel: &CancelToken,
-    streaming: bool,
-) -> Result<SubscribeOk, Vec<u8>> {
+fn batch_json(batch: &DeltaBatch) -> String {
+    serde_json::to_string(batch).unwrap_or_else(|_| "{\"error\":\"internal\"}".to_owned())
+}
+
+/// `POST /subscribe`: registers the query and answers a *bounded window*
+/// as a chunked response — registration header, initial snapshot batch,
+/// and a `next` link the client polls (`GET /subscribe/{id}?from=E`) for
+/// subsequent deltas. A CPU worker never owns the socket past the window.
+fn handle_subscribe(req: &Request, shared: &Shared, cancel: &CancelToken) -> Vec<u8> {
     let reg = obs::global();
     reg.add("server.subscribe.requests", 1);
-    if shared.shutting_down.load(Ordering::SeqCst) {
+    let unavailable = || {
         let body = ErrorResponse::to_json("unavailable", "server is shutting down");
-        return Err(write_response(
-            503,
-            "Service Unavailable",
-            "application/json",
-            &[],
-            &body,
-        ));
+        write_response(503, "Service Unavailable", "application/json", &[], &body)
+    };
+    if shared.shutting_down.load(Ordering::SeqCst) {
+        return unavailable();
     }
     let sparql = match std::str::from_utf8(&req.body) {
         Ok(s) if !s.trim().is_empty() => s,
         _ => {
             let body = ErrorResponse::to_json("bad_request", "body must be a SPARQL query");
-            return Err(write_response(
-                400,
-                "Bad Request",
-                "application/json",
-                &[],
-                &body,
-            ));
+            return write_response(400, "Bad Request", "application/json", &[], &body);
         }
     };
-    shared
-        .hub
-        .subscribe(&shared.reader, sparql, streaming, cancel)
-        .map_err(|e| match e {
-            SubscribeError::AtCapacity(max) => {
-                reg.add("server.subscribe.limit_rejects", 1);
-                let (secs, ms) = shared.computed_retry_after();
-                let body = ErrorResponse::to_json_retry(
-                    "subscription_limit",
-                    &format!("subscription limit ({max}) reached; retry once a subscriber leaves"),
-                    ms,
-                );
-                write_response(
-                    503,
-                    "Service Unavailable",
-                    "application/json",
-                    &[("Retry-After", secs.to_string())],
-                    &body,
-                )
-            }
-            SubscribeError::Query(AnswerError::Cancelled) => {
-                // Same contract as /query: the deadline expired during the
-                // initial materialization, nothing was registered.
-                reg.add("server.subscribe.deadline_exceeded", 1);
-                let body = ErrorResponse::to_json(
-                    "deadline_exceeded",
-                    "subscription cancelled: deadline expired during initial evaluation",
-                );
-                write_response(504, "Gateway Timeout", "application/json", &[], &body)
-            }
-            SubscribeError::Query(e) => {
-                let body = ErrorResponse::to_json("bad_query", &e.to_string());
-                write_response(400, "Bad Request", "application/json", &[], &body)
-            }
-            SubscribeError::Unsupported(why) => {
-                let body = ErrorResponse::to_json("unsupported_subscription", &why);
-                write_response(400, "Bad Request", "application/json", &[], &body)
-            }
-            SubscribeError::ShuttingDown => {
-                let body = ErrorResponse::to_json("unavailable", "server is shutting down");
-                write_response(503, "Service Unavailable", "application/json", &[], &body)
-            }
-        })
-}
-
-/// Serialises the registration receipt that opens every subscribe stream.
-fn subscribe_header_json(ok: &SubscribeOk) -> String {
-    serde_json::to_string(&SubscribeHeader {
+    let ok = match shared.hub.subscribe(&shared.reader, sparql, false, cancel) {
+        Ok(ok) => ok,
+        Err(SubscribeError::AtCapacity(max)) => {
+            reg.add("server.subscribe.limit_rejects", 1);
+            let (secs, ms) = shared.computed_retry_after();
+            let body = ErrorResponse::to_json_retry(
+                "subscription_limit",
+                &format!("subscription limit ({max}) reached; retry once a subscriber leaves"),
+                ms,
+            );
+            return write_response(
+                503,
+                "Service Unavailable",
+                "application/json",
+                &[("Retry-After", secs.to_string())],
+                &body,
+            );
+        }
+        Err(SubscribeError::Query(AnswerError::Cancelled)) => {
+            // Same contract as /query: the deadline expired during the
+            // initial materialization, nothing was registered.
+            reg.add("server.subscribe.deadline_exceeded", 1);
+            let body = ErrorResponse::to_json(
+                "deadline_exceeded",
+                "subscription cancelled: deadline expired during initial evaluation",
+            );
+            return write_response(504, "Gateway Timeout", "application/json", &[], &body);
+        }
+        Err(SubscribeError::Query(e)) => {
+            let body = ErrorResponse::to_json("bad_query", &e.to_string());
+            return write_response(400, "Bad Request", "application/json", &[], &body);
+        }
+        Err(SubscribeError::Unsupported(why)) => {
+            let body = ErrorResponse::to_json("unsupported_subscription", &why);
+            return write_response(400, "Bad Request", "application/json", &[], &body);
+        }
+        Err(SubscribeError::ShuttingDown) => return unavailable(),
+    };
+    let header = serde_json::to_string(&SubscribeHeader {
         id: ok.id,
         epoch: ok.epoch,
-        vars: ok.vars.clone(),
+        vars: ok.vars,
         distinct: ok.distinct,
     })
-    .unwrap_or_else(|_| "{\"error\":\"internal\"}".to_owned())
-}
-
-fn batch_json(batch: &DeltaBatch) -> String {
-    serde_json::to_string(batch).unwrap_or_else(|_| "{\"error\":\"internal\"}".to_owned())
-}
-
-/// `POST /subscribe` on the reactor backend: a CPU worker cannot own the
-/// socket indefinitely, so the chunked response is a *bounded window* —
-/// registration header, initial snapshot batch, and a `next` link the
-/// client polls (`GET /subscribe/{id}?from=E`) for subsequent deltas.
-fn handle_subscribe_window(req: &Request, shared: &Shared, cancel: &CancelToken) -> Vec<u8> {
-    let ok = match subscribe_register(req, shared, cancel, false) {
-        Ok(ok) => ok,
-        Err(resp) => return resp,
-    };
+    .unwrap_or_else(|_| "{\"error\":\"internal\"}".to_owned());
     let more = format!(
         "{{\"more\":true,\"next\":\"/subscribe/{}?from={}\"}}",
         ok.id, ok.epoch
     );
     let mut resp = write_chunked_head(200, "OK", "application/json", &[]);
-    resp.extend_from_slice(&chunk(subscribe_header_json(&ok).as_bytes()));
+    resp.extend_from_slice(&chunk(header.as_bytes()));
     resp.extend_from_slice(&chunk(batch_json(&ok.initial).as_bytes()));
     resp.extend_from_slice(&chunk(more.as_bytes()));
     resp.extend_from_slice(CHUNK_END);
     resp
 }
 
-/// `POST /subscribe` on the threaded backend: the worker owns the socket,
-/// so the chunked response never ends — each published delta batch is
-/// written as its own chunk until the client disconnects, the subscriber
-/// lags out, or the server shuts down (the last two emit a terminal
-/// frame, then the stream closes).
-fn handle_subscribe_stream(
-    stream: &mut TcpStream,
-    req: &Request,
-    shared: &Shared,
-    cancel: &CancelToken,
-) {
-    let ok = match subscribe_register(req, shared, cancel, true) {
-        Ok(ok) => ok,
-        Err(mut resp) => {
-            mark_close(&mut resp);
-            let _ = stream.write_all(&resp);
-            return;
-        }
-    };
-    let id = ok.id;
-    let mut head = write_chunked_head(
-        200,
-        "OK",
-        "application/json",
-        &[("Connection", "close".to_owned())],
-    );
-    head.extend_from_slice(&chunk(subscribe_header_json(&ok).as_bytes()));
-    head.extend_from_slice(&chunk(batch_json(&ok.initial).as_bytes()));
-    if stream.write_all(&head).is_err() {
-        shared.hub.unsubscribe(id);
-        return;
-    }
-    loop {
-        match shared.hub.next_wake(id, Duration::from_millis(100)) {
-            NextWake::Batches(batches) => {
-                let mut out = Vec::new();
-                for b in &batches {
-                    out.extend_from_slice(&chunk(batch_json(b).as_bytes()));
-                }
-                // A dead client shows up here as a write error; dropping
-                // the subscription keeps the view from accumulating for
-                // nobody. The hub's bounded queue already guarantees the
-                // writer never blocked on this socket.
-                if stream.write_all(&out).is_err() {
-                    shared.hub.unsubscribe(id);
-                    return;
-                }
-            }
-            NextWake::Idle => continue,
-            NextWake::Terminal(t) => {
-                let mut out = chunk(format!("{{\"terminal\":\"{}\"}}", t.as_str()).as_bytes());
-                out.extend_from_slice(CHUNK_END);
-                let _ = stream.write_all(&out);
-                return;
-            }
-            NextWake::Gone => return,
-        }
-    }
-}
-
 /// `GET /subscribe/{id}?from=E`: pull-side catch-up. Replays every batch
 /// published after epoch `E` (or one snapshot-reset batch when `E` has
 /// fallen off the bounded epoch log), plus the terminal condition if the
-/// stream has ended.
+/// stream has ended. A missing `from` means 0; a malformed one is a 400,
+/// never a silent full snapshot.
 fn handle_subscribe_catchup(req: &Request, shared: &Shared) -> Vec<u8> {
+    let bad_request = |msg: &str| {
+        let body = ErrorResponse::to_json("bad_request", msg);
+        write_response(400, "Bad Request", "application/json", &[], &body)
+    };
     let Some(id) = parse_sub_id(req.path()) else {
-        let body = ErrorResponse::to_json("bad_request", "subscription id must be an integer");
-        return write_response(400, "Bad Request", "application/json", &[], &body);
+        return bad_request("subscription id must be an integer");
     };
     let from = req
         .query_string()
         .and_then(|q| q.split('&').find_map(|kv| kv.strip_prefix("from=")))
-        .and_then(|v| v.parse::<u64>().ok())
-        .unwrap_or(0);
-    match shared.hub.catch_up(id, from) {
-        Some(cu) => {
-            let mut body = String::from("{\"batches\":[");
-            for (i, b) in cu.batches.iter().enumerate() {
-                if i > 0 {
-                    body.push(',');
-                }
-                body.push_str(&batch_json(b));
-            }
-            body.push_str("],\"terminal\":");
-            match cu.terminal {
-                Some(t) => {
-                    body.push('"');
-                    body.push_str(t.as_str());
-                    body.push('"');
-                }
-                None => body.push_str("null"),
-            }
-            body.push('}');
-            write_response(200, "OK", "application/json", &[], body.as_bytes())
-        }
-        None => {
-            let body = ErrorResponse::to_json("unknown_subscription", "no such subscription id");
-            write_response(404, "Not Found", "application/json", &[], &body)
-        }
-    }
+        .map_or(Ok(0), str::parse::<u64>);
+    let Ok(from) = from else {
+        return bad_request("from must be an epoch (unsigned integer)");
+    };
+    let Some(cu) = shared.hub.catch_up(id, from) else {
+        let body = ErrorResponse::to_json("unknown_subscription", "no such subscription id");
+        return write_response(404, "Not Found", "application/json", &[], &body);
+    };
+    let batches: Vec<String> = cu.batches.iter().map(|b| batch_json(b)).collect();
+    let terminal = cu
+        .terminal
+        .map_or_else(|| "null".to_owned(), |t| format!("\"{}\"", t.as_str()));
+    let body = format!(
+        "{{\"batches\":[{}],\"terminal\":{terminal}}}",
+        batches.join(",")
+    );
+    write_response(200, "OK", "application/json", &[], body.as_bytes())
 }
 
 /// `DELETE /subscribe/{id}`: client-side cancellation.
@@ -1460,7 +1094,6 @@ fn writer_loop(
     shared: Arc<Shared>,
     checkpoint_every: usize,
     delay: Option<Duration>,
-    group_commit: bool,
 ) -> DurableStore {
     let reg = obs::global();
     let mut since_checkpoint = 0usize;
@@ -1481,11 +1114,7 @@ fn writer_loop(
             std::thread::sleep(d);
         }
         let mut jobs = vec![first];
-        if group_commit {
-            while let Ok(job) = rx.try_recv() {
-                jobs.push(job);
-            }
-        }
+        jobs.extend(rx.try_iter());
         // Probes never passed through the admission gauge, so only the
         // client jobs release queue slots.
         let client_jobs = jobs.iter().filter(|j| !j.probe).count() as u64;
@@ -1500,10 +1129,10 @@ fn writer_loop(
         reg.record("server.update.group_size", jobs.len() as u64);
         let group_start = reg.now_us();
 
-        // Journal + apply each script; under group commit the per-record
-        // fsync is deferred to the single group sync below. A job whose
-        // append fails is rejected whole — none of its ops applied — and
-        // does not poison its groupmates. A *journal I/O* failure
+        // Journal + apply each script; the per-record fsync is deferred to
+        // the single group sync below. A job whose append fails is
+        // rejected whole — none of its ops applied — and does not poison
+        // its groupmates. A *journal I/O* failure
         // additionally flips the server into degraded read-only mode:
         // the failing job 500s (its durability attempt really happened),
         // while later client jobs in the same drain fail-fast with a
@@ -1518,12 +1147,7 @@ fn writer_loop(
                         return Err(WriteError::Degraded(reason.clone()));
                     }
                 }
-                let result = if group_commit {
-                    store.apply_script_deferred(&job.ops)
-                } else {
-                    store.apply_script(&job.ops)
-                };
-                result.map_err(|e| {
+                store.apply_script_deferred(&job.ops).map_err(|e| {
                     if let Some(reason) = degraded_reason_for(&e) {
                         shared.enter_degraded(reason.to_owned());
                         faulted = Some(reason.to_owned());
@@ -1533,7 +1157,7 @@ fn writer_loop(
             })
             .collect();
         let mut any_ok = outcomes.iter().any(Result::is_ok);
-        if group_commit && any_ok {
+        if any_ok {
             if let Err(e) = store.sync_group() {
                 // The group's durability is unknown: nothing is
                 // acknowledged, nothing is published. An fsync I/O error

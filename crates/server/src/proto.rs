@@ -119,10 +119,10 @@ pub struct UpdateResponse {
     pub epoch: u64,
 }
 
-/// First frame of a `POST /subscribe` stream: the registration receipt.
-/// The initial materialization and subsequent delta batches follow as
-/// separate frames (each a serialized `DeltaBatch`), so a client can
-/// parse the stream one JSON document per chunk.
+/// First frame of a `POST /subscribe` window: the registration receipt.
+/// The initial materialization and the `next` poll link follow as
+/// separate frames (the snapshot a serialized `DeltaBatch`), so a client
+/// can parse the window one JSON document per chunk.
 #[derive(Debug, Serialize)]
 pub struct SubscribeHeader {
     /// Server-assigned subscription id (used by `GET /subscribe/{id}`).
@@ -136,7 +136,7 @@ pub struct SubscribeHeader {
 }
 
 /// JSON error payload used by every non-2xx response with a body. The
-/// shape is uniform across both backends and every error class:
+/// shape is uniform across every error class:
 /// `retry_after_ms` is non-null exactly when the response carries a
 /// `Retry-After` header (429 backpressure, 503 shed/degraded/limit), and
 /// `degraded` is non-null exactly when the server is in read-only

@@ -1,4 +1,4 @@
-//! The readiness-driven event loop behind [`Backend::Reactor`](crate::Backend).
+//! The readiness-driven event loop behind [`Server`](crate::Server).
 //!
 //! One reactor thread owns every socket. It multiplexes readiness with
 //! `epoll(7)` — declared as raw `extern "C"` shims, keeping the crate

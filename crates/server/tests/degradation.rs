@@ -12,7 +12,7 @@ use std::num::NonZeroUsize;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 use webreason_core::{DurableStore, FsyncPolicy, ReasoningConfig};
-use webreason_server::{Backend, Server, ServerConfig};
+use webreason_server::{Server, ServerConfig};
 
 fn tmpdir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("webreason-degrade-{name}-{}", std::process::id()));
@@ -110,7 +110,7 @@ fn load_wide_hierarchy(addr: SocketAddr, classes: usize, per: usize) {
             ));
         }
     }
-    for chunk in lines.chunks(1000) {
+    for chunk in lines.chunks(10_000) {
         let (status, text) = post(addr, "/update", &chunk.join("\n"));
         assert_eq!(status, 200, "fixture chunk failed: {text}");
     }
@@ -140,28 +140,28 @@ fn health_is_liveness_and_ready_reports_ok() {
 
 #[test]
 fn deadline_capped_union_times_out_with_504() {
-    // Threaded backend: the token is created at dispatch, so a small
-    // deadline deterministically expires *inside* evaluation rather than
-    // while queued (the reactor's pre-dispatch shed is separate).
+    // The token is stamped when the reactor enqueues the request. A 10 ms
+    // deadline sits far above the idle dispatch wait, so it expires
+    // *inside* the 364-branch union evaluation over 72k instances (504),
+    // not while queued (the pre-dispatch 503 shed is separate).
     let server = boot_with(
         "deadline",
         ServerConfig {
             addr: "127.0.0.1:0".to_owned(),
             threads: 2,
-            backend: Backend::Threaded,
             ..Default::default()
         },
         ReasoningConfig::Reformulation,
     );
     let addr = server.local_addr();
-    load_wide_hierarchy(addr, 363, 10);
+    load_wide_hierarchy(addr, 363, 200);
 
     let start = Instant::now();
     let (status, text) = post_with_headers(
         addr,
         "/query",
         THING_QUERY,
-        &[("X-Webreason-Deadline-Ms", "1")],
+        &[("X-Webreason-Deadline-Ms", "10")],
     );
     let elapsed = start.elapsed();
     assert_eq!(status, 504, "{text}");
@@ -186,7 +186,6 @@ fn oversized_deadline_header_is_clamped_and_zero_disables() {
         ServerConfig {
             addr: "127.0.0.1:0".to_owned(),
             threads: 1,
-            backend: Backend::Threaded,
             default_deadline_ms: Some(30_000),
             max_deadline_ms: 60_000,
             ..Default::default()
@@ -258,34 +257,27 @@ fn conn_limit_refusal_carries_retry_after() {
 
 #[test]
 fn error_bodies_are_uniform_across_classes() {
-    for backend in [Backend::Reactor, Backend::Threaded] {
-        let name = match backend {
-            Backend::Reactor => "uniform-reactor",
-            _ => "uniform-threaded",
-        };
-        let server = boot_with(
-            name,
-            ServerConfig {
-                addr: "127.0.0.1:0".to_owned(),
-                threads: 1,
-                backend,
-                ..Default::default()
-            },
-            ReasoningConfig::Reformulation,
-        );
-        let addr = server.local_addr();
-        // 404, 405 and 400 all carry the same JSON shape with explicit
-        // null retry/degraded fields.
-        let (status, text) = get(addr, "/nope");
-        assert_eq!(status, 404);
-        assert!(text.contains("\"retry_after_ms\":null"), "{text}");
-        assert!(text.contains("\"degraded\":null"), "{text}");
-        let (status, text) = post(addr, "/update", "frobnicate <a> <b> <c> .");
-        assert_eq!(status, 400);
-        assert!(text.contains("\"retry_after_ms\":null"), "{text}");
-        assert!(text.contains("\"degraded\":null"), "{text}");
-        drop(server.shutdown());
-    }
+    let server = boot_with(
+        "uniform",
+        ServerConfig {
+            addr: "127.0.0.1:0".to_owned(),
+            threads: 1,
+            ..Default::default()
+        },
+        ReasoningConfig::Reformulation,
+    );
+    let addr = server.local_addr();
+    // 404, 405 and 400 all carry the same JSON shape with explicit null
+    // retry/degraded fields.
+    let (status, text) = get(addr, "/nope");
+    assert_eq!(status, 404);
+    assert!(text.contains("\"retry_after_ms\":null"), "{text}");
+    assert!(text.contains("\"degraded\":null"), "{text}");
+    let (status, text) = post(addr, "/update", "frobnicate <a> <b> <c> .");
+    assert_eq!(status, 400);
+    assert!(text.contains("\"retry_after_ms\":null"), "{text}");
+    assert!(text.contains("\"degraded\":null"), "{text}");
+    drop(server.shutdown());
 }
 
 #[cfg(feature = "failpoints")]
@@ -419,7 +411,6 @@ mod degraded {
             ServerConfig {
                 addr: "127.0.0.1:0".to_owned(),
                 threads: 1,
-                group_commit: true,
                 ..Default::default()
             },
             ReasoningConfig::Reformulation,

@@ -8,7 +8,7 @@ use std::num::NonZeroUsize;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 use webreason_core::{DurableStore, FsyncPolicy, MaintenanceAlgorithm, ReasoningConfig};
-use webreason_server::{Backend, Server, ServerConfig};
+use webreason_server::{Server, ServerConfig};
 
 fn tmpdir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("webreason-server-{name}-{}", std::process::id()));
@@ -738,32 +738,6 @@ fn shutdown_closes_idle_keep_alive_connections_promptly() {
     let mut rest = String::new();
     idle.read_to_string(&mut rest).expect("EOF reads");
     assert!(rest.is_empty(), "unexpected bytes after shutdown: {rest}");
-}
-
-// --- backend parity -----------------------------------------------------
-
-#[test]
-fn threaded_backend_still_serves_round_trips() {
-    let mut config = ephemeral();
-    config.backend = Backend::Threaded;
-    let server = boot("threaded-parity", config);
-    let addr = server.local_addr();
-
-    let (status, _) = get(addr, "/health");
-    assert_eq!(status, 200);
-    let (status, text) = post(
-        addr,
-        "/update",
-        "insert <http://ex/Cat> <http://www.w3.org/2000/01/rdf-schema#subClassOf> <http://ex/Mammal> .\n\
-         insert <http://ex/Tom> <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <http://ex/Cat> .\n",
-    );
-    assert_eq!(status, 200, "{text}");
-    let (status, text) = post(addr, "/query", COUNT_MAMMALS);
-    assert_eq!(status, 200, "{text}");
-    assert!(text.contains("<http://ex/Tom>"), "{text}");
-
-    let store = server.shutdown();
-    assert_eq!(store.stats().base_triples, 2);
 }
 
 #[test]

@@ -19,11 +19,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 use webreason_core::{DurableStore, FsyncPolicy, MaintenanceAlgorithm, ReasoningConfig, Store};
-use webreason_server::{Backend, Server, ServerConfig};
-
-/// The counter oracle reads the process-wide `obs::global()` registry, so
-/// the per-backend soaks must not overlap inside this test binary.
-static SOAK_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+use webreason_server::{Server, ServerConfig};
 
 const UPDATE_CLIENTS: usize = 3;
 const QUERY_CLIENTS: usize = 3;
@@ -139,9 +135,9 @@ fn query_client(addr: SocketAddr, stop: Arc<AtomicBool>) -> u64 {
     answered
 }
 
-fn run_soak(name: &str, backend: Backend) {
-    let _guard = SOAK_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let dir = std::env::temp_dir().join(format!("webreason-soak-{name}-{}", std::process::id()));
+#[test]
+fn soak_reactor_backend_reconciles() {
+    let dir = std::env::temp_dir().join(format!("webreason-soak-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     obs::global().reset();
 
@@ -166,7 +162,6 @@ fn run_soak(name: &str, backend: Backend) {
             addr: "127.0.0.1:0".to_owned(),
             threads: 4,
             checkpoint_every: 8, // checkpoints fire many times per second
-            backend,
             ..Default::default()
         },
     )
@@ -254,14 +249,4 @@ fn run_soak(name: &str, backend: Backend) {
     );
 
     let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn soak_reactor_backend_reconciles() {
-    run_soak("reactor", Backend::Reactor);
-}
-
-#[test]
-fn soak_threaded_backend_reconciles() {
-    run_soak("threaded", Backend::Threaded);
 }

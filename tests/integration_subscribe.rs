@@ -1,24 +1,27 @@
 //! Differential epoch-replay oracle for incremental views.
 //!
 //! Seeded random insert/delete scripts run through the store while 1, 2
-//! or 4 concurrent subscribers stream delta batches from the
-//! [`SubscriptionHub`]. The invariant locked down here is the whole
-//! point of the subsystem: **accumulating a subscription's delta stream
+//! or 4 concurrent subscribers pull delta batches from the
+//! [`SubscriptionHub`], each a cursor catching up from its own last
+//! acknowledged epoch. The invariant locked down here is the whole point
+//! of the subsystem: **accumulating a subscription's delta stream
 //! reproduces the from-scratch answer at every published epoch** — under
 //! set (`SELECT DISTINCT`) and bag semantics, under Saturation and
 //! Reformulation, with mid-script registrations, schema changes (view
-//! rebuilds) and pull-side catch-up thrown in.
+//! rebuilds) and a slow cursor that falls off the bounded epoch log
+//! thrown in.
 //!
 //! `WEBREASON_PROPTEST_CASES` scales the case count (CI pins it).
 
-use std::time::Duration;
+use std::sync::Arc;
 
 use proptest::prelude::*;
 use rdf_model::Term;
 use rustc_hash::FxHashMap;
 use sparql::compile_delta;
+use webreason_core::StoreReader;
 use webreason_core::{MaintenanceAlgorithm, ReasoningConfig, Store, StoreSnapshot};
-use webreason_incremental::{DeltaBatch, HubConfig, NextWake, SubscriptionHub};
+use webreason_incremental::{DeltaBatch, HubConfig, SubscriptionHub};
 
 const TYPE: &str = rdf_model::vocab::RDF_TYPE;
 const SUBCLASS: &str = rdf_model::vocab::RDFS_SUB_CLASS_OF;
@@ -178,16 +181,50 @@ const BAG_QUERY: &str = "SELECT ?x WHERE { ?x a <http://ex/C0> }";
 /// positions (old graph left of the seed, new graph right of it).
 const JOIN_QUERY: &str = "SELECT ?x ?y WHERE { ?x <http://ex/p0> ?y . ?y a <http://ex/C0> }";
 
-struct Subscriber {
+/// Epoch-log bound of the oracle's hub: small, so the slow cursor below
+/// falls off the log within the short generated scripts.
+const LOG_CAP: usize = 2;
+
+/// A client-side cursor over one subscription.
+struct Cursor {
     id: u64,
     state: FxHashMap<Vec<String>, i64>,
-    /// Last epoch this subscriber acknowledged (for the pull twin below).
+    /// Last epoch this cursor acknowledged; the next catch-up starts here.
     acked: u64,
 }
 
+impl Cursor {
+    fn register(hub: &SubscriptionHub, reader: &StoreReader, sparql: &str) -> Cursor {
+        let ok = hub
+            .subscribe(reader, sparql, false, &obs::CancelToken::none())
+            .expect("registers");
+        let mut state = FxHashMap::default();
+        apply_batch(&mut state, &ok.initial);
+        Cursor {
+            id: ok.id,
+            state,
+            acked: ok.epoch,
+        }
+    }
+
+    /// Catches up from the acknowledged epoch, applies the batches and
+    /// returns them.
+    fn poll(&mut self, hub: &SubscriptionHub) -> Result<Vec<Arc<DeltaBatch>>, String> {
+        let cu = hub.catch_up(self.id, self.acked).expect("cursor alive");
+        prop_assert!(cu.terminal.is_none(), "cursor {} ended", self.id);
+        for b in &cu.batches {
+            prop_assert!(b.epoch > self.acked || b.reset, "stale or duplicate epoch");
+            apply_batch(&mut self.state, b);
+            self.acked = self.acked.max(b.epoch);
+        }
+        Ok(cu.batches)
+    }
+}
+
 /// Runs one scenario under one strategy for one query, with
-/// `scenario.n_subs` concurrent streaming subscribers plus one pull-mode
-/// subscriber exercising `catch_up` from its last acked epoch.
+/// `scenario.n_subs` cursors polling after every epoch, a straggler
+/// registering mid-script, and one slow cursor that polls only every
+/// `LOG_CAP + 1` epochs.
 fn check_scenario(
     s: &Scenario,
     config: ReasoningConfig,
@@ -228,35 +265,22 @@ fn check_scenario(
     let _ = store.take_delta();
     store.snapshot();
 
-    let hub = SubscriptionHub::new(HubConfig::default());
+    let hub = SubscriptionHub::new(HubConfig {
+        log_capacity: LOG_CAP,
+        ..HubConfig::default()
+    });
     let reader = store.reader();
-    let cancel = obs::CancelToken::none();
-    let mut subs: Vec<Subscriber> = Vec::new();
-    for _ in 0..s.n_subs {
-        let ok = hub
-            .subscribe(&reader, sparql, true, &cancel)
-            .expect("registers");
-        let mut state = FxHashMap::default();
-        apply_batch(&mut state, &ok.initial);
-        subs.push(Subscriber {
-            id: ok.id,
-            state,
-            acked: ok.epoch,
-        });
-    }
-    // The pull twin reads the same view through catch_up instead of a
-    // streaming queue.
-    let pull = hub
-        .subscribe(&reader, sparql, false, &cancel)
-        .expect("pull registers");
-    let mut pull_state = FxHashMap::default();
-    apply_batch(&mut pull_state, &pull.initial);
-    let mut pull_acked = pull.epoch;
+    let mut cursors: Vec<Cursor> = (0..s.n_subs)
+        .map(|_| Cursor::register(&hub, &reader, sparql))
+        .collect();
+    let mut slow = Cursor::register(&hub, &reader, sparql);
+    // Batches published since the slow cursor last polled.
+    let mut slow_pending = 0usize;
 
     // A straggler registers halfway through the script; its initial
     // snapshot must match the oracle *at that epoch*.
     let mid = s.epochs.len() / 2;
-    let mut straggler: Option<Subscriber> = None;
+    let mut straggler: Option<Cursor> = None;
 
     let verify =
         |store: &Store, state: &FxHashMap<Vec<String>, i64>, who: &str| -> Result<(), String> {
@@ -279,17 +303,9 @@ fn check_scenario(
 
     for (i, epoch_ops) in s.epochs.iter().enumerate() {
         if i == mid {
-            let ok = hub
-                .subscribe(&reader, sparql, true, &cancel)
-                .expect("mid-script registration");
-            let mut state = FxHashMap::default();
-            apply_batch(&mut state, &ok.initial);
-            verify(&store, &state, "straggler initial")?;
-            straggler = Some(Subscriber {
-                id: ok.id,
-                state,
-                acked: ok.epoch,
-            });
+            let cursor = Cursor::register(&hub, &reader, sparql);
+            verify(&store, &cursor.state, "straggler initial")?;
+            straggler = Some(cursor);
         }
 
         let old = store.snapshot();
@@ -301,34 +317,32 @@ fn check_scenario(
         hub.publish(&old, &new, &delta);
         let epoch = new.epoch();
 
-        for sub in subs.iter_mut().chain(straggler.as_mut()) {
-            match hub.next_wake(sub.id, Duration::from_millis(50)) {
-                NextWake::Batches(batches) => {
-                    for b in &batches {
-                        prop_assert!(b.epoch > sub.acked, "stale or duplicate epoch");
-                        apply_batch(&mut sub.state, b);
-                        sub.acked = b.epoch;
-                    }
-                }
-                NextWake::Idle => {} // empty delta for this view
-                other => return Err(format!("subscriber {} lost its stream: {other:?}", sub.id)),
+        for (k, cursor) in cursors.iter_mut().chain(straggler.as_mut()).enumerate() {
+            let batches = cursor.poll(&hub)?;
+            // Every epoch publishes at most one batch per view, so a
+            // cursor polling each epoch sees every batch the log held.
+            if k == 0 {
+                slow_pending += batches.len();
             }
-            verify(&store, &sub.state, "streaming subscriber")?;
+            prop_assert!(cursor.acked <= epoch);
+            verify(&store, &cursor.state, "cursor")?;
         }
 
-        // Pull twin: catch up from its last acked epoch.
-        let cu = hub.catch_up(pull.id, pull_acked).expect("pull twin alive");
-        prop_assert!(cu.terminal.is_none());
-        for b in &cu.batches {
-            apply_batch(&mut pull_state, b);
-            pull_acked = pull_acked.max(b.epoch);
+        // The slow cursor: once more than LOG_CAP batches went by, the
+        // oldest it needs has been evicted and catch-up must start with
+        // a snapshot reset — from which it converges all the same.
+        if (i + 1) % (LOG_CAP + 1) == 0 || i + 1 == s.epochs.len() {
+            let batches = slow.poll(&hub)?;
+            if slow_pending > LOG_CAP {
+                prop_assert!(batches[0].reset, "fell off the log without a reset");
+            }
+            verify(&store, &slow.state, "slow cursor")?;
+            slow_pending = 0;
         }
-        prop_assert!(pull_acked <= epoch);
-        verify(&store, &pull_state, "catch-up subscriber")?;
 
-        // All concurrent subscribers of one view agree with each other.
-        for pair in subs.windows(2) {
-            prop_assert_eq!(&pair[0].state, &pair[1].state, "subscribers disagree");
+        // All concurrent cursors of one view agree with each other.
+        for pair in cursors.windows(2) {
+            prop_assert_eq!(&pair[0].state, &pair[1].state, "cursors disagree");
         }
     }
     Ok(())

@@ -11,9 +11,9 @@
 //! filtered to [`subscribe_crash_child_entry`] with `WEBREASON_FAILPOINTS`
 //! arming `store.subscribe.publish` (the first instruction of
 //! [`SubscriptionHub::publish`]) with `abort@n`. The child journals a
-//! fixed update script through a [`DurableStore`], streams it to two
-//! subscribers (one `DISTINCT`, one bag) and persists their accumulated
-//! state after every acknowledged epoch; the abort kills it with the
+//! fixed update script through a [`DurableStore`], two subscribers (one
+//! `DISTINCT`, one bag) catch up after every epoch and persist their
+//! accumulated state and acknowledged epoch; the abort kills it with the
 //! n-th update journaled but undelivered.
 
 #![cfg(feature = "failpoints")]
@@ -22,13 +22,12 @@ use std::collections::BTreeMap;
 use std::num::NonZeroUsize;
 use std::path::{Path, PathBuf};
 use std::process::Command;
-use std::time::Duration;
 
 use durability::FsyncPolicy;
 use rdf_model::Term;
 use sparql::compile_delta;
 use webreason_core::{DurableStore, MaintenanceAlgorithm, ReasoningConfig, Store};
-use webreason_incremental::{DeltaBatch, HubConfig, NextWake, SubscriptionHub};
+use webreason_incremental::{DeltaBatch, HubConfig, SubscriptionHub};
 
 const SCHEMA: &str = r#"
     @prefix ex: <http://ex/> .
@@ -84,6 +83,17 @@ fn apply_batch(state: &mut BTreeMap<Vec<String>, i64>, batch: &DeltaBatch) {
     state.retain(|_, m| *m != 0);
 }
 
+/// One catch-up from the client's acknowledged epoch, applied to its
+/// state; the acknowledged epoch advances with every batch.
+fn poll(hub: &SubscriptionHub, id: u64, client: &mut ClientState) {
+    let cu = hub.catch_up(id, client.0).expect("subscription alive");
+    assert!(cu.terminal.is_none(), "stream ended: {:?}", cu.terminal);
+    for b in &cu.batches {
+        apply_batch(&mut client.1, b);
+        client.0 = client.0.max(b.epoch);
+    }
+}
+
 /// Persists a client's accumulated state atomically (tmp + rename), as a
 /// real reconnecting client would durably track its acked position.
 fn persist(dir: &Path, name: &str, state: &ClientState) {
@@ -112,7 +122,7 @@ fn restore(dir: &Path, name: &str) -> ClientState {
 }
 
 /// The child workload: journal the script through a durable store while
-/// two subscribers stream it, checkpointing client state between epochs.
+/// two subscribers follow it, checkpointing client state between epochs.
 fn run_workload(dir: &Path) {
     let mut ds = DurableStore::create(
         dir,
@@ -132,7 +142,7 @@ fn run_workload(dir: &Path) {
     let mut clients: Vec<(u64, &str, ClientState)> = Vec::new();
     for (query, name) in [(SET_Q, "client-set"), (BAG_Q, "client-bag")] {
         let ok = hub
-            .subscribe(&reader, query, true, &cancel)
+            .subscribe(&reader, query, false, &cancel)
             .expect("registers");
         let mut state = BTreeMap::new();
         apply_batch(&mut state, &ok.initial);
@@ -157,16 +167,7 @@ fn run_workload(dir: &Path) {
         hub.publish(&old, &new, &delta);
 
         for (id, name, client) in &mut clients {
-            match hub.next_wake(*id, Duration::from_millis(50)) {
-                NextWake::Batches(batches) => {
-                    for b in &batches {
-                        apply_batch(&mut client.1, b);
-                        client.0 = client.0.max(b.epoch);
-                    }
-                }
-                NextWake::Idle => {}
-                other => panic!("subscriber lost mid-workload: {other:?}"),
-            }
+            poll(&hub, *id, client);
             persist(dir, name, client);
         }
     }
@@ -283,41 +284,29 @@ fn crash_reattach_and_check(hit: u32) {
     let cancel = obs::CancelToken::none();
     let mut subs: Vec<(u64, &str, ClientState)> = Vec::new();
     for (query, name) in [(SET_Q, "client-set"), (BAG_Q, "client-bag")] {
-        let (acked, mut state) = restore(&dir, name);
+        let mut client = restore(&dir, name);
         let ok = hub
-            .subscribe(&reader, query, true, &cancel)
+            .subscribe(&reader, query, false, &cancel)
             .expect("re-registers");
-        let cu = hub.catch_up(ok.id, acked).expect("catch-up");
-        assert!(
-            cu.terminal.is_none(),
-            "hit {hit}: stream ended at re-attach"
-        );
-        let mut new_acked = acked;
-        for b in &cu.batches {
-            apply_batch(&mut state, b);
-            new_acked = new_acked.max(b.epoch);
-        }
-        let oracle = if name == "client-set" {
+        poll(&hub, ok.id, &mut client);
+        if name == "client-set" {
             assert_eq!(
-                distinct_keys(&state),
+                distinct_keys(&client.1),
                 set_oracle(&rec),
                 "hit {hit}: {name} diverged after catch-up"
             );
-            set_oracle(&rec)
         } else {
             assert_eq!(
-                state,
+                client.1,
                 bag_oracle(&rec),
                 "hit {hit}: {name} diverged after catch-up"
             );
-            bag_oracle(&rec)
-        };
-        let _ = oracle;
-        subs.push((ok.id, name, (new_acked, state)));
+        }
+        subs.push((ok.id, name, client));
     }
 
     // Convergence continues: one more update on the recovered store
-    // streams normally to the re-attached subscribers.
+    // reaches the re-attached subscribers' next catch-up.
     let old = reader.snapshot();
     rec.insert_terms(
         &Term::iri("http://ex/Post"),
@@ -328,15 +317,7 @@ fn crash_reattach_and_check(hit: u32) {
     let new = rec.snapshot();
     hub.publish(&old, &new, &delta);
     for (id, name, client) in &mut subs {
-        match hub.next_wake(*id, Duration::from_millis(50)) {
-            NextWake::Batches(batches) => {
-                for b in &batches {
-                    apply_batch(&mut client.1, b);
-                }
-            }
-            NextWake::Idle => {}
-            other => panic!("hit {hit}: {name} lost post-recovery: {other:?}"),
-        }
+        poll(&hub, *id, client);
         if *name == "client-set" {
             assert_eq!(distinct_keys(&client.1), set_oracle(&rec));
         } else {
