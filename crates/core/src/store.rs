@@ -392,7 +392,9 @@ impl Store {
     }
 
     /// Builds the snapshot of the current epoch from the writer state —
-    /// the one place graphs are cloned (at most once per epoch).
+    /// the one place graphs are cloned (at most once per epoch). The
+    /// clones are copy-on-write, so this shares the writer's index chunks
+    /// instead of copying the graphs.
     fn build_snapshot(&self) -> StoreSnapshot {
         let state = match &self.state {
             State::Plain(g) => SnapState::Plain { graph: g.clone() },

@@ -1,6 +1,6 @@
-//! An in-memory, triple-indexed, internally sharded RDF graph.
+//! An in-memory, triple-indexed, copy-on-write RDF graph.
 //!
-//! The graph maintains the three nested-map indexes
+//! The graph maintains the three nested indexes
 //!
 //! * `SPO`: subject → property → {object}
 //! * `POS`: property → object → {subject}
@@ -12,50 +12,397 @@
 //! reduced from six to three orders because RDF patterns never need a
 //! *sorted* residual column here, only a set.
 //!
+//! ## Copy-on-write chunks
+//!
+//! Term ids are dense, so the top level of each index is a radix array
+//! over its leading key: chunk `id >> 4` holds the inner maps of the 16
+//! ids sharing that prefix, behind an `Arc`. Cloning a graph copies the
+//! chunk pointers; a write copies only the chunk it touches
+//! (`Arc::make_mut`) and leaves every other chunk shared; dropping a
+//! superseded clone frees only the chunks no other clone still holds. A
+//! store publishing an immutable snapshot per update therefore pays for
+//! the chunks the update wrote, not for the graph.
+//!
+//! An inner map (second key → leaf set) lives inline in its chunk. Up to
+//! 128 triples it is one `FxHashMap`, copied whole with its chunk; past
+//! that it is *paged* into a radix array of its own over the second key,
+//! so a write under a busy key (`rdf:type` in POS, a class in OSP) copies
+//! 16 leaves rather than the whole map. Leaves are `FxHashSet`s. Every
+//! inner map counts its triples and every index counts its keys, so
+//! `count` of every pattern shape and the distinct
+//! subject/property/object counts are O(1).
+//!
+//! Reads probe at most one chunk per level, and scans walk the chunks
+//! with plain loops (internal iteration) rather than iterator adapters.
+//!
 //! ## Sharding
 //!
-//! Each index is split into `N` shards (`N` a power of two, 1 by default),
-//! routed by the index's *leading* key: SPO by `subject_id & (N-1)`, POS by
-//! property, OSP by object. Routing by the leading key keeps every probe
-//! chain a single extra array index — `objects(s, p)` still lands on
-//! exactly one map — so the whole read API is shard-oblivious.
-//!
-//! The point of the layout is parallel bulk insertion: producers route
-//! triples into [`TripleBuckets`] (one `Vec` per index per shard) and
+//! For parallel bulk insertion each index is split into `N` shards (`N` a
+//! power of two, 1 by default) by chunk number: shard `k` owns the chunks
+//! `k, k + N, k + 2N, …` of the index, routed by its *leading* key (SPO
+//! by subject, POS by property, OSP by object). Producers route triples
+//! into [`TripleBuckets`] (one `Vec` per index per shard) and
 //! [`Graph::merge_buckets`] then merges *every (index, shard) pair
 //! concurrently* — `3N` tasks with disjoint write targets, so the merge
-//! needs no locks and no cross-thread contention. The per-property counts
-//! are co-sharded with POS (same routing key) so they ride along in the
-//! POS merge task. The parallel saturation engine in the `rdfs` crate is
-//! built on this.
+//! needs no locks and no cross-thread contention. Reads never see shards.
+//! The parallel saturation engine in the `rdfs` crate is built on this.
 
 use crate::dictionary::TermId;
 use crate::triple::{Pattern, Triple};
 use rustc_hash::{FxHashMap, FxHashSet};
+use std::sync::Arc;
+
+/// log2 of the slots per chunk.
+const CHUNK_BITS: usize = 4;
+/// Slots per chunk.
+const CHUNK: usize = 1 << CHUNK_BITS;
+/// Triples an inner map holds before it is paged.
+const PAGE_AT: usize = 128;
 
 type Leaf = FxHashSet<TermId>;
-type Index = FxHashMap<TermId, FxHashMap<TermId, Leaf>>;
+
+/// Sixteen consecutive slots of a [`Radix`], shared by every clone that
+/// has not written to them since.
+type Chunk<T> = Arc<Slots<T>>;
+
+/// The slots of a chunk, with a bitmask of the occupied ones so scans of
+/// sparse chunks touch only what is there.
+#[derive(Debug, Clone)]
+struct Slots<T> {
+    occupied: u16,
+    slot: [Option<T>; CHUNK],
+}
+
+impl<T> Slots<T> {
+    /// Calls `f` with the index and value of every occupied slot.
+    #[inline]
+    fn for_each(&self, mut f: impl FnMut(usize, &T)) {
+        let mut bits = self.occupied;
+        while bits != 0 {
+            let j = bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            if let Some(v) = &self.slot[j] {
+                f(j, v);
+            }
+        }
+    }
+}
+
+/// A dense array indexed by `TermId`, in copy-on-write chunks. It spans
+/// the chunks from its smallest key's to its largest key's, so keys
+/// clustered high in the id space (the subjects of one department, say)
+/// cost no run of empty chunk pointers below them.
+#[derive(Debug, Clone)]
+struct Radix<T> {
+    /// Chunk number (`id >> 4`) of `chunks[0]`.
+    base: usize,
+    chunks: Vec<Option<Chunk<T>>>,
+    /// Occupied slots.
+    keys: usize,
+}
+
+impl<T> Default for Radix<T> {
+    fn default() -> Self {
+        Radix {
+            base: 0,
+            chunks: Vec::new(),
+            keys: 0,
+        }
+    }
+}
+
+/// The value of id `i` in `chunk`, filled with `make()` if absent, and
+/// whether it was: allocates the chunk if it is absent and copies it
+/// first if a clone shares it.
+#[inline]
+fn fill<T: Clone>(
+    chunk: &mut Option<Chunk<T>>,
+    i: usize,
+    make: impl FnOnce() -> T,
+) -> (&mut T, bool) {
+    let chunk = chunk.get_or_insert_with(|| {
+        Arc::new(Slots {
+            occupied: 0,
+            slot: std::array::from_fn(|_| None),
+        })
+    });
+    let slots = Arc::make_mut(chunk);
+    let j = i & (CHUNK - 1);
+    let new = slots.occupied & (1 << j) == 0;
+    slots.occupied |= 1 << j;
+    (slots.slot[j].get_or_insert_with(make), new)
+}
+
+impl<T: Clone> Radix<T> {
+    /// Position in `chunks` of id `i`'s chunk; out of range (wrapping)
+    /// below `base`.
+    #[inline]
+    fn position(&self, i: usize) -> usize {
+        (i >> CHUNK_BITS).wrapping_sub(self.base)
+    }
+
+    #[inline]
+    fn get(&self, key: TermId) -> Option<&T> {
+        let i = key.index();
+        self.chunks.get(self.position(i))?.as_ref()?.slot[i & (CHUNK - 1)].as_ref()
+    }
+
+    /// Makes room for id `i` in the chunk vector; returns its position.
+    fn grow_to(&mut self, i: usize) -> usize {
+        let c = i >> CHUNK_BITS;
+        if self.chunks.is_empty() {
+            self.base = c;
+        } else if c < self.base {
+            // Prepend at least as many chunks as there are, so keys
+            // arriving in descending order cost amortised O(1).
+            let base = c.min(self.base.saturating_sub(self.chunks.len()));
+            let room = std::iter::repeat_n(None, self.base - base);
+            self.chunks.splice(0..0, room);
+            self.base = base;
+        }
+        let at = c - self.base;
+        if at >= self.chunks.len() {
+            self.chunks.resize(at + 1, None);
+        }
+        at
+    }
+
+    /// The value at `key`, filled with `make()` first if the slot is empty.
+    #[inline]
+    fn get_or_insert_with(&mut self, key: TermId, make: impl FnOnce() -> T) -> &mut T {
+        let i = key.index();
+        let at = self.grow_to(i);
+        let (value, new) = fill(&mut self.chunks[at], i, make);
+        self.keys += usize::from(new);
+        value
+    }
+
+    /// The value at `key`, its chunk copied first if a clone shares it.
+    #[inline]
+    fn get_mut(&mut self, key: TermId) -> Option<&mut T> {
+        let i = key.index();
+        let at = self.position(i);
+        let chunk = self.chunks.get_mut(at)?.as_mut()?;
+        chunk.slot[i & (CHUNK - 1)].as_ref()?;
+        Arc::make_mut(chunk).slot[i & (CHUNK - 1)].as_mut()
+    }
+
+    /// Empties the slot at `key`. Emptying a chunk's last slot drops the
+    /// chunk instead of copying it, and emptying the array frees it.
+    fn remove(&mut self, key: TermId) {
+        let i = key.index();
+        let at = self.position(i);
+        let Some(ptr) = self.chunks.get_mut(at) else {
+            return;
+        };
+        let Some(chunk) = ptr.as_mut() else {
+            return;
+        };
+        let bit = 1 << (i & (CHUNK - 1));
+        if chunk.occupied & bit == 0 {
+            return;
+        }
+        if chunk.occupied == bit {
+            *ptr = None;
+        } else {
+            let slots = Arc::make_mut(chunk);
+            slots.occupied &= !bit;
+            slots.slot[i & (CHUNK - 1)] = None;
+        }
+        self.keys -= 1;
+        if self.keys == 0 {
+            *self = Radix::default();
+        }
+    }
+
+    /// Calls `f` with every occupied slot, in id order.
+    #[inline]
+    fn for_each(&self, mut f: impl FnMut(TermId, &T)) {
+        for (at, chunk) in self.chunks.iter().enumerate() {
+            let Some(chunk) = chunk else { continue };
+            let first = (self.base + at) << CHUNK_BITS;
+            chunk.for_each(|j, v| f(TermId::from_index(first | j), v));
+        }
+    }
+
+    /// Iterates over the occupied slots, in id order.
+    fn iter(&self) -> impl Iterator<Item = (TermId, &T)> + '_ {
+        self.chunks.iter().enumerate().flat_map(move |(at, chunk)| {
+            let first = (self.base + at) << CHUNK_BITS;
+            chunk.iter().flat_map(move |chunk| {
+                chunk.slot.iter().enumerate().filter_map(move |(j, slot)| {
+                    Some((TermId::from_index(first | j), slot.as_ref()?))
+                })
+            })
+        })
+    }
+}
+
+/// Everything under one leading key of an index: second key → leaf.
+#[derive(Debug, Clone, Default)]
+struct Inner {
+    /// Triples under the key: the sum of the leaf sizes.
+    triples: usize,
+    leaves: Leaves,
+}
+
+#[derive(Debug, Clone)]
+enum Leaves {
+    /// Up to `PAGE_AT` triples; copied whole when its chunk is copied.
+    Flat(FxHashMap<TermId, Leaf>),
+    /// More than that; a write copies one chunk of 16 leaves.
+    Paged(Radix<Leaf>),
+}
+
+impl Default for Leaves {
+    fn default() -> Self {
+        Leaves::Flat(FxHashMap::default())
+    }
+}
+
+impl Inner {
+    #[inline]
+    fn leaf(&self, b: TermId) -> Option<&Leaf> {
+        match &self.leaves {
+            Leaves::Flat(map) => map.get(&b),
+            Leaves::Paged(radix) => radix.get(b),
+        }
+    }
+
+    /// Inserts `(b, c)`, paging the map once it outgrows `PAGE_AT`.
+    fn insert(&mut self, b: TermId, c: TermId) -> bool {
+        let leaf = match &mut self.leaves {
+            Leaves::Flat(map) => map.entry(b).or_default(),
+            Leaves::Paged(radix) => radix.get_or_insert_with(b, Leaf::default),
+        };
+        if !leaf.insert(c) {
+            return false;
+        }
+        self.triples += 1;
+        if self.triples > PAGE_AT {
+            if let Leaves::Flat(map) = &mut self.leaves {
+                let mut paged = Radix::default();
+                for key in [map.keys().min(), map.keys().max()].into_iter().flatten() {
+                    paged.grow_to(key.index());
+                }
+                for (b, leaf) in std::mem::take(map) {
+                    *paged.get_or_insert_with(b, Leaf::default) = leaf;
+                }
+                self.leaves = Leaves::Paged(paged);
+            }
+        }
+        true
+    }
+
+    /// Removes `(b, c)`, which must be present.
+    fn remove(&mut self, b: TermId, c: TermId) {
+        match &mut self.leaves {
+            Leaves::Flat(map) => {
+                if let Some(leaf) = map.get_mut(&b) {
+                    leaf.remove(&c);
+                    if leaf.is_empty() {
+                        map.remove(&b);
+                    }
+                }
+            }
+            Leaves::Paged(radix) => {
+                if radix.get(b).is_some_and(|leaf| leaf.len() == 1) {
+                    radix.remove(b);
+                } else if let Some(leaf) = radix.get_mut(b) {
+                    leaf.remove(&c);
+                }
+            }
+        }
+        self.triples -= 1;
+    }
+
+    /// Calls `f` with every `(second key, leaf)` pair.
+    #[inline]
+    fn for_each(&self, mut f: impl FnMut(TermId, &Leaf)) {
+        match &self.leaves {
+            Leaves::Flat(map) => {
+                for (&b, leaf) in map {
+                    f(b, leaf);
+                }
+            }
+            Leaves::Paged(radix) => radix.for_each(f),
+        }
+    }
+
+    fn iter(&self) -> impl Iterator<Item = (TermId, &Leaf)> + '_ {
+        let (flat, paged) = match &self.leaves {
+            Leaves::Flat(map) => (Some(map), None),
+            Leaves::Paged(radix) => (None, Some(radix)),
+        };
+        let flat = flat.into_iter().flatten().map(|(&b, leaf)| (b, leaf));
+        flat.chain(paged.into_iter().flat_map(Radix::iter))
+    }
+}
+
+type Index = Radix<Inner>;
+
+fn index_insert(index: &mut Index, a: TermId, b: TermId, c: TermId) {
+    index.get_or_insert_with(a, Inner::default).insert(b, c);
+}
+
+/// Removes `(a, b, c)`, which must be present.
+fn index_remove(index: &mut Index, a: TermId, b: TermId, c: TermId) {
+    if index.get(a).is_some_and(|inner| inner.triples == 1) {
+        index.remove(a);
+    } else if let Some(inner) = index.get_mut(a) {
+        inner.remove(b, c);
+    }
+}
+
+/// The leaf under `(a, b)` in `index`.
+#[inline]
+fn leaf(index: &Index, a: TermId, b: TermId) -> Option<&Leaf> {
+    index.get(a)?.leaf(b)
+}
+
+/// An index order, as its projection of a triple to `(leading, second,
+/// leaf)` keys.
+#[derive(Debug, Clone, Copy)]
+enum Order {
+    Spo,
+    Pos,
+    Osp,
+}
+
+impl Order {
+    #[inline]
+    fn keys(self, t: &Triple) -> (TermId, TermId, TermId) {
+        match self {
+            Order::Spo => (t.s, t.p, t.o),
+            Order::Pos => (t.p, t.o, t.s),
+            Order::Osp => (t.o, t.s, t.p),
+        }
+    }
+}
+
+/// The shard owning leading key `id`: its chunk number modulo the shard
+/// count.
+#[inline]
+fn shard_of(id: TermId, mask: usize) -> usize {
+    (id.index() >> CHUNK_BITS) & mask
+}
 
 /// An in-memory RDF graph over dictionary-encoded triples.
 ///
 /// Duplicate-free by construction; `insert` and `remove` report whether the
-/// graph changed. Cloning a graph deep-copies the indexes, which the
-/// saturation maintenance algorithms use to snapshot states.
+/// graph changed. Cloning a graph is copy-on-write: the clone shares every
+/// index chunk with the original, and whichever of the two writes first
+/// copies the chunks it writes to. A clone is therefore an independent
+/// graph (the saturation maintenance algorithms use clones to snapshot
+/// states) that costs one pointer per 16 keys until it diverges.
 ///
 /// Equality is semantic (same triple set), so graphs with different shard
 /// counts compare equal when they hold the same triples.
 #[derive(Debug, Clone)]
 pub struct Graph {
-    /// SPO index shards, routed by `s.index() & mask`.
-    spo: Vec<Index>,
-    /// POS index shards, routed by `p.index() & mask`.
-    pos: Vec<Index>,
-    /// OSP index shards, routed by `o.index() & mask`.
-    osp: Vec<Index>,
-    /// Exact triple count per property, kept for O(1) planner
-    /// cardinalities. Co-sharded with `pos` (same routing key) so the
-    /// parallel merge can update it contention-free.
-    p_counts: Vec<FxHashMap<TermId, usize>>,
+    spo: Index,
+    pos: Index,
+    osp: Index,
     /// `shard_count - 1`; shard count is always a power of two.
     mask: usize,
     len: usize,
@@ -65,29 +412,6 @@ impl Default for Graph {
     fn default() -> Self {
         Self::with_shard_count(1)
     }
-}
-
-fn index_insert(index: &mut Index, a: TermId, b: TermId, c: TermId) -> bool {
-    index.entry(a).or_default().entry(b).or_default().insert(c)
-}
-
-fn index_remove(index: &mut Index, a: TermId, b: TermId, c: TermId) -> bool {
-    let Some(inner) = index.get_mut(&a) else {
-        return false;
-    };
-    let Some(leaf) = inner.get_mut(&b) else {
-        return false;
-    };
-    let removed = leaf.remove(&c);
-    if removed {
-        if leaf.is_empty() {
-            inner.remove(&b);
-        }
-        if inner.is_empty() {
-            index.remove(&a);
-        }
-    }
-    removed
 }
 
 /// Pre-routed triples awaiting a (parallel) merge into a [`Graph`] with the
@@ -124,9 +448,9 @@ impl TripleBuckets {
     /// Routes `t` into the right bucket of each of the three indexes.
     #[inline]
     pub fn push(&mut self, t: Triple) {
-        self.spo[t.s.index() & self.mask].push(t);
-        self.pos[t.p.index() & self.mask].push(t);
-        self.osp[t.o.index() & self.mask].push(t);
+        self.spo[shard_of(t.s, self.mask)].push(t);
+        self.pos[shard_of(t.p, self.mask)].push(t);
+        self.osp[shard_of(t.o, self.mask)].push(t);
     }
 
     /// Number of routed triples (with multiplicity).
@@ -140,60 +464,54 @@ impl TripleBuckets {
     }
 }
 
-/// One (index, shard) merge unit: disjoint write target, runs lock-free.
-enum MergeTask<'a> {
-    Spo {
-        shard: &'a mut Index,
-        inputs: Vec<Vec<Triple>>,
-    },
-    Pos {
-        shard: &'a mut Index,
-        counts: &'a mut FxHashMap<TermId, usize>,
-        inputs: Vec<Vec<Triple>>,
-    },
-    Osp {
-        shard: &'a mut Index,
-        inputs: Vec<Vec<Triple>>,
-    },
+/// One (index, shard) merge unit: the chunks of one index whose number
+/// is `shard` modulo `N`, in order, so its writes are disjoint from every
+/// other task's and it runs lock-free.
+struct MergeTask<'a> {
+    order: Order,
+    chunks: Vec<&'a mut Option<Chunk<Inner>>>,
+    /// `chunk number >> shard_bits` of `chunks[0]`.
+    first: usize,
+    /// log2 of the shard count `N`.
+    shard_bits: u32,
+    inputs: Vec<Vec<Triple>>,
 }
 
-/// Runs one merge task. Returns the number of newly inserted triples for
-/// SPO tasks (each triple is counted by exactly one SPO shard) and 0 for
-/// the other indexes, which insert the same triple set idempotently.
-fn run_merge_task(task: MergeTask<'_>) -> usize {
-    match task {
-        MergeTask::Spo { shard, inputs } => {
-            let mut new = 0;
-            for t in inputs.iter().flatten() {
-                if index_insert(shard, t.s, t.p, t.o) {
-                    new += 1;
-                }
-            }
-            new
-        }
-        MergeTask::Pos {
-            shard,
-            counts,
-            inputs,
-        } => {
-            for t in inputs.iter().flatten() {
-                if index_insert(shard, t.p, t.o, t.s) {
-                    *counts.entry(t.p).or_insert(0) += 1;
-                }
-            }
-            0
-        }
-        MergeTask::Osp { shard, inputs } => {
-            for t in inputs.iter().flatten() {
-                index_insert(shard, t.o, t.s, t.p);
-            }
-            0
-        }
+/// What one merge task added: triples and leading keys.
+struct Merged {
+    order: Order,
+    triples: usize,
+    keys: usize,
+}
+
+/// Runs one merge task. Every index inserts the same triple set, so each
+/// counts the same new triples; the caller takes the count from SPO.
+fn run_merge_task(task: MergeTask<'_>) -> Merged {
+    let MergeTask {
+        order,
+        mut chunks,
+        first,
+        shard_bits,
+        inputs,
+    } = task;
+    let (mut triples, mut keys) = (0, 0);
+    for t in inputs.iter().flatten() {
+        let (a, b, c) = order.keys(t);
+        let i = a.index();
+        let at = ((i >> CHUNK_BITS) >> shard_bits) - first;
+        let (inner, new) = fill(&mut *chunks[at], i, Inner::default);
+        keys += usize::from(new);
+        triples += usize::from(inner.insert(b, c));
+    }
+    Merged {
+        order,
+        triples,
+        keys,
     }
 }
 
 impl Graph {
-    /// Creates an empty graph with a single shard.
+    /// Creates an empty graph with a single shard. Allocates nothing.
     pub fn new() -> Self {
         Self::default()
     }
@@ -204,10 +522,9 @@ impl Graph {
     pub fn with_shard_count(shard_count: usize) -> Self {
         let n = shard_count.max(1).next_power_of_two();
         Graph {
-            spo: (0..n).map(|_| Index::default()).collect(),
-            pos: (0..n).map(|_| Index::default()).collect(),
-            osp: (0..n).map(|_| Index::default()).collect(),
-            p_counts: (0..n).map(|_| FxHashMap::default()).collect(),
+            spo: Index::default(),
+            pos: Index::default(),
+            osp: Index::default(),
             mask: n - 1,
             len: 0,
         }
@@ -218,11 +535,6 @@ impl Graph {
     #[inline]
     pub fn shard_count(&self) -> usize {
         self.mask + 1
-    }
-
-    #[inline]
-    fn shard(&self, id: TermId) -> usize {
-        id.index() & self.mask
     }
 
     /// Number of triples.
@@ -239,31 +551,25 @@ impl Graph {
 
     /// Inserts a triple. Returns `true` if it was not already present.
     pub fn insert(&mut self, t: Triple) -> bool {
-        let (ks, kp, ko) = (self.shard(t.s), self.shard(t.p), self.shard(t.o));
-        if !index_insert(&mut self.spo[ks], t.s, t.p, t.o) {
+        // Checked first so that a no-op insert copies no shared chunk.
+        if self.contains(&t) {
             return false;
         }
-        index_insert(&mut self.pos[kp], t.p, t.o, t.s);
-        index_insert(&mut self.osp[ko], t.o, t.s, t.p);
-        *self.p_counts[kp].entry(t.p).or_insert(0) += 1;
+        index_insert(&mut self.spo, t.s, t.p, t.o);
+        index_insert(&mut self.pos, t.p, t.o, t.s);
+        index_insert(&mut self.osp, t.o, t.s, t.p);
         self.len += 1;
         true
     }
 
     /// Removes a triple. Returns `true` if it was present.
     pub fn remove(&mut self, t: &Triple) -> bool {
-        let (ks, kp, ko) = (self.shard(t.s), self.shard(t.p), self.shard(t.o));
-        if !index_remove(&mut self.spo[ks], t.s, t.p, t.o) {
+        if !self.contains(t) {
             return false;
         }
-        index_remove(&mut self.pos[kp], t.p, t.o, t.s);
-        index_remove(&mut self.osp[ko], t.o, t.s, t.p);
-        match self.p_counts[kp].get_mut(&t.p) {
-            Some(c) if *c > 1 => *c -= 1,
-            _ => {
-                self.p_counts[kp].remove(&t.p);
-            }
-        }
+        index_remove(&mut self.spo, t.s, t.p, t.o);
+        index_remove(&mut self.pos, t.p, t.o, t.s);
+        index_remove(&mut self.osp, t.o, t.s, t.p);
         self.len -= 1;
         true
     }
@@ -279,45 +585,58 @@ impl Graph {
     pub fn merge_buckets(&mut self, buckets: Vec<TripleBuckets>, threads: usize) -> usize {
         let n = self.mask + 1;
         // Transpose producer-major buckets into shard-major task inputs
-        // (pointer moves only, no triple copies).
-        let mut spo_in: Vec<Vec<Vec<Triple>>> = (0..n).map(|_| Vec::new()).collect();
-        let mut pos_in: Vec<Vec<Vec<Triple>>> = (0..n).map(|_| Vec::new()).collect();
-        let mut osp_in: Vec<Vec<Vec<Triple>>> = (0..n).map(|_| Vec::new()).collect();
+        // (pointer moves only, no triple copies), per index order.
+        let mut inputs: [Vec<Vec<Vec<Triple>>>; 3] =
+            std::array::from_fn(|_| (0..n).map(|_| Vec::new()).collect());
         for mut b in buckets {
             assert_eq!(
                 b.mask, self.mask,
                 "TripleBuckets shard count must match the graph's"
             );
-            for k in 0..n {
-                spo_in[k].push(std::mem::take(&mut b.spo[k]));
-                pos_in[k].push(std::mem::take(&mut b.pos[k]));
-                osp_in[k].push(std::mem::take(&mut b.osp[k]));
+            for (shards, bucket) in inputs.iter_mut().zip([&mut b.spo, &mut b.pos, &mut b.osp]) {
+                for (shard, routed) in shards.iter_mut().zip(bucket.iter_mut()) {
+                    shard.push(std::mem::take(routed));
+                }
             }
         }
 
         let mut tasks: Vec<MergeTask<'_>> = Vec::with_capacity(3 * n);
-        for (shard, inputs) in self.spo.iter_mut().zip(spo_in) {
-            tasks.push(MergeTask::Spo { shard, inputs });
-        }
-        for ((shard, counts), inputs) in self
-            .pos
-            .iter_mut()
-            .zip(self.p_counts.iter_mut())
-            .zip(pos_in)
-        {
-            tasks.push(MergeTask::Pos {
-                shard,
-                counts,
-                inputs,
-            });
-        }
-        for (shard, inputs) in self.osp.iter_mut().zip(osp_in) {
-            tasks.push(MergeTask::Osp { shard, inputs });
+        let indexes = [
+            (Order::Spo, &mut self.spo),
+            (Order::Pos, &mut self.pos),
+            (Order::Osp, &mut self.osp),
+        ];
+        for ((order, index), inputs) in indexes.into_iter().zip(inputs) {
+            // Grow the index to hold every incoming leading key, then deal
+            // its chunks out to the shards that own them.
+            for t in inputs.iter().flatten().flatten() {
+                index.grow_to(order.keys(t).0.index());
+            }
+            let shard_bits = n.trailing_zeros();
+            let mut shards: Vec<(usize, Vec<&mut Option<Chunk<Inner>>>)> =
+                (0..n).map(|_| (0, Vec::new())).collect();
+            for (at, chunk) in index.chunks.iter_mut().enumerate() {
+                let c = index.base + at;
+                let (first, chunks) = &mut shards[c & self.mask];
+                if chunks.is_empty() {
+                    *first = c >> shard_bits;
+                }
+                chunks.push(chunk);
+            }
+            for ((first, chunks), inputs) in shards.into_iter().zip(inputs) {
+                tasks.push(MergeTask {
+                    order,
+                    chunks,
+                    first,
+                    shard_bits,
+                    inputs,
+                });
+            }
         }
 
         let threads = threads.clamp(1, tasks.len());
-        let new = if threads == 1 {
-            tasks.into_iter().map(run_merge_task).sum()
+        let merged: Vec<Merged> = if threads == 1 {
+            tasks.into_iter().map(run_merge_task).collect()
         } else {
             // Round-robin tasks across workers: with shard and thread
             // counts both powers of two, each worker gets the same shard
@@ -330,15 +649,27 @@ impl Graph {
                 let handles: Vec<_> = bins
                     .into_iter()
                     .map(|bin| {
-                        scope.spawn(move || bin.into_iter().map(run_merge_task).sum::<usize>())
+                        scope.spawn(move || bin.into_iter().map(run_merge_task).collect::<Vec<_>>())
                     })
                     .collect();
                 handles
                     .into_iter()
-                    .map(|h| h.join().expect("merge worker panicked"))
-                    .sum()
+                    .flat_map(|h| h.join().expect("merge worker panicked"))
+                    .collect()
             })
         };
+        let mut new = 0;
+        for m in merged {
+            let index = match m.order {
+                Order::Spo => {
+                    new += m.triples;
+                    &mut self.spo
+                }
+                Order::Pos => &mut self.pos,
+                Order::Osp => &mut self.osp,
+            };
+            index.keys += m.keys;
+        }
         self.len += new;
         new
     }
@@ -346,36 +677,21 @@ impl Graph {
     /// Membership test.
     #[inline]
     pub fn contains(&self, t: &Triple) -> bool {
-        self.spo[self.shard(t.s)]
-            .get(&t.s)
-            .and_then(|inner| inner.get(&t.p))
+        self.objects(t.s, t.p)
             .is_some_and(|leaf| leaf.contains(&t.o))
     }
 
     /// Removes every triple.
     pub fn clear(&mut self) {
-        for index in self
-            .spo
-            .iter_mut()
-            .chain(&mut self.pos)
-            .chain(&mut self.osp)
-        {
-            index.clear();
-        }
-        for counts in &mut self.p_counts {
-            counts.clear();
-        }
-        self.len = 0;
+        *self = Graph::with_shard_count(self.shard_count());
     }
 
     /// Iterates over all triples (arbitrary order).
     pub fn iter(&self) -> impl Iterator<Item = Triple> + '_ {
-        self.spo.iter().flat_map(|index| {
-            index.iter().flat_map(|(&s, inner)| {
-                inner
-                    .iter()
-                    .flat_map(move |(&p, leaf)| leaf.iter().map(move |&o| Triple::new(s, p, o)))
-            })
+        self.spo.iter().flat_map(|(s, inner)| {
+            inner
+                .iter()
+                .flat_map(move |(p, leaf)| leaf.iter().map(move |&o| Triple::new(s, p, o)))
         })
     }
 
@@ -390,58 +706,60 @@ impl Graph {
                 }
             }
             (Some(s), Some(p), None) => {
-                if let Some(leaf) = self.spo[self.shard(s)].get(&s).and_then(|i| i.get(&p)) {
+                if let Some(leaf) = leaf(&self.spo, s, p) {
                     for &o in leaf {
                         f(Triple::new(s, p, o));
                     }
                 }
             }
             (Some(s), None, Some(o)) => {
-                if let Some(leaf) = self.osp[self.shard(o)].get(&o).and_then(|i| i.get(&s)) {
+                if let Some(leaf) = leaf(&self.osp, o, s) {
                     for &p in leaf {
                         f(Triple::new(s, p, o));
                     }
                 }
             }
             (None, Some(p), Some(o)) => {
-                if let Some(leaf) = self.pos[self.shard(p)].get(&p).and_then(|i| i.get(&o)) {
+                if let Some(leaf) = leaf(&self.pos, p, o) {
                     for &s in leaf {
                         f(Triple::new(s, p, o));
                     }
                 }
             }
             (Some(s), None, None) => {
-                if let Some(inner) = self.spo[self.shard(s)].get(&s) {
-                    for (&p, leaf) in inner {
+                if let Some(inner) = self.spo.get(s) {
+                    inner.for_each(|p, leaf| {
                         for &o in leaf {
                             f(Triple::new(s, p, o));
                         }
-                    }
+                    });
                 }
             }
             (None, Some(p), None) => {
-                if let Some(inner) = self.pos[self.shard(p)].get(&p) {
-                    for (&o, leaf) in inner {
+                if let Some(inner) = self.pos.get(p) {
+                    inner.for_each(|o, leaf| {
                         for &s in leaf {
                             f(Triple::new(s, p, o));
                         }
-                    }
+                    });
                 }
             }
             (None, None, Some(o)) => {
-                if let Some(inner) = self.osp[self.shard(o)].get(&o) {
-                    for (&s, leaf) in inner {
+                if let Some(inner) = self.osp.get(o) {
+                    inner.for_each(|s, leaf| {
                         for &p in leaf {
                             f(Triple::new(s, p, o));
                         }
+                    });
+                }
+            }
+            (None, None, None) => self.spo.for_each(|s, inner| {
+                inner.for_each(|p, leaf| {
+                    for &o in leaf {
+                        f(Triple::new(s, p, o));
                     }
-                }
-            }
-            (None, None, None) => {
-                for t in self.iter() {
-                    f(t);
-                }
-            }
+                });
+            }),
         }
     }
 
@@ -452,32 +770,17 @@ impl Graph {
         out
     }
 
-    /// Exact number of triples matching `pattern`.
-    ///
-    /// O(1) for fully-bound, `(s,p,?)`-class and `(?,p,?)` shapes; for the
-    /// remaining shapes it sums leaf sizes of the relevant inner map.
+    /// Exact number of triples matching `pattern`, in O(1) for every shape.
     pub fn count(&self, pattern: &Pattern) -> usize {
+        let triples = |index: &Index, a| index.get(a).map_or(0, |inner| inner.triples);
         match (pattern.s, pattern.p, pattern.o) {
-            (Some(s), Some(p), Some(o)) => self.contains(&Triple::new(s, p, o)) as usize,
-            (Some(s), Some(p), None) => self.spo[self.shard(s)]
-                .get(&s)
-                .and_then(|i| i.get(&p))
-                .map_or(0, Leaf::len),
-            (Some(s), None, Some(o)) => self.osp[self.shard(o)]
-                .get(&o)
-                .and_then(|i| i.get(&s))
-                .map_or(0, Leaf::len),
-            (None, Some(p), Some(o)) => self.pos[self.shard(p)]
-                .get(&p)
-                .and_then(|i| i.get(&o))
-                .map_or(0, Leaf::len),
-            (Some(s), None, None) => self.spo[self.shard(s)]
-                .get(&s)
-                .map_or(0, |i| i.values().map(Leaf::len).sum()),
-            (None, Some(p), None) => self.p_counts[self.shard(p)].get(&p).copied().unwrap_or(0),
-            (None, None, Some(o)) => self.osp[self.shard(o)]
-                .get(&o)
-                .map_or(0, |i| i.values().map(Leaf::len).sum()),
+            (Some(s), Some(p), Some(o)) => usize::from(self.contains(&Triple::new(s, p, o))),
+            (Some(s), Some(p), None) => leaf(&self.spo, s, p).map_or(0, Leaf::len),
+            (Some(s), None, Some(o)) => leaf(&self.osp, o, s).map_or(0, Leaf::len),
+            (None, Some(p), Some(o)) => leaf(&self.pos, p, o).map_or(0, Leaf::len),
+            (Some(s), None, None) => triples(&self.spo, s),
+            (None, Some(p), None) => triples(&self.pos, p),
+            (None, None, Some(o)) => triples(&self.osp, o),
             (None, None, None) => self.len,
         }
     }
@@ -487,45 +790,52 @@ impl Graph {
     /// Hot accessor for the reasoner's specialised join loops.
     #[inline]
     pub fn objects(&self, s: TermId, p: TermId) -> Option<&FxHashSet<TermId>> {
-        self.spo[self.shard(s)].get(&s).and_then(|i| i.get(&p))
+        leaf(&self.spo, s, p)
     }
 
     /// The set of subjects `s` with `s p o` in the graph, if any.
     #[inline]
     pub fn subjects_with(&self, p: TermId, o: TermId) -> Option<&FxHashSet<TermId>> {
-        self.pos[self.shard(p)].get(&p).and_then(|i| i.get(&o))
+        leaf(&self.pos, p, o)
     }
 
     /// Iterates over `(s, o)` pairs of triples with property `p`.
     pub fn pairs_with_property(&self, p: TermId) -> impl Iterator<Item = (TermId, TermId)> + '_ {
-        self.pos[self.shard(p)]
-            .get(&p)
-            .into_iter()
-            .flat_map(|inner| {
-                inner
-                    .iter()
-                    .flat_map(|(&o, leaf)| leaf.iter().map(move |&s| (s, o)))
-            })
+        self.pos.get(p).into_iter().flat_map(|inner| {
+            inner
+                .iter()
+                .flat_map(|(o, leaf)| leaf.iter().map(move |&s| (s, o)))
+        })
     }
 
     /// Distinct subjects appearing in the graph.
     pub fn subjects(&self) -> impl Iterator<Item = TermId> + '_ {
-        self.spo.iter().flat_map(|index| index.keys().copied())
+        self.spo.iter().map(|(s, _)| s)
     }
 
     /// Distinct properties appearing in the graph.
     pub fn properties(&self) -> impl Iterator<Item = TermId> + '_ {
-        self.pos.iter().flat_map(|index| index.keys().copied())
+        self.pos.iter().map(|(p, _)| p)
     }
 
     /// Distinct objects appearing in the graph.
     pub fn objects_iter(&self) -> impl Iterator<Item = TermId> + '_ {
-        self.osp.iter().flat_map(|index| index.keys().copied())
+        self.osp.iter().map(|(o, _)| o)
     }
 
-    /// Number of distinct properties.
+    /// Number of distinct subjects, in O(1).
+    pub fn subject_count(&self) -> usize {
+        self.spo.keys
+    }
+
+    /// Number of distinct properties, in O(1).
     pub fn property_count(&self) -> usize {
-        self.pos.iter().map(FxHashMap::len).sum()
+        self.pos.keys
+    }
+
+    /// Number of distinct objects, in O(1).
+    pub fn object_count(&self) -> usize {
+        self.osp.keys
     }
 
     /// True if `other` contains every triple of `self`.
@@ -784,7 +1094,7 @@ mod tests {
             assert_eq!(new, expected_new, "{shards} shards, {threads} threads");
             assert_eq!(g, reference);
             assert_eq!(g.len(), reference.len());
-            // p_counts survived the parallel merge
+            // per-property counts survived the parallel merge
             for p in 0..5 {
                 let pat = Pattern::new(None, Some(id(p)), None);
                 assert_eq!(g.count(&pat), reference.count(&pat), "p{p}");
@@ -813,6 +1123,43 @@ mod tests {
         let mut g = Graph::with_shard_count(4);
         let bucket = TripleBuckets::new(2);
         g.merge_buckets(vec![bucket], 1);
+    }
+
+    fn is_paged(index: &Index, key: usize) -> bool {
+        index
+            .get(id(key))
+            .is_some_and(|inner| matches!(inner.leaves, Leaves::Paged(_)))
+    }
+
+    #[test]
+    fn distinct_counters_track_inserts_and_removes() {
+        fn check(g: &Graph) {
+            assert_eq!(g.subject_count(), g.subjects().count());
+            assert_eq!(g.property_count(), g.properties().count());
+            assert_eq!(g.object_count(), g.objects_iter().count());
+        }
+        // Object 7 and property 0 collect enough triples to be paged.
+        let triples: Vec<Triple> = (0..400)
+            .map(|i| t(i % 300, i % 2, if i % 2 == 0 { 7 } else { i % 50 }))
+            .collect();
+        let mut g = Graph::new();
+        for &tr in &triples {
+            g.insert(tr);
+            check(&g);
+        }
+        assert!(is_paged(&g.osp, 7) && is_paged(&g.pos, 0));
+        for tr in triples.iter().step_by(3) {
+            g.remove(tr);
+            check(&g);
+        }
+        for tr in &triples {
+            g.remove(tr);
+            check(&g);
+        }
+        assert_eq!(
+            (g.subject_count(), g.property_count(), g.object_count()),
+            (0, 0, 0)
+        );
     }
 
     mod properties {
@@ -883,7 +1230,7 @@ mod tests {
             /// sequential insertion does, whatever the producer split.
             #[test]
             fn merge_buckets_matches_sequential(
-                triples in proptest::collection::vec(arb_triple(), 0..120),
+                triples in proptest::collection::vec(arb_merge_triple(), 0..400),
                 shards in 0usize..9,
                 threads in 1usize..9,
                 producers in 1usize..4,
@@ -899,9 +1246,127 @@ mod tests {
                 let new = g.merge_buckets(buckets, threads);
                 prop_assert_eq!(new, reference.len());
                 prop_assert_eq!(&g, &reference);
-                for p in (0..6).map(id) {
+                for p in reference.properties() {
                     let pat = Pattern::new(None, Some(p), None);
                     prop_assert_eq!(g.count(&pat), reference.count(&pat));
+                }
+                prop_assert_eq!(g.subject_count(), reference.subject_count());
+                prop_assert_eq!(g.property_count(), reference.property_count());
+                prop_assert_eq!(g.object_count(), reference.object_count());
+            }
+        }
+
+        /// Ids spread over many chunks, so that shards own different
+        /// chunks, plus a hub whose property and object get paged.
+        fn arb_merge_triple() -> impl Strategy<Value = Triple> {
+            prop_oneof![
+                (0usize..12, 0usize..6, 0usize..12).prop_map(|(s, p, o)| t(s * 37, p * 53, o * 29)),
+                (0usize..300).prop_map(|s| t(s * 7, 53, 29)),
+            ]
+        }
+
+        /// `WEBREASON_PROPTEST_CASES` overrides a test's default case count.
+        fn env_cases(default: u32) -> u32 {
+            std::env::var("WEBREASON_PROPTEST_CASES")
+                .ok()
+                .and_then(|v| v.parse().ok())
+                .unwrap_or(default)
+        }
+
+        #[derive(Debug, Clone)]
+        enum CowOp {
+            Insert(Triple),
+            /// Removes the `k % len`-th triple of the model.
+            Remove(usize),
+            /// Holds a clone of the graph as it is now.
+            Clone,
+        }
+
+        /// Triples concentrated on hubs — object 0, subject 0 and, through
+        /// both, properties 0..3 — so single inner maps of all three
+        /// indexes grow past the paging threshold.
+        fn arb_cow_op() -> impl Strategy<Value = CowOp> {
+            (0u32..100, 0usize..400, 0usize..3, 0usize..100_000).prop_map(|(roll, x, p, k)| {
+                match roll {
+                    0 => CowOp::Clone,
+                    1..=24 => CowOp::Remove(k),
+                    _ if roll % 2 == 0 => CowOp::Insert(t(x, p, 0)),
+                    _ => CowOp::Insert(t(0, p, x)),
+                }
+            })
+        }
+
+        /// `g` against its set model: every pattern shape, keyed by each
+        /// constant combination the model holds (plus one absent id), and
+        /// `count`, `len` and the distinct-key counters.
+        fn check_against_model(g: &Graph, model: &BTreeSet<Triple>) -> Result<(), String> {
+            prop_assert_eq!(g.len(), model.len());
+            let mut all: Vec<_> = g.iter().collect();
+            all.sort();
+            prop_assert!(all.iter().eq(model.iter()));
+            let distinct =
+                |key: fn(&Triple) -> TermId| model.iter().map(key).collect::<BTreeSet<_>>().len();
+            prop_assert_eq!(g.subject_count(), distinct(|tr| tr.s));
+            prop_assert_eq!(g.property_count(), distinct(|tr| tr.p));
+            prop_assert_eq!(g.object_count(), distinct(|tr| tr.o));
+            let absent = Triple::new(id(1_000), id(1_000), id(1_000));
+            for shape in 0..8u8 {
+                let bind = |tr: &Triple| {
+                    Pattern::new(
+                        (shape & 4 != 0).then_some(tr.s),
+                        (shape & 2 != 0).then_some(tr.p),
+                        (shape & 1 != 0).then_some(tr.o),
+                    )
+                };
+                let mut groups: std::collections::BTreeMap<_, Vec<Triple>> = Default::default();
+                for tr in model {
+                    let pat = bind(tr);
+                    groups.entry((pat.s, pat.p, pat.o)).or_default().push(*tr);
+                }
+                for ((s, p, o), want) in &groups {
+                    let pat = Pattern::new(*s, *p, *o);
+                    let mut got = g.matches(&pat);
+                    got.sort();
+                    prop_assert_eq!(&got, want);
+                    prop_assert_eq!(g.count(&pat), want.len());
+                }
+                if shape != 0 {
+                    let miss = bind(&absent);
+                    prop_assert!(g.matches(&miss).is_empty());
+                    prop_assert_eq!(g.count(&miss), 0);
+                }
+            }
+            Ok(())
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(env_cases(16)))]
+
+            /// Copy-on-write isolation, paged inner maps included: every
+            /// clone taken mid-stream still equals its own set model after
+            /// the original kept inserting and removing past it.
+            #[test]
+            fn held_clones_keep_their_triples(
+                ops in proptest::collection::vec(arb_cow_op(), 0..1500),
+            ) {
+                let mut g = Graph::new();
+                let mut model: BTreeSet<Triple> = BTreeSet::new();
+                let mut held: Vec<(Graph, BTreeSet<Triple>)> = Vec::new();
+                for op in ops {
+                    match op {
+                        CowOp::Insert(tr) => prop_assert_eq!(g.insert(tr), model.insert(tr)),
+                        CowOp::Remove(k) => {
+                            if let Some(&tr) = model.iter().nth(k % model.len().max(1)) {
+                                prop_assert!(g.remove(&tr));
+                                model.remove(&tr);
+                            }
+                        }
+                        CowOp::Clone => held.push((g.clone(), model.clone())),
+                    }
+                }
+                held.push((g, model));
+                for (clone, model) in &held {
+                    check_against_model(clone, model)?;
                 }
             }
         }

@@ -13,9 +13,11 @@
 //! * [`Triple`] and [`Pattern`]: encoded triples and triple lookup patterns;
 //! * [`Graph`]: an in-memory triple store indexed in the three orders
 //!   SPO, POS and OSP, answering all eight bound/unbound pattern shapes
-//!   with a single index probe; each index is internally sharded so bulk
-//!   loads can merge pre-routed [`TripleBuckets`] with one thread per
-//!   shard, contention-free;
+//!   with a single index probe; the indexes are copy-on-write chunks, so
+//!   a clone costs a pointer per 16 keys and a write copies one chunk,
+//!   and each index is internally sharded so bulk loads can merge
+//!   pre-routed [`TripleBuckets`] with one thread per shard,
+//!   contention-free;
 //! * [`Vocab`]: the RDF/RDFS built-in vocabulary, pre-interned.
 //!
 //! ## Example

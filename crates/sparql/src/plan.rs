@@ -29,10 +29,10 @@ pub struct PlannedBgp {
 
 /// Distinct-value counts used as `V(attr)` in the selectivity discounts.
 ///
-/// Computing them walks the whole graph, so callers planning many BGPs
-/// over the same graph (a reformulated union can have hundreds of
-/// branches) should compute them once with [`DistinctCounts::of`] and
-/// reuse them via [`plan_bgp_with`].
+/// The graph maintains them, so [`DistinctCounts::of`] is O(1); callers
+/// planning many BGPs over the same graph (a reformulated union can have
+/// hundreds of branches) still compute them once and reuse them via
+/// [`plan_bgp_with`].
 pub struct DistinctCounts {
     pub(crate) subjects: f64,
     pub(crate) properties: f64,
@@ -40,12 +40,12 @@ pub struct DistinctCounts {
 }
 
 impl DistinctCounts {
-    /// Collects the distinct subject/property/object counts of `g`.
+    /// Reads the distinct subject/property/object counts of `g`.
     pub fn of(g: &Graph) -> Self {
         DistinctCounts {
-            subjects: g.subjects().count().max(1) as f64,
+            subjects: g.subject_count().max(1) as f64,
             properties: g.property_count().max(1) as f64,
-            objects: g.objects_iter().count().max(1) as f64,
+            objects: g.object_count().max(1) as f64,
         }
     }
 }

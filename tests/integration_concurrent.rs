@@ -17,11 +17,13 @@
 //! the join, each observation must match the oracle's answer set for its
 //! epoch exactly.
 
-use rdf_model::Term;
+use rdf_model::{Pattern, Term, TermId, Triple};
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use webreason_core::{MaintenanceAlgorithm, ReasoningConfig, Store};
+use webreason_core::{MaintenanceAlgorithm, ReasoningConfig, Store, StoreSnapshot};
+use workload::lubm::{generate, queries, LubmConfig, NS_DATA, NS_UB};
+use workload::NamedQuery;
 
 const SCHEMA: &str = r#"
     @prefix ex: <http://ex/> .
@@ -264,4 +266,147 @@ fn a_held_snapshot_is_immutable_mid_storm() {
     // A fresh snapshot does observe the storm.
     let fresh_epoch = reader.snapshot().epoch();
     assert!(fresh_epoch > snap.epoch(), "publishes advanced the epoch");
+}
+
+/// Updates in the LUBM-1 immutability test.
+const LUBM_UPDATES: usize = 300;
+
+/// LUBM Q1–Q10 answered by `snap`, rows sorted, multiplicities kept.
+fn lubm_answers(snap: &StoreSnapshot, named: &[NamedQuery]) -> Vec<Vec<Vec<TermId>>> {
+    named
+        .iter()
+        .map(|nq| {
+            snap.answer(&nq.query)
+                .expect("LUBM query answers")
+                .0
+                .sorted_rows()
+        })
+        .collect()
+}
+
+/// The snapshot's own graph (`G∞` when saturated, `G` otherwise), copied
+/// out triple by triple so the copy shares no storage with it.
+fn triple_set(snap: &StoreSnapshot) -> Vec<Triple> {
+    let mut triples: Vec<Triple> = snap
+        .view_graph()
+        .expect("strategy has a graph")
+        .iter()
+        .collect();
+    triples.sort();
+    triples
+}
+
+/// The same property as above at LUBM-1 scale, where the `rdf:type`
+/// entries of POS and the class objects of OSP hold thousands of triples:
+/// a held snapshot keeps its answers and its exact triple set while the
+/// writer inserts and deletes instance and schema triples under those
+/// keys, publishing after every update; a fresh snapshot sees them.
+#[test]
+fn a_held_lubm_snapshot_is_immutable_under_updates() {
+    let mut ds = generate(&LubmConfig::scaled(1));
+    let named = queries(&mut ds);
+    let vocab = ds.vocab;
+    let ub = |name: &str| Term::iri(format!("{NS_UB}{name}"));
+    let classes = [
+        "GraduateStudent",
+        "UndergraduateStudent",
+        "FullProfessor",
+        "Lecturer",
+    ];
+    let type_triples = ds
+        .graph
+        .matches(&Pattern::new(None, Some(vocab.rdf_type), None));
+    let sub_class_triples = ds
+        .graph
+        .matches(&Pattern::new(None, Some(vocab.sub_class_of), None));
+    assert!(type_triples.len() > 1000 && sub_class_triples.len() > 2);
+
+    for config in [
+        ReasoningConfig::Saturation(MaintenanceAlgorithm::Counting),
+        ReasoningConfig::Reformulation,
+        ReasoningConfig::Interval,
+    ] {
+        let mut store = Store::from_parts_with_threads(
+            ds.dict.clone(),
+            vocab,
+            ds.graph.clone(),
+            config,
+            NonZeroUsize::MIN,
+        );
+        let reader = store.reader();
+        let held = reader.snapshot();
+        let answers = lubm_answers(&held, &named);
+        let triples = triple_set(&held);
+
+        let mut rng = Lcg(0x5EED);
+        let mut inserted = Vec::new();
+        for i in 0..LUBM_UPDATES {
+            let any_type = type_triples[rng.below(type_triples.len() as u64) as usize];
+            match i % 6 {
+                // A new individual typed at a leaf class.
+                0 | 1 => {
+                    let s = Term::iri(format!("{NS_DATA}fresh{i}"));
+                    let class = ub(classes[rng.below(classes.len() as u64) as usize]);
+                    store.insert_terms(&s, &rdf_type(), &class);
+                    inserted.push((s, class));
+                }
+                // An existing individual loses a type for good.
+                2 => {
+                    store.delete(&any_type);
+                }
+                // A new subclass of a populated class, with a member.
+                3 => {
+                    let class = Term::iri(format!("{NS_UB}Fresh{i}"));
+                    store.insert_terms(&class, &sub_class_of(), &ub("Student"));
+                    let s = Term::iri(format!("{NS_DATA}freshling{i}"));
+                    store.insert_terms(&s, &rdf_type(), &class);
+                }
+                // An instance type and a schema triple of the ontology go
+                // and come back, one published epoch later.
+                _ => {
+                    let t = if i % 6 == 4 {
+                        any_type
+                    } else {
+                        sub_class_triples[(i / 6) % sub_class_triples.len()]
+                    };
+                    store.delete(&t);
+                    store.snapshot();
+                    store.insert(t);
+                }
+            }
+            store.snapshot();
+        }
+
+        let name = config.name();
+        assert_eq!(
+            lubm_answers(&held, &named),
+            answers,
+            "{name}: held answers moved"
+        );
+        assert_eq!(triple_set(&held), triples, "{name}: held triple set moved");
+
+        let fresh = reader.snapshot();
+        assert!(
+            fresh.epoch() > held.epoch(),
+            "{name}: publishes advanced the epoch"
+        );
+        let fresh_graph = fresh.view_graph().expect("strategy has a graph");
+        let inserted: Vec<Triple> = {
+            let dict = fresh.dictionary();
+            let id = |term| dict.get_id(term).expect("inserted terms are interned");
+            inserted
+                .iter()
+                .map(|(s, class)| Triple::new(id(s), vocab.rdf_type, id(class)))
+                .collect()
+        };
+        assert!(
+            inserted.iter().all(|t| fresh_graph.contains(t)),
+            "{name}: a fresh snapshot misses an insert"
+        );
+        assert_ne!(
+            lubm_answers(&fresh, &named),
+            answers,
+            "{name}: fresh answers moved on"
+        );
+    }
 }
