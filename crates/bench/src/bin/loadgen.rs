@@ -44,10 +44,11 @@ struct Args {
     duration_secs: f64,
     ops_per_update: usize,
     fsync: FsyncPolicy,
-    /// Store reasoning strategy. `None` (default) isolates the commit
-    /// protocol — every microsecond of maintenance dilutes the fsync
-    /// amortization being measured; `counting` adds incremental
-    /// maintenance per op for an end-to-end mixed workload.
+    /// Store reasoning strategy. `reformulation` (default) isolates the
+    /// commit protocol — it maintains nothing, and every microsecond of
+    /// maintenance dilutes the fsync amortization being measured;
+    /// `counting` adds incremental maintenance per op for an end-to-end
+    /// mixed workload.
     reasoning: ReasoningConfig,
     threads: usize,
     queue: usize,
@@ -74,7 +75,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: loadgen [--clients N] [--write-ratio F] [--duration-secs S]\n\
          \x20              [--ops-per-update N] [--fsync always|never]\n\
-         \x20              [--reasoning none|counting] [--threads N] [--queue N]\n\
+         \x20              [--reasoning reformulation|counting] [--threads N] [--queue N]\n\
          \x20              [--seed N] [--strict] [--conn-sweep]\n\
          \x20              [--chaos] [--chaos-windows N] [--chaos-window-ms MS]\n\
          \x20              [--subscribers N] [--subscribe-triples T] [--subscribe-updates U]"
@@ -89,7 +90,7 @@ fn parse_args() -> Args {
         duration_secs: 3.0,
         ops_per_update: 4,
         fsync: FsyncPolicy::Always,
-        reasoning: ReasoningConfig::None,
+        reasoning: ReasoningConfig::Reformulation,
         threads: 0, // 0 = one worker per client
         queue: 256,
         seed: 42,
@@ -140,8 +141,8 @@ fn parse_args() -> Args {
                 .is_some(),
             "--fsync" => FsyncPolicy::parse(value).map(|v| args.fsync = v).is_some(),
             "--reasoning" => match value.as_str() {
-                "none" => {
-                    args.reasoning = ReasoningConfig::None;
+                "reformulation" => {
+                    args.reasoning = ReasoningConfig::Reformulation;
                     true
                 }
                 "counting" => {

@@ -7,41 +7,26 @@ use webreason_core::FsyncPolicy;
 /// A reasoning strategy name accepted on the command line.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Strategy {
-    /// No reasoning (`q(G)`).
-    None,
     /// Saturation with full recomputation on updates.
     Saturation,
     /// Saturation maintained by DRed.
     DRed,
     /// Saturation maintained by counting.
     Counting,
-    /// RDFS-Plus (OWL inverse/symmetric/transitive).
-    Plus,
     /// Query reformulation.
     Reformulation,
     /// LiteMat interval rewriting (range scans over hierarchy intervals).
     Interval,
-    /// Adaptive hybrid (learns per query).
-    Adaptive,
-    /// Backward chaining.
-    Backward,
-    /// Datalog translation.
-    Datalog,
 }
 
 impl Strategy {
     fn parse(s: &str) -> Option<Strategy> {
         Some(match s {
-            "none" => Strategy::None,
             "saturation" | "recompute" => Strategy::Saturation,
             "dred" => Strategy::DRed,
             "counting" => Strategy::Counting,
-            "plus" | "rdfs-plus" => Strategy::Plus,
             "reformulation" => Strategy::Reformulation,
             "interval" | "litemat" => Strategy::Interval,
-            "adaptive" => Strategy::Adaptive,
-            "backward" | "backward-chaining" => Strategy::Backward,
-            "datalog" => Strategy::Datalog,
             _ => return None,
         })
     }
@@ -551,16 +536,22 @@ mod tests {
     #[test]
     fn strategy_aliases() {
         for (name, want) in [
-            ("none", Strategy::None),
+            ("saturation", Strategy::Saturation),
+            ("recompute", Strategy::Saturation),
             ("dred", Strategy::DRed),
-            ("plus", Strategy::Plus),
+            ("counting", Strategy::Counting),
+            ("reformulation", Strategy::Reformulation),
             ("interval", Strategy::Interval),
             ("litemat", Strategy::Interval),
-            ("backward-chaining", Strategy::Backward),
-            ("datalog", Strategy::Datalog),
         ] {
             let c = parse_args(&argv(&format!("query d --sparql Q --strategy {name}"))).unwrap();
             assert!(matches!(c, Command::Query { strategy, .. } if strategy == Some(want)));
+        }
+        // Names of strategies the store no longer serves are unknown.
+        for name in ["none", "plus", "adaptive", "backward", "datalog"] {
+            let e =
+                parse_args(&argv(&format!("query d --sparql Q --strategy {name}"))).unwrap_err();
+            assert!(e.0.contains("unknown strategy"), "{name}: {e}");
         }
     }
 

@@ -43,7 +43,7 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
 
 /// The usage text.
 pub const USAGE: &str = "\
-webreason — RDF storage and reasoning (saturation / reformulation / backward chaining)
+webreason — RDF storage and reasoning (saturation / reformulation / interval)
 
 USAGE:
     webreason <COMMAND> <data-file>... [OPTIONS]
@@ -63,9 +63,8 @@ COMMANDS:
 
 OPTIONS:
     --sparql <text|@file>    the query (query/reformulate); '@f' reads file f
-    --strategy <name>        none | saturation | dred | counting | plus |
-                             reformulation | interval (alias litemat) |
-                             adaptive | backward | datalog
+    --strategy <name>        saturation (alias recompute) | dred | counting |
+                             reformulation | interval (alias litemat)
                              [default: counting]
                              serve: strategy for a freshly created journal
     --triple \"<s> <p> <o>\"   the triple to explain (N-Triples terms)

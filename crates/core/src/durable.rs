@@ -172,7 +172,8 @@ impl DurableStore {
     /// Opens the durable store in `dir`, recovering its state: newest
     /// valid checkpoint, journal tail replayed, torn tail truncated. A
     /// directory with neither journal nor checkpoint opens as an empty
-    /// store under [`ReasoningConfig::None`].
+    /// store under [`ReasoningConfig::Reformulation`], which derives
+    /// nothing from the (empty) graph.
     pub fn open(dir: impl Into<PathBuf>, fsync: FsyncPolicy) -> Result<DurableStore, DurableError> {
         let dir = dir.into();
         let store = recover_in(&dir)?;
@@ -491,8 +492,10 @@ fn recover_in(dir: &Path) -> Result<Store, DurableError> {
             (store_from_checkpoint(cp)?, seq as usize)
         }
         // No usable checkpoint: the empty baseline. Its vocabulary terms
-        // are interned deterministically, so journaled term ids line up.
-        None => (Store::new(ReasoningConfig::None), 0),
+        // are interned deterministically, so journaled term ids line up;
+        // reformulation derives no state the first `SetConfig` record
+        // (which `DurableStore::create` always writes) would throw away.
+        None => (Store::new(ReasoningConfig::Reformulation), 0),
     };
     for record in &replay.records[start..] {
         apply_record(&mut store, record)?;
@@ -726,7 +729,7 @@ mod tests {
         {
             let mut ds = DurableStore::create(
                 &dir,
-                ReasoningConfig::None,
+                ReasoningConfig::Interval,
                 NonZeroUsize::MIN,
                 FsyncPolicy::Always,
             )
@@ -814,18 +817,41 @@ mod tests {
         let dir = tmpdir("exists");
         DurableStore::create(
             &dir,
-            ReasoningConfig::None,
+            ReasoningConfig::Reformulation,
             NonZeroUsize::MIN,
             FsyncPolicy::Always,
         )
         .unwrap();
         assert!(DurableStore::create(
             &dir,
-            ReasoningConfig::None,
+            ReasoningConfig::Reformulation,
             NonZeroUsize::MIN,
             FsyncPolicy::Always,
         )
         .is_err());
+    }
+
+    #[test]
+    fn a_retired_strategy_name_fails_recovery_instead_of_loading_as_another() {
+        let dir = tmpdir("retired-config");
+        std::fs::create_dir_all(&dir).unwrap();
+        {
+            let mut journal = Journal::open(dir.join(JOURNAL_FILE), FsyncPolicy::Always).unwrap();
+            journal
+                .append(&JournalRecord::SetConfig {
+                    name: "adaptive".into(),
+                })
+                .unwrap();
+        }
+        match Store::recover(&dir) {
+            Err(DurableError::UnknownConfig(name)) => assert_eq!(name, "adaptive"),
+            Err(e) => panic!("expected UnknownConfig, got {e}"),
+            Ok(store) => panic!("loaded as {}", store.config().name()),
+        }
+        assert!(matches!(
+            DurableStore::open(&dir, FsyncPolicy::Always),
+            Err(DurableError::UnknownConfig(_))
+        ));
     }
 
     #[test]

@@ -12,13 +12,16 @@
 //!   [`rdfs::incremental::MaintenanceAlgorithm`];
 //! * [`ReasoningConfig::Reformulation`] — leave `G` alone and evaluate
 //!   `q_ref(G)` (§II-B "Query reformulation");
-//! * [`ReasoningConfig::BackwardChaining`] — AllegroGraph-RDFS++-style
-//!   run-time reasoning: per-atom entailment expansion during join
-//!   evaluation, "not complete, but … predictable and fast" (§II-C);
-//! * [`ReasoningConfig::Datalog`] — the §II-D open-issue alternative:
-//!   translate to Datalog, saturate with the generic engine, evaluate;
-//! * [`ReasoningConfig::None`] — plain evaluation over explicit triples,
-//!   the "(i) ignore entailed triples" class of §II-C.
+//! * [`ReasoningConfig::Interval`] — LiteMat-style interval rewriting:
+//!   hierarchy unions of `q_ref` collapse into range scans over an
+//!   interval-encoded dictionary.
+//!
+//! The other techniques the paper surveys are libraries, not store
+//! configurations: [`evaluate_backward`] (AllegroGraph-RDFS++-style
+//! per-atom run-time reasoning, §II-C), `datalog::rdf::saturate_via_datalog`
+//! (the §II-D Datalog translation) and `rdfs::plus::PlusMaintainer`
+//! (RDFS-Plus, "some of OWL's predicates"). The paper tables call them
+//! directly, and the test suite checks them against `q(G∞)`.
 //!
 //! On top sit the performance tools the tutorial argues for:
 //! [`cost::profile`] measures a dataset × query-set cost profile,

@@ -22,20 +22,18 @@
 //!    every snapshot: readers interning query constants cannot invalidate
 //!    any id a frozen graph was encoded against.
 //! 3. **Derived caches are replaced, never cleared.** The schema closure,
-//!    reformulation cache and adaptive winners ride along as `Arc`s that
+//!    reformulation cache and interval dictionary ride along as `Arc`s that
 //!    the writer *swaps* on schema-changing updates — a reader holding an
 //!    old snapshot keeps the caches consistent with *its* graph.
 
-use crate::backward::evaluate_backward;
 use crate::store::{AnswerError, ReasoningConfig};
-use datalog::rdf::saturate_via_datalog;
 use obs::CancelToken;
 use rdf_model::{Dictionary, Graph, IntervalDict, Vocab};
 use rdfs::Schema;
 use reformulation::{reformulate, reformulate_intervals};
 use sparql::{
-    evaluate, evaluate_union, parse_query, try_evaluate_interval_cancel, try_evaluate_union_cancel,
-    EvalStats, IntervalQuery, Query, Solutions, UnionEvalError,
+    evaluate, parse_query, try_evaluate_interval_cancel, try_evaluate_union_cancel, EvalStats,
+    IntervalQuery, Query, Solutions, UnionEvalError,
 };
 use std::num::NonZeroUsize;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, RwLock, RwLockReadGuard, RwLockWriteGuard};
@@ -70,13 +68,6 @@ fn map_union(reg: &obs::Registry, e: UnionEvalError) -> AnswerError {
     }
 }
 
-/// Which path the adaptive strategy learned for a query.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum AdaptiveChoice {
-    Saturated,
-    Reformulated,
-}
-
 /// Schema closure, computed at most once per schema version and shared by
 /// every snapshot of that version (the writer swaps the `Arc` on
 /// schema-changing updates).
@@ -99,8 +90,6 @@ pub(crate) type IqCache = Arc<Mutex<rustc_hash::FxHashMap<String, Arc<IntervalQu
 /// How a schema-based (non-materialising) snapshot answers queries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum SchemaMode {
-    /// Per-atom backward chaining during join evaluation.
-    Backward,
     /// Union reformulation: `q_ref(G)` through the union-aware evaluator.
     Reformulate,
     /// LiteMat interval rewriting: range-scan atoms over the interval
@@ -108,46 +97,23 @@ pub(crate) enum SchemaMode {
     Interval,
 }
 
-/// Learned per-query winners of the adaptive strategy. Survives instance
-/// updates, swapped on schema updates (costs may have shifted).
-pub(crate) type Winners = Arc<Mutex<rustc_hash::FxHashMap<String, AdaptiveChoice>>>;
-
 /// The structural cache key of a query (projection + patterns + DISTINCT).
 pub(crate) fn query_key(q: &Query) -> String {
     format!("{:?}|{:?}|{}", q.projection, q.bgps, q.distinct)
 }
 
-/// Frozen per-strategy state: the graphs a snapshot answers against.
+/// Frozen per-strategy state: the graph a snapshot answers against.
 pub(crate) enum SnapState {
-    /// Plain `q(G)`.
-    Plain { graph: Graph },
     /// Maintained saturation: answer with `q(G∞)`.
     Saturated { saturated: Graph },
-    /// Reformulation / interval rewriting / backward chaining over the
-    /// explicit graph. All three share the schema closure; the per-query
-    /// compile caches ride along so any mode is also servable as a
-    /// per-query override (see [`StoreSnapshot::answer_with_strategy`]).
+    /// Reformulation or interval rewriting over the explicit graph. Both
+    /// share the schema closure; the compile caches of both ride along so
+    /// either mode is also servable as a per-query override (see
+    /// [`StoreSnapshot::answer_with_strategy`]).
     Schema {
         graph: Graph,
         mode: SchemaMode,
         schema: SchemaCell,
-        refo_cache: RefoCache,
-        interval: IntervalCell,
-        iq_cache: IqCache,
-    },
-    /// Datalog: explicit graph + per-epoch lazily materialised saturation.
-    Datalog {
-        graph: Graph,
-        saturated: OnceLock<Graph>,
-    },
-    /// Adaptive hybrid: both graphs + shared learned winners. Carries the
-    /// reformulation and interval caches too, so every strategy is
-    /// servable per query against one snapshot.
-    Adaptive {
-        base: Graph,
-        saturated: Graph,
-        schema: SchemaCell,
-        winners: Winners,
         refo_cache: RefoCache,
         interval: IntervalCell,
         iq_cache: IqCache,
@@ -182,44 +148,20 @@ impl StoreSnapshot {
         self.config
     }
 
-    /// Explicit triples in the frozen `G`.
-    pub fn base_len(&self) -> usize {
-        match &self.state {
-            SnapState::Plain { graph }
-            | SnapState::Schema { graph, .. }
-            | SnapState::Datalog { graph, .. } => graph.len(),
-            SnapState::Saturated { saturated } => saturated.len(),
-            SnapState::Adaptive { base, .. } => base.len(),
-        }
-    }
-
-    /// Triples in the frozen saturation, when this epoch materialised one.
-    pub(crate) fn saturated_len(&self) -> Option<usize> {
-        match &self.state {
-            SnapState::Saturated { saturated } => Some(saturated.len()),
-            SnapState::Datalog { saturated, .. } => saturated.get().map(|g| g.len()),
-            SnapState::Adaptive { saturated, .. } => Some(saturated.len()),
-            _ => None,
-        }
-    }
-
     /// A read guard on the shared dictionary (for decoding solutions).
     pub fn dictionary(&self) -> RwLockReadGuard<'_, Dictionary> {
         read_lock(&self.dict)
     }
 
     /// The frozen graph a registered incremental view's dataflow probes
-    /// under this snapshot's strategy: `G∞` for the saturation strategies
-    /// (their entailed delta streams), the explicit `G` for plain and
-    /// reformulation answering. `None` for the strategies the subscription
-    /// layer does not support (backward chaining, Datalog, adaptive —
-    /// their answer processes have no delta form here).
+    /// under this snapshot's strategy: `G∞` under saturation (its
+    /// entailed delta streams), the explicit `G` under reformulation and
+    /// interval rewriting. Every strategy has one, so this is always
+    /// `Some`.
     pub fn view_graph(&self) -> Option<&Graph> {
         match &self.state {
-            SnapState::Plain { graph } => Some(graph),
             SnapState::Saturated { saturated } => Some(saturated),
-            SnapState::Schema { graph, mode, .. } if *mode != SchemaMode::Backward => Some(graph),
-            _ => None,
+            SnapState::Schema { graph, .. } => Some(graph),
         }
     }
 
@@ -229,29 +171,26 @@ impl StoreSnapshot {
     /// (Interval-mode snapshots serve the *union* form here: the
     /// subscription layer's incremental dataflow is compiled from union
     /// branches, and both rewritings produce identical answers.)
-    /// `Ok(None)` when this snapshot's strategy does not answer over the
-    /// explicit graph with a rewriting.
+    /// `Ok(None)` under saturation, which answers without a rewriting.
     pub fn reformulated(&self, q: &Query) -> Result<Option<Query>, AnswerError> {
-        match &self.state {
-            SnapState::Schema {
-                graph,
-                mode,
-                schema,
-                refo_cache,
-                ..
-            } if *mode != SchemaMode::Backward => {
-                let schema = schema.get_or_init(|| Schema::extract(graph, &self.vocab));
-                let key = query_key(q);
-                let mut cache = lock(refo_cache);
-                if let Some(cached) = cache.get(&key) {
-                    return Ok(Some(cached.clone()));
-                }
-                let r = reformulate(q, schema, &self.vocab)?;
-                cache.insert(key, r.query.clone());
-                Ok(Some(r.query))
-            }
-            _ => Ok(None),
+        let SnapState::Schema {
+            graph,
+            schema,
+            refo_cache,
+            ..
+        } = &self.state
+        else {
+            return Ok(None);
+        };
+        let schema = schema.get_or_init(|| Schema::extract(graph, &self.vocab));
+        let key = query_key(q);
+        let mut cache = lock(refo_cache);
+        if let Some(cached) = cache.get(&key) {
+            return Ok(Some(cached.clone()));
         }
+        let r = reformulate(q, schema, &self.vocab)?;
+        cache.insert(key, r.query.clone());
+        Ok(Some(r.query))
     }
 
     /// Parses a SPARQL query against the shared dictionary. New constants
@@ -274,10 +213,10 @@ impl StoreSnapshot {
     /// end. Returns the union-evaluation stats when a reformulation path
     /// ran (`None` otherwise).
     ///
-    /// `&self` end to end: lazily-derived state (schema closure, Datalog
-    /// saturation) lives in per-epoch `OnceLock`s, the reformulation cache
-    /// and adaptive winners behind shared mutexes — so any number of
-    /// readers answer concurrently with each other and with the writer.
+    /// `&self` end to end: lazily-derived state (schema closure, interval
+    /// dictionary) lives in per-version `OnceLock`s, the rewrite caches
+    /// behind shared mutexes — so any number of readers answer
+    /// concurrently with each other and with the writer.
     pub fn answer(&self, q: &Query) -> Result<(Solutions, Option<EvalStats>), AnswerError> {
         self.answer_cancel(q, &CancelToken::none())
     }
@@ -371,13 +310,12 @@ impl StoreSnapshot {
     }
 
     /// [`answer_cancel`](StoreSnapshot::answer_cancel) with an optional
-    /// per-query strategy override: `"saturation"`, `"reformulation"`,
-    /// `"interval"` or `"backward-chaining"` (the server's `X-Strategy`
-    /// header lands here). The override is honoured when this snapshot's
-    /// state holds the graphs that path needs — any schema-based snapshot
-    /// serves the three rewriting paths, adaptive snapshots additionally
-    /// serve `saturation` — and rejected with
-    /// [`AnswerError::StrategyUnsupported`] otherwise.
+    /// per-query strategy override: `"saturation"`, `"reformulation"` or
+    /// `"interval"` (the server's `X-Webreason-Strategy` header lands
+    /// here). A saturated snapshot serves `saturation`; a reformulation
+    /// or interval snapshot serves both rewritings. Anything else —
+    /// including unknown names — is rejected with
+    /// [`AnswerError::StrategyUnsupported`].
     pub fn answer_with_strategy(
         &self,
         q: &Query,
@@ -397,23 +335,16 @@ impl StoreSnapshot {
                 self.config.name()
             ))
         };
-        let mut eval_stats: Option<EvalStats> = None;
-        let sols = match (&self.state, strategy) {
-            (_, Some(s))
-                if !matches!(
-                    s,
-                    "saturation" | "reformulation" | "interval" | "backward-chaining"
-                ) =>
-            {
+        let (sols, eval_stats) = match (&self.state, strategy) {
+            (_, Some(s)) if !matches!(s, "saturation" | "reformulation" | "interval") => {
                 return Err(AnswerError::StrategyUnsupported(format!(
-                    "unknown strategy '{s}' (expected saturation, reformulation, \
-                     interval or backward-chaining)"
+                    "unknown strategy '{s}' (expected saturation, reformulation or interval)"
                 )))
             }
-            (SnapState::Plain { graph }, None) => evaluate(graph, q),
             (SnapState::Saturated { saturated }, None | Some("saturation")) => {
-                evaluate(saturated, q)
+                (evaluate(saturated, q), None)
             }
+            (SnapState::Saturated { .. }, Some(s)) => return Err(unsupported(s)),
             (
                 SnapState::Schema {
                     graph,
@@ -430,125 +361,17 @@ impl StoreSnapshot {
                     None => *mode,
                     Some("reformulation") => SchemaMode::Reformulate,
                     Some("interval") => SchemaMode::Interval,
-                    Some("backward-chaining") => SchemaMode::Backward,
                     Some(s) => return Err(unsupported(s)),
                 };
-                match mode {
-                    SchemaMode::Backward => evaluate_backward(graph, schema, &self.vocab, q),
+                let (sols, stats) = match mode {
                     SchemaMode::Reformulate => {
-                        let (sols, stats) =
-                            self.union_path(graph, schema, refo_cache, q, cancel, reg)?;
-                        eval_stats = Some(stats);
-                        sols
+                        self.union_path(graph, schema, refo_cache, q, cancel, reg)?
                     }
                     SchemaMode::Interval => {
-                        let (sols, stats) =
-                            self.interval_path(graph, schema, interval, iq_cache, q, cancel, reg)?;
-                        eval_stats = Some(stats);
-                        sols
+                        self.interval_path(graph, schema, interval, iq_cache, q, cancel, reg)?
                     }
-                }
-            }
-            (SnapState::Datalog { graph, saturated }, None | Some("saturation")) => {
-                let sat = saturated.get_or_init(|| saturate_via_datalog(graph, &self.vocab).0);
-                evaluate(sat, q)
-            }
-            (
-                SnapState::Adaptive {
-                    base,
-                    saturated,
-                    schema,
-                    refo_cache,
-                    interval,
-                    iq_cache,
-                    ..
-                },
-                Some(s),
-            ) => match s {
-                "saturation" => evaluate(saturated, q),
-                _ => {
-                    let schema = schema.get_or_init(|| Schema::extract(base, &self.vocab));
-                    match s {
-                        "reformulation" => {
-                            let (sols, stats) =
-                                self.union_path(base, schema, refo_cache, q, cancel, reg)?;
-                            eval_stats = Some(stats);
-                            sols
-                        }
-                        "interval" => {
-                            let (sols, stats) = self
-                                .interval_path(base, schema, interval, iq_cache, q, cancel, reg)?;
-                            eval_stats = Some(stats);
-                            sols
-                        }
-                        _ => evaluate_backward(base, schema, &self.vocab, q),
-                    }
-                }
-            },
-            (_, Some(s)) => return Err(unsupported(s)),
-            (
-                SnapState::Adaptive {
-                    base,
-                    saturated,
-                    schema,
-                    winners,
-                    ..
-                },
-                None,
-            ) => {
-                let key = query_key(q);
-                let schema = schema.get_or_init(|| Schema::extract(base, &self.vocab));
-                let choice = lock(winners).get(&key).copied();
-                match choice {
-                    Some(AdaptiveChoice::Saturated) => evaluate(saturated, q),
-                    Some(AdaptiveChoice::Reformulated) => {
-                        let r = {
-                            let _refo = reg.span("core.answer.reformulate");
-                            reformulate(q, schema, &self.vocab)?
-                        };
-                        let (sols, stats) =
-                            try_evaluate_union_cancel(base, &r.query, self.threads, cancel)
-                                .map_err(|e| map_union(reg, e))?;
-                        eval_stats = Some(stats);
-                        sols
-                    }
-                    None => {
-                        // First sight of this query: learn the cheaper path.
-                        // Non-DISTINCT queries pin to saturation (the
-                        // reformulated union has answer-set semantics), as
-                        // do queries outside the reformulation dialect.
-                        if !q.distinct {
-                            lock(winners).insert(key, AdaptiveChoice::Saturated);
-                            evaluate(saturated, q)
-                        } else {
-                            match reformulate(q, schema, &self.vocab) {
-                                Err(_) => {
-                                    lock(winners).insert(key, AdaptiveChoice::Saturated);
-                                    evaluate(saturated, q)
-                                }
-                                Ok(r) => {
-                                    let start = std::time::Instant::now();
-                                    let sat_sols = evaluate(saturated, q);
-                                    let sat_time = start.elapsed();
-                                    let start = std::time::Instant::now();
-                                    // Measure the path the strategy would
-                                    // actually take: the union-aware one.
-                                    let _ = evaluate_union(base, &r.query, self.threads);
-                                    let ref_time = start.elapsed();
-                                    lock(winners).insert(
-                                        key,
-                                        if sat_time <= ref_time {
-                                            AdaptiveChoice::Saturated
-                                        } else {
-                                            AdaptiveChoice::Reformulated
-                                        },
-                                    );
-                                    sat_sols
-                                }
-                            }
-                        }
-                    }
-                }
+                };
+                (sols, Some(stats))
             }
         };
         let sols = sparql::finalize(sols, q, &mut write_lock(&self.dict));

@@ -13,9 +13,9 @@
 //!      *entailed* delta the maintenance layer (DRed / counting /
 //!      recompute) already computes; the view pays nothing extra for
 //!      reasoning.
-//!    * **Reformulation** — the query is reformulated into `q_ref` and the
-//!      dataflow probes the explicit `G`, consuming the base delta.
-//!    * **None** — plain evaluation over the explicit graph.
+//!    * **Reformulation** and **interval** — the query is reformulated
+//!      into `q_ref` and the dataflow probes the explicit `G`, consuming
+//!      the base delta.
 //! 2. After every writer group-commit, [`SubscriptionHub::publish`] runs
 //!    each view's delta program over the consolidated triple delta —
 //!    `O(|Δ|)` join work — updates the view's multiplicity counts, and
@@ -99,8 +99,9 @@ pub struct DeltaBatch {
 /// the end so a polling consumer knows to stop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Terminal {
-    /// The server is shutting down, or the view was dropped because the
-    /// store's strategy can no longer host it (re-subscribe to retry).
+    /// The server is shutting down, or the view was dropped because its
+    /// query no longer compiles under the store's strategy (re-subscribe
+    /// to retry).
     Shutdown,
 }
 
@@ -116,8 +117,7 @@ impl Terminal {
 /// Why a subscription could not be registered.
 #[derive(Debug)]
 pub enum SubscribeError {
-    /// The active reasoning strategy or a query feature has no delta form,
-    /// or a push stream was requested.
+    /// A query feature has no delta form, or a push stream was requested.
     Unsupported(String),
     /// Parsing / reformulation / evaluation failed (including
     /// [`AnswerError::Cancelled`] when a registration deadline expired).
@@ -172,8 +172,6 @@ pub struct CatchUp {
 /// How a view evaluates under the strategy it was registered against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Mode {
-    /// Plain evaluation over the explicit graph; consumes the base delta.
-    Direct,
     /// Evaluation over maintained `G∞`; consumes the entailed delta.
     Saturated,
     /// Reformulated union over the explicit graph; consumes the base
@@ -305,12 +303,7 @@ impl SubscriptionHub {
             // Slow path: build the view off-lock against the frozen
             // snapshot.
             let (mode, program) = compile_for(&snap, &q)?;
-            let graph = snap.view_graph().ok_or_else(|| {
-                SubscribeError::Unsupported(format!(
-                    "strategy {} does not support subscriptions",
-                    snap.config().name()
-                ))
-            })?;
+            let graph = view_graph(&snap);
             let mut counts: FxHashMap<Vec<String>, i64> = FxHashMap::default();
             {
                 let dict = snap.dictionary();
@@ -418,7 +411,7 @@ impl SubscriptionHub {
             } else {
                 let net = match view.mode {
                     Mode::Saturated => &entailed_net,
-                    Mode::Direct | Mode::Reformulated => &base_net,
+                    Mode::Reformulated => &base_net,
                 };
                 step_view(view, old, new, net, &dict)
             };
@@ -428,7 +421,8 @@ impl SubscriptionHub {
                 reg.add("server.subscribe.delta_batches", 1);
             }
         }
-        // Views whose strategy stopped supporting subscriptions: remove
+        // Views the new schema or strategy can no longer compile (e.g. a
+        // variable-property query after a switch to reformulation): remove
         // the view and end its subscribers' streams (they must
         // re-subscribe).
         for vi in dead_views.into_iter().rev() {
@@ -523,13 +517,18 @@ fn decode_row(dict: &rdf_model::Dictionary, row: &[rdf_model::TermId]) -> Vec<St
         .collect()
 }
 
+/// The frozen graph a view's dataflow probes (see
+/// [`StoreSnapshot::view_graph`]; every strategy has one).
+fn view_graph(snap: &StoreSnapshot) -> &rdf_model::Graph {
+    snap.view_graph()
+        .expect("every reasoning strategy exposes a view graph")
+}
+
 /// Chooses the view mode for the snapshot's strategy and compiles the
-/// delta program ( reformulating first when the strategy answers by
-/// reformulation).
+/// delta program (reformulating first when the strategy answers by
+/// rewriting).
 fn compile_for(snap: &StoreSnapshot, q: &Query) -> Result<(Mode, DeltaProgram), SubscribeError> {
-    let unsupported = |what: &str| SubscribeError::Unsupported(what.to_string());
     let (mode, effective) = match snap.config() {
-        ReasoningConfig::None => (Mode::Direct, None),
         ReasoningConfig::Saturation(_) => (Mode::Saturated, None),
         // Interval stores stream like reformulation ones: the view's
         // dataflow compiles from the union reformulation over the base
@@ -539,14 +538,8 @@ fn compile_for(snap: &StoreSnapshot, q: &Query) -> Result<(Mode, DeltaProgram), 
             let q_ref = snap
                 .reformulated(q)
                 .map_err(SubscribeError::Query)?
-                .ok_or_else(|| unsupported("reformulation unavailable"))?;
+                .expect("rewriting strategies reformulate");
             (Mode::Reformulated, Some(q_ref))
-        }
-        other => {
-            return Err(unsupported(&format!(
-                "strategy {} does not support subscriptions",
-                other.name()
-            )))
         }
     };
     let program = compile_delta(effective.as_ref().unwrap_or(q))
@@ -589,9 +582,7 @@ fn step_view(
     if net.is_empty() {
         return None;
     }
-    let (Some(old_g), Some(new_g)) = (old.view_graph(), new.view_graph()) else {
-        return None;
-    };
+    let (old_g, new_g) = (view_graph(old), view_graph(new));
     let mut raw: FxHashMap<Vec<String>, i64> = FxHashMap::default();
     view.program.eval_delta(old_g, new_g, net, dict, |row, m| {
         *raw.entry(decode_row(dict, &row)).or_insert(0) += m;
@@ -632,15 +623,15 @@ fn step_view(
 
 /// Rebuilds a view after a schema change / strategy rebuild: recompiles
 /// the program (reformulation changes with the schema) and recomputes the
-/// counts from scratch, publishing a reset batch. Errors mean the new
-/// strategy cannot host the view.
+/// counts from scratch, publishing a reset batch. Errors mean the query
+/// no longer compiles under the new strategy.
 fn rebuild_view(
     view: &mut View,
     new: &StoreSnapshot,
     dict: &rdf_model::Dictionary,
 ) -> Result<DeltaBatch, ()> {
     let (mode, program) = compile_for(new, &view.query).map_err(|_| ())?;
-    let graph = new.view_graph().ok_or(())?;
+    let graph = view_graph(new);
     let mut counts: FxHashMap<Vec<String>, i64> = FxHashMap::default();
     program.eval_full(graph, dict, |row, m| {
         *counts.entry(decode_row(dict, &row)).or_insert(0) += m;
@@ -876,7 +867,7 @@ mod tests {
 
     #[test]
     fn catch_up_replays_or_resets() {
-        let mut store = store_with(ReasoningConfig::None);
+        let mut store = store_with(ReasoningConfig::Reformulation);
         store.set_delta_tracking(true);
         let hub = SubscriptionHub::new(HubConfig {
             log_capacity: 2,
@@ -916,7 +907,7 @@ mod tests {
 
     #[test]
     fn capacity_limit_refuses_registration() {
-        let store = store_with(ReasoningConfig::None);
+        let store = store_with(ReasoningConfig::Reformulation);
         let hub = SubscriptionHub::new(HubConfig {
             max_subscriptions: 1,
             ..HubConfig::default()
@@ -933,7 +924,7 @@ mod tests {
 
     #[test]
     fn cancelled_registration_is_rejected() {
-        let store = store_with(ReasoningConfig::None);
+        let store = store_with(ReasoningConfig::Reformulation);
         let hub = SubscriptionHub::new(HubConfig::default());
         let reader = store.reader();
         let token = CancelToken::new();
@@ -954,16 +945,10 @@ mod tests {
         let q = "PREFIX ex: <http://ex/> SELECT ?s WHERE { ?s ex:p ex:o }";
         let hub = SubscriptionHub::new(HubConfig::default());
         let none = CancelToken::none();
-        let store = store_with(ReasoningConfig::BackwardChaining);
+        let store = store_with(ReasoningConfig::Reformulation);
         let refused = [
-            hub.subscribe(&store.reader(), q, false, &none),
-            hub.subscribe(&store_with(ReasoningConfig::None).reader(), q, true, &none),
-            hub.subscribe(
-                &store_with(ReasoningConfig::None).reader(),
-                &format!("{q} LIMIT 3"),
-                false,
-                &none,
-            ),
+            hub.subscribe(&store.reader(), q, true, &none),
+            hub.subscribe(&store.reader(), &format!("{q} LIMIT 3"), false, &none),
         ];
         for r in refused {
             assert!(matches!(r, Err(SubscribeError::Unsupported(_))), "{r:?}");
@@ -973,7 +958,7 @@ mod tests {
 
     #[test]
     fn shutdown_wakes_streamers_with_terminal() {
-        let store = store_with(ReasoningConfig::None);
+        let store = store_with(ReasoningConfig::Reformulation);
         let hub = SubscriptionHub::new(HubConfig::default());
         let reader = store.reader();
         let q = "PREFIX ex: <http://ex/> SELECT ?s WHERE { ?s ex:p ex:o }";
@@ -988,21 +973,23 @@ mod tests {
         ));
     }
 
-    /// A rebuild that fails (the strategy stopped hosting views) drops
-    /// the view; its subscriber must not be left pointing at whatever
-    /// view now sits at the dead one's index.
+    /// A rebuild that fails (the new strategy cannot compile the query)
+    /// drops the view; its subscriber must not be left pointing at
+    /// whatever view now sits at the dead one's index.
     #[test]
     fn dropped_view_subscriber_reports_shutdown() {
-        let mut store = store_with(ReasoningConfig::Reformulation);
+        let mut store = store_with(ReasoningConfig::Saturation(MaintenanceAlgorithm::Counting));
         store.set_delta_tracking(true);
         let hub = SubscriptionHub::new(HubConfig::default());
+        // A variable property: fine over G∞, outside the reformulation
+        // dialect.
         let cursor = Cursor::register(
             &hub,
             &store.reader(),
-            "PREFIX ex: <http://ex/> SELECT ?x WHERE { ?x a ex:Mammal }",
+            "PREFIX ex: <http://ex/> SELECT ?p WHERE { ex:Cat ?p ex:Mammal }",
         );
         let old = store.snapshot();
-        store.set_config(ReasoningConfig::BackwardChaining);
+        store.set_config(ReasoningConfig::Reformulation);
         let delta = store.take_delta();
         hub.publish(&old, &store.snapshot(), &delta);
         assert_eq!(hub.view_count(), 0);

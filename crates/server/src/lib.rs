@@ -693,9 +693,9 @@ fn handle_query(req: &Request, shared: &Shared, cancel: &CancelToken) -> Vec<u8>
         }
     };
     // Optional per-query strategy override (`X-Webreason-Strategy:
-    // saturation | reformulation | interval | backward-chaining`). The
-    // snapshot decides whether it can serve the named strategy; a refusal
-    // surfaces as `AnswerError::StrategyUnsupported` below.
+    // saturation | reformulation | interval`). The snapshot decides
+    // whether it can serve the named strategy; a refusal or an unknown
+    // name surfaces as `AnswerError::StrategyUnsupported` below.
     let strategy = req.header("x-webreason-strategy");
     match shared
         .reader

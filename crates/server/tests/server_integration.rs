@@ -217,22 +217,28 @@ fn strategy_header_selects_interval_and_rejects_unservable_names() {
     assert!(text.contains("<http://ex/Tom>"), "{text}");
     assert!(text.contains("\"range_scans\""), "interval stats: {text}");
 
-    // Explicit per-query overrides: every rewriting strategy answers
+    // Explicit per-query overrides: both rewriting strategies answer
     // identically on the same snapshot.
-    for strategy in ["interval", "reformulation", "backward-chaining"] {
+    for strategy in ["interval", "reformulation"] {
         let (status, text) = post_with_strategy(addr, COUNT_MAMMALS, strategy);
         assert_eq!(status, 200, "{strategy}: {text}");
         assert!(text.contains("<http://ex/Tom>"), "{strategy}: {text}");
     }
 
     // Saturation needs a materialised G∞ this configuration never builds,
-    // and unknown names are refused outright — both as a clean 400.
-    for strategy in ["saturation", "bogus"] {
+    // and unknown names (backward chaining is a library, not a served
+    // strategy) are refused outright — all as a clean 400.
+    for strategy in ["saturation", "backward-chaining", "bogus"] {
         let (status, text) = post_with_strategy(addr, COUNT_MAMMALS, strategy);
         assert_eq!(status, 400, "{strategy}: {text}");
         assert!(text.contains("bad_strategy"), "{strategy}: {text}");
     }
-    assert!(metric_value(addr, "webreason_server_query_bad_strategy_total") >= 2);
+    let (_, text) = post_with_strategy(addr, COUNT_MAMMALS, "backward-chaining");
+    assert!(
+        text.contains("saturation, reformulation or interval"),
+        "the refusal lists the servable names: {text}"
+    );
+    assert!(metric_value(addr, "webreason_server_query_bad_strategy_total") >= 4);
 
     server.shutdown();
 }

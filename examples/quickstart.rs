@@ -1,5 +1,5 @@
 //! Quickstart: load RDF with an RDFS schema, then answer the same query
-//! with each reasoning strategy the paper classifies.
+//! with each reasoning strategy the store serves.
 //!
 //! ```sh
 //! cargo run --example quickstart
@@ -42,7 +42,7 @@ fn main() {
         }
     }
     println!(
-        "\nPlain evaluation (strategy `none`) finds nothing; every reasoning\n\
-         strategy finds Tom and Rex (subclass chains) and Goldie (range typing)."
+        "\nEvery strategy finds Tom and Rex (subclass chains) and Goldie (range\n\
+         typing)."
     );
 }

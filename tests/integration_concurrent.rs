@@ -219,7 +219,7 @@ fn run_scenario(config: ReasoningConfig, n_readers: usize, seed: u64) {
 const CONFIGS: [ReasoningConfig; 3] = [
     ReasoningConfig::Saturation(MaintenanceAlgorithm::Counting),
     ReasoningConfig::Reformulation,
-    ReasoningConfig::Adaptive,
+    ReasoningConfig::Interval,
 ];
 
 #[test]

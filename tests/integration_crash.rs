@@ -328,7 +328,7 @@ mod panic_isolation {
     #[test]
     fn parallel_saturation_worker_panic_falls_back_to_sequential() {
         let _g = serial();
-        let mut store = Store::new(ReasoningConfig::None);
+        let mut store = Store::new(ReasoningConfig::Reformulation);
         store.load_turtle(ZOO).expect("zoo loads");
         let reference = rdfs::saturate(store.base_graph(), store.vocab());
 

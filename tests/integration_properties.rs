@@ -4,7 +4,8 @@ use proptest::prelude::*;
 use rdf_model::{Dictionary, Graph, Triple, Vocab};
 use rdfs::incremental::MaintenanceAlgorithm;
 use rustc_hash::FxHashSet;
-use webreason_core::{ReasoningConfig, Store};
+use sparql::evaluate;
+use webreason_core::{evaluate_backward, ReasoningConfig, Store};
 
 /// Random database-fragment graphs plus a random type/property query mix.
 #[derive(Debug, Clone)]
@@ -87,11 +88,13 @@ fn build_graph(s: &Scenario) -> (Dictionary, Vocab, Graph) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// All five reasoning strategies return identical answer sets for both
-    /// a type query and a property query, on random fragment graphs.
+    /// All five store configurations return identical answer sets for
+    /// both a type query and a property query, on random fragment graphs —
+    /// and so do the reference engines kept as libraries: backward
+    /// chaining over `G` and evaluation over the Datalog saturation.
     #[test]
     fn five_strategies_agree(s in arb_scenario()) {
-        let (dict, vocab, g) = build_graph(&s);
+        let (mut dict, vocab, g) = build_graph(&s);
         let type_q = format!(
             "SELECT DISTINCT ?x WHERE {{ ?x <{}> <http://ex/C{}> }}",
             rdf_model::vocab::RDF_TYPE,
@@ -104,9 +107,6 @@ proptest! {
         type AnswerSet = FxHashSet<Vec<rdf_model::TermId>>;
         let mut reference: Option<(AnswerSet, AnswerSet)> = None;
         for config in ReasoningConfig::ALL {
-            if config == ReasoningConfig::None {
-                continue;
-            }
             let store = Store::from_parts(dict.clone(), vocab, g.clone(), config);
             let a = store.answer_sparql(&type_q).unwrap().as_set();
             let b = store.answer_sparql(&prop_q).unwrap().as_set();
@@ -117,6 +117,14 @@ proptest! {
                     prop_assert_eq!(&b, rb, "{} property query", config.name());
                 }
             }
+        }
+        let (ra, rb) = reference.expect("ALL is non-empty");
+        let schema = rdfs::Schema::extract(&g, &vocab);
+        let (datalog_sat, _) = datalog::saturate_via_datalog(&g, &vocab);
+        for (text, want) in [(&type_q, &ra), (&prop_q, &rb)] {
+            let q = sparql::parse_query(text, &mut dict).unwrap();
+            prop_assert_eq!(&evaluate_backward(&g, &schema, &vocab, &q).as_set(), want, "backward chaining");
+            prop_assert_eq!(&evaluate(&datalog_sat, &q).as_set(), want, "Datalog saturation");
         }
     }
 
@@ -130,10 +138,10 @@ proptest! {
             rdf_model::vocab::RDF_TYPE,
             s.query_class
         );
-        let plain = Store::from_parts(dict.clone(), vocab, g.clone(), ReasoningConfig::None);
-        let reasoned = Store::from_parts(dict, vocab, g, ReasoningConfig::Reformulation);
-        let incomplete = plain.answer_sparql(&q).unwrap().as_set();
-        let complete = reasoned.answer_sparql(&q).unwrap().as_set();
+        let reasoned = Store::from_parts(dict, vocab, g.clone(), ReasoningConfig::Reformulation);
+        let parsed = reasoned.prepare(&q).unwrap();
+        let incomplete = evaluate(&g, &parsed).as_set();
+        let complete = reasoned.answer(&parsed).unwrap().as_set();
         prop_assert!(incomplete.is_subset(&complete));
     }
 
