@@ -378,7 +378,6 @@ fn table_aref(scale: Scale) -> bool {
         shared_s: f64,
         parallel_s: f64,
         shared_prefix_scans: usize,
-        scan_cache_hits: u64,
         answers: usize,
     }
 
@@ -400,7 +399,7 @@ fn table_aref(scale: Scale) -> bool {
             let (base, secs) = time(|| evaluate(g, &r.query));
             sequential_s = sequential_s.min(secs);
             answers = base.len();
-            let ((shared, s1), secs) =
+            let ((shared, _), secs) =
                 time(|| evaluate_union(g, &r.query, NonZeroUsize::new(1).unwrap()));
             shared_s = shared_s.min(secs);
             let ((parallel, s4), secs) =
@@ -408,9 +407,7 @@ fn table_aref(scale: Scale) -> bool {
             parallel_s = parallel_s.min(secs);
             assert_same_answers(&base, &shared, &name);
             assert_same_answers(&base, &parallel, &name);
-            let hits = s1.scan_cache_hits.max(s4.scan_cache_hits);
             stats = s4;
-            stats.scan_cache_hits = hits;
         }
         rows.push(vec![
             name.clone(),
@@ -419,7 +416,6 @@ fn table_aref(scale: Scale) -> bool {
             fmt_secs(shared_s),
             fmt_secs(parallel_s),
             stats.shared_prefix_scans().to_string(),
-            stats.scan_cache_hits.to_string(),
             format!("{:.2}×", sequential_s / parallel_s),
         ]);
         report.push(Row {
@@ -429,7 +425,6 @@ fn table_aref(scale: Scale) -> bool {
             shared_s,
             parallel_s,
             shared_prefix_scans: stats.shared_prefix_scans(),
-            scan_cache_hits: stats.scan_cache_hits,
             answers,
         });
     }
@@ -443,7 +438,6 @@ fn table_aref(scale: Scale) -> bool {
                 "shared (1 thr)",
                 "parallel (4 thr)",
                 "scans saved",
-                "cache hits",
                 "speedup",
             ],
             &rows
@@ -451,10 +445,10 @@ fn table_aref(scale: Scale) -> bool {
     );
     println!(
         "\"sequential\" is the legacy per-branch evaluator (re-plans and re-scans\n\
-         every branch); \"shared\" plans once, folds branches into a prefix trie\n\
-         and memoizes repeated index scans; \"parallel\" splits the sorted branch\n\
-         list across 4 workers with sharded disjoint-write merging. All three\n\
-         are asserted to return the same answer set.\n"
+         every branch); \"shared\" plans once and folds branches into a prefix\n\
+         trie; \"parallel\" splits the sorted branch list across 4 workers\n\
+         with sharded disjoint-write merging. All three are asserted to\n\
+         return the same answer set.\n"
     );
 
     #[derive(Serialize)]

@@ -729,8 +729,8 @@ ex:Tom a ex:Cat .\n";
         .unwrap();
         assert!(out.contains("eval: "), "{out}");
         assert!(out.contains("branches"), "{out}");
-        assert!(out.contains("scan cache"), "{out}");
-        // Saturation-based strategies never run the union evaluator.
+        assert!(out.contains("worker(s)"), "{out}");
+        // Saturated answers report no evaluation stats.
         let out = run_line(
             "query --sparql SELECT_?x_WHERE{?x_a_<http://ex/Mammal>} --strategy counting",
             &fx.files,

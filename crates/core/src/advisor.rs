@@ -182,7 +182,6 @@ pub fn observed_profile(costs: &ObservedCosts) -> CostProfile {
             eval_reformulated: costs.eval_reformulated,
             branches: 0,
             shared_prefix_scans: 0,
-            scan_cache_hits: 0,
             answers: 0,
         }],
     }
@@ -288,7 +287,6 @@ mod tests {
                 eval_reformulated: eval_ref,
                 branches: 3,
                 shared_prefix_scans: 0,
-                scan_cache_hits: 0,
                 answers: 5,
             }],
         }

@@ -40,8 +40,6 @@ pub struct QueryCosts {
     pub branches: usize,
     /// Index scans saved by shared-prefix evaluation of `q_ref`.
     pub shared_prefix_scans: usize,
-    /// Scan-cache hits while evaluating `q_ref`.
-    pub scan_cache_hits: usize,
     /// Answer count (identical under both techniques; checked).
     pub answers: usize,
 }
@@ -310,7 +308,6 @@ pub fn profile(
         let mut eval_reformulated = f64::INFINITY;
         let mut answers = 0;
         let mut shared_prefix_scans = 0;
-        let mut scan_cache_hits = 0;
         for _ in 0..samples {
             let (sols, secs) = time(|| evaluate(&sat.graph, &q));
             eval_saturated = eval_saturated.min(secs);
@@ -319,7 +316,6 @@ pub fn profile(
                 time(|| evaluate_union(graph, &reform.query, NonZeroUsize::MIN));
             eval_reformulated = eval_reformulated.min(secs);
             shared_prefix_scans = stats.shared_prefix_scans();
-            scan_cache_hits = stats.scan_cache_hits as usize;
             debug_assert_eq!(
                 sols.as_set(),
                 ref_sols.as_set(),
@@ -333,7 +329,6 @@ pub fn profile(
             eval_reformulated,
             branches: reform.branches,
             shared_prefix_scans,
-            scan_cache_hits,
             answers,
         });
     }

@@ -32,8 +32,8 @@ use rdf_model::{Dictionary, Graph, IntervalDict, Vocab};
 use rdfs::Schema;
 use reformulation::{reformulate, reformulate_intervals};
 use sparql::{
-    evaluate, parse_query, try_evaluate_interval_cancel, try_evaluate_union_cancel, EvalStats,
-    IntervalQuery, Query, Solutions, UnionEvalError,
+    parse_query, try_execute, EvalStats, Executable, IntervalQuery, Query, Solutions,
+    UnionEvalError,
 };
 use std::num::NonZeroUsize;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, RwLock, RwLockReadGuard, RwLockWriteGuard};
@@ -56,8 +56,8 @@ pub(crate) fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// Maps a parallel-evaluator error onto the answer error surface,
-/// counting cancellations.
+/// Maps an executor error onto the answer error surface, counting
+/// cancellations.
 fn map_union(reg: &obs::Registry, e: UnionEvalError) -> AnswerError {
     match e {
         UnionEvalError::Worker(w) => AnswerError::Worker(w),
@@ -95,6 +95,14 @@ pub(crate) enum SchemaMode {
     /// LiteMat interval rewriting: range-scan atoms over the interval
     /// dictionary instead of hierarchy unions.
     Interval,
+}
+
+/// A query rewritten for a schema-mode snapshot, ready for the executor.
+enum Rewritten {
+    /// The reformulated union `q_ref`.
+    Union(Query),
+    /// The interval rewriting.
+    Interval(Arc<IntervalQuery>),
 }
 
 /// The structural cache key of a query (projection + patterns + DISTINCT).
@@ -210,8 +218,8 @@ impl StoreSnapshot {
 
     /// Answers a prepared query against this frozen epoch with the active
     /// strategy, applying solution modifiers / aggregates uniformly at the
-    /// end. Returns the union-evaluation stats when a reformulation path
-    /// ran (`None` otherwise).
+    /// end. Returns the evaluation stats when a rewriting ran (`None` for
+    /// `q(G∞)`).
     ///
     /// `&self` end to end: lazily-derived state (schema closure, interval
     /// dictionary) lives in per-version `OnceLock`s, the rewrite caches
@@ -222,12 +230,13 @@ impl StoreSnapshot {
     }
 
     /// [`answer`](StoreSnapshot::answer) with cooperative cancellation:
-    /// the token is polled on entry and threaded into the parallel union
-    /// evaluator, which checks it at branch/chunk boundaries. On trip the
-    /// query returns [`AnswerError::Cancelled`] and every worker's partial
-    /// state is discarded — the snapshot (including its shared scan cache
-    /// and reformulation cache) is untouched, so an identical re-run
-    /// produces bit-identical answers.
+    /// the token is polled on entry and threaded into the executor, which
+    /// checks it between branches and every
+    /// [`obs::CANCEL_POLL_STRIDE`] matched triples — under every strategy,
+    /// saturation included. On trip the query returns
+    /// [`AnswerError::Cancelled`] and every worker's partial state is
+    /// discarded — the snapshot (including its rewrite caches) is
+    /// untouched, so an identical re-run produces bit-identical answers.
     pub fn answer_cancel(
         &self,
         q: &Query,
@@ -236,55 +245,39 @@ impl StoreSnapshot {
         self.answer_with_strategy(q, None, cancel)
     }
 
-    /// The union-reformulation answer path: compile (or hit the cache),
-    /// then the union-aware evaluator — shared-prefix trie + scan cache,
-    /// parallel across the threads knob. A worker panic surfaces as
-    /// `AnswerError::Worker`, a tripped token as `AnswerError::Cancelled`;
-    /// the snapshot itself stays consistent either way.
-    #[allow(clippy::too_many_arguments)]
+    /// The union-reformulation rewrite: `q_ref`, compiled or taken from
+    /// the per-version cache.
     fn union_path(
         &self,
-        graph: &Graph,
         schema: &Schema,
         refo_cache: &RefoCache,
         q: &Query,
-        cancel: &CancelToken,
         reg: &obs::Registry,
-    ) -> Result<(Solutions, EvalStats), AnswerError> {
+    ) -> Result<Query, AnswerError> {
         let key = query_key(q);
-        let q_ref = {
-            let mut cache = lock(refo_cache);
-            match cache.get(&key) {
-                Some(cached) => cached.clone(),
-                None => {
-                    // Spanned separately so observed-cost analysis can
-                    // keep rewrite time out of evaluation time.
-                    let _refo = reg.span("core.answer.reformulate");
-                    let r = reformulate(q, schema, &self.vocab)?;
-                    cache.insert(key, r.query.clone());
-                    r.query
-                }
-            }
-        };
-        try_evaluate_union_cancel(graph, &q_ref, self.threads, cancel)
-            .map_err(|e| map_union(reg, e))
+        let mut cache = lock(refo_cache);
+        if let Some(cached) = cache.get(&key) {
+            return Ok(cached.clone());
+        }
+        // Spanned separately so observed-cost analysis can keep rewrite
+        // time out of evaluation time.
+        let _refo = reg.span("core.answer.reformulate");
+        let r = reformulate(q, schema, &self.vocab)?;
+        cache.insert(key, r.query.clone());
+        Ok(r.query)
     }
 
-    /// The interval answer path: build the interval dictionary once per
-    /// schema version (spanned `core.interval.reencode` — the interval
-    /// strategy's schema-update cost), rewrite through the per-version
-    /// cache, evaluate with the range-scan evaluator.
-    #[allow(clippy::too_many_arguments)]
+    /// The interval rewrite: build the interval dictionary once per schema
+    /// version (spanned `core.interval.reencode` — the interval strategy's
+    /// schema-update cost), then rewrite through the per-version cache.
     fn interval_path(
         &self,
-        graph: &Graph,
         schema: &Schema,
         interval: &IntervalCell,
         iq_cache: &IqCache,
         q: &Query,
-        cancel: &CancelToken,
         reg: &obs::Registry,
-    ) -> Result<(Solutions, EvalStats), AnswerError> {
+    ) -> Result<Arc<IntervalQuery>, AnswerError> {
         let idict = interval
             .get_or_init(|| {
                 let _span = reg.span("core.interval.reencode");
@@ -293,20 +286,14 @@ impl StoreSnapshot {
             })
             .clone();
         let key = query_key(q);
-        let iq = {
-            let mut cache = lock(iq_cache);
-            match cache.get(&key) {
-                Some(cached) => cached.clone(),
-                None => {
-                    let _refo = reg.span("core.answer.reformulate");
-                    let iq = Arc::new(reformulate_intervals(q, schema, &self.vocab, idict)?);
-                    cache.insert(key, iq.clone());
-                    iq
-                }
-            }
-        };
-        try_evaluate_interval_cancel(graph, &iq, self.threads, cancel)
-            .map_err(|e| map_union(reg, e))
+        let mut cache = lock(iq_cache);
+        if let Some(cached) = cache.get(&key) {
+            return Ok(cached.clone());
+        }
+        let _refo = reg.span("core.answer.reformulate");
+        let iq = Arc::new(reformulate_intervals(q, schema, &self.vocab, idict)?);
+        cache.insert(key, iq.clone());
+        Ok(iq)
     }
 
     /// [`answer_cancel`](StoreSnapshot::answer_cancel) with an optional
@@ -335,15 +322,13 @@ impl StoreSnapshot {
                 self.config.name()
             ))
         };
-        let (sols, eval_stats) = match (&self.state, strategy) {
+        let (graph, rewritten) = match (&self.state, strategy) {
             (_, Some(s)) if !matches!(s, "saturation" | "reformulation" | "interval") => {
                 return Err(AnswerError::StrategyUnsupported(format!(
                     "unknown strategy '{s}' (expected saturation, reformulation or interval)"
                 )))
             }
-            (SnapState::Saturated { saturated }, None | Some("saturation")) => {
-                (evaluate(saturated, q), None)
-            }
+            (SnapState::Saturated { saturated }, None | Some("saturation")) => (saturated, None),
             (SnapState::Saturated { .. }, Some(s)) => return Err(unsupported(s)),
             (
                 SnapState::Schema {
@@ -363,17 +348,25 @@ impl StoreSnapshot {
                     Some("interval") => SchemaMode::Interval,
                     Some(s) => return Err(unsupported(s)),
                 };
-                let (sols, stats) = match mode {
+                let rewritten = match mode {
                     SchemaMode::Reformulate => {
-                        self.union_path(graph, schema, refo_cache, q, cancel, reg)?
+                        Rewritten::Union(self.union_path(schema, refo_cache, q, reg)?)
                     }
                     SchemaMode::Interval => {
-                        self.interval_path(graph, schema, interval, iq_cache, q, cancel, reg)?
+                        Rewritten::Interval(self.interval_path(schema, interval, iq_cache, q, reg)?)
                     }
                 };
-                (sols, Some(stats))
+                (graph, Some(rewritten))
             }
         };
+        let exe = match &rewritten {
+            None => Executable::Plain(q),
+            Some(Rewritten::Union(q_ref)) => Executable::Union(q_ref),
+            Some(Rewritten::Interval(iq)) => Executable::Interval(iq),
+        };
+        let (sols, stats) =
+            try_execute(graph, exe, self.threads, cancel).map_err(|e| map_union(reg, e))?;
+        let eval_stats = rewritten.is_some().then_some(stats);
         let sols = sparql::finalize(sols, q, &mut write_lock(&self.dict));
         Ok((sols, eval_stats))
     }

@@ -76,7 +76,7 @@ pub enum AnswerError {
     Worker(WorkerPanicked),
     /// The request's [`obs::CancelToken`] tripped (deadline expired or
     /// client disconnected) and evaluation was abandoned cooperatively.
-    /// No partial state escapes: the snapshot, scan caches and counters
+    /// No partial state escapes: the snapshot, rewrite caches and counters
     /// are exactly as if the query had never run (plus cancellation
     /// counters). The server maps this to HTTP 504.
     Cancelled,

@@ -236,7 +236,6 @@ mod tests {
             eval_reformulated: eval_ref,
             branches: 2,
             shared_prefix_scans: 0,
-            scan_cache_hits: 0,
             answers: 1,
         }
     }

@@ -13,7 +13,7 @@
 //! Every metric name is `subsystem.operation.unit`:
 //!
 //! * `rdfs.saturate.rule_firings` — counter, rules fired during saturation
-//! * `sparql.union.scan_cache_hits` — counter, memoized scans reused
+//! * `sparql.union.trie_nodes` — counter, trie nodes the union walks built
 //! * `durability.journal.append_bytes` — counter, bytes appended to the WAL
 //! * `core.maintain.instance_insert_us` — histogram, per-update latency
 //!
@@ -45,7 +45,7 @@ pub mod histogram;
 pub mod registry;
 pub mod snapshot;
 
-pub use cancel::CancelToken;
+pub use cancel::{CancelToken, CANCEL_POLL_STRIDE};
 pub use clock::{Clock, ManualClock, MonotonicClock};
 pub use histogram::{bucket_bounds, bucket_index, Histogram, BUCKETS};
 pub use registry::{Counter, Registry, Span, SpanAgg};

@@ -30,19 +30,13 @@
 
 use crate::saturation::{derive_instance_consequences, SaturationResult, SaturationStats};
 use crate::schema::Schema;
-use obs::CancelToken;
+use obs::{CancelToken, CANCEL_POLL_STRIDE};
 use rdf_model::{Graph, Triple, TripleBuckets, Vocab, WorkerPanicked};
 use rustc_hash::{FxHashMap, FxHashSet};
 use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
 use webreason_failpoints::fail_point;
-
-/// How many base triples a derive worker processes between cancellation
-/// polls. Small enough that an expired deadline stops a worker within
-/// microseconds of work; large enough that the poll (one atomic load)
-/// never shows up in a profile.
-const CANCEL_POLL_STRIDE: usize = 512;
 
 /// Why a cancellable parallel saturation returned no result.
 #[derive(Debug)]

@@ -8,11 +8,18 @@
 //!   *union of BGPs* — the shape reformulation produces (`q_ref`);
 //! * [`parse_query`]: a parser for the SPARQL dialect
 //!   `PREFIX… SELECT [DISTINCT] ?v… WHERE { … }` with `UNION` groups;
-//! * [`plan`]: a statistics-driven greedy join-order planner;
-//! * evaluation ([`evaluate`]): an index-nested-loop evaluator over [`rdf_model::Graph`],
-//!   performing plain *query evaluation* — `q(G)` — which yields complete
-//!   answers only when `G` is saturated or `q` reformulated, exactly the
-//!   dichotomy the paper studies.
+//! * [`plan`]: the one statistics-driven greedy join-order planner, for
+//!   triple patterns and hierarchy-range atoms alike;
+//! * [`try_execute`]: the one executor every answer path uses — `q(G∞)`,
+//!   the reformulated union `q_ref(G)` and the interval rewriting
+//!   ([`IntervalQuery`]) — with shared-prefix tries, range probes,
+//!   worker fan-out and cooperative cancellation;
+//! * [`evaluate`]: the plain per-branch index-nested-loop evaluator,
+//!   kept as the reference the differential oracles compare against.
+//!
+//! Evaluation is plain *query evaluation* — `q(G)` — which yields
+//! complete answers only when `G` is saturated or `q` reformulated,
+//! exactly the dichotomy the paper studies.
 //!
 //! ```
 //! use rdf_model::{Dictionary, Graph};
@@ -58,5 +65,5 @@ pub use range_eval::{
     RangeAtom, RangeBgp,
 };
 pub use union_eval::{
-    evaluate_union, try_evaluate_union, try_evaluate_union_cancel, EvalStats, UnionEvalError,
+    evaluate_union, try_evaluate_union, try_execute, EvalStats, Executable, UnionEvalError,
 };

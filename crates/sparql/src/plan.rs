@@ -1,21 +1,26 @@
-//! Join-order planning for BGP evaluation.
+//! Join-order planning: the one planner every answer path uses.
 //!
-//! The evaluator is an index nested-loop join: patterns are matched one
-//! after another, each probe constrained by the bindings produced so far.
+//! The executor is an index nested-loop join: atoms are matched one after
+//! another, each probe constrained by the bindings produced so far.
 //! Ordering dominates cost, so the planner picks a greedy order:
 //!
-//! 1. estimate each pattern's result cardinality from exact index counts
+//! 1. estimate each atom's result cardinality from exact index counts
 //!    (constants bound) discounted by the selectivity of already-bound
 //!    variables (System-R style `1/V(attr)` with `V` approximated by the
-//!    graph's distinct subject/property/object counts);
-//! 2. repeatedly choose the cheapest pattern *connected* to the variables
+//!    graph's distinct subject/property/object counts), and scaled by the
+//!    fraction of a position's distinct values a hierarchy range admits;
+//! 2. repeatedly choose the cheapest atom *connected* to the variables
 //!    bound so far (avoiding cartesian products unless forced).
 //!
-//! Exposed separately from evaluation so the benches can measure the
-//! planned-vs-unplanned gap (an ablation called out in DESIGN.md).
+//! A [`TriplePattern`](crate::TriplePattern) is planned as a
+//! [`RangeAtom`] without a range position, so BGPs and interval branches
+//! share one estimate and one order. Exposed separately from evaluation
+//! so the benches can measure the planned-vs-unplanned gap (an ablation
+//! called out in DESIGN.md).
 
-use crate::ast::{Bgp, TriplePattern, Variable};
-use rdf_model::{Graph, Pattern};
+use crate::ast::{Bgp, Variable};
+use crate::range_eval::{RTerm, RangeAtom};
+use rdf_model::{Graph, IntervalSet, Pattern};
 use rustc_hash::FxHashSet;
 
 /// A join order for one BGP, with the planner's cardinality estimates.
@@ -34,9 +39,9 @@ pub struct PlannedBgp {
 /// hundreds of branches) still compute them once and reuse them via
 /// [`plan_bgp_with`].
 pub struct DistinctCounts {
-    pub(crate) subjects: f64,
-    pub(crate) properties: f64,
-    pub(crate) objects: f64,
+    subjects: f64,
+    properties: f64,
+    objects: f64,
 }
 
 impl DistinctCounts {
@@ -50,37 +55,36 @@ impl DistinctCounts {
     }
 }
 
-/// Estimated number of matches of `tp` given the variables in `bound` are
-/// already fixed (to unknown values): the exact count of the constant
-/// skeleton, discounted by `1/V(position)` per bound-variable position.
+/// Estimated number of matches of `atom` given the variables in `bound`
+/// are already fixed (to unknown values): the exact count of the constant
+/// skeleton (ranges count as wildcards), divided by `V(position)` per
+/// bound-variable position and scaled by `|range| / V(position)` per range
+/// position.
 fn estimate(
     g: &Graph,
     dc: &DistinctCounts,
-    tp: &TriplePattern,
+    atom: &RangeAtom,
+    ranges: &[IntervalSet],
     bound: &FxHashSet<Variable>,
 ) -> f64 {
-    let skeleton = Pattern::new(tp.s.as_const(), tp.p.as_const(), tp.o.as_const());
+    let as_const = |t: RTerm| match t {
+        RTerm::Const(c) => Some(c),
+        _ => None,
+    };
+    let skeleton = Pattern::new(as_const(atom.s), as_const(atom.p), as_const(atom.o));
     let mut est = g.count(&skeleton) as f64;
-    if tp.s.as_var().is_some_and(|v| bound.contains(&v)) {
-        est /= dc.subjects;
-    }
-    if tp.p.as_var().is_some_and(|v| bound.contains(&v)) {
-        est /= dc.properties;
-    }
-    if tp.o.as_var().is_some_and(|v| bound.contains(&v)) {
-        est /= dc.objects;
+    for (t, distinct) in [
+        (atom.s, dc.subjects),
+        (atom.p, dc.properties),
+        (atom.o, dc.objects),
+    ] {
+        match t {
+            RTerm::Var(v) if bound.contains(&v) => est /= distinct,
+            RTerm::Range(r) => est *= (ranges[usize::from(r)].len() as f64 / distinct).min(1.0),
+            _ => {}
+        }
     }
     est
-}
-
-/// True if the pattern shares a variable with `bound`.
-fn connected(tp: &TriplePattern, bound: &FxHashSet<Variable>) -> bool {
-    tp.variables().iter().any(|v| bound.contains(v))
-}
-
-/// True if the pattern has no variables at all (a membership test).
-fn ground(tp: &TriplePattern) -> bool {
-    tp.variables().is_empty()
 }
 
 /// Computes a greedy join order for `bgp` over `g`.
@@ -91,26 +95,31 @@ pub fn plan_bgp(g: &Graph, bgp: &Bgp) -> PlannedBgp {
 /// [`plan_bgp`] with precomputed distinct-value counts, so a union of many
 /// branches pays the graph walk once instead of once per branch.
 pub fn plan_bgp_with(g: &Graph, dc: &DistinctCounts, bgp: &Bgp) -> PlannedBgp {
-    let n = bgp.patterns.len();
-    if n == 0 {
-        return PlannedBgp {
-            order: Vec::new(),
-            estimates: Vec::new(),
-        };
-    }
-    let mut remaining: Vec<usize> = (0..n).collect();
-    let mut order = Vec::with_capacity(n);
-    let mut estimates = Vec::with_capacity(n);
+    plan_atoms(g, dc, &bgp.patterns, &[])
+}
+
+/// The greedy join order of one conjunctive branch whose range positions
+/// index into `ranges`.
+pub(crate) fn plan_atoms<A: Copy + Into<RangeAtom>>(
+    g: &Graph,
+    dc: &DistinctCounts,
+    atoms: &[A],
+    ranges: &[IntervalSet],
+) -> PlannedBgp {
+    let atom = |i: usize| -> RangeAtom { atoms[i].into() };
+    let mut remaining: Vec<usize> = (0..atoms.len()).collect();
+    let mut order = Vec::with_capacity(atoms.len());
+    let mut estimates = Vec::with_capacity(atoms.len());
     let mut bound: FxHashSet<Variable> = FxHashSet::default();
 
     while !remaining.is_empty() {
-        // Prefer connected (or ground) patterns; fall back to any.
+        // Prefer connected (or ground) atoms; fall back to any.
         let mut candidates: Vec<usize> = remaining
             .iter()
             .copied()
             .filter(|&i| {
-                let tp = &bgp.patterns[i];
-                ground(tp) || connected(tp, &bound) || bound.is_empty()
+                let vars = atom(i).variables();
+                vars.is_empty() || vars.iter().any(|v| bound.contains(v)) || bound.is_empty()
             })
             .collect();
         if candidates.is_empty() {
@@ -118,13 +127,11 @@ pub fn plan_bgp_with(g: &Graph, dc: &DistinctCounts, bgp: &Bgp) -> PlannedBgp {
         }
         let (best, best_est) = candidates
             .iter()
-            .map(|&i| (i, estimate(g, dc, &bgp.patterns[i], &bound)))
+            .map(|&i| (i, estimate(g, dc, &atom(i), ranges, &bound)))
             .min_by(|a, b| a.1.total_cmp(&b.1))
             .expect("candidates nonempty");
         remaining.retain(|&i| i != best);
-        for v in bgp.patterns[best].variables() {
-            bound.insert(v);
-        }
+        bound.extend(atom(best).variables());
         order.push(best);
         estimates.push(best_est);
     }
@@ -141,7 +148,7 @@ pub fn plan_textual(bgp: &Bgp) -> PlannedBgp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ast::QTerm;
+    use crate::ast::{QTerm, TriplePattern};
     use rdf_model::{Dictionary, TermId, Triple};
 
     fn build() -> (Dictionary, Graph, TermId, TermId, TermId) {

@@ -1,15 +1,13 @@
-//! Interval (LiteMat-style) evaluation of hierarchy queries.
+//! Interval (LiteMat-style) hierarchy queries.
 //!
 //! Reformulation turns "`?x` is a `C` *or any subclass*" into one union
-//! branch per subclass; [`crate::evaluate_union`] then has to trie-share
-//! hundreds of near-identical branches back together. With a
-//! [`rdf_model::IntervalDict`] sidecar the same semantic disjunction is a
-//! single **range-scan atom**: a triple-pattern position holding an
-//! interval set instead of a constant, matched either by enumerating the
-//! interval's members off the dense reverse array (one contiguous walk
-//! per run) or by filter-scanning a wildcard probe with an O(1)
-//! interval-containment test per triple. This module defines the
-//! range-atom query shape ([`IntervalQuery`]) and its evaluator.
+//! branch per subclass. With a [`rdf_model::IntervalDict`] sidecar the
+//! same semantic disjunction is a single **range atom**: a triple-pattern
+//! position holding an interval set instead of a constant. This module
+//! defines that query shape ([`IntervalQuery`]), its golden-plan
+//! rendering, and the entry points that hand it to the one executor in
+//! `union_eval`, whose probe step matches a range either by enumerating
+//! its members or by filter-scanning a wildcard probe.
 //!
 //! The rewriting that *produces* an [`IntervalQuery`] lives in the
 //! `reformulation` crate (it needs the schema); this module only needs
@@ -17,25 +15,19 @@
 //! restricts which triples match, exactly like a constant would, but for
 //! a whole subtree at once.
 
-use crate::ast::{Query, Variable};
-use crate::eval::{passes_negation, Solutions};
-use crate::plan::DistinctCounts;
-use crate::union_eval::{EvalStats, UnionEvalError};
+use crate::ast::{QTerm, Query, TriplePattern, Variable};
+use crate::eval::Solutions;
+use crate::plan::{plan_atoms, DistinctCounts};
+use crate::union_eval::{run, try_execute, try_run, EvalStats, Executable, UnionEvalError};
 use obs::CancelToken;
-use rdf_model::{Graph, IntervalDict, IntervalSet, Pattern, TermId, Triple, WorkerPanicked};
-use rustc_hash::FxHashSet;
+use rdf_model::{Graph, IntervalDict, IntervalSet, TermId, WorkerPanicked};
 use smallvec::SmallVec;
 use std::fmt::Write as _;
 use std::num::NonZeroUsize;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
-use std::time::Instant;
 
-/// One projected answer row.
-type Row = Vec<TermId>;
-
-/// A position of a range-scan atom: a variable, a constant, or a
-/// hierarchy interval (an index into the owning query's range table).
+/// A position of a range atom: a variable, a constant, or a hierarchy
+/// interval (an index into the owning query's range table).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum RTerm {
     /// A named variable of the original query.
@@ -47,17 +39,17 @@ pub enum RTerm {
     Range(u16),
 }
 
-impl RTerm {
-    /// The range-table index, if this position holds a range.
-    pub fn as_range(self) -> Option<u16> {
-        match self {
-            RTerm::Range(r) => Some(r),
-            _ => None,
+impl From<QTerm> for RTerm {
+    fn from(t: QTerm) -> RTerm {
+        match t {
+            QTerm::Var(v) => RTerm::Var(v),
+            QTerm::Const(c) => RTerm::Const(c),
         }
     }
 }
 
-/// One range-scan triple pattern.
+/// One triple pattern whose positions may hold ranges — the executor's
+/// only atom type.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct RangeAtom {
     /// Subject position.
@@ -66,6 +58,17 @@ pub struct RangeAtom {
     pub p: RTerm,
     /// Object position.
     pub o: RTerm,
+}
+
+/// A triple pattern is a range atom with no range position.
+impl From<TriplePattern> for RangeAtom {
+    fn from(tp: TriplePattern) -> RangeAtom {
+        RangeAtom {
+            s: tp.s.into(),
+            p: tp.p.into(),
+            o: tp.o.into(),
+        }
+    }
 }
 
 impl RangeAtom {
@@ -122,9 +125,10 @@ pub struct IntervalQuery {
 }
 
 impl IntervalQuery {
-    /// Renders the planned shape of every branch — the golden-snapshot
-    /// format of `tests/golden/planner_interval.txt`. Deterministic for a
-    /// fixed graph and query.
+    /// Renders the planned shape of every branch with the estimates the
+    /// planner chose each atom by — the golden-snapshot format of
+    /// `tests/golden/planner_interval.txt`. Deterministic for a fixed
+    /// graph and query.
     pub fn explain(&self, g: &Graph, dict: &rdf_model::Dictionary) -> String {
         let mut out = String::new();
         let _ = writeln!(
@@ -138,10 +142,9 @@ impl IntervalQuery {
         let dc = DistinctCounts::of(g);
         for (bi, branch) in self.branches.iter().enumerate() {
             let _ = writeln!(out, "branch {bi}:");
-            let order = plan_branch(g, &dc, self, &branch.atoms);
-            for (step, &i) in order.iter().enumerate() {
+            let plan = plan_atoms(g, &dc, &branch.atoms, &self.ranges);
+            for (step, (&i, est)) in plan.order.iter().zip(&plan.estimates).enumerate() {
                 let atom = &branch.atoms[i];
-                let est = estimate_atom(g, &dc, self, atom, &FxHashSet::default());
                 let pos = |t: RTerm| -> String {
                     match t {
                         RTerm::Var(v) => format!("?{}", self.query.var_name(v)),
@@ -168,266 +171,15 @@ impl IntervalQuery {
     }
 }
 
-/// Estimated matches of a range atom: the exact index count of the
-/// constant skeleton (ranges count as wildcards), discounted per
-/// bound-variable position like the union planner, and scaled by the
-/// fraction of the position's distinct values a range admits.
-fn estimate_atom(
-    g: &Graph,
-    dc: &DistinctCounts,
-    iq: &IntervalQuery,
-    atom: &RangeAtom,
-    bound: &FxHashSet<Variable>,
-) -> f64 {
-    let as_const = |t: RTerm| match t {
-        RTerm::Const(c) => Some(c),
-        _ => None,
-    };
-    let skeleton = Pattern::new(as_const(atom.s), as_const(atom.p), as_const(atom.o));
-    let mut est = g.count(&skeleton) as f64;
-    for (t, v_count) in [
-        (atom.s, dc.subjects),
-        (atom.p, dc.properties),
-        (atom.o, dc.objects),
-    ] {
-        match t {
-            RTerm::Var(v) if bound.contains(&v) => est /= v_count,
-            RTerm::Range(r) => {
-                let fraction = iq.ranges[r as usize].len() as f64 / v_count;
-                est *= fraction.min(1.0);
-            }
-            _ => {}
-        }
-    }
-    est
-}
-
-/// Greedy join order for one branch, mirroring `plan_bgp_with`: prefer
-/// atoms connected to the bound variables (or ground / range-only atoms),
-/// cheapest estimate first.
-fn plan_branch(
-    g: &Graph,
-    dc: &DistinctCounts,
-    iq: &IntervalQuery,
-    atoms: &[RangeAtom],
-) -> Vec<usize> {
-    let n = atoms.len();
-    let mut remaining: Vec<usize> = (0..n).collect();
-    let mut order = Vec::with_capacity(n);
-    let mut bound: FxHashSet<Variable> = FxHashSet::default();
-    while !remaining.is_empty() {
-        let mut candidates: Vec<usize> = remaining
-            .iter()
-            .copied()
-            .filter(|&i| {
-                let vars = atoms[i].variables();
-                vars.is_empty() || vars.iter().any(|v| bound.contains(v)) || bound.is_empty()
-            })
-            .collect();
-        if candidates.is_empty() {
-            candidates.clone_from(&remaining);
-        }
-        let (best, _) = candidates
-            .iter()
-            .map(|&i| (i, estimate_atom(g, dc, iq, &atoms[i], &bound)))
-            .min_by(|a, b| a.1.total_cmp(&b.1))
-            .expect("candidates nonempty");
-        remaining.retain(|&i| i != best);
-        for v in atoms[best].variables() {
-            bound.insert(v);
-        }
-        order.push(best);
-    }
-    order
-}
-
-/// Binds the variables of `atom` against a matched triple; constant and
-/// range positions were already enforced by the probe and its containment
-/// checks. Returns `false` on a repeated-variable clash; `touched` lists
-/// the variables to unbind afterwards.
-fn bind_range(
-    atom: &RangeAtom,
-    t: &Triple,
-    binding: &mut [Option<TermId>],
-    touched: &mut SmallVec<[Variable; 3]>,
-) -> bool {
-    for (rt, value) in [(atom.s, t.s), (atom.p, t.p), (atom.o, t.o)] {
-        if let RTerm::Var(v) = rt {
-            match binding[v.index()] {
-                Some(bound) => {
-                    if bound != value {
-                        return false;
-                    }
-                }
-                None => {
-                    binding[v.index()] = Some(value);
-                    touched.push(v);
-                }
-            }
-        }
-    }
-    true
-}
-
-/// Index-nested-loop evaluation of one branch's atoms in planned order.
-///
-/// At each range atom the probe mode is chosen from live cardinalities:
-/// **member-enumerate** walks the interval's reverse array and probes once
-/// per member (cheap for small subtrees against big scans), while
-/// **filter-scan** probes the wildcard pattern once and keeps only triples
-/// whose term falls inside the interval (cheap for big subtrees). An atom
-/// with several range positions drives the smallest one and filter-checks
-/// the rest.
-fn eval_rec(
-    g: &Graph,
-    iq: &IntervalQuery,
-    atoms: &[RangeAtom],
-    idx: usize,
-    binding: &mut Vec<Option<TermId>>,
-    emit: &mut dyn FnMut(&mut Vec<Option<TermId>>),
-) {
-    if idx == atoms.len() {
-        emit(binding);
-        return;
-    }
-    let atom = &atoms[idx];
-    let mut probe = [None; 3];
-    let mut range_positions: SmallVec<[(usize, &IntervalSet); 2]> = SmallVec::new();
-    for (i, rt) in atom.positions().into_iter().enumerate() {
-        match rt {
-            RTerm::Var(v) => probe[i] = binding[v.index()],
-            RTerm::Const(c) => probe[i] = Some(c),
-            RTerm::Range(r) => range_positions.push((i, &iq.ranges[r as usize])),
-        }
-    }
-    let pattern = |probe: &[Option<TermId>; 3]| Pattern::new(probe[0], probe[1], probe[2]);
-
-    // Pick the driving range (smallest member count) if enumerating it
-    // beats the wildcard scan.
-    let driver = range_positions
-        .iter()
-        .enumerate()
-        .min_by_key(|(_, (_, set))| set.len())
-        .map(|(k, _)| k);
-    let enumerate = driver.is_some_and(|k| {
-        let wildcard = g.count(&pattern(&probe));
-        range_positions[k].1.len() < wildcard
-    });
-
-    let mut step = |t: &Triple, binding: &mut Vec<Option<TermId>>| {
-        let mut touched: SmallVec<[Variable; 3]> = SmallVec::new();
-        if bind_range(atom, t, binding, &mut touched) {
-            eval_rec(g, iq, atoms, idx + 1, binding, emit);
-        }
-        for v in touched {
-            binding[v.index()] = None;
-        }
-    };
-
-    if enumerate {
-        let k = driver.expect("enumerate implies a driver");
-        let (pos, set) = range_positions[k];
-        let checks: SmallVec<[(usize, &IntervalSet); 2]> = range_positions
-            .iter()
-            .enumerate()
-            .filter(|&(j, _)| j != k)
-            .map(|(_, &c)| c)
-            .collect();
-        let mut probe = probe;
-        for member in iq.dict.members(set) {
-            probe[pos] = Some(member);
-            g.for_each_match(&pattern(&probe), |t| {
-                let values = [t.s, t.p, t.o];
-                if checks
-                    .iter()
-                    .all(|&(j, set)| iq.dict.contains(set, values[j]))
-                {
-                    step(&t, binding);
-                }
-            });
-        }
-    } else {
-        g.for_each_match(&pattern(&probe), |t| {
-            let values = [t.s, t.p, t.o];
-            if range_positions
-                .iter()
-                .all(|&(j, set)| iq.dict.contains(set, values[j]))
-            {
-                step(&t, binding);
-            }
-        });
-    }
-}
-
-/// Evaluates one worker's chunk of planned branches, deduplicating its
-/// own rows under `DISTINCT`. `None` means the cancel token tripped.
-fn run_chunk(
-    g: &Graph,
-    iq: &IntervalQuery,
-    branches: &[Vec<RangeAtom>],
-    cancel: &CancelToken,
-) -> Option<Vec<Row>> {
-    let q = &iq.query;
-    let mut rows: Vec<Row> = Vec::new();
-    let mut seen: FxHashSet<Row> = FxHashSet::default();
-    let mut binding: Vec<Option<TermId>> = vec![None; q.var_names.len()];
-    for atoms in branches {
-        if cancel.is_cancelled() {
-            return None;
-        }
-        let mut emit = |binding: &mut Vec<Option<TermId>>| {
-            if !passes_negation(g, q, binding) {
-                return;
-            }
-            let row: Row = q
-                .projection
-                .iter()
-                .map(|v| binding[v.index()].expect("projected variable bound"))
-                .collect();
-            if q.distinct {
-                if seen.insert(row.clone()) {
-                    rows.push(row);
-                }
-            } else {
-                rows.push(row);
-            }
-        };
-        eval_rec(g, iq, atoms, 0, &mut binding, &mut emit);
-    }
-    Some(rows)
-}
-
-/// Mirrors a finished interval evaluation's stats into the registry under
-/// the `sparql.range.*` names.
-fn publish_stats(reg: &obs::Registry, stats: &EvalStats) {
-    if !reg.is_enabled() {
-        return;
-    }
-    reg.add("sparql.range.queries", 1);
-    reg.add("sparql.range.branches_total", stats.branches_total as u64);
-    reg.add("sparql.range.branches_pruned", stats.branches_pruned as u64);
-    reg.add("sparql.range.scans", stats.range_scans);
-    reg.add(
-        "sparql.range.branches_collapsed",
-        stats.branches_collapsed as u64,
-    );
-    reg.add("sparql.range.rows", stats.rows as u64);
-    reg.add("sparql.range.workers", stats.threads as u64);
-}
-
 /// Evaluates an interval query with up to `threads` workers, falling back
-/// to a single-threaded re-run if a worker panics (mirrors
+/// to a single-threaded re-run if a worker panics (like
 /// [`crate::evaluate_union`]).
 pub fn evaluate_interval(
     g: &Graph,
     iq: &IntervalQuery,
     threads: NonZeroUsize,
 ) -> (Solutions, EvalStats) {
-    match try_evaluate_interval(g, iq, threads) {
-        Ok(result) => result,
-        Err(_) => try_evaluate_interval(g, iq, NonZeroUsize::MIN)
-            .expect("single-threaded interval evaluation spawns no workers"),
-    }
+    run(g, Executable::Interval(iq), threads)
 }
 
 /// [`evaluate_interval`] surfacing a worker panic instead of falling back.
@@ -436,125 +188,27 @@ pub fn try_evaluate_interval(
     iq: &IntervalQuery,
     threads: NonZeroUsize,
 ) -> Result<(Solutions, EvalStats), WorkerPanicked> {
-    match try_evaluate_interval_cancel(g, iq, threads, &CancelToken::none()) {
-        Ok(r) => Ok(r),
-        Err(UnionEvalError::Worker(w)) => Err(w),
-        Err(UnionEvalError::Cancelled) => {
-            unreachable!("a CancelToken::none() evaluation never cancels")
-        }
-    }
+    try_run(g, Executable::Interval(iq), threads)
 }
 
-/// [`try_evaluate_interval`] with cooperative cancellation, polled at
-/// branch boundaries inside every worker. Returns the same answer set as
-/// evaluating the classical union reformulation (and the same bag for the
-/// deduplicated branch lists the interval rewriter emits).
+/// [`try_evaluate_interval`] with cooperative cancellation (see
+/// [`crate::try_execute`]). Returns the same answer set as evaluating the
+/// classical union reformulation, and publishes `sparql.range.*`.
 pub fn try_evaluate_interval_cancel(
     g: &Graph,
     iq: &IntervalQuery,
     threads: NonZeroUsize,
     cancel: &CancelToken,
 ) -> Result<(Solutions, EvalStats), UnionEvalError> {
-    let reg = obs::global();
-    let _total_span = reg.span("sparql.range.total");
-    let eval_start = Instant::now();
-    let q = &iq.query;
-    let mut stats = EvalStats {
-        branches_total: iq.branches.len(),
-        branches_collapsed: iq.branches_collapsed,
-        ..EvalStats::default()
-    };
-
-    // Plan every branch once (one distinct-counts pass for the union).
-    let dc = DistinctCounts::of(g);
-    let mut branches: Vec<Vec<RangeAtom>> = Vec::with_capacity(iq.branches.len());
-    for branch in &iq.branches {
-        if cancel.is_cancelled() {
-            reg.add("sparql.range.cancelled", 1);
-            return Err(UnionEvalError::Cancelled);
-        }
-        let vars: FxHashSet<Variable> = branch.atoms.iter().flat_map(|a| a.variables()).collect();
-        if !q.projection.iter().all(|v| vars.contains(v)) {
-            stats.branches_pruned += 1;
-            continue;
-        }
-        let order = plan_branch(g, &dc, iq, &branch.atoms);
-        let seq: Vec<RangeAtom> = order.iter().map(|&i| branch.atoms[i]).collect();
-        stats.patterns_total += seq.len();
-        stats.range_scans += seq.iter().filter(|a| a.has_range()).count() as u64;
-        branches.push(seq);
-    }
-    branches.sort();
-
-    let workers = threads.get().min(branches.len()).max(1);
-    stats.threads = workers;
-
-    let maybe_outputs: Vec<Option<Vec<Row>>> = if workers <= 1 {
-        vec![run_chunk(g, iq, &branches, cancel)]
-    } else {
-        let per = branches.len().div_ceil(workers);
-        std::thread::scope(|s| {
-            let handles: Vec<_> = branches
-                .chunks(per)
-                .map(|chunk| {
-                    s.spawn(move || {
-                        catch_unwind(AssertUnwindSafe(|| run_chunk(g, iq, chunk, cancel))).map_err(
-                            |payload| WorkerPanicked::from_payload("sparql.range.worker", payload),
-                        )
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("caught-panic worker never unwinds"))
-                .collect::<Result<Vec<_>, _>>()
-        })
-        .map_err(UnionEvalError::Worker)?
-    };
-    let outputs: Vec<Vec<Row>> = match maybe_outputs.into_iter().collect() {
-        Some(outputs) => outputs,
-        None => {
-            reg.add("sparql.range.cancelled", 1);
-            return Err(UnionEvalError::Cancelled);
-        }
-    };
-    stats.eval_us = eval_start.elapsed().as_micros() as u64;
-
-    // Merge: workers deduplicated their own rows, so `DISTINCT` only has
-    // to resolve duplicates across workers.
-    let merge_start = Instant::now();
-    let rows: Vec<Row> = if q.distinct && outputs.len() > 1 {
-        let mut seen: FxHashSet<Row> = FxHashSet::default();
-        let mut out = Vec::new();
-        for rows in outputs {
-            for row in rows {
-                if seen.insert(row.clone()) {
-                    out.push(row);
-                }
-            }
-        }
-        out
-    } else {
-        outputs.into_iter().flatten().collect()
-    };
-    stats.merge_us = merge_start.elapsed().as_micros() as u64;
-    stats.rows = rows.len();
-    publish_stats(reg, &stats);
-
-    let var_names = q
-        .projection
-        .iter()
-        .map(|&v| q.var_name(v).to_owned())
-        .collect();
-    Ok((Solutions { var_names, rows }, stats))
+    try_execute(g, Executable::Interval(iq), threads, cancel)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ast::{Bgp, QTerm, TriplePattern};
+    use crate::ast::Bgp;
     use crate::eval::evaluate;
-    use rdf_model::Dictionary;
+    use rdf_model::{Dictionary, Triple};
 
     /// A small zoo: `Cat ⊑ Mammal ⊑ Animal`, typed individuals, plus a
     /// `hasPet` edge. The IntervalDict covers the class hierarchy.

@@ -1,66 +1,65 @@
-//! Union-aware evaluation of reformulated queries (`q_ref(G)`).
+//! The one query executor: a union of conjunctive branches, evaluated as
+//! a union.
 //!
-//! A reformulated query is a union of up to thousands of conjunctive
-//! branches that overlap heavily: most branches differ from their
-//! neighbours in a single rewritten atom. [`evaluate`](crate::evaluate)
-//! treats every branch as an independent query — it re-plans, re-scans and
-//! re-joins the shared atoms once per branch. This module evaluates the
-//! union *as a union*:
+//! Every answer path ends here — `q(G∞)` over a saturated graph, the
+//! reformulated union `q_ref(G)`, and the interval rewriting whose atoms
+//! hold hierarchy ranges ([`Executable`]). All three are branches of
+//! [`RangeAtom`]s (a [`TriplePattern`](crate::TriplePattern) lowers to a
+//! range atom with no range position), planned by the one planner in
+//! [`crate::plan`] and walked by two mechanisms:
 //!
-//! 1. **Shared-prefix trie.** Every branch is planned (with the graph's
-//!    distinct-value counts computed *once* for the whole union), and the
-//!    planned pattern sequences are folded into a trie: branches whose
-//!    planned orders start with the same patterns share one trie path, so
-//!    the index scans and intermediate bindings for that prefix are
-//!    computed once. A trie node where a branch ends carries a *leaf
-//!    multiplicity* so duplicated branches keep SPARQL bag semantics
+//! 1. **Shared-prefix trie.** The planned atom sequences are folded into a
+//!    trie: branches whose planned orders start with the same atoms share
+//!    one trie path, so the index scans and intermediate bindings for that
+//!    prefix are computed once. A trie node where a branch ends carries a
+//!    *leaf multiplicity* so duplicated branches keep SPARQL bag semantics
 //!    (see `union_bag_and_set_semantics` in `eval.rs`).
-//! 2. **Memoized scan cache.** Each worker keeps a `(resolved
-//!    Pattern) → matches` cache with hit/miss counters. First-time probes
-//!    are streamed straight off the indexes (no allocation); a probe is
-//!    materialized only once it repeats. Prefix sharing removes repeats
-//!    *within* a subtree; the cache removes repeats *across* subtrees
-//!    (e.g. the same `(s, p, ?)` probe reached from different first
-//!    atoms).
-//! 3. **Parallel subtrees.** The sorted branch list is split into
-//!    contiguous chunks (sorting co-locates shared prefixes), one trie per
-//!    worker, evaluated across `std::thread::scope` workers. Rows are
-//!    routed into hash-sharded buckets; the merge phase deduplicates each
-//!    shard independently (disjoint writes, `Graph::merge_buckets` style),
-//!    so `DISTINCT` costs one set per shard instead of one global lock.
+//! 2. **Range probes.** A node whose atom holds a hierarchy range either
+//!    *enumerates* the range's members off the interval dictionary and
+//!    probes once per member (cheap for small subtrees against big scans)
+//!    or *filter-scans* the wildcard probe with an O(1) containment test
+//!    per triple (cheap for big subtrees), whichever the live cardinalities
+//!    favour. An atom with several ranges drives the smallest one and
+//!    filter-checks the rest.
 //!
-//! The answer set is exactly [`evaluate`](crate::evaluate)'s: sharing a
-//! prefix never changes which bindings reach a leaf (the trie path *is*
-//! the branch's planned pattern sequence), and leaf multiplicities keep
-//! duplicate counts identical under bag semantics.
+//! The sorted branch list is split into contiguous chunks (sorting
+//! co-locates shared prefixes), one trie per `std::thread::scope` worker.
+//! Rows are routed into hash-sharded buckets; the merge phase deduplicates
+//! each shard independently, so `DISTINCT` costs one set per shard
+//! instead of one global lock.
+//!
+//! The answer multiset is exactly [`evaluate`](crate::evaluate)'s on the
+//! classical union: a trie path *is* a branch's planned atom sequence,
+//! leaf multiplicities keep duplicate counts, and a range admits exactly
+//! the terms its union branches would have named.
 
-use crate::ast::{Query, TriplePattern};
-use crate::eval::{bind_triple, passes_negation, resolve, Solutions};
-use crate::plan::{plan_bgp_with, DistinctCounts};
-use obs::CancelToken;
-use rdf_model::{Graph, Pattern, TermId, Triple, WorkerPanicked};
-use rustc_hash::{FxHashMap, FxHashSet, FxHasher};
+use crate::ast::{Query, Variable};
+use crate::eval::{passes_negation, Solutions};
+use crate::plan::{plan_atoms, DistinctCounts};
+use crate::range_eval::{IntervalQuery, RTerm, RangeAtom};
+use obs::{CancelToken, CANCEL_POLL_STRIDE};
+use rdf_model::{Graph, IntervalDict, IntervalSet, Pattern, TermId, Triple, WorkerPanicked};
+use rustc_hash::{FxHashSet, FxHasher};
 use smallvec::SmallVec;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::rc::Rc;
 use std::time::Instant;
 use webreason_failpoints::fail_point;
 
 /// One projected answer row.
 type Row = Vec<TermId>;
 
-/// Why a cancellable union evaluation returned no answer.
+/// Why a cancellable evaluation returned no answer.
 #[derive(Debug)]
 pub enum UnionEvalError {
     /// A parallel worker panicked (a bug, or an armed failpoint).
     Worker(WorkerPanicked),
     /// The request's [`CancelToken`] tripped — deadline exceeded or
-    /// client gone. Every worker's partial state (row shards, scan
-    /// caches) was discarded whole; no counters for the abandoned pass
-    /// were published, so a re-run is bit-identical to a fresh run.
+    /// client gone. Every worker's partial row shards were discarded
+    /// whole; no counters for the abandoned pass were published, so a
+    /// re-run is bit-identical to a fresh run.
     Cancelled,
 }
 
@@ -81,7 +80,7 @@ impl From<WorkerPanicked> for UnionEvalError {
     }
 }
 
-/// Evaluation statistics of one union-aware evaluation, surfaced through
+/// Evaluation statistics of one executor run, surfaced through
 /// `Store::answer`, the `webreason query` CLI and the A-REF bench table.
 #[derive(Debug, Clone, Default, PartialEq, Eq, serde::Serialize)]
 pub struct EvalStats {
@@ -89,17 +88,18 @@ pub struct EvalStats {
     pub branches_total: usize,
     /// Branches skipped because they do not bind every projected variable.
     pub branches_pruned: usize,
-    /// Branches that shared at least their first planned pattern with an
+    /// Branches that shared at least their first planned atom with an
     /// earlier branch (their prefix scans were reused from the trie).
     pub branches_shared: usize,
-    /// Total planned patterns across evaluated branches.
+    /// Total planned atoms across evaluated branches.
     pub patterns_total: usize,
     /// Trie nodes actually built — `patterns_total - trie_nodes` index
     /// scans were saved by prefix sharing.
     pub trie_nodes: usize,
-    /// Scan-cache hits (a probe answered from a worker's memo table).
+    /// Always 0: the executor keeps no scan cache. Kept while the
+    /// benchmark trace still reports `sparql.union.scan_cache_hit_ratio`.
     pub scan_cache_hits: u64,
-    /// Scan-cache misses (a probe that went to the graph indexes).
+    /// Always 0, like [`EvalStats::scan_cache_hits`].
     pub scan_cache_misses: u64,
     /// Worker threads used.
     pub threads: usize,
@@ -109,9 +109,8 @@ pub struct EvalStats {
     pub merge_us: u64,
     /// Answer rows produced (after `DISTINCT`, before `finalize`).
     pub rows: usize,
-    /// Range-scan atoms evaluated (interval strategy only; a range atom
-    /// probes one hierarchy interval instead of one union branch per
-    /// member).
+    /// Range atoms planned (interval strategy only; a range atom probes
+    /// one hierarchy interval instead of one union branch per member).
     pub range_scans: u64,
     /// Union branches the interval rewriting collapsed into range scans
     /// (interval strategy only): `q_ref` branches minus interval branches.
@@ -128,14 +127,11 @@ impl EvalStats {
     pub fn summary(&self) -> String {
         let mut line = format!(
             "{} branches ({} pruned, {} shared ≥1 prefix, {} scans saved), \
-             scan cache {} hits / {} misses, {} worker(s), \
-             eval {}µs + merge {}µs",
+             {} worker(s), eval {}µs + merge {}µs",
             self.branches_total,
             self.branches_pruned,
             self.branches_shared,
             self.shared_prefix_scans(),
-            self.scan_cache_hits,
-            self.scan_cache_misses,
             self.threads,
             self.eval_us,
             self.merge_us,
@@ -150,13 +146,62 @@ impl EvalStats {
     }
 }
 
-/// Mirrors a finished evaluation's [`EvalStats`] into the metrics
-/// registry. The struct stays the caller-facing façade (CLI summary line,
-/// bench tables); the registry gets the same numbers under the
-/// `sparql.union.*` names so snapshots cover the subsystem.
-fn publish_stats(reg: &obs::Registry, stats: &EvalStats) {
+/// What [`try_execute`] runs. The variant decides only which metrics the
+/// run publishes; the evaluation is the same.
+#[derive(Debug, Clone, Copy)]
+pub enum Executable<'a> {
+    /// A query evaluated as written — `q(G∞)` over a saturated graph.
+    /// Publishes no `sparql.*` metric: observed-cost analysis attributes
+    /// `q(G∞)` by the union and range spans being absent.
+    Plain(&'a Query),
+    /// A reformulated union `q_ref`, published as `sparql.union.*`.
+    Union(&'a Query),
+    /// An interval-rewritten query, published as `sparql.range.*`.
+    Interval(&'a IntervalQuery),
+}
+
+/// The metric names one kind of query publishes under.
+struct Family {
+    total: Option<&'static str>,
+    /// The `plan`, `eval` and `merge` child spans of `total`.
+    phases: [Option<&'static str>; 3],
+    cancelled: Option<&'static str>,
+    publish: fn(&obs::Registry, &EvalStats, &[u64]),
+}
+
+const PLAIN: Family = Family {
+    total: None,
+    phases: [None; 3],
+    cancelled: None,
+    publish: |_, _, _| {},
+};
+
+const UNION: Family = Family {
+    total: Some("sparql.union.total"),
+    phases: [
+        Some("sparql.union.plan"),
+        Some("sparql.union.eval"),
+        Some("sparql.union.merge"),
+    ],
+    cancelled: Some("sparql.union.cancelled"),
+    publish: publish_union,
+};
+
+const RANGE: Family = Family {
+    total: Some("sparql.range.total"),
+    phases: [None; 3],
+    cancelled: Some("sparql.range.cancelled"),
+    publish: publish_range,
+};
+
+/// Mirrors a finished union evaluation's [`EvalStats`] (and each worker's
+/// emitted-row count) into the registry under the `sparql.union.*` names.
+fn publish_union(reg: &obs::Registry, stats: &EvalStats, worker_rows: &[u64]) {
     if !reg.is_enabled() {
         return;
+    }
+    for &rows in worker_rows {
+        reg.record("sparql.union.worker_rows", rows);
     }
     reg.add("sparql.union.queries", 1);
     reg.add("sparql.union.branches_total", stats.branches_total as u64);
@@ -168,24 +213,41 @@ fn publish_stats(reg: &obs::Registry, stats: &EvalStats) {
         "sparql.union.shared_prefix_scans",
         stats.shared_prefix_scans() as u64,
     );
-    reg.add("sparql.union.scan_cache_hits", stats.scan_cache_hits);
-    reg.add("sparql.union.scan_cache_misses", stats.scan_cache_misses);
     reg.add("sparql.union.rows", stats.rows as u64);
     reg.add("sparql.union.workers", stats.threads as u64);
 }
 
-/// One node of the shared-prefix trie: a planned pattern, the branches
+/// Mirrors a finished interval evaluation's stats into the registry under
+/// the `sparql.range.*` names.
+fn publish_range(reg: &obs::Registry, stats: &EvalStats, _worker_rows: &[u64]) {
+    if !reg.is_enabled() {
+        return;
+    }
+    reg.add("sparql.range.queries", 1);
+    reg.add("sparql.range.branches_total", stats.branches_total as u64);
+    reg.add("sparql.range.branches_pruned", stats.branches_pruned as u64);
+    reg.add("sparql.range.scans", stats.range_scans);
+    reg.add(
+        "sparql.range.branches_collapsed",
+        stats.branches_collapsed as u64,
+    );
+    reg.add("sparql.range.rows", stats.rows as u64);
+    reg.add("sparql.range.workers", stats.threads as u64);
+}
+
+/// One node of the shared-prefix trie: a planned atom, the branches
 /// ending exactly here (`leaf_mult`), and the continuations.
 struct TrieNode {
-    tp: TriplePattern,
+    atom: RangeAtom,
     leaf_mult: usize,
     children: Vec<TrieNode>,
 }
 
 /// The trie for one worker's chunk of branches.
+#[derive(Default)]
 struct Trie {
     roots: Vec<TrieNode>,
-    /// Branches with an empty pattern list (they emit one empty binding
+    /// Branches with an empty atom list (they emit one empty binding
     /// each, exactly like the per-branch evaluator's empty BGP).
     empty_mult: usize,
     nodes: usize,
@@ -193,13 +255,8 @@ struct Trie {
 }
 
 impl Trie {
-    fn build(branches: &[Vec<TriplePattern>]) -> Trie {
-        let mut trie = Trie {
-            roots: Vec::new(),
-            empty_mult: 0,
-            nodes: 0,
-            shared_branches: 0,
-        };
+    fn build(branches: &[Vec<RangeAtom>]) -> Trie {
+        let mut trie = Trie::default();
         for seq in branches {
             if seq.is_empty() {
                 trie.empty_mult += 1;
@@ -207,8 +264,8 @@ impl Trie {
             }
             let mut level = &mut trie.roots;
             let mut reused_any = false;
-            for (depth, tp) in seq.iter().enumerate() {
-                let pos = match level.iter().position(|n| n.tp == *tp) {
+            for (depth, atom) in seq.iter().enumerate() {
+                let pos = match level.iter().position(|n| n.atom == *atom) {
                     Some(pos) => {
                         if depth == 0 {
                             reused_any = true;
@@ -217,7 +274,7 @@ impl Trie {
                     }
                     None => {
                         level.push(TrieNode {
-                            tp: *tp,
+                            atom: *atom,
                             leaf_mult: 0,
                             children: Vec::new(),
                         });
@@ -238,73 +295,146 @@ impl Trie {
     }
 }
 
-/// Per-worker memoized scan cache keyed on the *resolved* probe pattern
-/// (constants plus already-bound variables), with hit/miss counters.
-///
-/// A probe seen for the first time is *streamed* straight off the graph
-/// indexes (zero allocation, exactly the per-branch evaluator's inner
-/// loop) and only remembered in a seen-set; a probe seen again is
-/// materialized into the cache and every further repeat is a hit. One-shot
-/// probes — the overwhelming majority in selective joins — therefore pay
-/// one set insert instead of a `Vec` allocation and copy.
-///
-/// Both tables are bounded so pathological unions cannot hoard memory;
-/// past the caps further probes go straight to the indexes (still counted
-/// as misses).
-struct ScanCache {
-    map: FxHashMap<Pattern, Rc<[Triple]>>,
-    seen: FxHashSet<Pattern>,
-    cached_triples: usize,
-    hits: u64,
-    misses: u64,
+/// The read-only inputs every worker shares.
+#[derive(Clone, Copy)]
+struct Job<'a> {
+    g: &'a Graph,
+    q: &'a Query,
+    /// The range table `RTerm::Range` positions index into (empty unless
+    /// the query is an interval rewriting).
+    ranges: &'a [IntervalSet],
+    dict: Option<&'a IntervalDict>,
+    cancel: &'a CancelToken,
 }
 
-/// Cap on triples retained across all cache entries of one worker
-/// (~12 bytes each, so ≈24 MiB per worker at the cap).
-const SCAN_CACHE_MAX_TRIPLES: usize = 2 << 20;
+/// One worker's trie walk: probe, bind, emit at leaves (with
+/// multiplicity), recurse into continuations, unbind.
+///
+/// The token is polled on the first matched triple of the walk and then
+/// every [`CANCEL_POLL_STRIDE`] matched triples, at any depth, so even a
+/// single-branch query stops within a stride of the deadline. A tripped
+/// token sets `cancelled` and every further match is skipped.
+struct Walker<'a> {
+    job: Job<'a>,
+    matched: usize,
+    cancelled: bool,
+}
 
-/// Cap on distinct probes tracked in the seen-set of one worker.
-const SCAN_CACHE_MAX_PROBES: usize = 1 << 20;
-
-impl ScanCache {
-    fn new() -> ScanCache {
-        ScanCache {
-            map: FxHashMap::default(),
-            seen: FxHashSet::default(),
-            cached_triples: 0,
-            hits: 0,
-            misses: 0,
+impl Walker<'_> {
+    fn walk(
+        &mut self,
+        node: &TrieNode,
+        binding: &mut Vec<Option<TermId>>,
+        emit: &mut dyn FnMut(&[Option<TermId>], usize),
+    ) {
+        let Job { g, ranges, .. } = self.job;
+        let atom = &node.atom;
+        // Field by field, not through `positions()`: the array round trip
+        // costs a fifth of a probe-heavy join.
+        let mut probe = [
+            resolve(atom.s, binding),
+            resolve(atom.p, binding),
+            resolve(atom.o, binding),
+        ];
+        let pattern = |probe: &[Option<TermId>; 3]| Pattern::new(probe[0], probe[1], probe[2]);
+        // A range-free atom — every atom of a union or saturated query — is
+        // one plain probe.
+        let (Some(dict), true) = (self.job.dict, atom.has_range()) else {
+            g.for_each_match(&pattern(&probe), |t| self.step(node, &t, binding, emit));
+            return;
+        };
+        let range = |t: RTerm| match t {
+            RTerm::Range(r) => Some(&ranges[usize::from(r)]),
+            _ => None,
+        };
+        let mut ranged = [range(atom.s), range(atom.p), range(atom.o)];
+        let mut scan = |probe: &[Option<TermId>; 3], checks: &[Option<&IntervalSet>; 3]| {
+            g.for_each_match(&pattern(probe), |t| {
+                let values = [t.s, t.p, t.o];
+                if (0..3).all(|i| checks[i].is_none_or(|set| dict.contains(set, values[i]))) {
+                    self.step(node, &t, binding, emit);
+                }
+            });
+        };
+        // Drive the smallest range by member enumeration if that beats
+        // one wildcard scan; every other range is filter-checked.
+        let (pos, set) = (0..3)
+            .filter_map(|i| ranged[i].map(|set| (i, set)))
+            .min_by_key(|(_, set)| set.len())
+            .expect("the atom has a range");
+        if set.len() < g.count(&pattern(&probe)) {
+            ranged[pos] = None;
+            for member in dict.members(set) {
+                probe[pos] = Some(member);
+                scan(&probe, &ranged);
+            }
+        } else {
+            scan(&probe, &ranged);
         }
     }
 
-    /// `Some(matches)` if the probe is (now) memoized, `None` if the
-    /// caller should stream it off the indexes.
-    fn lookup(&mut self, g: &Graph, probe: &Pattern) -> Option<Rc<[Triple]>> {
-        if let Some(hit) = self.map.get(probe) {
-            self.hits += 1;
-            return Some(Rc::clone(hit));
+    /// Processes one matched triple of a trie node's probe.
+    #[inline]
+    fn step(
+        &mut self,
+        node: &TrieNode,
+        t: &Triple,
+        binding: &mut Vec<Option<TermId>>,
+        emit: &mut dyn FnMut(&[Option<TermId>], usize),
+    ) {
+        let poll = self.matched.is_multiple_of(CANCEL_POLL_STRIDE);
+        if self.cancelled || (poll && self.job.cancel.is_cancelled()) {
+            self.cancelled = true;
+            return;
         }
-        self.misses += 1;
-        if !self.seen.contains(probe) {
-            if self.seen.len() < SCAN_CACHE_MAX_PROBES {
-                self.seen.insert(*probe);
+        self.matched += 1;
+        // Constant and range positions were enforced by the probe; bind
+        // the variables, rejecting a repeated-variable clash.
+        let mut touched: SmallVec<[Variable; 3]> = SmallVec::new();
+        let atom = &node.atom;
+        let mut consistent = true;
+        for (rt, value) in [(atom.s, t.s), (atom.p, t.p), (atom.o, t.o)] {
+            let RTerm::Var(v) = rt else { continue };
+            match binding[v.index()] {
+                Some(bound) if bound != value => {
+                    consistent = false;
+                    break;
+                }
+                Some(_) => {}
+                None => {
+                    binding[v.index()] = Some(value);
+                    touched.push(v);
+                }
             }
-            return None;
         }
-        let matches: Rc<[Triple]> = g.matches(probe).into();
-        if self.cached_triples + matches.len() <= SCAN_CACHE_MAX_TRIPLES {
-            self.cached_triples += matches.len();
-            self.map.insert(*probe, Rc::clone(&matches));
+        if consistent {
+            if node.leaf_mult > 0 {
+                emit(binding, node.leaf_mult);
+            }
+            for child in &node.children {
+                self.walk(child, binding, emit);
+            }
         }
-        Some(matches)
+        for v in touched {
+            binding[v.index()] = None;
+        }
+    }
+}
+
+/// The value a probe position takes under `binding`: a constant, a bound
+/// variable, or `None` (a wildcard) for a free variable or a range.
+#[inline]
+fn resolve(t: RTerm, binding: &[Option<TermId>]) -> Option<TermId> {
+    match t {
+        RTerm::Var(v) => binding[v.index()],
+        RTerm::Const(c) => Some(c),
+        RTerm::Range(_) => None,
     }
 }
 
 /// What one worker sends back: rows routed into shards, plus counters.
 struct WorkerOutput {
     shards: Vec<Vec<Row>>,
-    cache_hits: u64,
-    cache_misses: u64,
     trie_nodes: usize,
     shared_branches: usize,
 }
@@ -315,126 +445,65 @@ fn shard_of(row: &[TermId], mask: usize) -> usize {
     (h.finish() as usize) & mask
 }
 
-/// Walks one trie node under the current binding: probe, bind, emit at
-/// leaves (with multiplicity), recurse into continuations, unbind.
-fn walk(
-    g: &Graph,
-    node: &TrieNode,
-    binding: &mut Vec<Option<TermId>>,
-    cache: &mut ScanCache,
-    emit: &mut dyn FnMut(&[Option<TermId>], usize),
-) {
-    let probe = Pattern::new(
-        resolve(node.tp.s, binding),
-        resolve(node.tp.p, binding),
-        resolve(node.tp.o, binding),
-    );
-    // A fully ground probe is an O(1) membership test on the indexes —
-    // memoizing it can only add hashing and allocation on top.
-    if probe.s.is_some() && probe.p.is_some() && probe.o.is_some() {
-        g.for_each_match(&probe, |t| step(g, node, &t, binding, cache, emit));
-        return;
-    }
-    match cache.lookup(g, &probe) {
-        Some(scan) => {
-            for t in scan.iter() {
-                step(g, node, t, binding, cache, emit);
-            }
-        }
-        None => g.for_each_match(&probe, |t| step(g, node, &t, binding, cache, emit)),
-    }
-}
-
-/// Processes one matched triple of a trie node's probe.
-#[inline]
-fn step(
-    g: &Graph,
-    node: &TrieNode,
-    t: &Triple,
-    binding: &mut Vec<Option<TermId>>,
-    cache: &mut ScanCache,
-    emit: &mut dyn FnMut(&[Option<TermId>], usize),
-) {
-    let mut touched: SmallVec<[crate::ast::Variable; 3]> = SmallVec::new();
-    if bind_triple(&node.tp, t, binding, &mut touched) {
-        if node.leaf_mult > 0 {
-            emit(binding, node.leaf_mult);
-        }
-        for child in &node.children {
-            walk(g, child, binding, cache, emit);
-        }
-    }
-    for v in touched {
-        binding[v.index()] = None;
-    }
-}
-
-/// Evaluates one chunk of branches: builds the chunk's trie, walks it with
-/// a fresh scan cache, and routes projected rows into `shard_count`
-/// hash-sharded buckets.
+/// Evaluates one chunk of branches: builds the chunk's trie, walks it, and
+/// routes projected rows into `shard_count` hash-sharded buckets.
 ///
-/// Cancellation is polled between trie roots — the branch boundary of
-/// this worker's chunk. `None` means the token tripped: the partial
-/// shards and the worker-private scan cache are dropped on return, so
-/// nothing of the abandoned pass survives.
+/// Cancellation is polled between trie roots and inside the walk (see
+/// [`Walker`]). `None` means the token tripped: the partial shards are
+/// dropped on return, so nothing of the abandoned pass survives.
 fn run_chunk(
-    g: &Graph,
-    q: &Query,
-    branches: &[Vec<TriplePattern>],
+    job: Job<'_>,
+    branches: &[Vec<RangeAtom>],
     shard_count: usize,
-    cancel: &CancelToken,
 ) -> Option<WorkerOutput> {
+    let Job { g, q, cancel, .. } = job;
     let trie = Trie::build(branches);
     let mask = shard_count - 1;
     let mut shards: Vec<Vec<Row>> = (0..shard_count).map(|_| Vec::new()).collect();
-    let mut cache = ScanCache::new();
     let mut binding: Vec<Option<TermId>> = vec![None; q.var_names.len()];
+    let mut walker = Walker {
+        job,
+        matched: 0,
+        cancelled: false,
+    };
     // Under `DISTINCT` each worker deduplicates its own rows as they are
-    // emitted (the per-branch evaluator's `seen` set), so the merge phase
-    // only resolves duplicates *across* workers — with a single worker it
-    // degenerates to a move.
+    // emitted, so the merge phase only resolves duplicates *across*
+    // workers — with a single worker it degenerates to a move.
     let mut seen: FxHashSet<Row> = FxHashSet::default();
-    {
-        let mut emit = |binding: &[Option<TermId>], mult: usize| {
-            if !passes_negation(g, q, binding) {
-                return;
-            }
-            let row: Row = q
-                .projection
-                .iter()
-                .map(|v| binding[v.index()].expect("projected variable bound"))
-                .collect();
-            if q.distinct {
-                if !seen.insert(row.clone()) {
-                    return;
-                }
-                let shard = if mask == 0 { 0 } else { shard_of(&row, mask) };
-                shards[shard].push(row);
-            } else {
-                // Under bag semantics a branch duplicated `mult` times
-                // contributes `mult` copies (exactly like the per-branch
-                // evaluator).
-                let shard = if mask == 0 { 0 } else { shard_of(&row, mask) };
-                for _ in 1..mult {
-                    shards[shard].push(row.clone());
-                }
-                shards[shard].push(row);
-            }
-        };
-        if trie.empty_mult > 0 {
-            emit(&binding, trie.empty_mult);
+    let mut emit = |binding: &[Option<TermId>], mult: usize| {
+        if !passes_negation(g, q, binding) {
+            return;
         }
-        for root in &trie.roots {
-            if cancel.is_cancelled() {
-                return None;
-            }
-            walk(g, root, &mut binding, &mut cache, &mut emit);
+        let row: Row = q
+            .projection
+            .iter()
+            .map(|v| binding[v.index()].expect("projected variable bound"))
+            .collect();
+        if q.distinct && !seen.insert(row.clone()) {
+            return;
+        }
+        let shard = &mut shards[if mask == 0 { 0 } else { shard_of(&row, mask) }];
+        // Under bag semantics a branch duplicated `mult` times contributes
+        // `mult` copies (exactly like the per-branch evaluator).
+        if !q.distinct {
+            shard.extend((1..mult).map(|_| row.clone()));
+        }
+        shard.push(row);
+    };
+    if trie.empty_mult > 0 {
+        emit(&binding, trie.empty_mult);
+    }
+    for root in &trie.roots {
+        if cancel.is_cancelled() {
+            return None;
+        }
+        walker.walk(root, &mut binding, &mut emit);
+        if walker.cancelled {
+            return None;
         }
     }
     Some(WorkerOutput {
         shards,
-        cache_hits: cache.hits,
-        cache_misses: cache.misses,
         trie_nodes: trie.nodes,
         shared_branches: trie.shared_branches,
     })
@@ -463,142 +532,148 @@ fn merge_shard(mut parts: Vec<Vec<Row>>, distinct: bool) -> Vec<Row> {
     out
 }
 
-/// Evaluates a union query with prefix sharing, scan memoization and up
-/// to `threads` parallel workers. Returns the same answer multiset as
-/// [`evaluate`](crate::evaluate) (set-equal under `DISTINCT`, bag-equal
-/// otherwise), plus the [`EvalStats`] describing how it got there.
-///
-/// Panic isolation: a panic inside an evaluation or merge worker is
-/// caught and the query is **re-run single-threaded**, which computes the
-/// identical answer without spawning workers — callers that want the
-/// panic surfaced instead use [`try_evaluate_union`].
-pub fn evaluate_union(g: &Graph, q: &Query, threads: NonZeroUsize) -> (Solutions, EvalStats) {
-    match try_evaluate_union(g, q, threads) {
-        Ok(result) => result,
-        Err(_) => try_evaluate_union(g, q, NonZeroUsize::MIN)
-            .expect("single-threaded union evaluation spawns no workers"),
-    }
-}
-
-/// [`evaluate_union`] that surfaces a worker panic as a structured
-/// [`WorkerPanicked`] error instead of falling back. No partial answer
-/// escapes: the routed row shards of a failed pass are dropped whole.
-pub fn try_evaluate_union(
-    g: &Graph,
-    q: &Query,
-    threads: NonZeroUsize,
-) -> Result<(Solutions, EvalStats), WorkerPanicked> {
-    match try_evaluate_union_cancel(g, q, threads, &CancelToken::none()) {
-        Ok(r) => Ok(r),
-        Err(UnionEvalError::Worker(w)) => Err(w),
-        Err(UnionEvalError::Cancelled) => {
-            unreachable!("a CancelToken::none() evaluation never cancels")
+/// Plans every branch that binds the whole projection (one distinct-counts
+/// pass for the union), returning the planned atom sequences sorted — so
+/// shared prefixes are contiguous and duplicated branches land in the same
+/// chunk. `None` if the token tripped between branches.
+fn plan_branches<'b, A: Copy + Into<RangeAtom> + 'b>(
+    job: Job<'_>,
+    branches: impl ExactSizeIterator<Item = &'b [A]>,
+    stats: &mut EvalStats,
+) -> Option<Vec<Vec<RangeAtom>>> {
+    let dc = DistinctCounts::of(job.g);
+    stats.branches_total = branches.len();
+    let mut planned = Vec::with_capacity(branches.len());
+    for atoms in branches {
+        // Branch boundary: a deadline that expires while planning a
+        // hundreds-of-branches union stops before evaluation starts.
+        if job.cancel.is_cancelled() {
+            return None;
         }
+        let vars: FxHashSet<Variable> = atoms.iter().flat_map(|&a| a.into().variables()).collect();
+        if !job.q.projection.iter().all(|v| vars.contains(v)) {
+            stats.branches_pruned += 1;
+            continue;
+        }
+        let plan = plan_atoms(job.g, &dc, atoms, job.ranges);
+        let seq: Vec<RangeAtom> = plan.order.iter().map(|&i| atoms[i].into()).collect();
+        stats.patterns_total += seq.len();
+        stats.range_scans += seq.iter().filter(|a| a.has_range()).count() as u64;
+        planned.push(seq);
     }
+    planned.sort();
+    Some(planned)
 }
 
-/// [`try_evaluate_union`] with cooperative cancellation: `cancel` is
-/// polled at branch boundaries inside every worker (between trie roots),
-/// between the planning, evaluation and merge phases, and between shard
-/// merges. A tripped token aborts the query with
-/// [`UnionEvalError::Cancelled`]; no partial rows escape and no
-/// `sparql.union.*` counters for the abandoned pass are published
-/// (except `sparql.union.cancelled` itself), so a subsequent identical
-/// query behaves bit-identically to one that was never preceded by a
-/// cancelled run.
-pub fn try_evaluate_union_cancel(
+/// Runs `task` on each item on its own scoped worker. A panicking worker
+/// (a bug, or the armed `sparql.union.worker` failpoint) is caught here,
+/// so the scope joins cleanly, nothing shared is poisoned, and the panic
+/// surfaces as a [`WorkerPanicked`].
+fn fan_out<T: Send, R: Send>(
+    items: impl Iterator<Item = T>,
+    task: impl Fn(T) -> R + Sync,
+) -> Result<Vec<R>, WorkerPanicked> {
+    let task = &task;
+    std::thread::scope(|s| {
+        let handles: Vec<_> = items
+            .map(|item| {
+                s.spawn(move || {
+                    catch_unwind(AssertUnwindSafe(|| {
+                        fail_point!("sparql.union.worker");
+                        task(item)
+                    }))
+                    .map_err(|payload| WorkerPanicked::from_payload("sparql.union.worker", payload))
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("caught-panic worker never unwinds"))
+            .collect()
+    })
+}
+
+/// Evaluates `exe` with prefix sharing, range probes and up to `threads`
+/// parallel workers. Returns the same answer multiset as
+/// [`evaluate`](crate::evaluate) on the classical union (set-equal under
+/// `DISTINCT`, bag-equal otherwise), plus the [`EvalStats`] describing how
+/// it got there.
+///
+/// Cooperative cancellation: `cancel` is polled between planned branches,
+/// between trie roots and every [`CANCEL_POLL_STRIDE`] matched triples in
+/// every worker, and between shard merges. A tripped token aborts with
+/// [`UnionEvalError::Cancelled`]; no partial rows escape and no counters
+/// for the abandoned pass are published (except the family's `cancelled`
+/// tally), so an identical re-run behaves bit-identically. A worker panic
+/// surfaces as [`UnionEvalError::Worker`].
+pub fn try_execute(
     g: &Graph,
-    q: &Query,
+    exe: Executable<'_>,
     threads: NonZeroUsize,
     cancel: &CancelToken,
 ) -> Result<(Solutions, EvalStats), UnionEvalError> {
     let reg = obs::global();
-    let _total_span = reg.span("sparql.union.total");
-    let eval_start = Instant::now();
-    let mut stats = EvalStats {
-        branches_total: q.bgps.len(),
-        ..EvalStats::default()
+    let (q, family, ranges, dict) = match exe {
+        Executable::Plain(q) => (q, &PLAIN, &[][..], None),
+        Executable::Union(q) => (q, &UNION, &[][..], None),
+        Executable::Interval(iq) => (&iq.query, &RANGE, &iq.ranges[..], Some(&*iq.dict)),
     };
+    let job = Job {
+        g,
+        q,
+        ranges,
+        dict,
+        cancel,
+    };
+    let span = |name: Option<&'static str>| name.map(|n| reg.span(n));
+    let cancelled = || {
+        if let Some(name) = family.cancelled {
+            reg.add(name, 1);
+        }
+        UnionEvalError::Cancelled
+    };
+    let _total_span = span(family.total);
+    let eval_start = Instant::now();
+    let mut stats = EvalStats::default();
 
-    // Plan every branch once, with one distinct-counts pass for the whole
-    // union (the per-branch evaluator pays this walk per branch).
-    let plan_span = reg.span("sparql.union.plan");
-    let dc = DistinctCounts::of(g);
-    let mut branches: Vec<Vec<TriplePattern>> = Vec::with_capacity(q.bgps.len());
-    for bgp in &q.bgps {
-        // Branch boundary: a deadline that expires while planning a
-        // hundreds-of-branches union stops before evaluation starts.
-        if cancel.is_cancelled() {
-            reg.add("sparql.union.cancelled", 1);
-            return Err(UnionEvalError::Cancelled);
+    let plan_span = span(family.phases[0]);
+    let branches = match exe {
+        Executable::Plain(q) | Executable::Union(q) => {
+            plan_branches(job, q.bgps.iter().map(|b| &b.patterns[..]), &mut stats)
         }
-        let vars = bgp.variables();
-        if !q.projection.iter().all(|v| vars.contains(v)) {
-            stats.branches_pruned += 1;
-            continue;
+        Executable::Interval(iq) => {
+            stats.branches_collapsed = iq.branches_collapsed;
+            plan_branches(job, iq.branches.iter().map(|b| &b.atoms[..]), &mut stats)
         }
-        let plan = plan_bgp_with(g, &dc, bgp);
-        let seq: Vec<TriplePattern> = plan.order.iter().map(|&i| bgp.patterns[i]).collect();
-        stats.patterns_total += seq.len();
-        branches.push(seq);
     }
-    // Sorting makes shared prefixes contiguous, so chunking loses little
-    // sharing, and duplicated branches always land in the same chunk.
-    branches.sort();
+    .ok_or_else(cancelled)?;
     drop(plan_span);
 
     let workers = threads.get().min(branches.len()).max(1);
     stats.threads = workers;
     let shard_count = workers.next_power_of_two();
 
-    let eval_span = reg.span("sparql.union.eval");
-    let maybe_outputs: Vec<Option<WorkerOutput>> = if workers <= 1 {
-        vec![run_chunk(g, q, &branches, shard_count, cancel)]
+    let eval_span = span(family.phases[1]);
+    let outputs = if workers == 1 {
+        vec![run_chunk(job, &branches, shard_count)]
     } else {
         let per = branches.len().div_ceil(workers);
-        std::thread::scope(|s| {
-            let handles: Vec<_> = branches
-                .chunks(per)
-                .map(|chunk| {
-                    s.spawn(move || {
-                        // Panic isolation: a panicking worker (a bug, or
-                        // an armed failpoint) is caught here so the scope
-                        // joins cleanly and nothing shared is poisoned.
-                        catch_unwind(AssertUnwindSafe(|| {
-                            fail_point!("sparql.union.worker");
-                            run_chunk(g, q, chunk, shard_count, cancel)
-                        }))
-                        .map_err(|payload| {
-                            WorkerPanicked::from_payload("sparql.union.worker", payload)
-                        })
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("caught-panic worker never unwinds"))
-                .collect::<Result<Vec<_>, _>>()
+        fan_out(branches.chunks(per), |chunk| {
+            run_chunk(job, chunk, shard_count)
         })?
     };
     // One cancelled worker cancels the query: every sibling's output is
     // discarded here, whether or not it finished its chunk first.
-    let outputs: Vec<WorkerOutput> = match maybe_outputs.into_iter().collect() {
-        Some(outputs) => outputs,
-        None => {
-            reg.add("sparql.union.cancelled", 1);
-            return Err(UnionEvalError::Cancelled);
-        }
-    };
+    let outputs: Vec<WorkerOutput> = outputs
+        .into_iter()
+        .collect::<Option<_>>()
+        .ok_or_else(cancelled)?;
 
-    // Transpose worker outputs into per-shard merge tasks.
+    // Transpose worker outputs into per-shard merge tasks, keeping each
+    // worker's emitted-row count (skew here means poor balance).
     let mut shard_parts: Vec<Vec<Vec<Row>>> = (0..shard_count).map(|_| Vec::new()).collect();
-    // Per-worker emitted-row spread — skew here means poor balance.
-    // Recorded only once the whole query survives (below), so a pass
-    // cancelled during the merge publishes nothing.
     let mut worker_rows: Vec<u64> = Vec::with_capacity(workers);
     for out in outputs {
-        stats.scan_cache_hits += out.cache_hits;
-        stats.scan_cache_misses += out.cache_misses;
         stats.trie_nodes += out.trie_nodes;
         stats.branches_shared += out.shared_branches;
         worker_rows.push(out.shards.iter().map(|s| s.len() as u64).sum());
@@ -610,62 +685,31 @@ pub fn try_evaluate_union_cancel(
     drop(eval_span);
 
     // Merge phase: each shard deduplicates independently (disjoint
-    // writes), in parallel when several workers are available.
-    let merge_span = reg.span("sparql.union.merge");
+    // writes), one worker per shard when several workers ran. A tripped
+    // token stops it at a shard boundary, and the final poll discards a
+    // merge the token interrupted.
+    let merge_span = span(family.phases[2]);
     let merge_start = Instant::now();
-    let mut merged: Vec<Vec<Row>> = (0..shard_count).map(|_| Vec::new()).collect();
-    if workers > 1 && shard_count > 1 {
-        let mut tasks: Vec<Option<Vec<Vec<Row>>>> = shard_parts.into_iter().map(Some).collect();
-        let per = shard_count.div_ceil(workers);
-        std::thread::scope(|s| {
-            let handles: Vec<_> = tasks
-                .chunks_mut(per)
-                .zip(merged.chunks_mut(per))
-                .map(|(task_chunk, out_chunk)| {
-                    s.spawn(move || {
-                        catch_unwind(AssertUnwindSafe(|| {
-                            fail_point!("sparql.union.worker");
-                            for (task, out) in task_chunk.iter_mut().zip(out_chunk.iter_mut()) {
-                                // Shard boundary: a tripped token stops
-                                // the merge; the final poll below turns
-                                // the partial merge into `Cancelled`.
-                                if cancel.is_cancelled() {
-                                    return;
-                                }
-                                *out = merge_shard(task.take().expect("merge task"), q.distinct);
-                            }
-                        }))
-                        .map_err(|payload| {
-                            WorkerPanicked::from_payload("sparql.union.worker", payload)
-                        })
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .try_for_each(|h| h.join().expect("caught-panic worker never unwinds"))
-        })?;
+    let merge = |parts| (!cancel.is_cancelled()).then(|| merge_shard(parts, q.distinct));
+    let merged = if workers == 1 {
+        shard_parts.into_iter().map(merge).collect()
     } else {
-        for (parts, out) in shard_parts.into_iter().zip(merged.iter_mut()) {
-            if cancel.is_cancelled() {
-                break;
-            }
-            *out = merge_shard(parts, q.distinct);
-        }
-    }
-    // A token tripped during the merge left `merged` partial — discard it.
-    if cancel.is_cancelled() {
-        reg.add("sparql.union.cancelled", 1);
-        return Err(UnionEvalError::Cancelled);
-    }
-    let rows: Vec<Row> = merged.into_iter().flatten().collect();
+        fan_out(shard_parts.into_iter(), merge)?
+            .into_iter()
+            .collect::<Option<Vec<_>>>()
+    };
+    let mut merged = merged
+        .filter(|_| !cancel.is_cancelled())
+        .ok_or_else(cancelled)?;
+    // One shard (one worker) is moved out whole, not copied row by row.
+    let rows: Vec<Row> = match merged.len() {
+        1 => merged.pop().expect("one shard"),
+        _ => merged.into_iter().flatten().collect(),
+    };
     stats.merge_us = merge_start.elapsed().as_micros() as u64;
     stats.rows = rows.len();
     drop(merge_span);
-    for rows in worker_rows {
-        reg.record("sparql.union.worker_rows", rows);
-    }
-    publish_stats(reg, &stats);
+    (family.publish)(reg, &stats, &worker_rows);
 
     let var_names = q
         .projection
@@ -673,6 +717,45 @@ pub fn try_evaluate_union_cancel(
         .map(|&v| q.var_name(v).to_owned())
         .collect();
     Ok((Solutions { var_names, rows }, stats))
+}
+
+/// [`try_execute`] without a deadline, surfacing a worker panic.
+pub(crate) fn try_run(
+    g: &Graph,
+    exe: Executable<'_>,
+    threads: NonZeroUsize,
+) -> Result<(Solutions, EvalStats), WorkerPanicked> {
+    try_execute(g, exe, threads, &CancelToken::none()).map_err(|e| match e {
+        UnionEvalError::Worker(w) => w,
+        UnionEvalError::Cancelled => unreachable!("a CancelToken::none() evaluation never cancels"),
+    })
+}
+
+/// [`try_run`] that re-runs single-threaded — which spawns no workers —
+/// if a worker panics, so it always answers.
+pub(crate) fn run(g: &Graph, exe: Executable<'_>, threads: NonZeroUsize) -> (Solutions, EvalStats) {
+    try_run(g, exe, threads).unwrap_or_else(|_| {
+        try_run(g, exe, NonZeroUsize::MIN).expect("single-threaded evaluation spawns no workers")
+    })
+}
+
+/// Evaluates a reformulated union `q_ref` with up to `threads` workers,
+/// publishing `sparql.union.*`. A worker panic is absorbed by a
+/// single-threaded re-run, which computes the identical answer — callers
+/// that want the panic surfaced use [`try_evaluate_union`].
+pub fn evaluate_union(g: &Graph, q: &Query, threads: NonZeroUsize) -> (Solutions, EvalStats) {
+    run(g, Executable::Union(q), threads)
+}
+
+/// [`evaluate_union`] that surfaces a worker panic as a structured
+/// [`WorkerPanicked`] error instead of falling back. No partial answer
+/// escapes: the routed row shards of a failed pass are dropped whole.
+pub fn try_evaluate_union(
+    g: &Graph,
+    q: &Query,
+    threads: NonZeroUsize,
+) -> Result<(Solutions, EvalStats), WorkerPanicked> {
+    try_run(g, Executable::Union(q), threads)
 }
 
 #[cfg(test)]
@@ -745,21 +828,26 @@ mod tests {
     }
 
     #[test]
-    fn scan_cache_hits_across_subtrees() {
-        // Both branches end with the same disconnected probe
-        // (`?a ex:hasFriend ?b`, always resolving to the same pattern)
-        // after *different* first atoms, so the trie cannot share it —
-        // but the scan cache answers the repeats.
-        let q = "PREFIX ex: <http://ex/> SELECT ?x WHERE \
-                 { { ?x ex:knows ?k . ?a ex:hasFriend ?b } \
-                   UNION { ?x a ex:Person . ?a ex:hasFriend ?b } }";
-        let (g, query) = fixture(q);
-        let (got, stats) = evaluate_union(&g, &query, threads(1));
-        assert_eq!(got.sorted_rows(), evaluate(&g, &query).sorted_rows());
-        assert!(
-            stats.scan_cache_hits > 0,
-            "repeated probes memoized: {stats:?}"
-        );
+    fn single_branch_walk_polls_every_stride() {
+        let mut dict = Dictionary::new();
+        let mut g = Graph::new();
+        let p = dict.encode_iri("http://ex/p");
+        for i in 0..2000 {
+            let s = dict.encode_iri(&format!("http://ex/s{i}"));
+            g.insert(Triple::new(s, p, s));
+        }
+        let q = parse_query("SELECT ?x WHERE { ?x <http://ex/p> ?y }", &mut dict).unwrap();
+        let run = |trip: u64| {
+            let token = CancelToken::trip_after_checks(trip);
+            try_execute(&g, Executable::Plain(&q), threads(1), &token)
+        };
+        // Polls: planning (1), the trie root (2), the 1st, 513th, 1025th
+        // and 1537th matched triple (3-6), the shard merge (7), the final
+        // check (8). Trip 4 stops the walk of a one-branch query midway.
+        assert!(matches!(run(4), Err(UnionEvalError::Cancelled)));
+        assert!(matches!(run(8), Err(UnionEvalError::Cancelled)));
+        let (sols, _) = run(9).expect("a trip past every poll answers");
+        assert_eq!(sols.len(), 2000);
     }
 
     #[test]

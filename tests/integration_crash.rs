@@ -308,21 +308,27 @@ mod panic_isolation {
     #[test]
     fn union_worker_panic_surfaces_as_a_structured_error() {
         let _g = serial();
-        let mut store = Store::new_with_threads(
-            ReasoningConfig::Reformulation,
-            NonZeroUsize::new(2).unwrap(),
-        );
-        store.load_turtle(ZOO).expect("zoo loads");
+        // The range axiom gives MAMMALS a second branch under both
+        // rewritings, so two workers are spawned for the failpoint to hit.
+        let zoo = format!("{ZOO}ex:owns rdfs:range ex:Mammal .\nex:Ann ex:owns ex:Rex .\n");
+        for config in [ReasoningConfig::Reformulation, ReasoningConfig::Interval] {
+            let mut store = Store::new_with_threads(config, NonZeroUsize::new(2).unwrap());
+            store.load_turtle(&zoo).expect("zoo loads");
 
-        webreason_failpoints::configure("sparql.union.worker=panic");
-        match store.answer_sparql(MAMMALS) {
-            Err(AnswerError::Worker(e)) => assert_eq!(e.site, "sparql.union.worker"),
-            other => panic!("expected a worker panic, got {other:?}"),
+            webreason_failpoints::configure("sparql.union.worker=panic");
+            match store.answer_sparql(MAMMALS) {
+                Err(AnswerError::Worker(e)) => assert_eq!(e.site, "sparql.union.worker"),
+                other => panic!("expected a worker panic under {config:?}, got {other:?}"),
+            }
+
+            // The store is not poisoned: disarmed, the same query answers.
+            webreason_failpoints::configure("");
+            assert_eq!(
+                store.answer_sparql(MAMMALS).expect("answers").len(),
+                2,
+                "Tom the cat and Rex the owned mammal under {config:?}"
+            );
         }
-
-        // The store is not poisoned: disarmed, the same query answers.
-        webreason_failpoints::configure("");
-        assert_eq!(store.answer_sparql(MAMMALS).expect("answers").len(), 1);
     }
 
     #[test]
