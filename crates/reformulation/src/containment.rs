@@ -13,11 +13,16 @@
 //!   rest (typically carrying only fresh existential variables) are
 //!   removed;
 //! * [`prune_subsumed`] — drops union branches whose answers are already
-//!   produced by a more general branch.
+//!   produced by a more general branch;
+//! * [`drop_entailed`] — drops atoms another atom of the same BGP entails
+//!   under the closed schema: the interval rewriter's containment step,
+//!   taken before the rewriting instead of over the union it produces.
 //!
-//! All three preserve answer-set semantics, which the reformulation
+//! All four preserve answer-set semantics, which the reformulation
 //! contract (`q_ref(G) = q(G∞)`) is property-tested under.
 
+use rdf_model::Vocab;
+use rdfs::Schema;
 use rustc_hash::FxHashSet;
 use sparql::{Bgp, QTerm, TriplePattern, Variable};
 
@@ -185,6 +190,65 @@ pub fn prune_subsumed(branches: &mut Vec<Bgp>, fixed: &FxHashSet<Variable>) -> u
     *branches = kept;
     branches.sort();
     before - branches.len()
+}
+
+/// Whether atom `by` entails atom `a` under the closed `schema`: every
+/// triple matching `by` in `G∞` puts `a`'s triple (same bindings) in `G∞`.
+fn entails(by: &TriplePattern, a: &TriplePattern, schema: &Schema, vocab: &Vocab) -> bool {
+    let (QTerm::Const(p), QTerm::Const(ap)) = (by.p, a.p) else {
+        return false;
+    };
+    if ap != vocab.rdf_type {
+        // rdfs7: `s P' o` entails `s P o` for P' ⊑ P.
+        return by.s == a.s && by.o == a.o && schema.sub_properties(ap).contains(&p);
+    }
+    let QTerm::Const(class) = a.o else {
+        return false;
+    };
+    // rdfs9: `s rdf:type C'` with C' ⊑ C.
+    (p == vocab.rdf_type
+        && by.s == a.s
+        && by.o.as_const().is_some_and(|c| schema.sub_classes(class).contains(&c)))
+        // rdfs2: `s P o` with C a (closed) domain of P.
+        || (by.s == a.s && schema.domains(p).contains(&class))
+        // rdfs3: `o' P s` with C a (closed) range of P.
+        || (by.o == a.s && schema.ranges(p).contains(&class))
+}
+
+/// Drops from `atoms` every atom that another remaining atom entails under
+/// the closed `schema`, after removing repeats; the kept atoms stay in
+/// input order.
+///
+/// Atoms are removed one at a time, each checked against the atoms still
+/// remaining, so a cycle (`p0 ⊑ p1 ⊑ p0`) keeps exactly one of its atoms.
+/// Sound under answer-set semantics: every variable of a dropped atom
+/// occurs in the atom entailing it, so the remaining conjunction has the
+/// same answers over `G∞`.
+pub(crate) fn drop_entailed(
+    atoms: &[TriplePattern],
+    schema: &Schema,
+    vocab: &Vocab,
+) -> Vec<TriplePattern> {
+    let mut kept: Vec<TriplePattern> = Vec::with_capacity(atoms.len());
+    for tp in atoms {
+        if !kept.contains(tp) {
+            kept.push(*tp);
+        }
+    }
+    let mut i = 0;
+    while i < kept.len() {
+        let a = &kept[i];
+        let entailed = kept
+            .iter()
+            .enumerate()
+            .any(|(j, by)| j != i && entails(by, a, schema, vocab));
+        if entailed {
+            kept.remove(i);
+        } else {
+            i += 1;
+        }
+    }
+    kept
 }
 
 #[cfg(test)]

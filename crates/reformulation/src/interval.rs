@@ -24,12 +24,16 @@
 //! union branches each alternative replaces partition the matching
 //! triples by their concrete term, so the produced bag of answers equals
 //! the union evaluator's.
+//!
+//! Before any alternative is built, atoms another atom of the same BGP
+//! entails under the schema are dropped ([`drop_entailed`]), so a type
+//! atom implied by a property atom's domain or range costs no branches.
 
-use crate::{check_dialect, ReformulationError};
+use crate::{check_dialect, containment::drop_entailed, ReformulationError};
 use rdf_model::{IntervalDict, IntervalSet, TermId, Vocab};
 use rdfs::Schema;
 use rustc_hash::FxHashMap;
-use sparql::{IntervalQuery, QTerm, Query, RTerm, RangeAtom, RangeBgp, Variable};
+use sparql::{IntervalQuery, QTerm, Query, RTerm, RangeAtom, RangeBgp, TriplePattern, Variable};
 use std::sync::Arc;
 
 /// Interns interval sets so identical ranges share one table slot.
@@ -90,53 +94,64 @@ pub fn reformulate_intervals(
     let mut table = RangeTable::new();
     let mut branches: Vec<RangeBgp> = Vec::new();
     let mut union_branches: usize = 0;
+    let mut atoms_entailed: usize = 0;
+    // How many branches classical reformulation derives from one atom.
+    let coverage_len = |t: TermId| idict.coverage(t).map_or(1, |cov| cov.len().max(1));
+    let atom_unions = |tp: &TriplePattern| match tp.p {
+        QTerm::Const(p) if p == vocab.rdf_type => {
+            let class = tp.o.as_const().expect("dialect check admits const classes");
+            coverage_len(class)
+                + schema.properties_with_domain(class).len()
+                + schema.properties_with_range(class).len()
+        }
+        QTerm::Const(p) => coverage_len(p),
+        QTerm::Var(_) => unreachable!("dialect check rejects variable properties"),
+    };
 
     for bgp in &q.bgps {
+        // `union_branches` counts the raw per-atom rewriting product of
+        // the *input* BGP, before entailed atoms are dropped and before
+        // core minimisation — what the hierarchy unions would have cost.
+        union_branches = union_branches.saturating_add(
+            bgp.patterns
+                .iter()
+                .fold(1usize, |n, tp| n.saturating_mul(atom_unions(tp))),
+        );
+        let kept = drop_entailed(&bgp.patterns, schema, vocab);
+        atoms_entailed += bgp.patterns.len() - kept.len();
+
         // Per-atom alternative lists; the branch set is their cross
-        // product. `union_count` tracks how many branches the classical
-        // union reformulation would hold for this BGP (the raw per-atom
-        // rewriting product, before core minimisation).
+        // product.
         let mut alts_per_atom: Vec<Vec<RangeAtom>> = Vec::new();
-        let mut union_count: usize = 1;
-        for tp in &bgp.patterns {
+        for tp in &kept {
             let s = rterm(tp.s);
             let o = rterm(tp.o);
             let mut alts: Vec<RangeAtom> = Vec::new();
-            let mut atom_unions = 0usize;
+            let range_of = |t: TermId, table: &mut RangeTable| match idict.coverage(t) {
+                Some(cov) if cov.len() > 1 => RTerm::Range(table.intern(cov.clone())),
+                _ => RTerm::Const(t),
+            };
             match tp.p {
                 QTerm::Const(p) if p == vocab.rdf_type => {
                     let class = tp.o.as_const().expect("dialect check admits const classes");
                     // rdfs9 collapsed: C ∪ subclasses as one object range.
-                    let obj = match idict.coverage(class) {
-                        Some(cov) if cov.len() > 1 => {
-                            atom_unions += cov.len();
-                            RTerm::Range(table.intern(cov.clone()))
-                        }
-                        _ => {
-                            atom_unions += 1;
-                            RTerm::Const(class)
-                        }
-                    };
                     alts.push(RangeAtom {
                         s,
                         p: RTerm::Const(p),
-                        o: obj,
+                        o: range_of(class, &mut table),
                     });
                     // rdfs2 ∘ rdfs7 collapsed: all properties whose closed
                     // domain contains C, as one property range with a
-                    // fresh object. One fresh variable serves both the
-                    // domain and range alternative of this atom (they are
-                    // never in the same branch... they are — see below —
-                    // but each alternative binds it at most once).
+                    // fresh object; rdfs3 ∘ rdfs7 is its mirror with a
+                    // fresh subject. The two alternatives never share a
+                    // branch, so they share one fresh variable.
                     let mut fresh_var: Option<Variable> = None;
                     let prop_range = |props: &rustc_hash::FxHashSet<TermId>,
-                                      table: &mut RangeTable,
-                                      atom_unions: &mut usize|
+                                      table: &mut RangeTable|
                      -> Option<RTerm> {
                         if props.is_empty() {
                             return None;
                         }
-                        *atom_unions += props.len();
                         let ids: Vec<u32> = props
                             .iter()
                             .filter_map(|&pp| idict.interval_id(pp))
@@ -148,11 +163,7 @@ pub fn reformulate_intervals(
                         );
                         Some(RTerm::Range(table.intern(IntervalSet::from_ids(ids))))
                     };
-                    if let Some(pr) = prop_range(
-                        schema.properties_with_domain(class),
-                        &mut table,
-                        &mut atom_unions,
-                    ) {
+                    if let Some(pr) = prop_range(schema.properties_with_domain(class), &mut table) {
                         let y = *fresh_var.get_or_insert_with(|| fresh(&mut var_names));
                         alts.push(RangeAtom {
                             s,
@@ -160,12 +171,7 @@ pub fn reformulate_intervals(
                             o: RTerm::Var(y),
                         });
                     }
-                    // rdfs3 ∘ rdfs7 collapsed: symmetric, fresh subject.
-                    if let Some(pr) = prop_range(
-                        schema.properties_with_range(class),
-                        &mut table,
-                        &mut atom_unions,
-                    ) {
+                    if let Some(pr) = prop_range(schema.properties_with_range(class), &mut table) {
                         let y = *fresh_var.get_or_insert_with(|| fresh(&mut var_names));
                         alts.push(RangeAtom {
                             s: RTerm::Var(y),
@@ -176,24 +182,16 @@ pub fn reformulate_intervals(
                 }
                 QTerm::Const(p) => {
                     // rdfs7 collapsed: P ∪ subproperties as one property range.
-                    let prop = match idict.coverage(p) {
-                        Some(cov) if cov.len() > 1 => {
-                            atom_unions += cov.len();
-                            RTerm::Range(table.intern(cov.clone()))
-                        }
-                        _ => {
-                            atom_unions += 1;
-                            RTerm::Const(p)
-                        }
-                    };
-                    alts.push(RangeAtom { s, p: prop, o });
+                    alts.push(RangeAtom {
+                        s,
+                        p: range_of(p, &mut table),
+                        o,
+                    });
                 }
                 QTerm::Var(_) => unreachable!("dialect check rejects variable properties"),
             }
-            union_count = union_count.saturating_mul(atom_unions.max(1));
             alts_per_atom.push(alts);
         }
-        union_branches = union_branches.saturating_add(union_count);
 
         // Cross product of the alternatives (≤ 3^|atoms| branches).
         let mut combos: Vec<Vec<RangeAtom>> = vec![Vec::new()];
@@ -242,6 +240,7 @@ pub fn reformulate_intervals(
         ranges: table.sets,
         union_branches,
         branches_collapsed,
+        atoms_entailed,
         dict: idict,
     })
 }
@@ -372,12 +371,58 @@ mod tests {
             &mut f,
             "PREFIX ex: <http://ex/> SELECT ?x ?y WHERE { ?x ex:worksFor ?y . ?x a ex:Person }",
         );
-        assert!(
-            iq.branches.len() <= 2,
-            "2 worksFor alts × (1 type + 1 domain) = {} branches",
-            iq.branches.len()
-        );
+        // Person is a (closed) domain of worksFor: the type atom is
+        // entailed and dropped, leaving the one worksFor ∪ teaches range.
+        assert_eq!(iq.branches.len(), 1);
+        assert_eq!(iq.atoms_entailed, 1);
         assert!(iq.union_branches >= 10, "raw union product");
+    }
+
+    #[test]
+    fn type_atoms_entailed_by_property_atoms_are_dropped() {
+        let mut f = setup(UNIVERSITY);
+        // Employee is worksFor's domain and Org its range: the property
+        // atom entails both type atoms.
+        let iq = assert_three_way(
+            &mut f,
+            "PREFIX ex: <http://ex/> SELECT ?x ?y WHERE { \
+             ?x a ex:Employee . ?x ex:worksFor ?y . ?y a ex:Org }",
+        );
+        assert_eq!(iq.branches.len(), 1);
+        assert_eq!(iq.branches[0].atoms.len(), 1);
+        assert_eq!(iq.atoms_entailed, 2);
+        // The counter still reports the raw product of the input BGP:
+        // (Employee, Professor, worksFor, teaches) × (worksFor, teaches)
+        // × (Org, worksFor, teaches).
+        assert_eq!(iq.union_branches, 4 * 2 * 3);
+        // A subclass atom entails its superclass atom.
+        let iq = assert_three_way(
+            &mut f,
+            "PREFIX ex: <http://ex/> SELECT ?x WHERE { ?x a ex:Person . ?x a ex:Professor }",
+        );
+        assert_eq!(iq.atoms_entailed, 1);
+        assert_eq!(iq.branches.len(), 1, "Professor has no domain properties");
+    }
+
+    #[test]
+    fn cyclic_subproperties_keep_exactly_one_atom() {
+        let mut f = setup(
+            r#"
+            @prefix ex: <http://ex/> .
+            @prefix rdfs: <http://www.w3.org/2000/01/rdf-schema#> .
+            ex:p0 rdfs:subPropertyOf ex:p1 .
+            ex:p1 rdfs:subPropertyOf ex:p0 .
+            ex:a ex:p0 ex:b .
+            ex:c ex:p1 ex:d .
+        "#,
+        );
+        let iq = assert_three_way(
+            &mut f,
+            "PREFIX ex: <http://ex/> SELECT ?x ?y WHERE { ?x ex:p0 ?y . ?x ex:p1 ?y . ?x ex:p0 ?y }",
+        );
+        assert_eq!(iq.atoms_entailed, 2, "one repeat, one cycle partner");
+        assert_eq!(iq.branches.len(), 1);
+        assert_eq!(iq.branches[0].atoms.len(), 1, "the cycle keeps one atom");
     }
 
     #[test]

@@ -5,10 +5,10 @@
 //! Ordering dominates cost, so the planner picks a greedy order:
 //!
 //! 1. estimate each atom's result cardinality from exact index counts
-//!    (constants bound) discounted by the selectivity of already-bound
-//!    variables (System-R style `1/V(attr)` with `V` approximated by the
-//!    graph's distinct subject/property/object counts), and scaled by the
-//!    fraction of a position's distinct values a hierarchy range admits;
+//!    (constants bound; a hierarchy range counted member by member)
+//!    discounted by the selectivity of already-bound variables (System-R
+//!    style `1/V(attr)` with `V` approximated by the graph's distinct
+//!    subject/property/object counts);
 //! 2. repeatedly choose the cheapest atom *connected* to the variables
 //!    bound so far (avoiding cartesian products unless forced).
 //!
@@ -20,7 +20,7 @@
 
 use crate::ast::{Bgp, Variable};
 use crate::range_eval::{RTerm, RangeAtom};
-use rdf_model::{Graph, IntervalSet, Pattern};
+use rdf_model::{Graph, IntervalDict, IntervalSet, Pattern, TermId};
 use rustc_hash::FxHashSet;
 
 /// A join order for one BGP, with the planner's cardinality estimates.
@@ -57,30 +57,53 @@ impl DistinctCounts {
 
 /// Estimated number of matches of `atom` given the variables in `bound`
 /// are already fixed (to unknown values): the exact count of the constant
-/// skeleton (ranges count as wildcards), divided by `V(position)` per
-/// bound-variable position and scaled by `|range| / V(position)` per range
-/// position.
+/// skeleton, divided by `V(position)` per bound-variable position. The
+/// first range position is counted exactly as the sum over the range's
+/// members of the skeleton count with that member in place (|range| O(1)
+/// counter lookups); a further range position counts as a wildcard scaled
+/// by `|range| / V(position)`, and so does every range when no `dict` is
+/// given.
 fn estimate(
     g: &Graph,
     dc: &DistinctCounts,
     atom: &RangeAtom,
     ranges: &[IntervalSet],
+    dict: Option<&IntervalDict>,
     bound: &FxHashSet<Variable>,
 ) -> f64 {
-    let as_const = |t: RTerm| match t {
+    let positions = [atom.s, atom.p, atom.o];
+    let skeleton = positions.map(|t| match t {
         RTerm::Const(c) => Some(c),
         _ => None,
+    });
+    let count = |sk: [Option<TermId>; 3]| g.count(&Pattern::new(sk[0], sk[1], sk[2])) as f64;
+    let exact = dict.and_then(|d| {
+        positions.iter().enumerate().find_map(|(i, t)| match *t {
+            RTerm::Range(r) => Some((i, d, &ranges[usize::from(r)])),
+            _ => None,
+        })
+    });
+    let mut est = match exact {
+        Some((pos, d, set)) => d
+            .members(set)
+            .map(|member| {
+                let mut sk = skeleton;
+                sk[pos] = Some(member);
+                count(sk)
+            })
+            .sum(),
+        None => count(skeleton),
     };
-    let skeleton = Pattern::new(as_const(atom.s), as_const(atom.p), as_const(atom.o));
-    let mut est = g.count(&skeleton) as f64;
-    for (t, distinct) in [
-        (atom.s, dc.subjects),
-        (atom.p, dc.properties),
-        (atom.o, dc.objects),
-    ] {
+    for (i, (t, distinct)) in positions
+        .into_iter()
+        .zip([dc.subjects, dc.properties, dc.objects])
+        .enumerate()
+    {
         match t {
             RTerm::Var(v) if bound.contains(&v) => est /= distinct,
-            RTerm::Range(r) => est *= (ranges[usize::from(r)].len() as f64 / distinct).min(1.0),
+            RTerm::Range(r) if exact.is_none_or(|(pos, ..)| pos != i) => {
+                est *= (ranges[usize::from(r)].len() as f64 / distinct).min(1.0)
+            }
             _ => {}
         }
     }
@@ -95,16 +118,17 @@ pub fn plan_bgp(g: &Graph, bgp: &Bgp) -> PlannedBgp {
 /// [`plan_bgp`] with precomputed distinct-value counts, so a union of many
 /// branches pays the graph walk once instead of once per branch.
 pub fn plan_bgp_with(g: &Graph, dc: &DistinctCounts, bgp: &Bgp) -> PlannedBgp {
-    plan_atoms(g, dc, &bgp.patterns, &[])
+    plan_atoms(g, dc, &bgp.patterns, &[], None)
 }
 
 /// The greedy join order of one conjunctive branch whose range positions
-/// index into `ranges`.
+/// index into `ranges`, members resolved through `dict` (see [`estimate`]).
 pub(crate) fn plan_atoms<A: Copy + Into<RangeAtom>>(
     g: &Graph,
     dc: &DistinctCounts,
     atoms: &[A],
     ranges: &[IntervalSet],
+    dict: Option<&IntervalDict>,
 ) -> PlannedBgp {
     let atom = |i: usize| -> RangeAtom { atoms[i].into() };
     let mut remaining: Vec<usize> = (0..atoms.len()).collect();
@@ -127,7 +151,7 @@ pub(crate) fn plan_atoms<A: Copy + Into<RangeAtom>>(
         }
         let (best, best_est) = candidates
             .iter()
-            .map(|&i| (i, estimate(g, dc, &atom(i), ranges, &bound)))
+            .map(|&i| (i, estimate(g, dc, &atom(i), ranges, dict, &bound)))
             .min_by(|a, b| a.1.total_cmp(&b.1))
             .expect("candidates nonempty");
         remaining.retain(|&i| i != best);
@@ -149,7 +173,7 @@ pub fn plan_textual(bgp: &Bgp) -> PlannedBgp {
 mod tests {
     use super::*;
     use crate::ast::{QTerm, TriplePattern};
-    use rdf_model::{Dictionary, TermId, Triple};
+    use rdf_model::{Dictionary, Triple};
 
     fn build() -> (Dictionary, Graph, TermId, TermId, TermId) {
         let mut d = Dictionary::new();
@@ -245,6 +269,70 @@ mod tests {
         let plan = plan_bgp(&g, &Bgp::default());
         assert!(plan.order.is_empty());
         assert_eq!(plan_textual(&Bgp::default()).order.len(), 0);
+    }
+
+    #[test]
+    fn range_estimate_is_the_exact_member_sum() {
+        // A 3-member class range: A has 1 000 instances, B and C one each.
+        // 200 filler objects make the uniform `|range| / V(objects)`
+        // guess (≈ 15 rows) undercut a 20-row constant atom; the exact
+        // member sum does not.
+        let mut d = Dictionary::new();
+        let ty = d.encode_iri("http://ex/type");
+        let [a, b, c] = ["A", "B", "C"].map(|n| d.encode_iri(&format!("http://ex/{n}")));
+        let (p, o, filler) = (
+            d.encode_iri("http://ex/p"),
+            d.encode_iri("http://ex/o"),
+            d.encode_iri("http://ex/filler"),
+        );
+        let mut g = Graph::new();
+        for i in 0..1_000 {
+            let s = d.encode_iri(&format!("http://ex/a{i}"));
+            g.insert(Triple::new(s, ty, a));
+            if i < 20 {
+                g.insert(Triple::new(s, p, o));
+            }
+        }
+        for (name, class) in [("b", b), ("c", c)] {
+            g.insert(Triple::new(
+                d.encode_iri(&format!("http://ex/{name}")),
+                ty,
+                class,
+            ));
+        }
+        for i in 0..200 {
+            let obj = d.encode_iri(&format!("http://ex/f{i}"));
+            g.insert(Triple::new(filler, filler, obj));
+        }
+        let idict = IntervalDict::build(&[(b, a), (c, a)], &[]);
+        let ranges = vec![idict.coverage(a).unwrap().clone()];
+        assert_eq!(ranges[0].len(), 3);
+        let x = RTerm::Var(Variable(0));
+        let atoms = [
+            RangeAtom {
+                s: x,
+                p: RTerm::Const(ty),
+                o: RTerm::Range(0),
+            },
+            RangeAtom {
+                s: x,
+                p: RTerm::Const(p),
+                o: RTerm::Const(o),
+            },
+        ];
+        let dc = DistinctCounts::of(&g);
+        let none = FxHashSet::default();
+        assert_eq!(
+            estimate(&g, &dc, &atoms[0], &ranges, Some(&idict), &none),
+            1_002.0
+        );
+        let plan = plan_atoms(&g, &dc, &atoms, &ranges, Some(&idict));
+        assert_eq!(plan.order, vec![1, 0], "the 20-row constant atom drives");
+        assert_eq!(plan.estimates[0], 20.0);
+        // Without the dictionary the range falls back to the uniform
+        // fraction, which the 200 filler objects push below 20.
+        let uniform = estimate(&g, &dc, &atoms[0], &ranges, None, &none);
+        assert!(uniform < 20.0, "{uniform}");
     }
 
     #[test]

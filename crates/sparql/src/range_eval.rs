@@ -115,11 +115,15 @@ pub struct IntervalQuery {
     pub branches: Vec<RangeBgp>,
     /// The interval sets referenced by [`RTerm::Range`] indices.
     pub ranges: Vec<IntervalSet>,
-    /// How many branches the classical union reformulation would hold.
+    /// How many branches the classical union reformulation would hold:
+    /// the raw per-atom rewriting product of the input BGPs.
     pub union_branches: usize,
     /// `union_branches` minus `branches.len()`: hierarchy unions replaced
-    /// by range scans.
+    /// by range scans, plus the branches entailed atoms would have added.
     pub branches_collapsed: usize,
+    /// Input atoms dropped before rewriting because another atom of the
+    /// same BGP entails them under the schema (a repeated atom counts).
+    pub atoms_entailed: usize,
     /// The interval encoding the ranges index into.
     pub dict: Arc<IntervalDict>,
 }
@@ -133,16 +137,17 @@ impl IntervalQuery {
         let mut out = String::new();
         let _ = writeln!(
             out,
-            "{} union branches -> {} interval branches ({} collapsed, {} ranges)",
+            "{} union branches -> {} interval branches ({} collapsed, {} ranges, {} atoms entailed)",
             self.union_branches,
             self.branches.len(),
             self.branches_collapsed,
             self.ranges.len(),
+            self.atoms_entailed,
         );
         let dc = DistinctCounts::of(g);
         for (bi, branch) in self.branches.iter().enumerate() {
             let _ = writeln!(out, "branch {bi}:");
-            let plan = plan_atoms(g, &dc, &branch.atoms, &self.ranges);
+            let plan = plan_atoms(g, &dc, &branch.atoms, &self.ranges, Some(&self.dict));
             for (step, (&i, est)) in plan.order.iter().zip(&plan.estimates).enumerate() {
                 let atom = &branch.atoms[i];
                 let pos = |t: RTerm| -> String {
@@ -271,6 +276,7 @@ mod tests {
             ranges: vec![cov],
             union_branches,
             branches_collapsed: union_branches - 1,
+            atoms_entailed: 0,
             dict: Arc::clone(&f.idict),
         }
     }
@@ -358,6 +364,7 @@ mod tests {
             ranges: vec![cov],
             union_branches: 3,
             branches_collapsed: 2,
+            atoms_entailed: 0,
             dict: Arc::clone(&f.idict),
         };
         let (sols, _) = evaluate_interval(&f.g, &iq, NonZeroUsize::MIN);
@@ -402,6 +409,7 @@ mod tests {
             ranges: vec![cov],
             union_branches: 2,
             branches_collapsed: 1,
+            atoms_entailed: 0,
             dict: idict,
         };
         let (sols, _) = evaluate_interval(&g, &iq, NonZeroUsize::MIN);

@@ -555,7 +555,7 @@ fn plan_branches<'b, A: Copy + Into<RangeAtom> + 'b>(
             stats.branches_pruned += 1;
             continue;
         }
-        let plan = plan_atoms(job.g, &dc, atoms, job.ranges);
+        let plan = plan_atoms(job.g, &dc, atoms, job.ranges, job.dict);
         let seq: Vec<RangeAtom> = plan.order.iter().map(|&i| atoms[i].into()).collect();
         stats.patterns_total += seq.len();
         stats.range_scans += seq.iter().filter(|a| a.has_range()).count() as u64;

@@ -183,6 +183,8 @@ struct DiffScenario {
     types: Vec<(u8, u8)>,
     query_class: u8,
     query_prop: u8,
+    query_class2: u8,
+    query_prop2: u8,
 }
 
 fn arb_diff_scenario() -> impl Strategy<Value = DiffScenario> {
@@ -195,9 +197,22 @@ fn arb_diff_scenario() -> impl Strategy<Value = DiffScenario> {
         proptest::collection::vec((0u8..8, 0u8..5), 0..12),
         0u8..5,
         0u8..4,
+        0u8..5,
+        0u8..4,
     )
         .prop_map(
-            |(sub_class, sub_prop, domain, range, facts, types, query_class, query_prop)| {
+            |(
+                sub_class,
+                sub_prop,
+                domain,
+                range,
+                facts,
+                types,
+                query_class,
+                query_prop,
+                query_class2,
+                query_prop2,
+            )| {
                 DiffScenario {
                     sub_class,
                     sub_prop,
@@ -207,6 +222,8 @@ fn arb_diff_scenario() -> impl Strategy<Value = DiffScenario> {
                     types,
                     query_class,
                     query_prop,
+                    query_class2,
+                    query_prop2,
                 }
             },
         )
@@ -347,26 +364,32 @@ proptest! {
     /// On random graphs, schemas (cyclic included) and queries, the
     /// union-aware evaluator matches `q(G∞)` and the legacy per-branch
     /// evaluator at 1, 2 and 4 threads, under both set and bag semantics.
+    /// The two-atom shapes are the ones where one atom can entail the
+    /// other (range, domain, subclass, subproperty), so the interval
+    /// rewriter's entailed-atom pass is exercised on random schemas.
     #[test]
     fn union_evaluator_is_differentially_equivalent(s in arb_diff_scenario()) {
         let (mut dict, vocab, g) = build_diff_graph(&s);
         let sat = saturate(&g, &vocab);
-        let type_q = format!(
-            "SELECT DISTINCT ?x WHERE {{ ?x <{}> <http://ex/C{}> }}",
-            rdf_model::vocab::RDF_TYPE,
-            s.query_class
-        );
-        let prop_q = format!(
-            "SELECT DISTINCT ?x ?y WHERE {{ ?x <http://ex/p{}> ?y }}",
-            s.query_prop
-        );
-        let join_q = format!(
-            "SELECT DISTINCT ?x WHERE {{ ?x <http://ex/p{}> ?y . ?y <{}> <http://ex/C{}> }}",
-            s.query_prop,
-            rdf_model::vocab::RDF_TYPE,
-            s.query_class
-        );
-        for query_text in [&type_q, &prop_q, &join_q] {
+        let ty = rdf_model::vocab::RDF_TYPE;
+        let (c, c2, p, p2) = (s.query_class, s.query_class2, s.query_prop, s.query_prop2);
+        let queries = [
+            format!("SELECT DISTINCT ?x WHERE {{ ?x <{ty}> <http://ex/C{c}> }}"),
+            format!("SELECT DISTINCT ?x ?y WHERE {{ ?x <http://ex/p{p}> ?y }}"),
+            format!(
+                "SELECT DISTINCT ?x WHERE {{ ?x <http://ex/p{p}> ?y . ?y <{ty}> <http://ex/C{c}> }}"
+            ),
+            format!(
+                "SELECT DISTINCT ?x ?y WHERE {{ ?x <http://ex/p{p}> ?y . ?x <{ty}> <http://ex/C{c}> }}"
+            ),
+            format!(
+                "SELECT DISTINCT ?x WHERE {{ ?x <{ty}> <http://ex/C{c}> . ?x <{ty}> <http://ex/C{c2}> }}"
+            ),
+            format!(
+                "SELECT DISTINCT ?x ?y WHERE {{ ?x <http://ex/p{p}> ?y . ?x <http://ex/p{p2}> ?y }}"
+            ),
+        ];
+        for query_text in &queries {
             if let Err(msg) =
                 assert_routes_agree(&mut dict, &vocab, &g, &sat.graph, query_text)
             {
@@ -434,6 +457,18 @@ fn union_evaluator_handles_cyclic_schema() {
         let q = format!("SELECT DISTINCT ?x ?y WHERE {{ ?x <http://ex/p{i}> ?y }}");
         assert_routes_agree(&mut dict, &vocab, &g, &sat.graph, &q).unwrap();
     }
+    // Each of p0, p1 entails the other: the interval rewriter drops one
+    // and must keep exactly the other.
+    let q = "SELECT DISTINCT ?x ?y WHERE { ?x <http://ex/p0> ?y . ?x <http://ex/p1> ?y }";
+    assert_routes_agree(&mut dict, &vocab, &g, &sat.graph, q).unwrap();
+    let parsed = parse_query(q, &mut dict).unwrap();
+    let schema = rdfs::Schema::extract(&g, &vocab);
+    let idict = std::sync::Arc::new(schema.interval_dict());
+    let iq = reformulation::reformulate_intervals(&parsed, &schema, &vocab, idict).unwrap();
+    assert_eq!(iq.atoms_entailed, 1);
+    assert_eq!(iq.branches.len(), 1);
+    assert_eq!(iq.branches[0].atoms.len(), 1);
+    assert_eq!(evaluate(&sat.graph, &parsed).len(), 1, "(n0, n1)");
 }
 
 #[test]

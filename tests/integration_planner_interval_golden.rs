@@ -5,13 +5,18 @@
 //! rewriter, the range cost model or the LUBM generator shows up as a
 //! readable diff instead of a silent plan regression.
 //!
+//! The same loop asserts the interval rewriting never has more branches
+//! than classical reformulation after its containment pruning: dropping
+//! schema-entailed atoms before collapsing to ranges keeps interval
+//! evaluation from paying for union width reformulation does not.
+//!
 //! To accept an intentional change, regenerate the snapshot with
 //! `WEBREASON_BLESS=1 cargo test -p webreason-core --test
 //! integration_planner_interval_golden` and review the diff like any
 //! other code.
 
 use rdfs::Schema;
-use reformulation::reformulate_intervals;
+use reformulation::{reformulate, reformulate_intervals};
 use std::sync::Arc;
 use workload::lubm::{generate, queries, LubmConfig};
 
@@ -35,6 +40,14 @@ fn interval_plans_match_golden_file() {
     for nq in &named {
         let iq = reformulate_intervals(&nq.query, &schema, &ds.vocab, Arc::clone(&idict))
             .expect("LUBM queries are in the reformulation dialect");
+        let r = reformulate(&nq.query, &schema, &ds.vocab).expect("same dialect");
+        assert!(
+            iq.branches.len() <= r.branches,
+            "{}: {} interval branches > {} reformulated branches",
+            nq.name,
+            iq.branches.len(),
+            r.branches
+        );
         snapshot.push_str(&format!("\n{}: {}\n", nq.name, nq.description));
         snapshot.push_str(&iq.explain(&ds.graph, &ds.dict));
     }
