@@ -25,7 +25,7 @@ use rdfs::Schema;
 use rustc_hash::FxHashSet;
 use smallvec::SmallVec;
 use sparql::plan::plan_bgp;
-use sparql::{Bgp, QTerm, Query, Solutions, TriplePattern, Variable};
+use sparql::{Bgp, QTerm, Query, Rows, Solutions, TriplePattern, Variable};
 
 /// Calls `f` for every *entailed* triple matching `probe`, where `probe`
 /// has the shape of `tp` with bound values substituted.
@@ -172,7 +172,7 @@ fn eval_rec(
 /// against `schema`. Complete on the reformulation dialect; explicit-only
 /// on variable-property / variable-class / schema-property atoms.
 pub fn evaluate_backward(g: &Graph, schema: &Schema, vocab: &Vocab, q: &Query) -> Solutions {
-    let mut rows: Vec<Vec<TermId>> = Vec::new();
+    let mut rows = Rows::new(q.projection.len());
     let mut seen: FxHashSet<Vec<TermId>> = FxHashSet::default();
     for bgp in &q.bgps {
         let vars = bgp.variables();
@@ -203,12 +203,8 @@ pub fn evaluate_backward(g: &Graph, schema: &Schema, vocab: &Vocab, q: &Query) -
                     .iter()
                     .map(|v| b[v.index()].expect("projected var bound"))
                     .collect();
-                if q.distinct {
-                    if seen.insert(row.clone()) {
-                        rows.push(row);
-                    }
-                } else {
-                    rows.push(row);
+                if !q.distinct || seen.insert(row.clone()) {
+                    rows.push(&row);
                 }
             },
         );

@@ -367,7 +367,13 @@ impl StoreSnapshot {
         let (sols, stats) =
             try_execute(graph, exe, self.threads, cancel).map_err(|e| map_union(reg, e))?;
         let eval_stats = rewritten.is_some().then_some(stats);
-        let sols = sparql::finalize(sols, q, &mut write_lock(&self.dict));
+        // Only `COUNT` interns a term (its result literal); every other
+        // query finalizes under a read guard, beside concurrent readers.
+        let sols = if q.aggregate.is_some() {
+            sparql::finalize(sols, q, &mut write_lock(&self.dict))
+        } else {
+            sparql::finalize_read(sols, q, &read_lock(&self.dict))
+        };
         Ok((sols, eval_stats))
     }
 }

@@ -143,19 +143,24 @@ impl Term {
     }
 }
 
-/// Escapes a string for inclusion in an N-Triples quoted literal.
+/// Escapes a string for inclusion in an N-Triples quoted literal,
+/// copying runs that need no escape as one slice.
 fn escape_literal(s: &str, out: &mut fmt::Formatter<'_>) -> fmt::Result {
-    for c in s.chars() {
-        match c {
-            '\\' => out.write_str("\\\\")?,
-            '"' => out.write_str("\\\"")?,
-            '\n' => out.write_str("\\n")?,
-            '\r' => out.write_str("\\r")?,
-            '\t' => out.write_str("\\t")?,
-            c => write!(out, "{c}")?,
-        }
+    let mut start = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let escape = match b {
+            b'\\' => "\\\\",
+            b'"' => "\\\"",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            _ => continue,
+        };
+        out.write_str(&s[start..i])?;
+        out.write_str(escape)?;
+        start = i + 1;
     }
-    Ok(())
+    out.write_str(&s[start..])
 }
 
 impl fmt::Display for Literal {
@@ -166,8 +171,15 @@ impl fmt::Display for Literal {
         f.write_str("\"")?;
         match &self.kind {
             LiteralKind::Plain => Ok(()),
-            LiteralKind::LanguageTagged(t) => write!(f, "@{t}"),
-            LiteralKind::Typed(d) => write!(f, "^^<{d}>"),
+            LiteralKind::LanguageTagged(t) => {
+                f.write_str("@")?;
+                f.write_str(t)
+            }
+            LiteralKind::Typed(d) => {
+                f.write_str("^^<")?;
+                f.write_str(d)?;
+                f.write_str(">")
+            }
         }
     }
 }
@@ -176,9 +188,16 @@ impl fmt::Display for Term {
     /// Formats the term in N-Triples syntax.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Term::Iri(i) => write!(f, "<{i}>"),
-            Term::Literal(l) => write!(f, "{l}"),
-            Term::BlankNode(b) => write!(f, "_:{b}"),
+            Term::Iri(i) => {
+                f.write_str("<")?;
+                f.write_str(i)?;
+                f.write_str(">")
+            }
+            Term::Literal(l) => fmt::Display::fmt(l, f),
+            Term::BlankNode(b) => {
+                f.write_str("_:")?;
+                f.write_str(b)
+            }
         }
     }
 }
@@ -241,6 +260,9 @@ mod tests {
     fn display_escapes_specials() {
         let l = Term::literal("a\"b\\c\nd\te\rf");
         assert_eq!(l.to_string(), "\"a\\\"b\\\\c\\nd\\te\\rf\"");
+        // Escapes at either end, between multi-byte characters.
+        let l = Term::literal("\"é\\𝄞\n");
+        assert_eq!(l.to_string(), "\"\\\"é\\\\𝄞\\n\"");
     }
 
     #[test]

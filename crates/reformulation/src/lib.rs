@@ -458,7 +458,7 @@ mod tests {
         // Tom is in the answers
         let sols = evaluate(&f.g, &r.query);
         let tom = f.dict.get_iri_id("http://ex/Tom").unwrap();
-        assert!(sols.rows.iter().any(|row| row == &vec![tom]));
+        assert!(sols.rows.iter().any(|row| row == [tom]));
     }
 
     #[test]

@@ -80,7 +80,7 @@ use std::time::Duration;
 use http::{chunk, write_chunked_head, write_response, Limits, Request, CHUNK_END};
 use obs::CancelToken;
 use proto::{
-    decode_update_body, ErrorResponse, QueryResponse, SubscribeHeader, UpdateOp, UpdateResponse,
+    decode_update_body, query_reply, ErrorResponse, SubscribeHeader, UpdateOp, UpdateResponse,
 };
 use webreason_core::{AnswerError, DurabilityError, DurableError, DurableStore, StoreReader};
 use webreason_incremental::{DeltaBatch, HubConfig, SubscribeError, SubscriptionHub};
@@ -702,30 +702,7 @@ fn handle_query(req: &Request, shared: &Shared, cancel: &CancelToken) -> Vec<u8>
         .answer_sparql_strategy_cancel(sparql, strategy, cancel)
     {
         Ok((sols, stats, epoch)) => {
-            let rows = {
-                let dict = shared.reader.dictionary();
-                sols.rows
-                    .iter()
-                    .map(|row| {
-                        row.iter()
-                            .map(|id| {
-                                dict.decode(*id)
-                                    .map_or_else(|| id.to_string(), |t| t.to_string())
-                            })
-                            .collect()
-                    })
-                    .collect()
-            };
-            let payload = QueryResponse {
-                vars: sols.var_names.clone(),
-                rows,
-                epoch,
-                stats,
-            };
-            let body = serde_json::to_string(&payload)
-                .map(String::into_bytes)
-                .unwrap_or_else(|_| b"{\"error\":\"internal\"}".to_vec());
-            write_response(200, "OK", "application/json", &[], &body)
+            query_reply(&shared.reader.dictionary(), &sols, stats.as_ref(), epoch)
         }
         Err(AnswerError::Cancelled) => {
             // Cooperative cancellation fired mid-evaluation: the deadline

@@ -15,9 +15,11 @@
 //! The decoder is pure (no store access) and total over arbitrary input,
 //! which makes it a proptest target alongside the HTTP parser.
 
-use rdf_model::{Dictionary, Graph};
+use crate::http::write_response;
+use rdf_model::{Dictionary, Graph, Term, TermId};
 use serde::Serialize;
-use sparql::EvalStats;
+use sparql::{EvalStats, Solutions};
+use std::fmt::Write as _;
 
 /// One decoded update operation, term-level (ids are assigned by the
 /// writer thread against the live dictionary, not here). This is the
@@ -93,7 +95,10 @@ pub fn decode_update_body(body: &str) -> Result<Vec<UpdateOp>, DecodeError> {
     Ok(ops)
 }
 
-/// JSON body of a successful `POST /query` response.
+/// JSON body of a successful `POST /query` response: the documented wire
+/// shape. The server does not build one — [`query_reply`] writes the same
+/// bytes straight from the answer block — but it is what those bytes are
+/// specified and tested against.
 #[derive(Debug, Serialize)]
 pub struct QueryResponse {
     /// Projected variable names, in SELECT order.
@@ -104,6 +109,73 @@ pub struct QueryResponse {
     pub epoch: u64,
     /// Evaluation statistics, when the engine recorded them.
     pub stats: Option<EvalStats>,
+}
+
+/// The `200 OK` reply to a `POST /query`, head and body.
+///
+/// The body is byte-identical to serialising a [`QueryResponse`] whose
+/// rows hold each term rendered by `Term`'s `Display` (an id missing from
+/// `dict` as its `#n` form), but it is written in one pass from the flat
+/// answer block: no per-row or per-term allocation, one JSON escaper
+/// ([`serde::write_json_escaped`]), and a single copy of the body, into
+/// the response buffer. The caller holds one dictionary read guard for the
+/// whole reply.
+pub fn query_reply(
+    dict: &Dictionary,
+    sols: &Solutions,
+    stats: Option<&EvalStats>,
+    epoch: u64,
+) -> Vec<u8> {
+    let terms = sols.rows.len() * sols.rows.width();
+    let mut body = String::with_capacity(128 + 32 * terms + 3 * sols.rows.len());
+    body.push_str("{\"vars\":");
+    sols.var_names.write_json(&mut body);
+    body.push_str(",\"rows\":[");
+    // Reused for the terms that go through `Display` (literals, blank
+    // nodes, unknown ids); IRIs, the bulk of every answer, skip it.
+    let mut scratch = String::new();
+    for (i, row) in sols.rows.iter().enumerate() {
+        if i > 0 {
+            body.push(',');
+        }
+        body.push('[');
+        for (j, &id) in row.iter().enumerate() {
+            if j > 0 {
+                body.push(',');
+            }
+            write_term(&mut body, &mut scratch, dict, id);
+        }
+        body.push(']');
+    }
+    body.push_str("],\"epoch\":");
+    epoch.write_json(&mut body);
+    body.push_str(",\"stats\":");
+    stats.write_json(&mut body);
+    body.push('}');
+    write_response(200, "OK", "application/json", &[], body.as_bytes())
+}
+
+/// Writes one answer term as a JSON string of its N-Triples form.
+fn write_term(out: &mut String, scratch: &mut String, dict: &Dictionary, id: TermId) {
+    match dict.decode(id) {
+        // `Term`'s `Display` of an IRI is `<iri>`, and `<`, `>` need no
+        // JSON escape: escaping the IRI between them is byte-identical
+        // without the `fmt` round trip.
+        Some(Term::Iri(iri)) => {
+            out.push_str("\"<");
+            serde::write_json_escaped(out, iri);
+            out.push_str(">\"");
+        }
+        decoded => {
+            scratch.clear();
+            match decoded {
+                Some(term) => write!(scratch, "{term}"),
+                None => write!(scratch, "{id}"),
+            }
+            .expect("writing to a String cannot fail");
+            serde::write_json_string(out, scratch);
+        }
+    }
 }
 
 /// JSON body of a successful `POST /update` response.
@@ -186,6 +258,8 @@ impl ErrorResponse {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rdf_model::Literal;
+    use sparql::Rows;
 
     #[test]
     fn decodes_inserts_deletes_comments_and_blanks() {
@@ -221,5 +295,133 @@ mod tests {
             panic!("insert expected");
         };
         assert_eq!(o.as_literal().unwrap().lexical(), "31");
+    }
+
+    /// The reply as the server used to build it: every term rendered to a
+    /// `String`, a [`QueryResponse`], `serde_json`, then [`write_response`].
+    fn reference_reply(
+        dict: &Dictionary,
+        sols: &Solutions,
+        stats: Option<EvalStats>,
+        epoch: u64,
+    ) -> Vec<u8> {
+        let rows = sols
+            .rows
+            .iter()
+            .map(|row| {
+                row.iter()
+                    .map(|id| {
+                        dict.decode(*id)
+                            .map_or_else(|| id.to_string(), |t| t.to_string())
+                    })
+                    .collect()
+            })
+            .collect();
+        let payload = QueryResponse {
+            vars: sols.var_names.clone(),
+            rows,
+            epoch,
+            stats,
+        };
+        let body = serde_json::to_string(&payload).expect("plain strings serialise");
+        write_response(200, "OK", "application/json", &[], body.as_bytes())
+    }
+
+    fn assert_wire_identical(dict: &Dictionary, sols: &Solutions, stats: Option<EvalStats>) {
+        for epoch in [0, 7, u64::MAX] {
+            let got = query_reply(dict, sols, stats.as_ref(), epoch);
+            let want = reference_reply(dict, sols, stats.clone(), epoch);
+            assert_eq!(
+                String::from_utf8_lossy(&got),
+                String::from_utf8_lossy(&want),
+                "epoch {epoch}"
+            );
+            assert_eq!(got, want);
+        }
+    }
+
+    #[test]
+    fn query_reply_is_byte_identical_to_the_documented_shape() {
+        let mut dict = Dictionary::new();
+        let mut terms = vec![
+            Term::iri("http://ex/a"),
+            // Not a valid IRI, but the dictionary holds it: the IRI arm
+            // must escape like everything else.
+            Term::iri("http://ex/\"q\"\\b"),
+            Term::iri("http://ex/é/𝄞"),
+            Term::blank("b0"),
+            Term::Literal(Literal::lang("chat", "FR")),
+            Term::Literal(Literal::typed(
+                "42",
+                "http://www.w3.org/2001/XMLSchema#integer",
+            )),
+            Term::literal(""),
+            Term::literal("é 𝄞"),
+        ];
+        // Every escape class, in both the N-Triples and the JSON layer.
+        for c in [
+            '"', '\\', '\n', '\r', '\t', '\u{08}', '\u{0C}', '\u{01}', '\u{1F}',
+        ] {
+            terms.push(Term::literal(format!("a{c}b{c}")));
+            terms.push(Term::Literal(Literal::lang(format!("{c}x"), "en-GB")));
+        }
+        let ids: Vec<TermId> = terms.iter().map(|t| dict.encode(t)).collect();
+        // An id the dictionary never handed out renders as `#n`.
+        let missing = TermId::from_index(dict.len() + 5);
+        let mut rows = Rows::new(2);
+        for pair in ids.chunks(2) {
+            rows.push(&[pair[0], *pair.last().expect("non-empty")]);
+        }
+        rows.push(&[missing, ids[0]]);
+        let sols = Solutions {
+            var_names: vec!["x".into(), "y \"quoted\"".into()],
+            rows,
+        };
+        let stats = EvalStats {
+            branches_total: 3,
+            rows: sols.len(),
+            ..EvalStats::default()
+        };
+        assert_wire_identical(&dict, &sols, None);
+        assert_wire_identical(&dict, &sols, Some(stats));
+
+        // An empty answer, and a ground answer whose rows have no terms.
+        let empty = Solutions {
+            var_names: vec!["x".into()],
+            rows: Rows::new(1),
+        };
+        assert_wire_identical(&dict, &empty, None);
+        let ground = Solutions {
+            var_names: vec![],
+            rows: Rows::from_rows(0, [[]; 2]),
+        };
+        assert_wire_identical(&dict, &ground, None);
+    }
+
+    #[test]
+    fn count_answer_is_byte_identical() {
+        let mut dict = Dictionary::new();
+        let mut g = Graph::new();
+        let (a, p) = (
+            dict.encode_iri("http://ex/a"),
+            dict.encode_iri("http://ex/p"),
+        );
+        for o in ["x", "y"] {
+            let o = dict.encode(&Term::literal(o));
+            g.insert(rdf_model::Triple::new(a, p, o));
+        }
+        let q = sparql::parse_query(
+            "SELECT (COUNT(*) AS ?n) WHERE { ?s <http://ex/p> ?o }",
+            &mut dict,
+        )
+        .expect("parses");
+        let sols = sparql::finalize(sparql::evaluate(&g, &q), &q, &mut dict);
+        assert_eq!(sols.len(), 1);
+        assert_wire_identical(&dict, &sols, None);
+        let body = query_reply(&dict, &sols, None, 1);
+        let text = String::from_utf8(body).expect("UTF-8");
+        assert!(text.ends_with(
+            r#"{"vars":["n"],"rows":[["\"2\"^^<http://www.w3.org/2001/XMLSchema#integer>"]],"epoch":1,"stats":null}"#
+        ));
     }
 }

@@ -142,8 +142,10 @@ fn health_is_liveness_and_ready_reports_ok() {
 fn deadline_capped_union_times_out_with_504() {
     // The token is stamped when the reactor enqueues the request. A 10 ms
     // deadline sits far above the idle dispatch wait, so it expires
-    // *inside* the 364-branch union evaluation over 72k instances (504),
-    // not while queued (the pre-dispatch 503 shed is separate).
+    // *inside* the 364-branch union evaluation over 290k instances (504),
+    // not while queued (the pre-dispatch 503 shed is separate). The
+    // fixture is sized so that a full evaluation takes several times the
+    // deadline in a release build (20–36 ms on a 2-vCPU host).
     let server = boot_with(
         "deadline",
         ServerConfig {
@@ -154,7 +156,7 @@ fn deadline_capped_union_times_out_with_504() {
         ReasoningConfig::Reformulation,
     );
     let addr = server.local_addr();
-    load_wide_hierarchy(addr, 363, 200);
+    load_wide_hierarchy(addr, 363, 800);
 
     let start = Instant::now();
     let (status, text) = post_with_headers(

@@ -9,6 +9,7 @@
 
 use crate::ast::{Aggregate, Bgp, QTerm, Query, TriplePattern, Variable};
 use crate::plan::{plan_bgp, PlannedBgp};
+use crate::rows::{count_distinct, Rows};
 use rdf_model::{vocab, Dictionary, Graph, Literal, Pattern, Term, TermId, Triple};
 use rustc_hash::FxHashSet;
 use smallvec::SmallVec;
@@ -21,7 +22,7 @@ pub struct Solutions {
     /// Names of the projected variables (without `?`).
     pub var_names: Vec<String>,
     /// Answer rows; `rows[i][j]` is the value of `var_names[j]` in answer `i`.
-    pub rows: Vec<Vec<TermId>>,
+    pub rows: Rows,
 }
 
 impl Solutions {
@@ -38,13 +39,13 @@ impl Solutions {
     /// The answers as a set (order- and duplicate-insensitive), for
     /// comparing evaluation strategies.
     pub fn as_set(&self) -> FxHashSet<Vec<TermId>> {
-        self.rows.iter().cloned().collect()
+        self.rows.iter().map(<[TermId]>::to_vec).collect()
     }
 
     /// The answers sorted lexicographically — deterministic output for
     /// tests and the bench harness.
     pub fn sorted_rows(&self) -> Vec<Vec<TermId>> {
-        let mut rows = self.rows.clone();
+        let mut rows = self.rows.to_vecs();
         rows.sort();
         rows
     }
@@ -222,8 +223,11 @@ pub fn evaluate_bgp(g: &Graph, bgp: &Bgp, n_vars: usize) -> Vec<Vec<Option<TermI
 /// A union branch that does not bind every projected variable contributes
 /// no answers (the conjunctive fragment has no partial bindings).
 pub fn evaluate(g: &Graph, q: &Query) -> Solutions {
-    let mut rows: Vec<Vec<TermId>> = Vec::new();
+    let mut rows = Rows::new(q.projection.len());
+    // The reference evaluator keeps its own, independent duplicate check:
+    // it is the oracle the executor's `DISTINCT` index is tested against.
     let mut seen: FxHashSet<Vec<TermId>> = FxHashSet::default();
+    let mut row: Vec<TermId> = Vec::with_capacity(q.projection.len());
     for bgp in &q.bgps {
         let vars = bgp.variables();
         if !q.projection.iter().all(|v| vars.contains(v)) {
@@ -234,17 +238,14 @@ pub fn evaluate(g: &Graph, q: &Query) -> Solutions {
             if !passes_negation(g, q, binding) {
                 return;
             }
-            let row: Vec<TermId> = q
-                .projection
-                .iter()
-                .map(|v| binding[v.index()].expect("projected variable bound"))
-                .collect();
-            if q.distinct {
-                if seen.insert(row.clone()) {
-                    rows.push(row);
-                }
-            } else {
-                rows.push(row);
+            row.clear();
+            row.extend(
+                q.projection
+                    .iter()
+                    .map(|v| binding[v.index()].expect("projected variable bound")),
+            );
+            if !q.distinct || seen.insert(row.clone()) {
+                rows.push(&row);
             }
         });
     }
@@ -282,63 +283,39 @@ pub fn compare_terms(a: &Term, b: &Term) -> Ordering {
 /// Separated from [`evaluate`] because filters, ordering and aggregate
 /// literals need the dictionary — and so that they apply identically no
 /// matter which reasoning strategy produced the solutions (the store calls
-/// this once per answer).
+/// this once per answer). Only `COUNT` interns a term (its result
+/// literal); a query without an aggregate can use [`finalize_read`].
 pub fn finalize(mut sols: Solutions, q: &Query, dict: &mut Dictionary) -> Solutions {
-    if !q.filters.is_empty() {
-        // Filter variables are projected (parser restriction), so resolve
-        // each side to a row column or a constant.
-        let column = |v: Variable| -> usize {
-            q.projection
-                .iter()
-                .position(|&p| p == v)
-                .expect("parser: filter vars projected")
-        };
-        let checks: Vec<(usize, crate::ast::CompareOp, Result<usize, TermId>)> = q
-            .filters
-            .iter()
-            .map(|f| {
-                let right = match f.right {
-                    QTerm::Var(v) => Ok(column(v)),
-                    QTerm::Const(c) => Err(c),
-                };
-                (column(f.left), f.op, right)
-            })
-            .collect();
-        sols.rows.retain(|row| {
-            checks.iter().all(|&(left, op, right)| {
-                let lhs = row[left];
-                let rhs = match right {
-                    Ok(col) => row[col],
-                    Err(c) => c,
-                };
-                // Interning makes id equality term equality; the ordered
-                // operators use SPARQL value comparison.
-                match op {
-                    crate::ast::CompareOp::Eq => lhs == rhs,
-                    crate::ast::CompareOp::Ne => lhs != rhs,
-                    _ => match (dict.decode(lhs), dict.decode(rhs)) {
-                        (Some(a), Some(b)) => op.test(compare_terms(a, b)),
-                        _ => false,
-                    },
-                }
-            })
-        });
+    let Some(Aggregate::Count { distinct, alias }) = &q.aggregate else {
+        return finalize_read(sols, q, dict);
+    };
+    apply_filters(&mut sols.rows, q, dict);
+    let n = if *distinct {
+        count_distinct(&sols.rows)
+    } else {
+        sols.len()
+    };
+    let id = dict.encode(&Term::Literal(Literal::typed(
+        n.to_string(),
+        vocab::XSD_INTEGER,
+    )));
+    Solutions {
+        var_names: vec![alias.clone()],
+        rows: Rows::from_rows(1, [[id]]),
     }
-    if let Some(Aggregate::Count { distinct, alias }) = &q.aggregate {
-        let n = if *distinct {
-            sols.as_set().len()
-        } else {
-            sols.len()
-        };
-        let id = dict.encode(&Term::Literal(Literal::typed(
-            n.to_string(),
-            vocab::XSD_INTEGER,
-        )));
-        return Solutions {
-            var_names: vec![alias.clone()],
-            rows: vec![vec![id]],
-        };
-    }
+}
+
+/// [`finalize`] for a query without an aggregate, which interns nothing
+/// and so needs only read access to the dictionary.
+///
+/// # Panics
+/// If `q` has an aggregate.
+pub fn finalize_read(mut sols: Solutions, q: &Query, dict: &Dictionary) -> Solutions {
+    assert!(
+        q.aggregate.is_none(),
+        "an aggregate interns its result: use `finalize`"
+    );
+    apply_filters(&mut sols.rows, q, dict);
     if q.modifiers.is_empty() {
         return sols;
     }
@@ -372,14 +349,56 @@ pub fn finalize(mut sols: Solutions, q: &Query, dict: &mut Dictionary) -> Soluti
             Ordering::Equal
         });
     }
-    if q.modifiers.offset > 0 {
-        let offset = q.modifiers.offset.min(sols.rows.len());
-        sols.rows.drain(..offset);
-    }
+    sols.rows.skip(q.modifiers.offset);
     if let Some(limit) = q.modifiers.limit {
         sols.rows.truncate(limit);
     }
     sols
+}
+
+/// Keeps the rows that pass every `FILTER`.
+fn apply_filters(rows: &mut Rows, q: &Query, dict: &Dictionary) {
+    if q.filters.is_empty() {
+        return;
+    }
+    // Filter variables are projected (parser restriction), so resolve
+    // each side to a row column or a constant.
+    let column = |v: Variable| -> usize {
+        q.projection
+            .iter()
+            .position(|&p| p == v)
+            .expect("parser: filter vars projected")
+    };
+    let checks: Vec<(usize, crate::ast::CompareOp, Result<usize, TermId>)> = q
+        .filters
+        .iter()
+        .map(|f| {
+            let right = match f.right {
+                QTerm::Var(v) => Ok(column(v)),
+                QTerm::Const(c) => Err(c),
+            };
+            (column(f.left), f.op, right)
+        })
+        .collect();
+    rows.retain(|row| {
+        checks.iter().all(|&(left, op, right)| {
+            let lhs = row[left];
+            let rhs = match right {
+                Ok(col) => row[col],
+                Err(c) => c,
+            };
+            // Interning makes id equality term equality; the ordered
+            // operators use SPARQL value comparison.
+            match op {
+                crate::ast::CompareOp::Eq => lhs == rhs,
+                crate::ast::CompareOp::Ne => lhs != rhs,
+                _ => match (dict.decode(lhs), dict.decode(rhs)) {
+                    (Some(a), Some(b)) => op.test(compare_terms(a, b)),
+                    _ => false,
+                },
+            }
+        })
+    });
 }
 
 #[cfg(test)]

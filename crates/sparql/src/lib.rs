@@ -51,19 +51,21 @@ mod eval;
 mod parser;
 pub mod plan;
 mod range_eval;
+mod rows;
 mod union_eval;
 
 pub use ast::{Aggregate, Bgp, Modifiers, OrderKey, QTerm, Query, TriplePattern, Variable};
 pub use dataflow::{compile_delta, consolidate_delta, DeltaProgram, DeltaUnsupported};
 pub use eval::{
     bgp_has_match, compare_terms, evaluate, evaluate_bgp, evaluate_bgp_with_plan, finalize,
-    Solutions,
+    finalize_read, Solutions,
 };
 pub use parser::{parse_query, QueryParseError};
 pub use range_eval::{
     evaluate_interval, try_evaluate_interval, try_evaluate_interval_cancel, IntervalQuery, RTerm,
     RangeAtom, RangeBgp,
 };
+pub use rows::Rows;
 pub use union_eval::{
     evaluate_union, try_evaluate_union, try_execute, EvalStats, Executable, UnionEvalError,
 };

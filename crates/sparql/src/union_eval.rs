@@ -24,9 +24,10 @@
 //!
 //! The sorted branch list is split into contiguous chunks (sorting
 //! co-locates shared prefixes), one trie per `std::thread::scope` worker.
-//! Rows are routed into hash-sharded buckets; the merge phase deduplicates
-//! each shard independently, so `DISTINCT` costs one set per shard
-//! instead of one global lock.
+//! Rows are routed into hash-sharded [`Rows`] blocks; the merge phase
+//! deduplicates each shard independently, so `DISTINCT` costs one
+//! [`RowIndex`] per shard instead of one global lock, and no row is ever a
+//! heap allocation of its own.
 //!
 //! The answer multiset is exactly [`evaluate`](crate::evaluate)'s on the
 //! classical union: a trie path *is* a branch's planned atom sequence,
@@ -37,6 +38,7 @@ use crate::ast::{Query, Variable};
 use crate::eval::{passes_negation, Solutions};
 use crate::plan::{plan_atoms, DistinctCounts};
 use crate::range_eval::{IntervalQuery, RTerm, RangeAtom};
+use crate::rows::{RowIndex, Rows};
 use obs::{CancelToken, CANCEL_POLL_STRIDE};
 use rdf_model::{Graph, IntervalDict, IntervalSet, Pattern, TermId, Triple, WorkerPanicked};
 use rustc_hash::{FxHashSet, FxHasher};
@@ -47,9 +49,6 @@ use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
 use webreason_failpoints::fail_point;
-
-/// One projected answer row.
-type Row = Vec<TermId>;
 
 /// Why a cancellable evaluation returned no answer.
 #[derive(Debug)]
@@ -434,7 +433,7 @@ fn resolve(t: RTerm, binding: &[Option<TermId>]) -> Option<TermId> {
 
 /// What one worker sends back: rows routed into shards, plus counters.
 struct WorkerOutput {
-    shards: Vec<Vec<Row>>,
+    shards: Vec<Rows>,
     trie_nodes: usize,
     shared_branches: usize,
 }
@@ -459,36 +458,39 @@ fn run_chunk(
     let Job { g, q, cancel, .. } = job;
     let trie = Trie::build(branches);
     let mask = shard_count - 1;
-    let mut shards: Vec<Vec<Row>> = (0..shard_count).map(|_| Vec::new()).collect();
+    let width = q.projection.len();
+    // Under `DISTINCT` each shard carries the index that keeps its block a
+    // set (identical rows hash to the same shard), so the merge phase only
+    // resolves duplicates *across* workers — with a single worker it
+    // degenerates to a move. Under bag semantics the indexes stay empty.
+    let mut shards: Vec<(Rows, RowIndex)> = (0..shard_count)
+        .map(|_| (Rows::new(width), RowIndex::default()))
+        .collect();
     let mut binding: Vec<Option<TermId>> = vec![None; q.var_names.len()];
     let mut walker = Walker {
         job,
         matched: 0,
         cancelled: false,
     };
-    // Under `DISTINCT` each worker deduplicates its own rows as they are
-    // emitted, so the merge phase only resolves duplicates *across*
-    // workers — with a single worker it degenerates to a move.
-    let mut seen: FxHashSet<Row> = FxHashSet::default();
+    let mut row: Vec<TermId> = Vec::with_capacity(width);
     let mut emit = |binding: &[Option<TermId>], mult: usize| {
         if !passes_negation(g, q, binding) {
             return;
         }
-        let row: Row = q
-            .projection
-            .iter()
-            .map(|v| binding[v.index()].expect("projected variable bound"))
-            .collect();
-        if q.distinct && !seen.insert(row.clone()) {
-            return;
+        row.clear();
+        row.extend(
+            q.projection
+                .iter()
+                .map(|v| binding[v.index()].expect("projected variable bound")),
+        );
+        let (rows, index) = &mut shards[if mask == 0 { 0 } else { shard_of(&row, mask) }];
+        if q.distinct {
+            index.insert(rows, &row);
+        } else {
+            // A branch duplicated `mult` times contributes `mult` copies
+            // (exactly like the per-branch evaluator).
+            rows.push_copies(&row, mult);
         }
-        let shard = &mut shards[if mask == 0 { 0 } else { shard_of(&row, mask) }];
-        // Under bag semantics a branch duplicated `mult` times contributes
-        // `mult` copies (exactly like the per-branch evaluator).
-        if !q.distinct {
-            shard.extend((1..mult).map(|_| row.clone()));
-        }
-        shard.push(row);
     };
     if trie.empty_mult > 0 {
         emit(&binding, trie.empty_mult);
@@ -503,7 +505,7 @@ fn run_chunk(
         }
     }
     Some(WorkerOutput {
-        shards,
+        shards: shards.into_iter().map(|(rows, _)| rows).collect(),
         trie_nodes: trie.nodes,
         shared_branches: trie.shared_branches,
     })
@@ -513,20 +515,15 @@ fn run_chunk(
 /// their own rows, so `distinct` only has to resolve duplicates across
 /// workers; identical rows hash to the same shard, so per-shard dedup is
 /// globally complete.
-fn merge_shard(mut parts: Vec<Vec<Row>>, distinct: bool) -> Vec<Row> {
-    if parts.len() == 1 {
-        return parts.pop().expect("one part");
+fn merge_shard(parts: Vec<Rows>, width: usize, distinct: bool) -> Rows {
+    if !distinct || parts.len() == 1 {
+        return Rows::concat(width, parts);
     }
-    if !distinct {
-        return parts.into_iter().flatten().collect();
-    }
-    let mut seen: FxHashSet<Row> = FxHashSet::default();
-    let mut out = Vec::new();
-    for rows in parts {
-        for row in rows {
-            if seen.insert(row.clone()) {
-                out.push(row);
-            }
+    let mut out = Rows::new(width);
+    let mut index = RowIndex::default();
+    for rows in &parts {
+        for row in rows.iter() {
+            index.insert(&mut out, row);
         }
     }
     out
@@ -671,7 +668,7 @@ pub fn try_execute(
 
     // Transpose worker outputs into per-shard merge tasks, keeping each
     // worker's emitted-row count (skew here means poor balance).
-    let mut shard_parts: Vec<Vec<Vec<Row>>> = (0..shard_count).map(|_| Vec::new()).collect();
+    let mut shard_parts: Vec<Vec<Rows>> = (0..shard_count).map(|_| Vec::new()).collect();
     let mut worker_rows: Vec<u64> = Vec::with_capacity(workers);
     for out in outputs {
         stats.trie_nodes += out.trie_nodes;
@@ -690,7 +687,8 @@ pub fn try_execute(
     // merge the token interrupted.
     let merge_span = span(family.phases[2]);
     let merge_start = Instant::now();
-    let merge = |parts| (!cancel.is_cancelled()).then(|| merge_shard(parts, q.distinct));
+    let width = q.projection.len();
+    let merge = |parts| (!cancel.is_cancelled()).then(|| merge_shard(parts, width, q.distinct));
     let merged = if workers == 1 {
         shard_parts.into_iter().map(merge).collect()
     } else {
@@ -698,14 +696,11 @@ pub fn try_execute(
             .into_iter()
             .collect::<Option<Vec<_>>>()
     };
-    let mut merged = merged
+    let merged = merged
         .filter(|_| !cancel.is_cancelled())
         .ok_or_else(cancelled)?;
-    // One shard (one worker) is moved out whole, not copied row by row.
-    let rows: Vec<Row> = match merged.len() {
-        1 => merged.pop().expect("one shard"),
-        _ => merged.into_iter().flatten().collect(),
-    };
+    // One shard (one worker) is moved out whole, not copied.
+    let rows = Rows::concat(width, merged);
     stats.merge_us = merge_start.elapsed().as_micros() as u64;
     stats.rows = rows.len();
     drop(merge_span);

@@ -410,3 +410,47 @@ fn a_held_lubm_snapshot_is_immutable_under_updates() {
         );
     }
 }
+
+/// Finalizing an answer interns a term only for `COUNT` (its result
+/// literal), so every other query finalizes under a dictionary *read*
+/// guard: it completes while another thread holds `reader.dictionary()`,
+/// whereas a `COUNT` waits for that guard to drop.
+#[test]
+fn only_count_waits_for_a_held_dictionary_guard() {
+    use std::sync::mpsc;
+    use std::time::Duration;
+
+    let mut store = seeded_store(ReasoningConfig::Reformulation);
+    store.insert_terms(
+        &Term::iri("http://ex/Tom"),
+        &rdf_type(),
+        &Term::iri("http://ex/Cat"),
+    );
+    let reader = store.reader();
+    let plain = reader.prepare(ANIMALS).expect("parses");
+    let count = reader
+        .prepare("PREFIX ex: <http://ex/> SELECT (COUNT(*) AS ?n) WHERE { ?x a ex:Animal }")
+        .expect("parses");
+
+    let guard = reader.dictionary();
+    let answer_on_thread = |q: sparql::Query| {
+        let (tx, rx) = mpsc::channel();
+        let reader = reader.clone();
+        std::thread::spawn(move || {
+            let rows = reader.answer(&q).expect("answers").0.len();
+            tx.send(rows).expect("the test is listening");
+        });
+        rx
+    };
+    let plain_rows = answer_on_thread(plain)
+        .recv_timeout(Duration::from_secs(30))
+        .expect("a non-aggregate answer needs no write lock");
+    assert_eq!(plain_rows, 1, "Tom");
+    let counted = answer_on_thread(count);
+    assert!(
+        counted.recv_timeout(Duration::from_millis(200)).is_err(),
+        "COUNT interns its result, so it waits for the read guard"
+    );
+    drop(guard);
+    assert_eq!(counted.recv_timeout(Duration::from_secs(30)), Ok(1));
+}

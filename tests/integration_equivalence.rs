@@ -471,6 +471,107 @@ fn union_evaluator_handles_cyclic_schema() {
     assert_eq!(evaluate(&sat.graph, &parsed).len(), 1, "(n0, n1)");
 }
 
+/// A ground query projects nothing: its answer rows have width 0, so only
+/// the row count says how many there are. Every strategy, under bag and
+/// `DISTINCT` semantics and with 1 and 2 threads, must count exactly what
+/// `sparql::evaluate` counts on the graph that strategy answers over
+/// (`q(G∞)` for saturation, `q_ref(G)` for the two rewritings) — for the
+/// rows themselves and for `COUNT`.
+#[test]
+fn ground_queries_count_zero_width_rows() {
+    let mut dict = Dictionary::new();
+    let vocab = Vocab::intern(&mut dict);
+    let iri = |d: &mut Dictionary, s: &str| d.encode_iri(&format!("http://ex/{s}"));
+    let (a, b, p, q) = (
+        iri(&mut dict, "a"),
+        iri(&mut dict, "b"),
+        iri(&mut dict, "p"),
+        iri(&mut dict, "q"),
+    );
+    iri(&mut dict, "c");
+    // `q ⊑ p` and both `a p b` and `a q b` asserted: `a p b` is found by
+    // two union branches under reformulation, and is one triple of G∞.
+    let mut g = Graph::new();
+    g.insert(Triple::new(q, vocab.sub_property_of, p));
+    g.insert(Triple::new(a, p, b));
+    g.insert(Triple::new(a, q, b));
+    let sat = saturate(&g, &vocab).graph;
+    let schema = rdfs::Schema::extract(&g, &vocab);
+
+    let count = |sols: &sparql::Solutions, d: &Dictionary| -> String {
+        let term = d.decode(sols.rows[0][0]).expect("COUNT interns its result");
+        term.as_literal().expect("a literal").lexical().to_owned()
+    };
+    let mut checked = 0;
+    for object in ["b", "c"] {
+        let atom = format!("<http://ex/a> <http://ex/p> <http://ex/{object}>");
+        for text in [
+            format!("SELECT * WHERE {{ {atom} }}"),
+            format!("SELECT DISTINCT * WHERE {{ {atom} }}"),
+            format!("SELECT (COUNT(*) AS ?n) WHERE {{ {atom} }}"),
+            format!("SELECT (COUNT(DISTINCT *) AS ?n) WHERE {{ {atom} }}"),
+        ] {
+            let mut reference_dict = dict.clone();
+            let query = parse_query(&text, &mut reference_dict).unwrap();
+            assert!(query.projection.is_empty(), "{text} is ground");
+            let q_ref = reformulation::reformulate(&query, &schema, &vocab)
+                .unwrap()
+                .query;
+            let mut expect = |over: &Graph, q: &sparql::Query| {
+                let sols = sparql::finalize(evaluate(over, q), &query, &mut reference_dict);
+                let n = query
+                    .aggregate
+                    .is_some()
+                    .then(|| count(&sols, &reference_dict));
+                (sols.len(), n)
+            };
+            let saturated = expect(&sat, &query);
+            let rewritten = expect(&g, &q_ref);
+            for config in ReasoningConfig::ALL {
+                let want = match config {
+                    ReasoningConfig::Saturation(_) => &saturated,
+                    _ => &rewritten,
+                };
+                for threads in [1, 2] {
+                    let store = Store::from_parts_with_threads(
+                        dict.clone(),
+                        vocab,
+                        g.clone(),
+                        config,
+                        NonZeroUsize::new(threads).unwrap(),
+                    );
+                    let sols = store.answer_sparql(&text).unwrap();
+                    let n = query
+                        .aggregate
+                        .is_some()
+                        .then(|| count(&sols, &store.dictionary()));
+                    let what = format!("{text} under {} ({threads} threads)", config.name());
+                    assert_eq!(sols.rows.width(), usize::from(n.is_some()), "{what}");
+                    assert_eq!((sols.len(), n), *want, "{what}");
+                    checked += 1;
+                }
+            }
+        }
+    }
+    assert_eq!(checked, 2 * 4 * ReasoningConfig::ALL.len() * 2);
+    // The rewritings answer with set semantics; the executor's bag
+    // semantics on zero-width rows shows on the raw union, where `a p b`
+    // is found by both branches.
+    let text = "SELECT * WHERE { <http://ex/a> <http://ex/p> <http://ex/b> }";
+    let mut reference_dict = dict.clone();
+    let query = parse_query(text, &mut reference_dict).unwrap();
+    let mut bag = reformulation::reformulate(&query, &schema, &vocab)
+        .unwrap()
+        .query;
+    bag.distinct = false;
+    assert_eq!(bag.bgps.len(), 2);
+    assert_eq!(evaluate(&g, &bag).len(), 2);
+    for threads in [1, 2] {
+        let (sols, stats) = evaluate_union(&g, &bag, NonZeroUsize::new(threads).unwrap());
+        assert_eq!((sols.len(), stats.rows), (2, 2), "{threads} threads");
+    }
+}
+
 #[test]
 fn strategies_agree_after_updates() {
     let mut ds = generate(&LubmConfig::tiny());
