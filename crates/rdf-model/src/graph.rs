@@ -674,11 +674,13 @@ impl Graph {
         new
     }
 
-    /// Membership test.
+    /// Membership test, through POS: the property level is a handful of
+    /// always-hot keys, and a join's fully bound check (`?x a C` once
+    /// `?x` is bound) probes the same `(p, o)` leaf every time, so only
+    /// the final leaf lookup depends on `s`.
     #[inline]
     pub fn contains(&self, t: &Triple) -> bool {
-        self.objects(t.s, t.p)
-            .is_some_and(|leaf| leaf.contains(&t.o))
+        leaf(&self.pos, t.p, t.o).is_some_and(|leaf| leaf.contains(&t.s))
     }
 
     /// Removes every triple.
@@ -1367,6 +1369,45 @@ mod tests {
                 held.push((g, model));
                 for (clone, model) in &held {
                     check_against_model(clone, model)?;
+                }
+            }
+
+            /// `contains` probes POS; SPO must agree with it (and with
+            /// `count` of the ground shape) on every triple the stream can
+            /// produce, present or not — on the live graph and on every
+            /// clone held mid-stream — so an index desync cannot hide.
+            #[test]
+            fn contains_agrees_with_spo_and_count(
+                ops in proptest::collection::vec(arb_cow_op(), 0..1500),
+            ) {
+                let mut g = Graph::new();
+                let mut model: BTreeSet<Triple> = BTreeSet::new();
+                let mut held: Vec<(Graph, BTreeSet<Triple>)> = Vec::new();
+                for op in ops {
+                    match op {
+                        CowOp::Insert(tr) => prop_assert_eq!(g.insert(tr), model.insert(tr)),
+                        CowOp::Remove(k) => {
+                            if let Some(&tr) = model.iter().nth(k % model.len().max(1)) {
+                                prop_assert!(g.remove(&tr));
+                                model.remove(&tr);
+                            }
+                        }
+                        CowOp::Clone => held.push((g.clone(), model.clone())),
+                    }
+                }
+                held.push((g, model));
+                for (clone, model) in &held {
+                    for x in 0..=400 {
+                        for p in 0..=3 {
+                            for tr in [t(x, p, 0), t(0, p, x)] {
+                                let spo = clone.objects(tr.s, tr.p).is_some_and(|l| l.contains(&tr.o));
+                                let ground = Pattern::new(Some(tr.s), Some(tr.p), Some(tr.o));
+                                prop_assert_eq!(clone.contains(&tr), model.contains(&tr));
+                                prop_assert_eq!(spo, model.contains(&tr));
+                                prop_assert_eq!(clone.count(&ground), usize::from(spo));
+                            }
+                        }
+                    }
                 }
             }
         }

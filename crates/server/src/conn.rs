@@ -38,6 +38,7 @@ use std::io::{self, ErrorKind};
 
 use crate::http::{
     head_complete, mark_close, parse_request, write_response, Limits, ParseOutcome, Request,
+    Response,
 };
 use crate::proto::ErrorResponse;
 
@@ -241,7 +242,7 @@ impl Connection {
     /// keep-alive.
     pub fn on_response(
         &mut self,
-        mut resp: Vec<u8>,
+        resp: impl Into<Response>,
         force_close: bool,
         io: &mut dyn IoSource,
         now_ms: u64,
@@ -251,8 +252,9 @@ impl Connection {
         }
         self.served += 1;
         let close = self.req_close || force_close || self.eof;
+        let mut resp = resp.into();
         if close {
-            mark_close(&mut resp);
+            resp.mark_close();
         }
         self.enqueue(resp, close, now_ms);
         self.advance(io, now_ms)
@@ -275,7 +277,7 @@ impl Connection {
                     let mut resp =
                         write_response(503, "Service Unavailable", "application/json", &[], &body);
                     mark_close(&mut resp);
-                    self.enqueue(resp, true, now_ms);
+                    self.enqueue(resp.into(), true, now_ms);
                     let _ = self.advance(io, now_ms);
                 }
             }
@@ -309,17 +311,16 @@ impl Connection {
                 let mut resp =
                     write_response(e.status(), e.reason(), "application/json", &[], &body);
                 mark_close(&mut resp);
-                self.enqueue(resp, true, now_ms);
+                self.enqueue(resp.into(), true, now_ms);
                 Parsed::Fatal
             }
         }
     }
 
     /// Queues one serialised response and arms the write-phase deadline.
-    fn enqueue(&mut self, resp: Vec<u8>, close: bool, now_ms: u64) {
+    fn enqueue(&mut self, resp: Response, close: bool, now_ms: u64) {
         debug_assert!(self.out_pos >= self.out_buf.len(), "one response at a time");
-        self.out_buf = resp;
-        self.out_pos = 0;
+        (self.out_buf, self.out_pos) = resp.into_parts();
         self.state = if close {
             ConnState::Closing
         } else {

@@ -493,17 +493,109 @@ pub fn write_response(
     body: &[u8],
 ) -> Vec<u8> {
     let mut out = Vec::with_capacity(128 + body.len());
+    write_head(
+        &mut out,
+        status,
+        reason,
+        content_type,
+        extra_headers,
+        body.len(),
+    );
+    out.extend_from_slice(body);
+    out
+}
+
+/// Appends the head of a response with a `body_len`-byte body.
+fn write_head(
+    out: &mut Vec<u8>,
+    status: u16,
+    reason: &str,
+    content_type: &str,
+    extra_headers: &[(&str, String)],
+    body_len: usize,
+) {
     out.extend_from_slice(format!("HTTP/1.1 {status} {reason}\r\n").as_bytes());
-    if !body.is_empty() {
+    if body_len > 0 {
         out.extend_from_slice(format!("Content-Type: {content_type}\r\n").as_bytes());
     }
-    out.extend_from_slice(format!("Content-Length: {}\r\n", body.len()).as_bytes());
+    out.extend_from_slice(format!("Content-Length: {body_len}\r\n").as_bytes());
     for (name, value) in extra_headers {
         out.extend_from_slice(format!("{name}: {value}\r\n").as_bytes());
     }
     out.extend_from_slice(b"\r\n");
-    out.extend_from_slice(body);
-    out
+}
+
+/// Bytes a body-first writer reserves in front of its body: room for a
+/// status line, `Content-Type`, a 20-digit `Content-Length` and a later
+/// `Connection: close` ([`Response::mark_close`]).
+pub(crate) const HEAD_ROOM: usize = 128;
+
+/// One serialised response on its way to the socket: the wire bytes are
+/// `buf[start..]`. A reply written body-first starts `HEAD_ROOM` bytes
+/// into its buffer and gets its head last (`Response::head_room`), so a
+/// large body is written once and never moved or copied.
+#[derive(Debug)]
+pub struct Response {
+    buf: Vec<u8>,
+    start: usize,
+}
+
+impl From<Vec<u8>> for Response {
+    fn from(buf: Vec<u8>) -> Response {
+        Response { buf, start: 0 }
+    }
+}
+
+impl Response {
+    /// Finishes a response whose body fills `buf[HEAD_ROOM..]`: its head,
+    /// byte-identical to [`write_response`]'s with no extra headers, is
+    /// written into the end of the reserved room.
+    ///
+    /// # Panics
+    /// If `buf` is shorter than [`HEAD_ROOM`].
+    pub(crate) fn head_room(
+        mut buf: Vec<u8>,
+        status: u16,
+        reason: &str,
+        content_type: &str,
+    ) -> Response {
+        let mut head = Vec::with_capacity(HEAD_ROOM);
+        let body_len = buf.len() - HEAD_ROOM;
+        write_head(&mut head, status, reason, content_type, &[], body_len);
+        let start = HEAD_ROOM - head.len();
+        assert!(
+            start >= CONNECTION_CLOSE.len(),
+            "the room holds the head and a later `Connection: close`"
+        );
+        buf[start..HEAD_ROOM].copy_from_slice(&head);
+        Response { buf, start }
+    }
+
+    /// The bytes that go on the wire.
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.buf[self.start..]
+    }
+
+    /// The buffer and the offset of the first wire byte in it.
+    pub(crate) fn into_parts(self) -> (Vec<u8>, usize) {
+        (self.buf, self.start)
+    }
+
+    /// [`mark_close`] for a response that may have room in front: the
+    /// status line moves into the room instead of the body moving back.
+    pub fn mark_close(&mut self) {
+        if self.start == 0 {
+            mark_close(&mut self.buf);
+            return;
+        }
+        let Some(line) = status_line_len(self.as_bytes()) else {
+            return;
+        };
+        let from = self.start;
+        self.start -= CONNECTION_CLOSE.len();
+        self.buf.copy_within(from..from + line, self.start);
+        self.buf[self.start + line..from + line].copy_from_slice(CONNECTION_CLOSE);
+    }
 }
 
 /// Serialises the head of a `Transfer-Encoding: chunked` response — the
@@ -549,10 +641,18 @@ pub const CHUNK_END: &[u8] = b"0\r\n\r\n";
 /// (client asked, HTTP/1.0 default, shutdown drain) so clients are told
 /// explicitly instead of having to infer the close from EOF.
 pub fn mark_close(resp: &mut Vec<u8>) {
-    if let Some(pos) = resp.windows(2).position(|w| w == b"\r\n") {
-        let at = pos + 2;
-        resp.splice(at..at, b"Connection: close\r\n".iter().copied());
+    if let Some(at) = status_line_len(resp) {
+        resp.splice(at..at, CONNECTION_CLOSE.iter().copied());
     }
+}
+
+const CONNECTION_CLOSE: &[u8] = b"Connection: close\r\n";
+
+/// Length of the status line, its `\r\n` included.
+fn status_line_len(resp: &[u8]) -> Option<usize> {
+    resp.windows(2)
+        .position(|w| w == b"\r\n")
+        .map(|pos| pos + 2)
 }
 
 #[cfg(test)]
@@ -781,6 +881,27 @@ mod tests {
             "{text}"
         );
         assert!(text.ends_with("\r\n\r\nok"), "framing intact: {text}");
+    }
+
+    #[test]
+    fn head_room_response_matches_write_response() {
+        for body in [&b""[..], b"{}", &[b'x'; 1000]] {
+            let mut buf = vec![0; HEAD_ROOM];
+            buf.extend_from_slice(body);
+            let mut resp = Response::head_room(buf, 200, "OK", "application/json");
+            let mut want = write_response(200, "OK", "application/json", &[], body);
+            assert_eq!(resp.as_bytes(), &want[..]);
+            // Marking close moves the status line into the room; the
+            // bytes match the splice into a plain response.
+            resp.mark_close();
+            mark_close(&mut want);
+            assert_eq!(resp.as_bytes(), &want[..]);
+            let mut plain = Response::from(write_response(200, "OK", "text/plain", &[], body));
+            plain.mark_close();
+            let mut want = write_response(200, "OK", "text/plain", &[], body);
+            mark_close(&mut want);
+            assert_eq!(plain.as_bytes(), &want[..]);
+        }
     }
 
     #[test]

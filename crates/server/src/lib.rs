@@ -77,7 +77,7 @@ use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use http::{chunk, write_chunked_head, write_response, Limits, Request, CHUNK_END};
+use http::{chunk, write_chunked_head, write_response, Limits, Request, Response, CHUNK_END};
 use obs::CancelToken;
 use proto::{
     decode_update_body, query_reply, ErrorResponse, SubscribeHeader, UpdateOp, UpdateResponse,
@@ -589,6 +589,7 @@ fn cpu_worker_loop(
                 &[("Retry-After", secs.to_string())],
                 &body,
             )
+            .into()
         } else {
             dispatch(&job.req, &shared, &job.cancel)
         };
@@ -604,9 +605,9 @@ fn cpu_worker_loop(
 /// Routes one parsed request to its endpoint and serialises the response.
 /// `/health` and `/metrics` never shed and never consult the deadline —
 /// they are the probes operators rely on *during* overload.
-fn dispatch(req: &Request, shared: &Shared, cancel: &CancelToken) -> Vec<u8> {
+fn dispatch(req: &Request, shared: &Shared, cancel: &CancelToken) -> Response {
     let reg = obs::global();
-    match (req.method.as_str(), req.path()) {
+    let resp = match (req.method.as_str(), req.path()) {
         ("POST", "/query") => {
             let start = reg.now_us();
             let resp = handle_query(req, shared, cancel);
@@ -614,7 +615,7 @@ fn dispatch(req: &Request, shared: &Shared, cancel: &CancelToken) -> Vec<u8> {
                 "server.query.latency_us",
                 reg.now_us().saturating_sub(start),
             );
-            resp
+            return resp;
         }
         ("POST", "/update") => {
             let start = reg.now_us();
@@ -650,7 +651,8 @@ fn dispatch(req: &Request, shared: &Shared, cancel: &CancelToken) -> Vec<u8> {
             let body = ErrorResponse::to_json("not_found", "unknown path");
             write_response(404, "Not Found", "application/json", &[], &body)
         }
-    }
+    };
+    resp.into()
 }
 
 /// Readiness: distinct from `/health` (pure liveness) so orchestrators
@@ -681,7 +683,7 @@ fn handle_ready(shared: &Shared) -> Vec<u8> {
     write_response(200, "OK", "text/plain", &[], b"ready")
 }
 
-fn handle_query(req: &Request, shared: &Shared, cancel: &CancelToken) -> Vec<u8> {
+fn handle_query(req: &Request, shared: &Shared, cancel: &CancelToken) -> Response {
     let reg = obs::global();
     reg.add("server.query.requests", 1);
     let sparql = match std::str::from_utf8(&req.body) {
@@ -689,7 +691,7 @@ fn handle_query(req: &Request, shared: &Shared, cancel: &CancelToken) -> Vec<u8>
         _ => {
             reg.add("server.query.errors", 1);
             let body = ErrorResponse::to_json("bad_request", "body must be a SPARQL query");
-            return write_response(400, "Bad Request", "application/json", &[], &body);
+            return write_response(400, "Bad Request", "application/json", &[], &body).into();
         }
     };
     // Optional per-query strategy override (`X-Webreason-Strategy:
@@ -714,17 +716,17 @@ fn handle_query(req: &Request, shared: &Shared, cancel: &CancelToken) -> Vec<u8>
                 "deadline_exceeded",
                 "query cancelled: deadline expired during evaluation",
             );
-            write_response(504, "Gateway Timeout", "application/json", &[], &body)
+            write_response(504, "Gateway Timeout", "application/json", &[], &body).into()
         }
         Err(e @ AnswerError::StrategyUnsupported(_)) => {
             reg.add("server.query.bad_strategy", 1);
             let body = ErrorResponse::to_json("bad_strategy", &e.to_string());
-            write_response(400, "Bad Request", "application/json", &[], &body)
+            write_response(400, "Bad Request", "application/json", &[], &body).into()
         }
         Err(e) => {
             reg.add("server.query.errors", 1);
             let body = ErrorResponse::to_json("bad_query", &e.to_string());
-            write_response(400, "Bad Request", "application/json", &[], &body)
+            write_response(400, "Bad Request", "application/json", &[], &body).into()
         }
     }
 }

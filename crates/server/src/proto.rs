@@ -15,7 +15,7 @@
 //! The decoder is pure (no store access) and total over arbitrary input,
 //! which makes it a proptest target alongside the HTTP parser.
 
-use crate::http::write_response;
+use crate::http::{Response, HEAD_ROOM};
 use rdf_model::{Dictionary, Graph, Term, TermId};
 use serde::Serialize;
 use sparql::{EvalStats, Solutions};
@@ -117,17 +117,18 @@ pub struct QueryResponse {
 /// rows hold each term rendered by `Term`'s `Display` (an id missing from
 /// `dict` as its `#n` form), but it is written in one pass from the flat
 /// answer block: no per-row or per-term allocation, one JSON escaper
-/// ([`serde::write_json_escaped`]), and a single copy of the body, into
-/// the response buffer. The caller holds one dictionary read guard for the
-/// whole reply.
+/// ([`serde::write_json_escaped`]), and one buffer, sized from the block,
+/// that the body is written into after `HEAD_ROOM` reserved bytes; the
+/// head goes in front last (`Response::head_room`), so the body is never
+/// copied. The caller holds one dictionary read guard for the whole reply.
 pub fn query_reply(
     dict: &Dictionary,
     sols: &Solutions,
     stats: Option<&EvalStats>,
     epoch: u64,
-) -> Vec<u8> {
-    let terms = sols.rows.len() * sols.rows.width();
-    let mut body = String::with_capacity(128 + 32 * terms + 3 * sols.rows.len());
+) -> Response {
+    let mut body = String::with_capacity(HEAD_ROOM + body_size_hint(dict, sols));
+    body.extend(std::iter::repeat_n(' ', HEAD_ROOM));
     body.push_str("{\"vars\":");
     sols.var_names.write_json(&mut body);
     body.push_str(",\"rows\":[");
@@ -152,7 +153,38 @@ pub fn query_reply(
     body.push_str(",\"stats\":");
     stats.write_json(&mut body);
     body.push('}');
-    write_response(200, "OK", "application/json", &[], body.as_bytes())
+    Response::head_room(body.into_bytes(), 200, "OK", "application/json")
+}
+
+/// Rows whose rendered length [`body_size_hint`] measures.
+const SIZE_SAMPLES: usize = 8;
+
+/// The body length [`query_reply`] expects: the mean rendered length of
+/// up to [`SIZE_SAMPLES`] rows spread over the block, times the row
+/// count, plus an eighth for the rows the sample missed and the framing
+/// (a non-IRI term is guessed at 32 bytes, escapes are ignored). Close
+/// enough that a large body rarely grows its buffer, small enough not to
+/// reserve memory the reply never touches.
+fn body_size_hint(dict: &Dictionary, sols: &Solutions) -> usize {
+    let rows = sols.rows.len();
+    if rows == 0 {
+        return 256;
+    }
+    let stride = rows.div_ceil(SIZE_SAMPLES);
+    let term_len = |id: &TermId| match dict.decode(*id) {
+        // `"<` + IRI + `>"` + `,`
+        Some(Term::Iri(iri)) => iri.len() + 5,
+        _ => 32,
+    };
+    let (mut sampled, mut bytes) = (0, 0);
+    for row in sols.rows.iter().step_by(stride) {
+        sampled += 1;
+        bytes += row.iter().map(term_len).sum::<usize>();
+    }
+    // `[` + terms + `],` per row.
+    let per_row = bytes / sampled + 3;
+    let body = rows * per_row;
+    256 + body + body / 8
 }
 
 /// Writes one answer term as a JSON string of its N-Triples form.
@@ -258,6 +290,7 @@ impl ErrorResponse {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::http::write_response;
     use rdf_model::Literal;
     use sparql::Rows;
 
@@ -329,14 +362,15 @@ mod tests {
 
     fn assert_wire_identical(dict: &Dictionary, sols: &Solutions, stats: Option<EvalStats>) {
         for epoch in [0, 7, u64::MAX] {
-            let got = query_reply(dict, sols, stats.as_ref(), epoch);
+            let reply = query_reply(dict, sols, stats.as_ref(), epoch);
+            let got = reply.as_bytes();
             let want = reference_reply(dict, sols, stats.clone(), epoch);
             assert_eq!(
-                String::from_utf8_lossy(&got),
+                String::from_utf8_lossy(got),
                 String::from_utf8_lossy(&want),
                 "epoch {epoch}"
             );
-            assert_eq!(got, want);
+            assert_eq!(got, &want[..]);
         }
     }
 
@@ -418,8 +452,8 @@ mod tests {
         let sols = sparql::finalize(sparql::evaluate(&g, &q), &q, &mut dict);
         assert_eq!(sols.len(), 1);
         assert_wire_identical(&dict, &sols, None);
-        let body = query_reply(&dict, &sols, None, 1);
-        let text = String::from_utf8(body).expect("UTF-8");
+        let reply = query_reply(&dict, &sols, None, 1);
+        let text = std::str::from_utf8(reply.as_bytes()).expect("UTF-8");
         assert!(text.ends_with(
             r#"{"vars":["n"],"rows":[["\"2\"^^<http://www.w3.org/2001/XMLSchema#integer>"]],"epoch":1,"stats":null}"#
         ));

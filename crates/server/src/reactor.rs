@@ -346,7 +346,7 @@ pub(crate) struct Job {
 pub(crate) struct Completion {
     pub token: usize,
     pub generation: u64,
-    pub resp: Vec<u8>,
+    pub resp: crate::http::Response,
 }
 
 /// Everything the reactor thread owns, bundled for the spawn.

@@ -317,6 +317,36 @@ mod tests {
         assert_eq!(stats.branches_collapsed, 2);
     }
 
+    /// A range position matches several triples for one binding (`tom`
+    /// is typed `Cat` and `Mammal`, both in `Animal`'s range), so a
+    /// one-branch interval query keeps its `DISTINCT` index.
+    #[test]
+    fn a_range_atom_still_deduplicates() {
+        let mut f = fixture();
+        let tom = f.dict.get_iri_id("http://ex/tom").unwrap();
+        f.g.insert(Triple::new(tom, f.rdf_type, f.mammal));
+        let iq = type_query(&f, f.animal);
+        assert!(iq.query.distinct);
+        let union = iq.query.with_bgps(
+            [f.animal, f.mammal, f.cat]
+                .iter()
+                .map(|&c| {
+                    Bgp::new(vec![TriplePattern::new(
+                        QTerm::Var(Variable(0)),
+                        QTerm::Const(f.rdf_type),
+                        QTerm::Const(c),
+                    )])
+                })
+                .collect(),
+        );
+        let want = evaluate(&f.g, &union).sorted_rows();
+        assert_eq!(want.len(), 3, "tom, rex, nemo once each");
+        for t in [1usize, 2] {
+            let (got, _) = evaluate_interval(&f.g, &iq, NonZeroUsize::new(t).unwrap());
+            assert_eq!(got.sorted_rows(), want, "{t} threads");
+        }
+    }
+
     #[test]
     fn filter_scan_and_enumerate_agree() {
         // Join through a range: ?x hasPet ?y . ?y rdf:type [Animal..] —

@@ -22,12 +22,18 @@
 //!    favour. An atom with several ranges drives the smallest one and
 //!    filter-checks the rest.
 //!
+//! Each trie node is compiled when the trie is built: which positions
+//! probe a constant, a slot an ancestor bound, or nothing, and which slots
+//! the node writes ([`TrieNode`]), so a matched triple costs its slot
+//! writes and nothing else.
+//!
 //! The sorted branch list is split into contiguous chunks (sorting
 //! co-locates shared prefixes), one trie per `std::thread::scope` worker.
 //! Rows are routed into hash-sharded [`Rows`] blocks; the merge phase
 //! deduplicates each shard independently, so `DISTINCT` costs one
-//! [`RowIndex`] per shard instead of one global lock, and no row is ever a
-//! heap allocation of its own.
+//! [`RowIndex`] per shard instead of one global lock — or nothing, when
+//! the plan proves the rows distinct ([`plan_proves_distinct`]) — and no
+//! row is ever a heap allocation of its own.
 //!
 //! The answer multiset is exactly [`evaluate`](crate::evaluate)'s on the
 //! classical union: a trie path *is* a branch's planned atom sequence,
@@ -42,7 +48,6 @@ use crate::rows::{RowIndex, Rows};
 use obs::{CancelToken, CANCEL_POLL_STRIDE};
 use rdf_model::{Graph, IntervalDict, IntervalSet, Pattern, TermId, Triple, WorkerPanicked};
 use rustc_hash::{FxHashSet, FxHasher};
-use smallvec::SmallVec;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::num::NonZeroUsize;
@@ -234,12 +239,77 @@ fn publish_range(reg: &obs::Registry, stats: &EvalStats, _worker_rows: &[u64]) {
     reg.add("sparql.range.workers", stats.threads as u64);
 }
 
-/// One node of the shared-prefix trie: a planned atom, the branches
+/// Where a probe position's value comes from, fixed when the trie is
+/// built: the variables an ancestor bound are known from the path.
+#[derive(Debug, Clone, Copy)]
+enum Src {
+    /// A constant of the atom.
+    Const(TermId),
+    /// A variable an ancestor bound: its slot.
+    Slot(usize),
+    /// A variable this node binds: a wildcard.
+    Free,
+    /// A hierarchy range: a wildcard the walk restricts (see
+    /// [`Walker::walk`]).
+    Range(u16),
+}
+
+/// One node of the shared-prefix trie: a planned atom compiled to its
+/// probe sources, slot writes and repeated-variable checks, the branches
 /// ending exactly here (`leaf_mult`), and the continuations.
 struct TrieNode {
     atom: RangeAtom,
+    probe: [Src; 3],
+    /// `(position, slot)` for each variable this node binds.
+    binds: Vec<(usize, usize)>,
+    /// Position pairs holding the same variable, unbound above this node
+    /// (`?x p ?x`): the matched triple must agree on both.
+    repeats: Vec<(usize, usize)>,
+    /// Every variable bound once this node matched — the path's — so
+    /// `NOT EXISTS` can tell bound slots from stale ones.
+    bound: Vec<Variable>,
     leaf_mult: usize,
     children: Vec<TrieNode>,
+}
+
+impl TrieNode {
+    /// Compiles `atom` under the variables its ancestors bound.
+    fn compile(atom: RangeAtom, above: &[Variable]) -> TrieNode {
+        let mut probe = [Src::Free; 3];
+        let mut binds = Vec::new();
+        let mut repeats = Vec::new();
+        let mut bound = above.to_vec();
+        for (pos, term) in atom.positions().into_iter().enumerate() {
+            probe[pos] = match term {
+                RTerm::Const(c) => Src::Const(c),
+                RTerm::Range(r) => Src::Range(r),
+                RTerm::Var(v) if above.contains(&v) => Src::Slot(v.index()),
+                RTerm::Var(v) => {
+                    match binds.iter().find(|&&(_, slot)| slot == v.index()) {
+                        Some(&(first, _)) => repeats.push((first, pos)),
+                        None => {
+                            binds.push((pos, v.index()));
+                            bound.push(v);
+                        }
+                    }
+                    Src::Free
+                }
+            };
+        }
+        TrieNode {
+            atom,
+            probe,
+            binds,
+            repeats,
+            bound,
+            leaf_mult: 0,
+            children: Vec::new(),
+        }
+    }
+
+    fn has_range(&self) -> bool {
+        self.probe.iter().any(|src| matches!(src, Src::Range(_)))
+    }
 }
 
 /// The trie for one worker's chunk of branches.
@@ -263,6 +333,7 @@ impl Trie {
             }
             let mut level = &mut trie.roots;
             let mut reused_any = false;
+            let mut above: Vec<Variable> = Vec::new();
             for (depth, atom) in seq.iter().enumerate() {
                 let pos = match level.iter().position(|n| n.atom == *atom) {
                     Some(pos) => {
@@ -272,19 +343,17 @@ impl Trie {
                         pos
                     }
                     None => {
-                        level.push(TrieNode {
-                            atom: *atom,
-                            leaf_mult: 0,
-                            children: Vec::new(),
-                        });
+                        level.push(TrieNode::compile(*atom, &above));
                         trie.nodes += 1;
                         level.len() - 1
                     }
                 };
+                let node = &mut level[pos];
                 if depth + 1 == seq.len() {
-                    level[pos].leaf_mult += 1;
+                    node.leaf_mult += 1;
                 }
-                level = &mut level[pos].children;
+                above.clone_from(&node.bound);
+                level = &mut node.children;
             }
             if reused_any {
                 trie.shared_branches += 1;
@@ -306,52 +375,52 @@ struct Job<'a> {
     cancel: &'a CancelToken,
 }
 
-/// One worker's trie walk: probe, bind, emit at leaves (with
-/// multiplicity), recurse into continuations, unbind.
+/// One worker's trie walk: probe, write the node's slots, emit at leaves
+/// (with multiplicity), recurse into continuations.
+///
+/// Slots are never unbound: a node reads only the slots its ancestors
+/// wrote on the current path (its [`Src::Slot`] positions, fixed at
+/// build time), so a stale value from a sibling path is overwritten
+/// before it can be read. `emit` receives the path's bound variables for
+/// the one reader that must see the rest as unbound, `NOT EXISTS`.
 ///
 /// The token is polled on the first matched triple of the walk and then
 /// every [`CANCEL_POLL_STRIDE`] matched triples, at any depth, so even a
 /// single-branch query stops within a stride of the deadline. A tripped
 /// token sets `cancelled` and every further match is skipped.
-struct Walker<'a> {
+struct Walker<'a, E> {
     job: Job<'a>,
+    slots: Vec<TermId>,
+    emit: E,
     matched: usize,
     cancelled: bool,
 }
 
-impl Walker<'_> {
-    fn walk(
-        &mut self,
-        node: &TrieNode,
-        binding: &mut Vec<Option<TermId>>,
-        emit: &mut dyn FnMut(&[Option<TermId>], usize),
-    ) {
+impl<E: FnMut(&[TermId], &[Variable], usize)> Walker<'_, E> {
+    fn walk(&mut self, node: &TrieNode) {
         let Job { g, ranges, .. } = self.job;
-        let atom = &node.atom;
-        // Field by field, not through `positions()`: the array round trip
-        // costs a fifth of a probe-heavy join.
-        let mut probe = [
-            resolve(atom.s, binding),
-            resolve(atom.p, binding),
-            resolve(atom.o, binding),
-        ];
+        let value = |src: Src| match src {
+            Src::Const(c) => Some(c),
+            Src::Slot(slot) => Some(self.slots[slot]),
+            Src::Free | Src::Range(_) => None,
+        };
+        let mut probe = node.probe.map(value);
         let pattern = |probe: &[Option<TermId>; 3]| Pattern::new(probe[0], probe[1], probe[2]);
         // A range-free atom — every atom of a union or saturated query — is
         // one plain probe.
-        let (Some(dict), true) = (self.job.dict, atom.has_range()) else {
-            g.for_each_match(&pattern(&probe), |t| self.step(node, &t, binding, emit));
+        let (Some(dict), true) = (self.job.dict, node.has_range()) else {
+            g.for_each_match(&pattern(&probe), |t| self.step(node, t));
             return;
         };
-        let range = |t: RTerm| match t {
-            RTerm::Range(r) => Some(&ranges[usize::from(r)]),
+        let mut ranged = node.probe.map(|src| match src {
+            Src::Range(r) => Some(&ranges[usize::from(r)]),
             _ => None,
-        };
-        let mut ranged = [range(atom.s), range(atom.p), range(atom.o)];
+        });
         let mut scan = |probe: &[Option<TermId>; 3], checks: &[Option<&IntervalSet>; 3]| {
             g.for_each_match(&pattern(probe), |t| {
                 let values = [t.s, t.p, t.o];
                 if (0..3).all(|i| checks[i].is_none_or(|set| dict.contains(set, values[i]))) {
-                    self.step(node, &t, binding, emit);
+                    self.step(node, t);
                 }
             });
         };
@@ -372,62 +441,30 @@ impl Walker<'_> {
         }
     }
 
-    /// Processes one matched triple of a trie node's probe.
+    /// Processes one matched triple of a trie node's probe. Constant,
+    /// slot and range positions were enforced by the probe; what is left
+    /// is the repeated-variable check and the slot writes.
     #[inline]
-    fn step(
-        &mut self,
-        node: &TrieNode,
-        t: &Triple,
-        binding: &mut Vec<Option<TermId>>,
-        emit: &mut dyn FnMut(&[Option<TermId>], usize),
-    ) {
+    fn step(&mut self, node: &TrieNode, t: Triple) {
         let poll = self.matched.is_multiple_of(CANCEL_POLL_STRIDE);
         if self.cancelled || (poll && self.job.cancel.is_cancelled()) {
             self.cancelled = true;
             return;
         }
         self.matched += 1;
-        // Constant and range positions were enforced by the probe; bind
-        // the variables, rejecting a repeated-variable clash.
-        let mut touched: SmallVec<[Variable; 3]> = SmallVec::new();
-        let atom = &node.atom;
-        let mut consistent = true;
-        for (rt, value) in [(atom.s, t.s), (atom.p, t.p), (atom.o, t.o)] {
-            let RTerm::Var(v) = rt else { continue };
-            match binding[v.index()] {
-                Some(bound) if bound != value => {
-                    consistent = false;
-                    break;
-                }
-                Some(_) => {}
-                None => {
-                    binding[v.index()] = Some(value);
-                    touched.push(v);
-                }
-            }
+        let values = [t.s, t.p, t.o];
+        if node.repeats.iter().any(|&(a, b)| values[a] != values[b]) {
+            return;
         }
-        if consistent {
-            if node.leaf_mult > 0 {
-                emit(binding, node.leaf_mult);
-            }
-            for child in &node.children {
-                self.walk(child, binding, emit);
-            }
+        for &(pos, slot) in &node.binds {
+            self.slots[slot] = values[pos];
         }
-        for v in touched {
-            binding[v.index()] = None;
+        if node.leaf_mult > 0 {
+            (self.emit)(&self.slots, &node.bound, node.leaf_mult);
         }
-    }
-}
-
-/// The value a probe position takes under `binding`: a constant, a bound
-/// variable, or `None` (a wildcard) for a free variable or a range.
-#[inline]
-fn resolve(t: RTerm, binding: &[Option<TermId>]) -> Option<TermId> {
-    match t {
-        RTerm::Var(v) => binding[v.index()],
-        RTerm::Const(c) => Some(c),
-        RTerm::Range(_) => None,
+        for child in &node.children {
+            self.walk(child);
+        }
     }
 }
 
@@ -445,7 +482,8 @@ fn shard_of(row: &[TermId], mask: usize) -> usize {
 }
 
 /// Evaluates one chunk of branches: builds the chunk's trie, walks it, and
-/// routes projected rows into `shard_count` hash-sharded buckets.
+/// routes projected rows into `shard_count` hash-sharded buckets, keeping
+/// each shard a set when `distinct`.
 ///
 /// Cancellation is polled between trie roots and inside the walk (see
 /// [`Walker`]). `None` means the token tripped: the partial shards are
@@ -454,6 +492,7 @@ fn run_chunk(
     job: Job<'_>,
     branches: &[Vec<RangeAtom>],
     shard_count: usize,
+    distinct: bool,
 ) -> Option<WorkerOutput> {
     let Job { g, q, cancel, .. } = job;
     let trie = Trie::build(branches);
@@ -466,25 +505,27 @@ fn run_chunk(
     let mut shards: Vec<(Rows, RowIndex)> = (0..shard_count)
         .map(|_| (Rows::new(width), RowIndex::default()))
         .collect();
-    let mut binding: Vec<Option<TermId>> = vec![None; q.var_names.len()];
-    let mut walker = Walker {
-        job,
-        matched: 0,
-        cancelled: false,
-    };
+    // `NOT EXISTS` reads a binding in which only the path's variables are
+    // bound; it is assembled per candidate row and cleared after.
+    let mut negation: Vec<Option<TermId>> = vec![None; q.var_names.len()];
     let mut row: Vec<TermId> = Vec::with_capacity(width);
-    let mut emit = |binding: &[Option<TermId>], mult: usize| {
-        if !passes_negation(g, q, binding) {
-            return;
+    let emit = |slots: &[TermId], bound: &[Variable], mult: usize| {
+        if !q.not_exists.is_empty() {
+            for &v in bound {
+                negation[v.index()] = Some(slots[v.index()]);
+            }
+            let passes = passes_negation(g, q, &negation);
+            for &v in bound {
+                negation[v.index()] = None;
+            }
+            if !passes {
+                return;
+            }
         }
         row.clear();
-        row.extend(
-            q.projection
-                .iter()
-                .map(|v| binding[v.index()].expect("projected variable bound")),
-        );
+        row.extend(q.projection.iter().map(|v| slots[v.index()]));
         let (rows, index) = &mut shards[if mask == 0 { 0 } else { shard_of(&row, mask) }];
-        if q.distinct {
+        if distinct {
             index.insert(rows, &row);
         } else {
             // A branch duplicated `mult` times contributes `mult` copies
@@ -492,23 +533,52 @@ fn run_chunk(
             rows.push_copies(&row, mult);
         }
     };
+    let mut walker = Walker {
+        job,
+        // Placeholders: every slot is written before it is read.
+        slots: vec![TermId::from_index(0); q.var_names.len()],
+        emit,
+        matched: 0,
+        cancelled: false,
+    };
     if trie.empty_mult > 0 {
-        emit(&binding, trie.empty_mult);
+        (walker.emit)(&walker.slots, &[], trie.empty_mult);
     }
     for root in &trie.roots {
         if cancel.is_cancelled() {
             return None;
         }
-        walker.walk(root, &mut binding, &mut emit);
+        walker.walk(root);
         if walker.cancelled {
             return None;
         }
     }
+    drop(walker);
     Some(WorkerOutput {
         shards: shards.into_iter().map(|(rows, _)| rows).collect(),
         trie_nodes: trie.nodes,
         shared_branches: trie.shared_branches,
     })
+}
+
+/// Whether the plan alone proves the answer rows a set, so `DISTINCT`
+/// needs no [`RowIndex`]: exactly one branch survives pruning, it holds
+/// no range and at least one atom, and every variable it binds is
+/// projected. A one-branch trie emits each match once (multiplicity 1);
+/// two matches differ in some triple, and two distinct triples of one
+/// atom under the same ancestor slots differ in a variable that atom
+/// binds. With every bound variable projected, distinct solutions are
+/// distinct rows.
+fn plan_proves_distinct(q: &Query, branches: &[Vec<RangeAtom>]) -> bool {
+    let [branch] = branches else {
+        return false;
+    };
+    !branch.is_empty()
+        && !branch.iter().any(RangeAtom::has_range)
+        && branch
+            .iter()
+            .flat_map(RangeAtom::variables)
+            .all(|v| q.projection.contains(&v))
 }
 
 /// Merges one shard's per-worker row lists. Workers already deduplicated
@@ -650,13 +720,15 @@ pub fn try_execute(
     stats.threads = workers;
     let shard_count = workers.next_power_of_two();
 
+    let distinct = q.distinct && !plan_proves_distinct(q, &branches);
+
     let eval_span = span(family.phases[1]);
     let outputs = if workers == 1 {
-        vec![run_chunk(job, &branches, shard_count)]
+        vec![run_chunk(job, &branches, shard_count, distinct)]
     } else {
         let per = branches.len().div_ceil(workers);
         fan_out(branches.chunks(per), |chunk| {
-            run_chunk(job, chunk, shard_count)
+            run_chunk(job, chunk, shard_count, distinct)
         })?
     };
     // One cancelled worker cancels the query: every sibling's output is
@@ -688,7 +760,7 @@ pub fn try_execute(
     let merge_span = span(family.phases[2]);
     let merge_start = Instant::now();
     let width = q.projection.len();
-    let merge = |parts| (!cancel.is_cancelled()).then(|| merge_shard(parts, width, q.distinct));
+    let merge = |parts| (!cancel.is_cancelled()).then(|| merge_shard(parts, width, distinct));
     let merged = if workers == 1 {
         shard_parts.into_iter().map(merge).collect()
     } else {
@@ -886,6 +958,120 @@ mod tests {
             let (got, stats) = evaluate_union(&g, &q, threads(t));
             assert!(got.is_empty());
             assert_eq!(stats.rows, 0);
+        }
+    }
+
+    /// `FILTER NOT EXISTS` under a `UNION` whose branches bind different
+    /// variables: the negated group mentions `?z`, which only the second
+    /// branch binds, so under the first branch `?z` must be existential —
+    /// never a value the walk left in its slot on the other branch.
+    #[test]
+    fn not_exists_sees_the_other_branchs_variables_as_unbound() {
+        let data = r#"
+            @prefix ex: <http://ex/> .
+            ex:anne ex:hasFriend ex:marie .
+            ex:marie ex:hasFriend ex:paul .
+            ex:paul ex:hasFriend ex:anne .
+            ex:bob ex:knows ex:anne .
+            ex:carl ex:knows ex:marie .
+        "#;
+        let mut dict = Dictionary::new();
+        let mut g = Graph::new();
+        rdf_io::parse_turtle(data, &mut dict, &mut g).expect("fixture parses");
+        // Under `?x hasFriend ?y` the group asks "does anybody know ?y":
+        // only `marie` (friend `paul`) survives. A stale `?z = carl` or
+        // `?z = bob` would also let `paul` or `anne` through.
+        let queries = [
+            "PREFIX ex: <http://ex/> SELECT ?x WHERE { { ?x ex:hasFriend ?y } \
+             UNION { ?z ex:knows ?x } FILTER NOT EXISTS { ?z ex:knows ?y } }",
+            "PREFIX ex: <http://ex/> SELECT ?x WHERE { { ?z ex:knows ?x } \
+             UNION { ?x ex:hasFriend ?y } FILTER NOT EXISTS { ?z ex:knows ?y } }",
+            "PREFIX ex: <http://ex/> SELECT ?x WHERE { { ?z ex:knows ?x } \
+             UNION { ?x ex:hasFriend ?y . ?y ex:hasFriend ?w } \
+             FILTER NOT EXISTS { ?z ex:knows ?y . ?z ex:knows ?w } }",
+        ];
+        let marie = dict.get_iri_id("http://ex/marie").unwrap();
+        for (i, text) in queries.iter().enumerate() {
+            let q = parse_query(text, &mut dict).expect("query parses");
+            assert_eq!(q.not_exists.len(), 1);
+            let want = evaluate(&g, &q).sorted_rows();
+            if i < 2 {
+                assert_eq!(want, vec![vec![marie]], "the oracle's answer");
+            }
+            for t in [1usize, 2] {
+                let (got, _) = evaluate_union(&g, &q, threads(t));
+                assert_eq!(got.sorted_rows(), want, "query {i} at {t} threads");
+            }
+        }
+    }
+
+    const DUPLICATES: &str = r#"
+        @prefix ex: <http://ex/> .
+        ex:anne ex:hasFriend ex:marie .
+        ex:anne ex:hasFriend ex:paul .
+        ex:paul ex:hasFriend ex:paul .
+        ex:marie ex:hasFriend ex:marie .
+        ex:anne a ex:Person .
+    "#;
+
+    /// Whether the plan of `text` over [`DUPLICATES`] skips `DISTINCT`,
+    /// after checking that the answer equals `evaluate`'s as a set and
+    /// holds no duplicate row, at 1 and 2 threads.
+    fn distinct_answer(text: &str) -> bool {
+        let mut dict = Dictionary::new();
+        let mut g = Graph::new();
+        rdf_io::parse_turtle(DUPLICATES, &mut dict, &mut g).expect("fixture parses");
+        let q = parse_query(text, &mut dict).expect("query parses");
+        assert!(q.distinct, "{text}");
+        let want = evaluate(&g, &q).sorted_rows();
+        assert!(!want.is_empty(), "{text} has answers");
+        for t in [1usize, 2] {
+            let (got, _) = evaluate_union(&g, &q, threads(t));
+            let rows = got.sorted_rows();
+            let mut set = rows.clone();
+            set.dedup();
+            assert_eq!(rows, set, "no duplicate row: {text} at {t} threads");
+            assert_eq!(rows, want, "{text} at {t} threads");
+        }
+        let cancel = CancelToken::none();
+        let job = Job {
+            g: &g,
+            q: &q,
+            ranges: &[],
+            dict: None,
+            cancel: &cancel,
+        };
+        let branches = plan_branches(
+            job,
+            q.bgps.iter().map(|b| &b.patterns[..]),
+            &mut EvalStats::default(),
+        )
+        .expect("never cancelled");
+        plan_proves_distinct(&q, &branches)
+    }
+
+    #[test]
+    fn distinct_is_skipped_only_when_the_plan_proves_it() {
+        let skips = [
+            "PREFIX ex: <http://ex/> SELECT DISTINCT ?x WHERE { ?x ex:hasFriend ?x }",
+            "PREFIX ex: <http://ex/> SELECT DISTINCT ?y ?x WHERE { ?x ex:hasFriend ?y }",
+            "PREFIX ex: <http://ex/> SELECT DISTINCT * WHERE { ex:anne ex:hasFriend ex:paul }",
+            "PREFIX ex: <http://ex/> SELECT DISTINCT * WHERE \
+             { ex:anne ex:hasFriend ex:paul . ex:anne a ex:Person }",
+        ];
+        for text in skips {
+            assert!(distinct_answer(text), "the plan proves {text} distinct");
+        }
+        let dedups = [
+            // `?y` is dropped: anne has two friends.
+            "PREFIX ex: <http://ex/> SELECT DISTINCT ?x WHERE { ?x ex:hasFriend ?y }",
+            "PREFIX ex: <http://ex/> SELECT DISTINCT ?x WHERE \
+             { { ?x ex:hasFriend ?x } UNION { ?x ex:hasFriend ?x } }",
+            "PREFIX ex: <http://ex/> SELECT DISTINCT ?x WHERE \
+             { { ?x ex:hasFriend ?y } UNION { ?x a ex:Person } }",
+        ];
+        for text in dedups {
+            assert!(!distinct_answer(text), "{text} must deduplicate");
         }
     }
 
