@@ -59,13 +59,10 @@ pub(crate) fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 /// Maps an executor error onto the answer error surface, counting
 /// cancellations.
 fn map_union(reg: &obs::Registry, e: UnionEvalError) -> AnswerError {
-    match e {
-        UnionEvalError::Worker(w) => AnswerError::Worker(w),
-        UnionEvalError::Cancelled => {
-            reg.add("core.answer.cancelled", 1);
-            AnswerError::Cancelled
-        }
+    if matches!(e, UnionEvalError::Cancelled) {
+        reg.add("core.answer.cancelled", 1);
     }
+    e.into()
 }
 
 /// Schema closure, computed at most once per schema version and shared by
@@ -73,9 +70,11 @@ fn map_union(reg: &obs::Registry, e: UnionEvalError) -> AnswerError {
 /// schema-changing updates).
 pub(crate) type SchemaCell = Arc<OnceLock<Schema>>;
 
-/// Per-query reformulation cache, keyed by the query's structural form.
-/// Valid for one schema version; swapped with [`SchemaCell`].
-pub(crate) type RefoCache = Arc<Mutex<rustc_hash::FxHashMap<String, Query>>>;
+/// Per-query reformulation cache, keyed by the whole query: the rewrite
+/// carries its variable names, filters and modifiers. Boxed keys keep
+/// the table's slots small. Valid for one schema version; swapped with
+/// [`SchemaCell`].
+pub(crate) type RefoCache = Arc<Mutex<rustc_hash::FxHashMap<Box<Query>, Query>>>;
 
 /// The LiteMat interval dictionary of the current schema version, built
 /// lazily behind the first interval-strategy answer (the build *is* the
@@ -83,9 +82,9 @@ pub(crate) type RefoCache = Arc<Mutex<rustc_hash::FxHashMap<String, Query>>>;
 /// `core.interval.reencode`). Swapped with [`SchemaCell`].
 pub(crate) type IntervalCell = Arc<OnceLock<Arc<IntervalDict>>>;
 
-/// Per-query interval-rewrite cache; valid for one schema version,
-/// swapped with [`SchemaCell`].
-pub(crate) type IqCache = Arc<Mutex<rustc_hash::FxHashMap<String, Arc<IntervalQuery>>>>;
+/// Per-query interval-rewrite cache, keyed like [`RefoCache`]; valid for
+/// one schema version, swapped with [`SchemaCell`].
+pub(crate) type IqCache = Arc<Mutex<rustc_hash::FxHashMap<Box<Query>, Arc<IntervalQuery>>>>;
 
 /// How a schema-based (non-materialising) snapshot answers queries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -103,11 +102,6 @@ enum Rewritten {
     Union(Query),
     /// The interval rewriting.
     Interval(Arc<IntervalQuery>),
-}
-
-/// The structural cache key of a query (projection + patterns + DISTINCT).
-pub(crate) fn query_key(q: &Query) -> String {
-    format!("{:?}|{:?}|{}", q.projection, q.bgps, q.distinct)
 }
 
 /// Frozen per-strategy state: the graph a snapshot answers against.
@@ -161,7 +155,7 @@ impl StoreSnapshot {
         read_lock(&self.dict)
     }
 
-    /// The frozen graph a registered incremental view's dataflow probes
+    /// The frozen graph a registered incremental view is evaluated over
     /// under this snapshot's strategy: `G∞` under saturation (its
     /// entailed delta streams), the explicit `G` under reformulation and
     /// interval rewriting. Every strategy has one, so this is always
@@ -175,11 +169,12 @@ impl StoreSnapshot {
 
     /// For the reformulation and interval strategies: compiles `q` into
     /// its reformulated union `q_ref` against this snapshot's schema
-    /// version, through the same per-version cache the answer path uses.
-    /// (Interval-mode snapshots serve the *union* form here: the
-    /// subscription layer's incremental dataflow is compiled from union
-    /// branches, and both rewritings produce identical answers.)
-    /// `Ok(None)` under saturation, which answers without a rewriting.
+    /// version, through the per-version cache the answer path uses (a
+    /// miss is spanned `core.answer.reformulate`, so rewrite time stays
+    /// out of evaluation time). Interval-mode snapshots serve the union
+    /// form too: subscription views maintain it, and both rewritings
+    /// produce identical answers. `Ok(None)` under saturation, which
+    /// answers without a rewriting.
     pub fn reformulated(&self, q: &Query) -> Result<Option<Query>, AnswerError> {
         let SnapState::Schema {
             graph,
@@ -191,13 +186,13 @@ impl StoreSnapshot {
             return Ok(None);
         };
         let schema = schema.get_or_init(|| Schema::extract(graph, &self.vocab));
-        let key = query_key(q);
         let mut cache = lock(refo_cache);
-        if let Some(cached) = cache.get(&key) {
+        if let Some(cached) = cache.get(q) {
             return Ok(Some(cached.clone()));
         }
+        let _refo = obs::global().span("core.answer.reformulate");
         let r = reformulate(q, schema, &self.vocab)?;
-        cache.insert(key, r.query.clone());
+        cache.insert(Box::new(q.clone()), r.query.clone());
         Ok(Some(r.query))
     }
 
@@ -245,28 +240,6 @@ impl StoreSnapshot {
         self.answer_with_strategy(q, None, cancel)
     }
 
-    /// The union-reformulation rewrite: `q_ref`, compiled or taken from
-    /// the per-version cache.
-    fn union_path(
-        &self,
-        schema: &Schema,
-        refo_cache: &RefoCache,
-        q: &Query,
-        reg: &obs::Registry,
-    ) -> Result<Query, AnswerError> {
-        let key = query_key(q);
-        let mut cache = lock(refo_cache);
-        if let Some(cached) = cache.get(&key) {
-            return Ok(cached.clone());
-        }
-        // Spanned separately so observed-cost analysis can keep rewrite
-        // time out of evaluation time.
-        let _refo = reg.span("core.answer.reformulate");
-        let r = reformulate(q, schema, &self.vocab)?;
-        cache.insert(key, r.query.clone());
-        Ok(r.query)
-    }
-
     /// The interval rewrite: build the interval dictionary once per schema
     /// version (spanned `core.interval.reencode` — the interval strategy's
     /// schema-update cost), then rewrite through the per-version cache.
@@ -285,14 +258,13 @@ impl StoreSnapshot {
                 Arc::new(schema.interval_dict())
             })
             .clone();
-        let key = query_key(q);
         let mut cache = lock(iq_cache);
-        if let Some(cached) = cache.get(&key) {
+        if let Some(cached) = cache.get(q) {
             return Ok(cached.clone());
         }
         let _refo = reg.span("core.answer.reformulate");
         let iq = Arc::new(reformulate_intervals(q, schema, &self.vocab, idict)?);
-        cache.insert(key, iq.clone());
+        cache.insert(Box::new(q.clone()), iq.clone());
         Ok(iq)
     }
 
@@ -335,9 +307,9 @@ impl StoreSnapshot {
                     graph,
                     mode,
                     schema,
-                    refo_cache,
                     interval,
                     iq_cache,
+                    ..
                 },
                 strategy,
             ) => {
@@ -349,9 +321,10 @@ impl StoreSnapshot {
                     Some(s) => return Err(unsupported(s)),
                 };
                 let rewritten = match mode {
-                    SchemaMode::Reformulate => {
-                        Rewritten::Union(self.union_path(schema, refo_cache, q, reg)?)
-                    }
+                    SchemaMode::Reformulate => Rewritten::Union(
+                        self.reformulated(q)?
+                            .expect("a schema snapshot reformulates"),
+                    ),
                     SchemaMode::Interval => {
                         Rewritten::Interval(self.interval_path(schema, interval, iq_cache, q, reg)?)
                     }

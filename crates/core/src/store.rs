@@ -13,7 +13,7 @@ use rdf_io::ParseError;
 use rdf_model::{Dictionary, Graph, Term, Triple, Vocab, WorkerPanicked};
 use rdfs::incremental::{Maintainer, MaintenanceAlgorithm, UpdateKind, UpdateStats};
 use reformulation::ReformulationError;
-use sparql::{parse_query, EvalStats, Query, QueryParseError, Solutions};
+use sparql::{parse_query, EvalStats, Query, QueryParseError, Solutions, UnionEvalError};
 use std::fmt;
 use std::num::NonZeroUsize;
 use std::sync::{Arc, Mutex, OnceLock, RwLock, RwLockReadGuard, RwLockWriteGuard};
@@ -119,6 +119,14 @@ impl From<ReformulationError> for AnswerError {
 impl From<WorkerPanicked> for AnswerError {
     fn from(e: WorkerPanicked) -> Self {
         AnswerError::Worker(e)
+    }
+}
+impl From<UnionEvalError> for AnswerError {
+    fn from(e: UnionEvalError) -> Self {
+        match e {
+            UnionEvalError::Worker(w) => AnswerError::Worker(w),
+            UnionEvalError::Cancelled => AnswerError::Cancelled,
+        }
     }
 }
 
@@ -976,6 +984,23 @@ mod tests {
             s.answer_sparql("SELECT ?p WHERE { <http://ex/Tom> ?p <http://ex/Cat> }"),
             Err(AnswerError::Reformulation(_))
         ));
+    }
+
+    /// The rewrite caches key on the whole query: two queries that differ
+    /// only in a variable's name share no cached rewrite, so each answer
+    /// reports its own variable names.
+    #[test]
+    fn rewrite_caches_key_on_the_whole_query() {
+        for config in [ReasoningConfig::Reformulation, ReasoningConfig::Interval] {
+            let s = store_with(config);
+            for var in ["a", "b"] {
+                let text =
+                    format!("PREFIX ex: <http://ex/> SELECT ?{var} WHERE {{ ?{var} a ex:Mammal }}");
+                let sols = s.answer_sparql(&text).unwrap();
+                assert_eq!(sols.var_names, vec![var], "{}", config.name());
+                assert_eq!(sols.len(), 1, "{}", config.name());
+            }
+        }
     }
 
     #[test]

@@ -6,20 +6,24 @@
 //! re-answering a registered query after every update, the store
 //! maintains its answer **incrementally** and streams the changes:
 //!
-//! 1. A subscriber registers a SPARQL BGP (union) query. The query is
-//!    compiled once into a [`sparql::dataflow::DeltaProgram`] against the
-//!    active reasoning strategy:
-//!    * **Saturation** — the dataflow probes `G∞` and consumes the
-//!      *entailed* delta the maintenance layer (DRed / counting /
+//! 1. A subscriber registers a SPARQL BGP (union) query. The view keeps
+//!    the query it evaluates under the active reasoning strategy, and
+//!    its initial state is that query's bag answer from the one executor
+//!    (`sparql::try_execute`):
+//!    * **Saturation** — the view evaluates `q` over `G∞` and consumes
+//!      the *entailed* delta the maintenance layer (DRed / counting /
 //!      recompute) already computes; the view pays nothing extra for
 //!      reasoning.
-//!    * **Reformulation** and **interval** — the query is reformulated
-//!      into `q_ref` and the dataflow probes the explicit `G`, consuming
-//!      the base delta.
+//!    * **Reformulation** and **interval** — the view evaluates the
+//!      reformulated union `q_ref` over the explicit `G`, consuming the
+//!      base delta.
 //! 2. After every writer group-commit, [`SubscriptionHub::publish`] runs
-//!    each view's delta program over the consolidated triple delta —
-//!    `O(|Δ|)` join work — updates the view's multiplicity counts, and
-//!    appends an epoch-tagged [`DeltaBatch`] to the view's epoch log.
+//!    each view's query through the same trie walker once per atom on
+//!    the consolidated triple delta (`sparql::execute_delta`) — `O(|Δ|)`
+//!    join work — updates the view's multiplicity counts, and appends an
+//!    epoch-tagged [`DeltaBatch`] to the view's epoch log. Full and delta
+//!    rows both pass the registered query's `FILTER`s through
+//!    `sparql::finalize_read`, like every answer.
 //! 3. Consumers pull batches with [`SubscriptionHub::catch_up`] from the
 //!    last epoch they acknowledged and accumulate them; at any published
 //!    epoch the accumulated state equals the from-scratch answer at that
@@ -39,10 +43,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod dataflow;
+
+use rdf_model::{Dictionary, Graph, TermId};
 use rustc_hash::FxHashMap;
 use serde::Serialize;
-use sparql::dataflow::{compile_delta, consolidate_delta, DeltaProgram};
-use sparql::Query;
+use sparql::{Query, UnionEvalError};
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex, MutexGuard};
 use webreason_core::{AnswerError, ReasoningConfig, StoreDelta, StoreReader, StoreSnapshot};
@@ -169,24 +175,14 @@ pub struct CatchUp {
     pub terminal: Option<Terminal>,
 }
 
-/// How a view evaluates under the strategy it was registered against.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Mode {
-    /// Evaluation over maintained `G∞`; consumes the entailed delta.
-    Saturated,
-    /// Reformulated union over the explicit graph; consumes the base
-    /// delta, recompiles on schema change.
-    Reformulated,
-}
-
 struct View {
-    key: String,
-    mode: Mode,
-    distinct: bool,
-    vars: Vec<String>,
-    /// The original query as registered (recompiled on schema change).
+    /// The query as registered: the view's identity, its `FILTER`s,
+    /// variable names and set semantics, and what a schema change
+    /// re-reformulates.
     query: Query,
-    program: DeltaProgram,
+    /// The bag form of the query evaluated for it: `query`, or its
+    /// `q_ref` under the rewriting strategies.
+    effective: Query,
     /// Signed multiplicity per projected row (decoded) — the view's
     /// materialized state. Rows with count 0 are removed.
     counts: FxHashMap<Vec<String>, i64>,
@@ -279,7 +275,6 @@ impl SubscriptionHub {
         loop {
             let snap = reader.snapshot();
             let q = snap.prepare(sparql).map_err(SubscribeError::Query)?;
-            let key = view_key(&q);
 
             // Fast path: the view already exists — attach and hand the
             // subscriber the view's current state (no re-evaluation).
@@ -291,7 +286,7 @@ impl SubscriptionHub {
                 if inner.subs.len() >= self.cfg.max_subscriptions {
                     return Err(SubscribeError::AtCapacity(self.cfg.max_subscriptions));
                 }
-                if let Some(vi) = inner.views.iter().position(|v| v.key == key) {
+                if let Some(vi) = inner.views.iter().position(|v| v.query == q) {
                     return Ok(self.attach(&mut inner, vi));
                 }
             }
@@ -301,18 +296,14 @@ impl SubscriptionHub {
             }
 
             // Slow path: build the view off-lock against the frozen
-            // snapshot.
-            let (mode, program) = compile_for(&snap, &q)?;
+            // snapshot, under the request's deadline.
+            let _span = reg.span("server.subscribe.register");
+            let effective = compile_for(&snap, &q)?;
             let graph = view_graph(&snap);
-            let mut counts: FxHashMap<Vec<String>, i64> = FxHashMap::default();
-            {
-                let dict = snap.dictionary();
-                program.eval_full(graph, &dict, |row, m| {
-                    let decoded = decode_row(&dict, &row);
-                    *counts.entry(decoded).or_insert(0) += m;
-                });
-            }
-            counts.retain(|_, m| *m != 0);
+            let counts = full_counts(graph, &effective, &q, &snap.dictionary(), cancel)
+                .map_err(|e| SubscribeError::Query(e.into()))?;
+            // The executor polls the deadline while it walks; decoding the
+            // rows after it can still overrun the deadline.
             if cancel.is_cancelled() {
                 return Err(SubscribeError::Query(AnswerError::Cancelled));
             }
@@ -326,7 +317,7 @@ impl SubscriptionHub {
             if inner.subs.len() >= self.cfg.max_subscriptions {
                 return Err(SubscribeError::AtCapacity(self.cfg.max_subscriptions));
             }
-            if let Some(vi) = inner.views.iter().position(|v| v.key == key) {
+            if let Some(vi) = inner.views.iter().position(|v| v.query == q) {
                 // Another registrant won the race to create this view.
                 return Ok(self.attach(&mut inner, vi));
             }
@@ -335,14 +326,9 @@ impl SubscriptionHub {
                 reg.add("server.subscribe.register_retries", 1);
                 continue;
             }
-            let vars: Vec<String> = q.var_names.clone();
             let view = View {
-                key,
-                mode,
-                distinct: q.distinct,
-                vars,
                 query: q,
-                program,
+                effective,
                 counts,
                 log: VecDeque::new(),
                 log_anchor: snap.epoch(),
@@ -368,13 +354,13 @@ impl SubscriptionHub {
         SubscribeOk {
             id,
             epoch: view.last_epoch,
-            vars: view.vars.clone(),
-            distinct: view.distinct,
+            vars: view.query.var_names.clone(),
+            distinct: view.query.distinct,
             initial: reset_batch(view),
         }
     }
 
-    /// Publishes one epoch to every view: runs each delta program over the
+    /// Publishes one epoch to every view: runs each view's query over the
     /// consolidated triple delta, updates view counts and appends to the
     /// epoch logs. Called by the single writer after group commit —
     /// `old`/`new` are the snapshots around the group, `delta` the drained
@@ -392,28 +378,30 @@ impl SubscriptionHub {
             return;
         }
         let _span = reg.span("server.subscribe.publish");
-        let base_net = consolidate_delta(&delta.base);
-        let entailed_net = consolidate_delta(&delta.entailed);
+        // Every view evaluates over the view graph of the store's one
+        // strategy (a strategy switch is a schema change): `G∞` consumes
+        // the entailed delta, `G` the base one.
+        let change = (!delta.schema_changed).then(|| {
+            dataflow::consolidate_delta(match new.config() {
+                ReasoningConfig::Saturation(_) => &delta.entailed,
+                ReasoningConfig::Reformulation | ReasoningConfig::Interval => &delta.base,
+            })
+        });
         let dict = new.dictionary();
         let mut dead_views: Vec<usize> = Vec::new();
         for (vi, view) in inner.views.iter_mut().enumerate() {
-            let batch = if delta.schema_changed {
+            let batch = match &change {
+                Some(change) => step_view(view, old, new, change, &dict),
                 // Derived state was swapped wholesale (schema mutation or
                 // strategy/thread rebuild): recompile where needed and
                 // rebuild the view from scratch, publishing a reset.
-                match rebuild_view(view, new, &dict) {
+                None => match rebuild_view(view, new, &dict) {
                     Ok(batch) => Some(batch),
                     Err(_) => {
                         dead_views.push(vi);
                         continue;
                     }
-                }
-            } else {
-                let net = match view.mode {
-                    Mode::Saturated => &entailed_net,
-                    Mode::Reformulated => &base_net,
-                };
-                step_view(view, old, new, net, &dict)
+                },
             };
             view.last_epoch = epoch;
             if let Some(batch) = batch {
@@ -498,17 +486,7 @@ fn remove_view(inner: &mut Inner, vi: usize) -> View {
     view
 }
 
-/// Stable identity of a registered query (structural, dictionary-id
-/// based — two textually different queries interning to the same AST
-/// share a view).
-fn view_key(q: &Query) -> String {
-    format!(
-        "{:?}|{:?}|{:?}|{}|{:?}",
-        q.projection, q.bgps, q.filters, q.distinct, q.var_names
-    )
-}
-
-fn decode_row(dict: &rdf_model::Dictionary, row: &[rdf_model::TermId]) -> Vec<String> {
+fn decode_row(dict: &Dictionary, row: &[TermId]) -> Vec<String> {
     row.iter()
         .map(|id| {
             dict.decode(*id)
@@ -517,34 +495,46 @@ fn decode_row(dict: &rdf_model::Dictionary, row: &[rdf_model::TermId]) -> Vec<St
         .collect()
 }
 
-/// The frozen graph a view's dataflow probes (see
+/// A view's complete decoded row counts over `g` (see
+/// [`dataflow::eval_full`]).
+fn full_counts(
+    g: &Graph,
+    effective: &Query,
+    registered: &Query,
+    dict: &Dictionary,
+    cancel: &obs::CancelToken,
+) -> Result<FxHashMap<Vec<String>, i64>, UnionEvalError> {
+    let sols = dataflow::eval_full(g, effective, registered, dict, cancel)?;
+    let mut counts = FxHashMap::default();
+    for row in sols.rows.iter() {
+        *counts.entry(decode_row(dict, row)).or_insert(0) += 1;
+    }
+    Ok(counts)
+}
+
+/// The frozen graph a view is evaluated over (see
 /// [`StoreSnapshot::view_graph`]; every strategy has one).
-fn view_graph(snap: &StoreSnapshot) -> &rdf_model::Graph {
+fn view_graph(snap: &StoreSnapshot) -> &Graph {
     snap.view_graph()
         .expect("every reasoning strategy exposes a view graph")
 }
 
-/// Chooses the view mode for the snapshot's strategy and compiles the
-/// delta program (reformulating first when the strategy answers by
-/// rewriting).
-fn compile_for(snap: &StoreSnapshot, q: &Query) -> Result<(Mode, DeltaProgram), SubscribeError> {
-    let (mode, effective) = match snap.config() {
-        ReasoningConfig::Saturation(_) => (Mode::Saturated, None),
-        // Interval stores stream like reformulation ones: the view's
-        // dataflow compiles from the union reformulation over the base
-        // graph (the interval encoding only accelerates the answer path),
-        // so a schema re-encode never touches a live view.
-        ReasoningConfig::Reformulation | ReasoningConfig::Interval => {
-            let q_ref = snap
-                .reformulated(q)
-                .map_err(SubscribeError::Query)?
-                .expect("rewriting strategies reformulate");
-            (Mode::Reformulated, Some(q_ref))
-        }
-    };
-    let program = compile_delta(effective.as_ref().unwrap_or(q))
-        .map_err(|e| SubscribeError::Unsupported(e.to_string()))?;
-    Ok((mode, program))
+/// The bag query a view evaluates under the snapshot's strategy
+/// (reformulating first when the strategy answers by rewriting), refusing
+/// features with no delta form.
+fn compile_for(snap: &StoreSnapshot, q: &Query) -> Result<Query, SubscribeError> {
+    if let Some(why) = dataflow::refusal(q) {
+        return Err(SubscribeError::Unsupported(why));
+    }
+    // Saturation evaluates `q` itself. Interval stores stream like
+    // reformulation ones: the view evaluates the union reformulation over
+    // the base graph (the interval encoding only accelerates the answer
+    // path), so a schema re-encode never touches a live view.
+    let effective = snap.reformulated(q).map_err(SubscribeError::Query)?;
+    Ok(Query {
+        distinct: false,
+        ..effective.unwrap_or_else(|| q.clone())
+    })
 }
 
 /// The complete current answer of a view as a reset batch at its last
@@ -556,7 +546,7 @@ fn reset_batch(view: &View) -> DeltaBatch {
         .filter(|(_, &m)| m > 0)
         .map(|(row, &m)| DeltaEvent {
             row: row.clone(),
-            delta: if view.distinct { 1 } else { m },
+            delta: if view.query.distinct { 1 } else { m },
         })
         .collect();
     events.sort_by(|a, b| a.row.cmp(&b.row));
@@ -567,8 +557,8 @@ fn reset_batch(view: &View) -> DeltaBatch {
     }
 }
 
-/// Applies one consolidated triple delta to a view: runs the delta
-/// program, folds the row changes into the multiplicity counts and
+/// Applies one consolidated triple delta to a view: runs the view's query
+/// over it, folds the row changes into the multiplicity counts and
 /// derives the events to publish (raw signed deltas for bag views,
 /// `0 ↔ positive` transitions for `DISTINCT` views). Returns `None` when
 /// the answer did not change.
@@ -576,17 +566,19 @@ fn step_view(
     view: &mut View,
     old: &StoreSnapshot,
     new: &StoreSnapshot,
-    net: &[(rdf_model::Triple, i64)],
-    dict: &rdf_model::Dictionary,
+    change: &[Graph; 2],
+    dict: &Dictionary,
 ) -> Option<DeltaBatch> {
-    if net.is_empty() {
-        return None;
-    }
-    let (old_g, new_g) = (view_graph(old), view_graph(new));
     let mut raw: FxHashMap<Vec<String>, i64> = FxHashMap::default();
-    view.program.eval_delta(old_g, new_g, net, dict, |row, m| {
-        *raw.entry(decode_row(dict, &row)).or_insert(0) += m;
-    });
+    dataflow::eval_delta(
+        view_graph(old),
+        view_graph(new),
+        change,
+        &view.effective,
+        &view.query,
+        dict,
+        |row, m| *raw.entry(decode_row(dict, row)).or_insert(0) += m,
+    );
     raw.retain(|_, m| *m != 0);
     if raw.is_empty() {
         return None;
@@ -600,7 +592,7 @@ fn step_view(
         } else {
             view.counts.insert(row.clone(), after);
         }
-        if view.distinct {
+        if view.query.distinct {
             match (before > 0, after > 0) {
                 (false, true) => events.push(DeltaEvent { row, delta: 1 }),
                 (true, false) => events.push(DeltaEvent { row, delta: -1 }),
@@ -622,24 +614,15 @@ fn step_view(
 }
 
 /// Rebuilds a view after a schema change / strategy rebuild: recompiles
-/// the program (reformulation changes with the schema) and recomputes the
+/// its query (reformulation changes with the schema) and recomputes the
 /// counts from scratch, publishing a reset batch. Errors mean the query
 /// no longer compiles under the new strategy.
-fn rebuild_view(
-    view: &mut View,
-    new: &StoreSnapshot,
-    dict: &rdf_model::Dictionary,
-) -> Result<DeltaBatch, ()> {
-    let (mode, program) = compile_for(new, &view.query).map_err(|_| ())?;
-    let graph = view_graph(new);
-    let mut counts: FxHashMap<Vec<String>, i64> = FxHashMap::default();
-    program.eval_full(graph, dict, |row, m| {
-        *counts.entry(decode_row(dict, &row)).or_insert(0) += m;
-    });
-    counts.retain(|_, m| *m != 0);
-    view.mode = mode;
-    view.program = program;
-    view.counts = counts;
+fn rebuild_view(view: &mut View, new: &StoreSnapshot, dict: &Dictionary) -> Result<DeltaBatch, ()> {
+    let effective = compile_for(new, &view.query).map_err(|_| ())?;
+    let none = obs::CancelToken::none();
+    view.counts =
+        full_counts(view_graph(new), &effective, &view.query, dict, &none).map_err(|_| ())?;
+    view.effective = effective;
     view.last_epoch = new.epoch();
     // A reset supersedes history: any catch-up can replay from it.
     view.log.clear();
@@ -999,6 +982,47 @@ mod tests {
         assert_eq!(cu.terminal, Some(Terminal::Shutdown));
         assert!(hub.unsubscribe(cursor.id));
         assert_eq!(hub.live_subscribers(), 0);
+    }
+
+    /// A view filters with the query it was registered with, never with a
+    /// cached rewrite of a query that differs only in its `FILTER`.
+    #[test]
+    fn a_view_filters_with_its_own_query() {
+        let mut store = store_with(ReasoningConfig::Reformulation);
+        store.set_delta_tracking(true);
+        store
+            .load_turtle(r#"@prefix ex: <http://ex/> . ex:a ex:v "a" . ex:c ex:v "c" ."#)
+            .unwrap();
+        store.take_delta();
+        store.snapshot();
+        let q = |op: &str| {
+            format!("PREFIX ex: <http://ex/> SELECT ?x ?v WHERE {{ ?x ex:v ?v FILTER (?v {op} \"b\") }}")
+        };
+        let reader = store.reader();
+        let (above, _, _) = reader.answer_sparql(&q(">")).unwrap();
+        assert_eq!(above.len(), 1, "only c's value is above b");
+
+        let hub = SubscriptionHub::new(HubConfig::default());
+        let mut cursor = Cursor::register(&hub, &reader, &q("<"));
+        let row = |s: &str, v: &str| (vec![format!("<http://ex/{s}>"), format!("\"{v}\"")], 1);
+        assert_eq!(cursor.state, FxHashMap::from_iter([row("a", "a")]));
+
+        let old = store.snapshot();
+        for (s, v) in [("d", "d"), ("e", "0")] {
+            let (s, p) = (format!("http://ex/{s}"), "http://ex/v");
+            store.insert_terms(
+                &rdf_model::Term::iri(s),
+                &rdf_model::Term::iri(p),
+                &rdf_model::Term::literal(v),
+            );
+        }
+        let delta = store.take_delta();
+        hub.publish(&old, &store.snapshot(), &delta);
+        cursor.poll(&hub);
+        assert_eq!(
+            cursor.state,
+            FxHashMap::from_iter([row("a", "a"), row("e", "0")])
+        );
     }
 
     /// The distinct-multiplicity regression (bag-vs-set bug class): a row

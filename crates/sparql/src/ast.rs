@@ -103,7 +103,7 @@ impl Bgp {
 }
 
 /// One `ORDER BY` key.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct OrderKey {
     /// The variable ordered on (must be projected).
     pub var: Variable,
@@ -115,7 +115,7 @@ pub struct OrderKey {
 /// the paper's BGP core, applied after solution enumeration and therefore
 /// orthogonal to the reasoning technique (they carry through
 /// reformulation unchanged).
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
 pub struct Modifiers {
     /// Sort keys, applied in order.
     pub order_by: Vec<OrderKey>,
@@ -133,7 +133,7 @@ impl Modifiers {
 }
 
 /// A comparison operator in a `FILTER` expression.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CompareOp {
     /// `=`
     Eq,
@@ -182,7 +182,7 @@ impl CompareOp {
 /// Restriction (documented in the parser): every filter variable must be
 /// projected, so filters commute with projection and are applied uniformly
 /// by `eval::finalize` regardless of the reasoning strategy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Filter {
     /// The left-hand variable.
     pub left: Variable,
@@ -194,7 +194,7 @@ pub struct Filter {
 
 /// An aggregate SELECT expression (SPARQL 1.1 `COUNT`, the aggregate the
 /// paper names in §II-B when contrasting dialect expressiveness).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Aggregate {
     /// `COUNT(*)` / `COUNT(DISTINCT *)`: number of (distinct) solutions,
     /// bound to the alias variable name.
@@ -211,7 +211,7 @@ pub enum Aggregate {
 /// The original queries of the paper have a single BGP; reformulation
 /// produces a union of BGPs (`q_ref`), which this same type represents, so
 /// both run through the one evaluator.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Query {
     /// Variable names, indexed by [`Variable`]; names exclude the leading `?`.
     pub var_names: Vec<String>,

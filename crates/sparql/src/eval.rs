@@ -77,7 +77,7 @@ impl Solutions {
 /// newly-bound variables onto `touched`. Returns false on a repeated-variable
 /// mismatch (e.g. `?x p ?x` matched against `a p b`).
 #[inline]
-pub(crate) fn bind_triple(
+fn bind_triple(
     tp: &TriplePattern,
     t: &Triple,
     binding: &mut [Option<TermId>],
@@ -102,7 +102,7 @@ pub(crate) fn bind_triple(
 }
 
 #[inline]
-pub(crate) fn resolve(qt: QTerm, binding: &[Option<TermId>]) -> Option<TermId> {
+fn resolve(qt: QTerm, binding: &[Option<TermId>]) -> Option<TermId> {
     match qt {
         QTerm::Const(c) => Some(c),
         QTerm::Var(v) => binding[v.index()],

@@ -13,7 +13,9 @@
 //! * [`try_execute`]: the one executor every answer path uses — `q(G∞)`,
 //!   the reformulated union `q_ref(G)` and the interval rewriting
 //!   ([`IntervalQuery`]) — with shared-prefix tries, range probes,
-//!   worker fan-out and cooperative cancellation;
+//!   worker fan-out and cooperative cancellation; [`execute_delta`] runs
+//!   the same walker over an update's triples to maintain standing
+//!   queries;
 //! * [`evaluate`]: the plain per-branch index-nested-loop evaluator,
 //!   kept as the reference the differential oracles compare against.
 //!
@@ -46,7 +48,6 @@
 #![warn(missing_docs)]
 
 pub mod ast;
-pub mod dataflow;
 mod eval;
 mod parser;
 pub mod plan;
@@ -55,17 +56,16 @@ mod rows;
 mod union_eval;
 
 pub use ast::{Aggregate, Bgp, Modifiers, OrderKey, QTerm, Query, TriplePattern, Variable};
-pub use dataflow::{compile_delta, consolidate_delta, DeltaProgram, DeltaUnsupported};
 pub use eval::{
     bgp_has_match, compare_terms, evaluate, evaluate_bgp, evaluate_bgp_with_plan, finalize,
     finalize_read, Solutions,
 };
 pub use parser::{parse_query, QueryParseError};
 pub use range_eval::{
-    evaluate_interval, try_evaluate_interval, try_evaluate_interval_cancel, IntervalQuery, RTerm,
-    RangeAtom, RangeBgp,
+    evaluate_interval, try_evaluate_interval, IntervalQuery, RTerm, RangeAtom, RangeBgp,
 };
 pub use rows::Rows;
 pub use union_eval::{
-    evaluate_union, try_evaluate_union, try_execute, EvalStats, Executable, UnionEvalError,
+    evaluate_union, execute_delta, try_evaluate_union, try_execute, EvalStats, Executable,
+    UnionEvalError,
 };

@@ -118,17 +118,20 @@ pub fn plan_bgp(g: &Graph, bgp: &Bgp) -> PlannedBgp {
 /// [`plan_bgp`] with precomputed distinct-value counts, so a union of many
 /// branches pays the graph walk once instead of once per branch.
 pub fn plan_bgp_with(g: &Graph, dc: &DistinctCounts, bgp: &Bgp) -> PlannedBgp {
-    plan_atoms(g, dc, &bgp.patterns, &[], None)
+    plan_atoms(g, dc, &bgp.patterns, &[], None, None)
 }
 
 /// The greedy join order of one conjunctive branch whose range positions
 /// index into `ranges`, members resolved through `dict` (see [`estimate`]).
+/// A `first` atom leads the order whatever its estimate (recorded as NaN):
+/// a delta term's atom that probes only the changed triples.
 pub(crate) fn plan_atoms<A: Copy + Into<RangeAtom>>(
     g: &Graph,
     dc: &DistinctCounts,
     atoms: &[A],
     ranges: &[IntervalSet],
     dict: Option<&IntervalDict>,
+    first: Option<usize>,
 ) -> PlannedBgp {
     let atom = |i: usize| -> RangeAtom { atoms[i].into() };
     let mut remaining: Vec<usize> = (0..atoms.len()).collect();
@@ -136,6 +139,12 @@ pub(crate) fn plan_atoms<A: Copy + Into<RangeAtom>>(
     let mut estimates = Vec::with_capacity(atoms.len());
     let mut bound: FxHashSet<Variable> = FxHashSet::default();
 
+    if let Some(i) = first {
+        remaining.retain(|&j| j != i);
+        bound.extend(atom(i).variables());
+        order.push(i);
+        estimates.push(f64::NAN);
+    }
     while !remaining.is_empty() {
         // Prefer connected (or ground) atoms; fall back to any.
         let mut candidates: Vec<usize> = remaining
@@ -326,7 +335,7 @@ mod tests {
             estimate(&g, &dc, &atoms[0], &ranges, Some(&idict), &none),
             1_002.0
         );
-        let plan = plan_atoms(&g, &dc, &atoms, &ranges, Some(&idict));
+        let plan = plan_atoms(&g, &dc, &atoms, &ranges, Some(&idict), None);
         assert_eq!(plan.order, vec![1, 0], "the 20-row constant atom drives");
         assert_eq!(plan.estimates[0], 20.0);
         // Without the dictionary the range falls back to the uniform

@@ -18,8 +18,7 @@
 use crate::ast::{QTerm, Query, TriplePattern, Variable};
 use crate::eval::Solutions;
 use crate::plan::{plan_atoms, DistinctCounts};
-use crate::union_eval::{run, try_execute, try_run, EvalStats, Executable, UnionEvalError};
-use obs::CancelToken;
+use crate::union_eval::{run, try_run, EvalStats, Executable};
 use rdf_model::{Graph, IntervalDict, IntervalSet, TermId, WorkerPanicked};
 use smallvec::SmallVec;
 use std::fmt::Write as _;
@@ -147,7 +146,7 @@ impl IntervalQuery {
         let dc = DistinctCounts::of(g);
         for (bi, branch) in self.branches.iter().enumerate() {
             let _ = writeln!(out, "branch {bi}:");
-            let plan = plan_atoms(g, &dc, &branch.atoms, &self.ranges, Some(&self.dict));
+            let plan = plan_atoms(g, &dc, &branch.atoms, &self.ranges, Some(&self.dict), None);
             for (step, (&i, est)) in plan.order.iter().zip(&plan.estimates).enumerate() {
                 let atom = &branch.atoms[i];
                 let pos = |t: RTerm| -> String {
@@ -194,18 +193,6 @@ pub fn try_evaluate_interval(
     threads: NonZeroUsize,
 ) -> Result<(Solutions, EvalStats), WorkerPanicked> {
     try_run(g, Executable::Interval(iq), threads)
-}
-
-/// [`try_evaluate_interval`] with cooperative cancellation (see
-/// [`crate::try_execute`]). Returns the same answer set as evaluating the
-/// classical union reformulation, and publishes `sparql.range.*`.
-pub fn try_evaluate_interval_cancel(
-    g: &Graph,
-    iq: &IntervalQuery,
-    threads: NonZeroUsize,
-    cancel: &CancelToken,
-) -> Result<(Solutions, EvalStats), UnionEvalError> {
-    try_execute(g, Executable::Interval(iq), threads, cancel)
 }
 
 #[cfg(test)]

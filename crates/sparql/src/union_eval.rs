@@ -39,6 +39,12 @@
 //! classical union: a trie path *is* a branch's planned atom sequence,
 //! leaf multiplicities keep duplicate counts, and a range admits exactly
 //! the terms its union branches would have named.
+//!
+//! Every planned atom also names the graph it probes ([`Tag`]). A query
+//! answer probes one graph everywhere; [`execute_delta`] — the change of
+//! a standing query's answer — plans one term per atom and Δ-match, with
+//! that atom on the changed triples, the atoms before it on the old graph
+//! and the atoms after it on the new one, and walks the same trie.
 
 use crate::ast::{Query, Variable};
 use crate::eval::{passes_negation, Solutions};
@@ -47,7 +53,8 @@ use crate::range_eval::{IntervalQuery, RTerm, RangeAtom};
 use crate::rows::{RowIndex, Rows};
 use obs::{CancelToken, CANCEL_POLL_STRIDE};
 use rdf_model::{Graph, IntervalDict, IntervalSet, Pattern, TermId, Triple, WorkerPanicked};
-use rustc_hash::{FxHashSet, FxHasher};
+use rustc_hash::FxHasher;
+use std::cmp::Ordering;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::num::NonZeroUsize;
@@ -239,6 +246,23 @@ fn publish_range(reg: &obs::Registry, stats: &EvalStats, _worker_rows: &[u64]) {
     reg.add("sparql.range.workers", stats.threads as u64);
 }
 
+/// Which of a run's three graphs an atom probes. A query answer passes
+/// the same graph as all three; a delta run passes the graph before an
+/// update, the update's triples and the graph after it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Tag {
+    Old,
+    Delta,
+    New,
+}
+
+/// A planned atom and the graph it probes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Step {
+    atom: RangeAtom,
+    graph: Tag,
+}
+
 /// Where a probe position's value comes from, fixed when the trie is
 /// built: the variables an ancestor bound are known from the path.
 #[derive(Debug, Clone, Copy)]
@@ -254,11 +278,12 @@ enum Src {
     Range(u16),
 }
 
-/// One node of the shared-prefix trie: a planned atom compiled to its
-/// probe sources, slot writes and repeated-variable checks, the branches
-/// ending exactly here (`leaf_mult`), and the continuations.
+/// One node of the shared-prefix trie: a planned atom and its graph
+/// compiled to its probe sources, slot writes and repeated-variable
+/// checks, the branches ending exactly here (`leaf_mult`), and the
+/// continuations.
 struct TrieNode {
-    atom: RangeAtom,
+    step: Step,
     probe: [Src; 3],
     /// `(position, slot)` for each variable this node binds.
     binds: Vec<(usize, usize)>,
@@ -273,13 +298,13 @@ struct TrieNode {
 }
 
 impl TrieNode {
-    /// Compiles `atom` under the variables its ancestors bound.
-    fn compile(atom: RangeAtom, above: &[Variable]) -> TrieNode {
+    /// Compiles `step` under the variables its ancestors bound.
+    fn compile(step: Step, above: &[Variable]) -> TrieNode {
         let mut probe = [Src::Free; 3];
         let mut binds = Vec::new();
         let mut repeats = Vec::new();
         let mut bound = above.to_vec();
-        for (pos, term) in atom.positions().into_iter().enumerate() {
+        for (pos, term) in step.atom.positions().into_iter().enumerate() {
             probe[pos] = match term {
                 RTerm::Const(c) => Src::Const(c),
                 RTerm::Range(r) => Src::Range(r),
@@ -297,7 +322,7 @@ impl TrieNode {
             };
         }
         TrieNode {
-            atom,
+            step,
             probe,
             binds,
             repeats,
@@ -324,7 +349,7 @@ struct Trie {
 }
 
 impl Trie {
-    fn build(branches: &[Vec<RangeAtom>]) -> Trie {
+    fn build(branches: &[Vec<Step>]) -> Trie {
         let mut trie = Trie::default();
         for seq in branches {
             if seq.is_empty() {
@@ -334,8 +359,8 @@ impl Trie {
             let mut level = &mut trie.roots;
             let mut reused_any = false;
             let mut above: Vec<Variable> = Vec::new();
-            for (depth, atom) in seq.iter().enumerate() {
-                let pos = match level.iter().position(|n| n.atom == *atom) {
+            for (depth, step) in seq.iter().enumerate() {
+                let pos = match level.iter().position(|n| n.step == *step) {
                     Some(pos) => {
                         if depth == 0 {
                             reused_any = true;
@@ -343,7 +368,7 @@ impl Trie {
                         pos
                     }
                     None => {
-                        level.push(TrieNode::compile(*atom, &above));
+                        level.push(TrieNode::compile(*step, &above));
                         trie.nodes += 1;
                         level.len() - 1
                     }
@@ -366,7 +391,8 @@ impl Trie {
 /// The read-only inputs every worker shares.
 #[derive(Clone, Copy)]
 struct Job<'a> {
-    g: &'a Graph,
+    /// The graphs a [`Tag`] picks from, in `Tag` order.
+    graphs: [&'a Graph; 3],
     q: &'a Query,
     /// The range table `RTerm::Range` positions index into (empty unless
     /// the query is an interval rewriting).
@@ -398,7 +424,8 @@ struct Walker<'a, E> {
 
 impl<E: FnMut(&[TermId], &[Variable], usize)> Walker<'_, E> {
     fn walk(&mut self, node: &TrieNode) {
-        let Job { g, ranges, .. } = self.job;
+        let Job { graphs, ranges, .. } = self.job;
+        let g = graphs[node.step.graph as usize];
         let value = |src: Src| match src {
             Src::Const(c) => Some(c),
             Src::Slot(slot) => Some(self.slots[slot]),
@@ -490,11 +517,13 @@ fn shard_of(row: &[TermId], mask: usize) -> usize {
 /// dropped on return, so nothing of the abandoned pass survives.
 fn run_chunk(
     job: Job<'_>,
-    branches: &[Vec<RangeAtom>],
+    branches: &[Vec<Step>],
     shard_count: usize,
     distinct: bool,
 ) -> Option<WorkerOutput> {
-    let Job { g, q, cancel, .. } = job;
+    let Job {
+        graphs, q, cancel, ..
+    } = job;
     let trie = Trie::build(branches);
     let mask = shard_count - 1;
     let width = q.projection.len();
@@ -514,7 +543,7 @@ fn run_chunk(
             for &v in bound {
                 negation[v.index()] = Some(slots[v.index()]);
             }
-            let passes = passes_negation(g, q, &negation);
+            let passes = passes_negation(graphs[Tag::New as usize], q, &negation);
             for &v in bound {
                 negation[v.index()] = None;
             }
@@ -569,15 +598,15 @@ fn run_chunk(
 /// atom under the same ancestor slots differ in a variable that atom
 /// binds. With every bound variable projected, distinct solutions are
 /// distinct rows.
-fn plan_proves_distinct(q: &Query, branches: &[Vec<RangeAtom>]) -> bool {
+fn plan_proves_distinct(q: &Query, branches: &[Vec<Step>]) -> bool {
     let [branch] = branches else {
         return false;
     };
     !branch.is_empty()
-        && !branch.iter().any(RangeAtom::has_range)
+        && !branch.iter().any(|s| s.atom.has_range())
         && branch
             .iter()
-            .flat_map(RangeAtom::variables)
+            .flat_map(|s| s.atom.variables())
             .all(|v| q.projection.contains(&v))
 }
 
@@ -600,15 +629,22 @@ fn merge_shard(parts: Vec<Rows>, width: usize, distinct: bool) -> Rows {
 }
 
 /// Plans every branch that binds the whole projection (one distinct-counts
-/// pass for the union), returning the planned atom sequences sorted — so
+/// pass for the union), returning the planned sequences sorted — so
 /// shared prefixes are contiguous and duplicated branches land in the same
 /// chunk. `None` if the token tripped between branches.
+///
+/// A delta run plans one term per atom `i` of a branch instead, skipping
+/// the atoms with no match in Δ: atom `i` first, on Δ; an atom `j < i` of
+/// the branch as written on the old graph, `j > i` on the new one (the
+/// telescoping sum `q(new) − q(old) = Σᵢ old…old ⋈ Δᵢ ⋈ new…new`).
 fn plan_branches<'b, A: Copy + Into<RangeAtom> + 'b>(
     job: Job<'_>,
     branches: impl ExactSizeIterator<Item = &'b [A]>,
+    delta: bool,
     stats: &mut EvalStats,
-) -> Option<Vec<Vec<RangeAtom>>> {
-    let dc = DistinctCounts::of(job.g);
+) -> Option<Vec<Vec<Step>>> {
+    let [_, changed, g] = job.graphs;
+    let dc = DistinctCounts::of(g);
     stats.branches_total = branches.len();
     let mut planned = Vec::with_capacity(branches.len());
     for atoms in branches {
@@ -617,19 +653,46 @@ fn plan_branches<'b, A: Copy + Into<RangeAtom> + 'b>(
         if job.cancel.is_cancelled() {
             return None;
         }
-        let vars: FxHashSet<Variable> = atoms.iter().flat_map(|&a| a.into().variables()).collect();
-        if !job.q.projection.iter().all(|v| vars.contains(v)) {
+        let binds = |v: &Variable| atoms.iter().any(|&a| a.into().variables().contains(v));
+        if !job.q.projection.iter().all(binds) {
             stats.branches_pruned += 1;
             continue;
         }
-        let plan = plan_atoms(job.g, &dc, atoms, job.ranges, job.dict);
-        let seq: Vec<RangeAtom> = plan.order.iter().map(|&i| atoms[i].into()).collect();
-        stats.patterns_total += seq.len();
-        stats.range_scans += seq.iter().filter(|a| a.has_range()).count() as u64;
-        planned.push(seq);
+        // One plan per branch; in a delta run, one per atom that matches Δ.
+        let seeds = if delta { atoms.len() } else { 1 };
+        for seed in (0..seeds).map(|i| delta.then_some(i)) {
+            if seed.is_some_and(|i| changed.count(&skeleton(atoms[i].into())) == 0) {
+                continue;
+            }
+            let plan = plan_atoms(g, &dc, atoms, job.ranges, job.dict, seed);
+            let seq: Vec<Step> = plan
+                .order
+                .iter()
+                .map(|&j| Step {
+                    atom: atoms[j].into(),
+                    graph: match seed.map(|i| j.cmp(&i)) {
+                        Some(Ordering::Less) => Tag::Old,
+                        Some(Ordering::Equal) => Tag::Delta,
+                        _ => Tag::New,
+                    },
+                })
+                .collect();
+            stats.patterns_total += seq.len();
+            stats.range_scans += seq.iter().filter(|s| s.atom.has_range()).count() as u64;
+            planned.push(seq);
+        }
     }
     planned.sort();
     Some(planned)
+}
+
+/// The probe of an atom's constants, every other position a wildcard.
+fn skeleton(atom: RangeAtom) -> Pattern {
+    let c = |t: RTerm| match t {
+        RTerm::Const(c) => Some(c),
+        _ => None,
+    };
+    Pattern::new(c(atom.s), c(atom.p), c(atom.o))
 }
 
 /// Runs `task` on each item on its own scoped worker. A panicking worker
@@ -679,6 +742,38 @@ pub fn try_execute(
     threads: NonZeroUsize,
     cancel: &CancelToken,
 ) -> Result<(Solutions, EvalStats), UnionEvalError> {
+    execute([g; 3], exe, false, threads, cancel)
+}
+
+/// One half of the change of a standing query's bag answer from `old` to
+/// `new`: with `delta` the triples of `new` missing from `old`, the
+/// derivations gained; with `delta` the triples of `old` missing from
+/// `new`, the derivations lost. Gained minus lost is exactly
+/// `q(new) − q(old)`, and each returned row is one derivation (`DISTINCT`
+/// is not applied). The work is one trie walk over one term per atom with
+/// a match in `delta`: that atom probes `delta`, the atoms before it in
+/// its branch `old`, those after it `new`. Filters and modifiers are the
+/// caller's, as after [`try_execute`].
+///
+/// # Panics
+/// If `q` has a `FILTER NOT EXISTS` group, which is non-monotone per
+/// binding: a change can flip answers that no delta term seeds.
+pub fn execute_delta(old: &Graph, delta: &Graph, new: &Graph, q: &Query) -> Solutions {
+    assert!(q.not_exists.is_empty(), "NOT EXISTS has no delta form");
+    let (none, graphs) = (CancelToken::none(), [old, delta, new]);
+    let run = execute(graphs, Executable::Plain(q), true, NonZeroUsize::MIN, &none);
+    // One thread spawns no worker, and this token never trips.
+    run.expect("an infallible run").0
+}
+
+/// [`try_execute`] over three graphs, planning delta terms when `delta`.
+fn execute(
+    graphs: [&Graph; 3],
+    exe: Executable<'_>,
+    delta: bool,
+    threads: NonZeroUsize,
+    cancel: &CancelToken,
+) -> Result<(Solutions, EvalStats), UnionEvalError> {
     let reg = obs::global();
     let (q, family, ranges, dict) = match exe {
         Executable::Plain(q) => (q, &PLAIN, &[][..], None),
@@ -686,7 +781,7 @@ pub fn try_execute(
         Executable::Interval(iq) => (&iq.query, &RANGE, &iq.ranges[..], Some(&*iq.dict)),
     };
     let job = Job {
-        g,
+        graphs,
         q,
         ranges,
         dict,
@@ -705,12 +800,20 @@ pub fn try_execute(
 
     let plan_span = span(family.phases[0]);
     let branches = match exe {
-        Executable::Plain(q) | Executable::Union(q) => {
-            plan_branches(job, q.bgps.iter().map(|b| &b.patterns[..]), &mut stats)
-        }
+        Executable::Plain(q) | Executable::Union(q) => plan_branches(
+            job,
+            q.bgps.iter().map(|b| &b.patterns[..]),
+            delta,
+            &mut stats,
+        ),
         Executable::Interval(iq) => {
             stats.branches_collapsed = iq.branches_collapsed;
-            plan_branches(job, iq.branches.iter().map(|b| &b.atoms[..]), &mut stats)
+            plan_branches(
+                job,
+                iq.branches.iter().map(|b| &b.atoms[..]),
+                delta,
+                &mut stats,
+            )
         }
     }
     .ok_or_else(cancelled)?;
@@ -720,7 +823,7 @@ pub fn try_execute(
     stats.threads = workers;
     let shard_count = workers.next_power_of_two();
 
-    let distinct = q.distinct && !plan_proves_distinct(q, &branches);
+    let distinct = !delta && q.distinct && !plan_proves_distinct(q, &branches);
 
     let eval_span = span(family.phases[1]);
     let outputs = if workers == 1 {
@@ -1035,7 +1138,7 @@ mod tests {
         }
         let cancel = CancelToken::none();
         let job = Job {
-            g: &g,
+            graphs: [&g; 3],
             q: &q,
             ranges: &[],
             dict: None,
@@ -1044,6 +1147,7 @@ mod tests {
         let branches = plan_branches(
             job,
             q.bgps.iter().map(|b| &b.patterns[..]),
+            false,
             &mut EvalStats::default(),
         )
         .expect("never cancelled");

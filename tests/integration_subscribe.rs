@@ -18,7 +18,6 @@ use std::sync::Arc;
 use proptest::prelude::*;
 use rdf_model::Term;
 use rustc_hash::FxHashMap;
-use sparql::compile_delta;
 use webreason_core::StoreReader;
 use webreason_core::{MaintenanceAlgorithm, ReasoningConfig, Store, StoreSnapshot};
 use webreason_incremental::{DeltaBatch, HubConfig, SubscriptionHub};
@@ -119,7 +118,7 @@ fn apply_batch(state: &mut FxHashMap<Vec<String>, i64>, batch: &DeltaBatch) {
 }
 
 /// From-scratch **set** oracle: the store's own strategy-aware answer
-/// path (`snap.answer`), fully independent of the dataflow code.
+/// path (`snap.answer`).
 fn set_oracle(store: &Store, sparql: &str) -> FxHashMap<Vec<String>, i64> {
     let reader = store.reader();
     let snap = reader.snapshot();
@@ -137,32 +136,33 @@ fn set_oracle(store: &Store, sparql: &str) -> FxHashMap<Vec<String>, i64> {
     out
 }
 
-/// From-scratch **bag** oracle: recompile the view's delta program
-/// against the current snapshot and re-derive every row multiplicity
-/// from zero — the differential counterpart of the incremental path.
+/// From-scratch **bag** oracle: the reference evaluator
+/// (`sparql::evaluate`, which shares no code with the view's trie walk)
+/// over the view graph, filtered by `finalize_read` — every row
+/// multiplicity re-derived from zero.
 fn bag_oracle(
     snap: &StoreSnapshot,
     sparql: &str,
     reformulate: bool,
 ) -> FxHashMap<Vec<String>, i64> {
     let q = snap.prepare(sparql).unwrap();
-    let q = if reformulate {
+    let mut evaluated = if reformulate {
         snap.reformulated(&q).unwrap().expect("BGP reformulates")
     } else {
-        q
+        q.clone()
     };
-    let program = compile_delta(&q).expect("delta-compilable");
+    evaluated.distinct = false;
     let graph = snap.view_graph().expect("materialized view graph");
     let dict = snap.dictionary();
+    let sols = sparql::finalize_read(sparql::evaluate(graph, &evaluated), &q, &dict);
     let mut out: FxHashMap<Vec<String>, i64> = FxHashMap::default();
-    program.eval_full(graph, &dict, |row, m| {
+    for row in sols.rows.iter() {
         let decoded: Vec<String> = row
             .iter()
             .map(|id| dict.decode(*id).unwrap().to_string())
             .collect();
-        *out.entry(decoded).or_insert(0) += m;
-    });
-    out.retain(|_, m| *m != 0);
+        *out.entry(decoded).or_insert(0) += 1;
+    }
     out
 }
 
@@ -231,8 +231,8 @@ fn check_scenario(
     sparql: &str,
     distinct: bool,
 ) -> Result<(), String> {
-    // Under both rewriting strategies the dataflow views compile from the
-    // union reformulation (the interval encoding only changes the answer
+    // Under both rewriting strategies the views evaluate the union
+    // reformulation (the interval encoding only changes the answer
     // path), so the bag oracle reformulates for either.
     let reformulate = matches!(
         config,

@@ -25,7 +25,6 @@ use std::process::Command;
 
 use durability::FsyncPolicy;
 use rdf_model::Term;
-use sparql::compile_delta;
 use webreason_core::{DurableStore, MaintenanceAlgorithm, ReasoningConfig, Store};
 use webreason_incremental::{DeltaBatch, HubConfig, SubscriptionHub};
 
@@ -208,23 +207,24 @@ fn set_oracle(store: &Store) -> BTreeMap<Vec<String>, i64> {
     out
 }
 
-/// From-scratch bag oracle: re-derive every multiplicity from zero.
+/// From-scratch bag oracle: re-derive every multiplicity from zero with
+/// the reference evaluator (`sparql::evaluate`, no code shared with the
+/// view's trie walk), filtered by `finalize_read`.
 fn bag_oracle(store: &Store) -> BTreeMap<Vec<String>, i64> {
     let reader = store.reader();
     let snap = reader.snapshot();
     let q = snap.prepare(BAG_Q).unwrap();
-    let program = compile_delta(&q).expect("delta-compilable");
     let graph = snap.view_graph().expect("saturated view graph");
     let dict = snap.dictionary();
+    let sols = sparql::finalize_read(sparql::evaluate(graph, &q), &q, &dict);
     let mut out: BTreeMap<Vec<String>, i64> = BTreeMap::new();
-    program.eval_full(graph, &dict, |row, m| {
+    for row in sols.rows.iter() {
         let decoded: Vec<String> = row
             .iter()
             .map(|id| dict.decode(*id).unwrap().to_string())
             .collect();
-        *out.entry(decoded).or_insert(0) += m;
-    });
-    out.retain(|_, m| *m != 0);
+        *out.entry(decoded).or_insert(0) += 1;
+    }
     out
 }
 
