@@ -73,11 +73,10 @@ fn bench_pruning_ablation(c: &mut Criterion) {
 }
 
 /// Sequential per-branch evaluation vs the union-aware evaluator (shared
-/// trie at 1 thread, plus 4 workers) on a subclass-heavy join whose
-/// reformulation exceeds 300 branches — the evaluation side of A-REF.
+/// trie) on a subclass-heavy join whose reformulation exceeds 300
+/// branches — the evaluation side of A-REF.
 fn bench_union_evaluation(c: &mut Criterion) {
     use sparql::{evaluate, evaluate_union, parse_query};
-    use std::num::NonZeroUsize;
 
     let mut w = synth_generate(&SynthConfig {
         class_depth: 4,
@@ -112,13 +111,9 @@ fn bench_union_evaluation(c: &mut Criterion) {
     group.bench_function("per_branch", |b| {
         b.iter(|| black_box(evaluate(g, &r.query)))
     });
-    for threads in [1usize, 4] {
-        let n = NonZeroUsize::new(threads).unwrap();
-        group.bench_function(
-            BenchmarkId::from_parameter(format!("union_{threads}thr")),
-            |b| b.iter(|| black_box(evaluate_union(g, &r.query, n))),
-        );
-    }
+    group.bench_function("union", |b| {
+        b.iter(|| black_box(evaluate_union(g, &r.query)))
+    });
     group.finish();
 }
 

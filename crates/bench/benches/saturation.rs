@@ -3,9 +3,8 @@
 
 use bench::Scale;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use rdfs::{saturate, saturate_naive, saturate_parallel};
+use rdfs::{saturate, saturate_naive};
 use std::hint::black_box;
-use std::num::NonZeroUsize;
 use workload::lubm::generate;
 
 fn bench_saturation(c: &mut Criterion) {
@@ -27,52 +26,5 @@ fn bench_saturation(c: &mut Criterion) {
     group.finish();
 }
 
-/// A-PAR ablation: the derive-phase thread sweep, with a per-phase
-/// wall-clock breakdown (the engine stamps `derive-us` / `merge-us`
-/// into its stats) and the speedup of each thread count over 1 thread.
-fn bench_parallel(c: &mut Criterion) {
-    let ds = generate(&Scale::Small.config());
-    let thread_counts = [1usize, 2, 4, 8];
-
-    // Phase breakdown table: best-of-5 total per thread count, so the
-    // reported speedup is not dominated by a single cold run.
-    let mut rows = Vec::new();
-    for &t in &thread_counts {
-        let t = NonZeroUsize::new(t).unwrap();
-        let best = (0..5)
-            .map(|_| {
-                let sat = saturate_parallel(&ds.graph, &ds.vocab, t);
-                let derive = sat.stats.rule_firings["derive-us"];
-                let merge = sat.stats.rule_firings["merge-us"];
-                (derive + merge, derive, merge)
-            })
-            .min()
-            .unwrap();
-        rows.push((t.get(), best));
-    }
-    let baseline = rows[0].1 .0.max(1);
-    println!("\nA-PAR phase breakdown ({} base triples):", ds.graph.len());
-    println!(
-        "{:>8} {:>12} {:>12} {:>12} {:>9}",
-        "threads", "derive-us", "merge-us", "total-us", "speedup"
-    );
-    for (t, (total, derive, merge)) in &rows {
-        println!(
-            "{t:>8} {derive:>12} {merge:>12} {total:>12} {:>8.2}x",
-            baseline as f64 / (*total).max(1) as f64
-        );
-    }
-
-    let mut group = c.benchmark_group("saturation/parallel");
-    group.sample_size(10);
-    for threads in thread_counts {
-        group.bench_with_input(BenchmarkId::from_parameter(threads), &threads, |b, &t| {
-            let t = NonZeroUsize::new(t).unwrap();
-            b.iter(|| black_box(saturate_parallel(&ds.graph, &ds.vocab, t)))
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(benches, bench_saturation, bench_parallel);
+criterion_group!(benches, bench_saturation);
 criterion_main!(benches);

@@ -68,27 +68,23 @@ fn main() {
     // `sparql.union.total` over G) plus the maintenance histograms —
     // that is what `ObservedCosts::from_snapshot` derives thresholds from.
     eprintln!("replaying queries through instrumented stores…");
-    let one = std::num::NonZeroUsize::new(1).expect("non-zero");
-    let mut sat_store = webreason_core::Store::from_parts_with_threads(
+    let mut sat_store = webreason_core::Store::from_parts(
         ds.dict.clone(),
         ds.vocab,
         ds.graph.clone(),
         webreason_core::ReasoningConfig::Saturation(algo),
-        one,
     );
-    let ref_store = webreason_core::Store::from_parts_with_threads(
+    let ref_store = webreason_core::Store::from_parts(
         ds.dict.clone(),
         ds.vocab,
         ds.graph.clone(),
         webreason_core::ReasoningConfig::Reformulation,
-        one,
     );
-    let int_store = webreason_core::Store::from_parts_with_threads(
+    let int_store = webreason_core::Store::from_parts(
         ds.dict.clone(),
         ds.vocab,
         ds.graph.clone(),
         webreason_core::ReasoningConfig::Interval,
-        one,
     );
     for (name, q) in &qs {
         let mut q = q.clone();

@@ -1,5 +1,5 @@
 //! Regenerates the evaluation tables (DESIGN.md §3): T-SAT, T-REF, T-QA,
-//! T-MAINT, A-DATALOG, A-ADVISOR, A-PAR, A-REF, T-INT, A-SERVE.
+//! T-MAINT, A-DATALOG, A-ADVISOR, A-REF, T-INT, A-SERVE.
 //!
 //! ```sh
 //! cargo run --release -p bench --bin tables            # all tables, small scale
@@ -12,7 +12,7 @@ use bench::{
 };
 use durability::FsyncPolicy;
 use rdfs::incremental::MaintenanceAlgorithm;
-use rdfs::{saturate, saturate_naive, saturate_parallel, Schema};
+use rdfs::{saturate, saturate_naive, Schema};
 use reformulation::{reformulate, reformulate_intervals};
 use serde::Serialize;
 use sparql::{evaluate, evaluate_interval, evaluate_union, Query};
@@ -63,9 +63,6 @@ fn main() {
     }
     if run("advisor") {
         table_advisor(scale);
-    }
-    if run("par") {
-        table_parallel();
     }
     if run("aref") {
         reports_ok &= table_aref(scale);
@@ -245,55 +242,6 @@ fn table_federation() {
     );
 }
 
-/// A-PAR: parallel saturation thread sweep (§II-D open issue, ref. \[29\]).
-fn table_parallel() {
-    println!("== A-PAR: parallel saturation (thread sweep) ==");
-    let ds = workload::lubm::generate(&Scale::Large.config());
-    // Warm-up pass so the first timed run does not pay page-fault costs.
-    let _ = saturate(&ds.graph, &ds.vocab);
-    let (reference, base_s) = time(|| saturate(&ds.graph, &ds.vocab));
-    let mut rows = vec![vec![
-        "sequential".into(),
-        fmt_secs(base_s),
-        "—".into(),
-        "—".into(),
-        "1.00×".into(),
-    ]];
-    for threads in [1usize, 2, 4, 8] {
-        let n = NonZeroUsize::new(threads).unwrap();
-        let (par, secs) = time(|| saturate_parallel(&ds.graph, &ds.vocab, n));
-        assert_eq!(par.graph, reference.graph, "parallel result must match");
-        let phase = |key: &str| par.stats.rule_firings.get(key).copied().unwrap_or(0) as f64 / 1e6;
-        rows.push(vec![
-            format!("{threads} thread(s)"),
-            fmt_secs(secs),
-            fmt_secs(phase("derive-us")),
-            fmt_secs(phase("merge-us")),
-            format!("{:.2}×", base_s / secs),
-        ]);
-    }
-    println!(
-        "{}",
-        render_table(
-            &[
-                "engine",
-                "wall-clock",
-                "derive phase",
-                "merge phase",
-                "speedup"
-            ],
-            &rows
-        )
-    );
-    println!(
-        "Both phases run across the thread pool: workers derive into per-shard\n\
-         buckets, then one merge task per (index, shard) writes its shard with no\n\
-         cross-shard contention — the lock-free index insertion the paper's\n\
-         ref. [29] (parallel materialisation) calls for. Speedups require real\n\
-         cores; a single-CPU host shows thread overhead instead.\n"
-    );
-}
-
 /// The union-stress workload shared by A-REF and T-INT: LUBM Q1–Q10 plus
 /// two subclass-heavy synthetic cases over a depth-4 × fanout-3 class
 /// tree (121 classes) — the root type query (single-atom branches — pure
@@ -357,12 +305,11 @@ fn union_stress_cases(scale: Scale) -> UnionCases {
 }
 
 /// A-REF: union-aware evaluation of reformulated queries — the per-branch
-/// baseline vs the shared-prefix trie evaluator (1 thread) vs the same
-/// evaluator across 4 workers. The subclass-heavy synthetic query (a
+/// baseline vs the shared-prefix trie evaluator. The subclass-heavy synthetic query (a
 /// depth-4 × fanout-3 class tree, >100 union branches) is the stress case
 /// for the §II-D open issue of evaluating large reformulated unions.
 fn table_aref(scale: Scale) -> bool {
-    println!("== A-REF: union-aware evaluation of q_ref (sequential / shared / parallel) ==");
+    println!("== A-REF: union-aware evaluation of q_ref (sequential / shared) ==");
     const SAMPLES: usize = 3;
 
     // The union evaluator is instrumented; reset the registry so the
@@ -376,7 +323,6 @@ fn table_aref(scale: Scale) -> bool {
         branches: usize,
         sequential_s: f64,
         shared_s: f64,
-        parallel_s: f64,
         shared_prefix_scans: usize,
         answers: usize,
     }
@@ -392,38 +338,30 @@ fn table_aref(scale: Scale) -> bool {
 
         let mut sequential_s = f64::INFINITY;
         let mut shared_s = f64::INFINITY;
-        let mut parallel_s = f64::INFINITY;
         let mut stats = sparql::EvalStats::default();
         let mut answers = 0;
         for _ in 0..SAMPLES {
             let (base, secs) = time(|| evaluate(g, &r.query));
             sequential_s = sequential_s.min(secs);
             answers = base.len();
-            let ((shared, _), secs) =
-                time(|| evaluate_union(g, &r.query, NonZeroUsize::new(1).unwrap()));
+            let ((shared, s), secs) = time(|| evaluate_union(g, &r.query));
             shared_s = shared_s.min(secs);
-            let ((parallel, s4), secs) =
-                time(|| evaluate_union(g, &r.query, NonZeroUsize::new(4).unwrap()));
-            parallel_s = parallel_s.min(secs);
             assert_same_answers(&base, &shared, &name);
-            assert_same_answers(&base, &parallel, &name);
-            stats = s4;
+            stats = s;
         }
         rows.push(vec![
             name.clone(),
             r.branches.to_string(),
             fmt_secs(sequential_s),
             fmt_secs(shared_s),
-            fmt_secs(parallel_s),
             stats.shared_prefix_scans().to_string(),
-            format!("{:.2}×", sequential_s / parallel_s),
+            format!("{:.2}×", sequential_s / shared_s),
         ]);
         report.push(Row {
             query: name,
             branches: r.branches,
             sequential_s,
             shared_s,
-            parallel_s,
             shared_prefix_scans: stats.shared_prefix_scans(),
             answers,
         });
@@ -435,8 +373,7 @@ fn table_aref(scale: Scale) -> bool {
                 "query",
                 "branches",
                 "sequential",
-                "shared (1 thr)",
-                "parallel (4 thr)",
+                "shared",
                 "scans saved",
                 "speedup",
             ],
@@ -446,9 +383,7 @@ fn table_aref(scale: Scale) -> bool {
     println!(
         "\"sequential\" is the legacy per-branch evaluator (re-plans and re-scans\n\
          every branch); \"shared\" plans once and folds branches into a prefix\n\
-         trie; \"parallel\" splits the sorted branch list across 4 workers\n\
-         with sharded disjoint-write merging. All three are asserted to\n\
-         return the same answer set.\n"
+         trie. Both are asserted to return the same answer set.\n"
     );
 
     #[derive(Serialize)]
@@ -548,7 +483,6 @@ fn table_interval(scale: Scale) -> bool {
         answers: usize,
     }
 
-    let one = NonZeroUsize::MIN;
     let mut report = Vec::new();
     let mut rows = Vec::new();
     for (name, di, q) in &cases {
@@ -565,9 +499,9 @@ fn table_interval(scale: Scale) -> bool {
         let mut stats = sparql::EvalStats::default();
         let mut answers = 0;
         for _ in 0..SAMPLES {
-            let ((u_sols, _), secs) = time(|| evaluate_union(&ds.graph, &r.query, one));
+            let ((u_sols, _), secs) = time(|| evaluate_union(&ds.graph, &r.query));
             union_s = union_s.min(secs);
-            let ((i_sols, s), secs) = time(|| evaluate_interval(&ds.graph, &iq, one));
+            let ((i_sols, s), secs) = time(|| evaluate_interval(&ds.graph, &iq));
             interval_s = interval_s.min(secs);
             let (s_sols, secs) = time(|| evaluate(sat, &distinct_q));
             saturated_s = saturated_s.min(secs);
@@ -642,7 +576,7 @@ fn table_interval(scale: Scale) -> bool {
     println!(
         "All three strategies are asserted to return the same answer set.\n\
          \"collapsed\" counts hierarchy union branches replaced by interval\n\
-         range scans; \"speedup\" is union / interval (1 thread, best of {SAMPLES}).\n"
+         range scans; \"speedup\" is union / interval (best of {SAMPLES}).\n"
     );
 
     #[derive(Serialize)]

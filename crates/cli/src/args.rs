@@ -8,10 +8,10 @@ use webreason_core::FsyncPolicy;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Strategy {
     /// Saturation with full recomputation on updates.
-    Saturation,
+    Recompute,
     /// Saturation maintained by DRed.
     DRed,
-    /// Saturation maintained by counting.
+    /// Saturation maintained by counting (also named `saturation`).
     Counting,
     /// Query reformulation.
     Reformulation,
@@ -22,9 +22,9 @@ pub enum Strategy {
 impl Strategy {
     fn parse(s: &str) -> Option<Strategy> {
         Some(match s {
-            "saturation" | "recompute" => Strategy::Saturation,
+            "recompute" => Strategy::Recompute,
             "dred" => Strategy::DRed,
-            "counting" => Strategy::Counting,
+            "saturation" | "counting" => Strategy::Counting,
             "reformulation" => Strategy::Reformulation,
             "interval" | "litemat" => Strategy::Interval,
             _ => return None,
@@ -46,9 +46,6 @@ pub enum Command {
         strategy: Option<Strategy>,
         /// Maximum solutions printed.
         limit_display: usize,
-        /// Worker threads for saturation passes (`None` = default / the
-        /// journaled store's count).
-        threads: Option<usize>,
         /// Durability directory: updates are journaled and the store is
         /// recovered from it on the next run.
         journal: Option<String>,
@@ -59,8 +56,6 @@ pub enum Command {
     Saturate {
         /// Data files to load.
         files: Vec<String>,
-        /// Worker threads (`None` = sequential).
-        parallel: Option<usize>,
         /// `nt` or `ttl` output.
         format: String,
         /// Full-RDFS structural closure instead of the database fragment.
@@ -209,7 +204,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
         "sparql",
         "strategy",
         "triple",
-        "parallel",
         "format",
         "limit-display",
         "queries",
@@ -230,6 +224,10 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
         if !known_flags.contains(&name.as_str()) {
             return Err(err(format!("unknown flag --{name}; try `webreason help`")));
         }
+    }
+    // Queries run on one thread each; only the server has a thread count.
+    if flag("threads").is_some() && command != "serve" {
+        return Err(err("--threads only applies to serve"));
     }
     // The durability commands take the journal directory as their only
     // positional; every data-driven command needs at least one file —
@@ -278,15 +276,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
                     .parse()
                     .map_err(|_| err("--limit-display needs a number"))?,
             };
-            let threads = match flag("threads") {
-                None => None,
-                Some(v) => Some(
-                    v.parse::<usize>()
-                        .ok()
-                        .filter(|&n| n >= 1)
-                        .ok_or_else(|| err("--threads needs a positive number"))?,
-                ),
-            };
             let journal = flag("journal").map(str::to_owned);
             let fsync = match flag("fsync") {
                 None => FsyncPolicy::Always,
@@ -302,7 +291,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
                 sparql,
                 strategy,
                 limit_display,
-                threads,
                 journal,
                 fsync,
             })
@@ -421,13 +409,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
             dir: files.remove(0),
         }),
         "saturate" => {
-            let parallel = match flag("parallel") {
-                None => None,
-                Some(v) => Some(
-                    v.parse::<usize>()
-                        .map_err(|_| err("--parallel needs a number"))?,
-                ),
-            };
             let format = flag("format").unwrap_or("nt").to_owned();
             if format != "nt" && format != "ttl" {
                 return Err(err(format!("unknown format {format:?}; use nt or ttl")));
@@ -443,7 +424,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
             };
             Ok(Command::Saturate {
                 files,
-                parallel,
                 format,
                 full,
             })
@@ -483,8 +463,7 @@ mod tests {
     #[test]
     fn parses_query_command() {
         let c = parse_args(&argv(
-            "query data.ttl more.nt --sparql SELECT --strategy reformulation --limit-display 5 \
-             --threads 4",
+            "query data.ttl more.nt --sparql SELECT --strategy reformulation --limit-display 5",
         ))
         .unwrap();
         assert_eq!(
@@ -494,7 +473,6 @@ mod tests {
                 sparql: "SELECT".into(),
                 strategy: Some(Strategy::Reformulation),
                 limit_display: 5,
-                threads: Some(4),
                 journal: None,
                 fsync: FsyncPolicy::Always,
             }
@@ -508,14 +486,12 @@ mod tests {
             Command::Query {
                 strategy,
                 limit_display,
-                threads,
                 journal,
                 fsync,
                 ..
             } => {
                 assert_eq!(strategy, None, "resolved to counting at run time");
                 assert_eq!(limit_display, 20);
-                assert_eq!(threads, None);
                 assert_eq!(journal, None);
                 assert_eq!(fsync, FsyncPolicy::Always);
             }
@@ -526,7 +502,6 @@ mod tests {
             c,
             Command::Saturate {
                 files: vec!["d.ttl".into()],
-                parallel: None,
                 format: "nt".into(),
                 full: false,
             }
@@ -536,8 +511,8 @@ mod tests {
     #[test]
     fn strategy_aliases() {
         for (name, want) in [
-            ("saturation", Strategy::Saturation),
-            ("recompute", Strategy::Saturation),
+            ("saturation", Strategy::Counting),
+            ("recompute", Strategy::Recompute),
             ("dred", Strategy::DRed),
             ("counting", Strategy::Counting),
             ("reformulation", Strategy::Reformulation),
@@ -716,8 +691,12 @@ mod tests {
             ("query d.ttl --sparql", "needs a value"),
             ("query d.ttl --sparql Q --strategy warp", "unknown strategy"),
             ("query d.ttl --sparql Q --bogus x", "unknown flag"),
-            ("query d.ttl --sparql Q --threads 0", "positive number"),
-            ("query d.ttl --sparql Q --threads lots", "positive number"),
+            (
+                "query d.ttl --sparql Q --threads 4",
+                "only applies to serve",
+            ),
+            ("saturate d.ttl --threads 2", "only applies to serve"),
+            ("saturate d.ttl --parallel 2", "unknown flag"),
             ("saturate d.ttl --format xml", "unknown format"),
             ("explain d.ttl", "needs --triple"),
             ("query d.ttl --sparql @/nonexistent/query.rq", "cannot read"),

@@ -3,7 +3,7 @@
 
 use crate::args::{CliError, Command, Strategy};
 use rdf_model::{Dictionary, Graph, Term, Vocab};
-use rdfs::{saturate, saturate_parallel, Schema};
+use rdfs::{saturate, Schema};
 use reformulation::reformulate;
 use std::fmt::Write as _;
 use std::num::NonZeroUsize;
@@ -39,7 +39,7 @@ fn load_graph(files: &[String]) -> Result<(Dictionary, Vocab, Graph), CliError> 
 
 fn store_config(strategy: Strategy) -> ReasoningConfig {
     match strategy {
-        Strategy::Saturation => ReasoningConfig::Saturation(MaintenanceAlgorithm::Recompute),
+        Strategy::Recompute => ReasoningConfig::Saturation(MaintenanceAlgorithm::Recompute),
         Strategy::DRed => ReasoningConfig::Saturation(MaintenanceAlgorithm::DRed),
         Strategy::Counting => ReasoningConfig::Saturation(MaintenanceAlgorithm::Counting),
         Strategy::Reformulation => ReasoningConfig::Reformulation,
@@ -47,16 +47,9 @@ fn store_config(strategy: Strategy) -> ReasoningConfig {
     }
 }
 
-fn load_store(files: &[String], strategy: Strategy, threads: usize) -> Result<Store, CliError> {
+fn load_store(files: &[String], strategy: Strategy) -> Result<Store, CliError> {
     let (dict, vocab, g) = load_graph(files)?;
-    let threads = NonZeroUsize::new(threads).ok_or_else(|| err("--threads must be at least 1"))?;
-    Ok(Store::from_parts_with_threads(
-        dict,
-        vocab,
-        g,
-        store_config(strategy),
-        threads,
-    ))
+    Ok(Store::from_parts(dict, vocab, g, store_config(strategy)))
 }
 
 /// Runs a parsed command, returning the text for stdout.
@@ -68,25 +61,15 @@ pub fn run_command(command: &Command) -> Result<String, CliError> {
             sparql,
             strategy,
             limit_display,
-            threads,
             journal,
             fsync,
         } => match journal {
-            Some(dir) => query_journaled(
-                files,
-                sparql,
-                *strategy,
-                *limit_display,
-                *threads,
-                dir,
-                *fsync,
-            ),
+            Some(dir) => query_journaled(files, sparql, *strategy, *limit_display, dir, *fsync),
             None => query(
                 files,
                 sparql,
                 strategy.unwrap_or(Strategy::Counting),
                 *limit_display,
-                threads.unwrap_or(1),
             ),
         },
         Command::Serve {
@@ -121,10 +104,9 @@ pub fn run_command(command: &Command) -> Result<String, CliError> {
         Command::Recover { dir } => recover_cmd(dir),
         Command::Saturate {
             files,
-            parallel,
             format,
             full,
-        } => saturate_cmd(files, *parallel, format, *full),
+        } => saturate_cmd(files, format, *full),
         Command::Reformulate { files, sparql } => reformulate_cmd(files, sparql),
         Command::Explain { files, triple } => explain_cmd(files, triple),
         Command::Stats { files } => stats_cmd(files),
@@ -238,9 +220,9 @@ fn metrics_dataset() -> String {
 
 const METRICS_QUERY: &str = "PREFIX ex: <http://ex/> SELECT ?x WHERE { ?x a ex:Animal }";
 
-/// Exercises saturation (sequential and parallel), reformulated and
-/// saturated query answering, incremental maintenance, and the journal +
-/// checkpoint path, so the snapshot covers every subsystem.
+/// Exercises saturation, reformulated and saturated query answering,
+/// incremental maintenance, and the journal + checkpoint path, so the
+/// snapshot covers every subsystem.
 fn run_metrics_workload(journal: Option<&str>) -> Result<(), CliError> {
     let ttl = metrics_dataset();
 
@@ -260,14 +242,12 @@ fn run_metrics_workload(journal: Option<&str>) -> Result<(), CliError> {
         .map_err(|e| err(e.to_string()))?;
     sat.delete_terms(&s, &p, &o);
 
-    // rdfs.saturate + rdfs.parallel: one sequential and one multi-worker
-    // saturation pass over the same data.
+    // rdfs.saturate: a from-scratch saturation pass over the same data.
     let mut dict = Dictionary::new();
     let vocab = Vocab::intern(&mut dict);
     let mut g = Graph::new();
     rdf_io::parse_turtle(&ttl, &mut dict, &mut g).map_err(|e| err(e.to_string()))?;
     saturate(&g, &vocab);
-    saturate_parallel(&g, &vocab, NonZeroUsize::new(2).expect("non-zero"));
 
     // sparql.union: the reformulated path with its shared-trie evaluator.
     let mut refo = Store::new(ReasoningConfig::Reformulation);
@@ -400,25 +380,18 @@ fn query(
     sparql: &str,
     strategy: Strategy,
     limit_display: usize,
-    threads: usize,
 ) -> Result<String, CliError> {
-    let store = load_store(files, strategy, threads)?;
+    let store = load_store(files, strategy)?;
     let sols = store
         .answer_sparql(sparql)
         .map_err(|e| err(e.to_string()))?;
     let mut out = String::new();
-    let threads_note = if threads > 1 {
-        format!(", {threads} threads")
-    } else {
-        String::new()
-    };
     let _ = writeln!(
         out,
-        "{} solution(s) [strategy: {}, {} base triples{}]",
+        "{} solution(s) [strategy: {}, {} base triples]",
         sols.len(),
         store.config().name(),
         store.base_graph().len(),
-        threads_note
     );
     if let Some(stats) = store.last_eval_stats() {
         let _ = writeln!(out, "  eval: {}", stats.summary());
@@ -434,15 +407,14 @@ fn query(
 }
 
 /// `query --journal DIR`: recover (or create) a durable store in `dir`,
-/// durably load any data files given on top, and answer. Strategy and
-/// thread flags, when given, are journaled switches; when omitted the
-/// store keeps whatever it had (a fresh store defaults to counting).
+/// durably load any data files given on top, and answer. A strategy flag,
+/// when given, is a journaled switch; when omitted the store keeps
+/// whatever it had (a fresh store defaults to counting).
 fn query_journaled(
     files: &[String],
     sparql: &str,
     strategy: Option<Strategy>,
     limit_display: usize,
-    threads: Option<usize>,
     dir: &str,
     fsync: FsyncPolicy,
 ) -> Result<String, CliError> {
@@ -453,17 +425,13 @@ fn query_journaled(
         DurableStore::create(
             dir,
             store_config(strategy.unwrap_or(Strategy::Counting)),
-            NonZeroUsize::new(threads.unwrap_or(1)).expect("validated by the parser"),
+            NonZeroUsize::MIN,
             fsync,
         )
     }
     .map_err(|e| err(format!("{dir}: {e}")))?;
     if let Some(s) = strategy {
         ds.set_config(store_config(s))
-            .map_err(|e| err(e.to_string()))?;
-    }
-    if let Some(n) = threads {
-        ds.set_threads(NonZeroUsize::new(n).expect("validated by the parser"))
             .map_err(|e| err(e.to_string()))?;
     }
     for path in files {
@@ -499,7 +467,6 @@ fn query_journaled(
 
 fn render_store_stats(out: &mut String, stats: &StoreStats) {
     let _ = writeln!(out, "strategy:          {}", stats.strategy);
-    let _ = writeln!(out, "threads:           {}", stats.threads);
     let _ = writeln!(out, "base triples:      {}", stats.base_triples);
     if let Some(n) = stats.saturated_triples {
         let _ = writeln!(out, "saturated triples: {n}");
@@ -534,21 +501,12 @@ fn recover_cmd(dir: &str) -> Result<String, CliError> {
     Ok(out)
 }
 
-fn saturate_cmd(
-    files: &[String],
-    parallel: Option<usize>,
-    format: &str,
-    full: bool,
-) -> Result<String, CliError> {
+fn saturate_cmd(files: &[String], format: &str, full: bool) -> Result<String, CliError> {
     let (dict, vocab, g) = load_graph(files)?;
-    let result = match (full, parallel) {
-        (true, _) => rdfs::saturate_full(&g, &vocab),
-        (false, Some(threads)) => {
-            let threads =
-                NonZeroUsize::new(threads).ok_or_else(|| err("--parallel must be at least 1"))?;
-            saturate_parallel(&g, &vocab, threads)
-        }
-        (false, None) => saturate(&g, &vocab),
+    let result = if full {
+        rdfs::saturate_full(&g, &vocab)
+    } else {
+        saturate(&g, &vocab)
     };
     let mut out = String::new();
     if format == "ttl" {
@@ -586,7 +544,7 @@ fn reformulate_cmd(files: &[String], sparql: &str) -> Result<String, CliError> {
 }
 
 fn explain_cmd(files: &[String], triple: &str) -> Result<String, CliError> {
-    let store = load_store(files, Strategy::Counting, 1)?;
+    let store = load_store(files, Strategy::Counting)?;
     // Parse the triple via the N-Triples reader into a scratch space.
     let mut scratch_dict = Dictionary::new();
     let mut scratch = Graph::new();
@@ -698,6 +656,7 @@ ex:Tom a ex:Cat .\n";
         let fx = Fixture::new("query", &[("zoo.ttl", ZOO_TTL)]);
         for strategy in [
             "saturation",
+            "recompute",
             "dred",
             "counting",
             "reformulation",
@@ -719,17 +678,31 @@ ex:Tom a ex:Cat .\n";
         assert!(e.0.contains("unknown strategy"), "{e}");
     }
 
+    /// `saturation` names the counting maintainer, so a store served
+    /// under it maintains `G∞` per update instead of re-saturating.
+    #[test]
+    fn the_saturation_strategy_is_counting() {
+        let argv: Vec<String> = "query d.ttl --sparql Q --strategy saturation"
+            .split(' ')
+            .map(str::to_owned)
+            .collect();
+        let Command::Query { strategy, .. } = parse_args(&argv).unwrap() else {
+            panic!("a query command")
+        };
+        let config = store_config(strategy.expect("--strategy was given"));
+        assert_eq!(config.name(), "saturation(counting)");
+    }
+
     #[test]
     fn query_reports_eval_stats_on_reformulation_path() {
         let fx = Fixture::new("query-stats", &[("zoo.ttl", ZOO_TTL)]);
         let out = run_line(
-            "query --sparql SELECT_?x_WHERE{?x_a_<http://ex/Mammal>} --strategy reformulation --threads 2",
+            "query --sparql SELECT_?x_WHERE{?x_a_<http://ex/Mammal>} --strategy reformulation",
             &fx.files,
         )
         .unwrap();
         assert!(out.contains("eval: "), "{out}");
         assert!(out.contains("branches"), "{out}");
-        assert!(out.contains("worker(s)"), "{out}");
         // Saturated answers report no evaluation stats.
         let out = run_line(
             "query --sparql SELECT_?x_WHERE{?x_a_<http://ex/Mammal>} --strategy counting",
@@ -760,7 +733,7 @@ ex:Tom a ex:Cat .\n";
         let nt = run_line("saturate", &fx.files).unwrap();
         assert!(nt.contains("<http://ex/Tom> <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <http://ex/Mammal> ."));
         assert!(nt.contains("# 2 base + 1 inferred = 3 triples"));
-        let ttl = run_line("saturate --format ttl --parallel 2", &fx.files).unwrap();
+        let ttl = run_line("saturate --format ttl", &fx.files).unwrap();
         assert!(ttl.contains("@prefix"), "{ttl}");
         assert!(ttl.contains("rdfs:subClassOf"), "{ttl}");
     }
@@ -860,7 +833,6 @@ PREFIX ex: <http://ex/> SELECT ?x WHERE { ?x a ex:Cat }
         assert!(out.trim_start().starts_with('{'), "{out}");
         for needle in [
             "rdfs.saturate.runs",
-            "rdfs.parallel.runs",
             "sparql.union.queries",
             "durability.journal.appends",
             "durability.checkpoint.writes",

@@ -5,9 +5,9 @@
 //! Web data management", §I):
 //!
 //! ```text
-//! webreason query <data.ttl>…   --sparql <text|@file> [--strategy S] [--limit-display N] [--threads N]
+//! webreason query <data.ttl>…   --sparql <text|@file> [--strategy S] [--limit-display N]
 //!                               [--journal DIR [--fsync always|never]]
-//! webreason saturate <data.ttl>… [--parallel N] [--format nt|ttl]
+//! webreason saturate <data.ttl>… [--format nt|ttl]
 //! webreason reformulate <data.ttl>… --sparql <text|@file>
 //! webreason explain <data.ttl>… --triple "<s> <p> <o>"
 //! webreason stats <data.ttl>…
@@ -63,13 +63,13 @@ COMMANDS:
 
 OPTIONS:
     --sparql <text|@file>    the query (query/reformulate); '@f' reads file f
-    --strategy <name>        saturation (alias recompute) | dred | counting |
+    --strategy <name>        counting (alias saturation) | dred | recompute |
                              reformulation | interval (alias litemat)
                              [default: counting]
                              serve: strategy for a freshly created journal
     --triple \"<s> <p> <o>\"   the triple to explain (N-Triples terms)
-    --parallel <N>           saturate with N worker threads
-    --threads <N>            query: saturation passes use N threads [default: 1]
+    --threads <N>            serve: worker threads, each answering a
+                             different request                  [default: 4]
     --format <f>             saturate: nt or ttl [default: nt];
                              metrics: json or prometheus       [default: json]
     --limit-display <N>      print at most N solutions         [default: 20]

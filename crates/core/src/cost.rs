@@ -20,7 +20,6 @@ use rdfs::{saturate, Schema};
 use reformulation::reformulate;
 use serde::Serialize;
 use sparql::{evaluate, evaluate_union, Query};
-use std::num::NonZeroUsize;
 use std::time::Instant;
 
 /// Measured costs for one query.
@@ -89,8 +88,7 @@ fn time<R>(f: impl FnOnce() -> R) -> (R, f64) {
 /// [`crate::advisor::advise_from_snapshot`]).
 #[derive(Debug, Clone, Copy, Default, Serialize)]
 pub struct ObservedCosts {
-    /// Mean wall-clock of one saturation run, seconds (sequential and
-    /// parallel engines combined), or 0 when none ran.
+    /// Mean wall-clock of one saturation run, seconds, or 0 when none ran.
     pub saturation: f64,
     /// Saturation runs observed.
     pub saturation_runs: u64,
@@ -131,7 +129,7 @@ fn us_to_s(us: f64) -> f64 {
 impl ObservedCosts {
     /// Derives mean per-operation costs from a metrics snapshot.
     ///
-    /// * saturation — the `rdfs.saturate.run` + `rdfs.parallel.run` spans;
+    /// * saturation — the `rdfs.saturate.run` span;
     /// * maintenance — the `core.maintain.<kind>_us` histograms;
     /// * `q_ref(G)` — the `sparql.union.total` span across all parents;
     /// * `q(G∞)` — `core.answer.query` span time minus the union-eval
@@ -154,14 +152,7 @@ impl ObservedCosts {
                 .map_or(0.0, us_to_s)
         };
 
-        let sat_runs = snap.span_count("rdfs.saturate.run") + snap.span_count("rdfs.parallel.run");
-        let sat_total =
-            snap.span_total_us("rdfs.saturate.run") + snap.span_total_us("rdfs.parallel.run");
-        let saturation = if sat_runs > 0 {
-            us_to_s(sat_total as f64 / sat_runs as f64)
-        } else {
-            0.0
-        };
+        let (saturation, sat_runs) = span_mean("rdfs.saturate.run");
 
         let maintenance = MaintenanceCosts {
             instance_insert: hist_mean("core.maintain.instance_insert_us"),
@@ -312,8 +303,7 @@ pub fn profile(
             let (sols, secs) = time(|| evaluate(&sat.graph, &q));
             eval_saturated = eval_saturated.min(secs);
             answers = sols.len();
-            let ((ref_sols, stats), secs) =
-                time(|| evaluate_union(graph, &reform.query, NonZeroUsize::MIN));
+            let ((ref_sols, stats), secs) = time(|| evaluate_union(graph, &reform.query));
             eval_reformulated = eval_reformulated.min(secs);
             shared_prefix_scans = stats.shared_prefix_scans();
             debug_assert_eq!(

@@ -12,11 +12,11 @@
 //!
 //! What is journaled: insert/delete batches (with the dictionary terms
 //! interned since the previous record, in interning order — replay
-//! re-interns them and necessarily assigns the same sequential ids),
-//! strategy switches and thread-count changes. Derived state (saturations,
-//! schema closures, caches) is never journaled: it is recomputed from the
-//! base graph, which is what makes recovery converge instead of having to
-//! trust a possibly-torn derived structure.
+//! re-interns them and necessarily assigns the same sequential ids) and
+//! strategy switches. Derived state (saturations, schema closures,
+//! caches) is never journaled: it is recomputed from the base graph,
+//! which is what makes recovery converge instead of having to trust a
+//! possibly-torn derived structure.
 
 use crate::snapshot::StoreReader;
 use crate::store::{AnswerError, ReasoningConfig, Store, StoreStats};
@@ -133,10 +133,14 @@ impl DurableStore {
     /// Creates a fresh durable store in `dir` (created if missing). Fails
     /// if `dir` already holds a journal with records or a checkpoint —
     /// use [`DurableStore::open`] to resume an existing one.
+    ///
+    /// `_threads` is ignored: a store answers each query on the calling
+    /// thread. The argument is kept only because the benchmark trace calls
+    /// this signature; the next change to the benchmark drops it.
     pub fn create(
         dir: impl Into<PathBuf>,
         config: ReasoningConfig,
-        threads: NonZeroUsize,
+        _threads: NonZeroUsize,
         fsync: FsyncPolicy,
     ) -> Result<DurableStore, DurableError> {
         let dir = dir.into();
@@ -150,15 +154,12 @@ impl DurableStore {
                 ),
             )));
         }
-        let store = Store::new_with_threads(config, threads);
-        // Journal the initial strategy and thread count so a recovery that
-        // has lost every checkpoint still converges from the empty
-        // baseline (whose vocabulary terms are interned deterministically).
+        let store = Store::new(config);
+        // Journal the initial strategy so a recovery that has lost every
+        // checkpoint still converges from the empty baseline (whose
+        // vocabulary terms are interned deterministically).
         journal.append(&JournalRecord::SetConfig {
             name: config.name(),
-        })?;
-        journal.append(&JournalRecord::SetThreads {
-            threads: threads.get() as u32,
         })?;
         let journaled_terms = store.dictionary().len();
         Ok(DurableStore {
@@ -383,15 +384,6 @@ impl DurableStore {
         Ok(())
     }
 
-    /// Durably changes the worker-thread count.
-    pub fn set_threads(&mut self, threads: NonZeroUsize) -> Result<(), DurableError> {
-        self.journal.append(&JournalRecord::SetThreads {
-            threads: threads.get() as u32,
-        })?;
-        self.store.set_threads(threads);
-        Ok(())
-    }
-
     /// Answers a SPARQL query (queries are not journaled; the terms they
     /// intern ride along with the next update record).
     pub fn answer_sparql(&self, sparql: &str) -> Result<Solutions, AnswerError> {
@@ -438,7 +430,7 @@ impl DurableStore {
         let cp = Checkpoint {
             seq: self.journal.seq(),
             config: self.store.config().name(),
-            threads: self.store.threads().get() as u32,
+            threads: 1,
             terms: self
                 .store
                 .dictionary()
@@ -506,7 +498,6 @@ fn recover_in(dir: &Path) -> Result<Store, DurableError> {
 fn store_from_checkpoint(cp: Checkpoint) -> Result<Store, DurableError> {
     let config = ReasoningConfig::from_name(&cp.config)
         .ok_or_else(|| DurableError::UnknownConfig(cp.config.clone()))?;
-    let threads = NonZeroUsize::new(cp.threads.max(1) as usize).expect("max(1) is non-zero");
     // Re-interning the checkpointed terms in id order reproduces the ids
     // the checkpointed triples were encoded against.
     let mut dict = Dictionary::new();
@@ -518,9 +509,7 @@ fn store_from_checkpoint(cp: Checkpoint) -> Result<Store, DurableError> {
     for t in &cp.triples {
         graph.insert(*t);
     }
-    Ok(Store::from_parts_with_threads(
-        dict, vocab, graph, config, threads,
-    ))
+    Ok(Store::from_parts(dict, vocab, graph, config))
 }
 
 /// Applies one journal record to a store being recovered. The write-ahead
@@ -545,12 +534,7 @@ fn apply_record(store: &mut Store, record: &JournalRecord) -> Result<(), Durable
                 .ok_or_else(|| DurableError::UnknownConfig(name.clone()))?;
             store.set_config(config);
         }
-        JournalRecord::SetThreads { threads } => {
-            let threads =
-                NonZeroUsize::new((*threads).max(1) as usize).expect("max(1) is non-zero");
-            store.set_threads(threads);
-        }
-        JournalRecord::CheckpointMark { .. } => {}
+        JournalRecord::SetThreads { .. } | JournalRecord::CheckpointMark { .. } => {}
         JournalRecord::UpdateScript { new_terms, ops } => {
             for term in new_terms {
                 store.dict_mut().encode(term);
@@ -724,7 +708,7 @@ mod tests {
     }
 
     #[test]
-    fn config_and_thread_changes_are_durable() {
+    fn config_changes_are_durable() {
         let dir = tmpdir("reconfig");
         {
             let mut ds = DurableStore::create(
@@ -736,11 +720,70 @@ mod tests {
             .unwrap();
             ds.load_turtle(ZOO).unwrap();
             ds.set_config(ReasoningConfig::Reformulation).unwrap();
-            ds.set_threads(NonZeroUsize::new(2).unwrap()).unwrap();
         }
         let rec = Store::recover(&dir).unwrap();
         assert_eq!(rec.config(), ReasoningConfig::Reformulation);
-        assert_eq!(rec.threads().get(), 2);
+    }
+
+    /// Journals and checkpoints written while stores had a thread count
+    /// carry one: a `SetThreads` record and the checkpoint's `threads`
+    /// field. Both still load, and neither changes the recovered graph or
+    /// its answers.
+    #[test]
+    fn a_journaled_thread_count_is_ignored_on_recovery() {
+        let mut live = DurableStore::create(
+            tmpdir("threads-live"),
+            sat(MaintenanceAlgorithm::Counting),
+            NonZeroUsize::MIN,
+            FsyncPolicy::Always,
+        )
+        .unwrap();
+        live.load_turtle(ZOO).unwrap();
+        live.checkpoint().unwrap();
+        let (mut cp, _) = load_latest(live.dir()).unwrap().unwrap();
+        let records = Journal::replay(live.dir().join(JOURNAL_FILE))
+            .unwrap()
+            .records;
+        assert!(matches!(records[0], JournalRecord::SetConfig { .. }));
+
+        // The same store as it was written when `create` journaled a
+        // thread count after the strategy.
+        let dir = tmpdir("threads-legacy");
+        std::fs::create_dir_all(&dir).unwrap();
+        {
+            let mut journal = Journal::open(dir.join(JOURNAL_FILE), FsyncPolicy::Always).unwrap();
+            journal.append(&records[0]).unwrap();
+            journal
+                .append(&JournalRecord::SetThreads { threads: 4 })
+                .unwrap();
+            for record in &records[1..] {
+                journal.append(record).unwrap();
+            }
+        }
+        let same = |rec: &Store, live: &DurableStore| {
+            assert_eq!(rec.export_ntriples(), live.store().export_ntriples());
+            assert_eq!(rec.stats(), live.stats());
+            assert_eq!(
+                rec.answer_sparql(MAMMALS).unwrap().as_set(),
+                live.answer_sparql(MAMMALS).unwrap().as_set()
+            );
+        };
+        same(&Store::recover(&dir).unwrap(), &live);
+
+        assert_eq!(cp.threads, 1, "the count is written as 1");
+        cp.threads = 4;
+        cp.seq += 1;
+        write_checkpoint(&dir, &cp).unwrap();
+        same(&Store::recover(&dir).unwrap(), &live);
+
+        // A store opened over both keeps journaling consistently.
+        let rex = "@prefix ex: <http://ex/> .\nex:Rex a ex:Mammal .";
+        DurableStore::open(&dir, FsyncPolicy::Always)
+            .unwrap()
+            .load_turtle(rex)
+            .unwrap();
+        live.load_turtle(rex).unwrap();
+        same(&Store::recover(&dir).unwrap(), &live);
     }
 
     #[test]

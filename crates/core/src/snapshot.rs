@@ -35,7 +35,6 @@ use sparql::{
     parse_query, try_execute, EvalStats, Executable, IntervalQuery, Query, Solutions,
     UnionEvalError,
 };
-use std::num::NonZeroUsize;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// Locks a `RwLock` for reading, recovering from poisoning: every shared
@@ -59,10 +58,12 @@ pub(crate) fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 /// Maps an executor error onto the answer error surface, counting
 /// cancellations.
 fn map_union(reg: &obs::Registry, e: UnionEvalError) -> AnswerError {
-    if matches!(e, UnionEvalError::Cancelled) {
-        reg.add("core.answer.cancelled", 1);
+    match e {
+        UnionEvalError::Cancelled => {
+            reg.add("core.answer.cancelled", 1);
+            AnswerError::Cancelled
+        }
     }
-    e.into()
 }
 
 /// Schema closure, computed at most once per schema version and shared by
@@ -131,7 +132,6 @@ pub(crate) enum SnapState {
 pub struct StoreSnapshot {
     pub(crate) epoch: u64,
     pub(crate) config: ReasoningConfig,
-    pub(crate) threads: NonZeroUsize,
     pub(crate) vocab: Vocab,
     pub(crate) dict: Arc<RwLock<Dictionary>>,
     pub(crate) state: SnapState,
@@ -229,9 +229,9 @@ impl StoreSnapshot {
     /// checks it between branches and every
     /// [`obs::CANCEL_POLL_STRIDE`] matched triples — under every strategy,
     /// saturation included. On trip the query returns
-    /// [`AnswerError::Cancelled`] and every worker's partial state is
-    /// discarded — the snapshot (including its rewrite caches) is
-    /// untouched, so an identical re-run produces bit-identical answers.
+    /// [`AnswerError::Cancelled`] and the partial rows are discarded —
+    /// the snapshot (including its rewrite caches) is untouched, so an
+    /// identical re-run produces bit-identical answers.
     pub fn answer_cancel(
         &self,
         q: &Query,
@@ -337,8 +337,7 @@ impl StoreSnapshot {
             Some(Rewritten::Union(q_ref)) => Executable::Union(q_ref),
             Some(Rewritten::Interval(iq)) => Executable::Interval(iq),
         };
-        let (sols, stats) =
-            try_execute(graph, exe, self.threads, cancel).map_err(|e| map_union(reg, e))?;
+        let (sols, stats) = try_execute(graph, exe, cancel).map_err(|e| map_union(reg, e))?;
         let eval_stats = rewritten.is_some().then_some(stats);
         // Only `COUNT` interns a term (its result literal); every other
         // query finalizes under a read guard, beside concurrent readers.

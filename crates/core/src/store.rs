@@ -10,12 +10,11 @@ use crate::snapshot::{
     SnapState, SnapshotCell, StoreReader, StoreSnapshot,
 };
 use rdf_io::ParseError;
-use rdf_model::{Dictionary, Graph, Term, Triple, Vocab, WorkerPanicked};
+use rdf_model::{Dictionary, Graph, Term, Triple, Vocab};
 use rdfs::incremental::{Maintainer, MaintenanceAlgorithm, UpdateKind, UpdateStats};
 use reformulation::ReformulationError;
 use sparql::{parse_query, EvalStats, Query, QueryParseError, Solutions, UnionEvalError};
 use std::fmt;
-use std::num::NonZeroUsize;
 use std::sync::{Arc, Mutex, OnceLock, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// Which query-answering technique the store serves: the paper's two
@@ -70,10 +69,6 @@ pub enum AnswerError {
     /// The active strategy is reformulation or interval rewriting and the
     /// query is outside the reformulation dialect — switch to saturation.
     Reformulation(ReformulationError),
-    /// A parallel evaluation worker panicked; the query was abandoned
-    /// without corrupting the store (which stays usable — retry, or drop
-    /// to one thread).
-    Worker(WorkerPanicked),
     /// The request's [`obs::CancelToken`] tripped (deadline expired or
     /// client disconnected) and evaluation was abandoned cooperatively.
     /// No partial state escapes: the snapshot, rewrite caches and counters
@@ -92,7 +87,6 @@ impl fmt::Display for AnswerError {
             AnswerError::Data(e) => write!(f, "{e}"),
             AnswerError::Query(e) => write!(f, "{e}"),
             AnswerError::Reformulation(e) => write!(f, "{e}"),
-            AnswerError::Worker(e) => write!(f, "{e}"),
             AnswerError::Cancelled => f.write_str("query cancelled (deadline expired)"),
             AnswerError::StrategyUnsupported(msg) => f.write_str(msg),
         }
@@ -116,15 +110,9 @@ impl From<ReformulationError> for AnswerError {
         AnswerError::Reformulation(e)
     }
 }
-impl From<WorkerPanicked> for AnswerError {
-    fn from(e: WorkerPanicked) -> Self {
-        AnswerError::Worker(e)
-    }
-}
 impl From<UnionEvalError> for AnswerError {
     fn from(e: UnionEvalError) -> Self {
         match e {
-            UnionEvalError::Worker(w) => AnswerError::Worker(w),
             UnionEvalError::Cancelled => AnswerError::Cancelled,
         }
     }
@@ -141,9 +129,6 @@ pub struct StoreStats {
     pub dictionary_terms: usize,
     /// Active strategy name.
     pub strategy: String,
-    /// Worker threads used for saturation passes and union-aware
-    /// evaluation of reformulated queries.
-    pub threads: usize,
 }
 
 /// The signed triple delta accumulated between two [`Store::take_delta`]
@@ -159,7 +144,7 @@ pub struct StoreDelta {
     /// strategy maintains one whose maintainer records entailed deltas
     /// (see [`rdfs::incremental::Maintainer::supports_delta_tracking`]).
     pub entailed: Vec<(Triple, bool)>,
-    /// Whether a schema-changing mutation (or a strategy/thread rebuild)
+    /// Whether a schema-changing mutation (or a strategy rebuild)
     /// happened since the last drain. Derived caches were swapped; views
     /// over reformulated queries must recompile.
     pub schema_changed: bool,
@@ -196,7 +181,6 @@ pub struct Store {
     dict: Arc<RwLock<Dictionary>>,
     vocab: Vocab,
     config: ReasoningConfig,
-    threads: NonZeroUsize,
     state: State,
     /// Monotonic version: bumped on every effective mutation. Starts at 1
     /// so the placeholder snapshot (epoch 0) is never considered fresh.
@@ -231,40 +215,21 @@ pub struct Store {
 }
 
 impl Store {
-    /// Creates an empty store with the given strategy (single-threaded
-    /// saturation).
+    /// Creates an empty store with the given strategy.
     pub fn new(config: ReasoningConfig) -> Self {
-        Self::new_with_threads(config, NonZeroUsize::MIN)
-    }
-
-    /// Creates an empty store with the given strategy, saturating with
-    /// `threads` worker threads where the strategy recomputes saturations
-    /// (see [`MaintenanceAlgorithm::build_with_threads`]).
-    pub fn new_with_threads(config: ReasoningConfig, threads: NonZeroUsize) -> Self {
         let mut dict = Dictionary::new();
         let vocab = Vocab::intern(&mut dict);
-        Self::from_parts_with_threads(dict, vocab, Graph::new(), config, threads)
+        Self::from_parts(dict, vocab, Graph::new(), config)
     }
 
     /// Builds a store over an existing encoded graph (e.g. a generated
     /// workload dataset). The dictionary must be the one the graph was
     /// encoded against, with `vocab` interned in it.
     pub fn from_parts(
-        dict: Dictionary,
-        vocab: Vocab,
-        graph: Graph,
-        config: ReasoningConfig,
-    ) -> Self {
-        Self::from_parts_with_threads(dict, vocab, graph, config, NonZeroUsize::MIN)
-    }
-
-    /// [`Store::from_parts`] with a saturation thread count.
-    pub fn from_parts_with_threads(
         mut dict: Dictionary,
         vocab: Vocab,
         graph: Graph,
         config: ReasoningConfig,
-        threads: NonZeroUsize,
     ) -> Self {
         // Journal compatibility: stores have always interned the three OWL
         // terms right after the RDFS vocabulary, and journal replay
@@ -273,14 +238,13 @@ impl Store {
         // every journaled id by 3 and recover the wrong triples silently.
         rdfs::plus::OwlVocab::intern(&mut dict);
         let dict = Arc::new(RwLock::new(dict));
-        let state = Self::build_state(graph, vocab, config, threads);
+        let state = Self::build_state(graph, vocab, config);
         // The slot starts with an empty epoch-0 placeholder; epoch 1 is
         // published lazily by the first `snapshot()` call, so building a
         // store over a large graph costs no clone until someone reads.
         let placeholder = Arc::new(StoreSnapshot {
             epoch: 0,
             config,
-            threads,
             vocab,
             dict: dict.clone(),
             state: SnapState::Saturated {
@@ -291,7 +255,6 @@ impl Store {
             dict,
             vocab,
             config,
-            threads,
             state,
             epoch: 1,
             schema_cell: Arc::new(OnceLock::new()),
@@ -306,16 +269,9 @@ impl Store {
         }
     }
 
-    fn build_state(
-        graph: Graph,
-        vocab: Vocab,
-        config: ReasoningConfig,
-        threads: NonZeroUsize,
-    ) -> State {
+    fn build_state(graph: Graph, vocab: Vocab, config: ReasoningConfig) -> State {
         match config {
-            ReasoningConfig::Saturation(algo) => {
-                State::Saturation(algo.build_with_threads(graph, vocab, threads))
-            }
+            ReasoningConfig::Saturation(algo) => State::Saturation(algo.build(graph, vocab)),
             ReasoningConfig::Reformulation => State::Schema {
                 graph,
                 mode: SchemaMode::Reformulate,
@@ -364,7 +320,6 @@ impl Store {
         StoreSnapshot {
             epoch: self.epoch,
             config: self.config,
-            threads: self.threads,
             vocab: self.vocab,
             dict: self.dict.clone(),
             state,
@@ -401,24 +356,6 @@ impl Store {
         self.config
     }
 
-    /// Worker threads used for saturation passes and for the union-aware
-    /// evaluation of reformulated queries.
-    pub fn threads(&self) -> NonZeroUsize {
-        self.threads
-    }
-
-    /// Changes the saturation thread count, rebuilding derived state so
-    /// strategies that saturate pick it up. The answer contract is
-    /// unaffected: the parallel engine produces exactly the sequential
-    /// saturation.
-    pub fn set_threads(&mut self, threads: NonZeroUsize) {
-        if threads == self.threads {
-            return;
-        }
-        self.threads = threads;
-        self.rebuild();
-    }
-
     /// Switches strategy, rebuilding derived state from the base graph.
     pub fn set_config(&mut self, config: ReasoningConfig) {
         if config == self.config {
@@ -428,13 +365,13 @@ impl Store {
         self.rebuild();
     }
 
-    /// Rebuilds the writer state from the base graph after a strategy or
-    /// thread-count switch. The rebuild loses the maintainer's per-triple
-    /// delta trail, so it re-arms delta recording and reports
-    /// `schema_changed`, which tells delta consumers to refresh wholesale.
+    /// Rebuilds the writer state from the base graph after a strategy
+    /// switch. The rebuild loses the maintainer's per-triple delta trail,
+    /// so it re-arms delta recording and reports `schema_changed`, which
+    /// tells delta consumers to refresh wholesale.
     fn rebuild(&mut self) {
         let graph = self.base_graph().clone();
-        self.state = Self::build_state(graph, self.vocab, self.config, self.threads);
+        self.state = Self::build_state(graph, self.vocab, self.config);
         if let State::Saturation(m) = &mut self.state {
             m.set_delta_tracking(self.delta_tracking);
         }
@@ -523,7 +460,6 @@ impl Store {
             saturated_triples,
             dictionary_terms: self.dictionary().len(),
             strategy: self.config.name(),
-            threads: self.threads.get(),
         }
     }
 
@@ -913,55 +849,13 @@ mod tests {
     }
 
     #[test]
-    fn threaded_store_answers_identically() {
-        let mut seq = store_with(ReasoningConfig::Saturation(MaintenanceAlgorithm::Recompute));
-        let mut par = Store::new_with_threads(
-            ReasoningConfig::Saturation(MaintenanceAlgorithm::Recompute),
-            NonZeroUsize::new(4).unwrap(),
-        );
-        par.load_turtle(ZOO).unwrap();
-        assert_eq!(par.threads().get(), 4);
-        assert_eq!(par.stats().threads, 4);
-        assert_eq!(par.stats().saturated_triples, seq.stats().saturated_triples);
-        assert_eq!(
-            par.answer_sparql(MAMMALS).unwrap().as_set(),
-            seq.answer_sparql(MAMMALS).unwrap().as_set()
-        );
-        // updates keep the parallel recomputation in lock-step
-        par.load_turtle("@prefix ex: <http://ex/> .\nex:Felix a ex:Cat .")
-            .unwrap();
-        seq.load_turtle("@prefix ex: <http://ex/> .\nex:Felix a ex:Cat .")
-            .unwrap();
-        assert_eq!(
-            par.answer_sparql(MAMMALS).unwrap().as_set(),
-            seq.answer_sparql(MAMMALS).unwrap().as_set()
-        );
-        // switching the knob rebuilds without changing answers
-        seq.set_threads(NonZeroUsize::new(2).unwrap());
-        assert_eq!(
-            par.answer_sparql(MAMMALS).unwrap().as_set(),
-            seq.answer_sparql(MAMMALS).unwrap().as_set()
-        );
-    }
-
-    #[test]
     fn reformulation_surfaces_eval_stats() {
         let mut s = store_with(ReasoningConfig::Reformulation);
         assert!(s.last_eval_stats().is_none(), "no query answered yet");
         s.answer_sparql(ANIMALS).unwrap();
         let stats = s.last_eval_stats().expect("reformulation records stats");
         assert!(stats.branches_total >= 3, "{stats:?}");
-        assert_eq!(stats.threads, 1);
         assert_eq!(stats.rows, 2, "Tom + Goldie");
-        // A threaded store reports its worker count and the same answers.
-        let mut par = Store::new_with_threads(
-            ReasoningConfig::Reformulation,
-            NonZeroUsize::new(4).unwrap(),
-        );
-        par.load_turtle(ZOO).unwrap();
-        let sols = par.answer_sparql(ANIMALS).unwrap();
-        assert_eq!(sols.len(), 2);
-        assert!(par.last_eval_stats().unwrap().threads >= 1);
         // Non-reformulation paths leave no stats behind.
         s.set_config(ReasoningConfig::Saturation(MaintenanceAlgorithm::Counting));
         s.answer_sparql(ANIMALS).unwrap();

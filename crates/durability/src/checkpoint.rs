@@ -33,7 +33,8 @@ pub struct Checkpoint {
     pub seq: u64,
     /// The store's reasoning strategy, by display name.
     pub config: String,
-    /// The store's worker-thread count.
+    /// A worker-thread count, which stores no longer have: written as 1
+    /// and ignored on read, so the file format stays unchanged.
     pub threads: u32,
     /// The full dictionary, in id order (index = id).
     pub terms: Vec<Term>,

@@ -55,9 +55,11 @@ pub enum JournalRecord {
         /// `ReasoningConfig::name()` of the new strategy.
         name: String,
     },
-    /// The store changed its worker-thread count.
+    /// A worker-thread count, which stores no longer have. Journals
+    /// written before the count was removed hold it (`create` appended
+    /// one); it still decodes so they replay, and replay ignores it.
     SetThreads {
-        /// The new thread count.
+        /// The thread count.
         threads: u32,
     },
     /// A checkpoint covering every record before index `seq` was written

@@ -14,7 +14,7 @@
 //! (read once, at first evaluation) or programmatically via [`configure`]:
 //!
 //! ```text
-//! WEBREASON_FAILPOINTS=store.journal.append=panic@3,store.merge.pre_commit=abort
+//! WEBREASON_FAILPOINTS=store.journal.append=panic@3,store.maintain.incremental=abort
 //! ```
 //!
 //! Each entry is `site=action[@n]` where `action` is one of
@@ -45,9 +45,8 @@
 //! ## Naming convention
 //!
 //! Site names are dotted paths, `<subsystem>.<component>.<event>`:
-//! `store.journal.append`, `store.checkpoint.write`,
-//! `store.merge.pre_commit`, `store.maintain.incremental`,
-//! `rdfs.parallel.worker`, `sparql.union.worker`. The registry is
+//! `store.journal.append`, `store.journal.fsync`, `store.checkpoint.write`,
+//! `store.maintain.incremental`, `store.subscribe.publish`. The registry is
 //! open-world — arming an unknown site is not an error, it simply never
 //! fires — so tests can be written against sites before they exist.
 

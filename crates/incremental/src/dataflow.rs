@@ -14,7 +14,6 @@ use rdf_model::{Dictionary, Graph, TermId, Triple};
 use sparql::{
     execute_delta, finalize_read, try_execute, Executable, Query, Solutions, UnionEvalError,
 };
-use std::num::NonZeroUsize;
 
 /// Why `q` has no delta form, or `None` if it has one.
 pub(crate) fn refusal(q: &Query) -> Option<String> {
@@ -64,7 +63,7 @@ pub(crate) fn eval_full(
     dict: &Dictionary,
     cancel: &CancelToken,
 ) -> Result<Solutions, UnionEvalError> {
-    let (sols, _) = try_execute(g, Executable::Plain(effective), NonZeroUsize::MIN, cancel)?;
+    let (sols, _) = try_execute(g, Executable::Plain(effective), cancel)?;
     Ok(finalize_read(sols, registered, dict))
 }
 

@@ -393,7 +393,7 @@ impl SubscriptionHub {
             let batch = match &change {
                 Some(change) => step_view(view, old, new, change, &dict),
                 // Derived state was swapped wholesale (schema mutation or
-                // strategy/thread rebuild): recompile where needed and
+                // strategy rebuild): recompile where needed and
                 // rebuild the view from scratch, publishing a reset.
                 None => match rebuild_view(view, new, &dict) {
                     Ok(batch) => Some(batch),

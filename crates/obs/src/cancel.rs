@@ -2,12 +2,12 @@
 //!
 //! A [`CancelToken`] is created at the edge (the HTTP server stamps one
 //! per request from the client's deadline header or the configured
-//! default) and threaded down through `Store::answer` into the query
-//! executor and the RDFS saturation workers, which poll it at branch/chunk
-//! boundaries and every [`CANCEL_POLL_STRIDE`] units of work inside them.
-//! Cancellation is *cooperative*: nothing is interrupted mid-step, so a
-//! worker observes the token only between units of work and can discard
-//! its partial state cleanly — no shared structure is ever left
+//! default) and passed down through `Store::answer` into the query
+//! executor, which polls it between branches and trie roots and every
+//! [`CANCEL_POLL_STRIDE`] matched triples inside the walk. Cancellation
+//! is *cooperative*: nothing is interrupted mid-step, so the executor
+//! observes the token only between units of work and can discard its
+//! partial state cleanly — no shared structure is ever left
 //! half-written.
 //!
 //! The token lives in `obs` because it is the one crate every evaluation
@@ -32,9 +32,9 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Units of work (base triples saturated, matched triples joined) between
-/// two polls inside a loop. Small enough that an expired deadline stops a
-/// worker within microseconds of work; large enough that the poll (one
+/// Units of work (matched triples joined) between two polls inside a
+/// loop. Small enough that an expired deadline stops a query within
+/// microseconds of work; large enough that the poll (one
 /// atomic load) never shows up in a profile.
 pub const CANCEL_POLL_STRIDE: usize = 512;
 

@@ -34,18 +34,6 @@
 //!
 //! Reads probe at most one chunk per level, and scans walk the chunks
 //! with plain loops (internal iteration) rather than iterator adapters.
-//!
-//! ## Sharding
-//!
-//! For parallel bulk insertion each index is split into `N` shards (`N` a
-//! power of two, 1 by default) by chunk number: shard `k` owns the chunks
-//! `k, k + N, k + 2N, …` of the index, routed by its *leading* key (SPO
-//! by subject, POS by property, OSP by object). Producers route triples
-//! into [`TripleBuckets`] (one `Vec` per index per shard) and
-//! [`Graph::merge_buckets`] then merges *every (index, shard) pair
-//! concurrently* — `3N` tasks with disjoint write targets, so the merge
-//! needs no locks and no cross-thread contention. Reads never see shards.
-//! The parallel saturation engine in the `rdfs` crate is built on this.
 
 use crate::dictionary::TermId;
 use crate::triple::{Pattern, Triple};
@@ -360,33 +348,6 @@ fn leaf(index: &Index, a: TermId, b: TermId) -> Option<&Leaf> {
     index.get(a)?.leaf(b)
 }
 
-/// An index order, as its projection of a triple to `(leading, second,
-/// leaf)` keys.
-#[derive(Debug, Clone, Copy)]
-enum Order {
-    Spo,
-    Pos,
-    Osp,
-}
-
-impl Order {
-    #[inline]
-    fn keys(self, t: &Triple) -> (TermId, TermId, TermId) {
-        match self {
-            Order::Spo => (t.s, t.p, t.o),
-            Order::Pos => (t.p, t.o, t.s),
-            Order::Osp => (t.o, t.s, t.p),
-        }
-    }
-}
-
-/// The shard owning leading key `id`: its chunk number modulo the shard
-/// count.
-#[inline]
-fn shard_of(id: TermId, mask: usize) -> usize {
-    (id.index() >> CHUNK_BITS) & mask
-}
-
 /// An in-memory RDF graph over dictionary-encoded triples.
 ///
 /// Duplicate-free by construction; `insert` and `remove` report whether the
@@ -396,145 +357,19 @@ fn shard_of(id: TermId, mask: usize) -> usize {
 /// graph (the saturation maintenance algorithms use clones to snapshot
 /// states) that costs one pointer per 16 keys until it diverges.
 ///
-/// Equality is semantic (same triple set), so graphs with different shard
-/// counts compare equal when they hold the same triples.
-#[derive(Debug, Clone)]
+/// Equality is semantic: graphs holding the same triples compare equal.
+#[derive(Debug, Clone, Default)]
 pub struct Graph {
     spo: Index,
     pos: Index,
     osp: Index,
-    /// `shard_count - 1`; shard count is always a power of two.
-    mask: usize,
     len: usize,
 }
 
-impl Default for Graph {
-    fn default() -> Self {
-        Self::with_shard_count(1)
-    }
-}
-
-/// Pre-routed triples awaiting a (parallel) merge into a [`Graph`] with the
-/// same shard count: one bucket per index per shard, filled by
-/// [`TripleBuckets::push`]. Producers (e.g. saturation worker threads)
-/// each fill their own `TripleBuckets`; [`Graph::merge_buckets`] consumes
-/// any number of them at once.
-#[derive(Debug)]
-pub struct TripleBuckets {
-    mask: usize,
-    spo: Vec<Vec<Triple>>,
-    pos: Vec<Vec<Triple>>,
-    osp: Vec<Vec<Triple>>,
-}
-
-impl TripleBuckets {
-    /// Creates empty buckets for a graph with `shard_count` shards
-    /// (rounded up to a power of two, minimum 1).
-    pub fn new(shard_count: usize) -> Self {
-        let n = shard_count.max(1).next_power_of_two();
-        TripleBuckets {
-            mask: n - 1,
-            spo: (0..n).map(|_| Vec::new()).collect(),
-            pos: (0..n).map(|_| Vec::new()).collect(),
-            osp: (0..n).map(|_| Vec::new()).collect(),
-        }
-    }
-
-    /// Creates buckets matching `g`'s shard count.
-    pub fn for_graph(g: &Graph) -> Self {
-        Self::new(g.shard_count())
-    }
-
-    /// Routes `t` into the right bucket of each of the three indexes.
-    #[inline]
-    pub fn push(&mut self, t: Triple) {
-        self.spo[shard_of(t.s, self.mask)].push(t);
-        self.pos[shard_of(t.p, self.mask)].push(t);
-        self.osp[shard_of(t.o, self.mask)].push(t);
-    }
-
-    /// Number of routed triples (with multiplicity).
-    pub fn len(&self) -> usize {
-        self.spo.iter().map(Vec::len).sum()
-    }
-
-    /// True when no triple has been routed.
-    pub fn is_empty(&self) -> bool {
-        self.spo.iter().all(Vec::is_empty)
-    }
-}
-
-/// One (index, shard) merge unit: the chunks of one index whose number
-/// is `shard` modulo `N`, in order, so its writes are disjoint from every
-/// other task's and it runs lock-free.
-struct MergeTask<'a> {
-    order: Order,
-    chunks: Vec<&'a mut Option<Chunk<Inner>>>,
-    /// `chunk number >> shard_bits` of `chunks[0]`.
-    first: usize,
-    /// log2 of the shard count `N`.
-    shard_bits: u32,
-    inputs: Vec<Vec<Triple>>,
-}
-
-/// What one merge task added: triples and leading keys.
-struct Merged {
-    order: Order,
-    triples: usize,
-    keys: usize,
-}
-
-/// Runs one merge task. Every index inserts the same triple set, so each
-/// counts the same new triples; the caller takes the count from SPO.
-fn run_merge_task(task: MergeTask<'_>) -> Merged {
-    let MergeTask {
-        order,
-        mut chunks,
-        first,
-        shard_bits,
-        inputs,
-    } = task;
-    let (mut triples, mut keys) = (0, 0);
-    for t in inputs.iter().flatten() {
-        let (a, b, c) = order.keys(t);
-        let i = a.index();
-        let at = ((i >> CHUNK_BITS) >> shard_bits) - first;
-        let (inner, new) = fill(&mut *chunks[at], i, Inner::default);
-        keys += usize::from(new);
-        triples += usize::from(inner.insert(b, c));
-    }
-    Merged {
-        order,
-        triples,
-        keys,
-    }
-}
-
 impl Graph {
-    /// Creates an empty graph with a single shard. Allocates nothing.
+    /// Creates an empty graph. Allocates nothing.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Creates an empty graph with `shard_count` shards per index
-    /// (rounded up to a power of two, minimum 1). Pick the expected
-    /// merge parallelism; single-threaded callers should stay at 1.
-    pub fn with_shard_count(shard_count: usize) -> Self {
-        let n = shard_count.max(1).next_power_of_two();
-        Graph {
-            spo: Index::default(),
-            pos: Index::default(),
-            osp: Index::default(),
-            mask: n - 1,
-            len: 0,
-        }
-    }
-
-    /// Number of shards per index (a power of two; 1 unless built with
-    /// [`Graph::with_shard_count`]).
-    #[inline]
-    pub fn shard_count(&self) -> usize {
-        self.mask + 1
     }
 
     /// Number of triples.
@@ -574,106 +409,6 @@ impl Graph {
         true
     }
 
-    /// Merges pre-routed buckets (from any number of producers) into the
-    /// graph, one task per (index, shard), distributed over at most
-    /// `threads` scoped worker threads. Write targets are disjoint by
-    /// construction, so no synchronisation beyond the final join is
-    /// needed. Duplicate triples across buckets are deduplicated by the
-    /// set-semantics inserts. Returns the number of newly added triples.
-    ///
-    /// Every bucket's shard count must match the graph's.
-    pub fn merge_buckets(&mut self, buckets: Vec<TripleBuckets>, threads: usize) -> usize {
-        let n = self.mask + 1;
-        // Transpose producer-major buckets into shard-major task inputs
-        // (pointer moves only, no triple copies), per index order.
-        let mut inputs: [Vec<Vec<Vec<Triple>>>; 3] =
-            std::array::from_fn(|_| (0..n).map(|_| Vec::new()).collect());
-        for mut b in buckets {
-            assert_eq!(
-                b.mask, self.mask,
-                "TripleBuckets shard count must match the graph's"
-            );
-            for (shards, bucket) in inputs.iter_mut().zip([&mut b.spo, &mut b.pos, &mut b.osp]) {
-                for (shard, routed) in shards.iter_mut().zip(bucket.iter_mut()) {
-                    shard.push(std::mem::take(routed));
-                }
-            }
-        }
-
-        let mut tasks: Vec<MergeTask<'_>> = Vec::with_capacity(3 * n);
-        let indexes = [
-            (Order::Spo, &mut self.spo),
-            (Order::Pos, &mut self.pos),
-            (Order::Osp, &mut self.osp),
-        ];
-        for ((order, index), inputs) in indexes.into_iter().zip(inputs) {
-            // Grow the index to hold every incoming leading key, then deal
-            // its chunks out to the shards that own them.
-            for t in inputs.iter().flatten().flatten() {
-                index.grow_to(order.keys(t).0.index());
-            }
-            let shard_bits = n.trailing_zeros();
-            let mut shards: Vec<(usize, Vec<&mut Option<Chunk<Inner>>>)> =
-                (0..n).map(|_| (0, Vec::new())).collect();
-            for (at, chunk) in index.chunks.iter_mut().enumerate() {
-                let c = index.base + at;
-                let (first, chunks) = &mut shards[c & self.mask];
-                if chunks.is_empty() {
-                    *first = c >> shard_bits;
-                }
-                chunks.push(chunk);
-            }
-            for ((first, chunks), inputs) in shards.into_iter().zip(inputs) {
-                tasks.push(MergeTask {
-                    order,
-                    chunks,
-                    first,
-                    shard_bits,
-                    inputs,
-                });
-            }
-        }
-
-        let threads = threads.clamp(1, tasks.len());
-        let merged: Vec<Merged> = if threads == 1 {
-            tasks.into_iter().map(run_merge_task).collect()
-        } else {
-            // Round-robin tasks across workers: with shard and thread
-            // counts both powers of two, each worker gets the same shard
-            // residues of all three indexes.
-            let mut bins: Vec<Vec<MergeTask<'_>>> = (0..threads).map(|_| Vec::new()).collect();
-            for (i, task) in tasks.into_iter().enumerate() {
-                bins[i % threads].push(task);
-            }
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = bins
-                    .into_iter()
-                    .map(|bin| {
-                        scope.spawn(move || bin.into_iter().map(run_merge_task).collect::<Vec<_>>())
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .flat_map(|h| h.join().expect("merge worker panicked"))
-                    .collect()
-            })
-        };
-        let mut new = 0;
-        for m in merged {
-            let index = match m.order {
-                Order::Spo => {
-                    new += m.triples;
-                    &mut self.spo
-                }
-                Order::Pos => &mut self.pos,
-                Order::Osp => &mut self.osp,
-            };
-            index.keys += m.keys;
-        }
-        self.len += new;
-        new
-    }
-
     /// Membership test, through POS: the property level is a handful of
     /// always-hot keys, and a join's fully bound check (`?x a C` once
     /// `?x` is bound) probes the same `(p, o)` leaf every time, so only
@@ -685,7 +420,7 @@ impl Graph {
 
     /// Removes every triple.
     pub fn clear(&mut self) {
-        *self = Graph::with_shard_count(self.shard_count());
+        *self = Graph::default();
     }
 
     /// Iterates over all triples (arbitrary order).
@@ -857,8 +592,7 @@ impl Graph {
 }
 
 impl PartialEq for Graph {
-    /// Two graphs are equal when they hold the same triple set
-    /// (regardless of shard count).
+    /// Two graphs are equal when they hold the same triple set.
     fn eq(&self, other: &Self) -> bool {
         self.len == other.len && self.iter().all(|t| other.contains(&t))
     }
@@ -1035,98 +769,6 @@ mod tests {
         assert_eq!(g.len(), 1);
     }
 
-    #[test]
-    fn shard_count_rounds_to_power_of_two() {
-        assert_eq!(Graph::new().shard_count(), 1);
-        assert_eq!(Graph::with_shard_count(0).shard_count(), 1);
-        assert_eq!(Graph::with_shard_count(3).shard_count(), 4);
-        assert_eq!(Graph::with_shard_count(8).shard_count(), 8);
-    }
-
-    #[test]
-    fn sharded_graph_behaves_like_unsharded() {
-        let plain = sample();
-        for shards in [2usize, 4, 8] {
-            let mut g = Graph::with_shard_count(shards);
-            for tr in plain.iter() {
-                assert!(g.insert(tr));
-            }
-            assert_eq!(g, plain, "{shards} shards");
-            assert_eq!(g.len(), plain.len());
-            assert_eq!(g.property_count(), plain.property_count());
-            assert_eq!(
-                g.count(&Pattern::new(None, Some(id(10)), None)),
-                plain.count(&Pattern::new(None, Some(id(10)), None))
-            );
-            let mut subj: Vec<_> = g.subjects().collect();
-            subj.sort();
-            let mut want: Vec<_> = plain.subjects().collect();
-            want.sort();
-            assert_eq!(subj, want);
-            // removal keeps the sharded bookkeeping straight
-            assert!(g.remove(&t(1, 10, 2)));
-            assert_eq!(g.count(&Pattern::new(None, Some(id(10)), None)), 2);
-        }
-    }
-
-    #[test]
-    fn merge_buckets_equals_sequential_inserts() {
-        let triples: Vec<Triple> = (0..300).map(|i| t(i % 17, i % 5, (i * 7) % 23)).collect();
-        let mut reference = Graph::new();
-        let mut expected_new = 0;
-        for &tr in &triples {
-            if reference.insert(tr) {
-                expected_new += 1;
-            }
-        }
-        for (shards, threads) in [(1, 1), (4, 1), (4, 4), (8, 3), (4, 64)] {
-            let mut g = Graph::with_shard_count(shards);
-            // two producers, overlapping triples
-            let mut a = TripleBuckets::for_graph(&g);
-            let mut b = TripleBuckets::for_graph(&g);
-            for (i, &tr) in triples.iter().enumerate() {
-                if i % 2 == 0 || i % 3 == 0 {
-                    a.push(tr);
-                }
-                if i % 2 == 1 || i % 3 == 0 {
-                    b.push(tr);
-                }
-            }
-            let new = g.merge_buckets(vec![a, b], threads);
-            assert_eq!(new, expected_new, "{shards} shards, {threads} threads");
-            assert_eq!(g, reference);
-            assert_eq!(g.len(), reference.len());
-            // per-property counts survived the parallel merge
-            for p in 0..5 {
-                let pat = Pattern::new(None, Some(id(p)), None);
-                assert_eq!(g.count(&pat), reference.count(&pat), "p{p}");
-            }
-        }
-    }
-
-    #[test]
-    fn merge_buckets_into_nonempty_graph_deduplicates() {
-        let mut g = sample();
-        let before = g.len();
-        let mut bucket = TripleBuckets::for_graph(&g);
-        bucket.push(t(1, 10, 2)); // already present
-        bucket.push(t(9, 10, 9)); // new
-        bucket.push(t(9, 10, 9)); // duplicate within the bucket
-        assert_eq!(bucket.len(), 3);
-        let new = g.merge_buckets(vec![bucket], 2);
-        assert_eq!(new, 1);
-        assert_eq!(g.len(), before + 1);
-        assert!(g.contains(&t(9, 10, 9)));
-    }
-
-    #[test]
-    #[should_panic(expected = "shard count must match")]
-    fn merge_buckets_rejects_mismatched_shards() {
-        let mut g = Graph::with_shard_count(4);
-        let bucket = TripleBuckets::new(2);
-        g.merge_buckets(vec![bucket], 1);
-    }
-
     fn is_paged(index: &Index, key: usize) -> bool {
         index
             .get(id(key))
@@ -1192,10 +834,10 @@ mod tests {
         proptest! {
             /// The indexed graph behaves exactly like a plain set of triples
             /// under arbitrary insert/remove streams, for every pattern
-            /// shape — at every shard count.
+            /// shape.
             #[test]
-            fn graph_matches_set_model(ops in arb_ops(), shards in 0usize..9) {
-                let mut g = Graph::with_shard_count(shards);
+            fn graph_matches_set_model(ops in arb_ops()) {
+                let mut g = Graph::new();
                 let mut model: BTreeSet<Triple> = BTreeSet::new();
                 for op in ops {
                     match op {
@@ -1228,43 +870,6 @@ mod tests {
                 }
             }
 
-            /// Parallel bucket merging produces exactly the graph that
-            /// sequential insertion does, whatever the producer split.
-            #[test]
-            fn merge_buckets_matches_sequential(
-                triples in proptest::collection::vec(arb_merge_triple(), 0..400),
-                shards in 0usize..9,
-                threads in 1usize..9,
-                producers in 1usize..4,
-            ) {
-                let mut reference = Graph::new();
-                for &tr in &triples { reference.insert(tr); }
-                let mut g = Graph::with_shard_count(shards);
-                let mut buckets: Vec<TripleBuckets> =
-                    (0..producers).map(|_| TripleBuckets::for_graph(&g)).collect();
-                for (i, &tr) in triples.iter().enumerate() {
-                    buckets[i % producers].push(tr);
-                }
-                let new = g.merge_buckets(buckets, threads);
-                prop_assert_eq!(new, reference.len());
-                prop_assert_eq!(&g, &reference);
-                for p in reference.properties() {
-                    let pat = Pattern::new(None, Some(p), None);
-                    prop_assert_eq!(g.count(&pat), reference.count(&pat));
-                }
-                prop_assert_eq!(g.subject_count(), reference.subject_count());
-                prop_assert_eq!(g.property_count(), reference.property_count());
-                prop_assert_eq!(g.object_count(), reference.object_count());
-            }
-        }
-
-        /// Ids spread over many chunks, so that shards own different
-        /// chunks, plus a hub whose property and object get paged.
-        fn arb_merge_triple() -> impl Strategy<Value = Triple> {
-            prop_oneof![
-                (0usize..12, 0usize..6, 0usize..12).prop_map(|(s, p, o)| t(s * 37, p * 53, o * 29)),
-                (0usize..300).prop_map(|s| t(s * 7, 53, 29)),
-            ]
         }
 
         /// `WEBREASON_PROPTEST_CASES` overrides a test's default case count.

@@ -14,10 +14,7 @@
 //! * [`Graph`]: an in-memory triple store indexed in the three orders
 //!   SPO, POS and OSP, answering all eight bound/unbound pattern shapes
 //!   with a single index probe; the indexes are copy-on-write chunks, so
-//!   a clone costs a pointer per 16 keys and a write copies one chunk,
-//!   and each index is internally sharded so bulk loads can merge
-//!   pre-routed [`TripleBuckets`] with one thread per shard,
-//!   contention-free;
+//!   a clone costs a pointer per 16 keys and a write copies one chunk;
 //! * [`Vocab`]: the RDF/RDFS built-in vocabulary, pre-interned.
 //!
 //! ## Example
@@ -49,12 +46,10 @@ mod interval;
 mod term;
 mod triple;
 pub mod vocab;
-mod worker;
 
 pub use dictionary::{Dictionary, TermId};
-pub use graph::{Graph, TripleBuckets};
+pub use graph::Graph;
 pub use interval::{IntervalDict, IntervalSet};
 pub use term::{Literal, Term};
 pub use triple::{Pattern, Triple};
 pub use vocab::Vocab;
-pub use worker::WorkerPanicked;

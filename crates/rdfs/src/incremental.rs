@@ -24,13 +24,11 @@
 //! All three implement [`Maintainer`] and are property-tested equivalent
 //! to recomputation under random update streams.
 
-use crate::parallel::saturate_parallel;
 use crate::rules::{consequences_of, one_step_derivable};
 use crate::saturation::{derive_instance_consequences, saturate};
 use crate::schema::Schema;
 use rdf_model::{Graph, Triple, Vocab};
 use rustc_hash::{FxHashMap, FxHashSet};
-use std::num::NonZeroUsize;
 
 /// What kind of update a triple insertion/deletion was classified as.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -185,23 +183,8 @@ impl MaintenanceAlgorithm {
 
     /// Builds a maintainer over `base` using this algorithm.
     pub fn build(self, base: Graph, vocab: Vocab) -> Box<dyn Maintainer + Send> {
-        self.build_with_threads(base, vocab, NonZeroUsize::MIN)
-    }
-
-    /// Like [`MaintenanceAlgorithm::build`], with a thread count for the
-    /// saturation passes. Only [`MaintenanceAlgorithm::Recompute`]
-    /// saturates from scratch, so only it uses the parallel engine; the
-    /// delta-based maintainers ignore the knob.
-    pub fn build_with_threads(
-        self,
-        base: Graph,
-        vocab: Vocab,
-        threads: NonZeroUsize,
-    ) -> Box<dyn Maintainer + Send> {
         match self {
-            MaintenanceAlgorithm::Recompute => {
-                Box::new(RecomputeMaintainer::new_with_threads(base, vocab, threads))
-            }
+            MaintenanceAlgorithm::Recompute => Box::new(RecomputeMaintainer::new(base, vocab)),
             MaintenanceAlgorithm::DRed => Box::new(DRedMaintainer::new(base, vocab)),
             MaintenanceAlgorithm::Counting => Box::new(CountingMaintainer::new(base, vocab)),
         }
@@ -256,48 +239,30 @@ fn seminaive_extend(
 // Recompute
 // ---------------------------------------------------------------------------
 
-/// The baseline maintainer: every update re-saturates the base graph,
-/// using the sharded parallel engine when built with more than one thread.
+/// The baseline maintainer: every update re-saturates the base graph.
 #[derive(Debug, Clone)]
 pub struct RecomputeMaintainer {
     vocab: Vocab,
     base: Graph,
     sat: Graph,
-    threads: NonZeroUsize,
     delta: Option<Vec<(Triple, bool)>>,
 }
 
 impl RecomputeMaintainer {
-    /// Builds the maintainer and computes the initial saturation
-    /// (single-threaded).
+    /// Builds the maintainer and computes the initial saturation.
     pub fn new(base: Graph, vocab: Vocab) -> Self {
-        Self::new_with_threads(base, vocab, NonZeroUsize::MIN)
-    }
-
-    /// Builds the maintainer, saturating with `threads` worker threads on
-    /// construction and on every recomputation.
-    pub fn new_with_threads(base: Graph, vocab: Vocab, threads: NonZeroUsize) -> Self {
-        let sat = Self::saturate_base(&base, &vocab, threads);
+        let sat = saturate(&base, &vocab).graph;
         RecomputeMaintainer {
             vocab,
             base,
             sat,
-            threads,
             delta: None,
-        }
-    }
-
-    fn saturate_base(base: &Graph, vocab: &Vocab, threads: NonZeroUsize) -> Graph {
-        if threads.get() > 1 {
-            saturate_parallel(base, vocab, threads).graph
-        } else {
-            saturate(base, vocab).graph
         }
     }
 
     fn recompute(&mut self, kind: UpdateKind) -> UpdateStats {
         let old_len = self.sat.len();
-        let graph = Self::saturate_base(&self.base, &self.vocab, self.threads);
+        let graph = saturate(&self.base, &self.vocab).graph;
         let work = graph.len();
         let new_len = graph.len();
         if let Some(buf) = &mut self.delta {
@@ -944,23 +909,6 @@ mod tests {
             }
             assert!(m.base().is_empty());
             assert!(m.saturated().is_empty());
-        }
-    }
-
-    #[test]
-    fn threaded_recompute_matches_single_threaded() {
-        let (f, extra) = university_base();
-        for threads in [2usize, 4] {
-            let threads = NonZeroUsize::new(threads).unwrap();
-            let mut par = RecomputeMaintainer::new_with_threads(f.g.clone(), f.vocab, threads);
-            let mut seq = RecomputeMaintainer::new(f.g.clone(), f.vocab);
-            assert_eq!(par.saturated(), seq.saturated());
-            for &t in &extra {
-                par.insert(t);
-                seq.insert(t);
-                assert_eq!(par.saturated(), seq.saturated(), "{threads} threads");
-                check_invariant(&par, &f.vocab);
-            }
         }
     }
 

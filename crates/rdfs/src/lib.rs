@@ -50,14 +50,10 @@
 
 pub mod explain;
 pub mod incremental;
-pub mod parallel;
 pub mod plus;
 pub mod rules;
 mod saturation;
 mod schema;
 
-pub use parallel::{
-    saturate_parallel, try_saturate_parallel, try_saturate_parallel_cancel, ParallelError,
-};
 pub use saturation::{saturate, saturate_full, saturate_naive, SaturationResult, SaturationStats};
 pub use schema::Schema;

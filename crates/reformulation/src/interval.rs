@@ -253,7 +253,6 @@ mod tests {
     use rdf_model::{Dictionary, Graph};
     use rdfs::saturate;
     use sparql::{evaluate, evaluate_interval, evaluate_union, parse_query};
-    use std::num::NonZeroUsize;
 
     struct Fx {
         dict: Dictionary,
@@ -279,16 +278,9 @@ mod tests {
         let r = reformulate(&q, &schema, &f.vocab).expect("reformulates");
         let sat = saturate(&f.g, &f.vocab).graph;
         let want = evaluate(&sat, &q).as_set();
-        for t in [1usize, 2, 4] {
-            let (got, _) = evaluate_interval(&f.g, &iq, NonZeroUsize::new(t).unwrap());
-            assert_eq!(
-                got.as_set(),
-                want,
-                "q_int(G) != q(G∞) for {query} at {t} threads"
-            );
-        }
-        let (union_sols, _) = evaluate_union(&f.g, &r.query, NonZeroUsize::MIN);
-        let (int_sols, _) = evaluate_interval(&f.g, &iq, NonZeroUsize::MIN);
+        let (int_sols, _) = evaluate_interval(&f.g, &iq);
+        assert_eq!(int_sols.as_set(), want, "q_int(G) != q(G∞) for {query}");
+        let (union_sols, _) = evaluate_union(&f.g, &r.query);
         assert_eq!(
             int_sols.sorted_rows(),
             union_sols.sorted_rows(),

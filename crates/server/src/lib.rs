@@ -42,12 +42,12 @@
 //!   [`obs::CancelToken`] stamped from `X-Webreason-Deadline-Ms` (clamped
 //!   to [`ServerConfig::max_deadline_ms`]) or
 //!   [`ServerConfig::default_deadline_ms`]. The token is threaded through
-//!   `StoreReader::answer_sparql_cancel` into the parallel union
-//!   evaluator, which polls it at branch/chunk boundaries; an expired
-//!   deadline returns `504` mid-evaluation (partial per-worker state
-//!   discarded) or `503` + `Retry-After` when the request expired before
-//!   it was ever dispatched. The reactor cancels the token on client
-//!   disconnect, so abandoned queries stop consuming CPU workers.
+//!   `StoreReader::answer_sparql_cancel` into the executor, which polls
+//!   it between branches and inside the trie walk; an expired deadline
+//!   returns `504` mid-evaluation (partial rows discarded) or `503` +
+//!   `Retry-After` when the request expired before it was ever
+//!   dispatched. The reactor cancels the token on client disconnect, so
+//!   abandoned queries stop consuming CPU workers.
 //! * **Adaptive load shedding.** The writer and the reactor's dispatch
 //!   queue measure their queue delay (log2 histograms
 //!   `server.update.queue_wait_us` / `server.reactor.dispatch_wait_us`

@@ -516,7 +516,6 @@ mod tests {
         let mut dict = Dictionary::new();
         let mut g = Graph::new();
         rdf_io::parse_turtle(DATA, &mut dict, &mut g).unwrap();
-        let threads = std::num::NonZeroUsize::new(2).unwrap();
 
         let q = "PREFIX ex: <http://ex/> SELECT ?x WHERE { { ?x ex:hasFriend ?y } UNION { ?x a ex:Person } }";
         let bag_q = crate::parse_query(q, &mut dict).unwrap();
@@ -526,13 +525,13 @@ mod tests {
             5,
             "3 friendship subjects + 2 typed, duplicates kept"
         );
-        let (union_bag, _) = crate::evaluate_union(&g, &bag_q, threads);
+        let (union_bag, _) = crate::evaluate_union(&g, &bag_q);
         assert_eq!(union_bag.sorted_rows(), bag.sorted_rows());
 
         let set_q = crate::parse_query(&q.replace("SELECT", "SELECT DISTINCT"), &mut dict).unwrap();
         let set = evaluate(&g, &set_q);
         assert_eq!(set.len(), 3, "anne, marie, paul");
-        let (union_set, _) = crate::evaluate_union(&g, &set_q, threads);
+        let (union_set, _) = crate::evaluate_union(&g, &set_q);
         assert_eq!(union_set.sorted_rows(), set.sorted_rows());
 
         // Overlapping-branch edge: the same branch twice. Bag semantics
@@ -541,7 +540,7 @@ mod tests {
         let dup_q = crate::parse_query(dup, &mut dict).unwrap();
         let dup_bag = evaluate(&g, &dup_q);
         assert_eq!(dup_bag.len(), 4, "2 persons × 2 identical branches");
-        let (union_dup, _) = crate::evaluate_union(&g, &dup_q, threads);
+        let (union_dup, _) = crate::evaluate_union(&g, &dup_q);
         assert_eq!(union_dup.sorted_rows(), dup_bag.sorted_rows());
     }
 

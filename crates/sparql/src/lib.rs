@@ -12,8 +12,8 @@
 //!   triple patterns and hierarchy-range atoms alike;
 //! * [`try_execute`]: the one executor every answer path uses — `q(G∞)`,
 //!   the reformulated union `q_ref(G)` and the interval rewriting
-//!   ([`IntervalQuery`]) — with shared-prefix tries, range probes,
-//!   worker fan-out and cooperative cancellation; [`execute_delta`] runs
+//!   ([`IntervalQuery`]) — with shared-prefix tries, range probes and
+//!   cooperative cancellation; [`execute_delta`] runs
 //!   the same walker over an update's triples to maintain standing
 //!   queries;
 //! * [`evaluate`]: the plain per-branch index-nested-loop evaluator,

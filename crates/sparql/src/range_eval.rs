@@ -18,8 +18,9 @@
 use crate::ast::{QTerm, Query, TriplePattern, Variable};
 use crate::eval::Solutions;
 use crate::plan::{plan_atoms, DistinctCounts};
-use crate::union_eval::{run, try_run, EvalStats, Executable};
-use rdf_model::{Graph, IntervalDict, IntervalSet, TermId, WorkerPanicked};
+use crate::union_eval::{run, try_execute, EvalStats, Executable, UnionEvalError};
+use obs::CancelToken;
+use rdf_model::{Graph, IntervalDict, IntervalSet, TermId};
 use smallvec::SmallVec;
 use std::fmt::Write as _;
 use std::num::NonZeroUsize;
@@ -175,24 +176,21 @@ impl IntervalQuery {
     }
 }
 
-/// Evaluates an interval query with up to `threads` workers, falling back
-/// to a single-threaded re-run if a worker panics (like
-/// [`crate::evaluate_union`]).
-pub fn evaluate_interval(
-    g: &Graph,
-    iq: &IntervalQuery,
-    threads: NonZeroUsize,
-) -> (Solutions, EvalStats) {
-    run(g, Executable::Interval(iq), threads)
+/// Evaluates an interval query, publishing `sparql.range.*`.
+pub fn evaluate_interval(g: &Graph, iq: &IntervalQuery) -> (Solutions, EvalStats) {
+    run(g, Executable::Interval(iq))
 }
 
-/// [`evaluate_interval`] surfacing a worker panic instead of falling back.
+/// [`evaluate_interval`] as a `Result`, with a thread count it ignores:
+/// evaluation runs on the calling thread. The argument is kept only
+/// because the benchmark trace calls this signature; the next change to
+/// the benchmark drops it.
 pub fn try_evaluate_interval(
     g: &Graph,
     iq: &IntervalQuery,
-    threads: NonZeroUsize,
-) -> Result<(Solutions, EvalStats), WorkerPanicked> {
-    try_run(g, Executable::Interval(iq), threads)
+    _threads: NonZeroUsize,
+) -> Result<(Solutions, EvalStats), UnionEvalError> {
+    try_execute(g, Executable::Interval(iq), &CancelToken::none())
 }
 
 #[cfg(test)]
@@ -273,11 +271,9 @@ mod tests {
         let f = fixture();
         for (class, expect) in [(f.animal, 3), (f.mammal, 2), (f.cat, 1)] {
             let iq = type_query(&f, class);
-            for t in [1usize, 2, 4] {
-                let (sols, stats) = evaluate_interval(&f.g, &iq, NonZeroUsize::new(t).unwrap());
-                assert_eq!(sols.len(), expect, "class coverage at {t} threads");
-                assert_eq!(stats.range_scans, 1);
-            }
+            let (sols, stats) = evaluate_interval(&f.g, &iq);
+            assert_eq!(sols.len(), expect, "class coverage");
+            assert_eq!(stats.range_scans, 1);
         }
     }
 
@@ -298,7 +294,7 @@ mod tests {
             .collect();
         let union = iq.query.with_bgps(bgps);
         let legacy = evaluate(&f.g, &union);
-        let (got, stats) = evaluate_interval(&f.g, &iq, NonZeroUsize::MIN);
+        let (got, stats) = evaluate_interval(&f.g, &iq);
         assert_eq!(got.sorted_rows(), legacy.sorted_rows());
         assert_eq!(stats.branches_total, 1);
         assert_eq!(stats.branches_collapsed, 2);
@@ -328,10 +324,8 @@ mod tests {
         );
         let want = evaluate(&f.g, &union).sorted_rows();
         assert_eq!(want.len(), 3, "tom, rex, nemo once each");
-        for t in [1usize, 2] {
-            let (got, _) = evaluate_interval(&f.g, &iq, NonZeroUsize::new(t).unwrap());
-            assert_eq!(got.sorted_rows(), want, "{t} threads");
-        }
+        let (got, _) = evaluate_interval(&f.g, &iq);
+        assert_eq!(got.sorted_rows(), want);
     }
 
     #[test]
@@ -384,7 +378,7 @@ mod tests {
             atoms_entailed: 0,
             dict: Arc::clone(&f.idict),
         };
-        let (sols, _) = evaluate_interval(&f.g, &iq, NonZeroUsize::MIN);
+        let (sols, _) = evaluate_interval(&f.g, &iq);
         assert_eq!(sols.len(), 1, "anne's pet tom is an animal");
     }
 
@@ -429,7 +423,7 @@ mod tests {
             atoms_entailed: 0,
             dict: idict,
         };
-        let (sols, _) = evaluate_interval(&g, &iq, NonZeroUsize::MIN);
+        let (sols, _) = evaluate_interval(&g, &iq);
         assert_eq!(sols.len(), 2, "knows ∪ hasFriend edges, not `unrelated`");
     }
 

@@ -1,8 +1,7 @@
 //! The answer block: every row of a query's answer in one flat
 //! `Vec<TermId>`, and the index `DISTINCT` deduplicates it with.
 //!
-//! The executor routes rows into blocks, the merge phase concatenates
-//! them, [`finalize`](crate::finalize) filters, sorts and slices them in
+//! The executor writes rows into a block, [`finalize`](crate::finalize) filters, sorts and slices them in
 //! place, and the server writes them to the socket — no answer row is
 //! ever its own heap allocation.
 
@@ -94,27 +93,6 @@ impl Rows {
         self.len += copies;
     }
 
-    /// Appends every row of `other` (of the same width).
-    fn extend_from(&mut self, other: &Rows) {
-        assert_eq!(other.width, self.width, "row width");
-        self.data.extend_from_slice(&other.data);
-        self.len += other.len;
-    }
-
-    /// Concatenates blocks of one width, moving the first out whole when
-    /// it is the only one.
-    pub fn concat(width: usize, mut blocks: Vec<Rows>) -> Rows {
-        if blocks.len() == 1 {
-            return blocks.pop().expect("one block");
-        }
-        let mut out = Rows::new(width);
-        out.data.reserve(blocks.iter().map(|b| b.data.len()).sum());
-        for block in &blocks {
-            out.extend_from(block);
-        }
-        out
-    }
-
     /// Keeps only the rows `keep` accepts, in order, compacting in place.
     pub fn retain(&mut self, mut keep: impl FnMut(&[TermId]) -> bool) {
         let w = self.width;
@@ -185,8 +163,7 @@ pub(crate) struct RowIndex {
     /// Row number + 1 per slot; 0 marks an empty slot.
     slots: Vec<u32>,
     /// `64 - log2(slots.len())`: a slot is picked by the hash's high
-    /// bits, the well-mixed ones of an Fx hash (its low bits route
-    /// shards).
+    /// bits, the well-mixed ones of an Fx hash.
     shift: u32,
 }
 
@@ -306,14 +283,5 @@ mod tests {
         assert_eq!(rows.len(), reference.len());
         let got: FxHashSet<Vec<TermId>> = rows.iter().map(<[TermId]>::to_vec).collect();
         assert_eq!(got, reference);
-    }
-
-    #[test]
-    fn concat_keeps_block_order() {
-        let a = Rows::from_rows(1, [ids(&[1]), ids(&[2])]);
-        let b = Rows::from_rows(1, [ids(&[3])]);
-        let joined = Rows::concat(1, vec![a.clone(), Rows::new(1), b]);
-        assert_eq!(joined.to_vecs(), vec![ids(&[1]), ids(&[2]), ids(&[3])]);
-        assert_eq!(Rows::concat(1, vec![a.clone()]), a);
     }
 }

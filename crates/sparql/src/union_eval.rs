@@ -27,13 +27,12 @@
 //! the node writes ([`TrieNode`]), so a matched triple costs its slot
 //! writes and nothing else.
 //!
-//! The sorted branch list is split into contiguous chunks (sorting
-//! co-locates shared prefixes), one trie per `std::thread::scope` worker.
-//! Rows are routed into hash-sharded [`Rows`] blocks; the merge phase
-//! deduplicates each shard independently, so `DISTINCT` costs one
-//! [`RowIndex`] per shard instead of one global lock — or nothing, when
-//! the plan proves the rows distinct ([`plan_proves_distinct`]) — and no
-//! row is ever a heap allocation of its own.
+//! The trie is walked once, on the calling thread: a server answers
+//! different requests on different threads, never one request on several.
+//! Rows go into one flat [`Rows`] block, which one [`RowIndex`] keeps a
+//! set under `DISTINCT` — or nothing does, when the plan proves the rows
+//! distinct ([`plan_proves_distinct`]) — and no row is ever a heap
+//! allocation of its own.
 //!
 //! The answer multiset is exactly [`evaluate`](crate::evaluate)'s on the
 //! classical union: a trie path *is* a branch's planned atom sequence,
@@ -52,44 +51,31 @@ use crate::plan::{plan_atoms, DistinctCounts};
 use crate::range_eval::{IntervalQuery, RTerm, RangeAtom};
 use crate::rows::{RowIndex, Rows};
 use obs::{CancelToken, CANCEL_POLL_STRIDE};
-use rdf_model::{Graph, IntervalDict, IntervalSet, Pattern, TermId, Triple, WorkerPanicked};
-use rustc_hash::FxHasher;
+use rdf_model::{Graph, IntervalDict, IntervalSet, Pattern, TermId, Triple};
 use std::cmp::Ordering;
 use std::fmt;
-use std::hash::{Hash, Hasher};
 use std::num::NonZeroUsize;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
-use webreason_failpoints::fail_point;
 
 /// Why a cancellable evaluation returned no answer.
 #[derive(Debug)]
 pub enum UnionEvalError {
-    /// A parallel worker panicked (a bug, or an armed failpoint).
-    Worker(WorkerPanicked),
     /// The request's [`CancelToken`] tripped — deadline exceeded or
-    /// client gone. Every worker's partial row shards were discarded
-    /// whole; no counters for the abandoned pass were published, so a
-    /// re-run is bit-identical to a fresh run.
+    /// client gone. The partial rows were discarded whole; no counters
+    /// for the abandoned pass were published, so a re-run is
+    /// bit-identical to a fresh run.
     Cancelled,
 }
 
 impl fmt::Display for UnionEvalError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            UnionEvalError::Worker(e) => write!(f, "{e}"),
             UnionEvalError::Cancelled => f.write_str("union evaluation cancelled"),
         }
     }
 }
 
 impl std::error::Error for UnionEvalError {}
-
-impl From<WorkerPanicked> for UnionEvalError {
-    fn from(e: WorkerPanicked) -> Self {
-        UnionEvalError::Worker(e)
-    }
-}
 
 /// Evaluation statistics of one executor run, surfaced through
 /// `Store::answer`, the `webreason query` CLI and the A-REF bench table.
@@ -112,12 +98,8 @@ pub struct EvalStats {
     pub scan_cache_hits: u64,
     /// Always 0, like [`EvalStats::scan_cache_hits`].
     pub scan_cache_misses: u64,
-    /// Worker threads used.
-    pub threads: usize,
-    /// Wall-clock of the derive phase (planning + trie walks), µs.
+    /// Wall-clock of planning and the trie walk, µs.
     pub eval_us: u64,
-    /// Wall-clock of the merge phase (shard dedup + concatenation), µs.
-    pub merge_us: u64,
     /// Answer rows produced (after `DISTINCT`, before `finalize`).
     pub rows: usize,
     /// Range atoms planned (interval strategy only; a range atom probes
@@ -137,15 +119,12 @@ impl EvalStats {
     /// One-line human-readable rendering for CLI / bench output.
     pub fn summary(&self) -> String {
         let mut line = format!(
-            "{} branches ({} pruned, {} shared ≥1 prefix, {} scans saved), \
-             {} worker(s), eval {}µs + merge {}µs",
+            "{} branches ({} pruned, {} shared ≥1 prefix, {} scans saved), eval {}µs",
             self.branches_total,
             self.branches_pruned,
             self.branches_shared,
             self.shared_prefix_scans(),
-            self.threads,
             self.eval_us,
-            self.merge_us,
         );
         if self.range_scans > 0 || self.branches_collapsed > 0 {
             line.push_str(&format!(
@@ -174,45 +153,38 @@ pub enum Executable<'a> {
 /// The metric names one kind of query publishes under.
 struct Family {
     total: Option<&'static str>,
-    /// The `plan`, `eval` and `merge` child spans of `total`.
-    phases: [Option<&'static str>; 3],
+    /// The `plan` and `eval` child spans of `total`.
+    phases: [Option<&'static str>; 2],
     cancelled: Option<&'static str>,
-    publish: fn(&obs::Registry, &EvalStats, &[u64]),
+    publish: fn(&obs::Registry, &EvalStats),
 }
 
 const PLAIN: Family = Family {
     total: None,
-    phases: [None; 3],
+    phases: [None; 2],
     cancelled: None,
-    publish: |_, _, _| {},
+    publish: |_, _| {},
 };
 
 const UNION: Family = Family {
     total: Some("sparql.union.total"),
-    phases: [
-        Some("sparql.union.plan"),
-        Some("sparql.union.eval"),
-        Some("sparql.union.merge"),
-    ],
+    phases: [Some("sparql.union.plan"), Some("sparql.union.eval")],
     cancelled: Some("sparql.union.cancelled"),
     publish: publish_union,
 };
 
 const RANGE: Family = Family {
     total: Some("sparql.range.total"),
-    phases: [None; 3],
+    phases: [None; 2],
     cancelled: Some("sparql.range.cancelled"),
     publish: publish_range,
 };
 
-/// Mirrors a finished union evaluation's [`EvalStats`] (and each worker's
-/// emitted-row count) into the registry under the `sparql.union.*` names.
-fn publish_union(reg: &obs::Registry, stats: &EvalStats, worker_rows: &[u64]) {
+/// Mirrors a finished union evaluation's [`EvalStats`] into the registry
+/// under the `sparql.union.*` names.
+fn publish_union(reg: &obs::Registry, stats: &EvalStats) {
     if !reg.is_enabled() {
         return;
-    }
-    for &rows in worker_rows {
-        reg.record("sparql.union.worker_rows", rows);
     }
     reg.add("sparql.union.queries", 1);
     reg.add("sparql.union.branches_total", stats.branches_total as u64);
@@ -225,12 +197,11 @@ fn publish_union(reg: &obs::Registry, stats: &EvalStats, worker_rows: &[u64]) {
         stats.shared_prefix_scans() as u64,
     );
     reg.add("sparql.union.rows", stats.rows as u64);
-    reg.add("sparql.union.workers", stats.threads as u64);
 }
 
 /// Mirrors a finished interval evaluation's stats into the registry under
 /// the `sparql.range.*` names.
-fn publish_range(reg: &obs::Registry, stats: &EvalStats, _worker_rows: &[u64]) {
+fn publish_range(reg: &obs::Registry, stats: &EvalStats) {
     if !reg.is_enabled() {
         return;
     }
@@ -243,7 +214,6 @@ fn publish_range(reg: &obs::Registry, stats: &EvalStats, _worker_rows: &[u64]) {
         stats.branches_collapsed as u64,
     );
     reg.add("sparql.range.rows", stats.rows as u64);
-    reg.add("sparql.range.workers", stats.threads as u64);
 }
 
 /// Which of a run's three graphs an atom probes. A query answer passes
@@ -337,7 +307,7 @@ impl TrieNode {
     }
 }
 
-/// The trie for one worker's chunk of branches.
+/// The trie of a run's planned branches.
 #[derive(Default)]
 struct Trie {
     roots: Vec<TrieNode>,
@@ -388,7 +358,7 @@ impl Trie {
     }
 }
 
-/// The read-only inputs every worker shares.
+/// The read-only inputs of a run.
 #[derive(Clone, Copy)]
 struct Job<'a> {
     /// The graphs a [`Tag`] picks from, in `Tag` order.
@@ -401,7 +371,7 @@ struct Job<'a> {
     cancel: &'a CancelToken,
 }
 
-/// One worker's trie walk: probe, write the node's slots, emit at leaves
+/// The trie walk: probe, write the node's slots, emit at leaves
 /// (with multiplicity), recurse into continuations.
 ///
 /// Slots are never unbound: a node reads only the slots its ancestors
@@ -495,45 +465,29 @@ impl<E: FnMut(&[TermId], &[Variable], usize)> Walker<'_, E> {
     }
 }
 
-/// What one worker sends back: rows routed into shards, plus counters.
-struct WorkerOutput {
-    shards: Vec<Rows>,
-    trie_nodes: usize,
-    shared_branches: usize,
-}
-
-fn shard_of(row: &[TermId], mask: usize) -> usize {
-    let mut h = FxHasher::default();
-    row.hash(&mut h);
-    (h.finish() as usize) & mask
-}
-
-/// Evaluates one chunk of branches: builds the chunk's trie, walks it, and
-/// routes projected rows into `shard_count` hash-sharded buckets, keeping
-/// each shard a set when `distinct`.
+/// Builds the trie of the planned branches and walks it, collecting the
+/// projected rows into one block, kept a set by one [`RowIndex`] when
+/// `distinct`. Records the trie's counters in `stats`.
 ///
 /// Cancellation is polled between trie roots and inside the walk (see
-/// [`Walker`]). `None` means the token tripped: the partial shards are
+/// [`Walker`]). `None` means the token tripped: the partial rows are
 /// dropped on return, so nothing of the abandoned pass survives.
-fn run_chunk(
+fn walk_branches(
     job: Job<'_>,
     branches: &[Vec<Step>],
-    shard_count: usize,
     distinct: bool,
-) -> Option<WorkerOutput> {
+    stats: &mut EvalStats,
+) -> Option<Rows> {
     let Job {
         graphs, q, cancel, ..
     } = job;
     let trie = Trie::build(branches);
-    let mask = shard_count - 1;
+    stats.trie_nodes = trie.nodes;
+    stats.branches_shared = trie.shared_branches;
     let width = q.projection.len();
-    // Under `DISTINCT` each shard carries the index that keeps its block a
-    // set (identical rows hash to the same shard), so the merge phase only
-    // resolves duplicates *across* workers — with a single worker it
-    // degenerates to a move. Under bag semantics the indexes stay empty.
-    let mut shards: Vec<(Rows, RowIndex)> = (0..shard_count)
-        .map(|_| (Rows::new(width), RowIndex::default()))
-        .collect();
+    // Under bag semantics the index stays empty.
+    let mut rows = Rows::new(width);
+    let mut index = RowIndex::default();
     // `NOT EXISTS` reads a binding in which only the path's variables are
     // bound; it is assembled per candidate row and cleared after.
     let mut negation: Vec<Option<TermId>> = vec![None; q.var_names.len()];
@@ -553,9 +507,8 @@ fn run_chunk(
         }
         row.clear();
         row.extend(q.projection.iter().map(|v| slots[v.index()]));
-        let (rows, index) = &mut shards[if mask == 0 { 0 } else { shard_of(&row, mask) }];
         if distinct {
-            index.insert(rows, &row);
+            index.insert(&mut rows, &row);
         } else {
             // A branch duplicated `mult` times contributes `mult` copies
             // (exactly like the per-branch evaluator).
@@ -583,11 +536,7 @@ fn run_chunk(
         }
     }
     drop(walker);
-    Some(WorkerOutput {
-        shards: shards.into_iter().map(|(rows, _)| rows).collect(),
-        trie_nodes: trie.nodes,
-        shared_branches: trie.shared_branches,
-    })
+    Some(rows)
 }
 
 /// Whether the plan alone proves the answer rows a set, so `DISTINCT`
@@ -610,28 +559,10 @@ fn plan_proves_distinct(q: &Query, branches: &[Vec<Step>]) -> bool {
             .all(|v| q.projection.contains(&v))
 }
 
-/// Merges one shard's per-worker row lists. Workers already deduplicated
-/// their own rows, so `distinct` only has to resolve duplicates across
-/// workers; identical rows hash to the same shard, so per-shard dedup is
-/// globally complete.
-fn merge_shard(parts: Vec<Rows>, width: usize, distinct: bool) -> Rows {
-    if !distinct || parts.len() == 1 {
-        return Rows::concat(width, parts);
-    }
-    let mut out = Rows::new(width);
-    let mut index = RowIndex::default();
-    for rows in &parts {
-        for row in rows.iter() {
-            index.insert(&mut out, row);
-        }
-    }
-    out
-}
-
 /// Plans every branch that binds the whole projection (one distinct-counts
-/// pass for the union), returning the planned sequences sorted — so
-/// shared prefixes are contiguous and duplicated branches land in the same
-/// chunk. `None` if the token tripped between branches.
+/// pass for the union), returning the planned sequences sorted, which
+/// fixes the order of the trie's roots and so of the answer rows. `None`
+/// if the token tripped between branches.
 ///
 /// A delta run plans one term per atom `i` of a branch instead, skipping
 /// the atoms with no match in Δ: atom `i` first, on Δ; an atom `j < i` of
@@ -695,54 +626,23 @@ fn skeleton(atom: RangeAtom) -> Pattern {
     Pattern::new(c(atom.s), c(atom.p), c(atom.o))
 }
 
-/// Runs `task` on each item on its own scoped worker. A panicking worker
-/// (a bug, or the armed `sparql.union.worker` failpoint) is caught here,
-/// so the scope joins cleanly, nothing shared is poisoned, and the panic
-/// surfaces as a [`WorkerPanicked`].
-fn fan_out<T: Send, R: Send>(
-    items: impl Iterator<Item = T>,
-    task: impl Fn(T) -> R + Sync,
-) -> Result<Vec<R>, WorkerPanicked> {
-    let task = &task;
-    std::thread::scope(|s| {
-        let handles: Vec<_> = items
-            .map(|item| {
-                s.spawn(move || {
-                    catch_unwind(AssertUnwindSafe(|| {
-                        fail_point!("sparql.union.worker");
-                        task(item)
-                    }))
-                    .map_err(|payload| WorkerPanicked::from_payload("sparql.union.worker", payload))
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("caught-panic worker never unwinds"))
-            .collect()
-    })
-}
-
-/// Evaluates `exe` with prefix sharing, range probes and up to `threads`
-/// parallel workers. Returns the same answer multiset as
-/// [`evaluate`](crate::evaluate) on the classical union (set-equal under
-/// `DISTINCT`, bag-equal otherwise), plus the [`EvalStats`] describing how
-/// it got there.
+/// Evaluates `exe` with prefix sharing and range probes. Returns the
+/// same answer multiset as [`evaluate`](crate::evaluate) on the classical
+/// union (set-equal under `DISTINCT`, bag-equal otherwise), plus the
+/// [`EvalStats`] describing how it got there.
 ///
 /// Cooperative cancellation: `cancel` is polled between planned branches,
-/// between trie roots and every [`CANCEL_POLL_STRIDE`] matched triples in
-/// every worker, and between shard merges. A tripped token aborts with
-/// [`UnionEvalError::Cancelled`]; no partial rows escape and no counters
-/// for the abandoned pass are published (except the family's `cancelled`
-/// tally), so an identical re-run behaves bit-identically. A worker panic
-/// surfaces as [`UnionEvalError::Worker`].
+/// between trie roots and every [`CANCEL_POLL_STRIDE`] matched triples. A
+/// tripped token aborts with [`UnionEvalError::Cancelled`]; no partial
+/// rows escape and no counters for the abandoned pass are published
+/// (except the family's `cancelled` tally), so an identical re-run
+/// behaves bit-identically.
 pub fn try_execute(
     g: &Graph,
     exe: Executable<'_>,
-    threads: NonZeroUsize,
     cancel: &CancelToken,
 ) -> Result<(Solutions, EvalStats), UnionEvalError> {
-    execute([g; 3], exe, false, threads, cancel)
+    execute([g; 3], exe, false, cancel)
 }
 
 /// One half of the change of a standing query's bag answer from `old` to
@@ -760,10 +660,13 @@ pub fn try_execute(
 /// binding: a change can flip answers that no delta term seeds.
 pub fn execute_delta(old: &Graph, delta: &Graph, new: &Graph, q: &Query) -> Solutions {
     assert!(q.not_exists.is_empty(), "NOT EXISTS has no delta form");
-    let (none, graphs) = (CancelToken::none(), [old, delta, new]);
-    let run = execute(graphs, Executable::Plain(q), true, NonZeroUsize::MIN, &none);
-    // One thread spawns no worker, and this token never trips.
-    run.expect("an infallible run").0
+    let run = execute(
+        [old, delta, new],
+        Executable::Plain(q),
+        true,
+        &CancelToken::none(),
+    );
+    run.expect("a CancelToken::none() run never cancels").0
 }
 
 /// [`try_execute`] over three graphs, planning delta terms when `delta`.
@@ -771,7 +674,6 @@ fn execute(
     graphs: [&Graph; 3],
     exe: Executable<'_>,
     delta: bool,
-    threads: NonZeroUsize,
     cancel: &CancelToken,
 ) -> Result<(Solutions, EvalStats), UnionEvalError> {
     let reg = obs::global();
@@ -819,67 +721,13 @@ fn execute(
     .ok_or_else(cancelled)?;
     drop(plan_span);
 
-    let workers = threads.get().min(branches.len()).max(1);
-    stats.threads = workers;
-    let shard_count = workers.next_power_of_two();
-
     let distinct = !delta && q.distinct && !plan_proves_distinct(q, &branches);
-
     let eval_span = span(family.phases[1]);
-    let outputs = if workers == 1 {
-        vec![run_chunk(job, &branches, shard_count, distinct)]
-    } else {
-        let per = branches.len().div_ceil(workers);
-        fan_out(branches.chunks(per), |chunk| {
-            run_chunk(job, chunk, shard_count, distinct)
-        })?
-    };
-    // One cancelled worker cancels the query: every sibling's output is
-    // discarded here, whether or not it finished its chunk first.
-    let outputs: Vec<WorkerOutput> = outputs
-        .into_iter()
-        .collect::<Option<_>>()
-        .ok_or_else(cancelled)?;
-
-    // Transpose worker outputs into per-shard merge tasks, keeping each
-    // worker's emitted-row count (skew here means poor balance).
-    let mut shard_parts: Vec<Vec<Rows>> = (0..shard_count).map(|_| Vec::new()).collect();
-    let mut worker_rows: Vec<u64> = Vec::with_capacity(workers);
-    for out in outputs {
-        stats.trie_nodes += out.trie_nodes;
-        stats.branches_shared += out.shared_branches;
-        worker_rows.push(out.shards.iter().map(|s| s.len() as u64).sum());
-        for (shard, rows) in out.shards.into_iter().enumerate() {
-            shard_parts[shard].push(rows);
-        }
-    }
+    let rows = walk_branches(job, &branches, distinct, &mut stats).ok_or_else(cancelled)?;
     stats.eval_us = eval_start.elapsed().as_micros() as u64;
-    drop(eval_span);
-
-    // Merge phase: each shard deduplicates independently (disjoint
-    // writes), one worker per shard when several workers ran. A tripped
-    // token stops it at a shard boundary, and the final poll discards a
-    // merge the token interrupted.
-    let merge_span = span(family.phases[2]);
-    let merge_start = Instant::now();
-    let width = q.projection.len();
-    let merge = |parts| (!cancel.is_cancelled()).then(|| merge_shard(parts, width, distinct));
-    let merged = if workers == 1 {
-        shard_parts.into_iter().map(merge).collect()
-    } else {
-        fan_out(shard_parts.into_iter(), merge)?
-            .into_iter()
-            .collect::<Option<Vec<_>>>()
-    };
-    let merged = merged
-        .filter(|_| !cancel.is_cancelled())
-        .ok_or_else(cancelled)?;
-    // One shard (one worker) is moved out whole, not copied.
-    let rows = Rows::concat(width, merged);
-    stats.merge_us = merge_start.elapsed().as_micros() as u64;
     stats.rows = rows.len();
-    drop(merge_span);
-    (family.publish)(reg, &stats, &worker_rows);
+    drop(eval_span);
+    (family.publish)(reg, &stats);
 
     let var_names = q
         .projection
@@ -889,43 +737,26 @@ fn execute(
     Ok((Solutions { var_names, rows }, stats))
 }
 
-/// [`try_execute`] without a deadline, surfacing a worker panic.
-pub(crate) fn try_run(
-    g: &Graph,
-    exe: Executable<'_>,
-    threads: NonZeroUsize,
-) -> Result<(Solutions, EvalStats), WorkerPanicked> {
-    try_execute(g, exe, threads, &CancelToken::none()).map_err(|e| match e {
-        UnionEvalError::Worker(w) => w,
-        UnionEvalError::Cancelled => unreachable!("a CancelToken::none() evaluation never cancels"),
-    })
+/// [`try_execute`] without a deadline, which always answers.
+pub(crate) fn run(g: &Graph, exe: Executable<'_>) -> (Solutions, EvalStats) {
+    try_execute(g, exe, &CancelToken::none()).expect("a CancelToken::none() run never cancels")
 }
 
-/// [`try_run`] that re-runs single-threaded — which spawns no workers —
-/// if a worker panics, so it always answers.
-pub(crate) fn run(g: &Graph, exe: Executable<'_>, threads: NonZeroUsize) -> (Solutions, EvalStats) {
-    try_run(g, exe, threads).unwrap_or_else(|_| {
-        try_run(g, exe, NonZeroUsize::MIN).expect("single-threaded evaluation spawns no workers")
-    })
+/// Evaluates a reformulated union `q_ref`, publishing `sparql.union.*`.
+pub fn evaluate_union(g: &Graph, q: &Query) -> (Solutions, EvalStats) {
+    run(g, Executable::Union(q))
 }
 
-/// Evaluates a reformulated union `q_ref` with up to `threads` workers,
-/// publishing `sparql.union.*`. A worker panic is absorbed by a
-/// single-threaded re-run, which computes the identical answer — callers
-/// that want the panic surfaced use [`try_evaluate_union`].
-pub fn evaluate_union(g: &Graph, q: &Query, threads: NonZeroUsize) -> (Solutions, EvalStats) {
-    run(g, Executable::Union(q), threads)
-}
-
-/// [`evaluate_union`] that surfaces a worker panic as a structured
-/// [`WorkerPanicked`] error instead of falling back. No partial answer
-/// escapes: the routed row shards of a failed pass are dropped whole.
+/// [`evaluate_union`] as a `Result`, with a thread count it ignores:
+/// evaluation runs on the calling thread. The argument is kept only
+/// because the benchmark trace calls this signature; the next change to
+/// the benchmark drops it.
 pub fn try_evaluate_union(
     g: &Graph,
     q: &Query,
-    threads: NonZeroUsize,
-) -> Result<(Solutions, EvalStats), WorkerPanicked> {
-    try_run(g, Executable::Union(q), threads)
+    _threads: NonZeroUsize,
+) -> Result<(Solutions, EvalStats), UnionEvalError> {
+    try_execute(g, Executable::Union(q), &CancelToken::none())
 }
 
 #[cfg(test)]
@@ -953,10 +784,6 @@ mod tests {
         (g, q)
     }
 
-    fn threads(n: usize) -> NonZeroUsize {
-        NonZeroUsize::new(n).unwrap()
-    }
-
     #[test]
     fn agrees_with_per_branch_evaluator_on_unions() {
         let q = "PREFIX ex: <http://ex/> SELECT ?x WHERE \
@@ -965,28 +792,26 @@ mod tests {
             let (g, mut query) = fixture(q);
             query.distinct = distinct;
             let legacy = evaluate(&g, &query);
-            for t in [1usize, 2, 4] {
-                let (got, stats) = evaluate_union(&g, &query, threads(t));
-                assert_eq!(
-                    got.sorted_rows(),
-                    legacy.sorted_rows(),
-                    "distinct={distinct} threads={t}"
-                );
-                assert_eq!(stats.branches_total, 3);
-                assert_eq!(stats.rows, got.len());
-            }
+            let (got, stats) = evaluate_union(&g, &query);
+            assert_eq!(
+                got.sorted_rows(),
+                legacy.sorted_rows(),
+                "distinct={distinct}"
+            );
+            assert_eq!(stats.branches_total, 3);
+            assert_eq!(stats.rows, got.len());
         }
     }
 
     #[test]
     fn shared_prefix_counts_scans_saved() {
         // Two branches sharing the same first planned atom must share a
-        // trie node at a single worker.
+        // trie node.
         let q = "PREFIX ex: <http://ex/> SELECT ?x WHERE \
                  { { ?x ex:knows ?y . ?y ex:hasFriend ?z } \
                    UNION { ?x ex:knows ?y . ?y a ex:Person } }";
         let (g, query) = fixture(q);
-        let (got, stats) = evaluate_union(&g, &query, threads(1));
+        let (got, stats) = evaluate_union(&g, &query);
         assert_eq!(got.sorted_rows(), evaluate(&g, &query).sorted_rows());
         assert_eq!(stats.patterns_total, 4);
         assert_eq!(
@@ -1009,14 +834,14 @@ mod tests {
         let q = parse_query("SELECT ?x WHERE { ?x <http://ex/p> ?y }", &mut dict).unwrap();
         let run = |trip: u64| {
             let token = CancelToken::trip_after_checks(trip);
-            try_execute(&g, Executable::Plain(&q), threads(1), &token)
+            try_execute(&g, Executable::Plain(&q), &token)
         };
         // Polls: planning (1), the trie root (2), the 1st, 513th, 1025th
-        // and 1537th matched triple (3-6), the shard merge (7), the final
-        // check (8). Trip 4 stops the walk of a one-branch query midway.
+        // and 1537th matched triple (3-6). Trip 4 stops the walk of a
+        // one-branch query midway.
         assert!(matches!(run(4), Err(UnionEvalError::Cancelled)));
-        assert!(matches!(run(8), Err(UnionEvalError::Cancelled)));
-        let (sols, _) = run(9).expect("a trip past every poll answers");
+        assert!(matches!(run(6), Err(UnionEvalError::Cancelled)));
+        let (sols, _) = run(7).expect("a trip past every poll answers");
         assert_eq!(sols.len(), 2000);
     }
 
@@ -1028,13 +853,11 @@ mod tests {
         assert!(!query.distinct);
         let legacy = evaluate(&g, &query);
         assert_eq!(legacy.len(), 4, "2 persons × 2 identical branches");
-        for t in [1usize, 2] {
-            let (got, stats) = evaluate_union(&g, &query, threads(t));
-            assert_eq!(got.sorted_rows(), legacy.sorted_rows(), "threads={t}");
-            assert_eq!(stats.branches_total, 2);
-        }
+        let (got, stats) = evaluate_union(&g, &query);
+        assert_eq!(got.sorted_rows(), legacy.sorted_rows());
+        assert_eq!(stats.branches_total, 2);
         query.distinct = true;
-        let (got, _) = evaluate_union(&g, &query, threads(1));
+        let (got, _) = evaluate_union(&g, &query);
         assert_eq!(got.len(), 2, "DISTINCT collapses the duplicate branch");
     }
 
@@ -1043,7 +866,7 @@ mod tests {
         let q = "PREFIX ex: <http://ex/> SELECT ?x ?y WHERE \
                  { { ?x ex:hasFriend ?y } UNION { ?x a ex:Person } }";
         let (g, query) = fixture(q);
-        let (got, stats) = evaluate_union(&g, &query, threads(2));
+        let (got, stats) = evaluate_union(&g, &query);
         assert_eq!(got.sorted_rows(), evaluate(&g, &query).sorted_rows());
         assert_eq!(stats.branches_pruned, 1, "the ?y-less branch is skipped");
     }
@@ -1057,11 +880,9 @@ mod tests {
             &mut dict,
         )
         .unwrap();
-        for t in [1usize, 4] {
-            let (got, stats) = evaluate_union(&g, &q, threads(t));
-            assert!(got.is_empty());
-            assert_eq!(stats.rows, 0);
-        }
+        let (got, stats) = evaluate_union(&g, &q);
+        assert!(got.is_empty());
+        assert_eq!(stats.rows, 0);
     }
 
     /// `FILTER NOT EXISTS` under a `UNION` whose branches bind different
@@ -1101,10 +922,8 @@ mod tests {
             if i < 2 {
                 assert_eq!(want, vec![vec![marie]], "the oracle's answer");
             }
-            for t in [1usize, 2] {
-                let (got, _) = evaluate_union(&g, &q, threads(t));
-                assert_eq!(got.sorted_rows(), want, "query {i} at {t} threads");
-            }
+            let (got, _) = evaluate_union(&g, &q);
+            assert_eq!(got.sorted_rows(), want, "query {i}");
         }
     }
 
@@ -1119,7 +938,7 @@ mod tests {
 
     /// Whether the plan of `text` over [`DUPLICATES`] skips `DISTINCT`,
     /// after checking that the answer equals `evaluate`'s as a set and
-    /// holds no duplicate row, at 1 and 2 threads.
+    /// holds no duplicate row.
     fn distinct_answer(text: &str) -> bool {
         let mut dict = Dictionary::new();
         let mut g = Graph::new();
@@ -1128,14 +947,12 @@ mod tests {
         assert!(q.distinct, "{text}");
         let want = evaluate(&g, &q).sorted_rows();
         assert!(!want.is_empty(), "{text} has answers");
-        for t in [1usize, 2] {
-            let (got, _) = evaluate_union(&g, &q, threads(t));
-            let rows = got.sorted_rows();
-            let mut set = rows.clone();
-            set.dedup();
-            assert_eq!(rows, set, "no duplicate row: {text} at {t} threads");
-            assert_eq!(rows, want, "{text} at {t} threads");
-        }
+        let (got, _) = evaluate_union(&g, &q);
+        let rows = got.sorted_rows();
+        let mut set = rows.clone();
+        set.dedup();
+        assert_eq!(rows, set, "no duplicate row: {text}");
+        assert_eq!(rows, want, "{text}");
         let cancel = CancelToken::none();
         let job = Job {
             graphs: [&g; 3],
@@ -1185,9 +1002,9 @@ mod tests {
             "PREFIX ex: <http://ex/> SELECT ?x WHERE \
              { { ?x ex:hasFriend ?y } UNION { ?x a ex:Person } }",
         );
-        let (_, stats) = evaluate_union(&g, &query, threads(2));
+        let (_, stats) = evaluate_union(&g, &query);
         let line = stats.summary();
         assert!(line.contains("2 branches"), "{line}");
-        assert!(line.contains("worker(s)"), "{line}");
+        assert!(line.contains("eval "), "{line}");
     }
 }

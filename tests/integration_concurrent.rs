@@ -18,7 +18,6 @@
 //! epoch exactly.
 
 use rdf_model::{Pattern, Term, TermId, Triple};
-use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use webreason_core::{MaintenanceAlgorithm, ReasoningConfig, Store, StoreSnapshot};
@@ -120,7 +119,7 @@ fn apply_batch(store: &mut Store, batch: &[Op]) {
 }
 
 fn seeded_store(config: ReasoningConfig) -> Store {
-    let mut store = Store::new_with_threads(config, NonZeroUsize::MIN);
+    let mut store = Store::new(config);
     store.load_turtle(SCHEMA).expect("schema loads");
     store
 }
@@ -326,13 +325,7 @@ fn a_held_lubm_snapshot_is_immutable_under_updates() {
         ReasoningConfig::Reformulation,
         ReasoningConfig::Interval,
     ] {
-        let mut store = Store::from_parts_with_threads(
-            ds.dict.clone(),
-            vocab,
-            ds.graph.clone(),
-            config,
-            NonZeroUsize::MIN,
-        );
+        let mut store = Store::from_parts(ds.dict.clone(), vocab, ds.graph.clone(), config);
         let reader = store.reader();
         let held = reader.snapshot();
         let answers = lubm_answers(&held, &named);

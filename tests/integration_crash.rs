@@ -15,10 +15,8 @@
 //! fresh store fed the recovered base graph must converge on the same
 //! derived state and answers.
 //!
-//! The same binary also exercises the panic-isolation contract of the
-//! scoped-worker pools (`rdfs.parallel.worker`, `sparql.union.worker`):
-//! an injected worker panic surfaces as a structured error or a clean
-//! sequential fallback, never as a poisoned store or a process abort.
+//! The same binary also checks that a panic or an I/O error inside a
+//! journaled update leaves the store exactly as it was before the update.
 
 use durability::{FsyncPolicy, Journal};
 use rdf_model::Term;
@@ -44,21 +42,20 @@ const ANIMALS: &str = "PREFIX ex: <http://ex/> SELECT ?x WHERE { ?x a ex:Animal 
 /// | # | record                      | MAMMALS after |
 /// |---|-----------------------------|---------------|
 /// | 1 | SetConfig(sat-dred)         | 0             |
-/// | 2 | SetThreads(1)               | 0             |
-/// | 3 | InsertBatch(ZOO)            | 1 (Tom)       |
-/// | 4 | InsertBatch(Rex a Mammal)   | 2             |
-/// | 5 | CheckpointMark              | 2             |
-/// | 6 | InsertBatch(Ana a Cat)      | 3             |
-/// | 7 | DeleteBatch(Tom a Cat)      | 2             |
-/// | 8 | InsertBatch(Dog ⊑ Mammal)   | 2             |
-/// | 9 | UpdateScript(Cleo; ±Tmp)    | 3             |
+/// | 2 | InsertBatch(ZOO)            | 1 (Tom)       |
+/// | 3 | InsertBatch(Rex a Mammal)   | 2             |
+/// | 4 | CheckpointMark              | 2             |
+/// | 5 | InsertBatch(Ana a Cat)      | 3             |
+/// | 6 | DeleteBatch(Tom a Cat)      | 2             |
+/// | 7 | InsertBatch(Dog ⊑ Mammal)   | 2             |
+/// | 8 | UpdateScript(Cleo; ±Tmp)    | 3             |
 ///
-/// Record 9 is a three-op script (insert Cleo a Cat, insert Tmp a Cat,
+/// Record 8 is a three-op script (insert Cleo a Cat, insert Tmp a Cat,
 /// delete Tmp a Cat) journaled as a *single* atomic record: a crash at
-/// append hit 9 must lose all three ops together, never a prefix.
+/// append hit 8 must lose all three ops together, never a prefix.
 ///
 /// `EXPECTED_MAMMALS[k]` is the answer count after the first `k` records.
-const EXPECTED_MAMMALS: [usize; 10] = [0, 0, 0, 1, 2, 2, 3, 2, 2, 3];
+const EXPECTED_MAMMALS: [usize; 9] = [0, 0, 1, 2, 2, 3, 2, 2, 3];
 
 fn rdf_type() -> Term {
     Term::iri(rdf_model::vocab::RDF_TYPE)
@@ -168,7 +165,7 @@ fn crash_and_recover(name: &str, failpoints: &str) -> (PathBuf, Store) {
     // Oracle 2 — convergence: a fresh, never-crashed store fed the
     // recovered base graph must reach the same derived state and answers.
     let base = rec.export_ntriples();
-    let mut fresh = Store::new_with_threads(rec.config(), rec.threads());
+    let mut fresh = Store::new(rec.config());
     fresh.load_ntriples(&base).expect("exported graph re-loads");
     assert_eq!(fresh.export_ntriples(), base, "{name}: base graph drifts");
     for query in [MAMMALS, ANIMALS] {
@@ -216,7 +213,7 @@ fn crash_and_recover(name: &str, failpoints: &str) -> (PathBuf, Store) {
 /// is written, so record `n` is exactly the first uncommitted operation.
 #[test]
 fn killed_at_each_journal_append_recovers_the_committed_prefix() {
-    for hit in 1..=9u32 {
+    for hit in 1..=8u32 {
         let (_dir, _rec) = crash_and_recover(
             &format!("append-{hit}"),
             &format!("store.journal.append=abort@{hit}"),
@@ -229,7 +226,7 @@ fn killed_at_each_journal_append_recovers_the_committed_prefix() {
 #[test]
 fn killed_mid_checkpoint_falls_back_to_the_journal() {
     let (dir, mut rec) = crash_and_recover("mid-checkpoint", "store.checkpoint.write=abort@1");
-    // The abort fired inside checkpoint(): 4 records committed, no
+    // The abort fired inside checkpoint(): 3 records committed, no
     // CheckpointMark, no visible checkpoint file — Tom and Rex survive.
     assert!(!dir
         .read_dir()
@@ -292,64 +289,14 @@ fn fp_serial() -> std::sync::MutexGuard<'static, ()> {
 }
 
 mod panic_isolation {
-    //! Worker panics must stay inside the pool that spawned them: the
-    //! fallible APIs return a structured [`WorkerPanicked`], the
-    //! infallible ones fall back to their sequential twin, and the store
-    //! keeps answering afterwards.
+    //! A panic inside a journaled update must leave the store as it was
+    //! before the update, and answering afterwards.
 
     use super::*;
     use std::sync::MutexGuard;
-    use webreason_core::AnswerError;
 
     fn serial() -> MutexGuard<'static, ()> {
         super::fp_serial()
-    }
-
-    #[test]
-    fn union_worker_panic_surfaces_as_a_structured_error() {
-        let _g = serial();
-        // The range axiom gives MAMMALS a second branch under both
-        // rewritings, so two workers are spawned for the failpoint to hit.
-        let zoo = format!("{ZOO}ex:owns rdfs:range ex:Mammal .\nex:Ann ex:owns ex:Rex .\n");
-        for config in [ReasoningConfig::Reformulation, ReasoningConfig::Interval] {
-            let mut store = Store::new_with_threads(config, NonZeroUsize::new(2).unwrap());
-            store.load_turtle(&zoo).expect("zoo loads");
-
-            webreason_failpoints::configure("sparql.union.worker=panic");
-            match store.answer_sparql(MAMMALS) {
-                Err(AnswerError::Worker(e)) => assert_eq!(e.site, "sparql.union.worker"),
-                other => panic!("expected a worker panic under {config:?}, got {other:?}"),
-            }
-
-            // The store is not poisoned: disarmed, the same query answers.
-            webreason_failpoints::configure("");
-            assert_eq!(
-                store.answer_sparql(MAMMALS).expect("answers").len(),
-                2,
-                "Tom the cat and Rex the owned mammal under {config:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn parallel_saturation_worker_panic_falls_back_to_sequential() {
-        let _g = serial();
-        let mut store = Store::new(ReasoningConfig::Reformulation);
-        store.load_turtle(ZOO).expect("zoo loads");
-        let reference = rdfs::saturate(store.base_graph(), store.vocab());
-
-        webreason_failpoints::configure("rdfs.parallel.worker=panic");
-        let threads = NonZeroUsize::new(2).unwrap();
-        let err = rdfs::parallel::try_saturate_parallel(store.base_graph(), store.vocab(), threads)
-            .expect_err("armed worker must fail");
-        assert_eq!(err.site, "rdfs.parallel.worker");
-
-        // The infallible wrapper absorbs the panic and still saturates.
-        webreason_failpoints::configure("rdfs.parallel.worker=panic");
-        let fallback = rdfs::saturate_parallel(store.base_graph(), store.vocab(), threads);
-        assert_eq!(fallback.graph, reference.graph);
-
-        webreason_failpoints::configure("");
     }
 
     /// The batch-atomicity contract under a mid-script journal failure:

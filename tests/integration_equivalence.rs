@@ -9,11 +9,10 @@
 //! the interval (LiteMat-style) evaluator to that contract on *random*
 //! schemas (cyclic and multi-parent DAGs included), graphs (empty ones
 //! included) and queries: `q_ref(G)` under [`sparql::evaluate_union`] and
-//! `q_int(G)` under [`sparql::evaluate_interval`] at 1, 2 and 4 threads
-//! must equal `q(G∞)` — set-equal under `DISTINCT`; under bag semantics
-//! both union evaluators must match, and the interval evaluator's
-//! multiset must be thread-count invariant (its deduplicated branch list
-//! makes raw-union multiplicity parity intentionally out of scope).
+//! `q_int(G)` under [`sparql::evaluate_interval`] must equal `q(G∞)` —
+//! set-equal under `DISTINCT`; under bag semantics both union evaluators
+//! must match (the interval rewriter's deduplicated branch list makes
+//! raw-union multiplicity parity intentionally out of scope).
 //! `WEBREASON_PROPTEST_CASES` scales the case count (CI pins it for
 //! reproducibility; generation is already deterministic per test name and
 //! case index).
@@ -23,7 +22,6 @@ use rdf_model::{Dictionary, Graph, Triple, Vocab};
 use rdfs::saturate;
 use rustc_hash::FxHashSet;
 use sparql::{evaluate, evaluate_interval, evaluate_union, parse_query};
-use std::num::NonZeroUsize;
 use webreason_core::{evaluate_backward, ReasoningConfig, Store};
 use workload::lubm::{generate, queries, LubmConfig};
 
@@ -93,49 +91,6 @@ fn all_strategies_agree_on_lubm_q1_to_q10() {
             );
             assert!(!got.is_empty(), "{} is non-trivial", nq.name);
         }
-    }
-}
-
-#[test]
-fn threaded_saturation_store_agrees_on_lubm() {
-    // The sharded parallel engine must be invisible end to end: a store
-    // saturating with 4 worker threads answers every LUBM query exactly
-    // like the single-threaded one, before and after an update.
-    let mut ds = generate(&LubmConfig::tiny());
-    let named = queries(&mut ds);
-    let config = ReasoningConfig::Saturation(webreason_core::MaintenanceAlgorithm::Recompute);
-    let mut seq = Store::from_parts(ds.dict.clone(), ds.vocab, ds.graph.clone(), config);
-    let mut par = Store::from_parts_with_threads(
-        ds.dict.clone(),
-        ds.vocab,
-        ds.graph.clone(),
-        config,
-        std::num::NonZeroUsize::new(4).unwrap(),
-    );
-    assert_eq!(par.stats().threads, 4);
-
-    let new_person = ds
-        .dict
-        .encode_iri("http://webreason.example/data/u0/d0/newhire");
-    let head_of = ds
-        .dict
-        .encode_iri("http://webreason.example/univ-bench#headOf");
-    let dept = ds.dict.encode_iri("http://webreason.example/data/u0/d0");
-    let t = rdf_model::Triple::new(new_person, head_of, dept);
-
-    for round in 0..2 {
-        for nq in &named {
-            let mut q = nq.query.clone();
-            q.distinct = true;
-            assert_eq!(
-                par.answer(&q).unwrap().as_set(),
-                seq.answer(&q).unwrap().as_set(),
-                "4-thread store disagrees on {} (round {round})",
-                nq.name
-            );
-        }
-        seq.insert(t);
-        par.insert(t);
     }
 }
 
@@ -276,8 +231,6 @@ fn env_cases(default: u32) -> u32 {
         .unwrap_or(default)
 }
 
-const DIFF_THREADS: [usize; 3] = [1, 2, 4];
-
 /// The differential check for one query text over one scenario graph:
 /// reformulate (union and interval), then compare every evaluation route —
 /// the three-strategy oracle `q_int(G) = q_ref(G) = q(G∞)`.
@@ -304,56 +257,27 @@ fn assert_routes_agree(
     if legacy != reference {
         return Err(format!("legacy q_ref(G) != q(G∞) on {query_text}"));
     }
-    for t in DIFF_THREADS {
-        let (sols, stats) = evaluate_union(g, &r.query, NonZeroUsize::new(t).unwrap());
-        if sols.as_set() != reference {
-            return Err(format!("union eval ({t} threads) != q(G∞) on {query_text}"));
-        }
-        if stats.rows != sols.len() {
-            return Err(format!("stats.rows mismatch ({t} threads) on {query_text}"));
-        }
-        let (isols, istats) = evaluate_interval(g, &iq, NonZeroUsize::new(t).unwrap());
-        if isols.as_set() != reference {
-            return Err(format!(
-                "interval eval ({t} threads) != q(G∞) on {query_text}"
-            ));
-        }
-        if istats.rows != isols.len() {
-            return Err(format!(
-                "interval stats.rows mismatch ({t} threads) on {query_text}"
-            ));
-        }
+    let (sols, stats) = evaluate_union(g, &r.query);
+    if sols.as_set() != reference {
+        return Err(format!("union eval != q(G∞) on {query_text}"));
+    }
+    if stats.rows != sols.len() {
+        return Err(format!("stats.rows mismatch on {query_text}"));
+    }
+    let (isols, istats) = evaluate_interval(g, &iq);
+    if isols.as_set() != reference {
+        return Err(format!("interval eval != q(G∞) on {query_text}"));
+    }
+    if istats.rows != isols.len() {
+        return Err(format!("interval stats.rows mismatch on {query_text}"));
     }
 
     // Bag semantics: both evaluators of q_ref must agree on multiplicities.
     let mut bag = r.query.clone();
     bag.distinct = false;
-    let legacy_bag = evaluate(g, &bag).sorted_rows();
-    for t in DIFF_THREADS {
-        let (sols, _) = evaluate_union(g, &bag, NonZeroUsize::new(t).unwrap());
-        if sols.sorted_rows() != legacy_bag {
-            return Err(format!(
-                "union eval bag ({t} threads) != legacy bag on {query_text}"
-            ));
-        }
-    }
-    // Interval bag semantics: the rewriter canonically deduplicates its
-    // branch list, so multiplicities can legitimately differ from the raw
-    // union's — the contract is that the worker split stays invisible:
-    // every thread count returns the same multiset as one thread.
-    let mut ibag = iq.clone();
-    ibag.query.distinct = false;
-    let ibag_reference = {
-        let (sols, _) = evaluate_interval(g, &ibag, NonZeroUsize::MIN);
-        sols.sorted_rows()
-    };
-    for t in DIFF_THREADS {
-        let (sols, _) = evaluate_interval(g, &ibag, NonZeroUsize::new(t).unwrap());
-        if sols.sorted_rows() != ibag_reference {
-            return Err(format!(
-                "interval bag ({t} threads) != single-threaded interval bag on {query_text}"
-            ));
-        }
+    let (sols, _) = evaluate_union(g, &bag);
+    if sols.sorted_rows() != evaluate(g, &bag).sorted_rows() {
+        return Err(format!("union eval bag != legacy bag on {query_text}"));
     }
     Ok(())
 }
@@ -363,7 +287,7 @@ proptest! {
 
     /// On random graphs, schemas (cyclic included) and queries, the
     /// union-aware evaluator matches `q(G∞)` and the legacy per-branch
-    /// evaluator at 1, 2 and 4 threads, under both set and bag semantics.
+    /// evaluator, under both set and bag semantics.
     /// The two-atom shapes are the ones where one atom can entail the
     /// other (range, domain, subclass, subproperty), so the interval
     /// rewriter's entailed-atom pass is exercised on random schemas.
@@ -473,7 +397,7 @@ fn union_evaluator_handles_cyclic_schema() {
 
 /// A ground query projects nothing: its answer rows have width 0, so only
 /// the row count says how many there are. Every strategy, under bag and
-/// `DISTINCT` semantics and with 1 and 2 threads, must count exactly what
+/// `DISTINCT` semantics, must count exactly what
 /// `sparql::evaluate` counts on the graph that strategy answers over
 /// (`q(G∞)` for saturation, `q_ref(G)` for the two rewritings) — for the
 /// rows themselves and for `COUNT`.
@@ -532,28 +456,20 @@ fn ground_queries_count_zero_width_rows() {
                     ReasoningConfig::Saturation(_) => &saturated,
                     _ => &rewritten,
                 };
-                for threads in [1, 2] {
-                    let store = Store::from_parts_with_threads(
-                        dict.clone(),
-                        vocab,
-                        g.clone(),
-                        config,
-                        NonZeroUsize::new(threads).unwrap(),
-                    );
-                    let sols = store.answer_sparql(&text).unwrap();
-                    let n = query
-                        .aggregate
-                        .is_some()
-                        .then(|| count(&sols, &store.dictionary()));
-                    let what = format!("{text} under {} ({threads} threads)", config.name());
-                    assert_eq!(sols.rows.width(), usize::from(n.is_some()), "{what}");
-                    assert_eq!((sols.len(), n), *want, "{what}");
-                    checked += 1;
-                }
+                let store = Store::from_parts(dict.clone(), vocab, g.clone(), config);
+                let sols = store.answer_sparql(&text).unwrap();
+                let n = query
+                    .aggregate
+                    .is_some()
+                    .then(|| count(&sols, &store.dictionary()));
+                let what = format!("{text} under {}", config.name());
+                assert_eq!(sols.rows.width(), usize::from(n.is_some()), "{what}");
+                assert_eq!((sols.len(), n), *want, "{what}");
+                checked += 1;
             }
         }
     }
-    assert_eq!(checked, 2 * 4 * ReasoningConfig::ALL.len() * 2);
+    assert_eq!(checked, 2 * 4 * ReasoningConfig::ALL.len());
     // The rewritings answer with set semantics; the executor's bag
     // semantics on zero-width rows shows on the raw union, where `a p b`
     // is found by both branches.
@@ -566,10 +482,8 @@ fn ground_queries_count_zero_width_rows() {
     bag.distinct = false;
     assert_eq!(bag.bgps.len(), 2);
     assert_eq!(evaluate(&g, &bag).len(), 2);
-    for threads in [1, 2] {
-        let (sols, stats) = evaluate_union(&g, &bag, NonZeroUsize::new(threads).unwrap());
-        assert_eq!((sols.len(), stats.rows), (2, 2), "{threads} threads");
-    }
+    let (sols, stats) = evaluate_union(&g, &bag);
+    assert_eq!((sols.len(), stats.rows), (2, 2));
 }
 
 #[test]

@@ -6,7 +6,6 @@
 //! (clock swaps, resets, enable toggles), so they serialise on one lock —
 //! the registry is shared across threads within this test binary.
 
-use std::num::NonZeroUsize;
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use obs::{Clock, MonotonicClock};
@@ -20,10 +19,6 @@ static REGISTRY_LOCK: Mutex<()> = Mutex::new(());
 
 fn lock() -> MutexGuard<'static, ()> {
     REGISTRY_LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-fn one() -> NonZeroUsize {
-    NonZeroUsize::new(1).expect("non-zero")
 }
 
 /// The least `(s, p, o)` instance (non-schema) triple of the dataset that
@@ -102,21 +97,19 @@ fn lubm_q1_metrics_snapshot_matches_golden_file() {
     q1.distinct = true;
 
     // Saturate + answer over G∞ …
-    let mut sat = Store::from_parts_with_threads(
+    let mut sat = Store::from_parts(
         ds.dict.clone(),
         ds.vocab,
         ds.graph.clone(),
         ReasoningConfig::Saturation(MaintenanceAlgorithm::DRed),
-        one(),
     );
     sat.answer(&q1).expect("Q1 over G∞");
     // … the same query through the reformulated path …
-    let refo = Store::from_parts_with_threads(
+    let refo = Store::from_parts(
         ds.dict.clone(),
         ds.vocab,
         ds.graph.clone(),
         ReasoningConfig::Reformulation,
-        one(),
     );
     refo.answer(&q1).expect("Q1 via q_ref");
     // … and one net-zero maintenance round.
@@ -160,19 +153,9 @@ fn disabling_instrumentation_changes_no_results() {
 
     let ds = generate(&LubmConfig::tiny());
     let on = rdfs::saturate(&ds.graph, &ds.vocab);
-    let on_parallel = rdfs::saturate_parallel(
-        &ds.graph,
-        &ds.vocab,
-        NonZeroUsize::new(2).expect("non-zero"),
-    );
 
     reg.set_enabled(false);
     let off = rdfs::saturate(&ds.graph, &ds.vocab);
-    let off_parallel = rdfs::saturate_parallel(
-        &ds.graph,
-        &ds.vocab,
-        NonZeroUsize::new(2).expect("non-zero"),
-    );
     reg.set_enabled(true);
 
     assert_eq!(on.graph, off.graph, "G∞ must not depend on instrumentation");
@@ -180,8 +163,6 @@ fn disabling_instrumentation_changes_no_results() {
         on.stats.rule_firings, off.stats.rule_firings,
         "rule firings must not depend on instrumentation"
     );
-    assert_eq!(on_parallel.graph, off_parallel.graph);
-    assert_eq!(on_parallel.stats.inferred, off_parallel.stats.inferred);
 }
 
 #[test]
@@ -216,12 +197,11 @@ fn eval_stats_do_not_accumulate_across_answers() {
     // Q2 ("all persons") has a wide reformulation — plenty of trie nodes.
     let mut q = named[1].query.clone();
     q.distinct = true;
-    let store = Store::from_parts_with_threads(
+    let store = Store::from_parts(
         ds.dict.clone(),
         ds.vocab,
         ds.graph.clone(),
         ReasoningConfig::Reformulation,
-        one(),
     );
 
     store.answer(&q).expect("first answer");
@@ -258,19 +238,17 @@ fn observed_thresholds_match_hand_computed_ratios_from_a_real_workload() {
     let t = instance_triple(&ds);
     reg.reset();
     let named = queries(&mut ds);
-    let mut sat = Store::from_parts_with_threads(
+    let mut sat = Store::from_parts(
         ds.dict.clone(),
         ds.vocab,
         ds.graph.clone(),
         ReasoningConfig::Saturation(MaintenanceAlgorithm::DRed),
-        one(),
     );
-    let refo = Store::from_parts_with_threads(
+    let refo = Store::from_parts(
         ds.dict.clone(),
         ds.vocab,
         ds.graph.clone(),
         ReasoningConfig::Reformulation,
-        one(),
     );
     for nq in named.iter().take(3) {
         let mut q = nq.query.clone();
@@ -294,10 +272,8 @@ fn observed_thresholds_match_hand_computed_ratios_from_a_real_workload() {
 
     // Recompute every input from the snapshot's raw numbers.
     let us = 1e6;
-    let sat_runs = snap.span_count("rdfs.saturate.run") + snap.span_count("rdfs.parallel.run");
-    let sat_cost = (snap.span_total_us("rdfs.saturate.run")
-        + snap.span_total_us("rdfs.parallel.run")) as f64
-        / sat_runs as f64
+    let sat_cost = snap.span_total_us("rdfs.saturate.run") as f64
+        / snap.span_count("rdfs.saturate.run") as f64
         / us;
     let union = snap
         .span("sparql.union.total", Some("core.answer.query"))
