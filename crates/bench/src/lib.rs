@@ -2,9 +2,7 @@
 //! plain-text table rendering and JSON result emission.
 //!
 //! The binaries (`fig3`, `tables`, `figures`) regenerate every figure and
-//! table of the paper (see DESIGN.md §3 for the experiment index); the
-//! Criterion benches under `benches/` measure the same operations with
-//! statistical rigour.
+//! table of the paper (see DESIGN.md §3 for the experiment index).
 
 use rdf_model::Graph;
 use serde::Serialize;
@@ -19,7 +17,7 @@ use workload::Dataset;
 pub enum Scale {
     /// ≈250 triples — unit-test sized.
     Tiny,
-    /// ≈4k triples — criterion bench sized.
+    /// ≈4k triples — a quick run.
     Small,
     /// ≈50k triples — the headline figure scale.
     Default,

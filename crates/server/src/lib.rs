@@ -112,9 +112,6 @@ pub struct ServerConfig {
     /// request, draining a response, or sitting idle between keep-alive
     /// requests is reaped after this long.
     pub idle_timeout: Duration,
-    /// Test hook: skip epoll and use the `poll(2)` fallback (also
-    /// reachable via `WEBREASON_FORCE_POLL=1`).
-    pub force_poll: bool,
     /// Default per-request deadline in milliseconds, applied when the
     /// client sends no `X-Webreason-Deadline-Ms` header. `None` disables
     /// deadlines for header-less requests (the library default, so
@@ -141,7 +138,6 @@ impl Default for ServerConfig {
             writer_delay: None,
             max_conns: 4096,
             idle_timeout: Duration::from_secs(10),
-            force_poll: false,
             default_deadline_ms: None,
             max_deadline_ms: 60_000,
             max_subscriptions: 64,
@@ -318,13 +314,16 @@ pub struct Server {
 }
 
 impl Server {
-    /// Binds, spawns the writer, the CPU worker pool and the reactor, and
-    /// returns. The store moves onto the writer thread; get it back via
-    /// [`Server::shutdown`].
+    /// Binds, creates the reactor's epoll instance, spawns the writer, the
+    /// CPU worker pool and the reactor, and returns; a bind or epoll
+    /// failure is returned before any thread starts. The store moves onto
+    /// the writer thread; get it back via [`Server::shutdown`].
     pub fn start(store: DurableStore, config: ServerConfig) -> std::io::Result<Server> {
         let listener = TcpListener::bind(&config.addr)?;
         let local_addr = listener.local_addr()?;
         listener.set_nonblocking(true)?;
+        let (wakeup_reader, wakeup) = reactor::wakeup_pair()?;
+        let poller = reactor::Poller::new(&listener, &wakeup_reader)?;
         let reader = store.reader();
 
         let (writer_tx, writer_rx) = mpsc::sync_channel::<WriteJob>(config.update_queue.max(1));
@@ -364,7 +363,6 @@ impl Server {
         let (job_tx, job_rx) = mpsc::channel::<reactor::Job>();
         let job_rx = Arc::new(Mutex::new(job_rx));
         let completions = Arc::new(Mutex::new(Vec::new()));
-        let (wakeup_reader, wakeup) = reactor::wakeup_pair()?;
         let mut worker_handles = Vec::with_capacity(config.threads.max(1));
         for i in 0..config.threads.max(1) {
             let shared = Arc::clone(&shared);
@@ -383,7 +381,7 @@ impl Server {
             limits: config.limits,
             max_conns: config.max_conns.max(1),
             idle_timeout_ms: config.idle_timeout.as_millis().max(1) as u64,
-            force_poll: config.force_poll,
+            poller,
             job_tx,
             completions,
             wakeup_reader,

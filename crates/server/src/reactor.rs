@@ -1,9 +1,10 @@
 //! The readiness-driven event loop behind [`Server`](crate::Server).
 //!
 //! One reactor thread owns every socket. It multiplexes readiness with
-//! `epoll(7)` — declared as raw `extern "C"` shims, keeping the crate
-//! dependency-free — falling back to portable `poll(2)` when requested
-//! (`ServerConfig::force_poll` or `WEBREASON_FORCE_POLL=1`). Each
+//! `epoll(7)`, declared as raw `extern "C"` shims to keep the crate
+//! dependency-free; the shims' constants are Linux's, so the server is
+//! Linux-only. [`Server::start`](crate::Server::start) creates the epoll
+//! instance and returns its error if it cannot. Each
 //! connection is a [`Connection`](crate::conn::Connection) state machine
 //! over a nonblocking socket; the reactor translates readiness events
 //! into machine transitions and never performs blocking work itself:
@@ -54,14 +55,6 @@ mod sys {
         pub data: u64,
     }
 
-    #[repr(C)]
-    #[derive(Clone, Copy)]
-    pub struct PollFd {
-        pub fd: i32,
-        pub events: i16,
-        pub revents: i16,
-    }
-
     pub const EPOLLIN: u32 = 0x001;
     pub const EPOLLOUT: u32 = 0x004;
     pub const EPOLLERR: u32 = 0x008;
@@ -70,12 +63,6 @@ mod sys {
     pub const EPOLL_CTL_DEL: i32 = 2;
     pub const EPOLL_CTL_MOD: i32 = 3;
     pub const EPOLL_CLOEXEC: i32 = 0x80000;
-
-    pub const POLLIN: i16 = 0x001;
-    pub const POLLOUT: i16 = 0x004;
-    pub const POLLERR: i16 = 0x008;
-    pub const POLLHUP: i16 = 0x010;
-    pub const POLLNVAL: i16 = 0x020;
 
     pub const F_SETFL: i32 = 4;
     pub const F_SETFD: i32 = 2;
@@ -86,7 +73,6 @@ mod sys {
         pub fn epoll_create1(flags: i32) -> i32;
         pub fn epoll_ctl(epfd: i32, op: i32, fd: i32, event: *mut EpollEvent) -> i32;
         pub fn epoll_wait(epfd: i32, events: *mut EpollEvent, maxevents: i32, timeout: i32) -> i32;
-        pub fn poll(fds: *mut PollFd, nfds: u64, timeout: i32) -> i32;
         pub fn pipe(fds: *mut i32) -> i32;
         pub fn fcntl(fd: i32, cmd: i32, arg: i32) -> i32;
         pub fn read(fd: i32, buf: *mut u8, count: usize) -> isize;
@@ -108,146 +94,78 @@ struct Event {
     writable: bool,
 }
 
-/// Readiness multiplexer: epoll on Linux, `poll(2)` as the fallback.
-enum Poller {
-    Epoll { epfd: i32 },
-    Poll { entries: Vec<PollEntry> },
-}
-
-struct PollEntry {
-    fd: i32,
-    token: u64,
-    read: bool,
-    write: bool,
+/// Readiness multiplexer: one epoll instance.
+pub(crate) struct Poller {
+    epfd: i32,
 }
 
 impl Poller {
-    fn new(force_poll: bool) -> io::Result<Poller> {
-        let force =
-            force_poll || std::env::var_os("WEBREASON_FORCE_POLL").is_some_and(|v| v == "1");
-        if !force {
-            let epfd = unsafe { sys::epoll_create1(sys::EPOLL_CLOEXEC) };
-            if epfd >= 0 {
-                return Ok(Poller::Epoll { epfd });
-            }
-            // ENOSYS or exhaustion: fall through to poll(2).
+    /// Creates the epoll instance with the listener and the wakeup pipe
+    /// already registered, so a server that starts can accept.
+    pub(crate) fn new(listener: &TcpListener, wakeup: &WakeupReader) -> io::Result<Poller> {
+        // SAFETY: epoll_create1 takes no pointers; a negative return is
+        // checked below.
+        let epfd = unsafe { sys::epoll_create1(sys::EPOLL_CLOEXEC) };
+        if epfd < 0 {
+            return Err(io::Error::last_os_error());
         }
-        Ok(Poller::Poll {
-            entries: Vec::new(),
-        })
+        let mut poller = Poller { epfd };
+        poller.add(listener.as_raw_fd(), TOKEN_LISTENER, true, false)?;
+        poller.add(wakeup.fd, TOKEN_WAKEUP, true, false)?;
+        Ok(poller)
     }
 
     fn add(&mut self, fd: i32, token: u64, read: bool, write: bool) -> io::Result<()> {
-        match self {
-            Poller::Epoll { epfd } => epoll_op(*epfd, sys::EPOLL_CTL_ADD, fd, token, read, write),
-            Poller::Poll { entries } => {
-                entries.push(PollEntry {
-                    fd,
-                    token,
-                    read,
-                    write,
-                });
-                Ok(())
-            }
-        }
+        epoll_op(self.epfd, sys::EPOLL_CTL_ADD, fd, token, read, write)
     }
 
     fn modify(&mut self, fd: i32, token: u64, read: bool, write: bool) -> io::Result<()> {
-        match self {
-            Poller::Epoll { epfd } => epoll_op(*epfd, sys::EPOLL_CTL_MOD, fd, token, read, write),
-            Poller::Poll { entries } => {
-                if let Some(e) = entries.iter_mut().find(|e| e.fd == fd) {
-                    e.token = token;
-                    e.read = read;
-                    e.write = write;
-                }
-                Ok(())
-            }
-        }
+        epoll_op(self.epfd, sys::EPOLL_CTL_MOD, fd, token, read, write)
     }
 
     fn remove(&mut self, fd: i32) {
-        match self {
-            Poller::Epoll { epfd } => {
-                let mut ev = sys::EpollEvent { events: 0, data: 0 };
-                unsafe { sys::epoll_ctl(*epfd, sys::EPOLL_CTL_DEL, fd, &mut ev) };
-            }
-            Poller::Poll { entries } => entries.retain(|e| e.fd != fd),
-        }
+        let mut ev = sys::EpollEvent { events: 0, data: 0 };
+        // SAFETY: `ev` is a live, writable event for the call's duration
+        // (kernels before 2.6.9 require one even for DEL).
+        unsafe { sys::epoll_ctl(self.epfd, sys::EPOLL_CTL_DEL, fd, &mut ev) };
     }
 
     /// Blocks up to `timeout_ms` and appends translated events. EINTR is
     /// retried by returning an empty set (the caller's loop re-waits).
     fn wait(&mut self, out: &mut Vec<Event>, timeout_ms: i32) -> io::Result<()> {
         out.clear();
-        match self {
-            Poller::Epoll { epfd } => {
-                let mut buf = [sys::EpollEvent { events: 0, data: 0 }; 512];
-                let n = unsafe {
-                    sys::epoll_wait(*epfd, buf.as_mut_ptr(), buf.len() as i32, timeout_ms)
-                };
-                if n < 0 {
-                    let e = io::Error::last_os_error();
-                    return if e.kind() == ErrorKind::Interrupted {
-                        Ok(())
-                    } else {
-                        Err(e)
-                    };
-                }
-                for ev in &buf[..n as usize] {
-                    // Copy out of the (possibly packed) struct first.
-                    let events = ev.events;
-                    let data = ev.data;
-                    let err = events & (sys::EPOLLERR | sys::EPOLLHUP) != 0;
-                    out.push(Event {
-                        token: data,
-                        readable: events & sys::EPOLLIN != 0 || err,
-                        writable: events & sys::EPOLLOUT != 0 || err,
-                    });
-                }
+        let mut buf = [sys::EpollEvent { events: 0, data: 0 }; 512];
+        // SAFETY: the kernel writes at most `buf.len()` events into `buf`,
+        // which outlives the call; `n` is checked before it indexes `buf`.
+        let n =
+            unsafe { sys::epoll_wait(self.epfd, buf.as_mut_ptr(), buf.len() as i32, timeout_ms) };
+        if n < 0 {
+            let e = io::Error::last_os_error();
+            return if e.kind() == ErrorKind::Interrupted {
                 Ok(())
-            }
-            Poller::Poll { entries } => {
-                let mut fds: Vec<sys::PollFd> = entries
-                    .iter()
-                    .map(|e| sys::PollFd {
-                        fd: e.fd,
-                        events: if e.read { sys::POLLIN } else { 0 }
-                            | if e.write { sys::POLLOUT } else { 0 },
-                        revents: 0,
-                    })
-                    .collect();
-                let n = unsafe { sys::poll(fds.as_mut_ptr(), fds.len() as u64, timeout_ms) };
-                if n < 0 {
-                    let e = io::Error::last_os_error();
-                    return if e.kind() == ErrorKind::Interrupted {
-                        Ok(())
-                    } else {
-                        Err(e)
-                    };
-                }
-                for (e, f) in entries.iter().zip(&fds) {
-                    if f.revents == 0 {
-                        continue;
-                    }
-                    let err = f.revents & (sys::POLLERR | sys::POLLHUP | sys::POLLNVAL) != 0;
-                    out.push(Event {
-                        token: e.token,
-                        readable: f.revents & sys::POLLIN != 0 || err,
-                        writable: f.revents & sys::POLLOUT != 0 || err,
-                    });
-                }
-                Ok(())
-            }
+            } else {
+                Err(e)
+            };
         }
+        for ev in &buf[..n as usize] {
+            // Copy out of the (possibly packed) struct first.
+            let events = ev.events;
+            let data = ev.data;
+            let err = events & (sys::EPOLLERR | sys::EPOLLHUP) != 0;
+            out.push(Event {
+                token: data,
+                readable: events & sys::EPOLLIN != 0 || err,
+                writable: events & sys::EPOLLOUT != 0 || err,
+            });
+        }
+        Ok(())
     }
 }
 
 impl Drop for Poller {
     fn drop(&mut self) {
-        if let Poller::Epoll { epfd } = self {
-            unsafe { sys::close(*epfd) };
-        }
+        // SAFETY: `epfd` is this poller's own descriptor, closed once here.
+        unsafe { sys::close(self.epfd) };
     }
 }
 
@@ -356,7 +274,7 @@ pub(crate) struct ReactorParams {
     pub limits: Limits,
     pub max_conns: usize,
     pub idle_timeout_ms: u64,
-    pub force_poll: bool,
+    pub poller: Poller,
     pub job_tx: Sender<Job>,
     pub completions: Arc<Mutex<Vec<Completion>>>,
     pub wakeup_reader: WakeupReader,
@@ -437,7 +355,7 @@ pub(crate) fn reactor_loop(params: ReactorParams) {
         limits,
         max_conns,
         idle_timeout_ms,
-        force_poll,
+        mut poller,
         job_tx,
         completions,
         wakeup_reader,
@@ -446,14 +364,8 @@ pub(crate) fn reactor_loop(params: ReactorParams) {
     let start = Instant::now();
     let now_ms = |start: &Instant| start.elapsed().as_millis() as u64;
 
-    let mut poller = match Poller::new(force_poll) {
-        Ok(p) => p,
-        Err(_) => return,
-    };
     let listener_fd = listener.as_raw_fd();
     let mut listener = Some(listener);
-    let _ = poller.add(listener_fd, TOKEN_LISTENER, true, false);
-    let _ = poller.add(wakeup_reader.fd, TOKEN_WAKEUP, true, false);
 
     let mut slab = Slab::new();
     // Slot generation counters survive slot reuse (indexed like slots).

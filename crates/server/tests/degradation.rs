@@ -10,9 +10,20 @@ use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::num::NonZeroUsize;
 use std::path::PathBuf;
+use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 use webreason_core::{DurableStore, FsyncPolicy, ReasoningConfig};
 use webreason_server::{Server, ServerConfig};
+
+/// Failpoints and the degraded counters are process-global: an armed
+/// journal failpoint fails every server in this binary. So every test
+/// holds this lock, and each test that arms a failpoint disarms it on the
+/// way out.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 fn tmpdir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("webreason-degrade-{name}-{}", std::process::id()));
@@ -120,6 +131,7 @@ const THING_QUERY: &str = "SELECT ?x WHERE { ?x a <http://ex/Thing> }";
 
 #[test]
 fn health_is_liveness_and_ready_reports_ok() {
+    let _guard = serial();
     let server = boot_with(
         "ready",
         ServerConfig {
@@ -140,6 +152,7 @@ fn health_is_liveness_and_ready_reports_ok() {
 
 #[test]
 fn deadline_capped_union_times_out_with_504() {
+    let _guard = serial();
     // The token is stamped when the reactor enqueues the request. A 10 ms
     // deadline sits far above the idle dispatch wait, so it expires
     // *inside* the 364-branch union evaluation over 290k instances (504),
@@ -183,6 +196,7 @@ fn deadline_capped_union_times_out_with_504() {
 
 #[test]
 fn oversized_deadline_header_is_clamped_and_zero_disables() {
+    let _guard = serial();
     let server = boot_with(
         "clamp",
         ServerConfig {
@@ -219,6 +233,7 @@ fn oversized_deadline_header_is_clamped_and_zero_disables() {
 
 #[test]
 fn conn_limit_refusal_carries_retry_after() {
+    let _guard = serial();
     let server = boot_with(
         "connlimit",
         ServerConfig {
@@ -259,6 +274,7 @@ fn conn_limit_refusal_carries_retry_after() {
 
 #[test]
 fn error_bodies_are_uniform_across_classes() {
+    let _guard = serial();
     let server = boot_with(
         "uniform",
         ServerConfig {
@@ -285,16 +301,7 @@ fn error_bodies_are_uniform_across_classes() {
 #[cfg(feature = "failpoints")]
 mod degraded {
     use super::*;
-    use std::sync::Mutex;
     use webreason_failpoints::configure;
-
-    /// Failpoints are process-global: tests arming them are serialized,
-    /// and each disarms on the way out.
-    static SERIAL: Mutex<()> = Mutex::new(());
-
-    fn serial() -> std::sync::MutexGuard<'static, ()> {
-        SERIAL.lock().unwrap_or_else(|e| e.into_inner())
-    }
 
     fn wait_ready(addr: SocketAddr, deadline: Duration) -> bool {
         let start = Instant::now();
@@ -402,6 +409,167 @@ mod degraded {
             "post-recovery write missing: {text}"
         );
         drop(server.shutdown());
+    }
+
+    /// One ENOSPC window under concurrent load: two writers and two
+    /// readers run while `store.journal.append` fails. Reads never fail and
+    /// keep flowing inside the window, the server degrades and heals
+    /// exactly once, and the recovered journal holds exactly the acked
+    /// writes: every 200'd subject, no 5xx'd one, and the live row count.
+    #[test]
+    fn enospc_window_under_concurrent_load_keeps_exactly_the_acked_writes() {
+        use std::collections::HashSet;
+        use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+        use std::sync::Arc;
+
+        const C1_QUERY: &str = "SELECT ?x WHERE { ?x a <http://ex/C1> }";
+        let _guard = serial();
+        configure("");
+        let dir = tmpdir("chaos");
+        let store = DurableStore::create(
+            &dir,
+            ReasoningConfig::Reformulation,
+            NonZeroUsize::MIN,
+            FsyncPolicy::Always,
+        )
+        .expect("store creates");
+        let server = Server::start(
+            store,
+            ServerConfig {
+                addr: "127.0.0.1:0".to_owned(),
+                threads: 4,
+                ..Default::default()
+            },
+        )
+        .expect("server boots");
+        let addr = server.local_addr();
+        let entered0 = metric_or_zero(addr, "webreason_server_degraded_entered_total");
+        let exited0 = metric_or_zero(addr, "webreason_server_degraded_exited_total");
+
+        let stop = Arc::new(AtomicBool::new(false));
+        let reads_ok = Arc::new(AtomicU64::new(0));
+        let readers: Vec<_> = (0..2)
+            .map(|_| {
+                let stop = Arc::clone(&stop);
+                let reads_ok = Arc::clone(&reads_ok);
+                std::thread::spawn(move || {
+                    let mut errors = Vec::new();
+                    while !stop.load(Ordering::Relaxed) {
+                        match post(addr, "/query", C1_QUERY) {
+                            (200, _) => {
+                                reads_ok.fetch_add(1, Ordering::Relaxed);
+                            }
+                            (status, text) => errors.push(format!("{status}: {text}")),
+                        }
+                        std::thread::sleep(Duration::from_millis(2));
+                    }
+                    errors
+                })
+            })
+            .collect();
+        let writers: Vec<_> = (0..2)
+            .map(|w| {
+                let stop = Arc::clone(&stop);
+                std::thread::spawn(move || {
+                    let (mut acked, mut refused) = (Vec::new(), Vec::new());
+                    let mut n = 0;
+                    while !stop.load(Ordering::Relaxed) {
+                        let subject = format!("<http://ex/w{w}-{n}>");
+                        n += 1;
+                        let body = format!(
+                            "insert {subject} <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> \
+                             <http://ex/C1> ."
+                        );
+                        match post(addr, "/update", &body).0 {
+                            200 => acked.push(subject),
+                            429 => {}
+                            status if status >= 500 => refused.push(subject),
+                            status => panic!("update answered {status}"),
+                        }
+                        std::thread::sleep(Duration::from_millis(2));
+                    }
+                    (acked, refused)
+                })
+            })
+            .collect();
+
+        std::thread::sleep(Duration::from_millis(200));
+        // The window stays open until a write has degraded the server and
+        // a read has been served since.
+        configure("store.journal.append=err(ENOSPC)");
+        let opened = Instant::now();
+        while metric_or_zero(addr, "webreason_server_degraded") == 0
+            && opened.elapsed() < Duration::from_secs(10)
+        {
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        let reads_at_degrade = reads_ok.load(Ordering::Relaxed);
+        while reads_ok.load(Ordering::Relaxed) == reads_at_degrade
+            && opened.elapsed() < Duration::from_secs(10)
+        {
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        let reads_in_window = reads_ok.load(Ordering::Relaxed) - reads_at_degrade;
+        configure("");
+        let healed = wait_ready(addr, Duration::from_secs(10));
+        std::thread::sleep(Duration::from_millis(200));
+        stop.store(true, Ordering::Relaxed);
+
+        assert!(healed, "never recovered");
+        for r in readers {
+            let errors = r.join().expect("reader joins");
+            assert!(errors.is_empty(), "read errors: {errors:?}");
+        }
+        assert!(reads_in_window > 0, "no read was served inside the window");
+        let (mut acked, mut refused) = (Vec::new(), Vec::new());
+        for w in writers {
+            let (a, r) = w.join().expect("writer joins");
+            acked.extend(a);
+            refused.extend(r);
+        }
+        assert!(!acked.is_empty(), "no write was acked");
+        assert!(!refused.is_empty(), "the window refused no write");
+        assert_eq!(
+            metric_or_zero(addr, "webreason_server_degraded_entered_total"),
+            entered0 + 1,
+            "exactly one degraded entry"
+        );
+        assert_eq!(
+            metric_or_zero(addr, "webreason_server_degraded_exited_total"),
+            exited0 + 1,
+            "exactly one degraded exit"
+        );
+        let (status, text) = post(addr, "/query", C1_QUERY);
+        assert_eq!(status, 200, "{text}");
+        let live_rows = text.matches("\"<http://ex/").count();
+        drop(server.shutdown());
+
+        let rec = webreason_core::Store::recover(&dir).expect("recovers");
+        let export = rec.export_ntriples();
+        let subjects: HashSet<&str> = export
+            .lines()
+            .filter_map(|l| l.split_whitespace().next())
+            .collect();
+        let lost: Vec<_> = acked
+            .iter()
+            .filter(|s| !subjects.contains(s.as_str()))
+            .collect();
+        assert!(lost.is_empty(), "acked writes lost: {lost:?}");
+        let phantom: Vec<_> = refused
+            .iter()
+            .filter(|s| subjects.contains(s.as_str()))
+            .collect();
+        assert!(phantom.is_empty(), "refused writes recovered: {phantom:?}");
+        let recovered_rows = rec
+            .answer_sparql(C1_QUERY)
+            .expect("recovered store answers")
+            .len();
+        assert_eq!(live_rows, recovered_rows, "live and recovered rows differ");
+        assert_eq!(
+            live_rows,
+            acked.len(),
+            "every acked write is live, nothing else"
+        );
     }
 
     #[test]

@@ -747,28 +747,41 @@ fn shutdown_closes_idle_keep_alive_connections_promptly() {
 }
 
 #[test]
-fn poll_fallback_serves_round_trips() {
-    let mut config = ephemeral();
-    config.force_poll = true;
-    let server = boot("poll-fallback", config);
+fn one_client_thread_holds_256_keep_alive_connections() {
+    // 256 client fds plus the server's 256 fit the default 1024-fd limit.
+    const CONNS: usize = 256;
+    let server = boot("conn-scale", ephemeral());
     let addr = server.local_addr();
+    let request = format!(
+        "POST /query HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n{COUNT_MAMMALS}",
+        COUNT_MAMMALS.len()
+    );
 
-    let (status, _) = get(addr, "/health");
-    assert_eq!(status, 200);
+    let mut conns: Vec<TcpStream> = (0..CONNS)
+        .map(|_| {
+            let s = TcpStream::connect(addr).expect("connects");
+            s.set_read_timeout(Some(Duration::from_secs(10)))
+                .expect("timeout sets");
+            s
+        })
+        .collect();
+    // Every query is in flight before the first reply is read.
+    for s in &mut conns {
+        s.write_all(request.as_bytes()).expect("query writes");
+    }
+    for s in &mut conns {
+        let (status, text) = read_one_response(s);
+        assert_eq!(status, 200, "{text}");
+    }
+    let open = metric_value(addr, "webreason_server_open_connections");
+    assert!(open >= CONNS as u64, "only {open} connections open");
 
-    // Keep-alive pipelining works identically under poll(2).
-    let mut stream = TcpStream::connect(addr).expect("connects");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(10)))
-        .expect("timeout sets");
-    let one = "GET /health HTTP/1.1\r\nHost: t\r\n\r\n";
-    let last = "GET /health HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n";
-    stream
-        .write_all(format!("{one}{one}{last}").as_bytes())
-        .expect("pipeline writes");
-    let mut text = String::new();
-    stream.read_to_string(&mut text).expect("responses read");
-    assert_eq!(text.matches("HTTP/1.1 200 OK").count(), 3, "{text}");
-
+    // Each held connection is still alive for another round-trip.
+    for s in &mut conns {
+        s.write_all(request.as_bytes()).expect("query writes");
+        let (status, text) = read_one_response(s);
+        assert_eq!(status, 200, "{text}");
+    }
+    drop(conns);
     drop(server.shutdown());
 }

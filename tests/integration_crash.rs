@@ -146,7 +146,7 @@ fn crash_and_recover(name: &str, failpoints: &str) -> (PathBuf, Store) {
         "{name}: workload finished before {failpoints:?} fired"
     );
 
-    let mut rec = Store::recover(&dir).unwrap_or_else(|e| panic!("{name}: recovery failed: {e}"));
+    let rec = Store::recover(&dir).unwrap_or_else(|e| panic!("{name}: recovery failed: {e}"));
 
     // Oracle 1 — the committed prefix: the journal's record count pins
     // down exactly which updates the crashed run acknowledged, and the
@@ -199,7 +199,7 @@ fn crash_and_recover(name: &str, failpoints: &str) -> (PathBuf, Store) {
             &Term::iri("http://ex/Mammal"),
         )
         .expect("post-crash insert");
-    let mut rec3 = Store::recover(&dir).expect("recovery after resume");
+    let rec3 = Store::recover(&dir).expect("recovery after resume");
     assert_eq!(
         rec3.answer_sparql(MAMMALS).expect("answers").len(),
         EXPECTED_MAMMALS[records] + 1,
@@ -225,7 +225,7 @@ fn killed_at_each_journal_append_recovers_the_committed_prefix() {
 /// half-made checkpoint must be invisible and recovery journal-only.
 #[test]
 fn killed_mid_checkpoint_falls_back_to_the_journal() {
-    let (dir, mut rec) = crash_and_recover("mid-checkpoint", "store.checkpoint.write=abort@1");
+    let (dir, rec) = crash_and_recover("mid-checkpoint", "store.checkpoint.write=abort@1");
     // The abort fired inside checkpoint(): 3 records committed, no
     // CheckpointMark, no visible checkpoint file — Tom and Rex survive.
     assert!(!dir
@@ -274,7 +274,7 @@ fn torn_tail_on_top_of_a_crash_recovers() {
 
     let replay = Journal::replay(&path).expect("torn journal still replays");
     assert_eq!(replay.records.len(), intact - 1, "final record dropped");
-    let mut rec = Store::recover(&dir).expect("recovery over a torn tail");
+    let rec = Store::recover(&dir).expect("recovery over a torn tail");
     assert_eq!(
         rec.answer_sparql(MAMMALS).expect("answers").len(),
         EXPECTED_MAMMALS[replay.records.len()],
