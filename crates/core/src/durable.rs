@@ -607,7 +607,7 @@ mod tests {
         {
             let mut ds = DurableStore::create(
                 &dir,
-                sat(MaintenanceAlgorithm::DRed),
+                sat(MaintenanceAlgorithm::Counting),
                 NonZeroUsize::MIN,
                 FsyncPolicy::Always,
             )
@@ -628,7 +628,7 @@ mod tests {
             assert_eq!(ds.answer_sparql(MAMMALS).unwrap().len(), 1, "Felix only");
         }
         let rec = Store::recover(&dir).unwrap();
-        assert_eq!(rec.config(), sat(MaintenanceAlgorithm::DRed));
+        assert_eq!(rec.config(), sat(MaintenanceAlgorithm::Counting));
         assert_eq!(rec.answer_sparql(MAMMALS).unwrap().len(), 1);
         assert_eq!(rec.export_ntriples().lines().count(), 3, "3 + Felix - Tom");
     }
@@ -676,7 +676,7 @@ mod tests {
         {
             let mut ds = DurableStore::create(
                 &dir,
-                sat(MaintenanceAlgorithm::Recompute),
+                sat(MaintenanceAlgorithm::Counting),
                 NonZeroUsize::MIN,
                 FsyncPolicy::Always,
             )
@@ -791,7 +791,7 @@ mod tests {
         let dir = tmpdir("script");
         let mut ds = DurableStore::create(
             &dir,
-            sat(MaintenanceAlgorithm::DRed),
+            sat(MaintenanceAlgorithm::Counting),
             NonZeroUsize::MIN,
             FsyncPolicy::Always,
         )
@@ -906,7 +906,7 @@ mod tests {
         let dir = tmpdir("reference");
         let mut live = DurableStore::create(
             &dir,
-            sat(MaintenanceAlgorithm::DRed),
+            sat(MaintenanceAlgorithm::Counting),
             NonZeroUsize::MIN,
             FsyncPolicy::Always,
         )

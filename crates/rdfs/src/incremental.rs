@@ -560,7 +560,10 @@ pub struct CountingMaintainer {
 
 impl CountingMaintainer {
     /// Builds the maintainer, computing the initial saturation and counts.
+    /// The build is this maintainer's saturation, so it is spanned as
+    /// `rdfs.saturate.run` like [`saturate`].
     pub fn new(base: Graph, vocab: Vocab) -> Self {
+        let _span = obs::global().span("rdfs.saturate.run");
         let schema = Schema::extract(&base, &vocab);
         let mut m = CountingMaintainer {
             vocab,
@@ -775,6 +778,10 @@ impl Maintainer for CountingMaintainer {
         if !self.base.insert(t) {
             return UpdateStats::noop();
         }
+        // Crash site for the fault-injection suite: the base graph has
+        // changed but neither the counts nor `G∞` have — the state a
+        // recovery must reconverge from.
+        webreason_failpoints::fail_point!("store.maintain.incremental");
         if self.vocab.is_schema_property(t.p) {
             // The inserted constraint itself is a base triple: count it so
             // a later delete keeps it while it remains in the closure.
@@ -789,6 +796,7 @@ impl Maintainer for CountingMaintainer {
         if !self.base.remove(t) {
             return UpdateStats::noop();
         }
+        webreason_failpoints::fail_point!("store.maintain.incremental");
         if self.vocab.is_schema_property(t.p) {
             self.dec(t);
             self.schema_update(UpdateKind::SchemaDelete)

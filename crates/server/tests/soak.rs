@@ -143,7 +143,7 @@ fn soak_reactor_backend_reconciles() {
 
     let mut store = DurableStore::create(
         &dir,
-        ReasoningConfig::Saturation(MaintenanceAlgorithm::DRed),
+        ReasoningConfig::Saturation(MaintenanceAlgorithm::Counting),
         NonZeroUsize::MIN,
         FsyncPolicy::Never,
     )

@@ -247,7 +247,7 @@ fn four_readers_see_only_committed_prefixes() {
 #[test]
 fn a_held_snapshot_is_immutable_mid_storm() {
     let batches = generate_batches(0xDECADE);
-    let mut store = seeded_store(ReasoningConfig::Saturation(MaintenanceAlgorithm::DRed));
+    let mut store = seeded_store(ReasoningConfig::Saturation(MaintenanceAlgorithm::Counting));
     let reader = store.reader();
 
     let snap = reader.snapshot();

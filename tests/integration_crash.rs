@@ -41,7 +41,7 @@ const ANIMALS: &str = "PREFIX ex: <http://ex/> SELECT ?x WHERE { ?x a ex:Animal 
 ///
 /// | # | record                      | MAMMALS after |
 /// |---|-----------------------------|---------------|
-/// | 1 | SetConfig(sat-dred)         | 0             |
+/// | 1 | SetConfig(sat-counting)     | 0             |
 /// | 2 | InsertBatch(ZOO)            | 1 (Tom)       |
 /// | 3 | InsertBatch(Rex a Mammal)   | 2             |
 /// | 4 | CheckpointMark              | 2             |
@@ -64,7 +64,7 @@ fn rdf_type() -> Term {
 fn run_workload(dir: &Path) {
     let mut ds = DurableStore::create(
         dir,
-        ReasoningConfig::Saturation(MaintenanceAlgorithm::DRed),
+        ReasoningConfig::Saturation(MaintenanceAlgorithm::Counting),
         NonZeroUsize::MIN,
         FsyncPolicy::Always,
     )
@@ -310,7 +310,7 @@ mod panic_isolation {
         let dir = tmpdir("script-atomic");
         let mut ds = DurableStore::create(
             &dir,
-            ReasoningConfig::Saturation(MaintenanceAlgorithm::DRed),
+            ReasoningConfig::Saturation(MaintenanceAlgorithm::Counting),
             NonZeroUsize::MIN,
             FsyncPolicy::Always,
         )
@@ -400,7 +400,7 @@ mod err_faults {
         let dir = tmpdir(name);
         let mut ds = DurableStore::create(
             &dir,
-            ReasoningConfig::Saturation(MaintenanceAlgorithm::DRed),
+            ReasoningConfig::Saturation(MaintenanceAlgorithm::Counting),
             NonZeroUsize::MIN,
             fsync,
         )

@@ -58,11 +58,9 @@ fn golden_path() -> std::path::PathBuf {
 fn render_snapshot(snap: &obs::MetricsSnapshot) -> String {
     let mut out = String::from(
         "# Metrics snapshot: LUBM Q1 (LubmConfig::tiny) answered over G∞ and via\n\
-         # q_ref(G) (DRed maintainer), plus one net-zero instance update,\n\
+         # q_ref(G) (counting maintainer), plus one net-zero instance update,\n\
          # 1 thread, ManualClock.\n\
          # Counter values and span/histogram counts only — no timings.\n\
-         # The per-rule split (fired_rdfs3 vs fired_rdfs9) depends on the\n\
-         # graph's iteration order; their total and `inferred` do not.\n\
          # Regenerate with WEBREASON_BLESS=1; review diffs like code.\n",
     );
     for c in &snap.counters {
@@ -101,7 +99,7 @@ fn lubm_q1_metrics_snapshot_matches_golden_file() {
         ds.dict.clone(),
         ds.vocab,
         ds.graph.clone(),
-        ReasoningConfig::Saturation(MaintenanceAlgorithm::DRed),
+        ReasoningConfig::Saturation(MaintenanceAlgorithm::Counting),
     );
     sat.answer(&q1).expect("Q1 over G∞");
     // … the same query through the reformulated path …
@@ -242,7 +240,7 @@ fn observed_thresholds_match_hand_computed_ratios_from_a_real_workload() {
         ds.dict.clone(),
         ds.vocab,
         ds.graph.clone(),
-        ReasoningConfig::Saturation(MaintenanceAlgorithm::DRed),
+        ReasoningConfig::Saturation(MaintenanceAlgorithm::Counting),
     );
     let refo = Store::from_parts(
         ds.dict.clone(),

@@ -119,7 +119,7 @@ fn deletes_retract_inferences_in_live_store() {
 
 #[test]
 fn stats_track_sizes_across_strategies() {
-    let mut store = Store::new(ReasoningConfig::Saturation(MaintenanceAlgorithm::DRed));
+    let mut store = Store::new(ReasoningConfig::Saturation(MaintenanceAlgorithm::Counting));
     store
         .load_turtle(
             r#"
