@@ -18,6 +18,7 @@ use bench::{
     emit_json, fmt_secs, journal_append_cost, log_bar, lubm_workload, render_table, Scale,
 };
 use durability::FsyncPolicy;
+use rdfs::incremental::{CountingMaintainer, DRedMaintainer, Maintainer, RecomputeMaintainer};
 use webreason_core::cost::profile;
 use webreason_core::threshold::{compute_thresholds, spread_orders_of_magnitude, Threshold};
 use webreason_core::MaintenanceAlgorithm;
@@ -34,18 +35,13 @@ fn main() {
             }
         },
     };
-    let algo = match args.get(1).map(String::as_str) {
-        None | Some("counting") => MaintenanceAlgorithm::Counting,
-        Some("dred") => MaintenanceAlgorithm::DRed,
-        Some("recompute") => MaintenanceAlgorithm::Recompute,
-        Some(other) => {
-            eprintln!(
-                "error: unknown maintenance algorithm {other:?} \
-                 (expected recompute|dred|counting)"
-            );
-            std::process::exit(2);
-        }
-    };
+    let algo = args.get(1).map_or("counting", String::as_str);
+    if !["recompute", "dred", "counting"].contains(&algo) {
+        eprintln!(
+            "error: unknown maintenance algorithm {algo:?} (expected recompute|dred|counting)"
+        );
+        std::process::exit(2);
+    }
 
     // Collect an observability snapshot for the whole run: the profiling
     // below drives saturation, maintenance and both query paths through
@@ -59,20 +55,27 @@ fn main() {
         "profiling {} triples × {} queries (algo: {})…",
         ds.graph.len(),
         qs.len(),
-        algo.name()
+        algo
     );
-    let prof = profile(&ds.graph, &ds.vocab, &qs, algo, 5);
+    let mut maintainer: Box<dyn Maintainer> = match algo {
+        "recompute" => Box::new(RecomputeMaintainer::new(ds.graph.clone(), ds.vocab)),
+        "dred" => Box::new(DRedMaintainer::new(ds.graph.clone(), ds.vocab)),
+        _ => Box::new(CountingMaintainer::new(ds.graph.clone(), ds.vocab)),
+    };
+    let prof = profile(maintainer.as_mut(), &ds.vocab, &qs, 5);
 
     // Replay the workload through the instrumented `Store` so the metrics
     // snapshot covers both query paths (`core.answer.query` over G∞ and
     // `sparql.union.total` over G) plus the maintenance histograms —
     // that is what `ObservedCosts::from_snapshot` derives thresholds from.
+    // A saturated store maintains by counting, whichever maintainer the
+    // profile above measured.
     eprintln!("replaying queries through instrumented stores…");
     let mut sat_store = webreason_core::Store::from_parts(
         ds.dict.clone(),
         ds.vocab,
         ds.graph.clone(),
-        webreason_core::ReasoningConfig::Saturation(algo),
+        webreason_core::ReasoningConfig::Saturation(MaintenanceAlgorithm::Counting),
     );
     let ref_store = webreason_core::Store::from_parts(
         ds.dict.clone(),

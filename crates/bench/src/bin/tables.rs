@@ -11,7 +11,7 @@ use bench::{
     saturated, time, Scale,
 };
 use durability::FsyncPolicy;
-use rdfs::incremental::MaintenanceAlgorithm;
+use rdfs::incremental::{CountingMaintainer, DRedMaintainer, Maintainer, RecomputeMaintainer};
 use rdfs::{saturate, saturate_naive, Schema};
 use reformulation::{reformulate, reformulate_intervals};
 use serde::Serialize;
@@ -662,7 +662,7 @@ fn table_aserve() -> bool {
         let _ = std::fs::remove_dir_all(&dir);
         let mut store = DurableStore::create(
             &dir,
-            ReasoningConfig::Saturation(MaintenanceAlgorithm::DRed),
+            ReasoningConfig::Saturation(webreason_core::MaintenanceAlgorithm::Counting),
             NonZeroUsize::MIN,
             FsyncPolicy::Never,
         )
@@ -1048,10 +1048,15 @@ fn table_maint(scale: Scale) -> bool {
     }
     let mut report = Vec::new();
     let mut rows = Vec::new();
-    for algo in MaintenanceAlgorithm::ALL {
-        let p = profile(&ds.graph, &ds.vocab, &qs[..1], algo, 5);
+    let maintainers: [Box<dyn Maintainer>; 3] = [
+        Box::new(RecomputeMaintainer::new(ds.graph.clone(), ds.vocab)),
+        Box::new(DRedMaintainer::new(ds.graph.clone(), ds.vocab)),
+        Box::new(CountingMaintainer::new(ds.graph.clone(), ds.vocab)),
+    ];
+    for mut m in maintainers {
+        let p = profile(m.as_mut(), &ds.vocab, &qs[..1], 5);
         rows.push(vec![
-            algo.name().to_owned(),
+            m.name().to_owned(),
             fmt_secs(p.maintenance.instance_insert),
             fmt_secs(p.maintenance.instance_delete),
             fmt_secs(p.maintenance.schema_insert),
@@ -1059,7 +1064,7 @@ fn table_maint(scale: Scale) -> bool {
             fmt_secs(wal_always_s),
         ]);
         report.push(Row {
-            algorithm: algo.name().to_owned(),
+            algorithm: m.name().to_owned(),
             instance_insert_s: p.maintenance.instance_insert,
             instance_delete_s: p.maintenance.instance_delete,
             schema_insert_s: p.maintenance.schema_insert,
@@ -1140,14 +1145,10 @@ fn table_advisor(scale: Scale) {
     let (ds, qs) = lubm_workload(scale);
     // Use the recompute maintainer: the conservative upper bound on
     // maintenance cost (what a system without incremental maintenance pays).
-    let prof = profile(
-        &ds.graph,
-        &ds.vocab,
-        &qs,
-        MaintenanceAlgorithm::Recompute,
-        3,
-    );
-    let prof_inc = profile(&ds.graph, &ds.vocab, &qs, MaintenanceAlgorithm::Counting, 3);
+    let mut recompute = RecomputeMaintainer::new(ds.graph.clone(), ds.vocab);
+    let prof = profile(&mut recompute, &ds.vocab, &qs, 3);
+    let mut counting = CountingMaintainer::new(ds.graph.clone(), ds.vocab);
+    let prof_inc = profile(&mut counting, &ds.vocab, &qs, 3);
 
     let mut rows = Vec::new();
     for (mix_name, updates) in [

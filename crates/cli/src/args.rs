@@ -7,10 +7,6 @@ use webreason_core::FsyncPolicy;
 /// A reasoning strategy name accepted on the command line.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Strategy {
-    /// Saturation with full recomputation on updates.
-    Recompute,
-    /// Saturation maintained by DRed.
-    DRed,
     /// Saturation maintained by counting (also named `saturation`).
     Counting,
     /// Query reformulation.
@@ -20,15 +16,19 @@ pub enum Strategy {
 }
 
 impl Strategy {
-    fn parse(s: &str) -> Option<Strategy> {
-        Some(match s {
-            "recompute" => Strategy::Recompute,
-            "dred" => Strategy::DRed,
+    /// Parses an optional `--strategy` value.
+    fn parse(s: Option<&str>) -> Result<Option<Strategy>, CliError> {
+        let Some(s) = s else { return Ok(None) };
+        Ok(Some(match s {
             "saturation" | "counting" => Strategy::Counting,
             "reformulation" => Strategy::Reformulation,
             "interval" | "litemat" => Strategy::Interval,
-            _ => return None,
-        })
+            _ => {
+                return Err(err(format!(
+                    "unknown strategy {s:?} (expected saturation|counting|reformulation|interval)"
+                )))
+            }
+        }))
     }
 }
 
@@ -264,12 +264,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
     match command.as_str() {
         "query" => {
             let sparql = sparql_value(flag("sparql").ok_or_else(|| err("query needs --sparql"))?)?;
-            let strategy = match flag("strategy") {
-                None => None,
-                Some(s) => {
-                    Some(Strategy::parse(s).ok_or_else(|| err(format!("unknown strategy {s:?}")))?)
-                }
-            };
+            let strategy = Strategy::parse(flag("strategy"))?;
             let limit_display = match flag("limit-display") {
                 None => 20,
                 Some(v) => v
@@ -381,12 +376,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
             };
             // Only consulted when the journal is created fresh; an
             // existing journal keeps the strategy it was created with.
-            let strategy = match flag("strategy") {
-                None => None,
-                Some(v) => {
-                    Some(Strategy::parse(v).ok_or_else(|| err(format!("unknown strategy {v:?}")))?)
-                }
-            };
+            let strategy = Strategy::parse(flag("strategy"))?;
             Ok(Command::Serve {
                 addr,
                 threads,
@@ -512,8 +502,6 @@ mod tests {
     fn strategy_aliases() {
         for (name, want) in [
             ("saturation", Strategy::Counting),
-            ("recompute", Strategy::Recompute),
-            ("dred", Strategy::DRed),
             ("counting", Strategy::Counting),
             ("reformulation", Strategy::Reformulation),
             ("interval", Strategy::Interval),
@@ -522,11 +510,24 @@ mod tests {
             let c = parse_args(&argv(&format!("query d --sparql Q --strategy {name}"))).unwrap();
             assert!(matches!(c, Command::Query { strategy, .. } if strategy == Some(want)));
         }
-        // Names of strategies the store no longer serves are unknown.
-        for name in ["none", "plus", "adaptive", "backward", "datalog"] {
+        // Names of strategies and maintainers the store no longer serves
+        // are unknown, and the error lists the names it takes.
+        for name in [
+            "none",
+            "plus",
+            "adaptive",
+            "backward",
+            "datalog",
+            "dred",
+            "recompute",
+        ] {
             let e =
                 parse_args(&argv(&format!("query d --sparql Q --strategy {name}"))).unwrap_err();
             assert!(e.0.contains("unknown strategy"), "{name}: {e}");
+            assert!(
+                e.0.contains("saturation|counting|reformulation|interval"),
+                "{name}: {e}"
+            );
         }
     }
 

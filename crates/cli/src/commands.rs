@@ -39,8 +39,6 @@ fn load_graph(files: &[String]) -> Result<(Dictionary, Vocab, Graph), CliError> 
 
 fn store_config(strategy: Strategy) -> ReasoningConfig {
     match strategy {
-        Strategy::Recompute => ReasoningConfig::Saturation(MaintenanceAlgorithm::Recompute),
-        Strategy::DRed => ReasoningConfig::Saturation(MaintenanceAlgorithm::DRed),
         Strategy::Counting => ReasoningConfig::Saturation(MaintenanceAlgorithm::Counting),
         Strategy::Reformulation => ReasoningConfig::Reformulation,
         Strategy::Interval => ReasoningConfig::Interval,
@@ -334,7 +332,8 @@ fn thresholds_cmd(files: &[String], queries_path: &str) -> Result<String, CliErr
     if queries.is_empty() {
         return Err(err(format!("{queries_path} contains no queries")));
     }
-    let prof = profile(&g, &vocab, &queries, MaintenanceAlgorithm::Counting, 3);
+    let mut counting = rdfs::incremental::CountingMaintainer::new(g, vocab);
+    let prof = profile(&mut counting, &vocab, &queries, 3);
     let thresholds = compute_thresholds(&prof);
 
     let mut out = String::new();
@@ -654,14 +653,7 @@ ex:Tom a ex:Cat .\n";
     #[test]
     fn query_across_strategies() {
         let fx = Fixture::new("query", &[("zoo.ttl", ZOO_TTL)]);
-        for strategy in [
-            "saturation",
-            "recompute",
-            "dred",
-            "counting",
-            "reformulation",
-            "interval",
-        ] {
+        for strategy in ["saturation", "counting", "reformulation", "interval"] {
             let out = run_line(
                 &format!("query --sparql SELECT_?x_WHERE{{?x_a_<http://ex/Mammal>}} --strategy {strategy}"),
                 &fx.files,
@@ -670,12 +662,16 @@ ex:Tom a ex:Cat .\n";
             assert!(out.starts_with("1 solution(s)"), "{strategy}: {out}");
             assert!(out.contains("<http://ex/Tom>"), "{strategy}");
         }
-        let e = run_line(
-            "query --sparql SELECT_?x_WHERE{?x_a_<http://ex/Mammal>} --strategy none",
-            &fx.files,
-        )
-        .unwrap_err();
-        assert!(e.0.contains("unknown strategy"), "{e}");
+        for retired in ["none", "dred", "recompute"] {
+            let e = run_line(
+                &format!(
+                    "query --sparql SELECT_?x_WHERE{{?x_a_<http://ex/Mammal>}} --strategy {retired}"
+                ),
+                &fx.files,
+            )
+            .unwrap_err();
+            assert!(e.0.contains("unknown strategy"), "{retired}: {e}");
+        }
     }
 
     /// `saturation` names the counting maintainer, so a store served
@@ -871,10 +867,20 @@ PREFIX ex: <http://ex/> SELECT ?x WHERE { ?x a ex:Cat }
         let fx = Fixture::new("journal", &[("zoo.ttl", ZOO_TTL)]);
         let jdir = fx.dir.join("journal");
         let jflag = format!("--journal {}", jdir.display());
+        // A retired maintainer name is refused before any journal exists.
+        let e = run_line(
+            &format!(
+                "query --sparql SELECT_?x_WHERE{{?x_a_<http://ex/Mammal>}} --strategy dred {jflag}"
+            ),
+            &fx.files,
+        )
+        .unwrap_err();
+        assert!(e.0.contains("unknown strategy \"dred\""), "{e}");
+        assert!(!jdir.exists(), "a refused run creates no journal");
         // First run: create the store, load the data, answer.
         let out = run_line(
             &format!(
-                "query --sparql SELECT_?x_WHERE{{?x_a_<http://ex/Mammal>}} --strategy dred {jflag}"
+                "query --sparql SELECT_?x_WHERE{{?x_a_<http://ex/Mammal>}} --strategy saturation {jflag}"
             ),
             &fx.files,
         )
@@ -889,7 +895,7 @@ PREFIX ex: <http://ex/> SELECT ?x WHERE { ?x a ex:Cat }
         .unwrap();
         assert!(out.starts_with("1 solution(s)"), "{out}");
         assert!(
-            out.contains("strategy: saturation(dred)"),
+            out.contains("strategy: saturation(counting)"),
             "journaled strategy survives: {out}"
         );
         // Checkpoint, then recover, both against the same directory.
@@ -898,7 +904,7 @@ PREFIX ex: <http://ex/> SELECT ?x WHERE { ?x a ex:Cat }
         let out = run_line("recover", &[jdir.display().to_string()]).unwrap();
         assert!(out.contains("recovered store"), "{out}");
         assert!(out.contains("base triples:      2"), "{out}");
-        assert!(out.contains("saturation(dred)"), "{out}");
+        assert!(out.contains("saturation(counting)"), "{out}");
         // The third query run still opens the checkpointed store cleanly.
         let out = run_line(
             &format!(

@@ -63,8 +63,8 @@ COMMANDS:
 
 OPTIONS:
     --sparql <text|@file>    the query (query/reformulate); '@f' reads file f
-    --strategy <name>        counting (alias saturation) | dred | recompute |
-                             reformulation | interval (alias litemat)
+    --strategy <name>        counting (alias saturation) | reformulation |
+                             interval (alias litemat)
                              [default: counting]
                              serve: strategy for a freshly created journal
     --triple \"<s> <p> <o>\"   the triple to explain (N-Triples terms)

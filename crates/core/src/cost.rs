@@ -4,22 +4,23 @@
 //!
 //! * the one-time cost of saturating the graph;
 //! * the cost of maintaining the saturation after each update kind
-//!   (instance/schema × insert/delete), for a chosen maintenance
-//!   algorithm — measured by deleting and re-inserting sampled triples,
-//!   which leaves the store unchanged;
+//!   (instance/schema × insert/delete), for the maintainer it is handed —
+//!   measured by deleting and re-inserting sampled triples, which leaves
+//!   the maintainer unchanged;
 //! * per query: evaluating `q(G∞)`, producing `q_ref`, and evaluating
-//!   `q_ref(G)`.
+//!   `q_ref(G)`, both through the executor the store answers with.
 //!
 //! All durations are seconds (`f64`) so the threshold arithmetic of
 //! [`crate::threshold`] and the advisor stay plain math, and the profile
 //! serialises directly into the bench harness's JSON reports.
 
+use obs::CancelToken;
 use rdf_model::{Graph, Triple, Vocab};
-use rdfs::incremental::MaintenanceAlgorithm;
+use rdfs::incremental::Maintainer;
 use rdfs::{saturate, Schema};
 use reformulation::reformulate;
 use serde::Serialize;
-use sparql::{evaluate, evaluate_union, Query};
+use sparql::{try_execute, Executable, Query};
 use std::time::Instant;
 
 /// Measured costs for one query.
@@ -230,24 +231,23 @@ impl ObservedCosts {
     }
 }
 
-/// Measures a cost profile. `samples` controls both how many triples are
-/// sampled per update kind and how many timing repetitions each query
-/// gets (the minimum is reported, Criterion-style, to suppress noise).
+/// Measures a cost profile of `maintainer`'s base graph, maintained by
+/// `maintainer`. `samples` controls both how many triples are sampled per
+/// update kind and how many timing repetitions each query gets (the
+/// minimum is reported, Criterion-style, to suppress noise).
 pub fn profile(
-    graph: &Graph,
+    maintainer: &mut dyn Maintainer,
     vocab: &Vocab,
     queries: &[(String, Query)],
-    algo: MaintenanceAlgorithm,
     samples: usize,
 ) -> CostProfile {
     let samples = samples.max(1);
-    let (sat, saturation_time) = time(|| saturate(graph, vocab));
+    let (sat, saturation_time) = time(|| saturate(maintainer.base(), vocab));
 
     // --- maintenance -----------------------------------------------------
-    let mut maintainer = algo.build(graph.clone(), *vocab);
     let mut instance_samples: Vec<Triple> = Vec::new();
     let mut schema_samples: Vec<Triple> = Vec::new();
-    for t in graph.iter() {
+    for t in maintainer.base().iter() {
         if vocab.is_schema_property(t.p) {
             if schema_samples.len() < samples {
                 schema_samples.push(t);
@@ -284,6 +284,7 @@ pub fn profile(
     };
 
     // --- queries -----------------------------------------------------------
+    let graph = maintainer.base();
     let schema = Schema::extract(graph, vocab);
     let mut query_costs = Vec::with_capacity(queries.len());
     for (name, q) in queries {
@@ -299,11 +300,15 @@ pub fn profile(
         let mut eval_reformulated = f64::INFINITY;
         let mut answers = 0;
         let mut shared_prefix_scans = 0;
+        let none = CancelToken::none();
+        let run = |g: &Graph, exe: Executable| {
+            try_execute(g, exe, &none).expect("an uncancellable run answers")
+        };
         for _ in 0..samples {
-            let (sols, secs) = time(|| evaluate(&sat.graph, &q));
+            let ((sols, _), secs) = time(|| run(&sat.graph, Executable::Plain(&q)));
             eval_saturated = eval_saturated.min(secs);
             answers = sols.len();
-            let ((ref_sols, stats), secs) = time(|| evaluate_union(graph, &reform.query));
+            let ((ref_sols, stats), secs) = time(|| run(graph, Executable::Union(&reform.query)));
             eval_reformulated = eval_reformulated.min(secs);
             shared_prefix_scans = stats.shared_prefix_scans();
             debug_assert_eq!(
@@ -327,7 +332,7 @@ pub fn profile(
         base_triples: graph.len(),
         saturated_triples: sat.graph.len(),
         saturation_time,
-        maintenance_algorithm: algo.name().to_owned(),
+        maintenance_algorithm: maintainer.name().to_owned(),
         maintenance,
         queries: query_costs,
     }
@@ -336,6 +341,7 @@ pub fn profile(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rdfs::incremental::{CountingMaintainer, DRedMaintainer, RecomputeMaintainer};
     use workload::lubm::{generate, queries, LubmConfig};
 
     #[test]
@@ -346,7 +352,8 @@ mod tests {
             .iter()
             .map(|nq| (nq.name.to_owned(), nq.query.clone()))
             .collect();
-        let p = profile(&ds.graph, &ds.vocab, &qs, MaintenanceAlgorithm::Counting, 2);
+        let mut counting = CountingMaintainer::new(ds.graph.clone(), ds.vocab);
+        let p = profile(&mut counting, &ds.vocab, &qs, 2);
 
         assert_eq!(p.queries.len(), 10);
         assert!(p.saturated_triples > p.base_triples);
@@ -379,9 +386,13 @@ mod tests {
             .take(2)
             .map(|nq| (nq.name.to_owned(), nq.query.clone()))
             .collect();
-        for algo in rdfs::incremental::MaintenanceAlgorithm::ALL {
-            let _ = profile(&ds.graph, &ds.vocab, &qs, algo, 3);
-            assert_eq!(ds.graph, before, "{}", algo.name());
+        let mut recompute = RecomputeMaintainer::new(ds.graph.clone(), ds.vocab);
+        let mut dred = DRedMaintainer::new(ds.graph.clone(), ds.vocab);
+        let mut counting = CountingMaintainer::new(ds.graph.clone(), ds.vocab);
+        let maintainers: [&mut dyn Maintainer; 3] = [&mut recompute, &mut dred, &mut counting];
+        for m in maintainers {
+            let _ = profile(m, &ds.vocab, &qs, 3);
+            assert_eq!(m.base(), &before, "{}", m.name());
         }
     }
 
@@ -390,13 +401,8 @@ mod tests {
         let mut ds = generate(&LubmConfig::tiny());
         let named = queries(&mut ds);
         let qs: Vec<(String, Query)> = vec![(named[0].name.to_owned(), named[0].query.clone())];
-        let p = profile(
-            &ds.graph,
-            &ds.vocab,
-            &qs,
-            MaintenanceAlgorithm::Recompute,
-            2,
-        );
+        let mut recompute = RecomputeMaintainer::new(ds.graph.clone(), ds.vocab);
+        let p = profile(&mut recompute, &ds.vocab, &qs, 2);
         // Every update pays roughly a saturation; allow generous slack for
         // timer noise but catch order-of-magnitude regressions.
         assert!(
@@ -405,7 +411,8 @@ mod tests {
             p.maintenance.instance_insert,
             p.saturation_time
         );
-        let p_inc = profile(&ds.graph, &ds.vocab, &qs, MaintenanceAlgorithm::Counting, 2);
+        let mut counting = CountingMaintainer::new(ds.graph.clone(), ds.vocab);
+        let p_inc = profile(&mut counting, &ds.vocab, &qs, 2);
         assert!(
             p_inc.maintenance.instance_insert < p.maintenance.instance_insert,
             "incremental maintenance is cheaper than recomputation"

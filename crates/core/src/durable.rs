@@ -49,9 +49,10 @@ pub enum ScriptOp {
 /// What an atomically applied script changed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ScriptOutcome {
-    /// Triples actually added to the base graph.
+    /// Triples added to the store's graph (`G∞` under saturation, so
+    /// entailed triples count).
     pub added: usize,
-    /// Triples actually removed from the base graph.
+    /// Triples removed from the store's graph.
     pub removed: usize,
 }
 
@@ -250,7 +251,7 @@ impl DurableStore {
     }
 
     /// Durably inserts a batch of encoded triples: journal first, then
-    /// apply (one maintenance pass where the strategy supports it).
+    /// apply.
     pub fn insert_batch(&mut self, triples: &[Triple]) -> Result<UpdateStats, DurableError> {
         let (new_terms, watermark) = self.dict_delta();
         self.journal.append(&JournalRecord::InsertBatch {
@@ -300,12 +301,7 @@ impl DurableStore {
         };
         match ids {
             (Some(s), Some(p), Some(o)) => self.delete_batch(&[Triple::new(s, p, o)]),
-            _ => Ok(UpdateStats {
-                kind: rdfs::incremental::UpdateKind::Noop,
-                added: 0,
-                removed: 0,
-                work: 0,
-            }),
+            _ => Ok(UpdateStats::noop()),
         }
     }
 
@@ -545,32 +541,15 @@ fn apply_record(store: &mut Store, record: &JournalRecord) -> Result<(), Durable
     Ok(())
 }
 
-/// Applies an encoded script to the store, preserving request order.
-/// Consecutive same-kind ops run as one batch (one maintenance pass), so
-/// a pure-insert script costs the same as an [`JournalRecord::InsertBatch`]
-/// while an interleaved script still nets correctly — shared between the
-/// live write path and journal replay so both walk the identical code.
+/// Applies an encoded script to the store one op at a time, in request
+/// order — shared between the live write path and journal replay so both
+/// walk the identical code.
 fn apply_scripted(store: &mut Store, ops: &[ScriptedOp]) -> ScriptOutcome {
     let mut outcome = ScriptOutcome::default();
-    let mut i = 0;
-    let mut run: Vec<Triple> = Vec::new();
-    while i < ops.len() {
-        run.clear();
-        match ops[i] {
-            ScriptedOp::Insert(_) => {
-                while let Some(ScriptedOp::Insert(t)) = ops.get(i) {
-                    run.push(*t);
-                    i += 1;
-                }
-                outcome.added += store.insert_batch(&run).added;
-            }
-            ScriptedOp::Delete(_) => {
-                while let Some(ScriptedOp::Delete(t)) = ops.get(i) {
-                    run.push(*t);
-                    i += 1;
-                }
-                outcome.removed += store.delete_batch(&run).removed;
-            }
+    for op in ops {
+        match op {
+            ScriptedOp::Insert(t) => outcome.added += store.insert(*t).added,
+            ScriptedOp::Delete(t) => outcome.removed += store.delete(t).removed,
         }
     }
     outcome
@@ -579,7 +558,7 @@ fn apply_scripted(store: &mut Store, ops: &[ScriptedOp]) -> ScriptOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rdfs::incremental::MaintenanceAlgorithm;
+    use crate::store::MaintenanceAlgorithm;
 
     const ZOO: &str = r#"
         @prefix ex: <http://ex/> .
@@ -597,21 +576,14 @@ mod tests {
         dir
     }
 
-    fn sat(alg: MaintenanceAlgorithm) -> ReasoningConfig {
-        ReasoningConfig::Saturation(alg)
-    }
+    const SAT: ReasoningConfig = ReasoningConfig::Saturation(MaintenanceAlgorithm::Counting);
 
     #[test]
     fn journal_only_recovery_round_trips() {
         let dir = tmpdir("journal-only");
         {
-            let mut ds = DurableStore::create(
-                &dir,
-                sat(MaintenanceAlgorithm::Counting),
-                NonZeroUsize::MIN,
-                FsyncPolicy::Always,
-            )
-            .unwrap();
+            let mut ds =
+                DurableStore::create(&dir, SAT, NonZeroUsize::MIN, FsyncPolicy::Always).unwrap();
             ds.load_turtle(ZOO).unwrap();
             ds.insert_terms(
                 &Term::iri("http://ex/Felix"),
@@ -628,7 +600,7 @@ mod tests {
             assert_eq!(ds.answer_sparql(MAMMALS).unwrap().len(), 1, "Felix only");
         }
         let rec = Store::recover(&dir).unwrap();
-        assert_eq!(rec.config(), sat(MaintenanceAlgorithm::Counting));
+        assert_eq!(rec.config(), SAT);
         assert_eq!(rec.answer_sparql(MAMMALS).unwrap().len(), 1);
         assert_eq!(rec.export_ntriples().lines().count(), 3, "3 + Felix - Tom");
     }
@@ -637,13 +609,8 @@ mod tests {
     fn checkpoint_bounds_replay_and_recovers() {
         let dir = tmpdir("checkpointed");
         {
-            let mut ds = DurableStore::create(
-                &dir,
-                sat(MaintenanceAlgorithm::Counting),
-                NonZeroUsize::MIN,
-                FsyncPolicy::Never,
-            )
-            .unwrap();
+            let mut ds =
+                DurableStore::create(&dir, SAT, NonZeroUsize::MIN, FsyncPolicy::Never).unwrap();
             ds.load_turtle(ZOO).unwrap();
             let path = ds.checkpoint().unwrap();
             assert!(path.exists());
@@ -674,13 +641,8 @@ mod tests {
     fn torn_journal_tail_recovers_to_the_committed_prefix() {
         let dir = tmpdir("torn-tail");
         {
-            let mut ds = DurableStore::create(
-                &dir,
-                sat(MaintenanceAlgorithm::Counting),
-                NonZeroUsize::MIN,
-                FsyncPolicy::Always,
-            )
-            .unwrap();
+            let mut ds =
+                DurableStore::create(&dir, SAT, NonZeroUsize::MIN, FsyncPolicy::Always).unwrap();
             ds.load_turtle(ZOO).unwrap();
             ds.insert_terms(
                 &Term::iri("http://ex/Rex"),
@@ -733,7 +695,7 @@ mod tests {
     fn a_journaled_thread_count_is_ignored_on_recovery() {
         let mut live = DurableStore::create(
             tmpdir("threads-live"),
-            sat(MaintenanceAlgorithm::Counting),
+            SAT,
             NonZeroUsize::MIN,
             FsyncPolicy::Always,
         )
@@ -789,13 +751,8 @@ mod tests {
     #[test]
     fn update_script_is_one_record_and_order_sensitive() {
         let dir = tmpdir("script");
-        let mut ds = DurableStore::create(
-            &dir,
-            sat(MaintenanceAlgorithm::Counting),
-            NonZeroUsize::MIN,
-            FsyncPolicy::Always,
-        )
-        .unwrap();
+        let mut ds =
+            DurableStore::create(&dir, SAT, NonZeroUsize::MIN, FsyncPolicy::Always).unwrap();
         ds.load_turtle(ZOO).unwrap();
         let seq_before = ds.seq();
         let cat = |n: &str| {
@@ -831,13 +788,8 @@ mod tests {
     #[test]
     fn deferred_scripts_recover_after_sync_group() {
         let dir = tmpdir("script-deferred");
-        let mut ds = DurableStore::create(
-            &dir,
-            sat(MaintenanceAlgorithm::Counting),
-            NonZeroUsize::MIN,
-            FsyncPolicy::Always,
-        )
-        .unwrap();
+        let mut ds =
+            DurableStore::create(&dir, SAT, NonZeroUsize::MIN, FsyncPolicy::Always).unwrap();
         let rex = [
             Term::iri("http://ex/Rex"),
             Term::iri(rdf_model::vocab::RDF_TYPE),
@@ -904,13 +856,8 @@ mod tests {
         // saturation included. The process-kill half lives in
         // tests/integration_crash.rs behind --features failpoints.
         let dir = tmpdir("reference");
-        let mut live = DurableStore::create(
-            &dir,
-            sat(MaintenanceAlgorithm::Counting),
-            NonZeroUsize::MIN,
-            FsyncPolicy::Always,
-        )
-        .unwrap();
+        let mut live =
+            DurableStore::create(&dir, SAT, NonZeroUsize::MIN, FsyncPolicy::Always).unwrap();
         live.load_turtle(ZOO).unwrap();
         live.checkpoint().unwrap();
         live.load_turtle("@prefix ex: <http://ex/> .\nex:Rex a ex:Mammal .")

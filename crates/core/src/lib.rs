@@ -7,9 +7,8 @@
 //! one [`Store`] API:
 //!
 //! * [`ReasoningConfig::Saturation`] — materialise `G∞` and evaluate
-//!   `q(G∞)` (§II-B "Graph saturation"), with the maintenance algorithm
-//!   (recompute / DRed / counting) chosen per
-//!   [`rdfs::incremental::MaintenanceAlgorithm`];
+//!   `q(G∞)` (§II-B "Graph saturation"), maintained under updates by
+//!   derivation counting ([`rdfs::incremental::CountingMaintainer`]);
 //! * [`ReasoningConfig::Reformulation`] — leave `G` alone and evaluate
 //!   `q_ref(G)` (§II-B "Query reformulation");
 //! * [`ReasoningConfig::Interval`] — LiteMat-style interval rewriting:
@@ -19,8 +18,9 @@
 //! The other techniques the paper surveys are libraries, not store
 //! configurations: [`evaluate_backward`] (AllegroGraph-RDFS++-style
 //! per-atom run-time reasoning, §II-C), `datalog::rdf::saturate_via_datalog`
-//! (the §II-D Datalog translation) and `rdfs::plus::PlusMaintainer`
-//! (RDFS-Plus, "some of OWL's predicates"). The paper tables call them
+//! (the §II-D Datalog translation), `rdfs::plus::PlusMaintainer`
+//! (RDFS-Plus, "some of OWL's predicates") and the recompute and DRed
+//! maintainers [`cost::profile`] compares counting with. The paper tables call them
 //! directly, and the test suite checks them against `q(G∞)`.
 //!
 //! On top sit the performance tools the tutorial argues for:
@@ -62,12 +62,13 @@ pub use backward::evaluate_backward;
 pub use cost::ObservedCosts;
 pub use durable::{DurableError, DurableStore, ScriptOp, ScriptOutcome};
 pub use snapshot::{StoreReader, StoreSnapshot};
-pub use store::{AnswerError, ReasoningConfig, Store, StoreDelta, StoreStats};
+pub use store::{
+    AnswerError, MaintenanceAlgorithm, ReasoningConfig, Store, StoreDelta, StoreStats,
+};
 pub use threshold::{
     interval_thresholds, observed_thresholds, IntervalThresholds, ObservedThresholds,
 };
 
 // Re-export the pieces callers compose with.
 pub use durability::{DurabilityError, FsyncPolicy};
-pub use rdfs::incremental::MaintenanceAlgorithm;
 pub use sparql::Solutions;

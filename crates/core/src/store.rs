@@ -11,17 +11,30 @@ use crate::snapshot::{
 };
 use rdf_io::ParseError;
 use rdf_model::{Dictionary, Graph, Term, Triple, Vocab};
-use rdfs::incremental::{Maintainer, MaintenanceAlgorithm, UpdateKind, UpdateStats};
+use rdfs::incremental::{CountingMaintainer, Maintainer, UpdateKind, UpdateStats};
 use reformulation::ReformulationError;
 use sparql::{parse_query, EvalStats, Query, QueryParseError, Solutions, UnionEvalError};
 use std::fmt;
 use std::sync::{Arc, Mutex, OnceLock, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
+/// How a saturated store maintains `G∞` under updates. Counting is the
+/// only algorithm a store serves; the recompute and DRed baselines are
+/// library maintainers in [`rdfs::incremental`]. The enum keeps its one
+/// variant only because the benchmark trace spells
+/// `ReasoningConfig::Saturation(MaintenanceAlgorithm::Counting)`; the next
+/// change to the benchmark drops it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum MaintenanceAlgorithm {
+    /// Derivation counting ([`CountingMaintainer`]).
+    Counting,
+}
+
 /// Which query-answering technique the store serves: the paper's two
 /// (§II-B) plus LiteMat interval rewriting.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReasoningConfig {
-    /// Materialise and maintain `G∞`; answer with `q(G∞)`.
+    /// Materialise `G∞`, maintain it by derivation counting, and answer
+    /// with `q(G∞)`.
     Saturation(MaintenanceAlgorithm),
     /// Rewrite queries; answer with `q_ref(G)`.
     Reformulation,
@@ -34,9 +47,7 @@ pub enum ReasoningConfig {
 
 impl ReasoningConfig {
     /// Every configuration, for sweeps and equivalence tests.
-    pub const ALL: [ReasoningConfig; 5] = [
-        ReasoningConfig::Saturation(MaintenanceAlgorithm::Recompute),
-        ReasoningConfig::Saturation(MaintenanceAlgorithm::DRed),
+    pub const ALL: [ReasoningConfig; 3] = [
         ReasoningConfig::Saturation(MaintenanceAlgorithm::Counting),
         ReasoningConfig::Reformulation,
         ReasoningConfig::Interval,
@@ -44,15 +55,24 @@ impl ReasoningConfig {
 
     /// Parses a [`ReasoningConfig::name`] back into the configuration
     /// (used by journal replay and the CLI). Returns `None` for unknown
-    /// names.
+    /// names. Journals and checkpoints written while stores also served
+    /// the recompute and DRed maintainers name them; all three hold the
+    /// same `G∞`, so those names recover as counting.
     pub fn from_name(name: &str) -> Option<ReasoningConfig> {
-        Self::ALL.into_iter().find(|c| c.name() == name)
+        match name {
+            "saturation(dred)" | "saturation(recompute)" => {
+                Some(ReasoningConfig::Saturation(MaintenanceAlgorithm::Counting))
+            }
+            _ => Self::ALL.into_iter().find(|c| c.name() == name),
+        }
     }
 
-    /// Display name, e.g. `saturation(dred)`.
+    /// Display name, e.g. `saturation(counting)`.
     pub fn name(self) -> String {
         match self {
-            ReasoningConfig::Saturation(a) => format!("saturation({})", a.name()),
+            ReasoningConfig::Saturation(MaintenanceAlgorithm::Counting) => {
+                "saturation(counting)".into()
+            }
             ReasoningConfig::Reformulation => "reformulation".into(),
             ReasoningConfig::Interval => "interval".into(),
         }
@@ -141,8 +161,7 @@ pub struct StoreDelta {
     /// inserted, `(t, false)` when it was removed.
     pub base: Vec<(Triple, bool)>,
     /// Changes to the maintained saturation `G∞` — empty unless the active
-    /// strategy maintains one whose maintainer records entailed deltas
-    /// (see [`rdfs::incremental::Maintainer::supports_delta_tracking`]).
+    /// strategy is saturation.
     pub entailed: Vec<(Triple, bool)>,
     /// Whether a schema-changing mutation (or a strategy rebuild)
     /// happened since the last drain. Derived caches were swapped; views
@@ -163,7 +182,7 @@ impl StoreDelta {
 /// never mutates the store.
 enum State {
     /// Maintained saturation: the maintainer owns `G` and `G∞`.
-    Saturation(Box<dyn Maintainer + Send>),
+    Saturation(Box<CountingMaintainer>),
     /// Reformulation or interval rewriting over the explicit graph.
     Schema { graph: Graph, mode: SchemaMode },
 }
@@ -271,7 +290,9 @@ impl Store {
 
     fn build_state(graph: Graph, vocab: Vocab, config: ReasoningConfig) -> State {
         match config {
-            ReasoningConfig::Saturation(algo) => State::Saturation(algo.build(graph, vocab)),
+            ReasoningConfig::Saturation(MaintenanceAlgorithm::Counting) => {
+                State::Saturation(Box::new(CountingMaintainer::new(graph, vocab)))
+            }
             ReasoningConfig::Reformulation => State::Schema {
                 graph,
                 mode: SchemaMode::Reformulate,
@@ -400,13 +421,6 @@ impl Store {
         self.delta_tracking
     }
 
-    /// Whether the active strategy reports *entailed* deltas (a maintained
-    /// saturation whose maintainer records them). When false, only the
-    /// base delta of [`StoreDelta`] is populated.
-    pub fn supports_entailed_delta(&self) -> bool {
-        matches!(&self.state, State::Saturation(m) if m.supports_delta_tracking())
-    }
-
     /// Drains the delta captured since the last drain (empty unless
     /// [`Store::set_delta_tracking`] is on).
     pub fn take_delta(&mut self) -> StoreDelta {
@@ -465,9 +479,8 @@ impl Store {
 
     // --- loading and updates ---------------------------------------------
 
-    /// Parses Turtle and inserts every triple as one batch (a single
-    /// maintenance pass under saturation). Returns how many triples the
-    /// document contained.
+    /// Parses Turtle and inserts every triple as one batch. Returns how
+    /// many triples the document contained.
     pub fn load_turtle(&mut self, text: &str) -> Result<usize, AnswerError> {
         let mut staging = Graph::new();
         let n = rdf_io::parse_turtle(text, &mut self.dict_mut(), &mut staging)?;
@@ -485,61 +498,30 @@ impl Store {
         Ok(n)
     }
 
-    /// Inserts a batch of triples with one maintenance pass under
-    /// saturation (see [`rdfs::incremental::Maintainer::insert_batch`]).
+    /// Inserts a batch of triples, one maintenance step per triple.
+    /// Reports [`UpdateKind::Batch`] when any triple changed the base
+    /// graph and [`UpdateKind::Noop`] otherwise.
     pub fn insert_batch(&mut self, triples: &[Triple]) -> UpdateStats {
         self.apply_batch(triples, true)
     }
 
-    /// Deletes a batch of triples with one maintenance pass under
-    /// saturation.
+    /// Deletes a batch of triples, one maintenance step per triple.
     pub fn delete_batch(&mut self, triples: &[Triple]) -> UpdateStats {
         self.apply_batch(triples, false)
     }
 
     fn apply_batch(&mut self, triples: &[Triple], insert: bool) -> UpdateStats {
-        let State::Saturation(m) = &mut self.state else {
-            // Nothing to maintain: apply triple by triple.
-            let mut total = UpdateStats {
-                kind: UpdateKind::Noop,
-                added: 0,
-                removed: 0,
-                work: 0,
-            };
-            for t in triples {
-                let s = if insert {
-                    self.insert(*t)
-                } else {
-                    self.delete(t)
-                };
-                if s.kind != UpdateKind::Noop {
-                    total.kind = UpdateKind::Batch;
-                }
-                total.added += s.added;
-                total.removed += s.removed;
+        let mut total = UpdateStats::noop();
+        for t in triples {
+            let s = self.apply_one(t, insert);
+            if s.kind != UpdateKind::Noop {
+                total.kind = UpdateKind::Batch;
             }
-            return total;
-        };
-        // The maintainers don't report which batch members changed the
-        // base, so capture those up front.
-        if self.delta_tracking {
-            let base = m.base();
-            let mut seen = rustc_hash::FxHashSet::default();
-            let changed: Vec<(Triple, bool)> = triples
-                .iter()
-                .filter(|t| base.contains(t) != insert && seen.insert(**t))
-                .map(|&t| (t, insert))
-                .collect();
-            self.base_delta.extend(changed);
+            total.added += s.added;
+            total.removed += s.removed;
+            total.work += s.work;
         }
-        let stats = if insert {
-            m.insert_batch(triples)
-        } else {
-            m.delete_batch(triples)
-        };
-        let schema = triples.iter().any(|t| self.vocab.is_schema_property(t.p));
-        self.note_change(schema);
-        stats
+        total
     }
 
     /// Encodes three terms and inserts the triple.
@@ -564,12 +546,7 @@ impl Store {
         };
         match ids {
             (Some(s), Some(p), Some(o)) => self.delete(&Triple::new(s, p, o)),
-            _ => UpdateStats {
-                kind: UpdateKind::Noop,
-                added: 0,
-                removed: 0,
-                work: 0,
-            },
+            _ => UpdateStats::noop(),
         }
     }
 
@@ -807,6 +784,37 @@ mod tests {
     }
 
     #[test]
+    fn empty_and_noop_batches() {
+        for config in ReasoningConfig::ALL {
+            let mut s = store_with(config);
+            let epoch = s.snapshot().epoch();
+            assert_eq!(s.insert_batch(&[]).kind, UpdateKind::Noop);
+            let existing: Vec<Triple> = s.base_graph().iter().take(3).collect();
+            let stats = s.insert_batch(&existing);
+            assert_eq!(
+                stats.kind,
+                UpdateKind::Noop,
+                "{}: duplicates",
+                config.name()
+            );
+            let absent = [Triple::new(existing[0].s, existing[0].p, existing[0].s)];
+            let stats = s.delete_batch(&absent);
+            assert_eq!(stats.kind, UpdateKind::Noop, "{}: absent", config.name());
+            assert_eq!(
+                s.snapshot().epoch(),
+                epoch,
+                "{}: no new epoch",
+                config.name()
+            );
+            // One effective triple makes the batch a batch.
+            let mut mixed = existing.clone();
+            mixed.push(Triple::new(existing[0].o, existing[0].p, existing[0].s));
+            assert_eq!(s.insert_batch(&mixed).kind, UpdateKind::Batch);
+            assert_eq!(s.delete_batch(&mixed).kind, UpdateKind::Batch);
+        }
+    }
+
+    #[test]
     fn strategy_switch_preserves_data() {
         let mut s = store_with(ReasoningConfig::Reformulation);
         let base = s.base_graph().len();
@@ -827,7 +835,7 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, AnswerError::Reformulation(_)), "{err}");
         // the same query is fine under saturation
-        s.set_config(ReasoningConfig::Saturation(MaintenanceAlgorithm::DRed));
+        s.set_config(ReasoningConfig::Saturation(MaintenanceAlgorithm::Counting));
         assert!(s
             .answer_sparql("SELECT ?p WHERE { <http://ex/Tom> ?p <http://ex/Cat> }")
             .is_ok());
@@ -835,10 +843,10 @@ mod tests {
 
     #[test]
     fn stats_reflect_strategy() {
-        let mut s = store_with(ReasoningConfig::Saturation(MaintenanceAlgorithm::Recompute));
+        let mut s = store_with(ReasoningConfig::Saturation(MaintenanceAlgorithm::Counting));
         let st = s.stats();
         assert!(st.saturated_triples.unwrap() > st.base_triples);
-        assert_eq!(st.strategy, "saturation(recompute)");
+        assert_eq!(st.strategy, "saturation(counting)");
 
         for config in [ReasoningConfig::Reformulation, ReasoningConfig::Interval] {
             s.set_config(config);

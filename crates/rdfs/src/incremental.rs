@@ -22,7 +22,9 @@
 //!   have changed.
 //!
 //! All three implement [`Maintainer`] and are property-tested equivalent
-//! to recomputation under random update streams.
+//! to recomputation under random update streams. A saturated store serves
+//! counting only; recompute and DRed are the baselines the paper's tables
+//! compare it with.
 
 use crate::rules::{consequences_of, one_step_derivable};
 use crate::saturation::{derive_instance_consequences, saturate};
@@ -63,7 +65,8 @@ pub struct UpdateStats {
 }
 
 impl UpdateStats {
-    fn noop() -> Self {
+    /// The stats of an update that changed nothing.
+    pub fn noop() -> Self {
         UpdateStats {
             kind: UpdateKind::Noop,
             added: 0,
@@ -86,109 +89,8 @@ pub trait Maintainer {
     fn insert(&mut self, t: Triple) -> UpdateStats;
     /// Removes a triple from the base graph and maintains the saturation.
     fn delete(&mut self, t: &Triple) -> UpdateStats;
-    /// The algorithm's display name.
-    fn algorithm(&self) -> MaintenanceAlgorithm;
-
-    /// Inserts a batch, maintaining as the implementation sees fit
-    /// (default: one at a time). Bulk loads should prefer this. Reports
-    /// [`UpdateKind::Noop`] when nothing in the batch changed the base.
-    fn insert_batch(&mut self, triples: &[Triple]) -> UpdateStats {
-        let mut total = UpdateStats {
-            kind: UpdateKind::Noop,
-            added: 0,
-            removed: 0,
-            work: 0,
-        };
-        for &t in triples {
-            let s = self.insert(t);
-            if s.kind != UpdateKind::Noop {
-                total.kind = UpdateKind::Batch;
-            }
-            total.added += s.added;
-            total.removed += s.removed;
-            total.work += s.work;
-        }
-        total
-    }
-
-    /// Deletes a batch (default: one at a time). Reports
-    /// [`UpdateKind::Noop`] when nothing in the batch changed the base.
-    fn delete_batch(&mut self, triples: &[Triple]) -> UpdateStats {
-        let mut total = UpdateStats {
-            kind: UpdateKind::Noop,
-            added: 0,
-            removed: 0,
-            work: 0,
-        };
-        for t in triples {
-            let s = self.delete(t);
-            if s.kind != UpdateKind::Noop {
-                total.kind = UpdateKind::Batch;
-            }
-            total.added += s.added;
-            total.removed += s.removed;
-            total.work += s.work;
-        }
-        total
-    }
-
-    /// Turns recording of the *entailed* delta on or off. While on, every
-    /// triple that enters or leaves the saturation is appended to a buffer
-    /// drained by [`Maintainer::take_entailed_delta`]. Off by default; the
-    /// default implementation ignores the request (see
-    /// [`Maintainer::supports_delta_tracking`]).
-    fn set_delta_tracking(&mut self, _on: bool) {}
-
-    /// Drains the entailed delta recorded since the last drain: `(t, true)`
-    /// when `t` entered `G∞`, `(t, false)` when it left. Within one drain a
-    /// triple appears at most once per direction net of cancellation only
-    /// if the maintainer guarantees it — consumers must consolidate.
-    fn take_entailed_delta(&mut self) -> Vec<(Triple, bool)> {
-        Vec::new()
-    }
-
-    /// True when this maintainer actually records entailed deltas.
-    fn supports_delta_tracking(&self) -> bool {
-        false
-    }
-}
-
-/// Selector for the three maintenance algorithms.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum MaintenanceAlgorithm {
-    /// Re-saturate from scratch on every update.
-    Recompute,
-    /// Delete-and-rederive.
-    DRed,
-    /// Derivation counting.
-    Counting,
-}
-
-impl MaintenanceAlgorithm {
-    /// All algorithms, for sweeps.
-    pub const ALL: [MaintenanceAlgorithm; 3] = [
-        MaintenanceAlgorithm::Recompute,
-        MaintenanceAlgorithm::DRed,
-        MaintenanceAlgorithm::Counting,
-    ];
-
-    /// Display name.
-    pub fn name(self) -> &'static str {
-        match self {
-            MaintenanceAlgorithm::Recompute => "recompute",
-            MaintenanceAlgorithm::DRed => "dred",
-            MaintenanceAlgorithm::Counting => "counting",
-        }
-    }
-
-    /// Builds a maintainer over `base` using this algorithm.
-    pub fn build(self, base: Graph, vocab: Vocab) -> Box<dyn Maintainer + Send> {
-        match self {
-            MaintenanceAlgorithm::Recompute => Box::new(RecomputeMaintainer::new(base, vocab)),
-            MaintenanceAlgorithm::DRed => Box::new(DRedMaintainer::new(base, vocab)),
-            MaintenanceAlgorithm::Counting => Box::new(CountingMaintainer::new(base, vocab)),
-        }
-    }
+    /// The algorithm's display name, e.g. `counting`.
+    fn name(&self) -> &'static str;
 }
 
 fn classify(t: &Triple, vocab: &Vocab, insert: bool) -> UpdateKind {
@@ -202,16 +104,7 @@ fn classify(t: &Triple, vocab: &Vocab, insert: bool) -> UpdateKind {
 
 /// Semi-naive forward closure from `frontier` (already inserted in `sat`).
 /// Returns `(new_triples, work)`.
-fn seminaive_extend(
-    sat: &mut Graph,
-    mut frontier: Vec<Triple>,
-    vocab: &Vocab,
-    mut delta: Option<&mut Vec<(Triple, bool)>>,
-) -> (usize, usize) {
-    // Crash site for the fault-injection suite: the base graph is already
-    // updated but the saturation delta has not been applied yet — exactly
-    // the state a recovery must be able to reconverge from.
-    webreason_failpoints::fail_point!("store.maintain.incremental");
+fn seminaive_extend(sat: &mut Graph, mut frontier: Vec<Triple>, vocab: &Vocab) -> (usize, usize) {
     let mut added = 0;
     let mut work = 0;
     let mut buf: Vec<Triple> = Vec::new();
@@ -226,9 +119,6 @@ fn seminaive_extend(
             if sat.insert(c) {
                 added += 1;
                 frontier.push(c);
-                if let Some(d) = delta.as_deref_mut() {
-                    d.push((c, true));
-                }
             }
         }
     }
@@ -245,45 +135,24 @@ pub struct RecomputeMaintainer {
     vocab: Vocab,
     base: Graph,
     sat: Graph,
-    delta: Option<Vec<(Triple, bool)>>,
 }
 
 impl RecomputeMaintainer {
     /// Builds the maintainer and computes the initial saturation.
     pub fn new(base: Graph, vocab: Vocab) -> Self {
         let sat = saturate(&base, &vocab).graph;
-        RecomputeMaintainer {
-            vocab,
-            base,
-            sat,
-            delta: None,
-        }
+        RecomputeMaintainer { vocab, base, sat }
     }
 
     fn recompute(&mut self, kind: UpdateKind) -> UpdateStats {
         let old_len = self.sat.len();
-        let graph = saturate(&self.base, &self.vocab).graph;
-        let work = graph.len();
-        let new_len = graph.len();
-        if let Some(buf) = &mut self.delta {
-            // Recomputation gives no per-triple trail, so diff wholesale.
-            for t in self.sat.iter() {
-                if !graph.contains(&t) {
-                    buf.push((t, false));
-                }
-            }
-            for t in graph.iter() {
-                if !self.sat.contains(&t) {
-                    buf.push((t, true));
-                }
-            }
-        }
-        self.sat = graph;
+        self.sat = saturate(&self.base, &self.vocab).graph;
+        let new_len = self.sat.len();
         UpdateStats {
             kind,
             added: new_len.saturating_sub(old_len),
             removed: old_len.saturating_sub(new_len),
-            work,
+            work: new_len,
         }
     }
 }
@@ -307,40 +176,8 @@ impl Maintainer for RecomputeMaintainer {
         }
         self.recompute(classify(t, &self.vocab, false))
     }
-    fn algorithm(&self) -> MaintenanceAlgorithm {
-        MaintenanceAlgorithm::Recompute
-    }
-
-    fn set_delta_tracking(&mut self, on: bool) {
-        match (on, self.delta.is_some()) {
-            (true, false) => self.delta = Some(Vec::new()),
-            (false, _) => self.delta = None,
-            _ => {}
-        }
-    }
-    fn take_entailed_delta(&mut self) -> Vec<(Triple, bool)> {
-        self.delta.as_mut().map(std::mem::take).unwrap_or_default()
-    }
-    fn supports_delta_tracking(&self) -> bool {
-        true
-    }
-
-    /// Batches pay a single recomputation — the whole point of batching
-    /// under this algorithm.
-    fn insert_batch(&mut self, triples: &[Triple]) -> UpdateStats {
-        let changed = triples.iter().filter(|&&t| self.base.insert(t)).count();
-        if changed == 0 {
-            return UpdateStats::noop();
-        }
-        self.recompute(UpdateKind::Batch)
-    }
-
-    fn delete_batch(&mut self, triples: &[Triple]) -> UpdateStats {
-        let changed = triples.iter().filter(|t| self.base.remove(t)).count();
-        if changed == 0 {
-            return UpdateStats::noop();
-        }
-        self.recompute(UpdateKind::Batch)
+    fn name(&self) -> &'static str {
+        "recompute"
     }
 }
 
@@ -354,19 +191,13 @@ pub struct DRedMaintainer {
     vocab: Vocab,
     base: Graph,
     sat: Graph,
-    delta: Option<Vec<(Triple, bool)>>,
 }
 
 impl DRedMaintainer {
     /// Builds the maintainer and computes the initial saturation.
     pub fn new(base: Graph, vocab: Vocab) -> Self {
         let sat = saturate(&base, &vocab).graph;
-        DRedMaintainer {
-            vocab,
-            base,
-            sat,
-            delta: None,
-        }
+        DRedMaintainer { vocab, base, sat }
     }
 }
 
@@ -392,11 +223,7 @@ impl Maintainer for DRedMaintainer {
                 work: 0,
             };
         }
-        if let Some(buf) = &mut self.delta {
-            buf.push((t, true));
-        }
-        let (added, work) =
-            seminaive_extend(&mut self.sat, vec![t], &self.vocab, self.delta.as_mut());
+        let (added, work) = seminaive_extend(&mut self.sat, vec![t], &self.vocab);
         UpdateStats {
             kind,
             added: added + 1,
@@ -405,95 +232,18 @@ impl Maintainer for DRedMaintainer {
         }
     }
 
+    /// Over-deletes everything transitively derivable from `t`, then
+    /// re-derives what is still supported.
     fn delete(&mut self, t: &Triple) -> UpdateStats {
         if !self.base.remove(t) {
             return UpdateStats::noop();
         }
         let kind = classify(t, &self.vocab, false);
-        let (removed, work) = self.dred_delete(vec![*t]);
-        UpdateStats {
-            kind,
-            added: 0,
-            removed,
-            work,
-        }
-    }
-
-    fn algorithm(&self) -> MaintenanceAlgorithm {
-        MaintenanceAlgorithm::DRed
-    }
-
-    fn set_delta_tracking(&mut self, on: bool) {
-        match (on, self.delta.is_some()) {
-            (true, false) => self.delta = Some(Vec::new()),
-            (false, _) => self.delta = None,
-            _ => {}
-        }
-    }
-    fn take_entailed_delta(&mut self) -> Vec<(Triple, bool)> {
-        self.delta.as_mut().map(std::mem::take).unwrap_or_default()
-    }
-    fn supports_delta_tracking(&self) -> bool {
-        true
-    }
-
-    /// A batch insertion runs one semi-naive pass from all new triples.
-    fn insert_batch(&mut self, triples: &[Triple]) -> UpdateStats {
-        let mut seeds = Vec::new();
-        for &t in triples {
-            if self.base.insert(t) && self.sat.insert(t) {
-                seeds.push(t);
-            }
-        }
-        if seeds.is_empty() {
-            return UpdateStats::noop();
-        }
-        if let Some(buf) = &mut self.delta {
-            buf.extend(seeds.iter().map(|&t| (t, true)));
-        }
-        let n_seeds = seeds.len();
-        let (added, work) =
-            seminaive_extend(&mut self.sat, seeds, &self.vocab, self.delta.as_mut());
-        UpdateStats {
-            kind: UpdateKind::Batch,
-            added: added + n_seeds,
-            removed: 0,
-            work,
-        }
-    }
-
-    /// A batch deletion over-deletes and re-derives **once** for the whole
-    /// batch, instead of paying the re-derivation per triple.
-    fn delete_batch(&mut self, triples: &[Triple]) -> UpdateStats {
-        let removed: Vec<Triple> = triples
-            .iter()
-            .copied()
-            .filter(|t| self.base.remove(t))
-            .collect();
-        if removed.is_empty() {
-            return UpdateStats::noop();
-        }
-        let (removed, work) = self.dred_delete(removed);
-        UpdateStats {
-            kind: UpdateKind::Batch,
-            added: 0,
-            removed,
-            work,
-        }
-    }
-}
-
-impl DRedMaintainer {
-    /// The DRed core: over-delete everything transitively derivable from
-    /// the seeds (already removed from the base), then re-derive what is
-    /// still supported. Returns `(net_removed, work)`.
-    fn dred_delete(&mut self, seeds: Vec<Triple>) -> (usize, usize) {
-        webreason_failpoints::fail_point!("store.maintain.incremental");
         let mut work = 0;
 
-        // 1. Over-delete: everything transitively derivable from the seeds.
-        let mut over: FxHashSet<Triple> = seeds.iter().copied().collect();
-        let mut frontier = seeds;
+        // 1. Over-delete: everything transitively derivable from `t`.
+        let mut over: FxHashSet<Triple> = FxHashSet::from_iter([*t]);
+        let mut frontier = vec![*t];
         while let Some(d) = frontier.pop() {
             consequences_of(&d, &self.sat, &self.vocab, |_, c| {
                 work += 1;
@@ -516,22 +266,22 @@ impl DRedMaintainer {
                 rederive.push(*d);
             }
         }
-        // …and their consequences with them. Re-derived triples were all
-        // present before the over-deletion, so no additions are recorded.
-        let (_readded, w2) = seminaive_extend(&mut self.sat, rederive, &self.vocab, None);
-        work += w2;
+        // …and their consequences with them.
+        work += seminaive_extend(&mut self.sat, rederive, &self.vocab).1;
 
         // Everything re-derived was previously present, so the net effect is
         // pure removal.
         let removed = over.iter().filter(|d| !self.sat.contains(d)).count();
-        if let Some(buf) = &mut self.delta {
-            buf.extend(
-                over.iter()
-                    .filter(|d| !self.sat.contains(d))
-                    .map(|&d| (d, false)),
-            );
+        UpdateStats {
+            kind,
+            added: 0,
+            removed,
+            work,
         }
-        (removed, work)
+    }
+
+    fn name(&self) -> &'static str {
+        "dred"
     }
 }
 
@@ -597,6 +347,24 @@ impl CountingMaintainer {
     /// for tests and diagnostics.
     pub fn count_of(&self, t: &Triple) -> u32 {
         self.counts.get(t).copied().unwrap_or(0)
+    }
+
+    /// Turns recording of the *entailed* delta on or off. While on, every
+    /// triple that enters or leaves `G∞` is appended to a buffer drained by
+    /// [`CountingMaintainer::take_entailed_delta`]. Off by default.
+    pub fn set_delta_tracking(&mut self, on: bool) {
+        match (on, self.delta.is_some()) {
+            (true, false) => self.delta = Some(Vec::new()),
+            (false, _) => self.delta = None,
+            _ => {}
+        }
+    }
+
+    /// Drains the entailed delta recorded since the last drain: `(t, true)`
+    /// when `t` entered `G∞`, `(t, false)` when it left. A triple may leave
+    /// and re-enter within one drain, so consumers must consolidate.
+    pub fn take_entailed_delta(&mut self) -> Vec<(Triple, bool)> {
+        self.delta.as_mut().map(std::mem::take).unwrap_or_default()
     }
 
     fn cons_set(t: &Triple, vocab: &Vocab, schema: &Schema) -> FxHashSet<Triple> {
@@ -805,22 +573,8 @@ impl Maintainer for CountingMaintainer {
         }
     }
 
-    fn algorithm(&self) -> MaintenanceAlgorithm {
-        MaintenanceAlgorithm::Counting
-    }
-
-    fn set_delta_tracking(&mut self, on: bool) {
-        match (on, self.delta.is_some()) {
-            (true, false) => self.delta = Some(Vec::new()),
-            (false, _) => self.delta = None,
-            _ => {}
-        }
-    }
-    fn take_entailed_delta(&mut self) -> Vec<(Triple, bool)> {
-        self.delta.as_mut().map(std::mem::take).unwrap_or_default()
-    }
-    fn supports_delta_tracking(&self) -> bool {
-        true
+    fn name(&self) -> &'static str {
+        "counting"
     }
 }
 
@@ -860,9 +614,18 @@ mod tests {
         assert_eq!(
             m.saturated(),
             &expect,
-            "{:?}: maintained saturation diverged from recomputation",
-            m.algorithm()
+            "{}: maintained saturation diverged from recomputation",
+            m.name()
         );
+    }
+
+    /// The three maintainers, each over its own copy of `base`.
+    fn all_maintainers(base: &Graph, vocab: Vocab) -> Vec<Box<dyn Maintainer>> {
+        vec![
+            Box::new(RecomputeMaintainer::new(base.clone(), vocab)),
+            Box::new(DRedMaintainer::new(base.clone(), vocab)),
+            Box::new(CountingMaintainer::new(base.clone(), vocab)),
+        ]
     }
 
     fn university_base() -> (Fx, Vec<Triple>) {
@@ -895,9 +658,8 @@ mod tests {
 
     #[test]
     fn all_algorithms_maintain_through_mixed_updates() {
-        for algo in MaintenanceAlgorithm::ALL {
-            let (f, extra) = university_base();
-            let mut m = algo.build(f.g.clone(), f.vocab);
+        let (f, extra) = university_base();
+        for mut m in all_maintainers(&f.g, f.vocab) {
             check_invariant(m.as_ref(), &f.vocab);
             // inserts
             for &t in &extra {
@@ -923,8 +685,7 @@ mod tests {
     #[test]
     fn duplicate_insert_and_missing_delete_are_noops() {
         let (f, _) = university_base();
-        for algo in MaintenanceAlgorithm::ALL {
-            let mut m = algo.build(f.g.clone(), f.vocab);
+        for mut m in all_maintainers(&f.g, f.vocab) {
             let existing = f.g.iter().next().unwrap();
             assert_eq!(m.insert(existing).kind, UpdateKind::Noop);
             let absent = Triple::new(existing.s, existing.p, existing.s);
@@ -952,20 +713,19 @@ mod tests {
         f.add(anne, knows, m2);
         let derived = Triple::new(anne, v.rdf_type, person);
 
-        for algo in MaintenanceAlgorithm::ALL {
-            let mut m = algo.build(f.g.clone(), f.vocab);
+        for mut m in all_maintainers(&f.g, f.vocab) {
             assert!(m.saturated().contains(&derived));
             m.delete(&Triple::new(anne, hf, m1));
             assert!(
                 m.saturated().contains(&derived),
                 "{:?}: alternative support",
-                algo.name()
+                m.name()
             );
             m.delete(&Triple::new(anne, knows, m2));
             assert!(
                 !m.saturated().contains(&derived),
                 "{:?}: no support left",
-                algo.name()
+                m.name()
             );
             check_invariant(m.as_ref(), &f.vocab);
         }
@@ -986,14 +746,13 @@ mod tests {
         f.add(hf, v.domain, person);
         f.add(anne, hf, marie);
         f.add(anne, v.rdf_type, person);
-        for algo in MaintenanceAlgorithm::ALL {
-            let mut m = algo.build(f.g.clone(), f.vocab);
+        for mut m in all_maintainers(&f.g, f.vocab) {
             m.delete(&Triple::new(anne, hf, marie));
             assert!(
                 m.saturated()
                     .contains(&Triple::new(anne, v.rdf_type, person)),
                 "{}",
-                algo.name()
+                m.name()
             );
             check_invariant(m.as_ref(), &f.vocab);
         }
@@ -1010,8 +769,7 @@ mod tests {
         );
         let v = f.vocab;
         f.add(anne, hf, marie);
-        for algo in MaintenanceAlgorithm::ALL {
-            let mut m = algo.build(f.g.clone(), f.vocab);
+        for mut m in all_maintainers(&f.g, f.vocab) {
             assert!(!m
                 .saturated()
                 .contains(&Triple::new(anne, v.rdf_type, person)));
@@ -1021,7 +779,7 @@ mod tests {
                 m.saturated()
                     .contains(&Triple::new(anne, v.rdf_type, person)),
                 "{}",
-                algo.name()
+                m.name()
             );
             check_invariant(m.as_ref(), &f.vocab);
         }
@@ -1035,12 +793,11 @@ mod tests {
         f.add(cat, v.sub_class_of, mammal);
         f.add(tom, v.rdf_type, cat);
         let derived = Triple::new(tom, v.rdf_type, mammal);
-        for algo in MaintenanceAlgorithm::ALL {
-            let mut m = algo.build(f.g.clone(), f.vocab);
+        for mut m in all_maintainers(&f.g, f.vocab) {
             assert!(m.saturated().contains(&derived));
             let stats = m.delete(&Triple::new(cat, v.sub_class_of, mammal));
             assert_eq!(stats.kind, UpdateKind::SchemaDelete);
-            assert!(!m.saturated().contains(&derived), "{}", algo.name());
+            assert!(!m.saturated().contains(&derived), "{}", m.name());
             check_invariant(m.as_ref(), &f.vocab);
         }
     }
@@ -1055,13 +812,12 @@ mod tests {
         f.add(a, v.sub_class_of, b);
         f.add(b, v.sub_class_of, c);
         f.add(a, v.sub_class_of, c);
-        for algo in MaintenanceAlgorithm::ALL {
-            let mut m = algo.build(f.g.clone(), f.vocab);
+        for mut m in all_maintainers(&f.g, f.vocab) {
             m.delete(&Triple::new(a, v.sub_class_of, c));
             assert!(
                 m.saturated().contains(&Triple::new(a, v.sub_class_of, c)),
                 "{}",
-                algo.name()
+                m.name()
             );
             check_invariant(m.as_ref(), &f.vocab);
         }
@@ -1075,8 +831,7 @@ mod tests {
         f.add(a, v.sub_class_of, b);
         f.add(b, v.sub_class_of, a);
         f.add(x, v.rdf_type, a);
-        for algo in MaintenanceAlgorithm::ALL {
-            let mut m = algo.build(f.g.clone(), f.vocab);
+        for mut m in all_maintainers(&f.g, f.vocab) {
             assert!(m.saturated().contains(&Triple::new(x, v.rdf_type, b)));
             m.delete(&Triple::new(b, v.sub_class_of, a));
             check_invariant(m.as_ref(), &f.vocab);
@@ -1084,7 +839,7 @@ mod tests {
             assert!(
                 !m.saturated().contains(&Triple::new(x, v.rdf_type, b)),
                 "{}",
-                algo.name()
+                m.name()
             );
             check_invariant(m.as_ref(), &f.vocab);
         }
@@ -1121,74 +876,13 @@ mod tests {
         let (cat, mammal, tom) = (f.id("Cat"), f.id("Mammal"), f.id("Tom"));
         let v = f.vocab;
         f.add(cat, v.sub_class_of, mammal);
-        for algo in MaintenanceAlgorithm::ALL {
-            let mut m = algo.build(f.g.clone(), f.vocab);
+        for mut m in all_maintainers(&f.g, f.vocab) {
             let stats = m.insert(Triple::new(tom, v.rdf_type, cat));
             assert_eq!(stats.kind, UpdateKind::InstanceInsert);
-            assert_eq!(stats.added, 2, "{}: tom:Cat + tom:Mammal", algo.name());
+            assert_eq!(stats.added, 2, "{}: tom:Cat + tom:Mammal", m.name());
             let stats = m.delete(&Triple::new(tom, v.rdf_type, cat));
             assert_eq!(stats.kind, UpdateKind::InstanceDelete);
-            assert_eq!(stats.removed, 2, "{}", algo.name());
-        }
-    }
-
-    #[test]
-    fn batch_updates_match_sequential() {
-        let (f, extra) = university_base();
-        let base_triples: Vec<Triple> = f.g.iter().collect();
-        for algo in MaintenanceAlgorithm::ALL {
-            // batch insert the extras, batch delete half the base + extras
-            let mut batch = algo.build(f.g.clone(), f.vocab);
-            let stats = batch.insert_batch(&extra);
-            assert_eq!(stats.kind, UpdateKind::Batch, "{}", algo.name());
-            assert!(stats.added > 0);
-            let victims: Vec<Triple> = base_triples
-                .iter()
-                .step_by(2)
-                .chain(extra.iter())
-                .copied()
-                .collect();
-            let stats = batch.delete_batch(&victims);
-            assert!(stats.removed > 0, "{}", algo.name());
-
-            let mut seq = algo.build(f.g.clone(), f.vocab);
-            for &t in &extra {
-                seq.insert(t);
-            }
-            for t in &victims {
-                seq.delete(t);
-            }
-            assert_eq!(batch.base(), seq.base(), "{}", algo.name());
-            assert_eq!(batch.saturated(), seq.saturated(), "{}", algo.name());
-            check_invariant(batch.as_ref(), &f.vocab);
-        }
-    }
-
-    #[test]
-    fn empty_and_noop_batches() {
-        let (f, _) = university_base();
-        for algo in MaintenanceAlgorithm::ALL {
-            let mut m = algo.build(f.g.clone(), f.vocab);
-            assert_eq!(
-                m.insert_batch(&[]).kind,
-                UpdateKind::Noop,
-                "{}",
-                algo.name()
-            );
-            let existing: Vec<Triple> = f.g.iter().take(3).collect();
-            assert_eq!(
-                m.insert_batch(&existing).kind,
-                UpdateKind::Noop,
-                "all duplicates"
-            );
-            let absent = vec![Triple::new(existing[0].s, existing[0].p, existing[0].s)];
-            assert_eq!(
-                m.delete_batch(&absent).kind,
-                UpdateKind::Noop,
-                "{}",
-                algo.name()
-            );
-            check_invariant(m.as_ref(), &f.vocab);
+            assert_eq!(stats.removed, 2, "{}", m.name());
         }
     }
 
@@ -1284,43 +978,24 @@ mod tests {
             fn entailed_delta_replays_saturation(ops in arb_ops()) {
                 let mut dict = Dictionary::new();
                 let vocab = Vocab::intern(&mut dict);
-                let mut maintainers: Vec<Box<dyn Maintainer + Send>> = vec![
-                    Box::new(RecomputeMaintainer::new(Graph::new(), vocab)),
-                    Box::new(DRedMaintainer::new(Graph::new(), vocab)),
-                    Box::new(CountingMaintainer::new(Graph::new(), vocab)),
-                ];
-                for m in &mut maintainers {
-                    prop_assert!(m.supports_delta_tracking());
-                    m.set_delta_tracking(true);
-                }
-                let mut shadows = [Graph::new(), Graph::new(), Graph::new()];
+                let mut m = CountingMaintainer::new(Graph::new(), vocab);
+                m.set_delta_tracking(true);
+                let mut shadow = Graph::new();
                 for op in &ops {
                     let (t, insert) = materialise(op, &mut dict, &vocab);
-                    for (m, shadow) in maintainers.iter_mut().zip(shadows.iter_mut()) {
-                        if insert {
-                            m.insert(t);
-                        } else {
-                            m.delete(&t);
-                        }
-                        for (d, add) in m.take_entailed_delta() {
-                            if add {
-                                prop_assert!(
-                                    shadow.insert(d),
-                                    "{:?}: duplicate add in delta", m.algorithm()
-                                );
-                            } else {
-                                prop_assert!(
-                                    shadow.remove(&d),
-                                    "{:?}: removal of absent triple in delta", m.algorithm()
-                                );
-                            }
-                        }
-                        prop_assert_eq!(
-                            shadow as &Graph,
-                            m.saturated(),
-                            "{:?}: delta replay diverged", m.algorithm()
-                        );
+                    if insert {
+                        m.insert(t);
+                    } else {
+                        m.delete(&t);
                     }
+                    for (d, add) in m.take_entailed_delta() {
+                        if add {
+                            prop_assert!(shadow.insert(d), "duplicate add in delta");
+                        } else {
+                            prop_assert!(shadow.remove(&d), "removal of absent triple in delta");
+                        }
+                    }
+                    prop_assert_eq!(&shadow, m.saturated(), "delta replay diverged");
                 }
             }
         }

@@ -21,7 +21,7 @@
 //! scope (it needs equivalence-class rewriting, a different mechanism;
 //! documented in DESIGN.md).
 
-use crate::incremental::{Maintainer, MaintenanceAlgorithm, UpdateKind, UpdateStats};
+use crate::incremental::{Maintainer, UpdateKind, UpdateStats};
 use crate::rules::{consequences_of, one_step_derivable};
 use crate::saturation::{SaturationResult, SaturationStats};
 use rdf_model::{Dictionary, Graph, Term, TermId, Triple, Vocab};
@@ -260,12 +260,7 @@ impl Maintainer for PlusMaintainer {
 
     fn insert(&mut self, t: Triple) -> UpdateStats {
         if !self.base.insert(t) {
-            return UpdateStats {
-                kind: UpdateKind::Noop,
-                added: 0,
-                removed: 0,
-                work: 0,
-            };
+            return UpdateStats::noop();
         }
         let kind = self.classify(&t, true);
         if !self.sat.insert(t) {
@@ -287,12 +282,7 @@ impl Maintainer for PlusMaintainer {
 
     fn delete(&mut self, t: &Triple) -> UpdateStats {
         if !self.base.remove(t) {
-            return UpdateStats {
-                kind: UpdateKind::Noop,
-                added: 0,
-                removed: 0,
-                work: 0,
-            };
+            return UpdateStats::noop();
         }
         let kind = self.classify(t, false);
         let mut work = 0;
@@ -335,8 +325,8 @@ impl Maintainer for PlusMaintainer {
         }
     }
 
-    fn algorithm(&self) -> MaintenanceAlgorithm {
-        MaintenanceAlgorithm::DRed
+    fn name(&self) -> &'static str {
+        "plus-dred"
     }
 }
 

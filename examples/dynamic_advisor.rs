@@ -10,10 +10,10 @@
 //! cargo run --release --example dynamic_advisor
 //! ```
 
+use rdfs::incremental::CountingMaintainer;
 use webreason_core::advisor::{advise, Recommendation, UpdateMix, WorkloadMix};
 use webreason_core::cost::profile;
 use webreason_core::threshold::{compute_thresholds, spread_orders_of_magnitude};
-use webreason_core::MaintenanceAlgorithm;
 use workload::lubm::{generate, queries, LubmConfig};
 
 fn main() {
@@ -34,7 +34,8 @@ fn main() {
         ds.graph.len(),
         qs.len()
     );
-    let prof = profile(&ds.graph, &ds.vocab, &qs, MaintenanceAlgorithm::Counting, 3);
+    let mut counting = CountingMaintainer::new(ds.graph.clone(), ds.vocab);
+    let prof = profile(&mut counting, &ds.vocab, &qs, 3);
 
     println!(
         "saturation: {:.1} ms; maintenance per update (counting): inst-ins {:.3} ms, \

@@ -20,12 +20,11 @@
 
 use durability::{FsyncPolicy, Journal};
 use rdf_model::Term;
-use rdfs::incremental::MaintenanceAlgorithm;
 use std::num::NonZeroUsize;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 use webreason_core::durable::JOURNAL_FILE;
-use webreason_core::{DurableStore, ReasoningConfig, ScriptOp, Store};
+use webreason_core::{DurableStore, MaintenanceAlgorithm, ReasoningConfig, ScriptOp, Store};
 
 const ZOO: &str = r#"
     @prefix ex: <http://ex/> .

@@ -94,8 +94,8 @@ fn multi_hop_reasoning_query_with_joins() {
 
 #[test]
 fn deletes_retract_inferences_in_live_store() {
-    for algo in MaintenanceAlgorithm::ALL {
-        let mut store = Store::new(ReasoningConfig::Saturation(algo));
+    for config in ReasoningConfig::ALL {
+        let mut store = Store::new(config);
         store
             .load_turtle(
                 r#"
@@ -113,7 +113,12 @@ fn deletes_retract_inferences_in_live_store() {
             &Term::iri(rdf_model::vocab::RDF_TYPE),
             &Term::iri("http://ex/Cat"),
         );
-        assert_eq!(store.answer_sparql(q).unwrap().len(), 0, "{}", algo.name());
+        assert_eq!(
+            store.answer_sparql(q).unwrap().len(),
+            0,
+            "{}",
+            config.name()
+        );
     }
 }
 

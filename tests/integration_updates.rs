@@ -4,9 +4,11 @@
 //! data and schemas change.
 
 use rdf_model::Triple;
-use rdfs::incremental::{MaintenanceAlgorithm, UpdateKind};
+use rdfs::incremental::{
+    CountingMaintainer, DRedMaintainer, Maintainer, RecomputeMaintainer, UpdateKind,
+};
 use rdfs::saturate;
-use webreason_core::{ReasoningConfig, Store};
+use webreason_core::{MaintenanceAlgorithm, ReasoningConfig, Store};
 use workload::lubm::{generate, LubmConfig, UbVocab};
 use workload::synth::{generate as synth_generate, SynthConfig};
 
@@ -15,8 +17,8 @@ use workload::synth::{generate as synth_generate, SynthConfig};
 /// makes compute-everything-up-front infeasible per §I).
 #[test]
 fn late_arriving_schema_from_second_endpoint() {
-    for algo in MaintenanceAlgorithm::ALL {
-        let mut store = Store::new(ReasoningConfig::Saturation(algo));
+    for config in ReasoningConfig::ALL {
+        let mut store = Store::new(config);
         // Endpoint A ships facts with its own vocabulary…
         store
             .load_turtle(
@@ -40,7 +42,12 @@ fn late_arriving_schema_from_second_endpoint() {
             "#,
             )
             .unwrap();
-        assert_eq!(store.answer_sparql(q).unwrap().len(), 2, "{}", algo.name());
+        assert_eq!(
+            store.answer_sparql(q).unwrap().len(),
+            2,
+            "{}",
+            config.name()
+        );
     }
 }
 
@@ -74,20 +81,22 @@ fn lubm_update_stream_checkpoints() {
     let special = dict.encode_iri("http://webreason.example/univ-bench#VisitingProfessor");
     let schema_edge = Triple::new(special, vocab.sub_class_of, ub.professor);
 
-    for algo in [MaintenanceAlgorithm::DRed, MaintenanceAlgorithm::Counting] {
-        let mut m = algo.build(ds.graph.clone(), vocab);
+    let maintainers: [Box<dyn Maintainer>; 2] = [
+        Box::new(DRedMaintainer::new(ds.graph.clone(), vocab)),
+        Box::new(CountingMaintainer::new(ds.graph.clone(), vocab)),
+    ];
+    for mut m in maintainers {
         let mut base = ds.graph.clone();
         let mut step = 0usize;
-        let checkpoint =
-            |m: &dyn rdfs::incremental::Maintainer, base: &rdf_model::Graph, step: usize| {
-                let expect = saturate(base, &vocab).graph;
-                assert_eq!(
-                    m.saturated(),
-                    &expect,
-                    "{} diverged at step {step}",
-                    algo.name()
-                );
-            };
+        let checkpoint = |m: &dyn Maintainer, base: &rdf_model::Graph, step: usize| {
+            let expect = saturate(base, &vocab).graph;
+            assert_eq!(
+                m.saturated(),
+                &expect,
+                "{} diverged at step {step}",
+                m.name()
+            );
+        };
         for t in &existing {
             base.remove(t);
             m.delete(t);
@@ -151,10 +160,11 @@ fn synthetic_mixed_stream_three_way_agreement() {
     let vocab = w.dataset.vocab;
     let graph = w.dataset.graph;
 
-    let mut maintainers: Vec<_> = MaintenanceAlgorithm::ALL
-        .iter()
-        .map(|a| a.build(graph.clone(), vocab))
-        .collect();
+    let mut maintainers: [Box<dyn Maintainer>; 3] = [
+        Box::new(RecomputeMaintainer::new(graph.clone(), vocab)),
+        Box::new(DRedMaintainer::new(graph.clone(), vocab)),
+        Box::new(CountingMaintainer::new(graph.clone(), vocab)),
+    ];
 
     // Stream: remove every 7th triple, re-add every 3rd removed.
     let victims: Vec<Triple> = graph.iter().step_by(7).collect();
@@ -170,7 +180,7 @@ fn synthetic_mixed_stream_three_way_agreement() {
     }
     let reference = maintainers[0].saturated().clone();
     for m in &maintainers[1..] {
-        assert_eq!(m.saturated(), &reference, "{:?}", m.algorithm());
+        assert_eq!(m.saturated(), &reference, "{}", m.name());
     }
     assert_eq!(&saturate(maintainers[0].base(), &vocab).graph, &reference);
 }
