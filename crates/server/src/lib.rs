@@ -189,6 +189,9 @@ struct Shared {
     degraded: AtomicBool,
     degraded_reason: Mutex<Option<String>>,
     degraded_cv: Condvar,
+    /// This server's degraded-mode entries and exits, for `/metrics`.
+    degraded_entered: AtomicU64,
+    degraded_exited: AtomicU64,
     /// EWMAs (µs, α=1/8) feeding admission control: writer queue wait,
     /// writer per-job service time, reactor dispatch-queue wait.
     writer_wait_ewma_us: AtomicU64,
@@ -216,10 +219,14 @@ impl Shared {
     }
 
     /// Flips into degraded mode (idempotent) and wakes the supervisor.
+    /// The flag only changes under the reason lock, and each transition
+    /// is counted before the flag moves, so a client that sees the new
+    /// mode also sees it counted.
     fn enter_degraded(&self, reason: String) {
         let mut guard = lock(&self.degraded_reason);
-        if !self.degraded.swap(true, Ordering::SeqCst) {
-            obs::global().add("server.degraded.entered", 1);
+        if !self.is_degraded() {
+            self.degraded_entered.fetch_add(1, Ordering::SeqCst);
+            self.degraded.store(true, Ordering::SeqCst);
         }
         *guard = Some(reason);
         drop(guard);
@@ -230,8 +237,9 @@ impl Shared {
     /// probe append + fsync succeeds).
     fn exit_degraded(&self) {
         let mut guard = lock(&self.degraded_reason);
-        if self.degraded.swap(false, Ordering::SeqCst) {
-            obs::global().add("server.degraded.exited", 1);
+        if self.is_degraded() {
+            self.degraded_exited.fetch_add(1, Ordering::SeqCst);
+            self.degraded.store(false, Ordering::SeqCst);
         }
         *guard = None;
     }
@@ -341,6 +349,8 @@ impl Server {
             degraded: AtomicBool::new(false),
             degraded_reason: Mutex::new(None),
             degraded_cv: Condvar::new(),
+            degraded_entered: AtomicU64::new(0),
+            degraded_exited: AtomicU64::new(0),
             writer_wait_ewma_us: AtomicU64::new(0),
             writer_service_ewma_us: AtomicU64::new(0),
             dispatch_wait_ewma_us: AtomicU64::new(0),
@@ -1022,8 +1032,8 @@ fn handle_metrics(shared: &Shared) -> Vec<u8> {
     let reg = obs::global();
     reg.add("server.metrics.requests", 1);
     let mut text = reg.snapshot().to_prometheus();
-    // Live gauge: current writer-queue occupancy (counters above are
-    // cumulative; this one is the instantaneous depth).
+    // This server's own state: the registry above is process-wide, so
+    // gauges and the degraded counters are read from `shared`.
     text.push_str(&format!(
         "# TYPE webreason_server_update_queue_current gauge\n\
          webreason_server_update_queue_current {}\n\
@@ -1035,6 +1045,10 @@ fn handle_metrics(shared: &Shared) -> Vec<u8> {
          webreason_server_max_connections {}\n\
          # TYPE webreason_server_degraded gauge\n\
          webreason_server_degraded {}\n\
+         # TYPE webreason_server_degraded_entered_total counter\n\
+         webreason_server_degraded_entered_total {}\n\
+         # TYPE webreason_server_degraded_exited_total counter\n\
+         webreason_server_degraded_exited_total {}\n\
          # TYPE webreason_server_drain_estimate_ms gauge\n\
          webreason_server_drain_estimate_ms {}\n\
          # TYPE webreason_server_subscriptions_live gauge\n\
@@ -1048,6 +1062,8 @@ fn handle_metrics(shared: &Shared) -> Vec<u8> {
         shared.open_conns.load(Ordering::SeqCst),
         shared.max_conns,
         u64::from(shared.is_degraded()),
+        shared.degraded_entered.load(Ordering::SeqCst),
+        shared.degraded_exited.load(Ordering::SeqCst),
         shared.drain_estimate_ms(),
         shared.hub.live_subscribers(),
         shared.max_subscriptions,

@@ -15,10 +15,9 @@ use std::time::{Duration, Instant};
 use webreason_core::{DurableStore, FsyncPolicy, ReasoningConfig};
 use webreason_server::{Server, ServerConfig};
 
-/// Failpoints and the degraded counters are process-global: an armed
-/// journal failpoint fails every server in this binary. So every test
-/// holds this lock, and each test that arms a failpoint disarms it on the
-/// way out.
+/// Failpoints are process-global: an armed journal failpoint fails every
+/// server in this binary that writes. So every test holds this lock, and
+/// each test that arms a failpoint disarms it on the way out.
 static SERIAL: Mutex<()> = Mutex::new(());
 
 fn serial() -> MutexGuard<'static, ()> {
@@ -409,6 +408,44 @@ mod degraded {
             "post-recovery write missing: {text}"
         );
         drop(server.shutdown());
+    }
+
+    /// The degraded counters on `/metrics` are the scraped server's own:
+    /// with two servers in one process, degrading one leaves the other's
+    /// counters at 0.
+    #[test]
+    fn degraded_counters_count_only_their_own_server() {
+        let _guard = serial();
+        configure("");
+        let config = || ServerConfig {
+            addr: "127.0.0.1:0".to_owned(),
+            threads: 2,
+            ..Default::default()
+        };
+        let a = boot_with("counters-a", config(), ReasoningConfig::Reformulation);
+        let b = boot_with("counters-b", config(), ReasoningConfig::Reformulation);
+        let (a_addr, b_addr) = (a.local_addr(), b.local_addr());
+
+        // Only A writes while the disk is "full".
+        configure("store.journal.append=err(ENOSPC)");
+        let (status, text) = post(
+            a_addr,
+            "/update",
+            "insert <http://ex/s> <http://ex/p> \"v\" .",
+        );
+        configure("");
+        assert_eq!(status, 500, "{text}");
+        assert!(
+            wait_ready(a_addr, Duration::from_secs(10)),
+            "A never recovered"
+        );
+
+        let read =
+            |addr, name| metric_or_zero(addr, &format!("webreason_server_degraded_{name}_total"));
+        assert_eq!((read(a_addr, "entered"), read(a_addr, "exited")), (1, 1));
+        assert_eq!((read(b_addr, "entered"), read(b_addr, "exited")), (0, 0));
+        drop(a.shutdown());
+        drop(b.shutdown());
     }
 
     /// One ENOSPC window under concurrent load: two writers and two

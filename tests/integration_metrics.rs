@@ -328,3 +328,51 @@ fn observed_thresholds_match_hand_computed_ratios_from_a_real_workload() {
         by_hand(hist_mean("core.maintain.schema_delete_us"))
     );
 }
+
+// ---------------------------------------------------------------------------
+// Served writes: the server applies every `POST /update` body through
+// `DurableStore::apply_script`, so that path must feed the maintenance
+// metrics `ObservedCosts` prices maintenance from.
+// ---------------------------------------------------------------------------
+
+#[test]
+fn a_scripted_write_on_a_saturated_store_records_its_maintenance() {
+    let _guard = lock();
+    let reg = obs::global();
+    let dir = std::env::temp_dir().join(format!("webreason-metrics-script-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut store = webreason_core::DurableStore::create(
+        &dir,
+        ReasoningConfig::Saturation(MaintenanceAlgorithm::Counting),
+        std::num::NonZeroUsize::MIN,
+        webreason_core::FsyncPolicy::Never,
+    )
+    .expect("store creates");
+    store
+        .load_turtle(
+            "@prefix ex: <http://ex/> .\n\
+             @prefix rdfs: <http://www.w3.org/2000/01/rdf-schema#> .\n\
+             ex:Cat rdfs:subClassOf ex:Mammal .",
+        )
+        .expect("schema loads");
+
+    let updates = || reg.snapshot().counter("core.maintain.updates").unwrap_or(0);
+    let inserts = || {
+        reg.snapshot()
+            .histogram("core.maintain.instance_insert_us")
+            .map_or(0, |h| h.count)
+    };
+    let (updates_before, inserts_before) = (updates(), inserts());
+    let tom = [
+        rdf_model::Term::iri("http://ex/Tom"),
+        rdf_model::Term::iri(rdf_model::vocab::RDF_TYPE),
+        rdf_model::Term::iri("http://ex/Cat"),
+    ];
+    let outcome = store
+        .apply_script(&[webreason_core::ScriptOp::Insert(tom)])
+        .expect("script applies");
+    assert_eq!(outcome.added, 2, "Tom a Cat, Tom a Mammal");
+    assert_eq!(updates(), updates_before + 1, "one maintained update");
+    assert_eq!(inserts(), inserts_before + 1, "one instance insert timed");
+    let _ = std::fs::remove_dir_all(&dir);
+}
