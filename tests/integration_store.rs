@@ -215,3 +215,39 @@ fn committed_journal_fixture_recovers_its_exact_base_graph() {
         .unwrap();
     assert_eq!(sols.len(), 3, "rex, felix and goldie");
 }
+
+/// Journals and checkpoints written while stores also served the recompute
+/// and DRed maintainers name them: `journal_dred` holds a `SetConfig`
+/// naming `saturation(dred)` and two loads; `checkpoint_recompute` holds a
+/// checkpoint naming `saturation(recompute)` plus a one-load journal tail.
+/// All three maintainers hold the same `G∞`, so both recover as counting
+/// stores with the base graph and answers they held.
+#[test]
+fn retired_maintainer_names_recover_as_counting() {
+    let fixtures = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/fixtures");
+    let journal = durability::Journal::replay(fixtures.join("journal_dred/journal.wal")).unwrap();
+    assert!(matches!(
+        &journal.records[0],
+        durability::JournalRecord::SetConfig { name } if name == "saturation(dred)"
+    ));
+    let (checkpoint, _) = durability::load_latest(&fixtures.join("checkpoint_recompute"))
+        .unwrap()
+        .expect("the fixture holds a checkpoint");
+    assert_eq!(checkpoint.config, "saturation(recompute)");
+
+    let want = std::fs::read_to_string(fixtures.join("retired_maintainers.nt")).unwrap();
+    for dir in ["journal_dred", "checkpoint_recompute"] {
+        let store = Store::recover(fixtures.join(dir)).unwrap_or_else(|e| panic!("{dir}: {e}"));
+        assert_eq!(
+            store.config(),
+            ReasoningConfig::Saturation(MaintenanceAlgorithm::Counting),
+            "{dir}"
+        );
+        assert_eq!(store.export_ntriples(), want, "{dir}");
+        assert_eq!(store.stats().saturated_triples, Some(11), "{dir}");
+        let sols = store
+            .answer_sparql("SELECT DISTINCT ?x WHERE { ?x a <http://ex/Animal> }")
+            .unwrap();
+        assert_eq!(sols.len(), 3, "{dir}: rex, tom and goldie");
+    }
+}
