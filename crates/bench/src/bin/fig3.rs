@@ -18,6 +18,7 @@ use bench::{
     emit_json, fmt_secs, journal_append_cost, log_bar, lubm_workload, render_table, Scale,
 };
 use durability::FsyncPolicy;
+use rdf_model::{Graph, Vocab};
 use rdfs::incremental::{CountingMaintainer, DRedMaintainer, Maintainer, RecomputeMaintainer};
 use webreason_core::cost::profile;
 use webreason_core::threshold::{compute_thresholds, spread_orders_of_magnitude, Threshold};
@@ -35,13 +36,20 @@ fn main() {
             }
         },
     };
-    let algo = args.get(1).map_or("counting", String::as_str);
-    if !["recompute", "dred", "counting"].contains(&algo) {
-        eprintln!(
-            "error: unknown maintenance algorithm {algo:?} (expected recompute|dred|counting)"
-        );
-        std::process::exit(2);
-    }
+    let build: fn(Graph, Vocab) -> Box<dyn Maintainer> = match args
+        .get(1)
+        .map_or("counting", String::as_str)
+    {
+        "recompute" => |g, v| Box::new(RecomputeMaintainer::new(g, v)),
+        "dred" => |g, v| Box::new(DRedMaintainer::new(g, v)),
+        "counting" => |g, v| Box::new(CountingMaintainer::new(g, v)),
+        other => {
+            eprintln!(
+                "error: unknown maintenance algorithm {other:?} (expected recompute|dred|counting)"
+            );
+            std::process::exit(2);
+        }
+    };
 
     // Collect an observability snapshot for the whole run: the profiling
     // below drives saturation, maintenance and both query paths through
@@ -51,17 +59,13 @@ fn main() {
 
     eprintln!("generating LUBM workload ({scale:?})…");
     let (ds, qs) = lubm_workload(scale);
+    let mut maintainer = build(ds.graph.clone(), ds.vocab);
     eprintln!(
         "profiling {} triples × {} queries (algo: {})…",
         ds.graph.len(),
         qs.len(),
-        algo
+        maintainer.name()
     );
-    let mut maintainer: Box<dyn Maintainer> = match algo {
-        "recompute" => Box::new(RecomputeMaintainer::new(ds.graph.clone(), ds.vocab)),
-        "dred" => Box::new(DRedMaintainer::new(ds.graph.clone(), ds.vocab)),
-        _ => Box::new(CountingMaintainer::new(ds.graph.clone(), ds.vocab)),
-    };
     let prof = profile(maintainer.as_mut(), &ds.vocab, &qs, 5);
 
     // Replay the workload through the instrumented `Store` so the metrics

@@ -20,8 +20,8 @@
 //! per-atom run-time reasoning, §II-C), `datalog::rdf::saturate_via_datalog`
 //! (the §II-D Datalog translation), `rdfs::plus::PlusMaintainer`
 //! (RDFS-Plus, "some of OWL's predicates") and the recompute and DRed
-//! maintainers [`cost::profile`] compares counting with. The paper tables call them
-//! directly, and the test suite checks them against `q(G∞)`.
+//! maintainers [`cost::profile`] compares counting with. The paper tables
+//! call them directly, and the test suite checks them against `q(G∞)`.
 //!
 //! On top sit the performance tools the tutorial argues for:
 //! [`cost::profile`] measures a dataset × query-set cost profile,
