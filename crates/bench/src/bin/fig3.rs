@@ -36,20 +36,18 @@ fn main() {
             }
         },
     };
-    let build: fn(Graph, Vocab) -> Box<dyn Maintainer> = match args
-        .get(1)
-        .map_or("counting", String::as_str)
-    {
-        "recompute" => |g, v| Box::new(RecomputeMaintainer::new(g, v)),
-        "dred" => |g, v| Box::new(DRedMaintainer::new(g, v)),
-        "counting" => |g, v| Box::new(CountingMaintainer::new(g, v)),
-        other => {
-            eprintln!(
+    let build: fn(Graph, Vocab) -> Box<dyn Maintainer> =
+        match args.get(1).map_or("counting", String::as_str) {
+            "recompute" => |g, v| Box::new(RecomputeMaintainer::new(g, v)),
+            "dred" => |g, v| Box::new(DRedMaintainer::new(g, v)),
+            "counting" => |g, v| Box::new(CountingMaintainer::new(g, v)),
+            other => {
+                eprintln!(
                 "error: unknown maintenance algorithm {other:?} (expected recompute|dred|counting)"
             );
-            std::process::exit(2);
-        }
-    };
+                std::process::exit(2);
+            }
+        };
 
     // Collect an observability snapshot for the whole run: the profiling
     // below drives saturation, maintenance and both query paths through

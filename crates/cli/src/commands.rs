@@ -390,7 +390,7 @@ fn query(
         "{} solution(s) [strategy: {}, {} base triples]",
         sols.len(),
         store.config().name(),
-        store.base_graph().len(),
+        store.explicit_len(),
     );
     if let Some(stats) = store.last_eval_stats() {
         let _ = writeln!(out, "  eval: {}", stats.summary());
@@ -450,7 +450,7 @@ fn query_journaled(
         "{} solution(s) [strategy: {}, {} base triples, journal: {} record(s), fsync {}]",
         sols.len(),
         store.config().name(),
-        store.base_graph().len(),
+        store.explicit_len(),
         ds.seq(),
         fsync.name(),
     );

@@ -231,10 +231,11 @@ impl ObservedCosts {
     }
 }
 
-/// Measures a cost profile of `maintainer`'s base graph, maintained by
+/// Measures a cost profile of `maintainer`'s explicit graph, maintained by
 /// `maintainer`. `samples` controls both how many triples are sampled per
 /// update kind and how many timing repetitions each query gets (the
-/// minimum is reported, Criterion-style, to suppress noise).
+/// minimum is reported, Criterion-style, to suppress noise). `G` is
+/// materialised once, to time `saturate(G)` and `q_ref(G)`.
 pub fn profile(
     maintainer: &mut dyn Maintainer,
     vocab: &Vocab,
@@ -242,12 +243,13 @@ pub fn profile(
     samples: usize,
 ) -> CostProfile {
     let samples = samples.max(1);
-    let (sat, saturation_time) = time(|| saturate(maintainer.base(), vocab));
+    let graph: Graph = maintainer.explicit().collect();
+    let (sat, saturation_time) = time(|| saturate(&graph, vocab));
 
     // --- maintenance -----------------------------------------------------
     let mut instance_samples: Vec<Triple> = Vec::new();
     let mut schema_samples: Vec<Triple> = Vec::new();
-    for t in maintainer.base().iter() {
+    for t in graph.iter() {
         if vocab.is_schema_property(t.p) {
             if schema_samples.len() < samples {
                 schema_samples.push(t);
@@ -284,8 +286,7 @@ pub fn profile(
     };
 
     // --- queries -----------------------------------------------------------
-    let graph = maintainer.base();
-    let schema = Schema::extract(graph, vocab);
+    let schema = Schema::extract(&graph, vocab);
     let mut query_costs = Vec::with_capacity(queries.len());
     for (name, q) in queries {
         let mut q = q.clone();
@@ -308,7 +309,7 @@ pub fn profile(
             let ((sols, _), secs) = time(|| run(&sat.graph, Executable::Plain(&q)));
             eval_saturated = eval_saturated.min(secs);
             answers = sols.len();
-            let ((ref_sols, stats), secs) = time(|| run(graph, Executable::Union(&reform.query)));
+            let ((ref_sols, stats), secs) = time(|| run(&graph, Executable::Union(&reform.query)));
             eval_reformulated = eval_reformulated.min(secs);
             shared_prefix_scans = stats.shared_prefix_scans();
             debug_assert_eq!(
@@ -392,7 +393,7 @@ mod tests {
         let maintainers: [&mut dyn Maintainer; 3] = [&mut recompute, &mut dred, &mut counting];
         for m in maintainers {
             let _ = profile(m, &ds.vocab, &qs, 3);
-            assert_eq!(m.base(), &before, "{}", m.name());
+            assert_eq!(m.explicit().collect::<Graph>(), before, "{}", m.name());
         }
     }
 

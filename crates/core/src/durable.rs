@@ -25,7 +25,7 @@ use durability::{
     Journal, JournalRecord, ScriptedOp,
 };
 use rdf_model::{Dictionary, Graph, Term, Triple, Vocab};
-use rdfs::incremental::UpdateStats;
+use rdfs::incremental::{UpdateKind, UpdateStats};
 use sparql::Solutions;
 use std::fmt;
 use std::num::NonZeroUsize;
@@ -46,13 +46,16 @@ pub enum ScriptOp {
     Delete([Term; 3]),
 }
 
-/// What an atomically applied script changed.
+/// What an atomically applied script changed, counted in explicit
+/// triples under every strategy. Entailed churn is not counted here; the
+/// `core.maintain.triples_{added,removed}` counters record it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ScriptOutcome {
-    /// Triples added to the store's graph (`G∞` under saturation, so
-    /// entailed triples count).
+    /// Inserts that asserted a triple `G` did not hold. Inserting an
+    /// already-entailed triple asserts it and counts.
     pub added: usize,
-    /// Triples removed from the store's graph.
+    /// Deletes that retracted a triple `G` held. Deleting an entailed but
+    /// unasserted triple is a no-op and does not count.
     pub removed: usize,
 }
 
@@ -433,7 +436,7 @@ impl DurableStore {
                 .iter()
                 .map(|(_, t)| t.clone())
                 .collect(),
-            triples: self.store.base_graph().iter().collect(),
+            triples: self.store.explicit_triples().collect(),
         };
         let path = write_checkpoint(&self.dir, &cp)?;
         self.journal
@@ -548,11 +551,16 @@ fn apply_scripted(store: &mut Store, ops: &[ScriptedOp]) -> ScriptOutcome {
     let mut outcome = ScriptOutcome::default();
     for op in ops {
         match op {
-            ScriptedOp::Insert(t) => outcome.added += store.insert(*t).added,
-            ScriptedOp::Delete(t) => outcome.removed += store.delete(t).removed,
+            ScriptedOp::Insert(t) => outcome.added += changed(store.insert(*t)),
+            ScriptedOp::Delete(t) => outcome.removed += changed(store.delete(t)),
         }
     }
     outcome
+}
+
+/// 1 when an op changed `G`, else 0.
+fn changed(stats: UpdateStats) -> usize {
+    usize::from(stats.kind != UpdateKind::Noop)
 }
 
 #[cfg(test)]
@@ -772,9 +780,9 @@ mod tests {
             ])
             .unwrap();
         assert_eq!(ds.seq(), seq_before + 1, "whole script is one record");
-        // Counts include entailed triples (x a Cat ⊨ Mammal, Animal), the
-        // same store-level semantics the per-op path reported.
-        assert_eq!((outcome.added, outcome.removed), (6, 6));
+        // Counts are explicit triples: Felix and Ghost in, Tom and Ghost
+        // out; their entailed types (Mammal, Animal) do not count.
+        assert_eq!((outcome.added, outcome.removed), (2, 2));
         assert_eq!(ds.answer_sparql(MAMMALS).unwrap().len(), 1, "Felix only");
         // Replay walks the same code path and converges identically.
         let rec = Store::recover(&dir).unwrap();
@@ -875,5 +883,174 @@ mod tests {
             rec.answer_sparql(MAMMALS).unwrap().as_set(),
             live.answer_sparql(MAMMALS).unwrap().as_set()
         );
+    }
+
+    /// The reply counts explicit triples under every strategy: a
+    /// constraint and an instance triple count one each, their entailed
+    /// consequences none, and deleting an entailed-but-unasserted triple
+    /// is a no-op that leaves it answerable.
+    #[test]
+    fn script_outcome_counts_explicit_triples_under_every_config() {
+        let ex = |n: &str| Term::iri(format!("http://ex/{n}"));
+        let a = || Term::iri(rdf_model::vocab::RDF_TYPE);
+        for (i, config) in ReasoningConfig::ALL.into_iter().enumerate() {
+            let name = config.name();
+            let dir = tmpdir(&format!("contract-{i}"));
+            let mut ds =
+                DurableStore::create(&dir, config, NonZeroUsize::MIN, FsyncPolicy::Never).unwrap();
+            let mut apply = |op| {
+                let out = ds.apply_script(&[op]).unwrap();
+                (out.added, out.removed)
+            };
+            let cat_mammal = [
+                ex("Cat"),
+                Term::iri(rdf_model::vocab::RDFS_SUB_CLASS_OF),
+                ex("Mammal"),
+            ];
+            assert_eq!(apply(ScriptOp::Insert(cat_mammal)), (1, 0), "{name}");
+            let tom_cat = [ex("Tom"), a(), ex("Cat")];
+            assert_eq!(apply(ScriptOp::Insert(tom_cat)), (1, 0), "{name}");
+            let tom_mammal = [ex("Tom"), a(), ex("Mammal")];
+            assert_eq!(apply(ScriptOp::Delete(tom_mammal)), (0, 0), "{name}");
+            assert_eq!(ds.answer_sparql(MAMMALS).unwrap().len(), 1, "{name}");
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
+    /// The explicit bit under random update streams on a saturated store:
+    /// instance and schema inserts and deletes, duplicate inserts,
+    /// assertions of already-entailed triples, and deletes of entailed-only
+    /// and absent triples. After every op, `G` equals a set model, `G∞`
+    /// equals `saturate(G)`, and a checkpoint plus recovery reproduces
+    /// both.
+    mod explicit_bit {
+        use super::*;
+        use proptest::bool::ANY;
+        use proptest::prelude::*;
+        use std::collections::BTreeSet;
+        use std::sync::atomic::{AtomicUsize, Ordering};
+
+        #[derive(Debug, Clone)]
+        enum Op {
+            /// `n{s} p{p} n{o}`, or `n{s} a C{o}` when `p` is 0.
+            Instance(u8, u8, u8, bool),
+            /// Constraint `k` (subClassOf, subPropertyOf, domain, range)
+            /// between the `a`-th and `b`-th class or property.
+            Schema(u8, u8, u8, bool),
+            /// Re-inserts the `i`-th explicit triple.
+            Duplicate(usize),
+            /// Inserts or deletes the `i`-th entailed-only triple.
+            Entailed(usize, bool),
+        }
+
+        fn arb_ops() -> impl Strategy<Value = Vec<Op>> {
+            proptest::collection::vec(
+                prop_oneof![
+                    (0u8..4, 0u8..4, 0u8..4, ANY).prop_map(|(s, p, o, i)| Op::Instance(s, p, o, i)),
+                    (0u8..4, 0u8..4, 0u8..4, ANY).prop_map(|(k, a, b, i)| Op::Schema(k, a, b, i)),
+                    (0usize..64).prop_map(Op::Duplicate),
+                    (0usize..64, ANY).prop_map(|(i, ins)| Op::Entailed(i, ins)),
+                ],
+                0..20,
+            )
+        }
+
+        fn ex(kind: &str, i: u8) -> Term {
+            Term::iri(format!("http://ex/{kind}{i}"))
+        }
+
+        fn decode(store: &Store, t: Triple) -> [Term; 3] {
+            let dict = store.dictionary();
+            [t.s, t.p, t.o].map(|id| dict.decode(id).expect("interned").clone())
+        }
+
+        /// The op's triple and direction, or `None` when it has nothing to
+        /// pick from.
+        fn materialise(
+            op: &Op,
+            store: &Store,
+            model: &BTreeSet<Triple>,
+        ) -> Option<([Term; 3], bool)> {
+            use rdf_model::vocab::*;
+            Some(match *op {
+                Op::Instance(s, 0, o, ins) => ([ex("n", s), Term::iri(RDF_TYPE), ex("C", o)], ins),
+                Op::Instance(s, p, o, ins) => ([ex("n", s), ex("p", p), ex("n", o)], ins),
+                Op::Schema(k, a, b, ins) => {
+                    let t = match k {
+                        0 => [ex("C", a), Term::iri(RDFS_SUB_CLASS_OF), ex("C", b)],
+                        1 => [
+                            ex("p", a + 1),
+                            Term::iri(RDFS_SUB_PROPERTY_OF),
+                            ex("p", b + 1),
+                        ],
+                        2 => [ex("p", a + 1), Term::iri(RDFS_DOMAIN), ex("C", b)],
+                        _ => [ex("p", a + 1), Term::iri(RDFS_RANGE), ex("C", b)],
+                    };
+                    (t, ins)
+                }
+                Op::Duplicate(i) => {
+                    let t = *model.iter().nth(i % model.len().max(1))?;
+                    (decode(store, t), true)
+                }
+                Op::Entailed(i, ins) => {
+                    let snap = store.snapshot();
+                    let entailed: BTreeSet<Triple> = snap
+                        .view_graph()
+                        .expect("a saturated store exposes G∞")
+                        .iter()
+                        .filter(|t| !model.contains(t))
+                        .collect();
+                    let t = *entailed.iter().nth(i % entailed.len().max(1))?;
+                    (decode(store, t), ins)
+                }
+            })
+        }
+
+        fn check(store: &Store, model: &BTreeSet<Triple>) -> Result<(), String> {
+            let explicit: BTreeSet<Triple> = store.explicit_triples().collect();
+            prop_assert_eq!(&explicit, model);
+            prop_assert_eq!(store.explicit_len(), model.len());
+            prop_assert!(model.iter().all(|t| store.is_explicit(t)));
+            let expect = rdfs::saturate(&model.iter().copied().collect(), store.vocab()).graph;
+            let snap = store.snapshot();
+            prop_assert_eq!(snap.view_graph().expect("G∞"), &expect);
+            Ok(())
+        }
+
+        static CASE: AtomicUsize = AtomicUsize::new(0);
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(24))]
+            #[test]
+            fn explicit_triples_match_a_model_across_checkpoints(ops in arb_ops()) {
+                let dir = tmpdir(&format!("explicit-bit-{}", CASE.fetch_add(1, Ordering::Relaxed)));
+                let mut ds =
+                    DurableStore::create(&dir, SAT, NonZeroUsize::MIN, FsyncPolicy::Never).unwrap();
+                let mut model = BTreeSet::new();
+                for op in &ops {
+                    let Some((terms, insert)) = materialise(op, ds.store(), &model) else {
+                        continue;
+                    };
+                    let script = if insert {
+                        ScriptOp::Insert(terms.clone())
+                    } else {
+                        ScriptOp::Delete(terms.clone())
+                    };
+                    let out = ds.apply_script(&[script]).unwrap();
+                    let t = {
+                        let dict = ds.store().dictionary();
+                        let [s, p, o] = terms.each_ref().map(|term| dict.get_id(term).expect("interned"));
+                        Triple::new(s, p, o)
+                    };
+                    let changed = usize::from(if insert { model.insert(t) } else { model.remove(&t) });
+                    let want = if insert { (changed, 0) } else { (0, changed) };
+                    prop_assert_eq!((out.added, out.removed), want, "{:?}", op);
+                    check(ds.store(), &model)?;
+                    ds.checkpoint().unwrap();
+                    check(&Store::recover(&dir).unwrap(), &model)?;
+                }
+                let _ = std::fs::remove_dir_all(&dir);
+            }
+        }
     }
 }

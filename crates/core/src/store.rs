@@ -377,7 +377,8 @@ impl Store {
         self.config
     }
 
-    /// Switches strategy, rebuilding derived state from the base graph.
+    /// Switches strategy, rebuilding derived state from the explicit
+    /// triples.
     pub fn set_config(&mut self, config: ReasoningConfig) {
         if config == self.config {
             return;
@@ -386,12 +387,20 @@ impl Store {
         self.rebuild();
     }
 
-    /// Rebuilds the writer state from the base graph after a strategy
-    /// switch. The rebuild loses the maintainer's per-triple delta trail,
-    /// so it re-arms delta recording and reports `schema_changed`, which
-    /// tells delta consumers to refresh wholesale.
+    /// Rebuilds the writer state from the explicit triples after a
+    /// strategy switch. The rebuild loses the maintainer's per-triple
+    /// delta trail, so it re-arms delta recording and reports
+    /// `schema_changed`, which tells delta consumers to refresh wholesale.
     fn rebuild(&mut self) {
-        let graph = self.base_graph().clone();
+        let empty = State::Schema {
+            graph: Graph::new(),
+            mode: SchemaMode::Reformulate,
+        };
+        let graph = match std::mem::replace(&mut self.state, empty) {
+            // The one path that materialises `G` from a saturated store.
+            State::Saturation(m) => m.explicit().collect(),
+            State::Schema { graph, .. } => graph,
+        };
         self.state = Self::build_state(graph, self.vocab, self.config);
         if let State::Saturation(m) = &mut self.state {
             m.set_delta_tracking(self.delta_tracking);
@@ -455,11 +464,29 @@ impl Store {
         &self.vocab
     }
 
-    /// The explicit graph `G`.
-    pub fn base_graph(&self) -> &Graph {
+    /// The explicit triples of `G`, in no particular order. A saturated
+    /// store holds no copy of `G`: it reads them off `G∞`'s explicit bits.
+    pub fn explicit_triples(&self) -> Box<dyn Iterator<Item = Triple> + '_> {
         match &self.state {
-            State::Saturation(m) => m.base(),
-            State::Schema { graph, .. } => graph,
+            State::Saturation(m) => m.explicit(),
+            State::Schema { graph, .. } => Box::new(graph.iter()),
+        }
+    }
+
+    /// How many triples `G` holds.
+    pub fn explicit_len(&self) -> usize {
+        match &self.state {
+            State::Saturation(m) => m.explicit_len(),
+            State::Schema { graph, .. } => graph.len(),
+        }
+    }
+
+    /// Whether `t` is asserted, i.e. in `G` (an entailed-only triple is
+    /// not).
+    pub fn is_explicit(&self, t: &Triple) -> bool {
+        match &self.state {
+            State::Saturation(m) => m.is_explicit(t),
+            State::Schema { graph, .. } => graph.contains(t),
         }
     }
 
@@ -470,7 +497,7 @@ impl Store {
             State::Schema { .. } => None,
         };
         StoreStats {
-            base_triples: self.base_graph().len(),
+            base_triples: self.explicit_len(),
             saturated_triples,
             dictionary_terms: self.dictionary().len(),
             strategy: self.config.name(),
@@ -587,7 +614,7 @@ impl Store {
     pub fn explain(&self, t: &Triple) -> Option<rdfs::explain::Explanation> {
         match &self.state {
             State::Saturation(m) => {
-                rdfs::explain::explain_in(t, m.base(), m.saturated(), &self.vocab)
+                rdfs::explain::explain_in(t, &|t| m.is_explicit(t), m.saturated(), &self.vocab)
             }
             State::Schema { graph, .. } => rdfs::explain::explain(t, graph, &self.vocab),
         }
@@ -612,12 +639,12 @@ impl Store {
 
     /// Serialises the base graph `G` as sorted N-Triples.
     pub fn export_ntriples(&self) -> String {
-        rdf_io::write_ntriples_sorted(self.base_graph(), &self.dictionary())
+        rdf_io::write_ntriples_sorted(self.explicit_triples(), &self.dictionary())
     }
 
     /// Serialises the base graph `G` as Turtle against `prefixes`.
     pub fn export_turtle(&self, prefixes: &rdf_io::PrefixMap) -> String {
-        rdf_io::write_turtle(self.base_graph(), &self.dictionary(), prefixes)
+        rdf_io::write_turtle(self.explicit_triples(), &self.dictionary(), prefixes)
     }
 
     // --- query answering ---------------------------------------------------
@@ -789,7 +816,7 @@ mod tests {
             let mut s = store_with(config);
             let epoch = s.snapshot().epoch();
             assert_eq!(s.insert_batch(&[]).kind, UpdateKind::Noop);
-            let existing: Vec<Triple> = s.base_graph().iter().take(3).collect();
+            let existing: Vec<Triple> = s.explicit_triples().take(3).collect();
             let stats = s.insert_batch(&existing);
             assert_eq!(
                 stats.kind,
@@ -817,10 +844,10 @@ mod tests {
     #[test]
     fn strategy_switch_preserves_data() {
         let mut s = store_with(ReasoningConfig::Reformulation);
-        let base = s.base_graph().len();
+        let base = s.explicit_len();
         for config in ReasoningConfig::ALL {
             s.set_config(config);
-            assert_eq!(s.base_graph().len(), base, "{}", config.name());
+            assert_eq!(s.explicit_len(), base, "{}", config.name());
         }
         // end on a reasoning strategy and check answers
         s.set_config(ReasoningConfig::Saturation(MaintenanceAlgorithm::Counting));
@@ -1008,7 +1035,7 @@ mod tests {
                 )
                 .expect("entailed triple explains");
             assert!(e.depth() >= 1, "{}", config.name());
-            assert!(e.support().iter().all(|t| s.base_graph().contains(t)));
+            assert!(e.support().iter().all(|t| s.is_explicit(t)));
             // Goldie is an Animal via range typing.
             let e = s
                 .explain_terms(
@@ -1035,7 +1062,7 @@ mod tests {
         let nt = s.export_ntriples();
         let mut s2 = Store::new(ReasoningConfig::Reformulation);
         s2.load_ntriples(&nt).unwrap();
-        assert_eq!(s.base_graph().len(), s2.base_graph().len());
+        assert_eq!(s.explicit_len(), s2.explicit_len());
         assert_eq!(nt, s2.export_ntriples(), "canonical N-Triples agree");
         // the export is the *base* graph, not the saturation
         assert!(nt.lines().count() < s.stats().saturated_triples.unwrap());

@@ -214,20 +214,25 @@ pub fn parse_ntriples(
     Ok(parsed)
 }
 
-/// Serialises `graph` as N-Triples, in the graph's internal iteration order.
-pub fn write_ntriples(graph: &Graph, dict: &Dictionary) -> String {
+/// Serialises `triples` as N-Triples, in iteration order. A `&Graph` is
+/// an iterator of its triples.
+pub fn write_ntriples(triples: impl IntoIterator<Item = Triple>, dict: &Dictionary) -> String {
     let mut out = String::new();
-    for t in graph.iter() {
+    for t in triples {
         push_line(&mut out, &t, dict);
     }
     out
 }
 
-/// Serialises `graph` as N-Triples with lines sorted lexicographically —
-/// deterministic output for golden tests and diffing.
-pub fn write_ntriples_sorted(graph: &Graph, dict: &Dictionary) -> String {
-    let mut lines: Vec<String> = graph
-        .iter()
+/// Serialises `triples` as N-Triples with lines sorted lexicographically —
+/// deterministic output for golden tests and diffing, whatever the
+/// iteration order.
+pub fn write_ntriples_sorted(
+    triples: impl IntoIterator<Item = Triple>,
+    dict: &Dictionary,
+) -> String {
+    let mut lines: Vec<String> = triples
+        .into_iter()
         .map(|t| {
             let mut s = String::new();
             push_line(&mut s, &t, dict);

@@ -5,7 +5,7 @@
 //! `rdf:type`, IRIs compacted against a [`PrefixMap`], everything sorted.
 //! The output round-trips through [`crate::parse_turtle`] (property-tested).
 
-use rdf_model::{vocab, Dictionary, Graph, Term, TermId};
+use rdf_model::{vocab, Dictionary, Term, TermId, Triple};
 use std::fmt::Write as _;
 
 /// An ordered prefix → namespace mapping used for IRI compaction.
@@ -74,46 +74,47 @@ fn render_term(id: TermId, dict: &Dictionary, prefixes: &PrefixMap) -> String {
     }
 }
 
-/// Serialises `graph` as Turtle against `prefixes`. Deterministic: subjects,
-/// predicates and objects are sorted by their rendered form.
-pub fn write_turtle(graph: &Graph, dict: &Dictionary, prefixes: &PrefixMap) -> String {
+/// Serialises `triples` as Turtle against `prefixes`. Deterministic:
+/// subjects, predicates and objects are sorted by their rendered form,
+/// whatever the iteration order. A `&Graph` is an iterator of its triples.
+pub fn write_turtle(
+    triples: impl IntoIterator<Item = Triple>,
+    dict: &Dictionary,
+    prefixes: &PrefixMap,
+) -> String {
     let mut out = String::new();
+    let rdf_type = dict.get_iri_id(vocab::RDF_TYPE);
+    let mut rows: Vec<(String, String, String)> = triples
+        .into_iter()
+        .map(|t| {
+            let p = if Some(t.p) == rdf_type {
+                "a".to_owned()
+            } else {
+                render_term(t.p, dict, prefixes)
+            };
+            (
+                render_term(t.s, dict, prefixes),
+                p,
+                render_term(t.o, dict, prefixes),
+            )
+        })
+        .collect();
+    rows.sort_unstable();
+    let mut body = String::new();
+    let mut prev: Option<(&str, &str)> = None;
+    for (s, p, o) in &rows {
+        let _ = match prev {
+            Some((ps, pp)) if ps == s && pp == p => write!(body, " , {o}"),
+            Some((ps, _)) if ps == s => write!(body, " ;\n    {p} {o}"),
+            Some(_) => write!(body, " .\n{s} {p} {o}"),
+            None => write!(body, "{s} {p} {o}"),
+        };
+        prev = Some((s, p));
+    }
+    if prev.is_some() {
+        body.push_str(" .\n");
+    }
     // Only emit the prefixes that are actually used.
-    let body = {
-        let mut subjects: Vec<(String, TermId)> = graph
-            .subjects()
-            .map(|s| (render_term(s, dict, prefixes), s))
-            .collect();
-        subjects.sort();
-        let rdf_type = dict.get_iri_id(vocab::RDF_TYPE);
-        let mut body = String::new();
-        for (s_text, s) in subjects {
-            let mut predicates: Vec<(String, TermId)> = Vec::new();
-            graph.for_each_match(&rdf_model::Pattern::new(Some(s), None, None), |t| {
-                if !predicates.iter().any(|(_, p)| *p == t.p) {
-                    let text = if Some(t.p) == rdf_type {
-                        "a".to_owned()
-                    } else {
-                        render_term(t.p, dict, prefixes)
-                    };
-                    predicates.push((text, t.p));
-                }
-            });
-            predicates.sort();
-            let _ = write!(body, "{s_text}");
-            for (i, (p_text, p)) in predicates.iter().enumerate() {
-                let mut objects: Vec<String> = graph
-                    .objects(s, *p)
-                    .map(|os| os.iter().map(|&o| render_term(o, dict, prefixes)).collect())
-                    .unwrap_or_default();
-                objects.sort();
-                let sep = if i == 0 { " " } else { " ;\n    " };
-                let _ = write!(body, "{sep}{p_text} {}", objects.join(" , "));
-            }
-            body.push_str(" .\n");
-        }
-        body
-    };
     for (prefix, ns) in prefixes.iter() {
         if body.contains(&format!("{prefix}:")) {
             let _ = writeln!(out, "@prefix {prefix}: <{ns}> .");
@@ -130,6 +131,7 @@ pub fn write_turtle(graph: &Graph, dict: &Dictionary, prefixes: &PrefixMap) -> S
 mod tests {
     use super::*;
     use crate::turtle::parse_turtle;
+    use rdf_model::Graph;
 
     fn fixture() -> (Dictionary, Graph, PrefixMap) {
         let mut dict = Dictionary::new();

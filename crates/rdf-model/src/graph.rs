@@ -608,6 +608,15 @@ impl FromIterator<Triple> for Graph {
     }
 }
 
+impl<'a> IntoIterator for &'a Graph {
+    type Item = Triple;
+    type IntoIter = Box<dyn Iterator<Item = Triple> + 'a>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        Box::new(self.iter())
+    }
+}
+
 impl Extend<Triple> for Graph {
     fn extend<I: IntoIterator<Item = Triple>>(&mut self, iter: I) {
         Graph::extend(self, iter);

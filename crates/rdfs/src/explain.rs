@@ -130,24 +130,30 @@ impl Explanation {
 /// cyclic schemas.
 pub fn explain(t: &Triple, base: &Graph, vocab: &Vocab) -> Option<Explanation> {
     let sat = saturate(base, vocab).graph;
-    explain_in(t, base, &sat, vocab)
+    explain_in(t, &|t| base.contains(t), &sat, vocab)
 }
 
 /// Like [`explain`], but reuses an already-computed saturation (`sat` must
-/// be `saturate(base)`); the store's saturation strategies call this.
-pub fn explain_in(t: &Triple, base: &Graph, sat: &Graph, vocab: &Vocab) -> Option<Explanation> {
+/// be the saturation of the triples `is_explicit` accepts); the store's
+/// saturation strategy calls this with its explicit-bit test.
+pub fn explain_in(
+    t: &Triple,
+    is_explicit: &dyn Fn(&Triple) -> bool,
+    sat: &Graph,
+    vocab: &Vocab,
+) -> Option<Explanation> {
     let mut visiting = FxHashSet::default();
-    explain_rec(t, base, sat, vocab, &mut visiting)
+    explain_rec(t, is_explicit, sat, vocab, &mut visiting)
 }
 
 fn explain_rec(
     t: &Triple,
-    base: &Graph,
+    is_explicit: &dyn Fn(&Triple) -> bool,
     sat: &Graph,
     vocab: &Vocab,
     visiting: &mut FxHashSet<Triple>,
 ) -> Option<Explanation> {
-    if base.contains(t) {
+    if is_explicit(t) {
         return Some(Explanation::Asserted(*t));
     }
     if !sat.contains(t) || !visiting.insert(*t) {
@@ -156,13 +162,13 @@ fn explain_rec(
     let mut instances: Vec<(Rule, Triple, Triple)> = Vec::new();
     derivations_of(t, sat, vocab, |rule, p1, p2| instances.push((rule, p1, p2)));
     // Prefer instances whose premises are asserted: shallower trees first.
-    instances.sort_by_key(|(_, p1, p2)| (!base.contains(p1)) as u8 + (!base.contains(p2)) as u8);
+    instances.sort_by_key(|(_, p1, p2)| (!is_explicit(p1)) as u8 + (!is_explicit(p2)) as u8);
     let mut found = None;
     for (rule, p1, p2) in instances {
-        let Some(e1) = explain_rec(&p1, base, sat, vocab, visiting) else {
+        let Some(e1) = explain_rec(&p1, is_explicit, sat, vocab, visiting) else {
             continue;
         };
-        let Some(e2) = explain_rec(&p2, base, sat, vocab, visiting) else {
+        let Some(e2) = explain_rec(&p2, is_explicit, sat, vocab, visiting) else {
             continue;
         };
         found = Some(Explanation::Derived {
@@ -311,7 +317,7 @@ mod tests {
         }
         let sat = saturate(&f.g, &v).graph;
         for t in sat.iter() {
-            let e = explain_in(&t, &f.g, &sat, &v)
+            let e = explain_in(&t, &|t| f.g.contains(t), &sat, &v)
                 .unwrap_or_else(|| panic!("no explanation for saturated triple {t}"));
             assert_eq!(e.triple(), t);
             assert!(

@@ -16,10 +16,12 @@
 //!   schema updates, including cyclic schemas;
 //! * [`CountingMaintainer`] — truth maintenance à la Broekstra & Kampman
 //!   (the paper's ref. \[11\]): every saturated triple carries the number
-//!   of derivations supporting it, so instance deletions are
-//!   decrement-and-drop. Schema updates re-close the (small) schema and
-//!   adjust counts only for the base triples whose consequence sets could
-//!   have changed.
+//!   of derivations supporting it, an assertion counting as one, so
+//!   instance deletions are decrement-and-drop. It stores `G∞` only: a
+//!   triple's explicitness is one bit beside its count, and `G` is read
+//!   through that bit. Schema updates re-close the (small) schema and
+//!   adjust counts only for the explicit triples whose consequence sets
+//!   could have changed.
 //!
 //! All three implement [`Maintainer`] and are property-tested equivalent
 //! to recomputation under random update streams. A saturated store serves
@@ -79,15 +81,21 @@ impl UpdateStats {
 /// A saturation maintained under updates.
 ///
 /// Invariant, checked by the test suite: after any sequence of operations,
-/// `self.saturated()` equals `saturate(self.base())`.
+/// `self.saturated()` equals `saturate` of the explicit triples.
 pub trait Maintainer {
-    /// The base (explicit) graph `G`.
-    fn base(&self) -> &Graph;
+    /// The explicit (asserted) triples of `G`, in no particular order.
+    fn explicit(&self) -> Box<dyn Iterator<Item = Triple> + '_>;
+    /// How many triples `G` holds.
+    fn explicit_len(&self) -> usize;
+    /// Whether `t` is asserted, i.e. in `G`.
+    fn is_explicit(&self, t: &Triple) -> bool;
     /// The maintained saturation `G∞`.
     fn saturated(&self) -> &Graph;
-    /// Inserts a triple into the base graph and maintains the saturation.
+    /// Asserts a triple and maintains the saturation; a no-op when `t` is
+    /// already asserted.
     fn insert(&mut self, t: Triple) -> UpdateStats;
-    /// Removes a triple from the base graph and maintains the saturation.
+    /// Retracts an assertion and maintains the saturation; a no-op when
+    /// `t` is not asserted, even if it is entailed.
     fn delete(&mut self, t: &Triple) -> UpdateStats;
     /// The algorithm's display name, e.g. `counting`.
     fn name(&self) -> &'static str;
@@ -158,8 +166,14 @@ impl RecomputeMaintainer {
 }
 
 impl Maintainer for RecomputeMaintainer {
-    fn base(&self) -> &Graph {
-        &self.base
+    fn explicit(&self) -> Box<dyn Iterator<Item = Triple> + '_> {
+        Box::new(self.base.iter())
+    }
+    fn explicit_len(&self) -> usize {
+        self.base.len()
+    }
+    fn is_explicit(&self, t: &Triple) -> bool {
+        self.base.contains(t)
     }
     fn saturated(&self) -> &Graph {
         &self.sat
@@ -202,8 +216,14 @@ impl DRedMaintainer {
 }
 
 impl Maintainer for DRedMaintainer {
-    fn base(&self) -> &Graph {
-        &self.base
+    fn explicit(&self) -> Box<dyn Iterator<Item = Triple> + '_> {
+        Box::new(self.base.iter())
+    }
+    fn explicit_len(&self) -> usize {
+        self.base.len()
+    }
+    fn is_explicit(&self, t: &Triple) -> bool {
+        self.base.contains(t)
     }
     fn saturated(&self) -> &Graph {
         &self.sat
@@ -289,20 +309,30 @@ impl Maintainer for DRedMaintainer {
 // Counting
 // ---------------------------------------------------------------------------
 
+/// The top bit of a [`CountingMaintainer`] count: the triple is asserted.
+/// The low 31 bits hold its support, the assertion included.
+const EXPLICIT: u32 = 1 << 31;
+
 /// Derivation-counting maintenance (Broekstra & Kampman, ref. \[11\]).
 ///
 /// Every instance-level triple in the saturation carries
-/// `count = [t ∈ base] + |{base triples whose consequence set contains t}|`.
-/// Because the schema is closed up front, each base triple's consequence
-/// set is computed in one lookup pass (`derive_instance_consequences`),
-/// making counts exact — including under cyclic schemas. The (small)
-/// schema-closure part of the saturation is re-derived wholesale on schema
-/// updates and diffed.
+/// `count = [t ∈ G] + |{explicit triples whose consequence set contains t}|`.
+/// Because the schema is closed up front, each explicit triple's
+/// consequence set is computed in one lookup pass
+/// (`derive_instance_consequences`), making counts exact — including under
+/// cyclic schemas. The (small) schema-closure part of the saturation is
+/// re-derived wholesale on schema updates and diffed.
+///
+/// `G∞` is the only graph it holds: `G` is the set of triples whose count
+/// carries the explicit bit, so an assertion costs one count entry rather
+/// than three index entries in a second graph.
 pub struct CountingMaintainer {
     vocab: Vocab,
-    base: Graph,
     sat: Graph,
+    /// Support per counted triple; the top bit marks an assertion.
     counts: FxHashMap<Triple, u32>,
+    /// How many counts carry the explicit bit, i.e. `|G|`.
+    explicit: usize,
     schema: Schema,
     closed_schema: FxHashSet<Triple>,
     delta: Option<Vec<(Triple, bool)>>,
@@ -310,16 +340,18 @@ pub struct CountingMaintainer {
 
 impl CountingMaintainer {
     /// Builds the maintainer, computing the initial saturation and counts.
-    /// The build is this maintainer's saturation, so it is spanned as
-    /// `rdfs.saturate.run` like [`saturate`].
+    /// `base` becomes `G∞` in place. The build is this maintainer's
+    /// saturation, so it is spanned as `rdfs.saturate.run` like
+    /// [`saturate`].
     pub fn new(base: Graph, vocab: Vocab) -> Self {
         let _span = obs::global().span("rdfs.saturate.run");
         let schema = Schema::extract(&base, &vocab);
+        let asserted: Vec<Triple> = base.iter().collect();
         let mut m = CountingMaintainer {
             vocab,
-            sat: base.clone(),
-            base,
+            sat: base,
             counts: FxHashMap::default(),
+            explicit: asserted.len(),
             schema,
             closed_schema: FxHashSet::default(),
             delta: None,
@@ -329,8 +361,8 @@ impl CountingMaintainer {
             m.sat.insert(t);
         }
         let mut cons = FxHashSet::default();
-        for t in m.base.iter() {
-            *m.counts.entry(t).or_insert(0) += 1;
+        for t in asserted {
+            *m.counts.entry(t).or_insert(0) += EXPLICIT | 1;
             cons.clear();
             derive_instance_consequences(&t, &m.vocab, &m.schema, |_, c| {
                 cons.insert(c);
@@ -343,10 +375,10 @@ impl CountingMaintainer {
         m
     }
 
-    /// The derivation count of a saturated triple (0 if absent) — exposed
-    /// for tests and diagnostics.
+    /// The derivation count of a saturated triple (0 if absent), an
+    /// assertion counting as one — exposed for tests and diagnostics.
     pub fn count_of(&self, t: &Triple) -> u32 {
-        self.counts.get(t).copied().unwrap_or(0)
+        self.counts.get(t).map_or(0, |&c| c & !EXPLICIT)
     }
 
     /// Turns recording of the *entailed* delta on or off. While on, every
@@ -375,23 +407,26 @@ impl CountingMaintainer {
         out
     }
 
+    /// Inserts `d` into `G∞`, recording the entailed delta. `false` when it
+    /// was already present via the schema closure.
+    fn enter(&mut self, d: Triple) -> bool {
+        let entered = self.sat.insert(d);
+        if entered {
+            if let Some(buf) = &mut self.delta {
+                buf.push((d, true));
+            }
+        }
+        entered
+    }
+
+    /// Adds one support to `d`; `true` when `d` entered `G∞`.
     fn inc(&mut self, d: Triple) -> bool {
         let c = self.counts.entry(d).or_insert(0);
         *c += 1;
-        if *c == 1 {
-            // The saturation only changes when `d` was not already present
-            // via the schema closure — only then is a delta recorded.
-            if self.sat.insert(d) {
-                if let Some(buf) = &mut self.delta {
-                    buf.push((d, true));
-                }
-            }
-            true
-        } else {
-            false
-        }
+        *c == 1 && self.enter(d)
     }
 
+    /// Drops one support from `d`; `true` when `d` left `G∞`.
     fn dec(&mut self, d: &Triple) -> bool {
         match self.counts.get_mut(d) {
             Some(c) if *c > 1 => {
@@ -402,11 +437,9 @@ impl CountingMaintainer {
                 self.counts.remove(d);
                 // A schema-closure triple stays even at count 0 (its
                 // membership is governed by the closure set).
-                if !self.closed_schema.contains(d) {
-                    if self.sat.remove(d) {
-                        if let Some(buf) = &mut self.delta {
-                            buf.push((*d, false));
-                        }
+                if !self.closed_schema.contains(d) && self.sat.remove(d) {
+                    if let Some(buf) = &mut self.delta {
+                        buf.push((*d, false));
                     }
                     true
                 } else {
@@ -417,12 +450,10 @@ impl CountingMaintainer {
         }
     }
 
-    fn instance_insert(&mut self, t: Triple) -> UpdateStats {
+    /// Adds one support to every consequence of the instance triple `t`.
+    fn instance_insert(&mut self, t: &Triple) -> UpdateStats {
         let mut added = 0;
-        if self.inc(t) {
-            added += 1;
-        }
-        let cons = Self::cons_set(&t, &self.vocab, &self.schema);
+        let cons = Self::cons_set(t, &self.vocab, &self.schema);
         let work = cons.len();
         for d in cons {
             if self.inc(d) {
@@ -437,11 +468,9 @@ impl CountingMaintainer {
         }
     }
 
+    /// Drops one support from every consequence of the instance triple `t`.
     fn instance_delete(&mut self, t: &Triple) -> UpdateStats {
         let mut removed = 0;
-        if self.dec(t) {
-            removed += 1;
-        }
         let cons = Self::cons_set(t, &self.vocab, &self.schema);
         let work = cons.len();
         for d in cons {
@@ -457,33 +486,41 @@ impl CountingMaintainer {
         }
     }
 
-    /// Handles a schema triple insertion or deletion (the base graph has
-    /// already been updated). Re-closes the schema and adjusts counts for
-    /// the base triples whose consequence sets may have changed.
-    fn schema_update(&mut self, kind: UpdateKind) -> UpdateStats {
+    /// Handles the insertion or deletion of the constraint `t` (its
+    /// explicit bit has already moved). Re-closes the schema with `t`
+    /// added or removed and adjusts counts for the explicit triples whose
+    /// consequence sets may have changed.
+    fn schema_update(&mut self, t: &Triple, kind: UpdateKind) -> UpdateStats {
         let old_schema = std::mem::take(&mut self.schema);
-        let new_schema = Schema::extract(&self.base, &self.vocab);
+        let new_schema =
+            old_schema.with_constraint(t, &self.vocab, kind == UpdateKind::SchemaInsert);
         let (classes, props) = old_schema.diff_affected(&new_schema);
         let mut work = 0;
         let mut added = 0;
         let mut removed = 0;
 
-        // Collect the affected base triples first (cannot mutate while
+        // Collect the affected explicit triples first (cannot mutate while
         // iterating the index).
+        let rdf_type = self.vocab.rdf_type;
         let mut affected: Vec<Triple> = Vec::new();
         for &c in &classes {
-            if let Some(ss) = self.base.subjects_with(self.vocab.rdf_type, c) {
-                affected.extend(ss.iter().map(|&s| Triple::new(s, self.vocab.rdf_type, c)));
+            if let Some(ss) = self.sat.subjects_with(rdf_type, c) {
+                affected.extend(
+                    ss.iter()
+                        .map(|&s| Triple::new(s, rdf_type, c))
+                        .filter(|t| self.is_explicit(t)),
+                );
             }
         }
         for &p in &props {
-            if self.vocab.is_schema_property(p) || p == self.vocab.rdf_type {
+            if self.vocab.is_schema_property(p) || p == rdf_type {
                 continue; // fragment: built-ins are not data properties
             }
             affected.extend(
-                self.base
+                self.sat
                     .pairs_with_property(p)
-                    .map(|(s, o)| Triple::new(s, p, o)),
+                    .map(|(s, o)| Triple::new(s, p, o))
+                    .filter(|t| self.is_explicit(t)),
             );
         }
 
@@ -508,7 +545,7 @@ impl CountingMaintainer {
             new_schema.closed_triples(&self.vocab).into_iter().collect();
         for d in self.closed_schema.difference(&new_closed) {
             // Gone from the closure and not independently counted → drop.
-            if self.counts.get(d).copied().unwrap_or(0) == 0 && self.sat.remove(d) {
+            if !self.counts.contains_key(d) && self.sat.remove(d) {
                 removed += 1;
                 if let Some(buf) = &mut self.delta {
                     buf.push((*d, false));
@@ -535,42 +572,63 @@ impl CountingMaintainer {
 }
 
 impl Maintainer for CountingMaintainer {
-    fn base(&self) -> &Graph {
-        &self.base
+    fn explicit(&self) -> Box<dyn Iterator<Item = Triple> + '_> {
+        Box::new(
+            self.counts
+                .iter()
+                .filter(|&(_, &c)| c & EXPLICIT != 0)
+                .map(|(&t, _)| t),
+        )
+    }
+    fn explicit_len(&self) -> usize {
+        self.explicit
+    }
+    fn is_explicit(&self, t: &Triple) -> bool {
+        self.counts.get(t).is_some_and(|&c| c & EXPLICIT != 0)
     }
     fn saturated(&self) -> &Graph {
         &self.sat
     }
 
     fn insert(&mut self, t: Triple) -> UpdateStats {
-        if !self.base.insert(t) {
+        let count = self.counts.entry(t).or_insert(0);
+        if *count & EXPLICIT != 0 {
             return UpdateStats::noop();
         }
-        // Crash site for the fault-injection suite: the base graph has
-        // changed but neither the counts nor `G∞` have — the state a
-        // recovery must reconverge from.
+        // The assertion is one more support of `t`.
+        *count = (*count | EXPLICIT) + 1;
+        let unsupported_before = *count == EXPLICIT | 1;
+        self.explicit += 1;
+        // Crash site for the fault-injection suite: `t` is asserted but
+        // neither `G∞` nor its consequences' counts have moved — the state
+        // a recovery must reconverge from.
         webreason_failpoints::fail_point!("store.maintain.incremental");
-        if self.vocab.is_schema_property(t.p) {
-            // The inserted constraint itself is a base triple: count it so
-            // a later delete keeps it while it remains in the closure.
-            self.inc(t);
-            self.schema_update(UpdateKind::SchemaInsert)
+        let entered = unsupported_before && self.enter(t);
+        let mut stats = if self.vocab.is_schema_property(t.p) {
+            self.schema_update(&t, UpdateKind::SchemaInsert)
         } else {
-            self.instance_insert(t)
-        }
+            self.instance_insert(&t)
+        };
+        stats.added += usize::from(entered);
+        stats
     }
 
     fn delete(&mut self, t: &Triple) -> UpdateStats {
-        if !self.base.remove(t) {
-            return UpdateStats::noop();
+        match self.counts.get_mut(t) {
+            Some(c) if *c & EXPLICIT != 0 => *c &= !EXPLICIT,
+            _ => return UpdateStats::noop(),
         }
+        self.explicit -= 1;
         webreason_failpoints::fail_point!("store.maintain.incremental");
-        if self.vocab.is_schema_property(t.p) {
-            self.dec(t);
-            self.schema_update(UpdateKind::SchemaDelete)
+        // Drop the assertion's own support.
+        let left = self.dec(t);
+        let mut stats = if self.vocab.is_schema_property(t.p) {
+            self.schema_update(t, UpdateKind::SchemaDelete)
         } else {
             self.instance_delete(t)
-        }
+        };
+        stats.removed += usize::from(left);
+        stats
     }
 
     fn name(&self) -> &'static str {
@@ -578,8 +636,8 @@ impl Maintainer for CountingMaintainer {
     }
 }
 
-// The saturation invariant `saturated() == saturate(base())` is what the
-// tests below check after every operation.
+// The saturation invariant `saturated() == saturate(G)` is what the tests
+// below check after every operation.
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -610,7 +668,7 @@ mod tests {
     }
 
     fn check_invariant(m: &dyn Maintainer, vocab: &Vocab) {
-        let expect = saturate(m.base(), vocab).graph;
+        let expect = saturate(&m.explicit().collect(), vocab).graph;
         assert_eq!(
             m.saturated(),
             &expect,
@@ -677,7 +735,8 @@ mod tests {
                 m.delete(&t);
                 check_invariant(m.as_ref(), &f.vocab);
             }
-            assert!(m.base().is_empty());
+            assert_eq!(m.explicit_len(), 0);
+            assert_eq!(m.explicit().count(), 0);
             assert!(m.saturated().is_empty());
         }
     }
@@ -886,6 +945,50 @@ mod tests {
         }
     }
 
+    #[test]
+    fn schema_insert_counts_the_constraint() {
+        // A new constraint enters G∞ itself; a redundant one does not.
+        let mut f = Fx::new();
+        let (a, b, c) = (f.id("A"), f.id("B"), f.id("C"));
+        let v = f.vocab;
+        for mut m in all_maintainers(&f.g, f.vocab) {
+            let stats = m.insert(Triple::new(a, v.sub_class_of, b));
+            assert_eq!(stats.kind, UpdateKind::SchemaInsert);
+            assert_eq!(stats.added, 1, "{}: A ⊑ B", m.name());
+            let stats = m.insert(Triple::new(b, v.sub_class_of, c));
+            assert_eq!(stats.added, 2, "{}: B ⊑ C and A ⊑ C", m.name());
+            let stats = m.insert(Triple::new(a, v.sub_class_of, c));
+            assert_eq!(stats.kind, UpdateKind::SchemaInsert);
+            assert_eq!(stats.added, 0, "{}: A ⊑ C was entailed", m.name());
+            check_invariant(m.as_ref(), &f.vocab);
+        }
+    }
+
+    #[test]
+    fn entailed_triples_are_asserted_but_not_retracted() {
+        let mut f = Fx::new();
+        let (cat, mammal, tom) = (f.id("Cat"), f.id("Mammal"), f.id("Tom"));
+        let v = f.vocab;
+        f.add(cat, v.sub_class_of, mammal);
+        f.add(tom, v.rdf_type, cat);
+        let entailed = Triple::new(tom, v.rdf_type, mammal);
+        for mut m in all_maintainers(&f.g, f.vocab) {
+            assert_eq!(m.delete(&entailed), UpdateStats::noop(), "{}", m.name());
+            assert!(m.saturated().contains(&entailed), "{}", m.name());
+            assert!(!m.is_explicit(&entailed));
+            let stats = m.insert(entailed);
+            assert_eq!(stats.kind, UpdateKind::InstanceInsert, "{}", m.name());
+            assert_eq!(stats.added, 0, "{}: G∞ already held it", m.name());
+            assert!(m.is_explicit(&entailed), "{}", m.name());
+            assert_eq!(m.explicit_len(), 3, "{}", m.name());
+            // The assertion now outlives the derivation.
+            let stats = m.delete(&Triple::new(tom, v.rdf_type, cat));
+            assert_eq!(stats.removed, 1, "{}: only Tom a Cat leaves", m.name());
+            assert!(m.saturated().contains(&entailed), "{}", m.name());
+            check_invariant(m.as_ref(), &f.vocab);
+        }
+    }
+
     mod properties {
         use super::*;
         use proptest::prelude::*;
@@ -966,8 +1069,9 @@ mod tests {
                 let expect = saturate(&base, &vocab).graph;
                 prop_assert_eq!(dred.saturated(), &expect, "DRed diverged");
                 prop_assert_eq!(counting.saturated(), &expect, "Counting diverged");
-                prop_assert_eq!(dred.base(), &base);
-                prop_assert_eq!(counting.base(), &base);
+                prop_assert_eq!(&dred.explicit().collect::<Graph>(), &base);
+                prop_assert_eq!(&counting.explicit().collect::<Graph>(), &base);
+                prop_assert_eq!(counting.explicit_len(), base.len());
             }
 
             /// Replaying the entailed delta drained after each update onto a

@@ -251,8 +251,14 @@ impl PlusMaintainer {
 }
 
 impl Maintainer for PlusMaintainer {
-    fn base(&self) -> &Graph {
-        &self.base
+    fn explicit(&self) -> Box<dyn Iterator<Item = Triple> + '_> {
+        Box::new(self.base.iter())
+    }
+    fn explicit_len(&self) -> usize {
+        self.base.len()
+    }
+    fn is_explicit(&self, t: &Triple) -> bool {
+        self.base.contains(t)
     }
     fn saturated(&self) -> &Graph {
         &self.sat
@@ -582,7 +588,7 @@ mod tests {
                 }
                 let expect = saturate_plus(&base, &vocab, &owl).graph;
                 prop_assert_eq!(m.saturated(), &expect);
-                prop_assert_eq!(m.base(), &base);
+                prop_assert_eq!(&m.explicit().collect::<Graph>(), &base);
             }
         }
     }

@@ -139,6 +139,40 @@ impl Schema {
         s
     }
 
+    /// This schema with the constraint `t` asserted (`insert`) or
+    /// retracted, re-closed: what [`Schema::extract`] returns for the
+    /// graph that changed by `t`, without reading the graph. `t`'s
+    /// property must be one of the four schema properties.
+    pub fn with_constraint(&self, t: &Triple, vocab: &Vocab, insert: bool) -> Self {
+        let mut s = Schema {
+            direct_sub_class: self.direct_sub_class.clone(),
+            direct_sub_property: self.direct_sub_property.clone(),
+            direct_domain: self.direct_domain.clone(),
+            direct_range: self.direct_range.clone(),
+            ..Schema::default()
+        };
+        let direct = if t.p == vocab.sub_class_of {
+            &mut s.direct_sub_class
+        } else if t.p == vocab.sub_property_of {
+            &mut s.direct_sub_property
+        } else if t.p == vocab.domain {
+            &mut s.direct_domain
+        } else {
+            debug_assert_eq!(t.p, vocab.range, "not a schema property");
+            &mut s.direct_range
+        };
+        if insert {
+            direct.entry(t.s).or_default().insert(t.o);
+        } else if let Some(objects) = direct.get_mut(&t.s) {
+            objects.remove(&t.o);
+            if objects.is_empty() {
+                direct.remove(&t.s);
+            }
+        }
+        s.close();
+        s
+    }
+
     /// (Re)computes all closed maps from the direct maps.
     fn close(&mut self) {
         self.super_classes = transitive_closure(&self.direct_sub_class);
@@ -392,6 +426,44 @@ mod tests {
             &[(member, person)],
             &[(member, org)],
         )
+    }
+
+    #[test]
+    fn with_constraint_matches_extract() {
+        let mut f = Fixture::new();
+        let (a, b, c, p, q) = (f.id("A"), f.id("B"), f.id("C"), f.id("p"), f.id("q"));
+        let v = f.vocab;
+        let steps = [
+            (Triple::new(a, v.sub_class_of, b), true),
+            (Triple::new(p, v.sub_property_of, q), true),
+            (Triple::new(q, v.domain, c), true),
+            (Triple::new(p, v.range, a), true),
+            (Triple::new(b, v.sub_class_of, c), true),
+            (Triple::new(a, v.sub_class_of, b), false),
+            (Triple::new(q, v.domain, c), false),
+            (Triple::new(p, v.sub_property_of, q), false),
+            (Triple::new(p, v.range, a), false),
+            (Triple::new(b, v.sub_class_of, c), false),
+        ];
+        let closed = |s: &Schema| {
+            let mut ts = s.closed_triples(&v);
+            ts.sort();
+            ts
+        };
+        let mut g = Graph::new();
+        let mut s = Schema::extract(&g, &v);
+        for (t, insert) in steps {
+            if insert {
+                g.insert(t);
+            } else {
+                g.remove(&t);
+            }
+            s = s.with_constraint(&t, &v, insert);
+            let expect = Schema::extract(&g, &v);
+            assert_eq!(closed(&s), closed(&expect), "after {t} ({insert})");
+            assert_eq!(s.is_empty(), expect.is_empty());
+        }
+        assert!(s.is_empty());
     }
 
     #[test]

@@ -215,9 +215,11 @@ fn write_term(out: &mut String, scratch: &mut String, dict: &Dictionary, id: Ter
 pub struct UpdateResponse {
     /// Ops accepted into the writer queue (= ops decoded).
     pub accepted: usize,
-    /// Triples actually added by the batch.
+    /// Explicit triples the batch asserted (entailed consequences are
+    /// not counted, under any strategy).
     pub added: usize,
-    /// Triples actually removed by the batch.
+    /// Explicit triples the batch retracted; deleting an entailed-only
+    /// triple retracts nothing.
     pub removed: usize,
     /// The epoch published after this batch was applied.
     pub epoch: u64,

@@ -198,6 +198,43 @@ fn query_update_metrics_round_trip() {
     assert_eq!(store.stats().base_triples, 1, "schema triple remains");
 }
 
+/// `POST /update` replies count explicit triples under every strategy: a
+/// constraint and an instance triple count one each, their entailed
+/// consequences none, and deleting an entailed-but-unasserted triple is a
+/// no-op that leaves it answerable.
+#[test]
+fn update_replies_count_explicit_triples_under_every_strategy() {
+    const SUB_CLASS_OF: &str = "<http://www.w3.org/2000/01/rdf-schema#subClassOf>";
+    const A: &str = "<http://www.w3.org/1999/02/22-rdf-syntax-ns#type>";
+    for (i, reasoning) in ReasoningConfig::ALL.into_iter().enumerate() {
+        let name = reasoning.name();
+        let server = boot_reasoning(&format!("write-contract-{i}"), ephemeral(), reasoning);
+        let addr = server.local_addr();
+        for (script, reply) in [
+            (
+                format!("insert <http://ex/Cat> {SUB_CLASS_OF} <http://ex/Mammal> .\n"),
+                "\"added\":1,\"removed\":0",
+            ),
+            (
+                format!("insert <http://ex/Tom> {A} <http://ex/Cat> .\n"),
+                "\"added\":1,\"removed\":0",
+            ),
+            (
+                format!("delete <http://ex/Tom> {A} <http://ex/Mammal> .\n"),
+                "\"added\":0,\"removed\":0",
+            ),
+        ] {
+            let (status, text) = post(addr, "/update", &script);
+            assert_eq!(status, 200, "{name}: {text}");
+            assert!(text.contains(reply), "{name}: {script} replied {text}");
+        }
+        let (status, text) = post(addr, "/query", COUNT_MAMMALS);
+        assert_eq!(status, 200, "{name}: {text}");
+        assert!(text.contains("<http://ex/Tom>"), "{name}: {text}");
+        assert_eq!(server.shutdown().stats().base_triples, 2, "{name}");
+    }
+}
+
 #[test]
 fn strategy_header_selects_interval_and_rejects_unservable_names() {
     let server = boot_reasoning("strategy-header", ephemeral(), ReasoningConfig::Interval);

@@ -57,7 +57,7 @@ fn main() {
     let mut ref_store = Store::new(ReasoningConfig::Reformulation);
     ref_store.load_turtle(SCHEMA).unwrap();
     let q = ref_store.prepare(persons).unwrap();
-    let schema = Schema::extract(ref_store.base_graph(), ref_store.vocab());
+    let schema = Schema::extract(&ref_store.explicit_triples().collect(), ref_store.vocab());
     let r = reformulate(&q, &schema, ref_store.vocab()).unwrap();
     println!("{} union branches:", r.branches);
     println!("{}", r.query.to_sparql(&ref_store.dictionary()));

@@ -362,7 +362,12 @@ fn a_scripted_write_on_a_saturated_store_records_its_maintenance() {
             .histogram("core.maintain.instance_insert_us")
             .map_or(0, |h| h.count)
     };
-    let (updates_before, inserts_before) = (updates(), inserts());
+    let added = || {
+        reg.snapshot()
+            .counter("core.maintain.triples_added")
+            .unwrap_or(0)
+    };
+    let (updates_before, inserts_before, added_before) = (updates(), inserts(), added());
     let tom = [
         rdf_model::Term::iri("http://ex/Tom"),
         rdf_model::Term::iri(rdf_model::vocab::RDF_TYPE),
@@ -371,7 +376,12 @@ fn a_scripted_write_on_a_saturated_store_records_its_maintenance() {
     let outcome = store
         .apply_script(&[webreason_core::ScriptOp::Insert(tom)])
         .expect("script applies");
-    assert_eq!(outcome.added, 2, "Tom a Cat, Tom a Mammal");
+    assert_eq!(outcome.added, 1, "the reply counts the one explicit triple");
+    assert_eq!(
+        added(),
+        added_before + 2,
+        "G∞ gains Tom a Cat and Tom a Mammal"
+    );
     assert_eq!(updates(), updates_before + 1, "one maintained update");
     assert_eq!(inserts(), inserts_before + 1, "one instance insert timed");
     let _ = std::fs::remove_dir_all(&dir);

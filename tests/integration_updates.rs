@@ -182,5 +182,8 @@ fn synthetic_mixed_stream_three_way_agreement() {
     for m in &maintainers[1..] {
         assert_eq!(m.saturated(), &reference, "{}", m.name());
     }
-    assert_eq!(&saturate(maintainers[0].base(), &vocab).graph, &reference);
+    assert_eq!(
+        &saturate(&maintainers[0].explicit().collect(), &vocab).graph,
+        &reference
+    );
 }
