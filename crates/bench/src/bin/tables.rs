@@ -1,5 +1,5 @@
 //! Regenerates the evaluation tables (DESIGN.md §3): T-SAT, T-REF, T-QA,
-//! T-MAINT, A-DATALOG, A-ADVISOR, A-REF, T-INT, A-SERVE.
+//! T-MAINT, A-ADVISOR, A-REF, T-INT, T-SOC, A-SERVE.
 //!
 //! ```sh
 //! cargo run --release -p bench --bin tables            # all tables, small scale
@@ -11,16 +11,17 @@ use bench::{
     saturated, time, Scale,
 };
 use durability::FsyncPolicy;
+use obs::CancelToken;
+use rdf_model::Graph;
 use rdfs::incremental::{CountingMaintainer, DRedMaintainer, Maintainer, RecomputeMaintainer};
 use rdfs::{saturate, saturate_naive, Schema};
 use reformulation::{reformulate, reformulate_intervals};
 use serde::Serialize;
-use sparql::{evaluate, evaluate_interval, evaluate_union, Query};
+use sparql::{evaluate, evaluate_interval, evaluate_union, try_execute, Executable, Query};
 use std::num::NonZeroUsize;
 use std::sync::Arc;
 use webreason_core::advisor::{advise, Recommendation, UpdateMix, WorkloadMix};
 use webreason_core::cost::profile;
-use webreason_core::evaluate_backward;
 use workload::lubm::{generate, LubmConfig};
 use workload::synth::{generate as synth_generate, SynthConfig};
 use workload::Dataset;
@@ -43,6 +44,16 @@ fn main() {
         },
     };
     let which = get("--table").unwrap_or_else(|| "all".to_owned());
+    const TABLES: [&str; 9] = [
+        "sat", "ref", "qa", "maint", "advisor", "aref", "interval", "soc", "serve",
+    ];
+    if which != "all" && !TABLES.contains(&which.as_str()) {
+        eprintln!(
+            "error: unknown table {which:?} (expected all|{})",
+            TABLES.join("|")
+        );
+        std::process::exit(2);
+    }
 
     let run = |name: &str| which == "all" || which == name;
     let mut reports_ok = true;
@@ -58,9 +69,6 @@ fn main() {
     if run("maint") {
         reports_ok &= table_maint(scale);
     }
-    if run("datalog") {
-        table_datalog(scale);
-    }
     if run("advisor") {
         table_advisor(scale);
     }
@@ -69,9 +77,6 @@ fn main() {
     }
     if run("interval") {
         reports_ok &= table_interval(scale);
-    }
-    if run("fed") {
-        table_federation();
     }
     if run("soc") {
         table_social();
@@ -143,102 +148,6 @@ fn table_social() {
     println!(
         "(contrast with T-QA: a property-lattice workload derives via rdfs7/rdfs2\n\
          where LUBM's class tree derives via rdfs9 — the RDF-fragment axis of §II-B)\n"
-    );
-}
-
-/// A-FED: endpoint churn at a mediator — the §I integration scenario.
-/// Compares a reformulation-based mediator (no global saturation) against
-/// a naive saturating mediator (re-saturates the merged graph after every
-/// membership change), across query-per-churn rates.
-fn table_federation() {
-    use federation::Federation;
-    use workload::lubm::generate;
-
-    println!("== A-FED: endpoint churn vs query rate at the mediator ==");
-    // Each "endpoint" publishes one university's worth of data.
-    let datasets: Vec<String> = (0..4)
-        .map(|i| {
-            let cfg = workload::lubm::LubmConfig {
-                departments: 3,
-                students_per_department: 40,
-                seed: 100 + i,
-                ..Default::default()
-            };
-            let ds = generate(&cfg);
-            rdf_io::write_ntriples(&ds.graph, &ds.dict)
-        })
-        .collect();
-
-    let query = "PREFIX ub: <http://webreason.example/univ-bench#> \
-                 SELECT DISTINCT ?x WHERE { ?x a ub:Student }";
-
-    let mut rows = Vec::new();
-    for queries_per_churn in [1usize, 10, 100] {
-        let run = |saturating: bool| -> (f64, usize) {
-            let mut fed = Federation::new();
-            let ids: Vec<_> = (0..datasets.len())
-                .map(|i| fed.add_endpoint(&format!("uni{i}")))
-                .collect();
-            for (id, data) in ids.iter().zip(&datasets) {
-                fed.load_ntriples(*id, data).expect("endpoint data loads");
-            }
-            let mut q = fed.prepare(query).expect("query parses");
-            q.distinct = true;
-            let mut answers = 0;
-            let (_, secs) = time(|| {
-                // churn: each round one endpoint leaves and rejoins, then
-                // `queries_per_churn` queries run.
-                for round in 0..4 {
-                    let victim = ids[round % ids.len()];
-                    fed.remove_endpoint(victim);
-                    let reborn = fed.add_endpoint("rejoined");
-                    fed.load_ntriples(reborn, &datasets[round % datasets.len()])
-                        .expect("endpoint data loads");
-                    for _ in 0..queries_per_churn {
-                        let sols = if saturating {
-                            fed.answer_via_saturation(&q).expect("answers")
-                        } else {
-                            fed.answer(&q).expect("answers")
-                        };
-                        answers = sols.len();
-                    }
-                }
-            });
-            (secs, answers)
-        };
-        let (refo_s, refo_answers) = run(false);
-        let (sat_s, sat_answers) = run(true);
-        assert_eq!(refo_answers, sat_answers, "mediators agree");
-        rows.push(vec![
-            queries_per_churn.to_string(),
-            fmt_secs(refo_s),
-            fmt_secs(sat_s),
-            if refo_s <= sat_s {
-                "reformulation"
-            } else {
-                "saturation"
-            }
-            .to_owned(),
-            refo_answers.to_string(),
-        ]);
-    }
-    println!(
-        "{}",
-        render_table(
-            &[
-                "queries/churn",
-                "reformulating mediator",
-                "saturating mediator",
-                "winner",
-                "answers"
-            ],
-            &rows
-        )
-    );
-    println!(
-        "\"computing prior to query answering all the consequences of facts from any\n\
-         endpoint and constraints from any (other) endpoint is not feasible\" (§I) —\n\
-         under churn the saturating mediator re-pays materialisation every round.\n"
     );
 }
 
@@ -788,8 +697,8 @@ fn table_aserve() -> bool {
 }
 
 /// T-SAT: saturation time and size blow-up across dataset scales, for the
-/// specialised single-pass engine vs the naive fix-point vs the Datalog
-/// translation (the engine-specialisation ablation).
+/// specialised single-pass engine vs the naive fix-point (the
+/// engine-specialisation ablation).
 fn table_sat() -> bool {
     println!("== T-SAT: graph saturation across scales ==");
     #[derive(Serialize)]
@@ -800,7 +709,6 @@ fn table_sat() -> bool {
         blowup: f64,
         specialised_s: f64,
         naive_s: f64,
-        datalog_s: f64,
     }
     let mut report = Vec::new();
     let mut rows = Vec::new();
@@ -816,9 +724,7 @@ fn table_sat() -> bool {
             let ds = generate(&cfg);
             let (fast, specialised_s) = time(|| saturate(&ds.graph, &ds.vocab));
             let (naive, naive_s) = time(|| saturate_naive(&ds.graph, &ds.vocab));
-            let (dl, datalog_s) = time(|| datalog::saturate_via_datalog(&ds.graph, &ds.vocab));
             assert_eq!(fast.graph, naive.graph, "engines must agree");
-            assert_eq!(fast.graph, dl.0, "datalog must agree");
             let blowup = fast.graph.len() as f64 / ds.graph.len() as f64;
             rows.push(vec![
                 ds.graph.len().to_string(),
@@ -826,7 +732,6 @@ fn table_sat() -> bool {
                 format!("{blowup:.2}×"),
                 fmt_secs(specialised_s),
                 fmt_secs(naive_s),
-                fmt_secs(datalog_s),
                 format!("{:.1}×", naive_s / specialised_s),
             ]);
             report.push(Row {
@@ -836,7 +741,6 @@ fn table_sat() -> bool {
                 blowup,
                 specialised_s,
                 naive_s,
-                datalog_s,
             });
         }
     }
@@ -849,7 +753,6 @@ fn table_sat() -> bool {
                 "blow-up",
                 "specialised",
                 "naive",
-                "datalog",
                 "naive/spec"
             ],
             &rows
@@ -950,10 +853,11 @@ fn table_ref(scale: Scale) -> bool {
     emit_json("table_ref", &report)
 }
 
-/// T-QA: per-query evaluation time — q(G∞) vs q_ref(G) vs backward
-/// chaining — with the winner column ("who wins, where").
+/// T-QA: per-query evaluation time — q(G∞) vs q_ref(G), both through the
+/// evaluator a store answers with — with the winner column ("who wins,
+/// where").
 fn table_qa(scale: Scale) -> bool {
-    println!("== T-QA: query answering, saturation vs reformulation vs backward ==");
+    println!("== T-QA: query answering, saturation vs reformulation ==");
     let (ds, qs) = lubm_workload(scale);
     let sat = saturated(&ds);
     let schema = Schema::extract(&ds.graph, &ds.vocab);
@@ -963,9 +867,14 @@ fn table_qa(scale: Scale) -> bool {
         answers: usize,
         eval_saturated_s: f64,
         eval_reformulated_s: f64,
-        eval_backward_s: f64,
         winner: String,
     }
+    let none = CancelToken::none();
+    let run = |g: &Graph, exe: Executable| {
+        try_execute(g, exe, &none)
+            .expect("an uncancellable run answers")
+            .0
+    };
     let mut report = Vec::new();
     let mut rows = Vec::new();
     for (name, q) in &qs {
@@ -973,32 +882,25 @@ fn table_qa(scale: Scale) -> bool {
         // best-of-3 to suppress noise
         let mut t_sat = f64::INFINITY;
         let mut t_ref = f64::INFINITY;
-        let mut t_bwd = f64::INFINITY;
         let mut answers = 0;
         for _ in 0..3 {
-            let (a, s) = time(|| evaluate(&sat, q));
+            let (a, s) = time(|| run(&sat, Executable::Plain(q)));
             t_sat = t_sat.min(s);
             answers = a.len();
-            let (b, s) = time(|| evaluate(&ds.graph, &r.query));
+            let (b, s) = time(|| run(&ds.graph, Executable::Union(&r.query)));
             t_ref = t_ref.min(s);
-            let (c, s) = time(|| evaluate_backward(&ds.graph, &schema, &ds.vocab, q));
-            t_bwd = t_bwd.min(s);
             bench::assert_same_answers(&a, &b, name);
-            bench::assert_same_answers(&a, &c, name);
         }
-        let winner = if t_sat <= t_ref && t_sat <= t_bwd {
+        let winner = if t_sat <= t_ref {
             "saturation"
-        } else if t_ref <= t_bwd {
-            "reformulation"
         } else {
-            "backward"
+            "reformulation"
         };
         rows.push(vec![
             name.clone(),
             answers.to_string(),
             fmt_secs(t_sat),
             fmt_secs(t_ref),
-            fmt_secs(t_bwd),
             winner.to_string(),
         ]);
         report.push(Row {
@@ -1006,16 +908,12 @@ fn table_qa(scale: Scale) -> bool {
             answers,
             eval_saturated_s: t_sat,
             eval_reformulated_s: t_ref,
-            eval_backward_s: t_bwd,
             winner: winner.to_string(),
         });
     }
     println!(
         "{}",
-        render_table(
-            &["query", "answers", "q(G∞)", "q_ref(G)", "backward", "winner"],
-            &rows
-        )
+        render_table(&["query", "answers", "q(G∞)", "q_ref(G)", "winner"], &rows)
     );
     emit_json("table_qa", &report)
 }
@@ -1093,50 +991,6 @@ fn table_maint(scale: Scale) -> bool {
         fmt_secs(wal_never_s),
     );
     emit_json("table_maint", &report)
-}
-
-/// A-DATALOG: the §II-D translation — equivalence and relative speed.
-fn table_datalog(scale: Scale) {
-    println!("== A-DATALOG: RDF→Datalog translation (§II-D open issue) ==");
-    let (ds, qs) = lubm_workload(scale);
-    let (native, native_s) = time(|| saturate(&ds.graph, &ds.vocab));
-    let ((dl_graph, stats), dl_s) = time(|| datalog::saturate_via_datalog(&ds.graph, &ds.vocab));
-    assert_eq!(native.graph, dl_graph, "translation must be equivalent");
-    let mut rows = vec![
-        vec![
-            "saturated triples".into(),
-            native.graph.len().to_string(),
-            dl_graph.len().to_string(),
-        ],
-        vec!["wall-clock".into(), fmt_secs(native_s), fmt_secs(dl_s)],
-        vec![
-            "passes / rounds".into(),
-            native.stats.passes.to_string(),
-            stats.rounds.to_string(),
-        ],
-    ];
-    // answers over the datalog-saturated graph match too
-    let mut agree = 0;
-    for (name, q) in &qs {
-        let a = evaluate(&native.graph, q);
-        let b = evaluate(&dl_graph, q);
-        bench::assert_same_answers(&a, &b, name);
-        agree += 1;
-    }
-    rows.push(vec![
-        "queries agreeing".into(),
-        agree.to_string(),
-        agree.to_string(),
-    ]);
-    println!(
-        "{}",
-        render_table(&["metric", "native (specialised)", "datalog engine"], &rows)
-    );
-    println!(
-        "generality costs {:.1}× on saturation — the \"RDF-specific Datalog optimization\"\n\
-         gap the paper flags as an open issue.\n",
-        dl_s / native_s
-    );
 }
 
 /// A-ADVISOR: recommendation across a (query-rate × update-mix) grid.

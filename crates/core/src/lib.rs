@@ -15,13 +15,9 @@
 //!   hierarchy unions of `q_ref` collapse into range scans over an
 //!   interval-encoded dictionary.
 //!
-//! The other techniques the paper surveys are libraries, not store
-//! configurations: [`evaluate_backward`] (AllegroGraph-RDFS++-style
-//! per-atom run-time reasoning, §II-C), `datalog::rdf::saturate_via_datalog`
-//! (the §II-D Datalog translation), `rdfs::plus::PlusMaintainer`
-//! (RDFS-Plus, "some of OWL's predicates") and the recompute and DRed
-//! maintainers [`cost::profile`] compares counting with. The paper tables
-//! call them directly, and the test suite checks them against `q(G∞)`.
+//! The recompute and DRed maintainers are libraries, not store
+//! configurations: [`cost::profile`] compares counting with them, and the
+//! paper tables call them directly.
 //!
 //! On top sit the performance tools the tutorial argues for:
 //! [`cost::profile`] measures a dataset × query-set cost profile,
@@ -50,7 +46,6 @@
 #![warn(missing_docs)]
 
 pub mod advisor;
-mod backward;
 pub mod cost;
 pub mod durable;
 pub mod snapshot;
@@ -58,7 +53,6 @@ mod store;
 pub mod threshold;
 
 pub use advisor::{advise_from_snapshot, advise_observed, advise_three_way, ThreeWayAdvice};
-pub use backward::evaluate_backward;
 pub use cost::ObservedCosts;
 pub use durable::{DurableError, DurableStore, ScriptOp, ScriptOutcome};
 pub use snapshot::{StoreReader, StoreSnapshot};

@@ -233,6 +233,14 @@ pub struct Store {
     delta_schema_changed: bool,
 }
 
+/// `owl:inverseOf`, `owl:SymmetricProperty` and `owl:TransitiveProperty`,
+/// in the order every store interns them (see [`Store::from_parts`]).
+const BASELINE_OWL_TERMS: [&str; 3] = [
+    "http://www.w3.org/2002/07/owl#inverseOf",
+    "http://www.w3.org/2002/07/owl#SymmetricProperty",
+    "http://www.w3.org/2002/07/owl#TransitiveProperty",
+];
+
 impl Store {
     /// Creates an empty store with the given strategy.
     pub fn new(config: ReasoningConfig) -> Self {
@@ -255,7 +263,9 @@ impl Store {
         // without a checkpoint re-encodes each record's `new_terms`
         // on top of this baseline, so dropping these terms would shift
         // every journaled id by 3 and recover the wrong triples silently.
-        rdfs::plus::OwlVocab::intern(&mut dict);
+        for iri in BASELINE_OWL_TERMS {
+            dict.encode(&Term::iri(iri));
+        }
         let dict = Arc::new(RwLock::new(dict));
         let state = Self::build_state(graph, vocab, config);
         // The slot starts with an empty epoch-0 placeholder; epoch 1 is

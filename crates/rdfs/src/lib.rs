@@ -50,7 +50,6 @@
 
 pub mod explain;
 pub mod incremental;
-pub mod plus;
 pub mod rules;
 mod saturation;
 mod schema;

@@ -172,7 +172,7 @@ fn exists_rec(
 /// True if `bgp` has at least one match in `g` under the given (partial)
 /// binding — the `FILTER NOT EXISTS` probe. Bound variables constrain the
 /// search; unbound ones are existential.
-pub fn bgp_has_match(g: &Graph, bgp: &Bgp, binding: &[Option<TermId>]) -> bool {
+fn bgp_has_match(g: &Graph, bgp: &Bgp, binding: &[Option<TermId>]) -> bool {
     let mut scratch: Vec<Option<TermId>> = binding.to_vec();
     // Ensure the scratch table covers the neg-pattern's variables.
     let max_var = bgp
@@ -198,7 +198,7 @@ pub(crate) fn passes_negation(g: &Graph, q: &Query, binding: &[Option<TermId>]) 
 
 /// Evaluates a single BGP with an explicit plan, emitting every complete
 /// variable binding. `n_vars` is the owning query's variable-table size.
-pub fn evaluate_bgp_with_plan(
+fn evaluate_bgp_with_plan(
     g: &Graph,
     bgp: &Bgp,
     plan: &PlannedBgp,
@@ -207,14 +207,6 @@ pub fn evaluate_bgp_with_plan(
 ) {
     let mut binding: Vec<Option<TermId>> = vec![None; n_vars];
     eval_rec(g, bgp, &plan.order, 0, &mut binding, &mut emit);
-}
-
-/// Evaluates a single BGP (planning it first), returning complete bindings.
-pub fn evaluate_bgp(g: &Graph, bgp: &Bgp, n_vars: usize) -> Vec<Vec<Option<TermId>>> {
-    let plan = plan_bgp(g, bgp);
-    let mut out = Vec::new();
-    evaluate_bgp_with_plan(g, bgp, &plan, n_vars, |b| out.push(b.to_vec()));
-    out
 }
 
 /// Evaluates a query (a union of BGPs) against `g` — plain *query
@@ -260,7 +252,7 @@ pub fn evaluate(g: &Graph, q: &Query) -> Solutions {
 /// SPARQL value ordering for `ORDER BY`: numeric literals compare by
 /// value; otherwise terms compare by kind (IRI < literal < blank) then
 /// lexically. Total and deterministic.
-pub fn compare_terms(a: &Term, b: &Term) -> Ordering {
+fn compare_terms(a: &Term, b: &Term) -> Ordering {
     fn numeric(t: &Term) -> Option<f64> {
         let lit = t.as_literal()?;
         match lit.datatype() {

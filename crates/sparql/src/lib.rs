@@ -56,10 +56,7 @@ mod rows;
 mod union_eval;
 
 pub use ast::{Aggregate, Bgp, Modifiers, OrderKey, QTerm, Query, TriplePattern, Variable};
-pub use eval::{
-    bgp_has_match, compare_terms, evaluate, evaluate_bgp, evaluate_bgp_with_plan, finalize,
-    finalize_read, Solutions,
-};
+pub use eval::{evaluate, finalize, finalize_read, Solutions};
 pub use parser::{parse_query, QueryParseError};
 pub use range_eval::{
     evaluate_interval, try_evaluate_interval, IntervalQuery, RTerm, RangeAtom, RangeBgp,

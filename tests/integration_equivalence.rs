@@ -1,8 +1,6 @@
 //! Strategy equivalence on the LUBM workload: every store configuration
-//! and the two reference engines kept as libraries must return the same
-//! answer sets on the reformulation dialect —
-//! `q(G∞) = q_ref(G) = q_int(G) = backward(G) = q(datalog(G))` — which is
-//! the semantic backbone of the paper's performance comparison (the
+//! must return the same answer sets on the reformulation dialect —
+//! `q(G∞) = q_ref(G) = q_int(G)` — which is the semantic backbone of the paper's performance comparison (the
 //! techniques compute the *same* answers at different costs).
 //!
 //! The differential half of the file locks the union-aware evaluator AND
@@ -22,32 +20,8 @@ use rdf_model::{Dictionary, Graph, Triple, Vocab};
 use rdfs::saturate;
 use rustc_hash::FxHashSet;
 use sparql::{evaluate, evaluate_interval, evaluate_union, parse_query};
-use webreason_core::{evaluate_backward, ReasoningConfig, Store};
+use webreason_core::{ReasoningConfig, Store};
 use workload::lubm::{generate, queries, LubmConfig};
-
-/// The reference engines that answer outside the store: backward
-/// chaining over `G` and plain evaluation over the Datalog translation's
-/// saturation. Both must equal `q(G∞)` on every query checked here.
-fn assert_reference_engines_agree(
-    g: &Graph,
-    vocab: &Vocab,
-    q: &sparql::Query,
-    want: &FxHashSet<Vec<rdf_model::TermId>>,
-    what: &str,
-) {
-    let schema = rdfs::Schema::extract(g, vocab);
-    assert_eq!(
-        &evaluate_backward(g, &schema, vocab, q).as_set(),
-        want,
-        "backward chaining disagrees on {what}"
-    );
-    let (datalog_sat, _) = datalog::saturate_via_datalog(g, vocab);
-    assert_eq!(
-        &evaluate(&datalog_sat, q).as_set(),
-        want,
-        "Datalog saturation disagrees on {what}"
-    );
-}
 
 #[test]
 fn all_strategies_agree_on_lubm_q1_to_q10() {
@@ -65,11 +39,6 @@ fn all_strategies_agree_on_lubm_q1_to_q10() {
         })
         .collect();
 
-    for (nq, want) in named.iter().zip(&reference) {
-        let mut q = nq.query.clone();
-        q.distinct = true;
-        assert_reference_engines_agree(&ds.graph, &ds.vocab, &q, want, nq.name);
-    }
     for config in ReasoningConfig::ALL {
         let store = Store::from_parts(ds.dict.clone(), ds.vocab, ds.graph.clone(), config);
         for (nq, want) in named.iter().zip(&reference) {
@@ -509,28 +478,27 @@ fn strategies_agree_after_updates() {
         q.distinct = true;
         let before = store.answer(&q).unwrap().len();
         store.insert(t);
-        let after = store.answer(&q).unwrap().len();
-        assert_eq!(after, before + 1, "{}: new member visible", config.name());
+        let after = store.answer(&q).unwrap().as_set();
+        assert_eq!(
+            after.len(),
+            before + 1,
+            "{}: new member visible",
+            config.name()
+        );
         store.delete(&t);
         let back = store.answer(&q).unwrap().as_set();
-        results.push((config.name(), before, back));
-    }
-    let first = results[0].2.clone();
-    for (name, _, set) in &results {
-        assert_eq!(set, &first, "{name} diverged after update round-trip");
+        results.push((config.name(), after, back));
     }
 
-    // The reference engines, on the graph with and without the update.
+    // The oracle, on the graph with and without the update.
     let mut q = q5;
     q.distinct = true;
     let mut updated = ds.graph.clone();
     updated.insert(t);
-    for g in [&updated, &ds.graph] {
-        let want = evaluate(&saturate(g, &ds.vocab).graph, &q).as_set();
-        assert_reference_engines_agree(g, &ds.vocab, &q, &want, "Q5 around the update");
+    let want_after = evaluate(&saturate(&updated, &ds.vocab).graph, &q).as_set();
+    let want_back = evaluate(&saturate(&ds.graph, &ds.vocab).graph, &q).as_set();
+    for (name, after, back) in &results {
+        assert_eq!(after, &want_after, "{name} diverged after the insert");
+        assert_eq!(back, &want_back, "{name} diverged after update round-trip");
     }
-    assert_eq!(
-        evaluate(&saturate(&ds.graph, &ds.vocab).graph, &q).as_set(),
-        first
-    );
 }
