@@ -9,10 +9,9 @@
 //! which together answer each of the eight bound/unbound [`Pattern`] shapes
 //! with a single probe chain — the classical "all access paths" layout of
 //! RDF stores such as Hexastore and RDF-3X (the paper's §II-C prototypes),
-//! reduced from six to three orders because RDF patterns never need a
-//! *sorted* residual column here, only a set.
-//!
-//! ## Copy-on-write chunks
+//! reduced from six orders to three: under its leading key each index
+//! keeps sorted `(second, third)` id pairs, so every leaf is a sorted id
+//! run, probed by binary search and scanned in id order.
 //!
 //! Term ids are dense, so the top level of each index is a radix array
 //! over its leading key: chunk `id >> 4` holds the inner maps of the 16
@@ -23,121 +22,63 @@
 //! store publishing an immutable snapshot per update therefore pays for
 //! the chunks the update wrote, not for the graph.
 //!
-//! An inner map (second key → leaf set) lives inline in its chunk. Up to
-//! 128 triples it is one `FxHashMap`, copied whole with its chunk; past
-//! that it is *paged* into a radix array of its own over the second key,
-//! so a write under a busy key (`rdf:type` in POS, a class in OSP) copies
-//! 16 leaves rather than the whole map. Leaves are `FxHashSet`s. Every
-//! inner map counts its triples and every index counts its keys, so
-//! `count` of every pattern shape and the distinct
-//! subject/property/object counts are O(1).
-//!
-//! Reads probe at most one chunk per level, and scans walk the chunks
-//! with plain loops (internal iteration) rather than iterator adapters.
+//! An inner map lives inline in its chunk slot: up to 128 triples it is
+//! one sorted boxed slice of pairs, copied whole with its chunk. Past that
+//! it is *paged* into `Arc`'d sorted pages of at most 128 pairs, under an
+//! `Arc` of its own, so a write under a busy key (`rdf:type` in POS, a
+//! class in OSP) copies one page and the page directory. Every inner map
+//! counts its triples and every index its keys, so `count` is exact
+//! without a scan and the distinct subject/property/object counts O(1).
 
 use crate::dictionary::TermId;
 use crate::triple::{Pattern, Triple};
-use rustc_hash::{FxHashMap, FxHashSet};
 use std::sync::Arc;
 
 /// log2 of the slots per chunk.
 const CHUNK_BITS: usize = 4;
 /// Slots per chunk.
 const CHUNK: usize = 1 << CHUNK_BITS;
-/// Triples an inner map holds before it is paged.
+/// Pairs an inner map holds before it is paged, and that a page holds.
 const PAGE_AT: usize = 128;
 
-type Leaf = FxHashSet<TermId>;
+/// A `(second, third)` key pair under an index's leading key.
+type Pair = (TermId, TermId);
 
-/// Sixteen consecutive slots of a [`Radix`], shared by every clone that
-/// has not written to them since.
-type Chunk<T> = Arc<Slots<T>>;
-
-/// The slots of a chunk, with a bitmask of the occupied ones so scans of
-/// sparse chunks touch only what is there.
+/// The slots of a chunk, with a bitmask of the occupied ones. An empty
+/// slot holds `T::default()`, which allocates nothing.
 #[derive(Debug, Clone)]
 struct Slots<T> {
     occupied: u16,
-    slot: [Option<T>; CHUNK],
-}
-
-impl<T> Slots<T> {
-    /// Calls `f` with the index and value of every occupied slot.
-    #[inline]
-    fn for_each(&self, mut f: impl FnMut(usize, &T)) {
-        let mut bits = self.occupied;
-        while bits != 0 {
-            let j = bits.trailing_zeros() as usize;
-            bits &= bits - 1;
-            if let Some(v) = &self.slot[j] {
-                f(j, v);
-            }
-        }
-    }
+    slot: [T; CHUNK],
 }
 
 /// A dense array indexed by `TermId`, in copy-on-write chunks. It spans
 /// the chunks from its smallest key's to its largest key's, so keys
 /// clustered high in the id space (the subjects of one department, say)
 /// cost no run of empty chunk pointers below them.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 struct Radix<T> {
     /// Chunk number (`id >> 4`) of `chunks[0]`.
     base: usize,
-    chunks: Vec<Option<Chunk<T>>>,
+    /// Chunks of sixteen consecutive slots, each shared by every clone
+    /// that has not written to it since.
+    chunks: Vec<Option<Arc<Slots<T>>>>,
     /// Occupied slots.
     keys: usize,
 }
 
-impl<T> Default for Radix<T> {
-    fn default() -> Self {
-        Radix {
-            base: 0,
-            chunks: Vec::new(),
-            keys: 0,
-        }
-    }
-}
-
-/// The value of id `i` in `chunk`, filled with `make()` if absent, and
-/// whether it was: allocates the chunk if it is absent and copies it
-/// first if a clone shares it.
-#[inline]
-fn fill<T: Clone>(
-    chunk: &mut Option<Chunk<T>>,
-    i: usize,
-    make: impl FnOnce() -> T,
-) -> (&mut T, bool) {
-    let chunk = chunk.get_or_insert_with(|| {
-        Arc::new(Slots {
-            occupied: 0,
-            slot: std::array::from_fn(|_| None),
-        })
-    });
-    let slots = Arc::make_mut(chunk);
-    let j = i & (CHUNK - 1);
-    let new = slots.occupied & (1 << j) == 0;
-    slots.occupied |= 1 << j;
-    (slots.slot[j].get_or_insert_with(make), new)
-}
-
-impl<T: Clone> Radix<T> {
-    /// Position in `chunks` of id `i`'s chunk; out of range (wrapping)
-    /// below `base`.
-    #[inline]
-    fn position(&self, i: usize) -> usize {
-        (i >> CHUNK_BITS).wrapping_sub(self.base)
-    }
-
-    #[inline]
+impl<T: Clone + Default> Radix<T> {
     fn get(&self, key: TermId) -> Option<&T> {
-        let i = key.index();
-        self.chunks.get(self.position(i))?.as_ref()?.slot[i & (CHUNK - 1)].as_ref()
+        let (i, j) = (key.index() >> CHUNK_BITS, key.index() & (CHUNK - 1));
+        let chunk = self.chunks.get(i.wrapping_sub(self.base))?.as_ref()?;
+        (chunk.occupied & (1 << j) != 0).then(|| &chunk.slot[j])
     }
 
-    /// Makes room for id `i` in the chunk vector; returns its position.
-    fn grow_to(&mut self, i: usize) -> usize {
-        let c = i >> CHUNK_BITS;
+    /// The value at `key`, filled with `make()` first if the slot is empty:
+    /// allocates the chunk if it is absent and copies it first if a clone
+    /// shares it.
+    fn get_or_insert_with(&mut self, key: TermId, make: impl FnOnce() -> T) -> &mut T {
+        let c = key.index() >> CHUNK_BITS;
         if self.chunks.is_empty() {
             self.base = c;
         } else if c < self.base {
@@ -148,54 +89,44 @@ impl<T: Clone> Radix<T> {
             self.chunks.splice(0..0, room);
             self.base = base;
         }
-        let at = c - self.base;
-        if at >= self.chunks.len() {
-            self.chunks.resize(at + 1, None);
+        if c - self.base >= self.chunks.len() {
+            self.chunks.resize(c - self.base + 1, None);
         }
-        at
-    }
-
-    /// The value at `key`, filled with `make()` first if the slot is empty.
-    #[inline]
-    fn get_or_insert_with(&mut self, key: TermId, make: impl FnOnce() -> T) -> &mut T {
-        let i = key.index();
-        let at = self.grow_to(i);
-        let (value, new) = fill(&mut self.chunks[at], i, make);
-        self.keys += usize::from(new);
-        value
+        let chunk = self.chunks[c - self.base].get_or_insert_with(|| {
+            let slot = std::array::from_fn(|_| T::default());
+            Arc::new(Slots { occupied: 0, slot })
+        });
+        let slots = Arc::make_mut(chunk);
+        let j = key.index() & (CHUNK - 1);
+        if slots.occupied & (1 << j) == 0 {
+            slots.occupied |= 1 << j;
+            slots.slot[j] = make();
+            self.keys += 1;
+        }
+        &mut slots.slot[j]
     }
 
     /// The value at `key`, its chunk copied first if a clone shares it.
-    #[inline]
     fn get_mut(&mut self, key: TermId) -> Option<&mut T> {
-        let i = key.index();
-        let at = self.position(i);
-        let chunk = self.chunks.get_mut(at)?.as_mut()?;
-        chunk.slot[i & (CHUNK - 1)].as_ref()?;
-        Arc::make_mut(chunk).slot[i & (CHUNK - 1)].as_mut()
+        self.get(key)?;
+        let chunk = self.chunks[(key.index() >> CHUNK_BITS) - self.base].as_mut()?;
+        Some(&mut Arc::make_mut(chunk).slot[key.index() & (CHUNK - 1)])
     }
 
-    /// Empties the slot at `key`. Emptying a chunk's last slot drops the
-    /// chunk instead of copying it, and emptying the array frees it.
+    /// Empties the slot at `key`, which must be occupied. Emptying a
+    /// chunk's last slot drops the chunk instead of copying it, and
+    /// emptying the array frees it.
     fn remove(&mut self, key: TermId) {
         let i = key.index();
-        let at = self.position(i);
-        let Some(ptr) = self.chunks.get_mut(at) else {
-            return;
-        };
-        let Some(chunk) = ptr.as_mut() else {
-            return;
-        };
+        let ptr = &mut self.chunks[(i >> CHUNK_BITS) - self.base];
         let bit = 1 << (i & (CHUNK - 1));
-        if chunk.occupied & bit == 0 {
-            return;
-        }
-        if chunk.occupied == bit {
-            *ptr = None;
-        } else {
-            let slots = Arc::make_mut(chunk);
-            slots.occupied &= !bit;
-            slots.slot[i & (CHUNK - 1)] = None;
+        match ptr {
+            Some(chunk) if chunk.occupied != bit => {
+                let slots = Arc::make_mut(chunk);
+                slots.occupied &= !bit;
+                slots.slot[i & (CHUNK - 1)] = T::default();
+            }
+            _ => *ptr = None,
         }
         self.keys -= 1;
         if self.keys == 0 {
@@ -203,149 +134,264 @@ impl<T: Clone> Radix<T> {
         }
     }
 
-    /// Calls `f` with every occupied slot, in id order.
-    #[inline]
-    fn for_each(&self, mut f: impl FnMut(TermId, &T)) {
-        for (at, chunk) in self.chunks.iter().enumerate() {
-            let Some(chunk) = chunk else { continue };
-            let first = (self.base + at) << CHUNK_BITS;
-            chunk.for_each(|j, v| f(TermId::from_index(first | j), v));
-        }
-    }
-
     /// Iterates over the occupied slots, in id order.
     fn iter(&self) -> impl Iterator<Item = (TermId, &T)> + '_ {
-        self.chunks.iter().enumerate().flat_map(move |(at, chunk)| {
+        let chunks = self.chunks.iter().enumerate();
+        chunks.flat_map(move |(at, chunk)| {
             let first = (self.base + at) << CHUNK_BITS;
             chunk.iter().flat_map(move |chunk| {
-                chunk.slot.iter().enumerate().filter_map(move |(j, slot)| {
-                    Some((TermId::from_index(first | j), slot.as_ref()?))
-                })
+                (0..CHUNK)
+                    .filter(|j| chunk.occupied & (1 << j) != 0)
+                    .map(move |j| (TermId::from_index(first | j), &chunk.slot[j]))
             })
         })
     }
 }
 
-/// Everything under one leading key of an index: second key → leaf.
-#[derive(Debug, Clone, Default)]
-struct Inner {
-    /// Triples under the key: the sum of the leaf sizes.
-    triples: usize,
-    leaves: Leaves,
+/// `run` with `x` inserted at `at`, collected into one exact allocation.
+fn with<T: Copy, C: FromIterator<T>>(run: &[T], at: usize, x: T) -> C {
+    let (head, tail) = run.split_at(at);
+    head.iter().chain([&x]).chain(tail).copied().collect()
 }
 
+/// `run` without its element at `at`, collected into one exact allocation.
+fn without<T: Copy, C: FromIterator<T>>(run: &[T], at: usize) -> C {
+    run[..at].iter().chain(&run[at + 1..]).copied().collect()
+}
+
+/// The pairs of `run` whose second key is `b`.
+fn pairs_of(run: &[Pair], b: TermId) -> &[Pair] {
+    let lo = run.partition_point(|p| p.0 < b);
+    &run[lo..lo + run[lo..].partition_point(|p| p.0 == b)]
+}
+
+/// A borrowed, sorted set of ids: the objects under one `(s, p)` or the
+/// subjects under one `(p, o)`, read off the third column of the pairs
+/// that share one second key: those in the first run that holds any, the
+/// whole pages after it, and those in the last page. `contains` is a
+/// binary search and `iter` walks the ids in ascending order.
+#[derive(Debug, Clone, Copy)]
+pub struct SortedIds<'a> {
+    head: &'a [Pair],
+    body: &'a [Arc<[Pair]>],
+    tail: &'a [Pair],
+}
+
+impl<'a> SortedIds<'a> {
+    /// Number of ids.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.head.len() + self.body.iter().map(|p| p.len()).sum::<usize>() + self.tail.len()
+    }
+
+    /// True when the set holds no id (a graph never hands out such a set).
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Membership test, by binary search.
+    #[inline]
+    pub fn contains(&self, id: &TermId) -> bool {
+        let find = |run: &[Pair]| run.binary_search_by(|p| p.1.cmp(id)).is_ok();
+        if self.head.last().is_some_and(|p| p.1 >= *id) {
+            return find(self.head);
+        }
+        let k = self.body.partition_point(|p| p[p.len() - 1].1 < *id);
+        match self.body.get(k) {
+            Some(page) => find(page),
+            None => find(self.tail),
+        }
+    }
+
+    /// The ids, in ascending order.
+    pub fn iter(&self) -> impl Iterator<Item = TermId> + 'a {
+        let body = self.body.iter().flat_map(|p| p.iter());
+        let pairs = self.head.iter().chain(body).chain(self.tail);
+        pairs.map(|p| p.1)
+    }
+}
+
+/// Everything under one leading key of an index: its sorted pairs.
 #[derive(Debug, Clone)]
-enum Leaves {
-    /// Up to `PAGE_AT` triples; copied whole when its chunk is copied.
-    Flat(FxHashMap<TermId, Leaf>),
-    /// More than that; a write copies one chunk of 16 leaves.
-    Paged(Radix<Leaf>),
+enum Inner {
+    /// Up to `PAGE_AT` pairs; copied whole when its chunk is copied.
+    Flat(Box<[Pair]>),
+    /// More than that.
+    Paged(Arc<Paged>),
 }
 
-impl Default for Leaves {
+impl Default for Inner {
     fn default() -> Self {
-        Leaves::Flat(FxHashMap::default())
+        Inner::Flat(Box::default())
+    }
+}
+
+/// Sorted pages of at most `PAGE_AT` pairs, each shared by the clones
+/// that have not written to it since.
+#[derive(Debug, Clone)]
+struct Paged {
+    triples: usize,
+    /// The first pair of each page.
+    firsts: Vec<Pair>,
+    pages: Vec<Arc<[Pair]>>,
+}
+
+impl Paged {
+    /// The page that holds `x`, or would.
+    #[inline]
+    fn page_of(&self, x: Pair) -> usize {
+        self.firsts.partition_point(|f| *f <= x).saturating_sub(1)
+    }
+
+    /// Inserts `x`, which must be absent, splitting a full page in two.
+    fn insert(&mut self, x: Pair) {
+        let i = self.page_of(x);
+        let page = &self.pages[i];
+        let at = page.binary_search(&x).unwrap_or_else(|at| at);
+        if page.len() < PAGE_AT {
+            self.pages[i] = with(page, at, x);
+        } else {
+            let pairs: Vec<Pair> = with(page, at, x);
+            let (lo, hi) = pairs.split_at(pairs.len() / 2);
+            self.pages.splice(i..=i, [Arc::from(lo), Arc::from(hi)]);
+            self.firsts.insert(i + 1, hi[0]);
+        }
+        self.firsts[i] = self.pages[i][0];
+        self.triples += 1;
+    }
+
+    /// Removes `x`, which must be present, from a map of two pairs or more,
+    /// merging its page with a neighbour once both fit in half a page.
+    fn remove(&mut self, x: Pair) {
+        let i = self.page_of(x);
+        let at = self.pages[i].partition_point(|&y| y < x);
+        let k = i.min(self.pages.len().saturating_sub(2));
+        let pair = &self.pages[k..self.pages.len().min(k + 2)];
+        if pair.len() == 2 && pair[0].len() + pair[1].len() <= PAGE_AT / 2 + 1 {
+            let both = pair.iter().flat_map(|p| p.iter().copied());
+            self.pages
+                .splice(k..=k + 1, [both.filter(|&y| y != x).collect()]);
+            self.firsts.remove(k + 1);
+        } else if self.pages[i].len() == 1 {
+            self.pages.remove(i);
+            self.firsts.remove(i);
+        } else {
+            self.pages[i] = without(&self.pages[i], at);
+        }
+        for (first, page) in self.firsts[k..].iter_mut().zip(&self.pages[k..]).take(2) {
+            *first = page[0];
+        }
+        self.triples -= 1;
     }
 }
 
 impl Inner {
     #[inline]
-    fn leaf(&self, b: TermId) -> Option<&Leaf> {
-        match &self.leaves {
-            Leaves::Flat(map) => map.get(&b),
-            Leaves::Paged(radix) => radix.get(b),
+    fn triples(&self) -> usize {
+        match self {
+            Inner::Flat(run) => run.len(),
+            Inner::Paged(paged) => paged.triples,
         }
     }
 
-    /// Inserts `(b, c)`, paging the map once it outgrows `PAGE_AT`.
-    fn insert(&mut self, b: TermId, c: TermId) -> bool {
-        let leaf = match &mut self.leaves {
-            Leaves::Flat(map) => map.entry(b).or_default(),
-            Leaves::Paged(radix) => radix.get_or_insert_with(b, Leaf::default),
+    /// The sorted runs the pairs are stored in, in order.
+    fn runs(&self) -> impl Iterator<Item = &[Pair]> + '_ {
+        let (flat, pages) = match self {
+            Inner::Flat(run) => (Some(&run[..]), &[][..]),
+            Inner::Paged(paged) => (None, &paged.pages[..]),
         };
-        if !leaf.insert(c) {
-            return false;
-        }
-        self.triples += 1;
-        if self.triples > PAGE_AT {
-            if let Leaves::Flat(map) = &mut self.leaves {
-                let mut paged = Radix::default();
-                for key in [map.keys().min(), map.keys().max()].into_iter().flatten() {
-                    paged.grow_to(key.index());
-                }
-                for (b, leaf) in std::mem::take(map) {
-                    *paged.get_or_insert_with(b, Leaf::default) = leaf;
-                }
-                self.leaves = Leaves::Paged(paged);
-            }
-        }
-        true
+        flat.into_iter().chain(pages.iter().map(|p| &p[..]))
     }
 
-    /// Removes `(b, c)`, which must be present.
-    fn remove(&mut self, b: TermId, c: TermId) {
-        match &mut self.leaves {
-            Leaves::Flat(map) => {
-                if let Some(leaf) = map.get_mut(&b) {
-                    leaf.remove(&c);
-                    if leaf.is_empty() {
-                        map.remove(&b);
-                    }
-                }
-            }
-            Leaves::Paged(radix) => {
-                if radix.get(b).is_some_and(|leaf| leaf.len() == 1) {
-                    radix.remove(b);
-                } else if let Some(leaf) = radix.get_mut(b) {
-                    leaf.remove(&c);
-                }
-            }
-        }
-        self.triples -= 1;
-    }
-
-    /// Calls `f` with every `(second key, leaf)` pair.
     #[inline]
-    fn for_each(&self, mut f: impl FnMut(TermId, &Leaf)) {
-        match &self.leaves {
-            Leaves::Flat(map) => {
-                for (&b, leaf) in map {
-                    f(b, leaf);
-                }
+    fn leaf(&self, b: TermId) -> Option<SortedIds<'_>> {
+        let (head, body, tail) = match self {
+            Inner::Flat(run) => (pairs_of(run, b), &[][..], &[][..]),
+            Inner::Paged(paged) => {
+                // `b`'s pairs start in page `i` and end in page `j`.
+                let i = paged.firsts.partition_point(|f| f.0 < b).saturating_sub(1);
+                let j = paged.firsts.partition_point(|f| f.0 <= b).saturating_sub(1);
+                let (body, tail) = match paged.pages[i + 1..=j].split_last() {
+                    Some((last, body)) => (body, pairs_of(last, b)),
+                    None => (&[][..], &[][..]),
+                };
+                (pairs_of(&paged.pages[i], b), body, tail)
             }
-            Leaves::Paged(radix) => radix.for_each(f),
+        };
+        let ids = SortedIds { head, body, tail };
+        (!ids.is_empty()).then_some(ids)
+    }
+
+    #[inline]
+    fn contains(&self, x: Pair) -> bool {
+        match self {
+            Inner::Flat(run) => run.binary_search(&x).is_ok(),
+            Inner::Paged(paged) => paged.pages[paged.page_of(x)].binary_search(&x).is_ok(),
         }
     }
 
-    fn iter(&self) -> impl Iterator<Item = (TermId, &Leaf)> + '_ {
-        let (flat, paged) = match &self.leaves {
-            Leaves::Flat(map) => (Some(map), None),
-            Leaves::Paged(radix) => (None, Some(radix)),
+    /// Inserts `x`, which must be absent, paging the map once it outgrows
+    /// `PAGE_AT`.
+    fn insert(&mut self, x: Pair) {
+        let run = match self {
+            Inner::Paged(paged) => return Arc::make_mut(paged).insert(x),
+            Inner::Flat(run) => run,
         };
-        let flat = flat.into_iter().flatten().map(|(&b, leaf)| (b, leaf));
-        flat.chain(paged.into_iter().flat_map(Radix::iter))
+        let at = run.binary_search(&x).unwrap_or_else(|at| at);
+        let pairs: Vec<Pair> = with(run, at, x);
+        if pairs.len() <= PAGE_AT {
+            return *self = Inner::Flat(pairs.into());
+        }
+        let pages: Vec<Arc<[Pair]>> = pairs.chunks(PAGE_AT / 2).map(Arc::from).collect();
+        let firsts = pages.iter().map(|p| p[0]).collect();
+        let triples = pairs.len();
+        *self = Inner::Paged(Arc::new(Paged {
+            triples,
+            firsts,
+            pages,
+        }));
+    }
+
+    /// Removes `x`, which must be present.
+    fn remove(&mut self, x: Pair) {
+        match self {
+            Inner::Flat(run) => *run = without(run, run.partition_point(|&y| y < x)),
+            Inner::Paged(paged) => Arc::make_mut(paged).remove(x),
+        }
     }
 }
 
 type Index = Radix<Inner>;
 
 fn index_insert(index: &mut Index, a: TermId, b: TermId, c: TermId) {
-    index.get_or_insert_with(a, Inner::default).insert(b, c);
+    index.get_or_insert_with(a, Inner::default).insert((b, c));
 }
 
 /// Removes `(a, b, c)`, which must be present.
 fn index_remove(index: &mut Index, a: TermId, b: TermId, c: TermId) {
-    if index.get(a).is_some_and(|inner| inner.triples == 1) {
+    if index.get(a).is_some_and(|inner| inner.triples() == 1) {
         index.remove(a);
     } else if let Some(inner) = index.get_mut(a) {
-        inner.remove(b, c);
+        inner.remove((b, c));
     }
 }
 
 /// The leaf under `(a, b)` in `index`.
 #[inline]
-fn leaf(index: &Index, a: TermId, b: TermId) -> Option<&Leaf> {
+fn leaf(index: &Index, a: TermId, b: TermId) -> Option<SortedIds<'_>> {
     index.get(a)?.leaf(b)
+}
+
+/// The ids under `(a, b)` in `index`, in order.
+#[inline]
+fn ids(index: &Index, a: TermId, b: TermId) -> impl Iterator<Item = TermId> + '_ {
+    leaf(index, a, b).into_iter().flat_map(|ids| ids.iter())
+}
+
+/// Calls `f` with every pair under `a` in `index`.
+fn each_pair(index: &Index, a: TermId, mut f: impl FnMut(TermId, TermId)) {
+    let runs = index.get(a).into_iter().flat_map(Inner::runs);
+    runs.for_each(|run| run.iter().for_each(|&(b, c)| f(b, c)));
 }
 
 /// An in-memory RDF graph over dictionary-encoded triples.
@@ -415,7 +461,7 @@ impl Graph {
     /// the final leaf lookup depends on `s`.
     #[inline]
     pub fn contains(&self, t: &Triple) -> bool {
-        leaf(&self.pos, t.p, t.o).is_some_and(|leaf| leaf.contains(&t.s))
+        self.pos.get(t.p).is_some_and(|i| i.contains((t.o, t.s)))
     }
 
     /// Removes every triple.
@@ -423,12 +469,11 @@ impl Graph {
         *self = Graph::default();
     }
 
-    /// Iterates over all triples (arbitrary order).
+    /// Iterates over all triples, in subject, property, object id order.
     pub fn iter(&self) -> impl Iterator<Item = Triple> + '_ {
         self.spo.iter().flat_map(|(s, inner)| {
-            inner
-                .iter()
-                .flat_map(move |(p, leaf)| leaf.iter().map(move |&o| Triple::new(s, p, o)))
+            let pairs = inner.runs().flatten();
+            pairs.map(move |&(p, o)| Triple::new(s, p, o))
         })
     }
 
@@ -442,61 +487,13 @@ impl Graph {
                     f(t);
                 }
             }
-            (Some(s), Some(p), None) => {
-                if let Some(leaf) = leaf(&self.spo, s, p) {
-                    for &o in leaf {
-                        f(Triple::new(s, p, o));
-                    }
-                }
-            }
-            (Some(s), None, Some(o)) => {
-                if let Some(leaf) = leaf(&self.osp, o, s) {
-                    for &p in leaf {
-                        f(Triple::new(s, p, o));
-                    }
-                }
-            }
-            (None, Some(p), Some(o)) => {
-                if let Some(leaf) = leaf(&self.pos, p, o) {
-                    for &s in leaf {
-                        f(Triple::new(s, p, o));
-                    }
-                }
-            }
-            (Some(s), None, None) => {
-                if let Some(inner) = self.spo.get(s) {
-                    inner.for_each(|p, leaf| {
-                        for &o in leaf {
-                            f(Triple::new(s, p, o));
-                        }
-                    });
-                }
-            }
-            (None, Some(p), None) => {
-                if let Some(inner) = self.pos.get(p) {
-                    inner.for_each(|o, leaf| {
-                        for &s in leaf {
-                            f(Triple::new(s, p, o));
-                        }
-                    });
-                }
-            }
-            (None, None, Some(o)) => {
-                if let Some(inner) = self.osp.get(o) {
-                    inner.for_each(|s, leaf| {
-                        for &p in leaf {
-                            f(Triple::new(s, p, o));
-                        }
-                    });
-                }
-            }
-            (None, None, None) => self.spo.for_each(|s, inner| {
-                inner.for_each(|p, leaf| {
-                    for &o in leaf {
-                        f(Triple::new(s, p, o));
-                    }
-                });
-            }),
+            (Some(s), Some(p), None) => ids(&self.spo, s, p).for_each(|o| f(Triple::new(s, p, o))),
+            (Some(s), None, Some(o)) => ids(&self.osp, o, s).for_each(|p| f(Triple::new(s, p, o))),
+            (None, Some(p), Some(o)) => ids(&self.pos, p, o).for_each(|s| f(Triple::new(s, p, o))),
+            (Some(s), None, None) => each_pair(&self.spo, s, |p, o| f(Triple::new(s, p, o))),
+            (None, Some(p), None) => each_pair(&self.pos, p, |o, s| f(Triple::new(s, p, o))),
+            (None, None, Some(o)) => each_pair(&self.osp, o, |s, p| f(Triple::new(s, p, o))),
+            (None, None, None) => self.iter().for_each(f),
         }
     }
 
@@ -507,14 +504,15 @@ impl Graph {
         out
     }
 
-    /// Exact number of triples matching `pattern`, in O(1) for every shape.
+    /// Exact number of triples matching `pattern`, without a scan.
     pub fn count(&self, pattern: &Pattern) -> usize {
-        let triples = |index: &Index, a| index.get(a).map_or(0, |inner| inner.triples);
+        let triples = |index: &Index, a| index.get(a).map_or(0, Inner::triples);
+        let len = |ids: Option<SortedIds>| ids.map_or(0, |ids| ids.len());
         match (pattern.s, pattern.p, pattern.o) {
             (Some(s), Some(p), Some(o)) => usize::from(self.contains(&Triple::new(s, p, o))),
-            (Some(s), Some(p), None) => leaf(&self.spo, s, p).map_or(0, Leaf::len),
-            (Some(s), None, Some(o)) => leaf(&self.osp, o, s).map_or(0, Leaf::len),
-            (None, Some(p), Some(o)) => leaf(&self.pos, p, o).map_or(0, Leaf::len),
+            (Some(s), Some(p), None) => len(leaf(&self.spo, s, p)),
+            (Some(s), None, Some(o)) => len(leaf(&self.osp, o, s)),
+            (None, Some(p), Some(o)) => len(leaf(&self.pos, p, o)),
             (Some(s), None, None) => triples(&self.spo, s),
             (None, Some(p), None) => triples(&self.pos, p),
             (None, None, Some(o)) => triples(&self.osp, o),
@@ -522,27 +520,24 @@ impl Graph {
         }
     }
 
-    /// The set of objects `o` with `s p o` in the graph, if any.
+    /// The sorted set of objects `o` with `s p o` in the graph, if any.
     ///
     /// Hot accessor for the reasoner's specialised join loops.
     #[inline]
-    pub fn objects(&self, s: TermId, p: TermId) -> Option<&FxHashSet<TermId>> {
+    pub fn objects(&self, s: TermId, p: TermId) -> Option<SortedIds<'_>> {
         leaf(&self.spo, s, p)
     }
 
-    /// The set of subjects `s` with `s p o` in the graph, if any.
+    /// The sorted set of subjects `s` with `s p o` in the graph, if any.
     #[inline]
-    pub fn subjects_with(&self, p: TermId, o: TermId) -> Option<&FxHashSet<TermId>> {
+    pub fn subjects_with(&self, p: TermId, o: TermId) -> Option<SortedIds<'_>> {
         leaf(&self.pos, p, o)
     }
 
     /// Iterates over `(s, o)` pairs of triples with property `p`.
     pub fn pairs_with_property(&self, p: TermId) -> impl Iterator<Item = (TermId, TermId)> + '_ {
-        self.pos.get(p).into_iter().flat_map(|inner| {
-            inner
-                .iter()
-                .flat_map(|(o, leaf)| leaf.iter().map(move |&s| (s, o)))
-        })
+        let runs = self.pos.get(p).into_iter().flat_map(Inner::runs);
+        runs.flatten().map(|&(o, s)| (s, o))
     }
 
     /// Distinct subjects appearing in the graph.
@@ -781,7 +776,7 @@ mod tests {
     fn is_paged(index: &Index, key: usize) -> bool {
         index
             .get(id(key))
-            .is_some_and(|inner| matches!(inner.leaves, Leaves::Paged(_)))
+            .is_some_and(|inner| matches!(inner, Inner::Paged(_)))
     }
 
     #[test]
@@ -813,6 +808,57 @@ mod tests {
             (g.subject_count(), g.property_count(), g.object_count()),
             (0, 0, 0)
         );
+    }
+
+    /// The pages of property 0 in POS, which must be paged.
+    fn pos_pages(g: &Graph) -> Vec<Arc<[Pair]>> {
+        let Some(Inner::Paged(paged)) = g.pos.get(id(0)) else {
+            panic!("property 0 is paged in POS");
+        };
+        paged.pages.clone()
+    }
+
+    #[test]
+    fn a_write_under_a_clone_copies_one_page() {
+        // Even subjects, so an odd one lands inside a page.
+        let mut g: Graph = (0..600).map(|x| t(2 * x + 10, 0, 0)).collect();
+        let held = g.clone();
+        let before = pos_pages(&held);
+        assert!(before.len() >= 4, "{} pages", before.len());
+        assert!(g.insert(t(601, 0, 0)));
+        let after = pos_pages(&g);
+        assert_eq!(after.len(), before.len());
+        let copied = before
+            .iter()
+            .zip(&after)
+            .filter(|(a, b)| !Arc::ptr_eq(a, b));
+        assert_eq!(copied.count(), 1, "every other page stays shared");
+        assert!(pos_pages(&held)
+            .iter()
+            .zip(&before)
+            .all(|(a, b)| Arc::ptr_eq(a, b)));
+        assert!(g.contains(&t(601, 0, 0)) && !held.contains(&t(601, 0, 0)));
+    }
+
+    #[test]
+    fn a_paged_leaf_shrinks_back_under_a_held_clone() {
+        let all: Vec<Triple> = (0..600).map(|x| t(x + 10, 0, 0)).collect();
+        let mut g: Graph = all.iter().copied().collect();
+        let held = g.clone();
+        assert!(pos_pages(&held).len() >= 4);
+        let leaf = Pattern::new(None, Some(id(0)), Some(id(0)));
+        // Pages, then one boxed run, then two ids inline, then one.
+        for (i, tr) in all.iter().enumerate().rev().take(599) {
+            assert!(g.remove(tr));
+            assert_eq!(g.count(&leaf), i);
+            assert_eq!(g.subjects_with(id(0), id(0)).map_or(0, |ids| ids.len()), i);
+        }
+        assert_eq!(g.matches(&leaf), all[..1]);
+        assert_eq!(held.len(), all.len());
+        let mut kept = held.matches(&leaf);
+        kept.sort();
+        assert_eq!(kept, all);
+        assert!(all.iter().all(|tr| held.contains(tr)));
     }
 
     mod properties {
@@ -900,13 +946,15 @@ mod tests {
 
         /// Triples concentrated on hubs — object 0, subject 0 and, through
         /// both, properties 0..3 — so single inner maps of all three
-        /// indexes grow past the paging threshold.
+        /// indexes grow past the paging threshold, and the POS leaf of
+        /// `?x 0 0` past four pages in the longer streams, while removals
+        /// shrink it under the clones held on the way.
         fn arb_cow_op() -> impl Strategy<Value = CowOp> {
-            (0u32..100, 0usize..400, 0usize..3, 0usize..100_000).prop_map(|(roll, x, p, k)| {
+            (0u32..100, 0usize..1_000, 0usize..3, 0usize..100_000).prop_map(|(roll, x, p, k)| {
                 match roll {
                     0 => CowOp::Clone,
-                    1..=24 => CowOp::Remove(k),
-                    _ if roll % 2 == 0 => CowOp::Insert(t(x, p, 0)),
+                    1..=19 => CowOp::Remove(k),
+                    20..=79 => CowOp::Insert(t(x, 0, 0)),
                     _ => CowOp::Insert(t(0, p, x)),
                 }
             })

@@ -48,7 +48,7 @@ mod triple;
 pub mod vocab;
 
 pub use dictionary::{Dictionary, TermId};
-pub use graph::Graph;
+pub use graph::{Graph, SortedIds};
 pub use interval::{IntervalDict, IntervalSet};
 pub use term::{Literal, Term};
 pub use triple::{Pattern, Triple};

@@ -507,7 +507,7 @@ impl CountingMaintainer {
             if let Some(ss) = self.sat.subjects_with(rdf_type, c) {
                 affected.extend(
                     ss.iter()
-                        .map(|&s| Triple::new(s, rdf_type, c))
+                        .map(|s| Triple::new(s, rdf_type, c))
                         .filter(|t| self.is_explicit(t)),
                 );
             }

@@ -122,13 +122,13 @@ pub fn consequences_of(t: &Triple, g: &Graph, vocab: &Vocab, mut emit: impl FnMu
         }
         // ext-dom-sc, premise 1: t = (p domain c), need (c sc c')
         if let Some(sups) = g.objects(t.o, v.sub_class_of) {
-            for &c2 in sups {
+            for c2 in sups.iter() {
                 emit(Rule::ExtDomainSubClass, Triple::new(t.s, v.domain, c2));
             }
         }
         // ext-dom-sp, premise 2: t = (p' domain c), need (p sp p')
         if let Some(subs) = g.subjects_with(v.sub_property_of, t.s) {
-            for &p in subs {
+            for p in subs.iter() {
                 emit(Rule::ExtDomainSubProperty, Triple::new(p, v.domain, t.o));
             }
         }
@@ -138,12 +138,12 @@ pub fn consequences_of(t: &Triple, g: &Graph, vocab: &Vocab, mut emit: impl FnMu
             emit(Rule::Rdfs3, Triple::new(o, v.rdf_type, t.o));
         }
         if let Some(sups) = g.objects(t.o, v.sub_class_of) {
-            for &c2 in sups {
+            for c2 in sups.iter() {
                 emit(Rule::ExtRangeSubClass, Triple::new(t.s, v.range, c2));
             }
         }
         if let Some(subs) = g.subjects_with(v.sub_property_of, t.s) {
-            for &p in subs {
+            for p in subs.iter() {
                 emit(Rule::ExtRangeSubProperty, Triple::new(p, v.range, t.o));
             }
         }
@@ -154,61 +154,61 @@ pub fn consequences_of(t: &Triple, g: &Graph, vocab: &Vocab, mut emit: impl FnMu
         }
         // rdfs5, premise 1: t = (p1 sp p2), need (p2 sp p3)
         if let Some(p3s) = g.objects(t.o, v.sub_property_of) {
-            for &p3 in p3s {
+            for p3 in p3s.iter() {
                 emit(Rule::Rdfs5, Triple::new(t.s, v.sub_property_of, p3));
             }
         }
         // rdfs5, premise 2: t = (p2 sp p3), need (p1 sp p2)
         if let Some(p1s) = g.subjects_with(v.sub_property_of, t.s) {
-            for &p1 in p1s {
+            for p1 in p1s.iter() {
                 emit(Rule::Rdfs5, Triple::new(p1, v.sub_property_of, t.o));
             }
         }
         // ext-dom-sp, premise 1: t = (p sp p'), need (p' domain c)
         if let Some(cs) = g.objects(t.o, v.domain) {
-            for &c in cs {
+            for c in cs.iter() {
                 emit(Rule::ExtDomainSubProperty, Triple::new(t.s, v.domain, c));
             }
         }
         // ext-rng-sp, premise 1
         if let Some(cs) = g.objects(t.o, v.range) {
-            for &c in cs {
+            for c in cs.iter() {
                 emit(Rule::ExtRangeSubProperty, Triple::new(t.s, v.range, c));
             }
         }
     } else if t.p == v.sub_class_of {
         // rdfs9, premise 1: t = (c1 sc c2), need (s type c1)
         if let Some(ss) = g.subjects_with(v.rdf_type, t.s) {
-            for &s in ss {
+            for s in ss.iter() {
                 emit(Rule::Rdfs9, Triple::new(s, v.rdf_type, t.o));
             }
         }
         // rdfs11, premise 1 & 2
         if let Some(c3s) = g.objects(t.o, v.sub_class_of) {
-            for &c3 in c3s {
+            for c3 in c3s.iter() {
                 emit(Rule::Rdfs11, Triple::new(t.s, v.sub_class_of, c3));
             }
         }
         if let Some(c1s) = g.subjects_with(v.sub_class_of, t.s) {
-            for &c1 in c1s {
+            for c1 in c1s.iter() {
                 emit(Rule::Rdfs11, Triple::new(c1, v.sub_class_of, t.o));
             }
         }
         // ext-dom-sc / ext-rng-sc, premise 2: t = (c sc c'), need (p domain c)
         if let Some(ps) = g.subjects_with(v.domain, t.s) {
-            for &p in ps {
+            for p in ps.iter() {
                 emit(Rule::ExtDomainSubClass, Triple::new(p, v.domain, t.o));
             }
         }
         if let Some(ps) = g.subjects_with(v.range, t.s) {
-            for &p in ps {
+            for p in ps.iter() {
                 emit(Rule::ExtRangeSubClass, Triple::new(p, v.range, t.o));
             }
         }
     } else if t.p == v.rdf_type {
         // rdfs9, premise 2: t = (s type c1), need (c1 sc c2)
         if let Some(c2s) = g.objects(t.o, v.sub_class_of) {
-            for &c2 in c2s {
+            for c2 in c2s.iter() {
                 emit(Rule::Rdfs9, Triple::new(t.s, v.rdf_type, c2));
             }
         }
@@ -216,19 +216,19 @@ pub fn consequences_of(t: &Triple, g: &Graph, vocab: &Vocab, mut emit: impl FnMu
         // t is a plain property assertion (s p o).
         // rdfs7, premise 2: need (p sp p2)
         if let Some(p2s) = g.objects(t.p, v.sub_property_of) {
-            for &p2 in p2s {
+            for p2 in p2s.iter() {
                 emit(Rule::Rdfs7, Triple::new(t.s, p2, t.o));
             }
         }
         // rdfs2, premise 2: need (p domain c)
         if let Some(cs) = g.objects(t.p, v.domain) {
-            for &c in cs {
+            for c in cs.iter() {
                 emit(Rule::Rdfs2, Triple::new(t.s, v.rdf_type, c));
             }
         }
         // rdfs3, premise 2: need (p range c)
         if let Some(cs) = g.objects(t.p, v.range) {
-            for &c in cs {
+            for c in cs.iter() {
                 emit(Rule::Rdfs3, Triple::new(t.o, v.rdf_type, c));
             }
         }
@@ -243,13 +243,13 @@ pub fn one_step_derivable(d: &Triple, g: &Graph, vocab: &Vocab) -> bool {
     if d.p == v.rdf_type {
         // rdfs2: (p domain c) ∧ (s p o)
         if let Some(ps) = g.subjects_with(v.domain, d.o) {
-            if ps.iter().any(|&p| g.objects(d.s, p).is_some()) {
+            if ps.iter().any(|p| g.objects(d.s, p).is_some()) {
                 return true;
             }
         }
         // rdfs3: (p range c) ∧ (o p s)
         if let Some(ps) = g.subjects_with(v.range, d.o) {
-            if ps.iter().any(|&p| g.subjects_with(p, d.s).is_some()) {
+            if ps.iter().any(|p| g.subjects_with(p, d.s).is_some()) {
                 return true;
             }
         }
@@ -257,7 +257,7 @@ pub fn one_step_derivable(d: &Triple, g: &Graph, vocab: &Vocab) -> bool {
         if let Some(c1s) = g.subjects_with(v.sub_class_of, d.o) {
             if c1s
                 .iter()
-                .any(|&c1| g.contains(&Triple::new(d.s, v.rdf_type, c1)))
+                .any(|c1| g.contains(&Triple::new(d.s, v.rdf_type, c1)))
             {
                 return true;
             }
@@ -267,40 +267,40 @@ pub fn one_step_derivable(d: &Triple, g: &Graph, vocab: &Vocab) -> bool {
         // rdfs11: (s sc m) ∧ (m sc o)
         g.objects(d.s, v.sub_class_of).is_some_and(|mids| {
             mids.iter()
-                .any(|&m| g.contains(&Triple::new(m, v.sub_class_of, d.o)))
+                .any(|m| g.contains(&Triple::new(m, v.sub_class_of, d.o)))
         })
     } else if d.p == v.sub_property_of {
         // rdfs5
         g.objects(d.s, v.sub_property_of).is_some_and(|mids| {
             mids.iter()
-                .any(|&m| g.contains(&Triple::new(m, v.sub_property_of, d.o)))
+                .any(|m| g.contains(&Triple::new(m, v.sub_property_of, d.o)))
         })
     } else if d.p == v.domain {
         // ext-dom-sp: (s sp p') ∧ (p' domain o)
         let via_sp = g.objects(d.s, v.sub_property_of).is_some_and(|ps| {
             ps.iter()
-                .any(|&p2| g.contains(&Triple::new(p2, v.domain, d.o)))
+                .any(|p2| g.contains(&Triple::new(p2, v.domain, d.o)))
         });
         // ext-dom-sc: (s domain c0) ∧ (c0 sc o)
         let via_sc = g.objects(d.s, v.domain).is_some_and(|cs| {
             cs.iter()
-                .any(|&c0| g.contains(&Triple::new(c0, v.sub_class_of, d.o)))
+                .any(|c0| g.contains(&Triple::new(c0, v.sub_class_of, d.o)))
         });
         via_sp || via_sc
     } else if d.p == v.range {
         let via_sp = g.objects(d.s, v.sub_property_of).is_some_and(|ps| {
             ps.iter()
-                .any(|&p2| g.contains(&Triple::new(p2, v.range, d.o)))
+                .any(|p2| g.contains(&Triple::new(p2, v.range, d.o)))
         });
         let via_sc = g.objects(d.s, v.range).is_some_and(|cs| {
             cs.iter()
-                .any(|&c0| g.contains(&Triple::new(c0, v.sub_class_of, d.o)))
+                .any(|c0| g.contains(&Triple::new(c0, v.sub_class_of, d.o)))
         });
         via_sp || via_sc
     } else {
         // rdfs7: (p1 sp p) ∧ (s p1 o)
         g.subjects_with(v.sub_property_of, d.p)
-            .is_some_and(|p1s| p1s.iter().any(|&p1| g.contains(&Triple::new(d.s, p1, d.o))))
+            .is_some_and(|p1s| p1s.iter().any(|p1| g.contains(&Triple::new(d.s, p1, d.o))))
     }
 }
 
@@ -319,9 +319,9 @@ pub fn derivations_of(
     if d.p == v.rdf_type {
         // rdfs2: (p domain c) ∧ (s p o)
         if let Some(ps) = g.subjects_with(v.domain, d.o) {
-            for &p in ps {
+            for p in ps.iter() {
                 if let Some(os) = g.objects(d.s, p) {
-                    for &o in os {
+                    for o in os.iter() {
                         emit(
                             Rule::Rdfs2,
                             Triple::new(p, v.domain, d.o),
@@ -333,9 +333,9 @@ pub fn derivations_of(
         }
         // rdfs3: (p range c) ∧ (s p o) with o = d.s
         if let Some(ps) = g.subjects_with(v.range, d.o) {
-            for &p in ps {
+            for p in ps.iter() {
                 if let Some(ss) = g.subjects_with(p, d.s) {
-                    for &s in ss {
+                    for s in ss.iter() {
                         emit(
                             Rule::Rdfs3,
                             Triple::new(p, v.range, d.o),
@@ -347,7 +347,7 @@ pub fn derivations_of(
         }
         // rdfs9: (c1 sc c) ∧ (s type c1)
         if let Some(c1s) = g.subjects_with(v.sub_class_of, d.o) {
-            for &c1 in c1s {
+            for c1 in c1s.iter() {
                 if g.contains(&Triple::new(d.s, v.rdf_type, c1)) {
                     emit(
                         Rule::Rdfs9,
@@ -359,7 +359,7 @@ pub fn derivations_of(
         }
     } else if d.p == v.sub_class_of {
         if let Some(mids) = g.objects(d.s, v.sub_class_of) {
-            for &m in mids {
+            for m in mids.iter() {
                 if g.contains(&Triple::new(m, v.sub_class_of, d.o)) {
                     emit(
                         Rule::Rdfs11,
@@ -371,7 +371,7 @@ pub fn derivations_of(
         }
     } else if d.p == v.sub_property_of {
         if let Some(mids) = g.objects(d.s, v.sub_property_of) {
-            for &m in mids {
+            for m in mids.iter() {
                 if g.contains(&Triple::new(m, v.sub_property_of, d.o)) {
                     emit(
                         Rule::Rdfs5,
@@ -389,7 +389,7 @@ pub fn derivations_of(
         };
         // ext-*-sp: (s sp p') ∧ (p' d.p o)
         if let Some(sups) = g.objects(d.s, v.sub_property_of) {
-            for &p2 in sups {
+            for p2 in sups.iter() {
                 if g.contains(&Triple::new(p2, d.p, d.o)) {
                     emit(
                         sp_rule,
@@ -401,7 +401,7 @@ pub fn derivations_of(
         }
         // ext-*-sc: (s d.p c0) ∧ (c0 sc o)
         if let Some(cs) = g.objects(d.s, d.p) {
-            for &c0 in cs {
+            for c0 in cs.iter() {
                 if g.contains(&Triple::new(c0, v.sub_class_of, d.o)) {
                     emit(
                         sc_rule,
@@ -414,7 +414,7 @@ pub fn derivations_of(
     } else {
         // rdfs7: (p1 sp p) ∧ (s p1 o)
         if let Some(p1s) = g.subjects_with(v.sub_property_of, d.p) {
-            for &p1 in p1s {
+            for p1 in p1s.iter() {
                 if g.contains(&Triple::new(d.s, p1, d.o)) {
                     emit(
                         Rule::Rdfs7,
