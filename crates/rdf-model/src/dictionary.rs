@@ -1,21 +1,22 @@
 //! Dictionary encoding: interning [`Term`]s as compact integer ids.
 //!
 //! Every layer above the model (saturation, reformulation, query
-//! evaluation, Datalog) manipulates [`TermId`]s only; the dictionary is the
+//! evaluation) manipulates [`TermId`]s only; the dictionary is the
 //! single point where strings are materialised. This mirrors the design of
 //! dictionary-encoded RDF systems (RDF-3X, Hexastore, OWLIM) surveyed in
 //! Section II-C of the paper.
 
 use crate::term::Term;
-use rustc_hash::FxHashMap;
+use rustc_hash::FxHasher;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 /// A compact identifier for an interned [`Term`].
 ///
 /// Ids are dense (`0..dictionary.len()`), `Copy`, and stable for the
 /// lifetime of the [`Dictionary`] that produced them. Using `u32` keeps an
 /// encoded [`crate::Triple`] at 12 bytes; a dictionary can hold up to
-/// 2³² distinct terms.
+/// 2³² − 1 distinct terms.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TermId(u32);
 
@@ -47,10 +48,35 @@ impl fmt::Display for TermId {
 /// `encode` interns (idempotently); `decode` recovers the term. Terms are
 /// never removed: RDF dictionaries in practice are append-only because ids
 /// may be referenced from persisted triples or query plans.
+///
+/// Each term is stored once, in the id-indexed `terms`. Lookups go through
+/// `slots`, an open-addressing table of ids keyed by the term's hash; every
+/// hit on the hash is confirmed against `terms[id]`, so terms whose hashes
+/// collide still get distinct ids.
 #[derive(Debug, Clone, Default)]
 pub struct Dictionary {
     terms: Vec<Term>,
-    ids: FxHashMap<Term, TermId>,
+    /// A power of two in length (or empty), at most three quarters full.
+    slots: Vec<Slot>,
+}
+
+/// A lookup slot: an id and the hash of its term, or `EMPTY`.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    id: u32,
+    hash: u32,
+}
+
+const EMPTY: Slot = Slot {
+    id: u32::MAX,
+    hash: 0,
+};
+
+/// The lookup hash of a term.
+fn hash(term: &Term) -> u32 {
+    let mut h = FxHasher::default();
+    term.hash(&mut h);
+    (h.finish() >> 32) as u32
 }
 
 impl Dictionary {
@@ -61,22 +87,67 @@ impl Dictionary {
 
     /// Creates an empty dictionary with room for `capacity` terms.
     pub fn with_capacity(capacity: usize) -> Self {
+        let slots = (capacity * 4 / 3 + 1).next_power_of_two();
         Dictionary {
             terms: Vec::with_capacity(capacity),
-            ids: FxHashMap::with_capacity_and_hasher(capacity, Default::default()),
+            slots: vec![EMPTY; slots],
         }
     }
 
     /// Interns a term, returning its id. Idempotent: encoding the same term
     /// twice returns the same id.
     pub fn encode(&mut self, term: &Term) -> TermId {
-        if let Some(&id) = self.ids.get(term) {
-            return id;
+        self.intern(term, hash(term))
+    }
+
+    /// `encode` for a term whose lookup hash is `hash`.
+    fn intern(&mut self, term: &Term, hash: u32) -> TermId {
+        if (self.terms.len() + 1) * 4 > self.slots.len() * 3 {
+            self.grow();
         }
-        let id = TermId(u32::try_from(self.terms.len()).expect("term id space exhausted"));
-        self.terms.push(term.clone());
-        self.ids.insert(term.clone(), id);
-        id
+        match self.find(term, hash) {
+            Ok(id) => id,
+            Err(at) => {
+                let id = u32::try_from(self.terms.len())
+                    .ok()
+                    .filter(|&id| id != EMPTY.id)
+                    .expect("term id space exhausted");
+                self.slots[at] = Slot { id, hash };
+                self.terms.push(term.clone());
+                TermId(id)
+            }
+        }
+    }
+
+    /// The id of `term`, whose lookup hash is `hash`, or the empty slot it
+    /// would take. `slots` must not be empty.
+    fn find(&self, term: &Term, hash: u32) -> Result<TermId, usize> {
+        let mask = self.slots.len() - 1;
+        let mut at = hash as usize & mask;
+        loop {
+            let slot = self.slots[at];
+            if slot.id == EMPTY.id {
+                return Err(at);
+            }
+            if slot.hash == hash && self.terms[slot.id as usize] == *term {
+                return Ok(TermId(slot.id));
+            }
+            at = (at + 1) & mask;
+        }
+    }
+
+    /// Doubles the lookup table, placing each slot by its stored hash.
+    fn grow(&mut self) {
+        let len = (self.slots.len() * 2).max(16);
+        let mut slots = vec![EMPTY; len];
+        for &slot in self.slots.iter().filter(|s| s.id != EMPTY.id) {
+            let mut at = slot.hash as usize & (len - 1);
+            while slots[at].id != EMPTY.id {
+                at = (at + 1) & (len - 1);
+            }
+            slots[at] = slot;
+        }
+        self.slots = slots;
     }
 
     /// Interns an IRI term given as a string.
@@ -89,7 +160,10 @@ impl Dictionary {
 
     /// Returns the id of a term if it has been interned.
     pub fn get_id(&self, term: &Term) -> Option<TermId> {
-        self.ids.get(term).copied()
+        if self.slots.is_empty() {
+            return None;
+        }
+        self.find(term, hash(term)).ok()
     }
 
     /// Returns the id of an IRI if it has been interned.
@@ -181,6 +255,25 @@ mod tests {
         // get_id does not intern
         assert_eq!(d.get_id(&Term::iri("http://b")), None);
         assert_eq!(d.len(), 1);
+    }
+
+    #[test]
+    fn colliding_hashes_resolve_against_the_terms() {
+        // Every term gets the same lookup hash, across several growths of
+        // the table: each still gets its own id, in encode order.
+        let mut d = Dictionary::new();
+        let terms: Vec<Term> = (0..100)
+            .map(|i| Term::iri(format!("http://c/{i}")))
+            .collect();
+        let ids: Vec<TermId> = terms.iter().map(|t| d.intern(t, 7)).collect();
+        for (i, (t, &id)) in terms.iter().zip(&ids).enumerate() {
+            assert_eq!(id.index(), i);
+            assert_eq!(d.find(t, 7), Ok(id));
+            assert_eq!(d.decode(id), Some(t));
+        }
+        assert_eq!(d.intern(&terms[42], 7), ids[42]);
+        assert_eq!(d.find(&Term::iri("http://c/100"), 7).ok(), None);
+        assert_eq!(d.len(), 100);
     }
 
     #[test]
