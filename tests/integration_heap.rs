@@ -10,64 +10,20 @@
 //! This binary holds one test, so no other test allocates while it
 //! measures.
 
+mod live_heap;
+
 use rdf_model::{Graph, Triple};
 use rdfs::incremental::{CountingMaintainer, Maintainer};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use workload::lubm::{generate, LubmConfig};
 
-/// Forwards to the system allocator and tracks the bytes currently live.
-struct LiveBytes;
-
-static LIVE: AtomicUsize = AtomicUsize::new(0);
-
-// SAFETY: every call forwards to `System` with the caller's arguments; the
-// counter only observes sizes.
-unsafe impl GlobalAlloc for LiveBytes {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let p = System.alloc(layout);
-        if !p.is_null() {
-            LIVE.fetch_add(layout.size(), Ordering::Relaxed);
-        }
-        p
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        let p = System.alloc_zeroed(layout);
-        if !p.is_null() {
-            LIVE.fetch_add(layout.size(), Ordering::Relaxed);
-        }
-        p
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout);
-        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        let p = System.realloc(ptr, layout, new_size);
-        if !p.is_null() {
-            LIVE.fetch_add(new_size, Ordering::Relaxed);
-            LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
-        }
-        p
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: LiveBytes = LiveBytes;
-
-/// Live bytes per saturated triple at LUBM-1. `G∞` plus its counts measure
-/// 199 built either way; a second graph for `G` beside them measures 278
-/// built from a graph and 340 inserted one by one.
-const BOUND: f64 = 240.0;
+/// Live bytes per saturated triple at LUBM-1: `G∞` plus its counts measure
+/// 58.0 built either way, and the bound is that plus 15%. A second graph
+/// for `G` beside them would add about 21 (51 522 triples at 31 B each).
+const BOUND: f64 = 66.7;
 
 /// Live bytes `build` leaves allocated per triple of the `G∞` it returns.
 fn bytes_per_saturated_triple(build: impl FnOnce() -> CountingMaintainer) -> (f64, usize) {
-    let before = LIVE.load(Ordering::Relaxed);
-    let m = build();
-    let bytes = LIVE.load(Ordering::Relaxed) - before;
+    let (bytes, m) = live_heap::measure(build);
     let sat = m.saturated().len();
     (bytes as f64 / sat as f64, sat)
 }
