@@ -699,8 +699,17 @@ fn table_aserve() -> bool {
 /// T-SAT: saturation time and size blow-up across dataset scales, for the
 /// specialised single-pass engine vs the naive fix-point (the
 /// engine-specialisation ablation).
+/// `f`'s result and the median seconds of five timed runs, after one
+/// untimed warm-up run.
+fn median_time<R>(mut f: impl FnMut() -> R) -> (R, f64) {
+    f();
+    let mut runs: Vec<(R, f64)> = (0..5).map(|_| time(&mut f)).collect();
+    runs.sort_by(|a, b| a.1.total_cmp(&b.1));
+    runs.swap_remove(2)
+}
+
 fn table_sat() -> bool {
-    println!("== T-SAT: graph saturation across scales ==");
+    println!("== T-SAT: graph saturation across scales (median of 5 after a warm-up) ==");
     #[derive(Serialize)]
     struct Row {
         universities: usize,
@@ -722,8 +731,8 @@ fn table_sat() -> bool {
             },
         ] {
             let ds = generate(&cfg);
-            let (fast, specialised_s) = time(|| saturate(&ds.graph, &ds.vocab));
-            let (naive, naive_s) = time(|| saturate_naive(&ds.graph, &ds.vocab));
+            let (fast, specialised_s) = median_time(|| saturate(&ds.graph, &ds.vocab));
+            let (naive, naive_s) = median_time(|| saturate_naive(&ds.graph, &ds.vocab));
             assert_eq!(fast.graph, naive.graph, "engines must agree");
             let blowup = fast.graph.len() as f64 / ds.graph.len() as f64;
             rows.push(vec![
