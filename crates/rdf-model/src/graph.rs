@@ -28,7 +28,7 @@
 //! `Arc` of its own, so a write under a busy key (`rdf:type` in POS, a
 //! class in OSP) copies one page and the page directory. Every inner map
 //! counts its triples and every index its keys, so `count` is exact
-//! without a scan and the distinct subject/property/object counts O(1).
+//! without scanning triples and the distinct key counts are O(1).
 
 use crate::dictionary::TermId;
 use crate::triple::{Pattern, Triple};
@@ -149,14 +149,17 @@ impl<T: Clone + Default> Radix<T> {
 }
 
 /// `run` with `x` inserted at `at`, collected into one exact allocation.
-fn with<T: Copy, C: FromIterator<T>>(run: &[T], at: usize, x: T) -> C {
-    let (head, tail) = run.split_at(at);
-    head.iter().chain([&x]).chain(tail).copied().collect()
+fn with<T: Copy, C: From<Vec<T>>>(run: &[T], at: usize, x: T) -> C {
+    let mut out = Vec::with_capacity(run.len() + 1);
+    out.extend_from_slice(&run[..at]);
+    out.push(x);
+    out.extend_from_slice(&run[at..]);
+    out.into()
 }
 
 /// `run` without its element at `at`, collected into one exact allocation.
-fn without<T: Copy, C: FromIterator<T>>(run: &[T], at: usize) -> C {
-    run[..at].iter().chain(&run[at + 1..]).copied().collect()
+fn without<T: Copy, C: From<Vec<T>>>(run: &[T], at: usize) -> C {
+    [&run[..at], &run[at + 1..]].concat().into()
 }
 
 /// The pairs of `run` whose second key is `b`.
@@ -847,13 +850,14 @@ mod tests {
         let held = g.clone();
         assert!(pos_pages(&held).len() >= 4);
         let leaf = Pattern::new(None, Some(id(0)), Some(id(0)));
-        // Pages, then one boxed run, then two ids inline, then one.
+        // The pages merge as the leaf shrinks to one id.
         for (i, tr) in all.iter().enumerate().rev().take(599) {
             assert!(g.remove(tr));
             assert_eq!(g.count(&leaf), i);
             assert_eq!(g.subjects_with(id(0), id(0)).map_or(0, |ids| ids.len()), i);
         }
         assert_eq!(g.matches(&leaf), all[..1]);
+        assert_eq!(pos_pages(&g).len(), 1);
         assert_eq!(held.len(), all.len());
         let mut kept = held.matches(&leaf);
         kept.sort();
@@ -947,8 +951,8 @@ mod tests {
         /// Triples concentrated on hubs — object 0, subject 0 and, through
         /// both, properties 0..3 — so single inner maps of all three
         /// indexes grow past the paging threshold, and the POS leaf of
-        /// `?x 0 0` past four pages in the longer streams, while removals
-        /// shrink it under the clones held on the way.
+        /// `?x 0 0` spans four pages and more in the longer streams, while
+        /// removals shrink it under the clones held on the way.
         fn arb_cow_op() -> impl Strategy<Value = CowOp> {
             (0u32..100, 0usize..1_000, 0usize..3, 0usize..100_000).prop_map(|(roll, x, p, k)| {
                 match roll {
