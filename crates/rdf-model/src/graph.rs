@@ -148,7 +148,7 @@ impl<T: Clone + Default> Radix<T> {
     }
 }
 
-/// `run` with `x` inserted at `at`, collected into one exact allocation.
+/// `run` with `x` inserted at `at`, copied slice by slice.
 fn with<T: Copy, C: From<Vec<T>>>(run: &[T], at: usize, x: T) -> C {
     let mut out = Vec::with_capacity(run.len() + 1);
     out.extend_from_slice(&run[..at]);
@@ -157,7 +157,7 @@ fn with<T: Copy, C: From<Vec<T>>>(run: &[T], at: usize, x: T) -> C {
     out.into()
 }
 
-/// `run` without its element at `at`, collected into one exact allocation.
+/// `run` without its element at `at`, copied slice by slice.
 fn without<T: Copy, C: From<Vec<T>>>(run: &[T], at: usize) -> C {
     [&run[..at], &run[at + 1..]].concat().into()
 }
@@ -219,7 +219,7 @@ impl<'a> SortedIds<'a> {
 enum Inner {
     /// Up to `PAGE_AT` pairs; copied whole when its chunk is copied.
     Flat(Box<[Pair]>),
-    /// More than that.
+    /// Past `PAGE_AT` pairs, and from then on until the key is emptied.
     Paged(Arc<Paged>),
 }
 
