@@ -59,10 +59,10 @@ impl DistinctCounts {
 /// are already fixed (to unknown values): the exact count of the constant
 /// skeleton, divided by `V(position)` per bound-variable position. The
 /// first range position is counted exactly as the sum over the range's
-/// members of the skeleton count with that member in place (|range| O(1)
-/// counter lookups); a further range position counts as a wildcard scaled
-/// by `|range| / V(position)`, and so does every range when no `dict` is
-/// given.
+/// members of the skeleton count with that member in place (|range|
+/// `Graph::count` calls); a further range position counts as a wildcard
+/// scaled by `|range| / V(position)`, and so does every range when no
+/// `dict` is given.
 fn estimate(
     g: &Graph,
     dc: &DistinctCounts,
