@@ -696,9 +696,6 @@ fn table_aserve() -> bool {
     emit_json("table_aserve", &report)
 }
 
-/// T-SAT: saturation time and size blow-up across dataset scales, for the
-/// specialised single-pass engine vs the naive fix-point (the
-/// engine-specialisation ablation).
 /// `f`'s result and the median seconds of five timed runs, after one
 /// untimed warm-up run.
 fn median_time<R>(mut f: impl FnMut() -> R) -> (R, f64) {
@@ -708,6 +705,9 @@ fn median_time<R>(mut f: impl FnMut() -> R) -> (R, f64) {
     runs.swap_remove(2)
 }
 
+/// T-SAT: saturation time and size blow-up across dataset scales, for the
+/// specialised single-pass engine vs the naive fix-point (the
+/// engine-specialisation ablation).
 fn table_sat() -> bool {
     println!("== T-SAT: graph saturation across scales (median of 5 after a warm-up) ==");
     #[derive(Serialize)]
