@@ -233,6 +233,8 @@ fn table_aref(scale: Scale) -> bool {
         sequential_s: f64,
         shared_s: f64,
         shared_prefix_scans: usize,
+        /// Triples the shared walk matched, after the witness cut.
+        matched: u64,
         answers: usize,
     }
 
@@ -264,6 +266,7 @@ fn table_aref(scale: Scale) -> bool {
             fmt_secs(sequential_s),
             fmt_secs(shared_s),
             stats.shared_prefix_scans().to_string(),
+            stats.matched.to_string(),
             format!("{:.2}×", sequential_s / shared_s),
         ]);
         report.push(Row {
@@ -272,6 +275,7 @@ fn table_aref(scale: Scale) -> bool {
             sequential_s,
             shared_s,
             shared_prefix_scans: stats.shared_prefix_scans(),
+            matched: stats.matched,
             answers,
         });
     }
@@ -284,6 +288,7 @@ fn table_aref(scale: Scale) -> bool {
                 "sequential",
                 "shared",
                 "scans saved",
+                "matched",
                 "speedup",
             ],
             &rows
@@ -292,7 +297,8 @@ fn table_aref(scale: Scale) -> bool {
     println!(
         "\"sequential\" is the legacy per-branch evaluator (re-plans and re-scans\n\
          every branch); \"shared\" plans once and folds branches into a prefix\n\
-         trie. Both are asserted to return the same answer set.\n"
+         trie. Both are asserted to return the same answer set. \"matched\" is\n\
+         the triples the shared walk matched.\n"
     );
 
     #[derive(Serialize)]

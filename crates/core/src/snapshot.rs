@@ -71,11 +71,76 @@ fn map_union(reg: &obs::Registry, e: UnionEvalError) -> AnswerError {
 /// schema-changing updates).
 pub(crate) type SchemaCell = Arc<OnceLock<Schema>>;
 
-/// Per-query reformulation cache, keyed by the whole query: the rewrite
-/// carries its variable names, filters and modifiers. Boxed keys keep
-/// the table's slots small. Valid for one schema version; swapped with
+/// Entries one generation of a [`RewriteCache`] holds.
+const REWRITE_CACHE_GENERATION: usize = 256;
+
+/// A per-query rewrite cache, keyed by the whole query: the rewrite
+/// carries its variable names, filters and modifiers. Boxed keys keep the
+/// table's slots small, and values are `Arc`s, so a hit is a refcount
+/// bump.
+///
+/// Bounded by two generations of [`REWRITE_CACHE_GENERATION`] entries:
+/// when the young map fills, it becomes the old one and the old one is
+/// dropped; a hit in the old map moves the entry back to the young one.
+/// A server fed ever-new query texts so keeps at most two generations,
+/// and a query asked again within a generation's worth of misses stays.
+pub(crate) struct RewriteCache<V> {
+    young: rustc_hash::FxHashMap<Box<Query>, Arc<V>>,
+    old: rustc_hash::FxHashMap<Box<Query>, Arc<V>>,
+}
+
+impl<V> Default for RewriteCache<V> {
+    fn default() -> Self {
+        RewriteCache {
+            young: Default::default(),
+            old: Default::default(),
+        }
+    }
+}
+
+impl<V> RewriteCache<V> {
+    /// The cached rewrite of `q`, if any.
+    fn get(&mut self, q: &Query) -> Option<Arc<V>> {
+        if let Some(hit) = self.young.get(q) {
+            return Some(hit.clone());
+        }
+        let (key, hit) = self.old.remove_entry(q)?;
+        self.insert(key, hit.clone());
+        Some(hit)
+    }
+
+    /// Caches `rewrite` as the rewrite of `q`.
+    fn insert(&mut self, q: Box<Query>, rewrite: Arc<V>) {
+        if self.young.len() >= REWRITE_CACHE_GENERATION {
+            self.old = std::mem::take(&mut self.young);
+        }
+        self.young.insert(q, rewrite);
+    }
+
+    /// The cached rewrite of `q`, or `rewrite(q)` cached. A rewrite
+    /// error is returned and caches nothing.
+    fn get_or_try<E>(
+        &mut self,
+        q: &Query,
+        rewrite: impl FnOnce() -> Result<V, E>,
+    ) -> Result<Arc<V>, E> {
+        if let Some(hit) = self.get(q) {
+            return Ok(hit);
+        }
+        let fresh = Arc::new(rewrite()?);
+        self.insert(Box::new(q.clone()), fresh.clone());
+        Ok(fresh)
+    }
+
+    #[cfg(test)]
+    fn len(&self) -> usize {
+        self.young.len() + self.old.len()
+    }
+}
+
+/// The reformulation cache: valid for one schema version, swapped with
 /// [`SchemaCell`].
-pub(crate) type RefoCache = Arc<Mutex<rustc_hash::FxHashMap<Box<Query>, Query>>>;
+pub(crate) type RefoCache = Arc<Mutex<RewriteCache<Query>>>;
 
 /// The LiteMat interval dictionary of the current schema version, built
 /// lazily behind the first interval-strategy answer (the build *is* the
@@ -83,9 +148,9 @@ pub(crate) type RefoCache = Arc<Mutex<rustc_hash::FxHashMap<Box<Query>, Query>>>
 /// `core.interval.reencode`). Swapped with [`SchemaCell`].
 pub(crate) type IntervalCell = Arc<OnceLock<Arc<IntervalDict>>>;
 
-/// Per-query interval-rewrite cache, keyed like [`RefoCache`]; valid for
-/// one schema version, swapped with [`SchemaCell`].
-pub(crate) type IqCache = Arc<Mutex<rustc_hash::FxHashMap<Box<Query>, Arc<IntervalQuery>>>>;
+/// The interval-rewrite cache: valid for one schema version, swapped
+/// with [`SchemaCell`].
+pub(crate) type IqCache = Arc<Mutex<RewriteCache<IntervalQuery>>>;
 
 /// How a schema-based (non-materialising) snapshot answers queries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -100,7 +165,7 @@ pub(crate) enum SchemaMode {
 /// A query rewritten for a schema-mode snapshot, ready for the executor.
 enum Rewritten {
     /// The reformulated union `q_ref`.
-    Union(Query),
+    Union(Arc<Query>),
     /// The interval rewriting.
     Interval(Arc<IntervalQuery>),
 }
@@ -175,7 +240,7 @@ impl StoreSnapshot {
     /// form too: subscription views maintain it, and both rewritings
     /// produce identical answers. `Ok(None)` under saturation, which
     /// answers without a rewriting.
-    pub fn reformulated(&self, q: &Query) -> Result<Option<Query>, AnswerError> {
+    pub fn reformulated(&self, q: &Query) -> Result<Option<Arc<Query>>, AnswerError> {
         let SnapState::Schema {
             graph,
             schema,
@@ -186,14 +251,11 @@ impl StoreSnapshot {
             return Ok(None);
         };
         let schema = schema.get_or_init(|| Schema::extract(graph, &self.vocab));
-        let mut cache = lock(refo_cache);
-        if let Some(cached) = cache.get(q) {
-            return Ok(Some(cached.clone()));
-        }
-        let _refo = obs::global().span("core.answer.reformulate");
-        let r = reformulate(q, schema, &self.vocab)?;
-        cache.insert(Box::new(q.clone()), r.query.clone());
-        Ok(Some(r.query))
+        let q_ref = lock(refo_cache).get_or_try(q, || {
+            let _refo = obs::global().span("core.answer.reformulate");
+            reformulate(q, schema, &self.vocab).map(|r| r.query)
+        })?;
+        Ok(Some(q_ref))
     }
 
     /// Parses a SPARQL query against the shared dictionary. New constants
@@ -258,14 +320,10 @@ impl StoreSnapshot {
                 Arc::new(schema.interval_dict())
             })
             .clone();
-        let mut cache = lock(iq_cache);
-        if let Some(cached) = cache.get(q) {
-            return Ok(cached.clone());
-        }
-        let _refo = reg.span("core.answer.reformulate");
-        let iq = Arc::new(reformulate_intervals(q, schema, &self.vocab, idict)?);
-        cache.insert(Box::new(q.clone()), iq.clone());
-        Ok(iq)
+        Ok(lock(iq_cache).get_or_try(q, || {
+            let _refo = reg.span("core.answer.reformulate");
+            reformulate_intervals(q, schema, &self.vocab, idict)
+        })?)
     }
 
     /// [`answer_cancel`](StoreSnapshot::answer_cancel) with an optional
@@ -459,5 +517,45 @@ impl StoreReader {
         let q = self.prepare(sparql)?;
         let (sols, stats) = snap.answer_with_strategy(&q, strategy, cancel)?;
         Ok((sols, stats, snap.epoch()))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A distinct query per `i`.
+    fn query(i: usize) -> Query {
+        let text = format!("SELECT ?x WHERE {{ ?x <http://ex/p> ?y{i} }}");
+        parse_query(&text, &mut Dictionary::new()).unwrap()
+    }
+
+    #[test]
+    fn rewrite_cache_stays_bounded_and_keeps_a_hot_query() {
+        let mut cache: RewriteCache<usize> = RewriteCache::default();
+        let hot = query(usize::MAX);
+        let rewrites = std::cell::Cell::new(0);
+        let rewrite = |v: usize| {
+            rewrites.set(rewrites.get() + 1);
+            Ok::<_, ()>(v)
+        };
+        assert_eq!(*cache.get_or_try(&hot, || rewrite(0)).unwrap(), 0);
+        for i in 0..5 * REWRITE_CACHE_GENERATION {
+            cache.get_or_try(&query(i), || rewrite(i)).unwrap();
+            // Asked once per half generation, the hot query always hits,
+            // across every flip of the two maps.
+            if i % (REWRITE_CACHE_GENERATION / 2) == 0 {
+                let hit = cache.get_or_try(&hot, || rewrite(usize::MAX)).unwrap();
+                assert_eq!(*hit, 0, "the hot query's first rewrite, after {i} others");
+            }
+            assert!(cache.len() <= 2 * REWRITE_CACHE_GENERATION);
+        }
+        assert_eq!(rewrites.get(), 1 + 5 * REWRITE_CACHE_GENERATION);
+        // A query not asked for two generations was dropped.
+        cache.get_or_try(&query(0), || rewrite(7)).unwrap();
+        assert_eq!(rewrites.get(), 2 + 5 * REWRITE_CACHE_GENERATION);
+        // A failed rewrite caches nothing.
+        assert!(cache.get_or_try(&query(1), || Err(())).is_err());
+        assert!(cache.get(&query(1)).is_none());
     }
 }

@@ -533,7 +533,7 @@ fn compile_for(snap: &StoreSnapshot, q: &Query) -> Result<Query, SubscribeError>
     let effective = snap.reformulated(q).map_err(SubscribeError::Query)?;
     Ok(Query {
         distinct: false,
-        ..effective.unwrap_or_else(|| q.clone())
+        ..effective.map_or_else(|| q.clone(), |q_ref| (*q_ref).clone())
     })
 }
 

@@ -113,6 +113,9 @@ impl Dictionary {
                     .filter(|&id| id != EMPTY.id)
                     .expect("term id space exhausted");
                 self.slots[at] = Slot { id, hash };
+                if self.terms.len() == self.terms.capacity() {
+                    self.terms.reserve_exact(Self::spare_for(self.terms.len()));
+                }
                 self.terms.push(term.clone());
                 TermId(id)
             }
@@ -134,6 +137,15 @@ impl Dictionary {
             }
             at = (at + 1) & mask;
         }
+    }
+
+    /// Room `terms` gains when full at `len` terms: an eighth more, not a
+    /// doubling, so spare capacity stays within `len / 8 + 16` terms
+    /// wherever the count falls. A grow moves the terms once; over a
+    /// whole load that is a handful of moves per term, and large blocks
+    /// are usually extended in place.
+    fn spare_for(len: usize) -> usize {
+        len / 8 + 16
     }
 
     /// Doubles the lookup table, placing each slot by its stored hash.
@@ -274,6 +286,22 @@ mod tests {
         assert_eq!(d.intern(&terms[42], 7), ids[42]);
         assert_eq!(d.find(&Term::iri("http://c/100"), 7).ok(), None);
         assert_eq!(d.len(), 100);
+    }
+
+    #[test]
+    fn terms_grow_by_an_eighth_across_a_power_of_two() {
+        let mut dict = Dictionary::new();
+        for i in 0..70_000 {
+            dict.encode(&Term::iri(format!("http://ex/{i}")));
+            let (len, cap) = (dict.terms.len(), dict.terms.capacity());
+            assert!(
+                cap - len <= Dictionary::spare_for(len),
+                "{cap} slots for {len} terms"
+            );
+        }
+        assert!(dict.terms.len() > 1 << 16, "crossed 2^16 terms");
+        // The lookup table keeps its load rule.
+        assert!(dict.terms.len() * 4 <= dict.slots.len() * 3);
     }
 
     #[test]

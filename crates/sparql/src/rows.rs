@@ -196,9 +196,15 @@ impl RowIndex {
         (h.finish() >> self.shift) as usize
     }
 
-    /// Doubles the table and re-seats every row of `rows`.
+    /// The table's bytes once it holds `n` rows.
+    fn bytes_for(n: usize) -> usize {
+        std::mem::size_of::<u32>() * (2 * n).next_power_of_two().max(16)
+    }
+
+    /// Grows the table to hold one more row than `rows` (doubling it, or
+    /// sizing a fresh index over a filled block) and re-seats every row.
     fn grow(&mut self, rows: &Rows) {
-        let cap = (self.slots.len() * 2).max(16);
+        let cap = Self::bytes_for(rows.len() + 1) / std::mem::size_of::<u32>();
         self.slots = vec![0; cap];
         self.shift = 64 - cap.trailing_zeros();
         let mask = cap - 1;
@@ -209,6 +215,64 @@ impl RowIndex {
             }
             self.slots[slot] = i as u32 + 1;
         }
+    }
+}
+
+/// The `DISTINCT` set of a one-column block. It starts as a [`RowIndex`]
+/// and turns into a bitset over dense `TermId` indexes once the bitset,
+/// sized by the largest id seen, takes no more bytes than the index over
+/// the same rows would; an id past the bitset's end turns it back when
+/// the bitset would outgrow that bound. A point answer so never pays for
+/// the bitset, and a large one tests a bit per row instead of hashing it.
+#[derive(Default)]
+pub(crate) struct IdSet {
+    index: RowIndex,
+    /// One bit per id below `64 * bits.len()`; empty while `index` is used.
+    bits: Vec<u64>,
+    /// Words a bitset over every id seen needs.
+    words: usize,
+}
+
+impl IdSet {
+    /// Appends the one-term row `[id]` to `rows` unless it is already
+    /// there. Returns whether it was appended.
+    ///
+    /// # Panics
+    /// If `rows` is not one column wide.
+    pub(crate) fn insert(&mut self, rows: &mut Rows, id: TermId) -> bool {
+        assert_eq!(rows.width(), 1, "row width");
+        let i = id.index();
+        self.words = self.words.max(i / 64 + 1);
+        let limit = RowIndex::bytes_for(rows.len() + 1) / std::mem::size_of::<u64>();
+        let use_bits = self.words <= limit;
+        if use_bits == self.bits.is_empty() {
+            // Switch representations; the block itself is the set's content.
+            self.index = RowIndex::default();
+            self.bits = Vec::new();
+            if use_bits {
+                self.bits = vec![0; self.words];
+                for row in rows.iter() {
+                    let j = row[0].index();
+                    self.bits[j / 64] |= 1 << (j % 64);
+                }
+            }
+        }
+        if !use_bits {
+            return self.index.insert(rows, &[id]);
+        }
+        if self.words > self.bits.len() {
+            let len = self.bits.len();
+            self.bits
+                .reserve_exact((2 * len).clamp(self.words, limit) - len);
+            self.bits.resize(self.words, 0);
+        }
+        let (word, bit) = (i / 64, 1u64 << (i % 64));
+        if self.bits[word] & bit != 0 {
+            return false;
+        }
+        self.bits[word] |= bit;
+        rows.push(&[id]);
+        true
     }
 }
 
@@ -269,6 +333,51 @@ mod tests {
         want.truncate(10);
         assert_eq!(rows.to_vecs(), want);
         assert_eq!(rows[2], want[2][..]);
+    }
+
+    /// The one-column set admits each id once, keeps first-seen order,
+    /// and never holds more bytes than a `RowIndex` over the same rows:
+    /// it turns into a bitset as the answer grows and back when a far id
+    /// would make the bitset the bigger of the two.
+    #[test]
+    fn id_set_admits_each_id_once_within_the_index_bound() {
+        let mut rows = Rows::new(1);
+        let mut set = IdSet::default();
+        let mut reference: Vec<TermId> = Vec::new();
+        let (mut to_bits, mut to_index) = (0, 0);
+        let far = 1u32 << 20;
+        let inputs = (0..6_000u32)
+            .map(|i| (i * 7919) % 3_001)
+            .chain([far, 5, far])
+            .chain((0..6_000u32).map(|i| far - i % 4_000));
+        for i in inputs {
+            let id = TermId::from_index(i as usize);
+            let fresh = !reference.contains(&id);
+            let had_bits = !set.bits.is_empty();
+            assert_eq!(set.insert(&mut rows, id), fresh, "id {i}");
+            if fresh {
+                reference.push(id);
+            }
+            match (had_bits, set.bits.is_empty()) {
+                (false, false) => to_bits += 1,
+                (true, true) => to_index += 1,
+                _ => {}
+            }
+            let bound = RowIndex::bytes_for(rows.len() + 1);
+            assert!(
+                set.bits.capacity() * 8 <= bound,
+                "{} words",
+                set.bits.capacity()
+            );
+        }
+        assert_eq!(
+            rows.to_vecs(),
+            reference.iter().map(|&id| vec![id]).collect::<Vec<_>>()
+        );
+        assert!(
+            to_bits >= 2 && to_index >= 1,
+            "{to_bits} / {to_index} switches"
+        );
     }
 
     #[test]

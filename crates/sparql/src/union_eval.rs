@@ -29,10 +29,17 @@
 //!
 //! The trie is walked once, on the calling thread: a server answers
 //! different requests on different threads, never one request on several.
-//! Rows go into one flat [`Rows`] block, which one [`RowIndex`] keeps a
-//! set under `DISTINCT` — or nothing does, when the plan proves the rows
-//! distinct ([`plan_proves_distinct`]) — and no row is ever a heap
-//! allocation of its own.
+//! Rows go into one flat [`Rows`] block, and no row is ever a heap
+//! allocation of its own. Under `DISTINCT` the block is kept a set — by
+//! an [`IdSet`] (a bitset over `TermId` indexes once the answer is large)
+//! for one-column rows, by a [`RowIndex`] otherwise — unless the plan
+//! proves the rows distinct ([`plan_proves_distinct`]). A deduplicated
+//! walk also takes the *witness cut*: once a node's path binds every
+//! projected variable and nothing below it binds a `NOT EXISTS`
+//! variable, the rest of its subtree can only repeat the row, so one
+//! emission per match of that node is enough (see [`Walker`]). Both keep
+//! the first-seen order of the distinct rows, so `LIMIT`/`OFFSET` slice
+//! the same answer as an uncut walk.
 //!
 //! The answer multiset is exactly [`evaluate`](crate::evaluate)'s on the
 //! classical union: a trie path *is* a branch's planned atom sequence,
@@ -49,7 +56,7 @@ use crate::ast::{Query, Variable};
 use crate::eval::{passes_negation, Solutions};
 use crate::plan::{plan_atoms, DistinctCounts};
 use crate::range_eval::{IntervalQuery, RTerm, RangeAtom};
-use crate::rows::{RowIndex, Rows};
+use crate::rows::{IdSet, RowIndex, Rows};
 use obs::{CancelToken, CANCEL_POLL_STRIDE};
 use rdf_model::{Graph, IntervalDict, IntervalSet, Pattern, TermId, Triple};
 use std::cmp::Ordering;
@@ -102,6 +109,9 @@ pub struct EvalStats {
     pub eval_us: u64,
     /// Answer rows produced (after `DISTINCT`, before `finalize`).
     pub rows: usize,
+    /// Triples the trie walk matched, after the witness cut (see
+    /// [`Walker`]): the walk's work, against `rows` its yield.
+    pub matched: u64,
     /// Range atoms planned (interval strategy only; a range atom probes
     /// one hierarchy interval instead of one union branch per member).
     pub range_scans: u64,
@@ -119,11 +129,12 @@ impl EvalStats {
     /// One-line human-readable rendering for CLI / bench output.
     pub fn summary(&self) -> String {
         let mut line = format!(
-            "{} branches ({} pruned, {} shared ≥1 prefix, {} scans saved), eval {}µs",
+            "{} branches ({} pruned, {} shared ≥1 prefix, {} scans saved), {} triples matched, eval {}µs",
             self.branches_total,
             self.branches_pruned,
             self.branches_shared,
             self.shared_prefix_scans(),
+            self.matched,
             self.eval_us,
         );
         if self.range_scans > 0 || self.branches_collapsed > 0 {
@@ -197,6 +208,7 @@ fn publish_union(reg: &obs::Registry, stats: &EvalStats) {
         stats.shared_prefix_scans() as u64,
     );
     reg.add("sparql.union.rows", stats.rows as u64);
+    reg.add("sparql.union.matched", stats.matched);
 }
 
 /// Mirrors a finished interval evaluation's stats into the registry under
@@ -214,6 +226,7 @@ fn publish_range(reg: &obs::Registry, stats: &EvalStats) {
         stats.branches_collapsed as u64,
     );
     reg.add("sparql.range.rows", stats.rows as u64);
+    reg.add("sparql.range.matched", stats.matched);
 }
 
 /// Which of a run's three graphs an atom probes. A query answer passes
@@ -250,8 +263,8 @@ enum Src {
 
 /// One node of the shared-prefix trie: a planned atom and its graph
 /// compiled to its probe sources, slot writes and repeated-variable
-/// checks, the branches ending exactly here (`leaf_mult`), and the
-/// continuations.
+/// checks, the branches ending exactly here (`leaf_mult`), whether a
+/// match here fixes the answer row (`closes`), and the continuations.
 struct TrieNode {
     step: Step,
     probe: [Src; 3],
@@ -264,6 +277,11 @@ struct TrieNode {
     /// `NOT EXISTS` can tell bound slots from stale ones.
     bound: Vec<Variable>,
     leaf_mult: usize,
+    /// Set only when the run deduplicates rows: the path binds every
+    /// projected variable and no node below binds a `NOT EXISTS`
+    /// variable, so every row emitted under one match of this node is the
+    /// same row, kept or dropped by the same negation check.
+    closes: bool,
     children: Vec<TrieNode>,
 }
 
@@ -298,12 +316,28 @@ impl TrieNode {
             repeats,
             bound,
             leaf_mult: 0,
+            closes: false,
             children: Vec::new(),
         }
     }
 
     fn has_range(&self) -> bool {
         self.probe.iter().any(|src| matches!(src, Src::Range(_)))
+    }
+
+    /// Sets [`TrieNode::closes`] on this node and every node below it.
+    /// Returns whether any of them binds one of `negated`.
+    fn mark_closing(&mut self, projection: &[Variable], negated: &[Variable]) -> bool {
+        let mut below = false;
+        for child in &mut self.children {
+            below |= child.mark_closing(projection, negated);
+        }
+        self.closes = !below && projection.iter().all(|v| self.bound.contains(v));
+        below
+            || self
+                .binds
+                .iter()
+                .any(|&(_, slot)| negated.iter().any(|v| v.index() == slot))
     }
 }
 
@@ -380,6 +414,15 @@ struct Job<'a> {
 /// before it can be read. `emit` receives the path's bound variables for
 /// the one reader that must see the rest as unbound, `NOT EXISTS`.
 ///
+/// **Witness cut.** When the run deduplicates rows, a node that
+/// [`closes`](TrieNode::closes) needs one witness per match, not every
+/// derivation below it: at a leaf it emits and skips its children, which
+/// could only repeat the row; otherwise it walks its children until the
+/// first emission (`seeking`), which halts the whole subtree (`halted`),
+/// and the node's remaining matches go on as before. The skipped rows are
+/// duplicates of one already emitted at the same point of the walk, so
+/// the distinct rows come out in the same first-seen order.
+///
 /// The token is polled on the first matched triple of the walk and then
 /// every [`CANCEL_POLL_STRIDE`] matched triples, at any depth, so even a
 /// single-branch query stops within a stride of the deadline. A tripped
@@ -389,6 +432,11 @@ struct Walker<'a, E> {
     slots: Vec<TermId>,
     emit: E,
     matched: usize,
+    /// Inside the subtree of a closing node's match, looking for its
+    /// first row.
+    seeking: bool,
+    /// The row was found: the rest of the subtree is skipped.
+    halted: bool,
     cancelled: bool,
 }
 
@@ -413,6 +461,7 @@ impl<E: FnMut(&[TermId], &[Variable], usize)> Walker<'_, E> {
             Src::Range(r) => Some(&ranges[usize::from(r)]),
             _ => None,
         });
+        // Returns whether the walk halted, which ends a member enumeration.
         let mut scan = |probe: &[Option<TermId>; 3], checks: &[Option<&IntervalSet>; 3]| {
             g.for_each_match(&pattern(probe), |t| {
                 let values = [t.s, t.p, t.o];
@@ -420,6 +469,7 @@ impl<E: FnMut(&[TermId], &[Variable], usize)> Walker<'_, E> {
                     self.step(node, t);
                 }
             });
+            self.halted
         };
         // Drive the smallest range by member enumeration if that beats
         // one wildcard scan; every other range is filter-checked.
@@ -431,7 +481,9 @@ impl<E: FnMut(&[TermId], &[Variable], usize)> Walker<'_, E> {
             ranged[pos] = None;
             for member in dict.members(set) {
                 probe[pos] = Some(member);
-                scan(&probe, &ranged);
+                if scan(&probe, &ranged) {
+                    break;
+                }
             }
         } else {
             scan(&probe, &ranged);
@@ -443,6 +495,9 @@ impl<E: FnMut(&[TermId], &[Variable], usize)> Walker<'_, E> {
     /// is the repeated-variable check and the slot writes.
     #[inline]
     fn step(&mut self, node: &TrieNode, t: Triple) {
+        if self.halted {
+            return;
+        }
         let poll = self.matched.is_multiple_of(CANCEL_POLL_STRIDE);
         if self.cancelled || (poll && self.job.cancel.is_cancelled()) {
             self.cancelled = true;
@@ -458,16 +513,36 @@ impl<E: FnMut(&[TermId], &[Variable], usize)> Walker<'_, E> {
         }
         if node.leaf_mult > 0 {
             (self.emit)(&self.slots, &node.bound, node.leaf_mult);
+            if node.closes {
+                self.halted = self.seeking;
+                return;
+            }
         }
+        if node.closes && !self.seeking {
+            self.seeking = true;
+            self.walk_children(node);
+            self.seeking = false;
+            self.halted = false;
+        } else {
+            self.walk_children(node);
+        }
+    }
+
+    fn walk_children(&mut self, node: &TrieNode) {
         for child in &node.children {
             self.walk(child);
+            if self.halted {
+                return;
+            }
         }
     }
 }
 
 /// Builds the trie of the planned branches and walks it, collecting the
-/// projected rows into one block, kept a set by one [`RowIndex`] when
-/// `distinct`. Records the trie's counters in `stats`.
+/// projected rows into one block. When `distinct`, the block is kept a
+/// set — by an [`IdSet`] for one-column rows, by a [`RowIndex`] otherwise
+/// — and the walk takes the witness cut (see [`Walker`]). Records the
+/// trie's counters and the walk's matches in `stats`.
 ///
 /// Cancellation is polled between trie roots and inside the walk (see
 /// [`Walker`]). `None` means the token tripped: the partial rows are
@@ -481,13 +556,20 @@ fn walk_branches(
     let Job {
         graphs, q, cancel, ..
     } = job;
-    let trie = Trie::build(branches);
+    let mut trie = Trie::build(branches);
     stats.trie_nodes = trie.nodes;
     stats.branches_shared = trie.shared_branches;
+    if distinct {
+        let negated: Vec<Variable> = q.not_exists.iter().flat_map(|b| b.variables()).collect();
+        for root in &mut trie.roots {
+            root.mark_closing(&q.projection, &negated);
+        }
+    }
     let width = q.projection.len();
-    // Under bag semantics the index stays empty.
+    // Under bag semantics both sets stay empty.
     let mut rows = Rows::new(width);
     let mut index = RowIndex::default();
+    let mut ids = IdSet::default();
     // `NOT EXISTS` reads a binding in which only the path's variables are
     // bound; it is assembled per candidate row and cleared after.
     let mut negation: Vec<Option<TermId>> = vec![None; q.var_names.len()];
@@ -507,7 +589,9 @@ fn walk_branches(
         }
         row.clear();
         row.extend(q.projection.iter().map(|v| slots[v.index()]));
-        if distinct {
+        if distinct && width == 1 {
+            ids.insert(&mut rows, row[0]);
+        } else if distinct {
             index.insert(&mut rows, &row);
         } else {
             // A branch duplicated `mult` times contributes `mult` copies
@@ -521,6 +605,8 @@ fn walk_branches(
         slots: vec![TermId::from_index(0); q.var_names.len()],
         emit,
         matched: 0,
+        seeking: false,
+        halted: false,
         cancelled: false,
     };
     if trie.empty_mult > 0 {
@@ -535,6 +621,7 @@ fn walk_branches(
             return None;
         }
     }
+    stats.matched = walker.matched as u64;
     drop(walker);
     Some(rows)
 }
@@ -996,6 +1083,146 @@ mod tests {
         }
     }
 
+    /// Every row reaches a leaf through several derivations: `?y` and
+    /// `?z` are left over once `?x` is bound, and three branches derive
+    /// `anne` and `marie`.
+    const WITNESSES: &str = r#"
+        @prefix ex: <http://ex/> .
+        ex:anne ex:hasFriend ex:marie .
+        ex:anne ex:hasFriend ex:paul .
+        ex:marie ex:hasFriend ex:paul .
+        ex:marie ex:hasFriend ex:anne .
+        ex:paul ex:hasFriend ex:anne .
+        ex:anne a ex:Person .
+        ex:marie a ex:Person .
+        ex:anne ex:knows ex:bob .
+        ex:paul ex:knows ex:bob .
+        ex:bob ex:knows ex:carl .
+    "#;
+
+    /// `rows` without repeats, each kept where it first occurs.
+    fn first_seen(rows: Vec<Vec<TermId>>) -> Vec<Vec<TermId>> {
+        let mut seen = std::collections::HashSet::new();
+        rows.into_iter()
+            .filter(|r| seen.insert(r.clone()))
+            .collect()
+    }
+
+    /// The witness cut and the one-column set keep the distinct rows in
+    /// the order the uncut walk first emits them, so `LIMIT`/`OFFSET`
+    /// slice the same answer. The pinned sequences are the executor's
+    /// output before the cut.
+    #[test]
+    fn witness_cut_keeps_rows_and_their_order() {
+        let cases = [
+            (
+                "SELECT DISTINCT ?x WHERE { { ?x ex:hasFriend ?y . ?y ex:hasFriend ?z } \
+                 UNION { ?x a ex:Person } UNION { ?x ex:knows ?w } }",
+                vec![vec!["marie"], vec!["paul"], vec!["anne"], vec!["bob"]],
+            ),
+            (
+                "SELECT DISTINCT ?y ?x WHERE { ?x ex:hasFriend ?y . ?y ex:hasFriend ?z }",
+                vec![
+                    vec!["anne", "marie"],
+                    vec!["anne", "paul"],
+                    vec!["marie", "anne"],
+                    vec!["paul", "anne"],
+                    vec!["paul", "marie"],
+                ],
+            ),
+        ];
+        let mut dict = Dictionary::new();
+        let mut g = Graph::new();
+        rdf_io::parse_turtle(WITNESSES, &mut dict, &mut g).expect("fixture parses");
+        for (text, want) in cases {
+            let text = format!("PREFIX ex: <http://ex/> {text}");
+            let q = parse_query(&text, &mut dict).expect("query parses");
+            let want: Vec<Vec<TermId>> = want
+                .iter()
+                .map(|row| {
+                    row.iter()
+                        .map(|n| dict.get_iri_id(&format!("http://ex/{n}")).unwrap())
+                        .collect()
+                })
+                .collect();
+            let (got, stats) = evaluate_union(&g, &q);
+            assert_eq!(got.rows.to_vecs(), want, "{text}");
+            // The bag walk takes no cut: its first occurrences are the
+            // order, and it matches strictly more triples.
+            let mut bag = q.clone();
+            bag.distinct = false;
+            let (all, bag_stats) = evaluate_union(&g, &bag);
+            assert_eq!(first_seen(all.rows.to_vecs()), want, "{text}");
+            assert!(stats.matched < bag_stats.matched, "{text}: {stats:?}");
+            let mut sliced = q.clone();
+            sliced.modifiers.offset = 1;
+            sliced.modifiers.limit = Some(2);
+            let (got, _) = evaluate_union(&g, &sliced);
+            let got = crate::finalize_read(got, &sliced, &dict);
+            assert_eq!(got.rows.to_vecs(), want[1..3], "{text} LIMIT 2 OFFSET 1");
+        }
+    }
+
+    /// A `NOT EXISTS` variable bound below a node that binds the whole
+    /// projection keeps that node open: the first `?y` of `anne` fails
+    /// the negation and a later one passes, the other way round for
+    /// `marie`, so stopping at either's first witness would lose a row.
+    #[test]
+    fn not_exists_variables_bound_below_keep_the_walk_going() {
+        let data = r#"
+            @prefix ex: <http://ex/> .
+            ex:anne a ex:Person .
+            ex:marie a ex:Person .
+            ex:f1 ex:knows ex:k .
+            ex:f4 ex:knows ex:k .
+            ex:anne ex:hasFriend ex:f1 .
+            ex:anne ex:hasFriend ex:f2 .
+            ex:marie ex:hasFriend ex:f3 .
+            ex:marie ex:hasFriend ex:f4 .
+            ex:f1 ex:likes ex:k .
+            ex:f2 ex:likes ex:k .
+            ex:f3 ex:likes ex:k .
+            ex:f4 ex:likes ex:k .
+        "#;
+        let mut dict = Dictionary::new();
+        let mut g = Graph::new();
+        rdf_io::parse_turtle(data, &mut dict, &mut g).expect("fixture parses");
+        let text = "PREFIX ex: <http://ex/> SELECT DISTINCT ?x WHERE \
+                    { ?x a ex:Person . ?x ex:hasFriend ?y . ?y ex:likes ?v \
+                      FILTER NOT EXISTS { ?y ex:knows ?z } }";
+        let q = parse_query(text, &mut dict).expect("query parses");
+        let want = evaluate(&g, &q).sorted_rows();
+        assert_eq!(want.len(), 2, "both persons have a friend who knows nobody");
+        let (got, stats) = run(&g, Executable::Plain(&q));
+        assert_eq!(got.sorted_rows(), want);
+        assert_eq!(stats.rows, 2);
+    }
+
+    /// `COUNT(*)` without `DISTINCT` counts every derivation: the walk
+    /// deduplicates nothing, so it cuts nothing.
+    #[test]
+    fn count_without_distinct_counts_every_match() {
+        let mut dict = Dictionary::new();
+        let mut g = Graph::new();
+        rdf_io::parse_turtle(WITNESSES, &mut dict, &mut g).expect("fixture parses");
+        let text = "PREFIX ex: <http://ex/> SELECT (COUNT(*) AS ?n) WHERE \
+                    { { ?x ex:hasFriend ?y } UNION { ?x ex:hasFriend ?y . ?y a ex:Person } }";
+        let q = parse_query(text, &mut dict).expect("query parses");
+        assert!(!q.distinct);
+        let (got, _) = evaluate_union(&g, &q);
+        // 5 friendships, 3 of them with a typed friend.
+        assert_eq!(got.len(), 8);
+        assert_eq!(got.sorted_rows(), evaluate(&g, &q).sorted_rows());
+        let n = crate::finalize(got, &q, &mut dict);
+        let lexical = dict
+            .decode(n.rows[0][0])
+            .unwrap()
+            .as_literal()
+            .unwrap()
+            .lexical();
+        assert_eq!(lexical, "8");
+    }
+
     #[test]
     fn stats_summary_renders() {
         let (g, query) = fixture(
@@ -1005,6 +1232,7 @@ mod tests {
         let (_, stats) = evaluate_union(&g, &query);
         let line = stats.summary();
         assert!(line.contains("2 branches"), "{line}");
+        assert!(line.contains("5 triples matched"), "{line}");
         assert!(line.contains("eval "), "{line}");
     }
 }

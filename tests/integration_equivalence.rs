@@ -58,6 +58,41 @@ fn all_strategies_agree_on_lubm_q1_to_q10() {
     }
 }
 
+/// The read benchmark's B3 template on LUBM-1 under reformulation: the
+/// union derives each (student, department) row through many branches,
+/// and once `?x` and `?d` are bound the remaining atoms need one witness.
+/// Without the witness cut the walk matched 39 016 triples for 7 500 rows
+/// (38 996 under interval rewriting); with it, 15 660 (15 640).
+#[test]
+fn reformulated_b3_walks_one_witness_per_row() {
+    use workload::lubm::{NS_DATA, NS_UB};
+    let ds = generate(&LubmConfig::scaled(1));
+    let text = format!(
+        "PREFIX ub: <{NS_UB}>\nSELECT DISTINCT ?x ?d WHERE {{ ?x a ub:Student . \
+         ?x ub:memberOf ?d . ?d ub:subOrganizationOf <{NS_DATA}u0> }}"
+    );
+    let sat = Store::from_parts(
+        ds.dict.clone(),
+        ds.vocab,
+        ds.graph.clone(),
+        ReasoningConfig::Saturation(webreason_core::MaintenanceAlgorithm::Counting),
+    );
+    let want = sat.answer_sparql(&text).unwrap();
+    for config in [ReasoningConfig::Reformulation, ReasoningConfig::Interval] {
+        let store = Store::from_parts(ds.dict.clone(), ds.vocab, ds.graph.clone(), config);
+        let got = store.answer_sparql(&text).unwrap();
+        assert_eq!(got.as_set(), want.as_set(), "{}", config.name());
+        let stats = store.last_eval_stats().expect("a rewriting ran");
+        assert!(
+            stats.matched <= 16_000,
+            "{}: {} triples matched for {} rows",
+            config.name(),
+            stats.matched,
+            got.len()
+        );
+    }
+}
+
 #[test]
 fn plain_evaluation_misses_answers_on_lubm() {
     // The motivation for the whole paper: ignoring entailment loses answers.
@@ -239,11 +274,41 @@ fn assert_routes_agree(
     // Bag semantics: both evaluators of q_ref must agree on multiplicities.
     let mut bag = r.query.clone();
     bag.distinct = false;
-    let (sols, _) = evaluate_union(g, &bag);
-    if sols.sorted_rows() != evaluate(g, &bag).sorted_rows() {
+    let (bag_sols, bag_stats) = evaluate_union(g, &bag);
+    if bag_sols.sorted_rows() != evaluate(g, &bag).sorted_rows() {
         return Err(format!("union eval bag != legacy bag on {query_text}"));
     }
+    // The bag walk takes no witness cut: its first occurrences are the
+    // order a `DISTINCT` answer must keep, and it never matches fewer.
+    if first_seen(&bag_sols) != sols.rows.to_vecs() {
+        return Err(format!(
+            "union eval DISTINCT order != bag order on {query_text}"
+        ));
+    }
+    if stats.matched > bag_stats.matched {
+        return Err(format!(
+            "the DISTINCT walk matched more than the bag walk on {query_text}"
+        ));
+    }
+    let mut ibag = iq.clone();
+    ibag.query.distinct = false;
+    let (ibag_sols, _) = evaluate_interval(g, &ibag);
+    if first_seen(&ibag_sols) != isols.rows.to_vecs() {
+        return Err(format!(
+            "interval eval DISTINCT order != bag order on {query_text}"
+        ));
+    }
     Ok(())
+}
+
+/// The rows of `sols` without repeats, each where it first occurs.
+fn first_seen(sols: &sparql::Solutions) -> Vec<Vec<rdf_model::TermId>> {
+    let mut seen = FxHashSet::default();
+    sols.rows
+        .to_vecs()
+        .into_iter()
+        .filter(|row| seen.insert(row.clone()))
+        .collect()
 }
 
 proptest! {
@@ -275,6 +340,14 @@ proptest! {
             ),
             format!(
                 "SELECT DISTINCT ?x ?y WHERE {{ ?x <http://ex/p{p}> ?y . ?x <http://ex/p{p2}> ?y }}"
+            ),
+            // Variables left unbound once the answer row is: the witness cut.
+            format!(
+                "SELECT DISTINCT ?x WHERE {{ ?x <http://ex/p{p}> ?y . ?y <http://ex/p{p2}> ?z }}"
+            ),
+            format!(
+                "SELECT DISTINCT ?x WHERE {{ ?x <{ty}> <http://ex/C{c}> . ?x <http://ex/p{p}> ?y . \
+                 ?y <{ty}> <http://ex/C{c2}> }}"
             ),
         ];
         for query_text in &queries {

@@ -147,7 +147,7 @@ fn bag_oracle(
 ) -> FxHashMap<Vec<String>, i64> {
     let q = snap.prepare(sparql).unwrap();
     let mut evaluated = if reformulate {
-        snap.reformulated(&q).unwrap().expect("BGP reformulates")
+        (*snap.reformulated(&q).unwrap().expect("BGP reformulates")).clone()
     } else {
         q.clone()
     };
