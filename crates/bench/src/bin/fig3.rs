@@ -11,15 +11,14 @@
 //! fsync policies.
 //!
 //! ```sh
-//! cargo run --release -p bench --bin fig3 [tiny|small|default|large] [recompute|dred|counting]
+//! cargo run --release -p bench --bin fig3 [tiny|small|default|large]
 //! ```
 
 use bench::{
     emit_json, fmt_secs, journal_append_cost, log_bar, lubm_workload, render_table, Scale,
 };
 use durability::FsyncPolicy;
-use rdf_model::{Graph, Vocab};
-use rdfs::incremental::{CountingMaintainer, DRedMaintainer, Maintainer, RecomputeMaintainer};
+use rdfs::incremental::CountingMaintainer;
 use webreason_core::cost::profile;
 use webreason_core::threshold::{compute_thresholds, spread_orders_of_magnitude, Threshold};
 use webreason_core::MaintenanceAlgorithm;
@@ -36,18 +35,13 @@ fn main() {
             }
         },
     };
-    let build: fn(Graph, Vocab) -> Box<dyn Maintainer> =
-        match args.get(1).map_or("counting", String::as_str) {
-            "recompute" => |g, v| Box::new(RecomputeMaintainer::new(g, v)),
-            "dred" => |g, v| Box::new(DRedMaintainer::new(g, v)),
-            "counting" => |g, v| Box::new(CountingMaintainer::new(g, v)),
-            other => {
-                eprintln!(
-                "error: unknown maintenance algorithm {other:?} (expected recompute|dred|counting)"
-            );
-                std::process::exit(2);
-            }
-        };
+    if let Some(extra) = args.get(1) {
+        eprintln!(
+            "error: unexpected argument {extra:?}: fig3 takes only a scale; \
+             the recompute and DRed series were retired, counting is the one maintainer"
+        );
+        std::process::exit(2);
+    }
 
     // Collect an observability snapshot for the whole run: the profiling
     // below drives saturation, maintenance and both query paths through
@@ -57,21 +51,18 @@ fn main() {
 
     eprintln!("generating LUBM workload ({scale:?})…");
     let (ds, qs) = lubm_workload(scale);
-    let mut maintainer = build(ds.graph.clone(), ds.vocab);
+    let mut maintainer = CountingMaintainer::new(ds.graph.clone(), ds.vocab);
     eprintln!(
-        "profiling {} triples × {} queries (algo: {})…",
+        "profiling {} triples × {} queries…",
         ds.graph.len(),
-        qs.len(),
-        maintainer.name()
+        qs.len()
     );
-    let prof = profile(maintainer.as_mut(), &ds.vocab, &qs, 5);
+    let prof = profile(&mut maintainer, &ds.vocab, &qs, 5);
 
     // Replay the workload through the instrumented `Store` so the metrics
     // snapshot covers both query paths (`core.answer.query` over G∞ and
     // `sparql.union.total` over G) plus the maintenance histograms —
     // that is what `ObservedCosts::from_snapshot` derives thresholds from.
-    // A saturated store maintains by counting, whichever maintainer the
-    // profile above measured.
     eprintln!("replaying queries through instrumented stores…");
     let mut sat_store = webreason_core::Store::from_parts(
         ds.dict.clone(),

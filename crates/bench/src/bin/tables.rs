@@ -1,5 +1,5 @@
 //! Regenerates the evaluation tables (DESIGN.md §3): T-SAT, T-REF, T-QA,
-//! T-MAINT, A-ADVISOR, A-REF, T-INT, T-SOC, A-SERVE.
+//! A-ADVISOR, A-REF, T-INT, T-SOC, A-SERVE.
 //!
 //! ```sh
 //! cargo run --release -p bench --bin tables            # all tables, small scale
@@ -7,13 +7,12 @@
 //! ```
 
 use bench::{
-    assert_same_answers, emit_json, fmt_secs, journal_append_cost, lubm_workload, render_table,
-    saturated, time, Scale,
+    assert_same_answers, emit_json, fmt_secs, lubm_workload, render_table, saturated, time, Scale,
 };
 use durability::FsyncPolicy;
 use obs::CancelToken;
 use rdf_model::Graph;
-use rdfs::incremental::{CountingMaintainer, DRedMaintainer, Maintainer, RecomputeMaintainer};
+use rdfs::incremental::CountingMaintainer;
 use rdfs::{saturate, saturate_naive, Schema};
 use reformulation::{reformulate, reformulate_intervals};
 use serde::Serialize;
@@ -21,7 +20,7 @@ use sparql::{evaluate, evaluate_interval, evaluate_union, try_execute, Executabl
 use std::num::NonZeroUsize;
 use std::sync::Arc;
 use webreason_core::advisor::{advise, Recommendation, UpdateMix, WorkloadMix};
-use webreason_core::cost::profile;
+use webreason_core::cost::{profile, CostProfile, MaintenanceCosts};
 use workload::lubm::{generate, LubmConfig};
 use workload::synth::{generate as synth_generate, SynthConfig};
 use workload::Dataset;
@@ -44,8 +43,8 @@ fn main() {
         },
     };
     let which = get("--table").unwrap_or_else(|| "all".to_owned());
-    const TABLES: [&str; 9] = [
-        "sat", "ref", "qa", "maint", "advisor", "aref", "interval", "soc", "serve",
+    const TABLES: [&str; 8] = [
+        "sat", "ref", "qa", "advisor", "aref", "interval", "soc", "serve",
     ];
     if which != "all" && !TABLES.contains(&which.as_str()) {
         eprintln!(
@@ -65,9 +64,6 @@ fn main() {
     }
     if run("qa") {
         reports_ok &= table_qa(scale);
-    }
-    if run("maint") {
-        reports_ok &= table_maint(scale);
     }
     if run("advisor") {
         table_advisor(scale);
@@ -933,91 +929,25 @@ fn table_qa(scale: Scale) -> bool {
     emit_json("table_qa", &report)
 }
 
-/// T-MAINT: maintenance cost per update kind, per algorithm, next to the
-/// write-ahead-journal append a durable (`--journal`) store pays before
-/// any maintenance runs.
-fn table_maint(scale: Scale) -> bool {
-    println!("== T-MAINT: saturation maintenance per update kind ==");
-    let (ds, qs) = lubm_workload(scale);
-    // The WAL append is algorithm-independent: every durable update pays
-    // it once, before maintenance. Measured under both fsync policies.
-    let wal = |fsync| match journal_append_cost(fsync, 200) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("could not measure journal overhead ({e}); reporting 0");
-            0.0
-        }
-    };
-    let wal_always_s = wal(FsyncPolicy::Always);
-    let wal_never_s = wal(FsyncPolicy::Never);
-    #[derive(Serialize)]
-    struct Row {
-        algorithm: String,
-        instance_insert_s: f64,
-        instance_delete_s: f64,
-        schema_insert_s: f64,
-        schema_delete_s: f64,
-        wal_append_s: f64,
-    }
-    let mut report = Vec::new();
-    let mut rows = Vec::new();
-    let maintainers: [Box<dyn Maintainer>; 3] = [
-        Box::new(RecomputeMaintainer::new(ds.graph.clone(), ds.vocab)),
-        Box::new(DRedMaintainer::new(ds.graph.clone(), ds.vocab)),
-        Box::new(CountingMaintainer::new(ds.graph.clone(), ds.vocab)),
-    ];
-    for mut m in maintainers {
-        let p = profile(m.as_mut(), &ds.vocab, &qs[..1], 5);
-        rows.push(vec![
-            m.name().to_owned(),
-            fmt_secs(p.maintenance.instance_insert),
-            fmt_secs(p.maintenance.instance_delete),
-            fmt_secs(p.maintenance.schema_insert),
-            fmt_secs(p.maintenance.schema_delete),
-            fmt_secs(wal_always_s),
-        ]);
-        report.push(Row {
-            algorithm: m.name().to_owned(),
-            instance_insert_s: p.maintenance.instance_insert,
-            instance_delete_s: p.maintenance.instance_delete,
-            schema_insert_s: p.maintenance.schema_insert,
-            schema_delete_s: p.maintenance.schema_delete,
-            wal_append_s: wal_always_s,
-        });
-    }
-    println!(
-        "{}",
-        render_table(
-            &[
-                "algorithm",
-                "inst-insert",
-                "inst-delete",
-                "schema-insert",
-                "schema-delete",
-                "wal-append"
-            ],
-            &rows
-        )
-    );
-    println!(
-        "(recompute pays the full saturation on every update; counting/DRed are\n\
-         incremental. wal-append is the journal write a --journal store adds to\n\
-         every update, fsync always; with fsync never it costs {}.)\n",
-        fmt_secs(wal_never_s),
-    );
-    emit_json("table_maint", &report)
-}
-
 /// A-ADVISOR: recommendation across a (query-rate × update-mix) grid.
 fn table_advisor(scale: Scale) {
     println!("== A-ADVISOR: automatic technique choice across workload mixes ==");
     let (ds, qs) = lubm_workload(scale);
-    // Use the recompute maintainer: the conservative upper bound on
-    // maintenance cost (what a system without incremental maintenance pays).
-    let mut recompute = RecomputeMaintainer::new(ds.graph.clone(), ds.vocab);
-    let prof = profile(&mut recompute, &ds.vocab, &qs, 3);
     let mut counting = CountingMaintainer::new(ds.graph.clone(), ds.vocab);
     let prof_inc = profile(&mut counting, &ds.vocab, &qs, 3);
+    // Recomputation, the conservative upper bound on maintenance (what a
+    // system without incremental maintenance pays), re-saturates `G` on
+    // every update: each update kind costs one saturation.
+    let s = prof_inc.saturation_time;
+    let prof = CostProfile {
+        maintenance: MaintenanceCosts {
+            instance_insert: s,
+            instance_delete: s,
+            schema_insert: s,
+            schema_delete: s,
+        },
+        ..prof_inc.clone()
+    };
 
     let mut rows = Vec::new();
     for (mix_name, updates) in [

@@ -15,10 +15,6 @@
 //!   hierarchy unions of `q_ref` collapse into range scans over an
 //!   interval-encoded dictionary.
 //!
-//! The recompute and DRed maintainers are libraries, not store
-//! configurations: [`cost::profile`] compares counting with them, and the
-//! paper tables call them directly.
-//!
 //! On top sit the performance tools the tutorial argues for:
 //! [`cost::profile`] measures a dataset × query-set cost profile,
 //! [`threshold::compute_thresholds`] turns it into the amortisation

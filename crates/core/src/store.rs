@@ -11,16 +11,15 @@ use crate::snapshot::{
 };
 use rdf_io::ParseError;
 use rdf_model::{Dictionary, Graph, Term, Triple, Vocab};
-use rdfs::incremental::{CountingMaintainer, Maintainer, UpdateKind, UpdateStats};
+use rdfs::incremental::{CountingMaintainer, UpdateKind, UpdateStats};
 use reformulation::ReformulationError;
 use sparql::{parse_query, EvalStats, Query, QueryParseError, Solutions, UnionEvalError};
 use std::fmt;
 use std::sync::{Arc, Mutex, OnceLock, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// How a saturated store maintains `G∞` under updates. Counting is the
-/// only algorithm a store serves; the recompute and DRed baselines are
-/// library maintainers in [`rdfs::incremental`]. The enum keeps its one
-/// variant only because the benchmark trace spells
+/// only maintainer in the code. The enum keeps its one variant only
+/// because the benchmark trace spells
 /// `ReasoningConfig::Saturation(MaintenanceAlgorithm::Counting)`; the next
 /// change to the benchmark drops it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -56,8 +55,8 @@ impl ReasoningConfig {
     /// Parses a [`ReasoningConfig::name`] back into the configuration
     /// (used by journal replay and the CLI). Returns `None` for unknown
     /// names. Journals and checkpoints written while stores also served
-    /// the recompute and DRed maintainers name them; all three hold the
-    /// same `G∞`, so those names recover as counting.
+    /// the since-deleted recompute and DRed maintainers name them; all
+    /// three held the same `G∞`, so those names recover as counting.
     pub fn from_name(name: &str) -> Option<ReasoningConfig> {
         match name {
             "saturation(dred)" | "saturation(recompute)" => {
@@ -478,7 +477,7 @@ impl Store {
     /// store holds no copy of `G`: it reads them off `G∞`'s explicit bits.
     pub fn explicit_triples(&self) -> Box<dyn Iterator<Item = Triple> + '_> {
         match &self.state {
-            State::Saturation(m) => m.explicit(),
+            State::Saturation(m) => Box::new(m.explicit()),
             State::Schema { graph, .. } => Box::new(graph.iter()),
         }
     }

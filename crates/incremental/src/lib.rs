@@ -11,9 +11,8 @@
 //!    its initial state is that query's bag answer from the one executor
 //!    (`sparql::try_execute`):
 //!    * **Saturation** — the view evaluates `q` over `G∞` and consumes
-//!      the *entailed* delta the maintenance layer (DRed / counting /
-//!      recompute) already computes; the view pays nothing extra for
-//!      reasoning.
+//!      the *entailed* delta the counting maintainer already computes;
+//!      the view pays nothing extra for reasoning.
 //!    * **Reformulation** and **interval** — the view evaluates the
 //!      reformulated union `q_ref` over the explicit `G`, consuming the
 //!      base delta.

@@ -5,7 +5,7 @@
 //! of an entailed triple from asserted ones. [`explain`] produces such a
 //! derivation tree for any triple of `G∞` — useful for debugging
 //! ontologies, for auditing query answers, and as the conceptual basis of
-//! the DRed/counting maintenance the crate implements.
+//! the counting maintenance the crate implements.
 //!
 //! ```
 //! use rdf_model::{Dictionary, Graph, Triple, Vocab};

@@ -11,15 +11,14 @@
 //! * [`rules`]: the immediate entailment rules of Fig. 2 (rdfs2, rdfs3,
 //!   rdfs7, rdfs9) together with the schema-level rules, each applicable
 //!   one step at a time (`⊢ᵢ_RDF` in the paper) — the basis for the naive
-//!   engine, semi-naive deltas, and DRed;
+//!   reference engine and the explanation facility;
 //! * [`saturate`]: the fix-point `G∞` of repeatedly applying immediate
 //!   entailment, via a fast schema-closure-specialised single pass, with
 //!   [`saturate_naive`] as the reference fix-point implementation;
 //! * [`incremental`]: saturation maintenance under updates — the paper's
-//!   central performance concern — with three interchangeable algorithms:
-//!   full recomputation, **DRed** (delete-and-rederive, the OWLIM-style
-//!   approach) and **counting** (Broekstra & Kampman's truth-maintenance
-//!   approach, ref. \[11\] of the paper).
+//!   central performance concern — by **derivation counting** (Broekstra &
+//!   Kampman's truth-maintenance approach, ref. \[11\] of the paper),
+//!   checked against [`saturate`] after every update.
 //!
 //! ## Example: the paper's running example (§I)
 //!

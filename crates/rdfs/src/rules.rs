@@ -3,8 +3,8 @@
 //! Each rule has exactly two premises; [`consequences_of`] enumerates every
 //! rule instance in which a given triple fills *either* premise while the
 //! other premise is drawn from a graph. This "delta-aware" formulation is
-//! the single primitive from which the naive fix-point, semi-naive
-//! saturation, insertion deltas and DRed over-deletion are all built.
+//! the primitive of the reference semi-naive fix-point
+//! ([`crate::saturate_naive`]).
 //!
 //! The first four rules are the instance-entailment rules the paper shows
 //! in Fig. 2; the remaining six close the schema itself (rdfs5/rdfs11
@@ -235,80 +235,9 @@ pub fn consequences_of(t: &Triple, g: &Graph, vocab: &Vocab, mut emit: impl FnMu
     }
 }
 
-/// True if `d` is the conclusion of at least one rule instance whose two
-/// premises are both in `g` — the re-derivation test of the DRed
-/// (delete-and-rederive) maintenance algorithm.
-pub fn one_step_derivable(d: &Triple, g: &Graph, vocab: &Vocab) -> bool {
-    let v = vocab;
-    if d.p == v.rdf_type {
-        // rdfs2: (p domain c) ∧ (s p o)
-        if let Some(ps) = g.subjects_with(v.domain, d.o) {
-            if ps.iter().any(|p| g.objects(d.s, p).is_some()) {
-                return true;
-            }
-        }
-        // rdfs3: (p range c) ∧ (o p s)
-        if let Some(ps) = g.subjects_with(v.range, d.o) {
-            if ps.iter().any(|p| g.subjects_with(p, d.s).is_some()) {
-                return true;
-            }
-        }
-        // rdfs9: (c1 sc c) ∧ (s type c1)
-        if let Some(c1s) = g.subjects_with(v.sub_class_of, d.o) {
-            if c1s
-                .iter()
-                .any(|c1| g.contains(&Triple::new(d.s, v.rdf_type, c1)))
-            {
-                return true;
-            }
-        }
-        false
-    } else if d.p == v.sub_class_of {
-        // rdfs11: (s sc m) ∧ (m sc o)
-        g.objects(d.s, v.sub_class_of).is_some_and(|mids| {
-            mids.iter()
-                .any(|m| g.contains(&Triple::new(m, v.sub_class_of, d.o)))
-        })
-    } else if d.p == v.sub_property_of {
-        // rdfs5
-        g.objects(d.s, v.sub_property_of).is_some_and(|mids| {
-            mids.iter()
-                .any(|m| g.contains(&Triple::new(m, v.sub_property_of, d.o)))
-        })
-    } else if d.p == v.domain {
-        // ext-dom-sp: (s sp p') ∧ (p' domain o)
-        let via_sp = g.objects(d.s, v.sub_property_of).is_some_and(|ps| {
-            ps.iter()
-                .any(|p2| g.contains(&Triple::new(p2, v.domain, d.o)))
-        });
-        // ext-dom-sc: (s domain c0) ∧ (c0 sc o)
-        let via_sc = g.objects(d.s, v.domain).is_some_and(|cs| {
-            cs.iter()
-                .any(|c0| g.contains(&Triple::new(c0, v.sub_class_of, d.o)))
-        });
-        via_sp || via_sc
-    } else if d.p == v.range {
-        let via_sp = g.objects(d.s, v.sub_property_of).is_some_and(|ps| {
-            ps.iter()
-                .any(|p2| g.contains(&Triple::new(p2, v.range, d.o)))
-        });
-        let via_sc = g.objects(d.s, v.range).is_some_and(|cs| {
-            cs.iter()
-                .any(|c0| g.contains(&Triple::new(c0, v.sub_class_of, d.o)))
-        });
-        via_sp || via_sc
-    } else {
-        // rdfs7: (p1 sp p) ∧ (s p1 o)
-        g.subjects_with(v.sub_property_of, d.p)
-            .is_some_and(|p1s| p1s.iter().any(|p1| g.contains(&Triple::new(d.s, p1, d.o))))
-    }
-}
-
 /// Enumerates every rule instance concluding `d` with both premises in
 /// `g`, as `(rule, premise₁, premise₂)` — the inverse of
-/// [`consequences_of`], used by the explanation facility and mirroring
-/// [`one_step_derivable`] (which is `derivations_of(..).next().is_some()`
-/// in spirit, kept separate because the boolean version short-circuits).
+/// [`consequences_of`], used by the explanation facility.
 pub fn derivations_of(
     d: &Triple,
     g: &Graph,

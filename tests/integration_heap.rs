@@ -13,7 +13,7 @@
 mod live_heap;
 
 use rdf_model::{Graph, Triple};
-use rdfs::incremental::{CountingMaintainer, Maintainer};
+use rdfs::incremental::CountingMaintainer;
 use workload::lubm::{generate, LubmConfig};
 
 /// Live bytes per saturated triple at LUBM-1: `G∞` plus its counts measure

@@ -220,7 +220,7 @@ fn committed_journal_fixture_recovers_its_exact_base_graph() {
 /// and DRed maintainers name them: `journal_dred` holds a `SetConfig`
 /// naming `saturation(dred)` and two loads; `checkpoint_recompute` holds a
 /// checkpoint naming `saturation(recompute)` plus a one-load journal tail.
-/// All three maintainers hold the same `G∞`, so both recover as counting
+/// All three maintainers held the same `G∞`, so both recover as counting
 /// stores with the base graph and answers they held.
 #[test]
 fn retired_maintainer_names_recover_as_counting() {

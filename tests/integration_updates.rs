@@ -3,10 +3,8 @@
 //! several RDF repositories … authored independently" and both instance
 //! data and schemas change.
 
-use rdf_model::Triple;
-use rdfs::incremental::{
-    CountingMaintainer, DRedMaintainer, Maintainer, RecomputeMaintainer, UpdateKind,
-};
+use rdf_model::{Graph, Triple, Vocab};
+use rdfs::incremental::{CountingMaintainer, UpdateKind};
 use rdfs::saturate;
 use webreason_core::{MaintenanceAlgorithm, ReasoningConfig, Store};
 use workload::lubm::{generate, LubmConfig, UbVocab};
@@ -51,10 +49,22 @@ fn late_arriving_schema_from_second_endpoint() {
     }
 }
 
-/// A long random-ish update stream over LUBM data: maintained saturation
-/// must equal recomputation at checkpoints.
+/// The maintained state after `op` operations must be the model: `G`
+/// equal to `model`, and `G∞` equal to the reference saturation of `G`.
+fn check(m: &CountingMaintainer, model: &Graph, vocab: &Vocab, op: usize) {
+    assert_eq!(
+        &m.explicit().collect::<Graph>(),
+        model,
+        "G diverged at op {op}"
+    );
+    let expect = saturate(model, vocab).graph;
+    assert_eq!(m.saturated(), &expect, "G∞ diverged at op {op}");
+}
+
+/// A long random-ish update stream over LUBM data: the maintained
+/// saturation must equal recomputation after every operation.
 #[test]
-fn lubm_update_stream_checkpoints() {
+fn lubm_update_stream_matches_recomputation_after_every_op() {
     let ds = generate(&LubmConfig::tiny());
     let mut dict = ds.dict.clone();
     let ub = UbVocab::intern(&mut dict);
@@ -81,42 +91,28 @@ fn lubm_update_stream_checkpoints() {
     let special = dict.encode_iri("http://webreason.example/univ-bench#VisitingProfessor");
     let schema_edge = Triple::new(special, vocab.sub_class_of, ub.professor);
 
-    let maintainers: [Box<dyn Maintainer>; 2] = [
-        Box::new(DRedMaintainer::new(ds.graph.clone(), vocab)),
-        Box::new(CountingMaintainer::new(ds.graph.clone(), vocab)),
-    ];
-    for mut m in maintainers {
-        let mut base = ds.graph.clone();
-        let mut step = 0usize;
-        let checkpoint = |m: &dyn Maintainer, base: &rdf_model::Graph, step: usize| {
-            let expect = saturate(base, &vocab).graph;
-            assert_eq!(
-                m.saturated(),
-                &expect,
-                "{} diverged at step {step}",
-                m.name()
-            );
-        };
-        for t in &existing {
-            base.remove(t);
-            m.delete(t);
-            step += 1;
-            if step.is_multiple_of(10) {
-                checkpoint(m.as_ref(), &base, step);
-            }
-        }
-        for &t in &new_triples {
-            base.insert(t);
-            m.insert(t);
-        }
-        checkpoint(m.as_ref(), &base, step);
-        base.insert(schema_edge);
-        m.insert(schema_edge);
-        checkpoint(m.as_ref(), &base, step + 1);
-        base.remove(&schema_edge);
-        m.delete(&schema_edge);
-        checkpoint(m.as_ref(), &base, step + 2);
+    let mut m = CountingMaintainer::new(ds.graph.clone(), vocab);
+    let mut base = ds.graph.clone();
+    let mut op = 0usize;
+    check(&m, &base, &vocab, op);
+    for t in &existing {
+        base.remove(t);
+        m.delete(t);
+        op += 1;
+        check(&m, &base, &vocab, op);
     }
+    for &t in &new_triples {
+        base.insert(t);
+        m.insert(t);
+        op += 1;
+        check(&m, &base, &vocab, op);
+    }
+    base.insert(schema_edge);
+    m.insert(schema_edge);
+    check(&m, &base, &vocab, op + 1);
+    base.remove(&schema_edge);
+    m.delete(&schema_edge);
+    check(&m, &base, &vocab, op + 2);
 }
 
 /// Update kinds are classified correctly through the store API.
@@ -146,10 +142,10 @@ fn update_kind_classification() {
     let _ = (vocab, c);
 }
 
-/// Counting vs DRed vs recompute on a bigger synthetic store: the three
-/// maintainers agree triple-for-triple after a mixed stream.
+/// A mixed delete/re-insert stream on a bigger synthetic store: counting
+/// matches the model graph and its recomputed saturation after every op.
 #[test]
-fn synthetic_mixed_stream_three_way_agreement() {
+fn synthetic_mixed_stream_matches_recomputation_after_every_op() {
     let w = synth_generate(&SynthConfig {
         individuals: 80,
         edges: 300,
@@ -158,32 +154,22 @@ fn synthetic_mixed_stream_three_way_agreement() {
         ..Default::default()
     });
     let vocab = w.dataset.vocab;
-    let graph = w.dataset.graph;
-
-    let mut maintainers: [Box<dyn Maintainer>; 3] = [
-        Box::new(RecomputeMaintainer::new(graph.clone(), vocab)),
-        Box::new(DRedMaintainer::new(graph.clone(), vocab)),
-        Box::new(CountingMaintainer::new(graph.clone(), vocab)),
-    ];
+    let mut model = w.dataset.graph;
+    let mut m = CountingMaintainer::new(model.clone(), vocab);
 
     // Stream: remove every 7th triple, re-add every 3rd removed.
-    let victims: Vec<Triple> = graph.iter().step_by(7).collect();
+    let victims: Vec<Triple> = model.iter().step_by(7).collect();
+    let mut op = 0usize;
     for t in &victims {
-        for m in &mut maintainers {
-            m.delete(t);
-        }
+        model.remove(t);
+        m.delete(t);
+        op += 1;
+        check(&m, &model, &vocab, op);
     }
-    for t in victims.iter().step_by(3) {
-        for m in &mut maintainers {
-            m.insert(*t);
-        }
+    for &t in victims.iter().step_by(3) {
+        model.insert(t);
+        m.insert(t);
+        op += 1;
+        check(&m, &model, &vocab, op);
     }
-    let reference = maintainers[0].saturated().clone();
-    for m in &maintainers[1..] {
-        assert_eq!(m.saturated(), &reference, "{}", m.name());
-    }
-    assert_eq!(
-        &saturate(&maintainers[0].explicit().collect(), &vocab).graph,
-        &reference
-    );
 }
