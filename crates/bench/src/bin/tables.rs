@@ -709,7 +709,8 @@ fn median_time<R>(mut f: impl FnMut() -> R) -> (R, f64) {
 
 /// T-SAT: saturation time and size blow-up across dataset scales, for the
 /// specialised single-pass engine vs the naive fix-point (the
-/// engine-specialisation ablation).
+/// engine-specialisation ablation) and vs the counting maintainer's build,
+/// which a saturated store pays at startup and recovery.
 fn table_sat() -> bool {
     println!("== T-SAT: graph saturation across scales (median of 5 after a warm-up) ==");
     #[derive(Serialize)]
@@ -720,6 +721,7 @@ fn table_sat() -> bool {
         blowup: f64,
         specialised_s: f64,
         naive_s: f64,
+        counting_s: f64,
     }
     let mut report = Vec::new();
     let mut rows = Vec::new();
@@ -736,6 +738,10 @@ fn table_sat() -> bool {
             let (fast, specialised_s) = median_time(|| saturate(&ds.graph, &ds.vocab));
             let (naive, naive_s) = median_time(|| saturate_naive(&ds.graph, &ds.vocab));
             assert_eq!(fast.graph, naive.graph, "engines must agree");
+            // A saturated store's build: `G∞` plus its derivation counts.
+            let (counting, counting_s) =
+                median_time(|| CountingMaintainer::new(ds.graph.clone(), ds.vocab));
+            assert_eq!(counting.saturated(), &fast.graph, "counting must agree");
             let blowup = fast.graph.len() as f64 / ds.graph.len() as f64;
             rows.push(vec![
                 ds.graph.len().to_string(),
@@ -744,6 +750,8 @@ fn table_sat() -> bool {
                 fmt_secs(specialised_s),
                 fmt_secs(naive_s),
                 format!("{:.1}×", naive_s / specialised_s),
+                fmt_secs(counting_s),
+                format!("{:.2}×", counting_s / specialised_s),
             ]);
             report.push(Row {
                 universities: cfg.universities,
@@ -752,6 +760,7 @@ fn table_sat() -> bool {
                 blowup,
                 specialised_s,
                 naive_s,
+                counting_s,
             });
         }
     }
@@ -764,7 +773,9 @@ fn table_sat() -> bool {
                 "blow-up",
                 "specialised",
                 "naive",
-                "naive/spec"
+                "naive/spec",
+                "counting",
+                "counting/spec"
             ],
             &rows
         )

@@ -6,12 +6,15 @@
 //! of semantic constraints" (§I). This module provides the maintenance a
 //! saturated store pays, the quantity the paper's Fig. 3 thresholds price:
 //! [`CountingMaintainer`], truth maintenance à la Broekstra & Kampman (the
-//! paper's ref. \[11\]). Every saturated triple carries the number of
-//! derivations supporting it, an assertion counting as one, so instance
+//! paper's ref. \[11\]). A saturated triple is supported by the
+//! derivations reaching it, an assertion counting as one, so instance
 //! deletions are decrement-and-drop. It stores `G∞` only: a triple's
 //! explicitness is one bit beside its count, and `G` is read through that
-//! bit. Schema updates re-close the (small) schema and adjust counts only
-//! for the explicit triples whose consequence sets could have changed.
+//! bit. Counts are sparse: an instance triple asserted with no other
+//! support, the common case, holds no count at all, its membership in
+//! `G∞` saying all there is to say. Schema updates re-close the (small)
+//! schema and adjust counts only for the explicit triples whose
+//! consequence sets could have changed.
 //!
 //! [`saturate`](crate::saturate) is the reference: the tests check after
 //! every update, under random update streams, that the maintained `G∞`
@@ -21,6 +24,7 @@ use crate::saturation::derive_instance_consequences;
 use crate::schema::Schema;
 use rdf_model::{Graph, Triple, Vocab};
 use rustc_hash::{FxHashMap, FxHashSet};
+use std::collections::hash_map::Entry;
 
 /// What kind of update a triple insertion/deletion was classified as.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -72,7 +76,7 @@ const EXPLICIT: u32 = 1 << 31;
 
 /// Derivation-counting maintenance (Broekstra & Kampman, ref. \[11\]).
 ///
-/// Every instance-level triple in the saturation carries
+/// Every instance-level triple in the saturation has the support
 /// `count = [t ∈ G] + |{explicit triples whose consequence set contains t}|`.
 /// Because the schema is closed up front, each explicit triple's
 /// consequence set is computed in one lookup pass
@@ -80,15 +84,22 @@ const EXPLICIT: u32 = 1 << 31;
 /// cyclic schemas. The (small) schema-closure part of the saturation is
 /// re-derived wholesale on schema updates and diffed.
 ///
-/// `G∞` is the only graph it holds: `G` is the set of triples whose count
-/// carries the explicit bit, so an assertion costs one count entry rather
-/// than three index entries in a second graph.
+/// `G∞` is the only graph it holds, and the count map keeps only the
+/// counts that carry information. An *instance* triple (one whose
+/// property is not a schema property) that is in `G∞` with no entry is
+/// asserted with support 1; entries remain for derived triples (explicit
+/// bit clear) and for asserted triples with other support (bit set,
+/// support ≥ 2). Schema-property triples keep an entry whenever they are
+/// asserted or derived, because the closed schema sits in `G∞` uncounted,
+/// so for them "no entry" cannot mean "asserted". `G` is the set of
+/// triples read as explicit under this rule, with no second graph.
 pub struct CountingMaintainer {
     vocab: Vocab,
     sat: Graph,
-    /// Support per counted triple; the top bit marks an assertion.
+    /// Support per counted triple; the top bit marks an assertion. An
+    /// instance triple of `G∞` with no entry is asserted with support 1.
     counts: FxHashMap<Triple, u32>,
-    /// How many counts carry the explicit bit, i.e. `|G|`.
+    /// How many triples are asserted, i.e. `|G|`.
     explicit: usize,
     schema: Schema,
     closed_schema: FxHashSet<Triple>,
@@ -117,25 +128,38 @@ impl CountingMaintainer {
         for &t in &m.closed_schema {
             m.sat.insert(t);
         }
+        // A base instance triple is asserted with support 1 until a
+        // derivation reaches it, so it is hashed only then, by `inc`.
         let mut cons = FxHashSet::default();
         for t in asserted {
-            *m.counts.entry(t).or_insert(0) += EXPLICIT | 1;
+            if m.vocab.is_schema_property(t.p) {
+                *m.counts.entry(t).or_insert(0) += EXPLICIT | 1;
+                continue; // a schema triple has no instance consequences
+            }
             cons.clear();
             derive_instance_consequences(&t, &m.vocab, &m.schema, |_, c| {
                 cons.insert(c);
             });
             for &c in &cons {
-                *m.counts.entry(c).or_insert(0) += 1;
-                m.sat.insert(c);
+                m.inc(c);
             }
         }
         m
     }
 
+    /// Whether `t`, which holds no count, is asserted with support 1: an
+    /// instance triple of `G∞`.
+    fn asserted_only(&self, t: &Triple) -> bool {
+        !self.vocab.is_schema_property(t.p) && self.sat.contains(t)
+    }
+
     /// The derivation count of a saturated triple (0 if absent), an
     /// assertion counting as one — exposed for tests and diagnostics.
     pub fn count_of(&self, t: &Triple) -> u32 {
-        self.counts.get(t).map_or(0, |&c| c & !EXPLICIT)
+        match self.counts.get(t) {
+            Some(&c) => c & !EXPLICIT,
+            None => u32::from(self.asserted_only(t)),
+        }
     }
 
     /// Turns recording of the *entailed* delta on or off. While on, every
@@ -164,46 +188,74 @@ impl CountingMaintainer {
         out
     }
 
+    /// Records that `d` entered (`true`) or left `G∞` in the entailed
+    /// delta, when it is tracked.
+    fn record(&mut self, d: Triple, entered: bool) {
+        if let Some(buf) = &mut self.delta {
+            buf.push((d, entered));
+        }
+    }
+
     /// Inserts `d` into `G∞`, recording the entailed delta. `false` when it
     /// was already present via the schema closure.
     fn enter(&mut self, d: Triple) -> bool {
         let entered = self.sat.insert(d);
         if entered {
-            if let Some(buf) = &mut self.delta {
-                buf.push((d, true));
-            }
+            self.record(d, true);
         }
         entered
     }
 
     /// Adds one support to `d`; `true` when `d` entered `G∞`.
     fn inc(&mut self, d: Triple) -> bool {
-        let c = self.counts.entry(d).or_insert(0);
-        *c += 1;
-        *c == 1 && self.enter(d)
+        match self.counts.entry(d) {
+            Entry::Occupied(mut c) => {
+                *c.get_mut() += 1;
+                false
+            }
+            Entry::Vacant(slot) => {
+                let entered = self.sat.insert(d);
+                // An instance triple already in `G∞` without an entry was
+                // asserted with support 1; this is its second support.
+                let instance = !self.vocab.is_schema_property(d.p);
+                slot.insert(if instance && !entered {
+                    EXPLICIT | 2
+                } else {
+                    1
+                });
+                if entered {
+                    self.record(d, true);
+                }
+                entered
+            }
+        }
     }
 
-    /// Drops one support from `d`; `true` when `d` left `G∞`.
+    /// Drops one support from `d`; `true` when `d` left `G∞`. With no
+    /// entry, `d` is an asserted-only instance triple losing its assertion.
     fn dec(&mut self, d: &Triple) -> bool {
         match self.counts.get_mut(d) {
             Some(c) if *c > 1 => {
                 *c -= 1;
-                false
+                // Asserted with support 1 again: an instance triple drops
+                // its entry.
+                if *c == EXPLICIT | 1 && !self.vocab.is_schema_property(d.p) {
+                    self.counts.remove(d);
+                }
+                return false;
             }
             Some(_) => {
                 self.counts.remove(d);
-                // A schema-closure triple stays even at count 0 (its
-                // membership is governed by the closure set).
-                if !self.closed_schema.contains(d) && self.sat.remove(d) {
-                    if let Some(buf) = &mut self.delta {
-                        buf.push((*d, false));
-                    }
-                    true
-                } else {
-                    false
-                }
             }
-            None => false,
+            None => {}
+        }
+        // A schema-closure triple stays even at count 0 (its membership is
+        // governed by the closure set).
+        if !self.closed_schema.contains(d) && self.sat.remove(d) {
+            self.record(*d, false);
+            true
+        } else {
+            false
         }
     }
 
@@ -327,12 +379,10 @@ impl CountingMaintainer {
         }
     }
 
-    /// The explicit (asserted) triples of `G`, in no particular order.
+    /// The explicit (asserted) triples of `G`: a walk of `G∞` that probes
+    /// the count map.
     pub fn explicit(&self) -> impl Iterator<Item = Triple> + '_ {
-        self.counts
-            .iter()
-            .filter(|&(_, &c)| c & EXPLICIT != 0)
-            .map(|(&t, _)| t)
+        self.sat.iter().filter(|t| self.is_explicit(t))
     }
 
     /// How many triples `G` holds.
@@ -342,7 +392,10 @@ impl CountingMaintainer {
 
     /// Whether `t` is asserted, i.e. in `G`.
     pub fn is_explicit(&self, t: &Triple) -> bool {
-        self.counts.get(t).is_some_and(|&c| c & EXPLICIT != 0)
+        match self.counts.get(t) {
+            Some(&c) => c & EXPLICIT != 0,
+            None => self.asserted_only(t),
+        }
     }
 
     /// The maintained saturation `G∞`.
@@ -353,20 +406,34 @@ impl CountingMaintainer {
     /// Asserts a triple and maintains the saturation; a no-op when `t` is
     /// already asserted.
     pub fn insert(&mut self, t: Triple) -> UpdateStats {
-        let count = self.counts.entry(t).or_insert(0);
-        if *count & EXPLICIT != 0 {
-            return UpdateStats::noop();
-        }
-        // The assertion is one more support of `t`.
-        *count = (*count | EXPLICIT) + 1;
-        let unsupported_before = *count == EXPLICIT | 1;
+        let schema = self.vocab.is_schema_property(t.p);
+        // Whether `t` had no support: then it enters `G∞`, unless the
+        // schema closure already holds it.
+        let unsupported = match self.counts.get_mut(&t) {
+            Some(c) if *c & EXPLICIT != 0 => return UpdateStats::noop(),
+            // Derived: the assertion is one more support.
+            Some(c) => {
+                *c = (*c | EXPLICIT) + 1;
+                false
+            }
+            None if !schema && self.sat.contains(&t) => return UpdateStats::noop(),
+            // An instance triple asserted with support 1 holds no entry.
+            None => {
+                if schema {
+                    self.counts.insert(t, EXPLICIT | 1);
+                }
+                true
+            }
+        };
         self.explicit += 1;
-        // Crash site for the fault-injection suite: `t` is asserted but
-        // neither `G∞` nor its consequences' counts have moved — the state
-        // a recovery must reconverge from.
+        // Crash site for the fault-injection suite: `t` is tallied as
+        // asserted, and its count carries the assertion if it keeps one,
+        // but neither `G∞` nor its consequences' counts have moved — the
+        // state a recovery must reconverge from. An asserted-only instance
+        // triple keeps no count, so for it only the tally has moved.
         webreason_failpoints::fail_point!("store.maintain.incremental");
-        let entered = unsupported_before && self.enter(t);
-        let mut stats = if self.vocab.is_schema_property(t.p) {
+        let entered = unsupported && self.enter(t);
+        let mut stats = if schema {
             self.schema_update(&t, UpdateKind::SchemaInsert)
         } else {
             self.instance_insert(&t)
@@ -378,15 +445,18 @@ impl CountingMaintainer {
     /// Retracts an assertion and maintains the saturation; a no-op when
     /// `t` is not asserted, even if it is entailed.
     pub fn delete(&mut self, t: &Triple) -> UpdateStats {
+        let schema = self.vocab.is_schema_property(t.p);
         match self.counts.get_mut(t) {
             Some(c) if *c & EXPLICIT != 0 => *c &= !EXPLICIT,
+            // Asserted with support 1: `dec` below takes it out of `G∞`.
+            None if !schema && self.sat.contains(t) => {}
             _ => return UpdateStats::noop(),
         }
         self.explicit -= 1;
         webreason_failpoints::fail_point!("store.maintain.incremental");
         // Drop the assertion's own support.
         let left = self.dec(t);
-        let mut stats = if self.vocab.is_schema_property(t.p) {
+        let mut stats = if schema {
             self.schema_update(t, UpdateKind::SchemaDelete)
         } else {
             self.instance_delete(t)
@@ -703,6 +773,108 @@ mod tests {
         check_invariant(&m, &f.vocab);
     }
 
+    /// The count entries the sparse form keeps: one per instance triple of
+    /// `G∞` that some derivation reaches (derived, or asserted with other
+    /// support), plus one per asserted or derived schema-property triple.
+    /// Computed from the asserted graph alone, without the maintainer.
+    fn expected_entries(g: &Graph, vocab: &Vocab) -> usize {
+        let schema = Schema::extract(g, vocab);
+        let mut counted: FxHashSet<Triple> =
+            g.iter().filter(|t| vocab.is_schema_property(t.p)).collect();
+        for t in g.iter() {
+            derive_instance_consequences(&t, vocab, &schema, |_, c| {
+                counted.insert(c);
+            });
+        }
+        counted.len()
+    }
+
+    #[test]
+    fn asserted_only_triples_hold_no_count() {
+        let mut f = Fx::new();
+        let (cat, mammal, animal, owns, tom, rex, anne) = (
+            f.id("Cat"),
+            f.id("Mammal"),
+            f.id("Animal"),
+            f.id("owns"),
+            f.id("Tom"),
+            f.id("Rex"),
+            f.id("Anne"),
+        );
+        let v = f.vocab;
+        f.add(cat, v.sub_class_of, mammal);
+        f.add(mammal, v.sub_class_of, animal);
+        f.add(owns, v.range, animal);
+        f.add(tom, v.rdf_type, cat);
+        f.add(anne, owns, rex);
+        f.add(rex, v.rdf_type, animal); // asserted and derived
+        f.add(anne, v.rdf_type, mammal);
+        let mut g = f.g.clone();
+        let mut m = CountingMaintainer::new(f.g.clone(), f.vocab);
+        let check = |m: &CountingMaintainer, g: &Graph| {
+            check_invariant(m, &v);
+            assert_eq!(&m.explicit().collect::<Graph>(), g);
+            assert_eq!(m.counts.len(), expected_entries(g, &v));
+            for t in m.saturated().iter() {
+                let one = m.counts.get(&t) == Some(&(EXPLICIT | 1));
+                assert!(
+                    !one || v.is_schema_property(t.p),
+                    "{t:?} holds EXPLICIT | 1"
+                );
+            }
+        };
+        check(&m, &g);
+        // (tom a Cat), (anne owns Rex) and (anne a Mammal) are asserted
+        // only and hold no entry; (rex a Animal) is also derived, so it
+        // keeps one.
+        assert_eq!(m.count_of(&Triple::new(rex, v.rdf_type, animal)), 2);
+        assert!(!m.counts.contains_key(&Triple::new(tom, v.rdf_type, cat)));
+        assert_eq!(m.count_of(&Triple::new(tom, v.rdf_type, cat)), 1);
+
+        // An asserted triple gains a derivation, then loses it.
+        let (asserted, deriving) = (
+            Triple::new(anne, v.rdf_type, mammal),
+            Triple::new(anne, v.rdf_type, cat),
+        );
+        assert!(!m.counts.contains_key(&asserted));
+        g.insert(deriving);
+        m.insert(deriving);
+        check(&m, &g);
+        assert_eq!(m.counts.get(&asserted), Some(&(EXPLICIT | 2)));
+        g.remove(&deriving);
+        m.delete(&deriving);
+        check(&m, &g);
+        assert!(!m.counts.contains_key(&asserted), "back to asserted-only");
+        assert!(m.is_explicit(&asserted));
+
+        // Deleting an asserted-only triple takes it out of `G∞`; inserting
+        // it again adds it without an entry.
+        let fresh = Triple::new(tom, v.rdf_type, cat);
+        g.remove(&fresh);
+        assert_eq!(
+            m.delete(&fresh).removed,
+            3,
+            "Tom a Cat, a Mammal, an Animal"
+        );
+        check(&m, &g);
+        g.insert(fresh);
+        assert_eq!(m.insert(fresh).added, 3);
+        check(&m, &g);
+        assert!(!m.counts.contains_key(&fresh));
+
+        // A schema delete takes the derivation of (rex a Animal) away; the
+        // assertion is left, without an entry.
+        let range = Triple::new(owns, v.range, animal);
+        g.remove(&range);
+        m.delete(&range);
+        check(&m, &g);
+        assert!(!m.counts.contains_key(&Triple::new(rex, v.rdf_type, animal)));
+        g.insert(range);
+        m.insert(range);
+        check(&m, &g);
+        assert_eq!(m.count_of(&Triple::new(rex, v.rdf_type, animal)), 2);
+    }
+
     mod properties {
         use super::*;
         use proptest::prelude::*;
@@ -791,6 +963,14 @@ mod tests {
                     } else {
                         base.remove(&t);
                         counting.delete(&t);
+                    }
+                    // Sparse counts: an asserted-only instance triple holds
+                    // no entry.
+                    for (d, &c) in &counting.counts {
+                        prop_assert!(
+                            c != EXPLICIT | 1 || vocab.is_schema_property(d.p),
+                            "{:?} holds EXPLICIT | 1", d
+                        );
                     }
                 }
                 let expect = saturate(&base, &vocab).graph;

@@ -5,7 +5,9 @@
 //! one: from a loaded graph (startup, recovery, a strategy switch) and
 //! triple by triple (a load over `POST /update`). The maintainer keeps one
 //! graph, `G∞`, and records explicitness as a bit on its derivation
-//! counts; a second full graph for `G` trips the bound below.
+//! counts, which it keeps only where they carry information (an
+//! asserted-only instance triple holds none). A second full graph for `G`,
+//! or a count for every triple, trips the bound below.
 //!
 //! This binary holds one test, so no other test allocates while it
 //! measures.
@@ -16,10 +18,11 @@ use rdf_model::{Graph, Triple};
 use rdfs::incremental::CountingMaintainer;
 use workload::lubm::{generate, LubmConfig};
 
-/// Live bytes per saturated triple at LUBM-1: `G∞` plus its counts measure
-/// 58.0 built either way, and the bound is that plus 15%. A second graph
-/// for `G` beside them would add about 21 (51 522 triples at 31 B each).
-const BOUND: f64 = 66.7;
+/// Live bytes per saturated triple at LUBM-1: `G∞` plus its sparse counts
+/// measure 36.5 built either way, and the bound is that plus 15%. A count
+/// for every triple, as in the dense form, measured 58.0; a second graph
+/// for `G` would add about 21 (51 522 triples at 31 B each).
+const BOUND: f64 = 42.0;
 
 /// Live bytes `build` leaves allocated per triple of the `G∞` it returns.
 fn bytes_per_saturated_triple(build: impl FnOnce() -> CountingMaintainer) -> (f64, usize) {
