@@ -20,8 +20,8 @@ use workload::lubm::{generate, LubmConfig};
 
 /// Live bytes per saturated triple at LUBM-1: `G∞` plus its sparse counts
 /// measure 36.5 built either way, and the bound is that plus 15%. A count
-/// for every triple, as in the dense form, measured 58.0; a second graph
-/// for `G` would add about 21 (51 522 triples at 31 B each).
+/// for every triple would measure 58.0; a second graph for `G` would add
+/// about 21 (51 522 triples at 31 B each).
 const BOUND: f64 = 42.0;
 
 /// Live bytes `build` leaves allocated per triple of the `G∞` it returns.
