@@ -19,7 +19,7 @@
 //! possibly-torn derived structure.
 
 use crate::snapshot::StoreReader;
-use crate::store::{AnswerError, ReasoningConfig, Store, StoreStats};
+use crate::store::{AnswerError, MaintainTally, ReasoningConfig, Store, StoreStats};
 use durability::{
     load_latest, prune_checkpoints, write_checkpoint, Checkpoint, DurabilityError, FsyncPolicy,
     Journal, JournalRecord, ScriptedOp,
@@ -545,16 +545,23 @@ fn apply_record(store: &mut Store, record: &JournalRecord) -> Result<(), Durable
 }
 
 /// Applies an encoded script to the store one op at a time, in request
-/// order — shared between the live write path and journal replay so both
-/// walk the identical code.
+/// order, and flushes the script's maintenance accounting once — shared
+/// between the live write path and journal replay so both walk the
+/// identical code.
 fn apply_scripted(store: &mut Store, ops: &[ScriptedOp]) -> ScriptOutcome {
+    let mut tally = MaintainTally::default();
     let mut outcome = ScriptOutcome::default();
     for op in ops {
         match op {
-            ScriptedOp::Insert(t) => outcome.added += changed(store.insert(*t)),
-            ScriptedOp::Delete(t) => outcome.removed += changed(store.delete(t)),
+            ScriptedOp::Insert(t) => {
+                outcome.added += changed(store.apply_one(t, true, &mut tally));
+            }
+            ScriptedOp::Delete(t) => {
+                outcome.removed += changed(store.apply_one(t, false, &mut tally));
+            }
         }
     }
+    tally.flush(obs::global());
     outcome
 }
 

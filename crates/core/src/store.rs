@@ -547,9 +547,10 @@ impl Store {
     }
 
     fn apply_batch(&mut self, triples: &[Triple], insert: bool) -> UpdateStats {
+        let mut tally = MaintainTally::default();
         let mut total = UpdateStats::noop();
         for t in triples {
-            let s = self.apply_one(t, insert);
+            let s = self.apply_one(t, insert, &mut tally);
             if s.kind != UpdateKind::Noop {
                 total.kind = UpdateKind::Batch;
             }
@@ -557,6 +558,7 @@ impl Store {
             total.removed += s.removed;
             total.work += s.work;
         }
+        tally.flush(obs::global());
         total
     }
 
@@ -571,7 +573,7 @@ impl Store {
 
     /// Inserts an encoded triple, maintaining derived state.
     pub fn insert(&mut self, t: Triple) -> UpdateStats {
-        self.apply_one(&t, true)
+        self.apply_flushed(&t, true)
     }
 
     /// Encodes three terms and deletes the triple (if the terms are known).
@@ -588,10 +590,25 @@ impl Store {
 
     /// Deletes an encoded triple, maintaining derived state.
     pub fn delete(&mut self, t: &Triple) -> UpdateStats {
-        self.apply_one(t, false)
+        self.apply_flushed(t, false)
     }
 
-    fn apply_one(&mut self, t: &Triple, insert: bool) -> UpdateStats {
+    /// One maintained update, its accounting flushed at once.
+    fn apply_flushed(&mut self, t: &Triple, insert: bool) -> UpdateStats {
+        let mut tally = MaintainTally::default();
+        let stats = self.apply_one(t, insert, &mut tally);
+        tally.flush(obs::global());
+        stats
+    }
+
+    /// Inserts (`insert`) or deletes `t`, maintaining derived state, and
+    /// notes the update in `tally`; the caller flushes the tally.
+    pub(crate) fn apply_one(
+        &mut self,
+        t: &Triple,
+        insert: bool,
+        tally: &mut MaintainTally,
+    ) -> UpdateStats {
         let reg = obs::global();
         let start = reg.now_us();
         let stats = match (&mut self.state, insert) {
@@ -604,7 +621,7 @@ impl Store {
                 plain_update(graph.remove(t), false, t, &self.vocab)
             }
         };
-        publish_update(reg, &stats, reg.now_us().saturating_sub(start));
+        tally.note(&stats, reg.now_us().saturating_sub(start));
         if stats.kind != UpdateKind::Noop {
             if self.delta_tracking {
                 self.base_delta.push((*t, insert));
@@ -695,26 +712,64 @@ impl Store {
     }
 }
 
-/// Mirrors one finished maintenance update into the metrics registry: a
-/// per-kind latency histogram (`core.maintain.<kind>_us`) plus update and
-/// work counters. `UpdateStats` stays the caller-facing façade.
-fn publish_update(reg: &obs::Registry, stats: &UpdateStats, dur_us: u64) {
-    if !reg.is_enabled() {
-        return;
+/// The maintenance accounting of a run of updates: per-kind latency
+/// histograms (`core.maintain.<kind>_us`) plus update and work counters.
+/// Updates note into it locally and [`MaintainTally::flush`] folds it into
+/// the registry once, so a script of n updates costs one round of registry
+/// locks rather than n. `UpdateStats` stays the caller-facing façade.
+#[derive(Default)]
+pub(crate) struct MaintainTally {
+    updates: u64,
+    work: u64,
+    added: u64,
+    removed: u64,
+    /// One histogram per [`UpdateKind`], in [`KIND_HISTOGRAMS`] order.
+    latency_us: [obs::Histogram; 6],
+}
+
+/// The latency histogram of each [`UpdateKind`], indexed as
+/// [`MaintainTally::latency_us`].
+const KIND_HISTOGRAMS: [&str; 6] = [
+    "core.maintain.instance_insert_us",
+    "core.maintain.instance_delete_us",
+    "core.maintain.schema_insert_us",
+    "core.maintain.schema_delete_us",
+    "core.maintain.batch_us",
+    "core.maintain.noop_us",
+];
+
+impl MaintainTally {
+    /// Notes one finished update that took `dur_us`.
+    fn note(&mut self, stats: &UpdateStats, dur_us: u64) {
+        self.updates += 1;
+        self.work += stats.work as u64;
+        self.added += stats.added as u64;
+        self.removed += stats.removed as u64;
+        let kind = match stats.kind {
+            UpdateKind::InstanceInsert => 0,
+            UpdateKind::InstanceDelete => 1,
+            UpdateKind::SchemaInsert => 2,
+            UpdateKind::SchemaDelete => 3,
+            UpdateKind::Batch => 4,
+            UpdateKind::Noop => 5,
+        };
+        self.latency_us[kind].record(dur_us);
     }
-    reg.add("core.maintain.updates", 1);
-    reg.add("core.maintain.work", stats.work as u64);
-    reg.add("core.maintain.triples_added", stats.added as u64);
-    reg.add("core.maintain.triples_removed", stats.removed as u64);
-    let histogram = match stats.kind {
-        UpdateKind::InstanceInsert => "core.maintain.instance_insert_us",
-        UpdateKind::InstanceDelete => "core.maintain.instance_delete_us",
-        UpdateKind::SchemaInsert => "core.maintain.schema_insert_us",
-        UpdateKind::SchemaDelete => "core.maintain.schema_delete_us",
-        UpdateKind::Batch => "core.maintain.batch_us",
-        UpdateKind::Noop => "core.maintain.noop_us",
-    };
-    reg.record(histogram, dur_us);
+
+    /// Folds the tally into `reg`: what one `add` per counter and one
+    /// `record` per update would have left there.
+    pub(crate) fn flush(&self, reg: &obs::Registry) {
+        if self.updates == 0 || !reg.is_enabled() {
+            return;
+        }
+        reg.add("core.maintain.updates", self.updates);
+        reg.add("core.maintain.work", self.work);
+        reg.add("core.maintain.triples_added", self.added);
+        reg.add("core.maintain.triples_removed", self.removed);
+        for (name, h) in KIND_HISTOGRAMS.into_iter().zip(&self.latency_us) {
+            reg.merge_histogram(name, h);
+        }
+    }
 }
 
 fn plain_update(changed: bool, insert: bool, t: &Triple, vocab: &Vocab) -> UpdateStats {

@@ -5,7 +5,10 @@
 //!
 //! * **N-Triples** ([`parse_ntriples`], [`write_ntriples`]) — the
 //!   line-oriented exchange syntax; fully supported including string
-//!   escapes, language tags, datatype IRIs and `\u`/`\U` escapes.
+//!   escapes, language tags, datatype IRIs and `\u`/`\U` escapes. One
+//!   statement parser ([`parse_statement`]) reads every line: it scans an
+//!   IRI or a literal to its delimiter and copies it once, decoding
+//!   escapes only where a `\` appears.
 //! * **Turtle** ([`parse_turtle`]) — a practical subset: `@prefix` /
 //!   `PREFIX` directives, prefixed names, the `a` keyword, predicate lists
 //!   (`;`), object lists (`,`), numeric / boolean shorthand literals and
@@ -42,6 +45,6 @@ mod turtle;
 mod writer;
 
 pub use error::ParseError;
-pub use ntriples::{parse_ntriples, write_ntriples, write_ntriples_sorted};
+pub use ntriples::{parse_ntriples, parse_statement, write_ntriples, write_ntriples_sorted};
 pub use turtle::parse_turtle;
 pub use writer::{write_turtle, PrefixMap};

@@ -6,7 +6,36 @@
 //! are exchanged in between RDF endpoints.
 
 use crate::error::ParseError;
-use rdf_model::{Dictionary, Graph, Literal, Term, Triple};
+use rdf_model::{Dictionary, Graph, Literal, Term, TermId, Triple};
+use std::borrow::Cow;
+
+/// A term as it stands on the line. IRIs and blank labels borrow from the
+/// line, so interning an IRI the dictionary already holds copies nothing;
+/// an IRI is copied only when it carries a `\u`/`\U` escape.
+enum Raw<'a> {
+    Iri(Cow<'a, str>),
+    Blank(&'a str),
+    Literal(Literal),
+}
+
+impl Raw<'_> {
+    fn into_term(self) -> Term {
+        match self {
+            Raw::Iri(iri) => Term::Iri(iri.into()),
+            Raw::Blank(label) => Term::blank(label),
+            Raw::Literal(lit) => Term::Literal(lit),
+        }
+    }
+
+    /// Interns the term; an IRI the dictionary already holds allocates
+    /// nothing.
+    fn encode(self, dict: &mut Dictionary) -> TermId {
+        match self {
+            Raw::Iri(iri) => dict.encode_iri(&iri),
+            other => dict.encode(&other.into_term()),
+        }
+    }
+}
 
 /// A cursor over one line of N-Triples input.
 struct Cursor<'a> {
@@ -15,13 +44,6 @@ struct Cursor<'a> {
 }
 
 impl<'a> Cursor<'a> {
-    fn new(line_text: &'a str, line: usize) -> Self {
-        Cursor {
-            rest: line_text,
-            line,
-        }
-    }
-
     fn err(&self, msg: impl Into<String>) -> ParseError {
         ParseError::new(self.line, msg)
     }
@@ -48,19 +70,61 @@ impl<'a> Cursor<'a> {
         }
     }
 
+    /// Splits the rest at the first byte `is_stop` accepts, an ASCII one,
+    /// consuming the stop byte. Returns the text before it and the stop,
+    /// or `None` (consuming nothing) when no stop byte follows.
+    fn scan_to(&mut self, is_stop: impl Fn(u8) -> bool) -> Option<(&'a str, u8)> {
+        let at = self.rest.bytes().position(is_stop)?;
+        let (chunk, rest) = self.rest.split_at(at);
+        let stop = rest.as_bytes()[0];
+        debug_assert!(stop.is_ascii(), "a stop byte is ASCII");
+        // An ASCII stop is one byte, so `1` is a char boundary.
+        self.rest = &rest[1..];
+        Some((chunk, stop))
+    }
+
     /// Parses the body of an IRIREF after the opening `<`.
-    fn iri_body(&mut self) -> Result<String, ParseError> {
-        let mut out = String::new();
+    fn iri_body(&mut self) -> Result<Cow<'a, str>, ParseError> {
+        self.delimited(
+            |b| matches!(b, b'>' | b'\\' | b' ' | b'<' | b'"'),
+            b'>',
+            "IRI",
+            Self::unicode_escape,
+        )
+    }
+
+    /// Parses a body up to its `close` byte: scanned to each stop byte
+    /// and borrowed from the line, copied only once an escape (`\`,
+    /// decoded by `escape`) appears. Any other stop byte is not allowed in
+    /// the body, which is named `what` in errors.
+    fn delimited(
+        &mut self,
+        is_stop: impl Fn(u8) -> bool,
+        close: u8,
+        what: &str,
+        escape: fn(&mut Self) -> Result<char, ParseError>,
+    ) -> Result<Cow<'a, str>, ParseError> {
+        let mut owned: Option<String> = None;
         loop {
-            match self.bump() {
-                Some('>') => return Ok(out),
-                Some('\\') => out.push(self.unicode_escape()?),
-                Some(c) if c == ' ' || c == '<' || c == '"' => {
-                    return Err(self.err(format!("character '{c}' not allowed in IRI")));
-                }
-                Some(c) => out.push(c),
-                None => return Err(self.err("unterminated IRI")),
+            let Some((chunk, stop)) = self.scan_to(&is_stop) else {
+                return Err(self.err(format!("unterminated {what}")));
+            };
+            if stop == close {
+                return Ok(match owned {
+                    None => Cow::Borrowed(chunk),
+                    Some(mut out) => {
+                        out.push_str(chunk);
+                        Cow::Owned(out)
+                    }
+                });
             }
+            if stop != b'\\' {
+                let c = char::from(stop);
+                return Err(self.err(format!("character '{c}' not allowed in {what}")));
+            }
+            let out = owned.get_or_insert_with(String::new);
+            out.push_str(chunk);
+            out.push(escape(self)?);
         }
     }
 
@@ -87,67 +151,66 @@ impl<'a> Cursor<'a> {
     }
 
     /// Parses a blank node label after `_:`.
-    fn blank_label(&mut self) -> Result<String, ParseError> {
+    fn blank_label(&mut self) -> Result<&'a str, ParseError> {
         let end = self
             .rest
             .find(|c: char| !(c.is_alphanumeric() || c == '_' || c == '-' || c == '.'))
             .unwrap_or(self.rest.len());
         // A trailing '.' terminates the statement, not the label.
-        let mut label = &self.rest[..end];
-        while label.ends_with('.') {
-            label = &label[..label.len() - 1];
-        }
+        let label = self.rest[..end].trim_end_matches('.');
         if label.is_empty() {
             return Err(self.err("empty blank node label"));
         }
         self.rest = &self.rest[label.len()..];
-        Ok(label.to_owned())
+        Ok(label)
     }
 
     /// Parses the body of a quoted string after the opening `"`.
-    fn string_body(&mut self) -> Result<String, ParseError> {
-        let mut out = String::new();
-        loop {
-            match self.bump() {
-                Some('"') => return Ok(out),
-                Some('\\') => match self.bump() {
-                    Some('t') => out.push('\t'),
-                    Some('b') => out.push('\u{8}'),
-                    Some('n') => out.push('\n'),
-                    Some('r') => out.push('\r'),
-                    Some('f') => out.push('\u{c}'),
-                    Some('"') => out.push('"'),
-                    Some('\'') => out.push('\''),
-                    Some('\\') => out.push('\\'),
-                    Some('u') => out.push(self.hex_char('u', 4)?),
-                    Some('U') => out.push(self.hex_char('U', 8)?),
-                    other => return Err(self.err(format!("invalid string escape {other:?}"))),
-                },
-                Some(c) => out.push(c),
-                None => return Err(self.err("unterminated string literal")),
-            }
-        }
+    fn string_body(&mut self) -> Result<Cow<'a, str>, ParseError> {
+        self.delimited(
+            |b| matches!(b, b'"' | b'\\'),
+            b'"',
+            "string literal",
+            Self::string_escape,
+        )
+    }
+
+    /// Parses a string escape after the backslash.
+    fn string_escape(&mut self) -> Result<char, ParseError> {
+        Ok(match self.bump() {
+            Some('t') => '\t',
+            Some('b') => '\u{8}',
+            Some('n') => '\n',
+            Some('r') => '\r',
+            Some('f') => '\u{c}',
+            Some('"') => '"',
+            Some('\'') => '\'',
+            Some('\\') => '\\',
+            Some('u') => self.hex_char('u', 4)?,
+            Some('U') => self.hex_char('U', 8)?,
+            other => return Err(self.err(format!("invalid string escape {other:?}"))),
+        })
     }
 
     /// Parses a full term at the cursor.
-    fn term(&mut self) -> Result<Term, ParseError> {
+    fn term(&mut self) -> Result<Raw<'a>, ParseError> {
         self.skip_ws();
-        match self.peek() {
-            Some('<') => {
-                self.bump();
-                Ok(Term::Iri(self.iri_body()?.into()))
+        match self.rest.as_bytes().first() {
+            Some(b'<') => {
+                self.rest = &self.rest[1..];
+                Ok(Raw::Iri(self.iri_body()?))
             }
-            Some('_') => {
-                self.bump();
+            Some(b'_') => {
+                self.rest = &self.rest[1..];
                 self.expect(':')?;
-                Ok(Term::BlankNode(self.blank_label()?.into()))
+                Ok(Raw::Blank(self.blank_label()?))
             }
-            Some('"') => {
-                self.bump();
+            Some(b'"') => {
+                self.rest = &self.rest[1..];
                 let lexical = self.string_body()?;
-                match self.peek() {
-                    Some('@') => {
-                        self.bump();
+                match self.rest.as_bytes().first() {
+                    Some(b'@') => {
+                        self.rest = &self.rest[1..];
                         let end = self
                             .rest
                             .find(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
@@ -157,22 +220,55 @@ impl<'a> Cursor<'a> {
                         }
                         let tag = &self.rest[..end];
                         self.rest = &self.rest[end..];
-                        Ok(Term::Literal(Literal::lang(lexical, tag)))
+                        Ok(Raw::Literal(Literal::lang(lexical, tag)))
                     }
-                    Some('^') => {
-                        self.bump();
+                    Some(b'^') => {
+                        self.rest = &self.rest[1..];
                         self.expect('^')?;
                         self.skip_ws();
                         self.expect('<')?;
                         let dt = self.iri_body()?;
-                        Ok(Term::Literal(Literal::typed(lexical, dt)))
+                        Ok(Raw::Literal(Literal::typed(lexical, dt)))
                     }
-                    _ => Ok(Term::Literal(Literal::plain(lexical))),
+                    _ => Ok(Raw::Literal(Literal::plain(lexical))),
                 }
             }
-            other => Err(self.err(format!("expected a term, found {other:?}"))),
+            _ => Err(self.err(format!("expected a term, found {:?}", self.peek()))),
         }
     }
+
+    /// Parses one statement line: `None` for a blank or comment line.
+    fn statement(mut self) -> Result<Option<[Raw<'a>; 3]>, ParseError> {
+        self.skip_ws();
+        if self.rest.is_empty() || self.rest.starts_with('#') {
+            return Ok(None);
+        }
+        let s = self.term()?;
+        if matches!(s, Raw::Literal(_)) {
+            return Err(self.err("literal not allowed in subject position"));
+        }
+        self.skip_ws();
+        let p = self.term()?;
+        if !matches!(p, Raw::Iri(_)) {
+            return Err(self.err("property must be an IRI"));
+        }
+        let o = self.term()?;
+        self.skip_ws();
+        self.expect('.')?;
+        self.skip_ws();
+        if !(self.rest.is_empty() || self.rest.starts_with('#')) {
+            return Err(self.err("trailing content after '.'"));
+        }
+        Ok(Some([s, p, o]))
+    }
+}
+
+/// Parses one N-Triples line, numbered `line` in error messages: its three
+/// terms, or `None` for a blank or comment line. This is the statement
+/// parser [`parse_ntriples`] runs on every line of a document.
+pub fn parse_statement(text: &str, line: usize) -> Result<Option<[Term; 3]>, ParseError> {
+    let cursor = Cursor { rest: text, line };
+    Ok(cursor.statement()?.map(|terms| terms.map(Raw::into_term)))
 }
 
 /// Parses an N-Triples document, interning terms into `dict` and inserting
@@ -184,32 +280,15 @@ pub fn parse_ntriples(
     graph: &mut Graph,
 ) -> Result<usize, ParseError> {
     let mut parsed = 0;
-    for (idx, raw) in input.lines().enumerate() {
-        let line_no = idx + 1;
-        let mut cur = Cursor::new(raw, line_no);
-        cur.skip_ws();
-        if cur.rest.is_empty() || cur.rest.starts_with('#') {
-            continue;
+    for (idx, text) in input.lines().enumerate() {
+        let cursor = Cursor {
+            rest: text,
+            line: idx + 1,
+        };
+        if let Some([s, p, o]) = cursor.statement()? {
+            graph.insert(Triple::new(s.encode(dict), p.encode(dict), o.encode(dict)));
+            parsed += 1;
         }
-        let s = cur.term()?;
-        if s.is_literal() {
-            return Err(cur.err("literal not allowed in subject position"));
-        }
-        cur.skip_ws();
-        let p = cur.term()?;
-        if !p.is_iri() {
-            return Err(cur.err("property must be an IRI"));
-        }
-        let o = cur.term()?;
-        cur.skip_ws();
-        cur.expect('.')?;
-        cur.skip_ws();
-        if !(cur.rest.is_empty() || cur.rest.starts_with('#')) {
-            return Err(cur.err("trailing content after '.'"));
-        }
-        let t = Triple::new(dict.encode(&s), dict.encode(&p), dict.encode(&o));
-        graph.insert(t);
-        parsed += 1;
     }
     Ok(parsed)
 }

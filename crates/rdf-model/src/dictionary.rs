@@ -72,10 +72,23 @@ const EMPTY: Slot = Slot {
     hash: 0,
 };
 
-/// The lookup hash of a term.
+/// The lookup hash of a term. An IRI hashes as its string alone
+/// ([`hash_iri`]), so it can be looked up by `&str`.
 fn hash(term: &Term) -> u32 {
+    match term {
+        Term::Iri(iri) => hash_iri(iri),
+        _ => {
+            let mut h = FxHasher::default();
+            term.hash(&mut h);
+            (h.finish() >> 32) as u32
+        }
+    }
+}
+
+/// The lookup hash of the IRI term `iri`.
+fn hash_iri(iri: &str) -> u32 {
     let mut h = FxHasher::default();
-    term.hash(&mut h);
+    h.write(iri.as_bytes());
     (h.finish() >> 32) as u32
 }
 
@@ -102,10 +115,21 @@ impl Dictionary {
 
     /// `encode` for a term whose lookup hash is `hash`.
     fn intern(&mut self, term: &Term, hash: u32) -> TermId {
+        self.intern_by(hash, |t| t == term, || term.clone())
+    }
+
+    /// The id of the term with lookup hash `hash` that `is` accepts,
+    /// interning `make()` under a new id when there is none.
+    fn intern_by(
+        &mut self,
+        hash: u32,
+        is: impl Fn(&Term) -> bool,
+        make: impl FnOnce() -> Term,
+    ) -> TermId {
         if (self.terms.len() + 1) * 4 > self.slots.len() * 3 {
             self.grow();
         }
-        match self.find(term, hash) {
+        match self.probe(hash, is) {
             Ok(id) => id,
             Err(at) => {
                 let id = u32::try_from(self.terms.len())
@@ -116,15 +140,15 @@ impl Dictionary {
                 if self.terms.len() == self.terms.capacity() {
                     self.terms.reserve_exact(Self::spare_for(self.terms.len()));
                 }
-                self.terms.push(term.clone());
+                self.terms.push(make());
                 TermId(id)
             }
         }
     }
 
-    /// The id of `term`, whose lookup hash is `hash`, or the empty slot it
-    /// would take. `slots` must not be empty.
-    fn find(&self, term: &Term, hash: u32) -> Result<TermId, usize> {
+    /// The id of the term with lookup hash `hash` that `is` accepts, or
+    /// the empty slot it would take. `slots` must not be empty.
+    fn probe(&self, hash: u32, is: impl Fn(&Term) -> bool) -> Result<TermId, usize> {
         let mask = self.slots.len() - 1;
         let mut at = hash as usize & mask;
         loop {
@@ -132,7 +156,7 @@ impl Dictionary {
             if slot.id == EMPTY.id {
                 return Err(at);
             }
-            if slot.hash == hash && self.terms[slot.id as usize] == *term {
+            if slot.hash == hash && is(&self.terms[slot.id as usize]) {
                 return Ok(TermId(slot.id));
             }
             at = (at + 1) & mask;
@@ -162,12 +186,14 @@ impl Dictionary {
         self.slots = slots;
     }
 
-    /// Interns an IRI term given as a string.
+    /// Interns an IRI term given as a string. The lookup probes by the
+    /// string, so an IRI already interned allocates nothing.
     pub fn encode_iri(&mut self, iri: &str) -> TermId {
-        // Fast path: avoid building a Term when already interned.
-        // (Lookup requires a Term key, so we build one either way; kept as a
-        // named helper because it is the dominant call shape.)
-        self.encode(&Term::iri(iri))
+        self.intern_by(
+            hash_iri(iri),
+            |t| t.as_iri() == Some(iri),
+            || Term::iri(iri),
+        )
     }
 
     /// Returns the id of a term if it has been interned.
@@ -175,12 +201,15 @@ impl Dictionary {
         if self.slots.is_empty() {
             return None;
         }
-        self.find(term, hash(term)).ok()
+        self.probe(hash(term), |t| t == term).ok()
     }
 
     /// Returns the id of an IRI if it has been interned.
     pub fn get_iri_id(&self, iri: &str) -> Option<TermId> {
-        self.get_id(&Term::iri(iri))
+        if self.slots.is_empty() {
+            return None;
+        }
+        self.probe(hash_iri(iri), |t| t.as_iri() == Some(iri)).ok()
     }
 
     /// Recovers the term for an id produced by this dictionary.
@@ -270,6 +299,23 @@ mod tests {
     }
 
     #[test]
+    fn iri_lookups_by_str_agree_with_term_lookups() {
+        let mut d = Dictionary::new();
+        // Other kinds of term with the same text are different terms.
+        let lit = d.encode(&Term::literal("http://a"));
+        let blank = d.encode(&Term::blank("http://a"));
+        let a = d.encode_iri("http://a");
+        assert!(a != lit && a != blank);
+        assert_eq!(d.encode(&Term::iri("http://a")), a);
+        assert_eq!(d.get_id(&Term::iri("http://a")), Some(a));
+        let b = d.encode(&Term::iri("http://b"));
+        assert_eq!(d.encode_iri("http://b"), b);
+        assert_eq!(d.get_iri_id("http://b"), Some(b));
+        assert_eq!(d.get_iri_id("http://c"), None);
+        assert_eq!(d.len(), 4);
+    }
+
+    #[test]
     fn colliding_hashes_resolve_against_the_terms() {
         // Every term gets the same lookup hash, across several growths of
         // the table: each still gets its own id, in encode order.
@@ -280,11 +326,12 @@ mod tests {
         let ids: Vec<TermId> = terms.iter().map(|t| d.intern(t, 7)).collect();
         for (i, (t, &id)) in terms.iter().zip(&ids).enumerate() {
             assert_eq!(id.index(), i);
-            assert_eq!(d.find(t, 7), Ok(id));
+            assert_eq!(d.probe(7, |x| x == t), Ok(id));
             assert_eq!(d.decode(id), Some(t));
         }
         assert_eq!(d.intern(&terms[42], 7), ids[42]);
-        assert_eq!(d.find(&Term::iri("http://c/100"), 7).ok(), None);
+        let absent = Term::iri("http://c/100");
+        assert_eq!(d.probe(7, |x| *x == absent).ok(), None);
         assert_eq!(d.len(), 100);
     }
 

@@ -152,16 +152,14 @@ fn health_is_liveness_and_ready_reports_ok() {
 #[test]
 fn deadline_capped_union_times_out_with_504() {
     let _guard = serial();
-    // The token is stamped when the reactor enqueues the request. A 10 ms
+    // The token is stamped when the reactor enqueues the request. A 3 ms
     // deadline sits far above the idle dispatch wait, so it expires
     // *inside* the 6 001-branch union evaluation over 300k instances
     // (504), not while queued (the pre-dispatch 503 shed is separate).
     // The fixture is sized so that a full evaluation takes at least five
     // times the deadline in a release build: on a 2-vCPU host it takes
-    // 63–74 ms. Branches, not rows, carry the cost, most of it in building
-    // the branch trie: 363 classes of 800 instances evaluate in ~7 ms. If
-    // the evaluation of many one-atom branches gets cheaper, widen the
-    // fixture again.
+    // 16–18 ms, most of it in producing the 300k rows. If that gets
+    // cheaper, widen the fixture again.
     let server = boot_with(
         "deadline",
         ServerConfig {
@@ -186,7 +184,7 @@ fn deadline_capped_union_times_out_with_504() {
         addr,
         "/query",
         THING_QUERY,
-        &[("X-Webreason-Deadline-Ms", "10")],
+        &[("X-Webreason-Deadline-Ms", "3")],
     );
     let elapsed = start.elapsed();
     assert_eq!(status, 504, "{text}");

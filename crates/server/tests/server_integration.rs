@@ -198,6 +198,54 @@ fn query_update_metrics_round_trip() {
     assert_eq!(store.stats().base_triples, 1, "schema triple remains");
 }
 
+/// A script's maintenance accounting is on `/metrics` by the time its
+/// update is acknowledged: one maintained update per op, one timing per
+/// op in its kind's histogram. Other tests share the registry, so the
+/// counts are lower bounds.
+#[test]
+fn an_acknowledged_script_shows_its_maintenance_on_metrics() {
+    let server = boot("script-metrics", ephemeral());
+    let addr = server.local_addr();
+    let updates = || metric_value(addr, "webreason_core_maintain_updates_total");
+    let inserts = || metric_value(addr, "webreason_core_maintain_instance_insert_us_count");
+    let (status, _) = post(
+        addr,
+        "/update",
+        "insert <http://ex/seed> <http://ex/p> <http://ex/o> .\n",
+    );
+    assert_eq!(status, 200);
+    let (updates_before, inserts_before) = (updates(), inserts());
+    let script: String = (0..5)
+        .map(|i| format!("insert <http://ex/s{i}> <http://ex/p> <http://ex/o> .\n"))
+        .collect();
+    let (status, text) = post(addr, "/update", &script);
+    assert_eq!(status, 200, "{text}");
+    assert!(text.contains("\"added\":5"), "{text}");
+    assert!(updates() >= updates_before + 5);
+    assert!(inserts() >= inserts_before + 5);
+    drop(server.shutdown());
+}
+
+/// A statement that does not parse is reported at its script line, once.
+#[test]
+fn a_bad_statement_names_its_script_line() {
+    let server = boot("bad-line", ephemeral());
+    let addr = server.local_addr();
+    let (status, text) = post(
+        addr,
+        "/update",
+        "insert <http://ex/a> <http://ex/p> <http://ex/b> .\n\
+         # a comment\n\
+         insert <http://ex/a> <http://ex/p> bad .\n",
+    );
+    assert_eq!(status, 400, "{text}");
+    assert!(
+        text.contains(r#""message":"line 3: expected a term, found Some('b')""#),
+        "{text}"
+    );
+    drop(server.shutdown());
+}
+
 /// `POST /update` replies count explicit triples under every strategy: a
 /// constraint and an instance triple count one each, their entailed
 /// consequences none, and deleting an entailed-but-unasserted triple is a

@@ -59,6 +59,7 @@ use crate::range_eval::{IntervalQuery, RTerm, RangeAtom};
 use crate::rows::{IdSet, RowIndex, Rows};
 use obs::{CancelToken, CANCEL_POLL_STRIDE};
 use rdf_model::{Graph, IntervalDict, IntervalSet, Pattern, TermId, Triple};
+use rustc_hash::FxHashMap;
 use std::cmp::Ordering;
 use std::fmt;
 use std::num::NonZeroUsize;
@@ -232,7 +233,7 @@ fn publish_range(reg: &obs::Registry, stats: &EvalStats) {
 /// Which of a run's three graphs an atom probes. A query answer passes
 /// the same graph as all three; a delta run passes the graph before an
 /// update, the update's triples and the graph after it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 enum Tag {
     Old,
     Delta,
@@ -240,7 +241,7 @@ enum Tag {
 }
 
 /// A planned atom and the graph it probes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 struct Step {
     atom: RangeAtom,
     graph: Tag,
@@ -355,26 +356,34 @@ struct Trie {
 impl Trie {
     fn build(branches: &[Vec<Step>]) -> Trie {
         let mut trie = Trie::default();
+        // Each node's position among its siblings, keyed by its parent's
+        // number (0 for the roots, `n` for the n-th node made) and its
+        // step, with the node's own number: a child is found in O(1),
+        // and siblings keep first-seen order.
+        let mut index: FxHashMap<(usize, Step), (usize, usize)> = FxHashMap::default();
         for seq in branches {
             if seq.is_empty() {
                 trie.empty_mult += 1;
                 continue;
             }
             let mut level = &mut trie.roots;
+            let mut parent = 0;
             let mut reused_any = false;
             let mut above: Vec<Variable> = Vec::new();
             for (depth, step) in seq.iter().enumerate() {
-                let pos = match level.iter().position(|n| n.step == *step) {
-                    Some(pos) => {
+                let (pos, number) = match index.get(&(parent, *step)) {
+                    Some(&found) => {
                         if depth == 0 {
                             reused_any = true;
                         }
-                        pos
+                        found
                     }
                     None => {
                         level.push(TrieNode::compile(*step, &above));
                         trie.nodes += 1;
-                        level.len() - 1
+                        let made = (level.len() - 1, trie.nodes);
+                        index.insert((parent, *step), made);
+                        made
                     }
                 };
                 let node = &mut level[pos];
@@ -383,6 +392,7 @@ impl Trie {
                 }
                 above.clone_from(&node.bound);
                 level = &mut node.children;
+                parent = number;
             }
             if reused_any {
                 trie.shared_branches += 1;
@@ -930,6 +940,39 @@ mod tests {
         assert!(matches!(run(6), Err(UnionEvalError::Cancelled)));
         let (sols, _) = run(7).expect("a trip past every poll answers");
         assert_eq!(sols.len(), 2000);
+    }
+
+    #[test]
+    fn trie_siblings_keep_first_seen_order() {
+        let step = |c: usize| Step {
+            atom: RangeAtom {
+                s: RTerm::Const(TermId::from_index(c)),
+                p: RTerm::Const(TermId::from_index(0)),
+                o: RTerm::Const(TermId::from_index(c)),
+            },
+            graph: Tag::New,
+        };
+        // Branches over first steps 3, 1, 2, 1 and second steps below them;
+        // the same step under different parents is a different node.
+        let branches = vec![
+            vec![step(3), step(9)],
+            vec![step(1)],
+            vec![step(2), step(9)],
+            vec![step(1), step(9)],
+            vec![step(1), step(8)],
+            vec![step(3), step(9)],
+            vec![],
+        ];
+        let trie = Trie::build(&branches);
+        let firsts: Vec<Step> = trie.roots.iter().map(|n| n.step).collect();
+        assert_eq!(firsts, vec![step(3), step(1), step(2)]);
+        let under_1: Vec<Step> = trie.roots[1].children.iter().map(|n| n.step).collect();
+        assert_eq!(under_1, vec![step(9), step(8)]);
+        assert_eq!(trie.roots[1].leaf_mult, 1);
+        assert_eq!(trie.roots[0].children[0].leaf_mult, 2);
+        assert_eq!(trie.nodes, 7);
+        assert_eq!(trie.shared_branches, 3);
+        assert_eq!(trie.empty_mult, 1);
     }
 
     #[test]

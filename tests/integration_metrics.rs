@@ -386,3 +386,89 @@ fn a_scripted_write_on_a_saturated_store_records_its_maintenance() {
     assert_eq!(inserts(), inserts_before + 1, "one instance insert timed");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A script's maintenance accounting is flushed once, after its last op:
+/// the counters and histograms it leaves are exactly those of applying
+/// its ops one script each. The frozen clock times every update at 0 µs,
+/// so whole histograms compare, buckets included.
+#[test]
+fn one_script_of_n_ops_records_what_n_single_op_scripts_do() {
+    use rdf_model::{vocab, Term};
+    use webreason_core::{DurableStore, FsyncPolicy, ScriptOp};
+
+    let _guard = lock();
+    let reg = obs::global();
+    let _clock = reg.install_manual_clock();
+    let iri = |s: &str| Term::iri(format!("http://ex/{s}"));
+    let subclass = Term::iri(vocab::RDFS_SUB_CLASS_OF);
+    let rdf_type = Term::iri(vocab::RDF_TYPE);
+    let ops = vec![
+        ScriptOp::Insert([iri("Cat"), subclass.clone(), iri("Mammal")]),
+        ScriptOp::Insert([iri("Tom"), rdf_type.clone(), iri("Cat")]),
+        ScriptOp::Insert([iri("Rex"), rdf_type.clone(), iri("Mammal")]),
+        // A duplicate insert and an absent delete: noops, still counted.
+        ScriptOp::Insert([iri("Tom"), rdf_type.clone(), iri("Cat")]),
+        ScriptOp::Delete([iri("Ann"), rdf_type.clone(), iri("Cat")]),
+        ScriptOp::Delete([iri("Rex"), rdf_type.clone(), iri("Mammal")]),
+        ScriptOp::Insert([iri("Tom"), iri("name"), Term::literal("Tom")]),
+        ScriptOp::Delete([iri("Cat"), subclass, iri("Mammal")]),
+    ];
+    let maintenance = |one_script: bool| {
+        let dir = std::env::temp_dir().join(format!(
+            "webreason-metrics-tally-{one_script}-{}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut store = DurableStore::create(
+            &dir,
+            ReasoningConfig::Saturation(MaintenanceAlgorithm::Counting),
+            std::num::NonZeroUsize::MIN,
+            FsyncPolicy::Never,
+        )
+        .expect("store creates");
+        reg.reset();
+        if one_script {
+            store.apply_script(&ops).expect("script applies");
+        } else {
+            for op in &ops {
+                store
+                    .apply_script(std::slice::from_ref(op))
+                    .expect("op applies");
+            }
+        }
+        let snap = reg.snapshot();
+        let _ = std::fs::remove_dir_all(&dir);
+        let maintain = |name: &str| name.starts_with("core.maintain.");
+        let counters: Vec<_> = snap
+            .counters
+            .into_iter()
+            .filter(|c| maintain(&c.name))
+            .collect();
+        let histograms: Vec<_> = snap
+            .histograms
+            .into_iter()
+            .filter(|h| maintain(&h.name))
+            .collect();
+        (counters, histograms)
+    };
+    let (counters, histograms) = maintenance(true);
+    let (single_counters, single_histograms) = maintenance(false);
+    reg.set_clock(Arc::new(MonotonicClock::new()) as Arc<dyn Clock>);
+
+    assert_eq!(counters, single_counters);
+    assert_eq!(histograms, single_histograms);
+    let counter = |name: &str| counters.iter().find(|c| c.name == name).map(|c| c.value);
+    assert_eq!(counter("core.maintain.updates"), Some(ops.len() as u64));
+    for name in ["work", "triples_added", "triples_removed"] {
+        assert!(
+            counter(&format!("core.maintain.{name}")).is_some(),
+            "{name}"
+        );
+    }
+    let count = |name: &str| histograms.iter().find(|h| h.name == name).map(|h| h.count);
+    assert_eq!(count("core.maintain.schema_insert_us"), Some(1));
+    assert_eq!(count("core.maintain.instance_insert_us"), Some(3));
+    assert_eq!(count("core.maintain.instance_delete_us"), Some(1));
+    assert_eq!(count("core.maintain.schema_delete_us"), Some(1));
+    assert_eq!(count("core.maintain.noop_us"), Some(2));
+}
